@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench89"
 	"repro/internal/cli"
+	"repro/internal/netlist"
 )
 
 // buildBinary compiles atpgrun once per test binary into a temp dir and
@@ -77,12 +79,35 @@ func TestEarlyErrorFlushesTrace(t *testing.T) {
 	}
 }
 
+// bigNetlist writes a deterministic stand-in ten times the size of s15850
+// to a temp .bench file. A full ATPG run on it takes seconds, far longer
+// than the deadlines and signal delays below, so those tests do not
+// depend on how fast ATPG is.
+func bigNetlist(t *testing.T) string {
+	t.Helper()
+	prof, _ := bench89.ProfileByName("s15850")
+	prof.Name = "s15850x10"
+	prof.Inputs *= 10
+	prof.Outputs *= 10
+	prof.DFFs *= 10
+	prof.Gates *= 10
+	c, err := bench89.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "big.bench")
+	if err := os.WriteFile(path, []byte(netlist.BenchString(c)), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestTimeoutExitsIncomplete runs a circuit large enough that a tiny
 // -timeout interrupts generation; the process must exit with the
 // incomplete code and report partial patterns.
 func TestTimeoutExitsIncomplete(t *testing.T) {
 	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-standin", "s15850", "-timeout", "300ms").CombinedOutput()
+	out, err := exec.Command(bin, "-f", bigNetlist(t), "-timeout", "300ms").CombinedOutput()
 	if code := exitCode(t, err); code != cli.ExitIncomplete {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitIncomplete, out)
 	}
@@ -99,14 +124,24 @@ func TestSIGINTExitsInterrupted(t *testing.T) {
 	}
 	bin := buildBinary(t)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	cmd := exec.Command(bin, "-standin", "s15850", "-checkpoint", ckpt, "-checkpoint-every", "8")
-	cmd.Stdout = nil
-	cmd.Stderr = nil
+	cmd := exec.Command(bin, "-f", bigNetlist(t), "-checkpoint", ckpt, "-checkpoint-every", "8")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Give the run time to get into the main ATPG loop, then interrupt.
-	time.Sleep(400 * time.Millisecond)
+	// Interrupt once the main ATPG loop has written its first checkpoint:
+	// the run is then provably mid-generation, with thousands of faults to
+	// go.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := os.Stat(ckpt); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			_ = cmd.Process.Kill()
+			t.Fatal("run never wrote its first checkpoint")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +218,7 @@ func TestWorkersTimeoutExitsIncomplete(t *testing.T) {
 	bin := buildBinary(t)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	out, err := exec.Command(bin,
-		"-standin", "s15850", "-workers", "4", "-timeout", "300ms",
+		"-f", bigNetlist(t), "-workers", "4", "-timeout", "300ms",
 		"-checkpoint", ckpt, "-checkpoint-every", "8").CombinedOutput()
 	if code := exitCode(t, err); code != cli.ExitIncomplete {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitIncomplete, out)

@@ -9,6 +9,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/bench89"
+	"repro/internal/netlist"
 )
 
 // jobStatusResp is the slice of /v1/jobs/{id} these tests read.
@@ -89,9 +92,21 @@ func submitAsync(t *testing.T, d *daemon, path, body string) string {
 // run on a pristine daemon.
 func TestSigkillJournalReplayByteIdentical(t *testing.T) {
 	bin := buildBinary(t)
-	// s15850 runs ~2s on one worker: long enough to kill mid-flight, and
-	// long enough that its checkpoint file demonstrably lands first.
-	const heavy = `{"standin":"s15850"}`
+	// The heavy job is a stand-in four times the size of s15850. Its ATPG
+	// runs for seconds on one worker: long enough that its checkpoint file
+	// demonstrably lands first and the kill still finds it mid-run.
+	prof, _ := bench89.ProfileByName("s15850")
+	prof.Name = "s15850x4"
+	prof.Inputs *= 4
+	prof.Outputs *= 4
+	prof.DFFs *= 4
+	prof.Gates *= 4
+	big, err := bench89.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavyReq, _ := json.Marshal(map[string]any{"bench": netlist.BenchString(big)})
+	heavy := string(heavyReq)
 	tinyReq, _ := json.Marshal(map[string]any{"bench": tinyBench})
 
 	// The uninterrupted baseline, from a daemon that never crashes.
@@ -115,7 +130,7 @@ func TestSigkillJournalReplayByteIdentical(t *testing.T) {
 	cache := filepath.Join(dir, "cache")
 	journal := filepath.Join(dir, "journal.jsonl")
 	d := startDaemon(t, bin, "-workers", "1", "-cache-dir", cache, "-journal", journal)
-	heavyJob := submitAsync(t, d, "/v1/atpg", `{"standin":"s15850","async":true}`)
+	heavyJob := submitAsync(t, d, "/v1/atpg", `{"bench":`+string(mustQuote(t, netlist.BenchString(big)))+`,"async":true}`)
 	tinyJob := submitAsync(t, d, "/v1/atpg", `{"bench":`+string(mustQuote(t, tinyBench))+`,"async":true}`)
 
 	waitJobState(t, d, heavyJob, "running", 30*time.Second)
@@ -139,7 +154,9 @@ func TestSigkillJournalReplayByteIdentical(t *testing.T) {
 	}
 	_ = d.cmd.Wait()
 
-	// The journal survived the kill and holds both admissions.
+	// The journal survived the kill and holds both admissions. (The
+	// replay count checked at the end shows neither had completed: the
+	// kill landed mid-run.)
 	if data, err := os.ReadFile(journal); err != nil || !bytes.Contains(data, []byte(heavyJob)) || !bytes.Contains(data, []byte(tinyJob)) {
 		t.Fatalf("journal after kill (err %v):\n%s", err, data)
 	}

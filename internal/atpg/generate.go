@@ -422,6 +422,7 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	sinceCkpt := 0
 	if !loopDone {
 		spanPodem := col.StartSpan("atpg.phase.podem")
+		clk := &podemClock{on: col != nil}
 		for {
 			var target *faults.Fault
 			for _, f := range engine.Remaining() {
@@ -445,7 +446,9 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 				panic(ferr) // simulated internal failure; recovered at the boundary
 			}
 			cTargeted.Inc()
+			clk.lap()
 			cube, status := pd.run(*target)
+			clk.search += clk.lap()
 			if pd.degraded {
 				res.Degraded++
 				cDegraded.Inc()
@@ -465,11 +468,13 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 					// never silently accept it.
 					panic(fmt.Sprintf("atpg: generated cube %v does not detect %s", cube, target.String(c)))
 				}
+				clk.drop += clk.lap()
 				if opts.DynamicCompact {
-					cube = extendCube(c, pd, engine, cube, *target, failed, opts, res)
+					cube = extendCube(c, pd, engine, cube, *target, failed, opts, res, clk)
 				}
 				cubes = append(cubes, cube)
 				engine.Apply([]logic.Cube{cube})
+				clk.drop += clk.lap()
 				res.Outcomes = append(res.Outcomes, Outcome{*target, Detected, pd.backtracks})
 			case Redundant, Aborted:
 				failed[*target] = status
@@ -482,12 +487,14 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 				if serr := saveCkpt(false); serr != nil {
 					res.Cubes = cubes
 					res.Incomplete = true
+					clk.record(col)
 					spanPodem.End()
 					spanGen.End()
 					return res, serr
 				}
 			}
 		}
+		clk.record(col)
 		spanPodem.End()
 		loopDone = true
 		// Seal the main loop's state so a crash in the (cheap, re-runnable)
@@ -654,7 +661,7 @@ func finalizeAccounting(c *netlist.Circuit, flist []faults.Fault, failed map[fau
 // for a later primary attempt.
 func extendCube(c *netlist.Circuit, pd *podem, engine *faultsim.Engine,
 	cube logic.Cube, primary faults.Fault, failed map[faults.Fault]Status,
-	opts Options, res *Result) logic.Cube {
+	opts Options, res *Result, clk *podemClock) logic.Cube {
 	limit := opts.DynamicTargets
 	if limit <= 0 {
 		limit = 16
@@ -673,6 +680,7 @@ func extendCube(c *netlist.Circuit, pd *podem, engine *faultsim.Engine,
 		}
 		tried++
 		extended, status := pd.runWithBase(g, cube)
+		clk.search += clk.lap()
 		if status != Detected {
 			continue
 		}
@@ -684,6 +692,7 @@ func extendCube(c *netlist.Circuit, pd *podem, engine *faultsim.Engine,
 			// primary detection; a violation is a search bug.
 			panic("atpg: dynamic extension broke the primary detection")
 		}
+		clk.drop += clk.lap()
 		cube = extended
 		opts.Obs.Counter("atpg.detected.secondary").Inc()
 		if opts.Obs.Tracing() {
@@ -695,6 +704,34 @@ func extendCube(c *netlist.Circuit, pd *podem, engine *faultsim.Engine,
 		res.Outcomes = append(res.Outcomes, Outcome{g, Detected, pd.backtracks})
 	}
 	return cube
+}
+
+// podemClock splits the PODEM phase into search time and fault-dropping
+// time (cube verification plus engine.Apply). It reads the clock only
+// when a collector is attached, so the uninstrumented loop pays nothing.
+type podemClock struct {
+	on           bool
+	mark         time.Time
+	search, drop time.Duration
+}
+
+// lap returns the time since the previous lap and starts the next one.
+func (k *podemClock) lap() time.Duration {
+	if !k.on {
+		return 0
+	}
+	// lintgo:allow GO002 phase timers report wall time; results ignore it.
+	now := time.Now()
+	d := now.Sub(k.mark)
+	k.mark = now
+	return d
+}
+
+// record observes the accumulated split on the atpg.podem.search and
+// atpg.podem.drop timers.
+func (k *podemClock) record(col *obs.Collector) {
+	col.Timer("atpg.podem.search").Observe(k.search)
+	col.Timer("atpg.podem.drop").Observe(k.drop)
 }
 
 // rebaseEngine replays the kept patterns on a fresh engine so subsequent

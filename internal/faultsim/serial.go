@@ -1,10 +1,11 @@
 package faultsim
 
 import (
+	"fmt"
+
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // SerialSimulate is the pattern-at-a-time serial reference fault simulator:
@@ -131,33 +132,67 @@ func SerialFailingOutputs(c *netlist.Circuit, pattern logic.Cube, f faults.Fault
 	if len(pattern) != len(ppis) {
 		panic("faultsim: pattern width mismatch")
 	}
-	in := make(map[netlist.GateID]bool, len(ppis))
+	n := c.NumGates()
+	in := make([]bool, n)
 	for i, id := range ppis {
 		in[id] = pattern[i] == logic.One
 	}
 
 	stuck := f.Stuck == logic.One
 
+	// Memo states per gate: 0 not yet evaluated, else memoFalse/memoTrue.
+	const memoFalse, memoTrue = 1, 2
 	var evalGood func(id netlist.GateID) bool
 	var evalBad func(id netlist.GateID) bool
-	goodMemo := make(map[netlist.GateID]bool)
-	badMemo := make(map[netlist.GateID]bool)
+	memo := make([]uint8, 2*n)
+	goodMemo, badMemo := memo[:n], memo[n:]
 
+	// evalGate folds the gate's boolean function over its pins, reading
+	// pin faultyPin as the stuck value.
 	evalGate := func(g *netlist.Gate, eval func(netlist.GateID) bool, faultyPin int) bool {
-		vals := make([]logic.V, len(g.Fanin))
-		for j, fin := range g.Fanin {
+		pin := func(j int) bool {
 			if j == faultyPin {
-				vals[j] = logic.FromBool(stuck)
-			} else {
-				vals[j] = logic.FromBool(eval(fin))
+				return stuck
 			}
+			return eval(g.Fanin[j])
 		}
-		return sim.EvalGate(g.Type, vals) == logic.One
+		var v, invert bool
+		switch g.Type {
+		case netlist.Buf, netlist.Not:
+			v, invert = pin(0), g.Type == netlist.Not
+		case netlist.And, netlist.Nand:
+			v, invert = true, g.Type == netlist.Nand
+			for j := range g.Fanin {
+				v = pin(j) && v
+			}
+		case netlist.Or, netlist.Nor:
+			invert = g.Type == netlist.Nor
+			for j := range g.Fanin {
+				v = pin(j) || v
+			}
+		case netlist.Xor, netlist.Xnor:
+			invert = g.Type == netlist.Xnor
+			for j := range g.Fanin {
+				v = pin(j) != v
+			}
+		case netlist.Const0:
+		case netlist.Const1:
+			v = true
+		default:
+			panic(fmt.Sprintf("faultsim: SerialFailingOutputs evaluated gate type %v", g.Type))
+		}
+		return v != invert
+	}
+	memoOf := func(v bool) uint8 {
+		if v {
+			return memoTrue
+		}
+		return memoFalse
 	}
 
 	evalGood = func(id netlist.GateID) bool {
-		if v, ok := goodMemo[id]; ok {
-			return v
+		if m := goodMemo[id]; m != 0 {
+			return m == memoTrue
 		}
 		g := c.Gate(id)
 		var v bool
@@ -166,12 +201,12 @@ func SerialFailingOutputs(c *netlist.Circuit, pattern logic.Cube, f faults.Fault
 		} else {
 			v = evalGate(g, evalGood, -999)
 		}
-		goodMemo[id] = v
+		goodMemo[id] = memoOf(v)
 		return v
 	}
 	evalBad = func(id netlist.GateID) bool {
-		if v, ok := badMemo[id]; ok {
-			return v
+		if m := badMemo[id]; m != 0 {
+			return m == memoTrue
 		}
 		g := c.Gate(id)
 		var v bool
@@ -185,7 +220,7 @@ func SerialFailingOutputs(c *netlist.Circuit, pattern logic.Cube, f faults.Fault
 		default:
 			v = evalGate(g, evalBad, -999)
 		}
-		badMemo[id] = v
+		badMemo[id] = memoOf(v)
 		return v
 	}
 

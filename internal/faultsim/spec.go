@@ -87,6 +87,19 @@ func (p *Program) Spec(id int32) GateSpec {
 // NumGates returns the number of compiled gates (the circuit's gate count).
 func (p *Program) NumGates() int { return len(p.op) }
 
+// Fanouts returns the combinational consumers of gate id, one entry per
+// fanin edge (a gate reading id on two pins appears twice). Edges into
+// DFF data pins are cut, as in the levelization. The caller must not
+// modify the returned slice.
+func (p *Program) Fanouts(id int32) []int32 {
+	return p.fanouts[p.fanoutOff[id]:p.fanoutOff[id+1]]
+}
+
+// Level returns the combinational level of gate id: 0 for sources and
+// constants, otherwise one more than its deepest fanin. Every entry of
+// Fanouts(id) has a strictly higher level than id.
+func (p *Program) Level(id int32) int32 { return p.level[id] }
+
 // Order returns the compiled topological evaluation order — the exact
 // sequence Run walks. The caller must not modify the returned slice.
 func (p *Program) Order() []int32 { return p.order }
