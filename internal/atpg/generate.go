@@ -339,8 +339,9 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	// the patterns that are some fault's first detector — dropping the
 	// rest cannot lose any detection. A resumed run skips the phase: its
 	// kept patterns are already in the checkpoint's cube list.
+	var engine *faultsim.Engine
 	if !resumed && opts.RandomPatterns > 0 && width > 0 {
-		engine := faultsim.NewEngine(c, flist)
+		engine = faultsim.NewEngine(c, flist)
 		engine.SetWorkers(workers)
 		// Instrumented so the random phase — where most of the sharded
 		// fault-simulation work happens — contributes its batch counters
@@ -385,12 +386,7 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 		}
 		randDraws = int64(opts.RandomPatterns) * int64(width)
 		engine.Apply(randPats)
-		useful := make(map[int]bool)
-		for _, d := range engine.Result().DetectedBy {
-			if d != faultsim.Undetected {
-				useful[d] = true
-			}
-		}
+		useful := firstDetectors(engine, len(randPats))
 		for i, p := range randPats {
 			if useful[i] {
 				cubes = append(cubes, p)
@@ -409,12 +405,17 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 		spanRand.End()
 	}
 
-	// Phase 2: deterministic PODEM with fault dropping. The engine's
-	// detection state is a pure function of the applied cube list, so a
-	// resumed run rebuilding it from the checkpoint continues the exact
-	// computation the interrupted run was performing.
-	engine := rebaseEngine(c, flist, cubes, workers)
-	engine.Instrument(col)
+	// Phase 2: deterministic PODEM with fault dropping. The random-phase
+	// engine continues as is: every fault it detected has its first
+	// detector among the kept patterns, so its remaining set is exactly the
+	// kept list's. The engine's detection state is a pure function of the
+	// applied cube list, so a resumed run rebuilding it from the
+	// checkpoint continues the exact computation the interrupted run was
+	// performing.
+	if engine == nil {
+		engine = rebaseEngine(c, flist, cubes, workers)
+		engine.Instrument(col)
+	}
 	pd := newPodem(c, opts.BacktrackLimit, opts.FaultBudget, col)
 	cTargeted := col.Counter("atpg.faults.targeted")
 	cDetDet := col.Counter("atpg.detected.deterministic")
@@ -567,41 +568,40 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	// path uses random fill (better fortuitous coverage) and repairs any
 	// fill-dependent loss with the top-up loop below.
 	spanCompact := col.StartSpan("atpg.phase.compact")
-	patterns := fillZero(cubes)
-	if opts.Compact {
-		merged := mergeCubes(cubes)
-		patterns = fillAll(merged, rng)
-		patterns = reversePrune(c, flist, patterns, workers)
+	var patterns []logic.Cube
+	if !opts.Compact {
+		patterns = fillZero(cubes)
+	} else {
+		span := col.StartSpan("atpg.compact.merge")
+		patterns = fillAll(mergeCubes(cubes), rng)
+		span.End()
+		span = col.StartSpan("atpg.compact.prune")
+		var check *faultsim.Engine
+		patterns, check = reversePrune(c, flist, patterns, workers)
+		span.End()
 		// Fortuitous detections can depend on the fill; top up any
 		// coverage lost by re-targeting newly undetected faults.
-		for iter := 0; iter < 3; iter++ {
-			if cerr := ctx.Err(); cerr != nil {
-				spanCompact.End()
-				return finishPartial("compaction", cerr)
+		span = col.StartSpan("atpg.compact.topup")
+		var cerr error
+		patterns, cerr = topUp(ctx, check, patterns, func(f faults.Fault) (logic.Cube, bool) {
+			if _, bad := failed[f]; bad {
+				return nil, false
 			}
-			check := faultsim.NewEngine(c, flist)
-			check.SetWorkers(workers)
-			check.Apply(patterns)
-			missing := 0
-			for _, f := range check.Remaining() {
-				if _, bad := failed[f]; bad {
-					continue
-				}
-				curFault, haveFault = f, true
-				cube, status := pd.run(f)
-				haveFault = false
-				if status != Detected {
-					failed[f] = status
-					continue
-				}
-				patterns = append(patterns, padCube(cube, width).Fill(func(int) logic.V {
-					return logic.FromBool(rng.Intn(2) == 1)
-				}))
-				missing++
+			curFault, haveFault = f, true
+			cube, status := pd.run(f)
+			haveFault = false
+			if status != Detected {
+				failed[f] = status
+				return nil, false
 			}
-			if missing == 0 {
-				break
-			}
+			return padCube(cube, width).Fill(func(int) logic.V {
+				return logic.FromBool(rng.Intn(2) == 1)
+			}), true
+		})
+		span.End()
+		if cerr != nil {
+			spanCompact.End()
+			return finishPartial("compaction", cerr)
 		}
 	}
 	spanCompact.End()
@@ -706,6 +706,34 @@ func extendCube(c *netlist.Circuit, pd *podem, engine *faultsim.Engine,
 	return cube
 }
 
+// topUp repairs the coverage a compacted, randomly filled pattern set can
+// lose: for up to three rounds, every fault check still misses is offered
+// to retarget, and each pattern it returns is appended. check's remaining
+// faults must be exactly those the given set misses; each round then
+// applies only the patterns the previous round appended.
+func topUp(ctx context.Context, check *faultsim.Engine, patterns []logic.Cube,
+	retarget func(faults.Fault) (logic.Cube, bool)) ([]logic.Cube, error) {
+	applied := len(patterns)
+	for iter := 0; iter < 3; iter++ {
+		if err := ctx.Err(); err != nil {
+			return patterns, err
+		}
+		check.Apply(patterns[applied:])
+		applied = len(patterns)
+		missing := 0
+		for _, f := range check.Remaining() {
+			if p, ok := retarget(f); ok {
+				patterns = append(patterns, p)
+				missing++
+			}
+		}
+		if missing == 0 {
+			break
+		}
+	}
+	return patterns, nil
+}
+
 // podemClock splits the PODEM phase into search time and fault-dropping
 // time (cube verification plus engine.Apply). It reads the clock only
 // when a collector is attached, so the uninstrumented loop pays nothing.
@@ -734,8 +762,8 @@ func (k *podemClock) record(col *obs.Collector) {
 	col.Timer("atpg.podem.drop").Observe(k.drop)
 }
 
-// rebaseEngine replays the kept patterns on a fresh engine so subsequent
-// detection bookkeeping is relative to the kept list.
+// rebaseEngine replays a resumed run's kept patterns on a fresh engine so
+// subsequent detection bookkeeping is relative to the kept list.
 func rebaseEngine(c *netlist.Circuit, flist []faults.Fault, kept []logic.Cube, workers int) *faultsim.Engine {
 	e := faultsim.NewEngine(c, flist)
 	e.SetWorkers(workers)
@@ -757,34 +785,75 @@ func padCube(c logic.Cube, width int) logic.Cube {
 }
 
 // mergeCubes greedily merges compatible cubes, most-specified first — the
-// static compaction of the paper's Section 3.
+// static compaction of the paper's Section 3. Ties keep their input order,
+// and each cube merges into the first compatible merged cube. Compatibility
+// is tested on packed care/one words, 64 positions per word.
 func mergeCubes(cubes []logic.Cube) []logic.Cube {
+	type packed struct {
+		seed      logic.Cube // the first cube of the merge, for its non-binary positions
+		care, one []uint64
+	}
+	spec := make([]int, len(cubes))
 	order := make([]int, len(cubes))
-	for i := range order {
+	for i, c := range cubes {
+		spec[i] = c.Specified()
 		order[i] = i
 	}
-	// Stable selection: sort by descending specified-bit count.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && cubes[order[j]].Specified() > cubes[order[j-1]].Specified(); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	var merged []logic.Cube
+	sort.SliceStable(order, func(a, b int) bool { return spec[order[a]] > spec[order[b]] })
+
+	var merged []packed
 	for _, idx := range order {
 		c := cubes[idx]
+		nw := (len(c) + 63) / 64
+		words := make([]uint64, 2*nw)
+		care, one := words[:nw], words[nw:]
+		for j, v := range c {
+			if v.Binary() {
+				care[j/64] |= 1 << (j % 64)
+				if v == logic.One {
+					one[j/64] |= 1 << (j % 64)
+				}
+			}
+		}
 		placed := false
 		for i := range merged {
-			if merged[i].Compatible(c) {
-				merged[i].MergeInto(c)
+			m := &merged[i]
+			if len(m.seed) == len(c) && compatibleWords(m.care, m.one, care, one) {
+				for w := range care {
+					m.care[w] |= care[w]
+					m.one[w] |= one[w]
+				}
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			merged = append(merged, c.Clone())
+			merged = append(merged, packed{c, care, one})
 		}
 	}
-	return merged
+
+	var out []logic.Cube
+	for _, m := range merged {
+		cube := m.seed.Clone()
+		for j := range cube {
+			if m.care[j/64]>>(j%64)&1 == 1 {
+				cube[j] = logic.FromBool(m.one[j/64]>>(j%64)&1 == 1)
+			}
+		}
+		out = append(out, cube)
+	}
+	return out
+}
+
+// compatibleWords reports whether two packed cubes agree on every position
+// both specify.
+func compatibleWords(care1, one1, care2, one2 []uint64) bool {
+	for w := range care1 {
+		if care1[w]&care2[w]&(one1[w]^one2[w]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // fillAll X-fills every cube with seeded random values.
@@ -797,21 +866,40 @@ func fillAll(cubes []logic.Cube, rng *rand.Rand) []logic.Cube {
 }
 
 // reversePrune drops patterns that add no detection when the set is fault
-// simulated in reverse order — classic reverse-order compaction.
-func reversePrune(c *netlist.Circuit, flist []faults.Fault, patterns []logic.Cube, workers int) []logic.Cube {
+// simulated in reverse order — classic reverse-order compaction. One Apply
+// over the reversed list keeps each fault's first detector, the same set a
+// pattern-at-a-time pass keeps. The returned engine has applied every
+// pattern, so its remaining faults are exactly those the kept set misses.
+func reversePrune(c *netlist.Circuit, flist []faults.Fault, patterns []logic.Cube, workers int) ([]logic.Cube, *faultsim.Engine) {
+	n := len(patterns)
+	rev := make([]logic.Cube, n)
+	for i, p := range patterns {
+		rev[n-1-i] = p
+	}
 	e := faultsim.NewEngine(c, flist)
 	e.SetWorkers(workers)
-	var keptRev []logic.Cube
-	for i := len(patterns) - 1; i >= 0; i-- {
-		if e.Apply([]logic.Cube{patterns[i]}) > 0 {
-			keptRev = append(keptRev, patterns[i])
+	e.Apply(rev)
+	useful := firstDetectors(e, n)
+	kept := make([]logic.Cube, 0, n)
+	for i, p := range patterns {
+		if useful[n-1-i] {
+			kept = append(kept, p)
 		}
 	}
-	kept := make([]logic.Cube, len(keptRev))
-	for i, p := range keptRev {
-		kept[len(keptRev)-1-i] = p
+	return kept, e
+}
+
+// firstDetectors marks which of the n patterns applied to a fresh engine
+// are some fault's first detector: the patterns a fault-dropping pass
+// cannot do without.
+func firstDetectors(e *faultsim.Engine, n int) []bool {
+	useful := make([]bool, n)
+	for _, d := range e.Result().DetectedBy {
+		if d != faultsim.Undetected {
+			useful[d] = true
+		}
 	}
-	return kept
+	return useful
 }
 
 // sortFaults orders faults deterministically.

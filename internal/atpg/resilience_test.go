@@ -17,22 +17,29 @@ import (
 	"repro/internal/runctl"
 )
 
-// afterNCtx is a context whose Err trips to Canceled after n calls —
+// afterNCtx is a context whose Err trips to err after n calls —
 // deterministic mid-run cancellation without sleeping in tests.
 type afterNCtx struct {
 	context.Context
-	n atomic.Int64
+	n   atomic.Int64
+	err error
 }
 
-func cancelAfter(n int64) *afterNCtx {
-	c := &afterNCtx{Context: context.Background()}
+func cancelAfter(n int64) *afterNCtx { return errAfter(n, context.Canceled) }
+
+// deadlineAfter is cancelAfter reporting an expired deadline instead, so a
+// deadline test does not depend on how fast generation runs.
+func deadlineAfter(n int64) *afterNCtx { return errAfter(n, context.DeadlineExceeded) }
+
+func errAfter(n int64, err error) *afterNCtx {
+	c := &afterNCtx{Context: context.Background(), err: err}
 	c.n.Store(n)
 	return c
 }
 
 func (c *afterNCtx) Err() error {
 	if c.n.Add(-1) < 0 {
-		return context.Canceled
+		return c.err
 	}
 	return nil
 }
@@ -139,14 +146,15 @@ func TestCancelledBeforeStart(t *testing.T) {
 
 func TestDeadlineExceeded(t *testing.T) {
 	c := standin(t, "s1423")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	res, err := GenerateContext(ctx, c, DefaultOptions())
+	res, err := GenerateContext(deadlineAfter(10), c, DefaultOptions())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v", err)
 	}
 	if res == nil || !res.Incomplete {
 		t.Fatal("deadline-exceeded run did not return a partial result")
+	}
+	if res.NumDetected == 0 {
+		t.Error("deadline-exceeded run lost the work done before the deadline")
 	}
 }
 

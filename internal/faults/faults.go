@@ -110,11 +110,64 @@ func Collapse(c *netlist.Circuit, fs []Fault) (reps []Fault, classOf map[Fault]F
 	for i, f := range fs {
 		idx[f] = i
 	}
-	uf := newUnionFind(len(fs))
+	uf := unionClasses(c, len(fs), func(f Fault) (int, bool) {
+		i, ok := idx[f]
+		return i, ok
+	})
 
+	// Deterministic representative: the smallest fault in each class.
+	minOf := make(map[int]int) // root -> index of minimal fault
+	for i := range fs {
+		r := uf.find(i)
+		if m, ok := minOf[r]; !ok || fs[i].Less(fs[m]) {
+			minOf[r] = i
+		}
+	}
+	classOf = make(map[Fault]Fault, len(fs))
+	for i, f := range fs {
+		classOf[f] = fs[minOf[uf.find(i)]]
+	}
+	seen := make(map[Fault]bool, len(minOf))
+	for _, m := range minOf {
+		if !seen[fs[m]] {
+			seen[fs[m]] = true
+			reps = append(reps, fs[m])
+		}
+	}
+	sort.Slice(reps, func(i, j int) bool { return reps[i].Less(reps[j]) })
+	return reps, classOf
+}
+
+// CollapsedUniverse is the common composition: Universe followed by Collapse,
+// returning only the representatives. It needs neither Collapse's maps nor
+// its final sort: faults are looked up by binary search in the sorted
+// universe, and walking the universe in index order meets each class's
+// minimum first, so the representatives come out sorted.
+func CollapsedUniverse(c *netlist.Circuit) []Fault {
+	fs := Universe(c)
+	uf := unionClasses(c, len(fs), func(f Fault) (int, bool) {
+		i := sort.Search(len(fs), func(i int) bool { return !fs[i].Less(f) })
+		return i, i < len(fs) && fs[i] == f
+	})
+	seen := make([]bool, len(fs))
+	var reps []Fault
+	for i, f := range fs {
+		if r := uf.find(i); !seen[r] {
+			seen[r] = true
+			reps = append(reps, f)
+		}
+	}
+	return reps
+}
+
+// unionClasses applies the equivalence rules of Collapse to a fault list of
+// n faults, where index reports a fault's position in the list (false when
+// the fault is not in it; rules touching such a fault are skipped).
+func unionClasses(c *netlist.Circuit, n int, index func(Fault) (int, bool)) *unionFind {
+	uf := newUnionFind(n)
 	union := func(a, b Fault) {
-		ia, oka := idx[a]
-		ib, okb := idx[b]
+		ia, oka := index(a)
+		ib, okb := index(b)
 		if oka && okb {
 			uf.union(ia, ib)
 		}
@@ -152,35 +205,7 @@ func Collapse(c *netlist.Circuit, fs []Fault) (reps []Fault, classOf map[Fault]F
 			}
 		}
 	}
-
-	// Deterministic representative: the smallest fault in each class.
-	minOf := make(map[int]int) // root -> index of minimal fault
-	for i := range fs {
-		r := uf.find(i)
-		if m, ok := minOf[r]; !ok || fs[i].Less(fs[m]) {
-			minOf[r] = i
-		}
-	}
-	classOf = make(map[Fault]Fault, len(fs))
-	for i, f := range fs {
-		classOf[f] = fs[minOf[uf.find(i)]]
-	}
-	seen := make(map[Fault]bool, len(minOf))
-	for _, m := range minOf {
-		if !seen[fs[m]] {
-			seen[fs[m]] = true
-			reps = append(reps, fs[m])
-		}
-	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i].Less(reps[j]) })
-	return reps, classOf
-}
-
-// CollapsedUniverse is the common composition: Universe followed by Collapse,
-// returning only the representatives.
-func CollapsedUniverse(c *netlist.Circuit) []Fault {
-	reps, _ := Collapse(c, Universe(c))
-	return reps
+	return uf
 }
 
 // InCone filters fs down to the faults whose site lies inside the given

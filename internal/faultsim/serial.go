@@ -120,7 +120,7 @@ func serialPatternDetects(c *netlist.Circuit, p logic.Cube, good, bad []bool, f 
 // confirm generated patterns. X bits in the pattern are treated as 0,
 // matching Engine.Apply.
 func SerialDetects(c *netlist.Circuit, pattern logic.Cube, f faults.Fault) bool {
-	return len(SerialFailingOutputs(c, pattern, f)) > 0
+	return len(serialFailing(c, pattern, f, true)) > 0
 }
 
 // SerialFailingOutputs returns the pseudo-output frame positions at which
@@ -128,6 +128,12 @@ func SerialDetects(c *netlist.Circuit, pattern logic.Cube, f faults.Fault) bool 
 // the pattern does not detect the fault). Package diag builds fault
 // dictionaries from it.
 func SerialFailingOutputs(c *netlist.Circuit, pattern logic.Cube, f faults.Fault) []int {
+	return serialFailing(c, pattern, f, false)
+}
+
+// serialFailing is SerialFailingOutputs that, when first is set, stops at the
+// first failing pseudo output.
+func serialFailing(c *netlist.Circuit, pattern logic.Cube, f faults.Fault, first bool) []int {
 	ppis := c.PseudoInputs()
 	if len(pattern) != len(ppis) {
 		panic("faultsim: pattern width mismatch")
@@ -243,6 +249,9 @@ func SerialFailingOutputs(c *netlist.Circuit, pattern logic.Cube, f faults.Fault
 	for i, id := range c.PseudoOutputs() {
 		if evalGood(id) != evalBad(id) {
 			fails = append(fails, i)
+			if first {
+				break
+			}
 		}
 	}
 	return fails
