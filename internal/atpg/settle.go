@@ -23,8 +23,15 @@ type SettleReport struct {
 	// CubesAdded counts satisfiable miters: each yielded a test cube that
 	// fault simulation confirmed and that joined the pattern set.
 	CubesAdded int
-	// Conflicts is the total solver conflict count spent across all proofs.
+	// Conflicts is the summed conflict count of the proofs' fixed-order
+	// DPLL trees: what a memo-free search would hit, not the work done
+	// (see sat.Solver).
 	Conflicts int64
+	// Decisions, Propagations and MemoHits sum the solver's work counters
+	// over all proofs.
+	Decisions    int64
+	Propagations int64
+	MemoHits     int64
 }
 
 // SettleAborted formally settles every fault whose final generation verdict
@@ -41,7 +48,9 @@ type SettleReport struct {
 // holds whenever the generation run itself was complete. The pass is
 // bit-reproducible and independent of the worker count; workers only shards
 // the final accounting simulation. Counters: sat.proved_redundant,
-// sat.cubes, sat.conflicts.
+// sat.cubes, sat.conflicts, sat.decisions, sat.propagations and
+// sat.memo_hits; the sat.conflicts_per_proof histogram holds each proof's
+// conflict count.
 func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *obs.Collector, workers int) SettleReport {
 	span := col.StartSpan("atpg.phase.settle")
 	defer span.End()
@@ -66,18 +75,18 @@ func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *o
 	}
 
 	width := len(c.PseudoInputs())
+	perProof := col.Histogram("sat.conflicts_per_proof", obs.ExpBounds(1, 4, 16)...)
 	for _, f := range aborted {
 		proof := sat.ProveFault(c, f)
 		rep.Conflicts += proof.Conflicts
+		rep.Decisions += proof.Decisions
+		rep.Propagations += proof.Propagations
+		rep.MemoHits += proof.MemoHits
+		perProof.Observe(float64(proof.Conflicts))
 		if proof.Redundant {
 			rep.ProvedRedundant++
 			res.Outcomes = append(res.Outcomes, Outcome{f, ProvedRedundant, int(proof.Conflicts)})
-			if col.Tracing() {
-				col.Emit("atpg.settle",
-					obs.F("fault", f.String(c)),
-					obs.F("status", ProvedRedundant.String()),
-					obs.F("conflicts", proof.Conflicts))
-			}
+			emitSettle(col, c, f, ProvedRedundant, proof)
 			continue
 		}
 		cube := padCube(proof.Cube, width)
@@ -90,16 +99,14 @@ func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *o
 		res.Cubes = append(res.Cubes, cube)
 		res.Patterns = append(res.Patterns, cube.Fill(func(int) logic.V { return logic.Zero }))
 		res.Outcomes = append(res.Outcomes, Outcome{f, Detected, int(proof.Conflicts)})
-		if col.Tracing() {
-			col.Emit("atpg.settle",
-				obs.F("fault", f.String(c)),
-				obs.F("status", Detected.String()),
-				obs.F("conflicts", proof.Conflicts))
-		}
+		emitSettle(col, c, f, Detected, proof)
 	}
 	col.Counter("sat.proved_redundant").Add(int64(rep.ProvedRedundant))
 	col.Counter("sat.cubes").Add(int64(rep.CubesAdded))
 	col.Counter("sat.conflicts").Add(rep.Conflicts)
+	col.Counter("sat.decisions").Add(rep.Decisions)
+	col.Counter("sat.propagations").Add(rep.Propagations)
+	col.Counter("sat.memo_hits").Add(rep.MemoHits)
 
 	// Rebuild the failed map under the settled verdicts and re-finalize:
 	// the coverage figures become exact for the enlarged pattern set.
@@ -114,4 +121,19 @@ func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *o
 	}
 	finalizeAccounting(c, flist, failed, res, col, workers)
 	return rep
+}
+
+// emitSettle traces one settled fault: its verdict and the proof's
+// conflict count and work counters.
+func emitSettle(col *obs.Collector, c *netlist.Circuit, f faults.Fault, st Status, p sat.Proof) {
+	if !col.Tracing() {
+		return
+	}
+	col.Emit("atpg.settle",
+		obs.F("fault", f.String(c)),
+		obs.F("status", st.String()),
+		obs.F("conflicts", p.Conflicts),
+		obs.F("decisions", p.Decisions),
+		obs.F("propagations", p.Propagations),
+		obs.F("memo_hits", p.MemoHits))
 }

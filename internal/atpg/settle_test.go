@@ -2,6 +2,8 @@ package atpg
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,7 +226,8 @@ func TestSettleCheckpointCompatible(t *testing.T) {
 }
 
 // TestSettleCountersEmitted: the settle pass reports its work through the
-// sat.* counters.
+// sat.* counters, the per-proof conflict histogram and one atpg.settle
+// trace event per settled fault.
 func TestSettleCountersEmitted(t *testing.T) {
 	c := mustParse(t, "red", `
 INPUT(a)
@@ -241,19 +244,116 @@ z = OR(x, c)
 	flist := faults.CollapsedUniverse(c)
 	opts := Options{BacktrackLimit: 1, RandomPatterns: 0, Compact: false, Seed: 1}
 	res := GenerateForFaults(c, flist, opts)
+	var buf bytes.Buffer
 	reg := obs.NewRegistry()
-	col := obs.New(reg, nil)
+	col := obs.New(reg, obs.NewJSONLSink(&buf))
 	rep := SettleAborted(c, flist, res, col, 1)
 	if rep.Aborted == 0 {
 		t.Fatal("expected aborts to settle")
 	}
-	if got := col.Counter("sat.proved_redundant").Value(); got != int64(rep.ProvedRedundant) {
-		t.Errorf("sat.proved_redundant = %d, want %d", got, rep.ProvedRedundant)
+	if rep.Decisions == 0 || rep.Propagations == 0 {
+		t.Errorf("solver work counters empty: %+v", rep)
 	}
-	if got := col.Counter("sat.cubes").Value(); got != int64(rep.CubesAdded) {
-		t.Errorf("sat.cubes = %d, want %d", got, rep.CubesAdded)
+	for name, want := range map[string]int64{
+		"sat.proved_redundant": int64(rep.ProvedRedundant),
+		"sat.cubes":            int64(rep.CubesAdded),
+		"sat.conflicts":        rep.Conflicts,
+		"sat.decisions":        rep.Decisions,
+		"sat.propagations":     rep.Propagations,
+		"sat.memo_hits":        rep.MemoHits,
+	} {
+		if got := col.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
-	if got := col.Counter("sat.conflicts").Value(); got != rep.Conflicts {
-		t.Errorf("sat.conflicts = %d, want %d", got, rep.Conflicts)
+	hist := reg.Snapshot().Histograms["sat.conflicts_per_proof"]
+	if hist.Count != int64(rep.Aborted) || int64(hist.Sum) != rep.Conflicts {
+		t.Errorf("sat.conflicts_per_proof holds %d proofs summing to %v, want %d summing to %d",
+			hist.Count, hist.Sum, rep.Aborted, rep.Conflicts)
+	}
+	var settled int
+	var sum SettleReport
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev struct {
+			Event        string `json:"event"`
+			Conflicts    int64  `json:"conflicts"`
+			Decisions    int64  `json:"decisions"`
+			Propagations int64  `json:"propagations"`
+			MemoHits     int64  `json:"memo_hits"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if ev.Event != "atpg.settle" {
+			continue
+		}
+		settled++
+		sum.Conflicts += ev.Conflicts
+		sum.Decisions += ev.Decisions
+		sum.Propagations += ev.Propagations
+		sum.MemoHits += ev.MemoHits
+	}
+	if settled != rep.Aborted || sum.Conflicts != rep.Conflicts || sum.Decisions != rep.Decisions ||
+		sum.Propagations != rep.Propagations || sum.MemoHits != rep.MemoHits {
+		t.Errorf("%d atpg.settle events summing to %+v, want %d summing to %+v", settled, sum, rep.Aborted, rep)
+	}
+}
+
+// TestSettleS953Pinned pins the paper-facing settlement numbers of
+// EXPERIMENTS "Settling aborted faults": s953 under -random 0
+// -compact=false at backtrack limits 2 and 3. The per-fault conflict
+// counts are those of the fixed-order DPLL tree, recorded before the
+// solver memoized refuted subtrees; the memo must reproduce them, and the
+// one testable abort's cube, exactly.
+func TestSettleS953Pinned(t *testing.T) {
+	type settled struct {
+		fault     string
+		status    Status
+		conflicts int
+	}
+	const cube = "X1X00X1XX0XX0XX0X001X0XX000X00001000XX0X00X0X"
+	for _, tc := range []struct {
+		backtrack int
+		conflicts int64
+		faults    []settled
+	}{
+		{2, 85_672_000, []settled{
+			{"g13/SA0", ProvedRedundant, 4_194_304},
+			{"ff13->g13.0/SA1", ProvedRedundant, 18_415_616},
+			{"i8->g13.1/SA1", ProvedRedundant, 18_415_616},
+			{"g9->g13.3/SA1", ProvedRedundant, 34_603_008},
+			{"g112->g178.2/SA1", Detected, 10_043_456},
+		}},
+		{3, 48_840_768, []settled{
+			{"g13/SA0", ProvedRedundant, 4_194_304},
+			{"g9->g13.3/SA1", ProvedRedundant, 34_603_008},
+			{"g112->g178.2/SA1", Detected, 10_043_456},
+		}},
+	} {
+		t.Run(fmt.Sprintf("backtrack=%d", tc.backtrack), func(t *testing.T) {
+			c := standin(t, "s953")
+			flist := faults.CollapsedUniverse(c)
+			opts := Options{BacktrackLimit: tc.backtrack, RandomPatterns: 0, Compact: false, Seed: 1, Workers: 1}
+			res := GenerateForFaults(c, flist, opts)
+			rep := SettleAborted(c, flist, res, nil, 1)
+			want := SettleReport{Aborted: len(tc.faults), ProvedRedundant: len(tc.faults) - 1, CubesAdded: 1, Conflicts: tc.conflicts}
+			got := SettleReport{Aborted: rep.Aborted, ProvedRedundant: rep.ProvedRedundant, CubesAdded: rep.CubesAdded, Conflicts: rep.Conflicts}
+			if got != want {
+				t.Fatalf("settle report %+v, want %+v", got, want)
+			}
+			if res.PatternCount() != 83 || res.EffectiveCoverage != 1 {
+				t.Fatalf("%d patterns, effective coverage %v; want 83 and 1", res.PatternCount(), res.EffectiveCoverage)
+			}
+			for i, o := range res.Outcomes[len(res.Outcomes)-rep.Aborted:] {
+				w := tc.faults[i]
+				if o.Fault.String(c) != w.fault || o.Status != w.status || o.Backtracks != w.conflicts {
+					t.Errorf("settled fault %d: %s %v %d conflicts, want %s %v %d",
+						i, o.Fault.String(c), o.Status, o.Backtracks, w.fault, w.status, w.conflicts)
+				}
+			}
+			if got := res.Cubes[len(res.Cubes)-1].String(); got != cube {
+				t.Errorf("settle cube %s, want %s", got, cube)
+			}
+		})
 	}
 }

@@ -73,3 +73,48 @@ func FuzzTseitin(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSolve checks the memoized solver against the memo-free reference
+// search on arbitrary small formulas. The first byte picks the variable
+// count (1–14); each following clause is a width byte (1–4) and that many
+// literal bytes. The bytes left over once a clause no longer fits become
+// the assumptions of a second Solve on the same solver.
+func FuzzSolve(f *testing.F) {
+	f.Add([]byte{2, 1, 0, 1, 1, 1, 2, 1, 3})
+	f.Add([]byte{13, 3, 0, 2, 5, 3, 1, 3, 6, 2, 9, 10, 4, 11, 12, 13, 1, 3, 7, 21, 22, 23, 24})
+	f.Add([]byte{6, 2, 0, 2, 2, 1, 3, 2, 4, 5, 2, 6, 7, 2, 8, 9, 2, 10, 11, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		nVars := 1 + int(data[0])%14
+		lit := func(b byte) Lit {
+			l := Lit(1 + int(b>>1)%nVars)
+			if b&1 == 1 {
+				return l.Neg()
+			}
+			return l
+		}
+		var clauses [][]Lit
+		rest := data[1:]
+		for len(rest) > 0 {
+			w := 1 + int(rest[0])%4
+			if len(rest) < 1+w {
+				break
+			}
+			cl := make([]Lit, w)
+			for k := range cl {
+				cl[k] = lit(rest[1+k])
+			}
+			clauses = append(clauses, cl)
+			rest = rest[1+w:]
+		}
+		var assumptions []Lit
+		for _, b := range rest {
+			assumptions = append(assumptions, lit(b))
+		}
+		s, ref := twinSolvers(nVars, clauses)
+		solveBoth(t, s, ref, nil)
+		solveBoth(t, s, ref, assumptions)
+	})
+}

@@ -18,8 +18,15 @@ type Proof struct {
 	// fault's support cone are X; the engine's X-as-0 fill makes the
 	// fully specified version detect the fault too.
 	Cube logic.Cube
-	// Conflicts is the solver conflict count spent on this proof.
+	// Conflicts is the conflict count of the proof's fixed-order DPLL
+	// tree (see Solver): the same count as a search without the memo,
+	// not a measure of the work done.
 	Conflicts int64
+	// Decisions, Propagations and MemoHits are the solver's work
+	// counters for this proof (see Solver.Decisions and friends).
+	Decisions    int64
+	Propagations int64
+	MemoHits     int64
 }
 
 // ProveFault decides the single stuck-at fault f exactly: it builds the
@@ -35,6 +42,25 @@ type Proof struct {
 // bit-reproducible: identical inputs give identical verdicts, cubes and
 // conflict counts.
 func ProveFault(c *netlist.Circuit, f faults.Fault) Proof {
+	cnf, good := faultMiter(c, f)
+	if cnf == nil {
+		return Proof{Redundant: true}
+	}
+	s := NewSolver(cnf)
+	p := Proof{Redundant: !s.Solve()}
+	if !p.Redundant {
+		p.Cube = good.InputCube(s)
+	}
+	p.Conflicts, p.Decisions, p.Propagations, p.MemoHits =
+		s.Conflicts(), s.Decisions(), s.Propagations(), s.MemoHits()
+	return p
+}
+
+// faultMiter builds ProveFault's miter for f and the good copy's encoding,
+// from which a model's cube is read. A nil formula means the fault is
+// redundant by construction: its effect reaches no observation point, or
+// only points where the faulty copy is structurally the good one.
+func faultMiter(c *netlist.Circuit, f faults.Fault) (*CNF, *CircuitEncoding) {
 	if !c.Finalized() {
 		panic("sat: ProveFault on non-finalized circuit")
 	}
@@ -58,11 +84,7 @@ func ProveFault(c *netlist.Circuit, f faults.Fault) Proof {
 			want = want.Neg()
 		}
 		cnf.Add(want)
-		s := NewSolver(cnf)
-		if !s.Solve() {
-			return Proof{Redundant: true, Conflicts: s.Conflicts()}
-		}
-		return Proof{Cube: good.InputCube(s), Conflicts: s.Conflicts()}
+		return cnf, good
 	}
 
 	// Forward cone of the fault effect through combinational fanout, and
@@ -94,7 +116,7 @@ func ProveFault(c *netlist.Circuit, f faults.Fault) Proof {
 	}
 	if len(obsPoints) == 0 {
 		// The fault effect reaches no observation point at all.
-		return Proof{Redundant: true}
+		return nil, nil
 	}
 	// Prune the cone back from the observation points: fanout branches that
 	// dead-end unobserved cannot influence detection, and their fanins lie
@@ -201,15 +223,10 @@ func ProveFault(c *netlist.Circuit, f faults.Fault) Proof {
 		diffs = append(diffs, d)
 	}
 	if len(diffs) == 0 {
-		return Proof{Redundant: true}
+		return nil, nil
 	}
 	cnf.Add(diffs...)
-
-	s := NewSolver(cnf)
-	if !s.Solve() {
-		return Proof{Redundant: true, Conflicts: s.Conflicts()}
-	}
-	return Proof{Cube: good.InputCube(s), Conflicts: s.Conflicts()}
+	return cnf, good
 }
 
 // InputCube extracts the stimulus of a satisfying model: the modeled value

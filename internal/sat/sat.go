@@ -18,10 +18,22 @@
 //
 // Everything here is bit-reproducible by construction: the solver uses a
 // fixed decision order (lowest variable index first, false before true —
-// no VSIDS, no restarts, no randomness), encoders allocate variables in a
-// fixed traversal order, and no wall-clock or map-iteration order reaches
-// any result. Two identical calls return identical verdicts, identical
-// models, and identical conflict counts.
+// no VSIDS, no clause learning, no restarts, no randomness), encoders
+// allocate variables in a fixed traversal order, and no wall-clock or
+// map-iteration order reaches any result. Two identical calls return
+// identical verdicts, identical models, and identical conflict counts.
+//
+// The solver's one memory is a bounded cache of refuted subtrees keyed by
+// their residual formula (DPLL with caching). Unit propagation is
+// confluent and the decision rule reads only which variables are
+// unassigned, so equal residual formulas root equal subtrees: a cache hit
+// is charged the subtree's stored conflict count and the search moves on.
+// Verdicts, models and conflict counts are therefore exactly those of the
+// memo-free search, while the work is far smaller on the XOR-heavy miters
+// of the stand-ins, whose fixed-order search meets the same sub-problem
+// under many input prefixes. A conflict count is a property of the
+// fixed-order tree, not a measure of the solver's work; Solver.Decisions,
+// Propagations and MemoHits measure the work.
 package sat
 
 import "fmt"

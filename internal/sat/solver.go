@@ -10,8 +10,19 @@ package sat
 // order into "decide circuit inputs, let propagation evaluate the logic" —
 // the classical SAT-ATPG search shape.
 //
+// The one thing the solver remembers is which subtrees it has refuted,
+// keyed by their residual formula (see memo.go). Unit propagation is
+// confluent and the decision rule reads only the set of unassigned
+// variables, so two nodes with the same residual formula root identical
+// subtrees with identical conflict counts; a node whose residual was
+// refuted before is skipped and charged the stored count. Conflicts
+// therefore counts the conflicts of the full fixed-order DPLL tree — the
+// same number the memo-free search reports — not the work done to reach
+// the verdict; Decisions, Propagations and MemoHits count that work.
+//
 // A Solver may be solved repeatedly under different assumptions; each call
-// restarts from an empty assignment. Conflicts accumulate across calls.
+// restarts from an empty assignment. Conflicts and the work counters
+// accumulate across calls.
 type Solver struct {
 	nVars   int32
 	clauses [][]Lit // all length >= 2
@@ -25,8 +36,17 @@ type Solver struct {
 	assign []int8 // 1-indexed by variable: 0 unknown, +1 true, -1 false
 	trail  []Lit
 	qhead  int
+	stack  []decision
 
-	conflicts int64
+	// memo caches refuted subtrees; it is live (memoOn) from the first
+	// conflict below the assumptions to the end of that Solve call.
+	memo   memo
+	memoOn bool
+
+	conflicts    int64
+	decisions    int64
+	propagations int64
+	memoHits     int64
 }
 
 // NewSolver builds a solver over the formula. The solver takes ownership
@@ -55,9 +75,22 @@ func watchIdx(l Lit) int32 {
 	return 2*int32(-l) + 1
 }
 
-// Conflicts returns the cumulative number of conflicts hit across every
-// Solve call on this solver.
+// Conflicts returns the cumulative conflict count of every Solve call on
+// this solver: the number of conflicts of the fixed-order DPLL tree, of
+// which subtrees answered by the memo contribute their stored count.
 func (s *Solver) Conflicts() int64 { return s.conflicts }
+
+// Decisions returns the cumulative number of decision literals the search
+// asserted, counting both values of a variable it flipped.
+func (s *Solver) Decisions() int64 { return s.decisions }
+
+// Propagations returns the cumulative number of assigned literals whose
+// watch lists unit propagation visited.
+func (s *Solver) Propagations() int64 { return s.propagations }
+
+// MemoHits returns the cumulative number of subtrees the search skipped
+// because their residual formula had been refuted before.
+func (s *Solver) MemoHits() int64 { return s.memoHits }
 
 // value returns the current truth value of l: +1 true, -1 false, 0 unknown.
 func (s *Solver) value(l Lit) int8 {
@@ -83,13 +116,20 @@ func (s *Solver) enqueue(l Lit) bool {
 		s.assign[l.Var()] = -1
 	}
 	s.trail = append(s.trail, l)
+	if s.memoOn {
+		s.memo.assign(l)
+	}
 	return true
 }
 
 // undoTo unassigns everything past trail position n.
 func (s *Solver) undoTo(n int) {
 	for i := len(s.trail) - 1; i >= n; i-- {
-		s.assign[s.trail[i].Var()] = 0
+		l := s.trail[i]
+		s.assign[l.Var()] = 0
+		if s.memoOn {
+			s.memo.unassign(l)
+		}
 	}
 	s.trail = s.trail[:n]
 	s.qhead = n
@@ -101,6 +141,7 @@ func (s *Solver) propagate() bool {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
+		s.propagations++
 		// Clauses watching ¬p just lost that watch; visit each.
 		idx := watchIdx(p.Neg())
 		ws := s.watches[idx]
@@ -147,14 +188,22 @@ func (s *Solver) propagate() bool {
 type decision struct {
 	lit      Lit
 	trailLen int
-	assumed  bool // assumption: never flipped; conflict below it is UNSAT
-	flipped  bool // the complementary value has already been explored
+	assumed  bool  // assumption: never flipped; conflict below it is UNSAT
+	flipped  bool  // the complementary value has already been explored
+	entry    int64 // conflict count when the node was entered
 }
 
 // Solve reports whether the formula is satisfiable under the given
 // assumption literals. After a true result, Model holds a total, fully
 // deterministic assignment.
 func (s *Solver) Solve(assumptions ...Lit) bool {
+	sat := s.search(assumptions)
+	s.releaseMemo()
+	return sat
+}
+
+// search is the fixed-order chronological DPLL search behind Solve.
+func (s *Solver) search(assumptions []Lit) bool {
 	if s.empty {
 		return false
 	}
@@ -172,7 +221,7 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 		return false
 	}
 
-	var stack []decision
+	s.stack = s.stack[:0]
 	for _, a := range assumptions {
 		switch s.value(a) {
 		case 1:
@@ -181,7 +230,7 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 			s.conflicts++
 			return false // contradicts the formula or an earlier assumption
 		}
-		stack = append(stack, decision{lit: a, trailLen: len(s.trail), assumed: true})
+		s.stack = append(s.stack, decision{lit: a, trailLen: len(s.trail), assumed: true})
 		s.enqueue(a)
 		if !s.propagate() {
 			s.conflicts++
@@ -194,32 +243,56 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 		if v == 0 {
 			return true // total assignment, no conflict: a model
 		}
-		// Fixed polarity order: false first.
-		stack = append(stack, decision{lit: Lit(v).Neg(), trailLen: len(s.trail)})
-		s.enqueue(Lit(v).Neg())
+		if n, ok := s.memoLookup(); ok {
+			// This residual formula was refuted before: charge its
+			// conflicts and backtrack as if its subtree had been walked.
+			s.conflicts += n
+			s.memoHits++
+			if !s.backtrack() {
+				return false
+			}
+		} else {
+			// Fixed polarity order: false first.
+			s.decisions++
+			s.stack = append(s.stack, decision{lit: Lit(v).Neg(), trailLen: len(s.trail), entry: s.conflicts})
+			s.enqueue(Lit(v).Neg())
+		}
 		for !s.propagate() {
 			s.conflicts++
-			flipped := false
-			for len(stack) > 0 {
-				d := &stack[len(stack)-1]
-				if d.assumed {
-					return false // exhausted everything below the assumptions
-				}
-				s.undoTo(d.trailLen)
-				if !d.flipped {
-					d.flipped = true
-					d.lit = d.lit.Neg()
-					s.enqueue(d.lit)
-					flipped = true
-					break
-				}
-				stack = stack[:len(stack)-1]
+			if !s.memoOn {
+				s.engageMemo()
 			}
-			if !flipped && len(stack) == 0 {
-				return false // both polarities exhausted at every level
+			if !s.backtrack() {
+				return false
 			}
 		}
 	}
+}
+
+// backtrack undoes to the deepest decision whose complementary value is
+// unexplored and asserts that value, leaving it for propagate. Every node
+// it leaves with both values refuted is stored in the memo. It reports
+// false when no decision above the assumptions is left: the search is
+// exhausted.
+func (s *Solver) backtrack() bool {
+	for len(s.stack) > 0 {
+		d := &s.stack[len(s.stack)-1]
+		if d.assumed {
+			return false
+		}
+		s.undoTo(d.trailLen)
+		if !d.flipped {
+			d.flipped = true
+			d.lit = d.lit.Neg()
+			s.decisions++
+			s.enqueue(d.lit)
+			return true
+		}
+		// The trail is back at the node's own residual formula.
+		s.memoStore(s.conflicts - d.entry)
+		s.stack = s.stack[:len(s.stack)-1]
+	}
+	return false
 }
 
 // nextUnassigned returns the lowest-index unassigned variable, or 0 when
