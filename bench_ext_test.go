@@ -1,10 +1,10 @@
 package repro
 
 // Extension benches: features beyond the paper's own evaluation that its
-// text motivates — TAM architectures and test time (the dimension the
-// paper's TDV analysis deliberately excludes), and dynamic compaction
-// (mentioned in Section 3 as the alternative to the static compaction the
-// generator uses).
+// text motivates — wrapper design, test power and test ordering (the
+// test-time dimension the paper's TDV analysis deliberately excludes), and
+// dynamic compaction (mentioned in Section 3 as the alternative to the
+// static compaction the generator uses).
 
 import (
 	"fmt"
@@ -12,10 +12,6 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/bench89"
-	"repro/internal/bist"
-	"repro/internal/compress"
-	"repro/internal/diag"
-	"repro/internal/faults"
 	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/sched"
@@ -42,37 +38,6 @@ func soc2CoreTests() []tam.CoreTest {
 		cores = append(cores, c)
 	}
 	return cores
-}
-
-// BenchmarkExtensionTAMArchitectures schedules SOC2's cores on the four
-// classic TAM architectures and reports makespan and idle volume — the
-// test-time dimension the paper's analysis excludes.
-func BenchmarkExtensionTAMArchitectures(b *testing.B) {
-	cores := soc2CoreTests()
-	render := func() string {
-		t := report.New("Extension: TAM architectures for SOC2's cores (W=16, 2 buses)",
-			"Architecture", "Makespan (cycles)", "Shifted bits", "Useful bits", "Idle bits")
-		for _, arch := range []tam.Architecture{tam.Multiplexing, tam.Daisychain, tam.TestBus, tam.Distribution} {
-			s, err := tam.BuildSchedule(arch, cores, 16, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			t.AddRow(arch.String(), report.Int(s.Makespan), report.Int(s.ShiftedBits),
-				report.Int(s.UsefulBits), report.Int(s.IdleBits()))
-		}
-		return t.String()
-	}
-	printHeaderOnce("ext-tam", render())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := tam.BuildSchedule(tam.Distribution, cores, 16, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Makespan <= 0 {
-			b.Fatal("empty schedule")
-		}
-	}
 }
 
 // BenchmarkExtensionWrapperWidthSweep sweeps the wrapper width of the
@@ -212,150 +177,6 @@ func BenchmarkExtensionAbortOnFail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sched.Optimize(tests); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtensionShiftPower profiles the WTC shift power of the ATPG
-// pattern sets of two stand-in cores — the raw data behind the power
-// budget knob above.
-func BenchmarkExtensionShiftPower(b *testing.B) {
-	render := func() string {
-		t := report.New("Extension: scan shift power (WTC) of generated pattern sets",
-			"Core", "Patterns", "Peak WTC", "Mean WTC")
-		for _, name := range []string{"s713", "s953"} {
-			prof, _ := bench89.ProfileByName(name)
-			c := bench89.MustGenerate(prof)
-			res := atpg.Generate(c, atpg.DefaultOptions())
-			p := power.Profiled(res.Patterns)
-			t.AddRow(name, fmt.Sprint(p.Patterns), report.Int(p.PeakWTC), fmt.Sprintf("%.0f", p.MeanWTC()))
-		}
-		return t.String()
-	}
-	printHeaderOnce("ext-wtc", render())
-	b.ResetTimer()
-	prof, _ := bench89.ProfileByName("s713")
-	c := bench89.MustGenerate(prof)
-	res := atpg.Generate(c, atpg.DefaultOptions())
-	for i := 0; i < b.N; i++ {
-		if power.Profiled(res.Patterns).Patterns == 0 {
-			b.Fatal("no profile")
-		}
-	}
-}
-
-// BenchmarkExtensionTDVReductionRoutes puts the paper's route to test data
-// volume reduction (modular testing) next to the two classic alternatives
-// on the same stand-in core: LFSR-reseeding compression and hybrid BIST.
-// The three attack different waste: modularity removes cross-core pattern
-// topping-off, compression removes don't-care bits within a vector, BIST
-// moves random-testable faults on chip entirely.
-func BenchmarkExtensionTDVReductionRoutes(b *testing.B) {
-	prof, _ := bench89.ProfileByName("s5378")
-	c := bench89.MustGenerate(prof)
-	frame := len(c.PseudoInputs())
-	render := func() string {
-		t := report.New("Extension: three TDV-reduction routes on the s5378 stand-in (stimulus side)",
-			"Route", "External stimulus bits", "Notes")
-
-		res := atpg.Generate(c, atpg.DefaultOptions())
-		baseline := int64(res.PatternCount() * frame)
-		t.AddRow("plain external ATPG", report.Int(baseline),
-			fmt.Sprintf("%d patterns x %d bits", res.PatternCount(), frame))
-
-		// Compression: encode the pre-fill cubes (their X bits are what
-		// reseeding exploits). Compaction competes for the same X bits —
-		// merged cubes carry too many care bits to encode — so reseeding
-		// starts from the uncompacted cube set and must be judged against
-		// that baseline.
-		raw := atpg.Generate(c, atpg.Options{BacktrackLimit: 100, RandomPatterns: 0, Compact: false, Seed: 1})
-		t.AddRow("uncompacted external", report.Int(int64(len(raw.Cubes)*frame)),
-			fmt.Sprintf("%d cubes (reseeding's own baseline)", len(raw.Cubes)))
-		enc, err := compress.NewEncoder(64, frame)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := enc.CompressSet(raw.Cubes)
-		t.AddRow("LFSR reseeding (64-bit seeds)", report.Int(st.SeedBits+st.FailedBits),
-			fmt.Sprintf("%d encoded, %d raw, %.1fx vs uncompacted", st.Encoded, st.Failed, st.StimulusReduction()))
-
-		bres, err := bist.Run(c, bist.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		t.AddRow("hybrid BIST (24-bit LFSR)", report.Int(int64(len(bres.TopUpPatterns)*frame)+24),
-			fmt.Sprintf("%d top-up patterns, random coverage %.1f%%", len(bres.TopUpPatterns), bres.RandomCoverage*100))
-
-		return t.String()
-	}
-	printHeaderOnce("ext-routes", render())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc, err := compress.NewEncoder(32, frame)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if enc.Frame() != frame {
-			b.Fatal("encoder shape")
-		}
-	}
-}
-
-// BenchmarkExtensionDiagnosis exercises dictionary-based diagnosis on a
-// stand-in core: modular testing localizes a failure to one wrapped core,
-// so the dictionary is per-core and the injected fault ranks first.
-func BenchmarkExtensionDiagnosis(b *testing.B) {
-	prof, _ := bench89.ProfileByName("s713")
-	c := bench89.MustGenerate(prof)
-	flist := faults.CollapsedUniverse(c)
-	res := atpg.Generate(c, atpg.DefaultOptions())
-	d, err := diag.Build(c, res.Patterns, flist)
-	if err != nil {
-		b.Fatal(err)
-	}
-	render := func() string {
-		// Diagnose every 50th fault, report resolution.
-		perfectTop, total := 0, 0
-		var avgCands float64
-		for fi := 0; fi < len(flist); fi += 50 {
-			obs, err := d.ObservationFor(flist[fi])
-			if err != nil || len(obs) == 0 {
-				continue
-			}
-			cands := d.Diagnose(obs)
-			if len(cands) == 0 {
-				continue
-			}
-			total++
-			if cands[0].Perfect() {
-				perfectTop++
-			}
-			n := 0
-			for _, cd := range cands {
-				if cd.Perfect() {
-					n++
-				}
-			}
-			avgCands += float64(n)
-		}
-		t := report.New("Extension: per-core fault diagnosis (s713 stand-in, ATPG pattern set)",
-			"Metric", "Value")
-		t.AddRow("dictionary faults", fmt.Sprint(d.NumFaults()))
-		t.AddRow("patterns", fmt.Sprint(len(res.Patterns)))
-		t.AddRow("sampled diagnoses", fmt.Sprint(total))
-		t.AddRow("perfect top candidate", fmt.Sprintf("%d/%d", perfectTop, total))
-		t.AddRow("avg indistinguishable set", fmt.Sprintf("%.1f", avgCands/float64(total)))
-		return t.String()
-	}
-	printHeaderOnce("ext-diag", render())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		obs, err := d.ObservationFor(flist[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(d.Diagnose(obs)) == 0 {
-			b.Fatal("no candidates")
 		}
 	}
 }

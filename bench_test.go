@@ -21,7 +21,7 @@ import (
 	"repro/internal/bench89"
 	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/scan"
+	"repro/internal/tam"
 )
 
 var benchOnce sync.Once
@@ -280,34 +280,44 @@ func BenchmarkAblationCompaction(b *testing.B) {
 
 // BenchmarkAblationTAMIdleBits quantifies what the paper's "useful bits
 // only" accounting excludes: idle padding bits when scan chains are
-// imbalanced, for a stand-in s1423 core under 4 chains.
+// imbalanced, for a stand-in s1423 core under 4 chains. The chains go
+// through tam.DesignWrapper, the wrapper model the scheduler runs, which
+// pads scan-in and scan-out alike: every idle figure is twice the
+// one-direction count Σ(maxLen − len), 2 and 86 bits per pattern here.
 func BenchmarkAblationTAMIdleBits(b *testing.B) {
 	prof, _ := bench89.ProfileByName("s1423")
-	c := bench89.MustGenerate(prof)
-	patterns := 62 // the core's published pattern count
+	cells := len(bench89.MustGenerate(prof).DFFs())
+	patterns := int64(62) // the core's published pattern count
+	balanced := make([]int, 4)
+	for i := 0; i < cells; i++ {
+		balanced[i%len(balanced)]++
+	}
+	design := func(chains []int) tam.WrapperChains {
+		wc, err := tam.DesignWrapper(tam.CoreTest{Chains: chains}, len(chains))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return wc
+	}
 	render := func() string {
 		t := report.New("Ablation: TAM idle bits for s1423 stand-in (74 cells, 62 patterns)",
 			"Chains", "MaxLen", "Idle bits/pattern", "Idle bits total")
-		balanced, _ := scan.Build(c, 4)
-		unbal, _ := scan.BuildUnbalanced(c, []int{40, 20, 10, 4})
 		for _, cfg := range []struct {
-			name string
-			c    scan.Config
-		}{{"4 balanced", balanced}, {"40/20/10/4", unbal}} {
-			t.AddRow(cfg.name, fmt.Sprint(cfg.c.MaxLength()),
-				fmt.Sprint(cfg.c.IdleBitsPerPattern()),
-				report.Int(cfg.c.IdleBits(patterns)))
+			name   string
+			chains []int
+		}{{"4 balanced", balanced}, {"40/20/10/4", []int{40, 20, 10, 4}}} {
+			wc := design(cfg.chains)
+			t.AddRow(cfg.name, fmt.Sprint(wc.MaxIn()),
+				fmt.Sprint(wc.IdleBitsPerPattern()),
+				report.Int(wc.IdleBitsPerPattern()*patterns))
 		}
 		return t.String()
 	}
 	printHeaderOnce("abl-tam", render())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg, err := scan.Build(c, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !cfg.Balanced() {
+		// Balanced chains pad at most one cell per chain and direction.
+		if design(balanced).IdleBitsPerPattern() > 2*int64(len(balanced)) {
 			b.Fatal("round-robin chains must balance")
 		}
 	}

@@ -4,11 +4,8 @@
 //
 // Two modes:
 //
-//   - -mode parallel (default, BENCH_parallel.json): the worker-sharding
-//     layer. Each case times SimulateWorkers / the live SOC run at several
-//     worker counts; speedup is relative to workers=1 within the case.
-//   - -mode kernel (BENCH_kernel.json): the PPSFP fault-simulation kernel.
-//     Each case times the 64-wide bit-parallel engine against the
+//   - -mode kernel (default, BENCH_kernel.json): the PPSFP fault-simulation
+//     kernel. Each case times the 64-wide bit-parallel engine against the
 //     pattern-at-a-time serial reference engine on one thread; speedup is
 //     relative to the serial engine within the case.
 //   - -mode schedule (BENCH_schedule.json): the wrapper/TAM rectangle
@@ -16,19 +13,18 @@
 //     and records the achieved-vs-lower-bound time ratio (lb_ratio).
 //
 // Every case is first cross-checked: the timed configurations must produce
-// first-detection tables identical to the reference, or the program exits 1
-// without writing numbers — a speedup measured on divergent output is
-// meaningless (verify-then-measure).
+// first-detection tables identical to the reference (kernel) or
+// byte-identical schedules within 2x of the lower bound (schedule), or the
+// program exits 1 without writing numbers — a speedup measured on
+// divergent output is meaningless (verify-then-measure).
 //
-// On a single-CPU host -mode parallel speedups hover around 1.0 (the pool's
-// dispatch overhead is the interesting number there), while -mode kernel
-// speedups are real: word packing and cone-limited propagation do not need
-// extra cores. The host block records cpus/gomaxprocs so readers can tell
-// which regime a file was measured in.
+// Kernel speedups need no extra cores: word packing and cone-limited
+// propagation are single-thread gains. The host block records
+// cpus/gomaxprocs so readers can tell where a file was measured.
 //
 // Usage:
 //
-//	benchjson [-mode parallel|kernel|schedule] [-out FILE] [-quick]
+//	benchjson [-mode kernel|schedule] [-out FILE] [-quick]
 package main
 
 import (
@@ -43,7 +39,6 @@ import (
 
 	"flag"
 
-	"repro"
 	"repro/internal/bench89"
 	"repro/internal/coopt"
 	"repro/internal/faults"
@@ -56,10 +51,8 @@ import (
 
 type result struct {
 	// Engine identifies the implementation in -mode kernel rows
-	// ("serial" or "ppsfp") and is "pack" in -mode schedule rows; Workers
-	// identifies the worker count in -mode parallel rows.
+	// ("serial" or "ppsfp") and is "pack" in -mode schedule rows.
 	Engine  string  `json:"engine,omitempty"`
-	Workers int     `json:"workers,omitempty"`
 	NsPerOp int64   `json:"ns_per_op"`
 	Speedup float64 `json:"speedup"`
 	// LBRatio is the -mode schedule quality metric: achieved test time
@@ -120,43 +113,6 @@ func seededPatterns(c *netlist.Circuit, n int) []logic.Cube {
 	return patterns
 }
 
-// faultsimCase times SimulateWorkers at each worker count, after checking
-// every count reproduces the serial detection table exactly.
-func faultsimCase(name string, nPatterns int, workers []int) benchCase {
-	c := standin(name)
-	flist := faults.CollapsedUniverse(c)
-	patterns := seededPatterns(c, nPatterns)
-
-	want := faultsim.SimulateWorkers(c, patterns, flist, 1)
-	for _, w := range workers[1:] {
-		got := faultsim.SimulateWorkers(c, patterns, flist, w)
-		if !reflect.DeepEqual(got.DetectedBy, want.DetectedBy) {
-			fail("faultsim %s: workers=%d detection table diverges from serial", name, w)
-		}
-	}
-
-	bc := benchCase{Name: "faultsim/" + name, Patterns: nPatterns, Faults: len(flist)}
-	var serialNs int64
-	for _, w := range workers {
-		w := w
-		br := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				faultsim.SimulateWorkers(c, patterns, flist, w)
-			}
-		})
-		ns := br.NsPerOp()
-		if w == 1 {
-			serialNs = ns
-		}
-		bc.Results = append(bc.Results, result{
-			Workers: w,
-			NsPerOp: ns,
-			Speedup: round2(float64(serialNs) / float64(ns)),
-		})
-	}
-	return bc
-}
-
 // kernelCase is the serial-vs-PPSFP trajectory: the bit-parallel kernel is
 // first proven to reproduce the serial engine's first-detection table on
 // the exact measured workload, then both are timed single-threaded.
@@ -192,46 +148,6 @@ func kernelCase(name string, nPatterns int) benchCase {
 		NsPerOp: ppsfp.NsPerOp(),
 		Speedup: round2(float64(serial.NsPerOp()) / float64(ppsfp.NsPerOp())),
 	})
-	return bc
-}
-
-// liveCase times the per-core-parallel live SOC1 experiment, after
-// checking every worker count reproduces the serial cores and report.
-func liveCase(scale float64, workers []int) benchCase {
-	run := func(w int) *repro.LiveResult {
-		res, err := repro.LiveSOC1(repro.LiveOptions{GateScale: scale, Workers: w})
-		if err != nil {
-			fail("live SOC1 workers=%d: %v", w, err)
-		}
-		return res
-	}
-	want := run(1)
-	for _, w := range workers[1:] {
-		got := run(w)
-		if !reflect.DeepEqual(got.Cores, want.Cores) || !reflect.DeepEqual(got.Report, want.Report) {
-			fail("live SOC1: workers=%d result diverges from serial", w)
-		}
-	}
-
-	bc := benchCase{Name: fmt.Sprintf("live/SOC1/scale=%.2f", scale)}
-	var serialNs int64
-	for _, w := range workers {
-		w := w
-		br := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				run(w)
-			}
-		})
-		ns := br.NsPerOp()
-		if w == 1 {
-			serialNs = ns
-		}
-		bc.Results = append(bc.Results, result{
-			Workers: w,
-			NsPerOp: ns,
-			Speedup: round2(float64(serialNs) / float64(ns)),
-		})
-	}
 	return bc
 }
 
@@ -297,7 +213,7 @@ func main() {
 	var out string
 	flag.StringVar(&out, "out", "", "output `file` for the JSON report (default BENCH_<mode>.json)")
 	flag.StringVar(&out, "o", "", "alias for -out")
-	mode := flag.String("mode", "parallel", "benchmark `mode`: parallel (worker sharding), kernel (serial vs PPSFP) or schedule (wrapper/TAM packer)")
+	mode := flag.String("mode", "kernel", "benchmark `mode`: kernel (serial vs PPSFP) or schedule (wrapper/TAM packer)")
 	quick := flag.Bool("quick", false, "smaller circuits and pattern counts (smoke mode)")
 	flag.Parse()
 
@@ -308,15 +224,6 @@ func main() {
 	rep.Host.GoVersion = runtime.Version()
 
 	switch *mode {
-	case "parallel":
-		workers := []int{1, 2, 4, 8}
-		if *quick {
-			rep.Cases = append(rep.Cases, faultsimCase("s713", 128, workers))
-		} else {
-			rep.Cases = append(rep.Cases, faultsimCase("s713", 256, workers))
-			rep.Cases = append(rep.Cases, faultsimCase("s1423", 256, workers))
-			rep.Cases = append(rep.Cases, liveCase(0.35, []int{1, 2, 4}))
-		}
 	case "kernel":
 		if *quick {
 			rep.Cases = append(rep.Cases, kernelCase("s713", 128))
@@ -334,7 +241,7 @@ func main() {
 			}
 		}
 	default:
-		fail("unknown -mode %q (want parallel, kernel or schedule)", *mode)
+		fail("unknown -mode %q (want kernel or schedule)", *mode)
 	}
 	if out == "" {
 		out = "BENCH_" + *mode + ".json"

@@ -47,7 +47,6 @@ type reportSchema struct {
 		LowerBound int64  `json:"lower_bound"`
 		Results    []struct {
 			Engine  string  `json:"engine"`
-			Workers int     `json:"workers"`
 			NsPerOp int64   `json:"ns_per_op"`
 			Speedup float64 `json:"speedup"`
 			LBRatio float64 `json:"lb_ratio"`
@@ -107,9 +106,6 @@ func TestKernelModeSchema(t *testing.T) {
 	if serial.Engine != "serial" || ppsfp.Engine != "ppsfp" {
 		t.Fatalf("engines %q/%q, want serial/ppsfp", serial.Engine, ppsfp.Engine)
 	}
-	if serial.Workers != 0 || ppsfp.Workers != 0 {
-		t.Fatalf("kernel rows must not carry worker counts: %+v %+v", serial, ppsfp)
-	}
 	if serial.NsPerOp <= 0 || ppsfp.NsPerOp <= 0 {
 		t.Fatalf("non-positive timings: serial=%d ppsfp=%d", serial.NsPerOp, ppsfp.NsPerOp)
 	}
@@ -118,32 +114,6 @@ func TestKernelModeSchema(t *testing.T) {
 	}
 	if ppsfp.Speedup <= 0 {
 		t.Fatalf("ppsfp speedup %v, want > 0", ppsfp.Speedup)
-	}
-}
-
-// TestParallelModeSchema pins the worker-sweep shape of the default mode.
-func TestParallelModeSchema(t *testing.T) {
-	bin := buildBinary(t)
-	out := filepath.Join(t.TempDir(), "parallel.json")
-	rep := runAndParse(t, bin, "-quick", "-mode", "parallel", "-out", out)
-	if rep.Mode != "parallel" {
-		t.Fatalf("mode %q, want parallel", rep.Mode)
-	}
-	if len(rep.Cases) != 1 {
-		t.Fatalf("quick parallel mode: %d cases, want 1", len(rep.Cases))
-	}
-	c := rep.Cases[0]
-	if c.Name != "faultsim/s713" {
-		t.Fatalf("case %q, want faultsim/s713", c.Name)
-	}
-	wantWorkers := []int{1, 2, 4, 8}
-	if len(c.Results) != len(wantWorkers) {
-		t.Fatalf("%d result rows, want %d", len(c.Results), len(wantWorkers))
-	}
-	for i, r := range c.Results {
-		if r.Workers != wantWorkers[i] || r.Engine != "" || r.NsPerOp <= 0 || r.Speedup <= 0 {
-			t.Fatalf("row %d malformed: %+v", i, r)
-		}
 	}
 }
 
@@ -170,7 +140,7 @@ func TestScheduleModeSchema(t *testing.T) {
 		t.Fatalf("%d result rows, want 1 (pack)", len(c.Results))
 	}
 	r := c.Results[0]
-	if r.Engine != "pack" || r.Workers != 0 || r.NsPerOp <= 0 {
+	if r.Engine != "pack" || r.NsPerOp <= 0 {
 		t.Fatalf("pack row malformed: %+v", r)
 	}
 	if r.LBRatio < 1 || r.LBRatio > 2 {

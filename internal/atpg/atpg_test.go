@@ -372,12 +372,39 @@ func TestResponsesMatchSimulator(t *testing.T) {
 	if td.ResponseBits != int64(len(c.PseudoOutputs())*len(res.Patterns)) {
 		t.Errorf("response bits = %d", td.ResponseBits)
 	}
-	// Cross-check a few responses against the serial simulator.
+	// Cross-check every response against the serial simulator.
 	s := sim.New(c)
-	for k := 0; k < len(res.Patterns) && k < 5; k++ {
+	for k := range res.Patterns {
 		want := s.Simulate(res.Patterns[k])
 		if responses[k].String() != want.String() {
 			t.Fatalf("pattern %d: response %v, want %v", k, responses[k], want)
+		}
+	}
+
+	// Across word boundaries (1, 63, 64, 65 and 130 patterns) on a
+	// stand-in, with X bits, which both simulators load as 0: the
+	// compiled Program must match the reference bit-parallel simulator.
+	c = standin(t, "s713")
+	r := rand.New(rand.NewSource(5))
+	p := sim.NewPSim(c)
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		pats := make([]logic.Cube, n)
+		for k := range pats {
+			pats[k] = make(logic.Cube, len(c.PseudoInputs()))
+			for i := range pats[k] {
+				pats[k][i] = []logic.V{logic.Zero, logic.One, logic.X}[r.Intn(3)]
+			}
+		}
+		got := (&Result{Patterns: pats}).Responses(c)
+		for off := 0; off < n; off += 64 {
+			end := min(off+64, n)
+			p.Load(pats[off:end])
+			p.Run()
+			for k := off; k < end; k++ {
+				if want := p.Response(k - off); got[k].String() != want.String() {
+					t.Fatalf("%d patterns, pattern %d: response %v, want %v", n, k, got[k], want)
+				}
+			}
 		}
 	}
 }

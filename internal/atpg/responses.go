@@ -1,27 +1,32 @@
 package atpg
 
 import (
+	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // Responses computes the expected fault-free responses of the final
 // pattern set over the PseudoOutputs frame — the response half of the test
 // data volume (the paper's Equation 1/4 count both stimulus and response
-// bits). The result is parallel to res.Patterns.
+// bits). The result is parallel to res.Patterns. Patterns are simulated 64
+// at a time on the compiled Program, X bits loaded as 0.
 func (r *Result) Responses(c *netlist.Circuit) []logic.Cube {
 	out := make([]logic.Cube, len(r.Patterns))
-	p := sim.NewPSim(c)
-	for off := 0; off < len(r.Patterns); off += sim.WordBits {
-		end := off + sim.WordBits
-		if end > len(r.Patterns) {
-			end = len(r.Patterns)
-		}
-		p.Load(r.Patterns[off:end])
-		p.Run()
+	prog := faultsim.Compile(c)
+	words := make([]uint64, c.NumGates())
+	ppos := c.PseudoOutputs()
+	for off := 0; off < len(r.Patterns); off += 64 {
+		end := min(off+64, len(r.Patterns))
+		prog.Load(words, r.Patterns[off:end])
+		prog.Run(words)
 		for k := off; k < end; k++ {
-			out[k] = p.Response(k - off)
+			bit := uint64(1) << uint(k-off)
+			resp := make(logic.Cube, len(ppos))
+			for i, id := range ppos {
+				resp[i] = logic.FromBool(words[id]&bit != 0)
+			}
+			out[k] = resp
 		}
 	}
 	return out

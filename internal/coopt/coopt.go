@@ -101,11 +101,10 @@ func (c Core) Useful() int64 {
 	return c.UsefulPerPattern() * int64(c.Test.Patterns)
 }
 
-// corePower is the deterministic per-core power proxy used when no
-// measured vectors exist (the ITC'02 profiles publish no cubes, so
-// power.ShiftInWTC has nothing to chew on): every scan cell and wrapper
-// cell toggles during shift, so the peak shift power scales with
-// 2S + I + O + 2B — the same frame the TDV equations count.
+// corePower is the deterministic per-core power proxy (the ITC'02
+// profiles publish no test vectors to measure shift power on): every scan
+// cell and wrapper cell toggles during shift, so the peak shift power
+// scales with 2S + I + O + 2B — the same frame the TDV equations count.
 func corePower(c Core) int64 { return c.UsefulPerPattern() }
 
 // BuildCores derives the schedulable cores of an SOC: every module with a

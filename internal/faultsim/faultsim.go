@@ -19,11 +19,14 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/sim"
 )
 
 // Undetected marks a fault with no detecting pattern.
 const Undetected = -1
+
+// wordBits is the number of patterns packed into one machine word: the
+// size of a PPSFP batch.
+const wordBits = 64
 
 // Result reports the outcome of simulating a pattern set against a fault
 // list. Faults and DetectedBy are parallel: DetectedBy[i] is the index of
@@ -284,7 +287,7 @@ func (e *Engine) ApplyContext(ctx context.Context, patterns []logic.Cube) (int, 
 
 func (e *Engine) apply(ctx context.Context, patterns []logic.Cube) (int, error) {
 	newly := 0
-	for off := 0; off < len(patterns); off += sim.WordBits {
+	for off := 0; off < len(patterns); off += wordBits {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				// Account only the patterns actually simulated.
@@ -292,7 +295,7 @@ func (e *Engine) apply(ctx context.Context, patterns []logic.Cube) (int, error) 
 				return newly, err
 			}
 		}
-		end := off + sim.WordBits
+		end := off + wordBits
 		if end > len(patterns) {
 			end = len(patterns)
 		}
@@ -604,8 +607,8 @@ func FailingPositions(c *netlist.Circuit, patterns []logic.Cube, f faults.Fault)
 	e := NewEngine(c, []faults.Fault{f})
 	out := make(map[int][]int)
 	perPPO := make([]uint64, len(e.ppos))
-	for off := 0; off < len(patterns); off += sim.WordBits {
-		end := off + sim.WordBits
+	for off := 0; off < len(patterns); off += wordBits {
+		end := off + wordBits
 		if end > len(patterns) {
 			end = len(patterns)
 		}

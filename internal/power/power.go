@@ -1,81 +1,15 @@
-// Package power models scan test power — the first benefit of modular SOC
-// testing the paper's introduction lists ("test power reduction") and the
-// constraint behind the power-aware scheduling literature it cites
-// [17, 18]. It provides the standard weighted transition count (WTC)
-// estimate of shift power for scan vectors, per-pattern-set power
-// profiles, and power-constrained session scheduling of core tests.
+// Package power models power-constrained test scheduling — test power is
+// the first benefit of modular SOC testing the paper's introduction lists
+// ("test power reduction") and the constraint behind the power-aware
+// scheduling literature it cites [17, 18]. It provides session-based
+// scheduling of core tests under a power budget, the 1D baseline the
+// co-optimizer in internal/coopt reports beside its 2D packing.
 package power
 
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/logic"
 )
-
-// ShiftInWTC returns the weighted transition count of shifting the vector
-// into a scan chain, LSB (position 0) entering first: a transition between
-// consecutive bits at position j causes (L−1−j) cell toggles as it rides
-// down the chain. X bits are treated as 0 (the deterministic fill of the
-// ATPG). This is the classic WTC estimate of scan shift power.
-func ShiftInWTC(v logic.Cube) int64 {
-	var wtc int64
-	l := len(v)
-	for j := 0; j+1 < l; j++ {
-		if bit(v[j]) != bit(v[j+1]) {
-			wtc += int64(l - 1 - j)
-		}
-	}
-	return wtc
-}
-
-// ShiftOutWTC returns the WTC of shifting the response vector out, the
-// mirror-image weighting of ShiftInWTC.
-func ShiftOutWTC(v logic.Cube) int64 {
-	var wtc int64
-	for j := 0; j+1 < len(v); j++ {
-		if bit(v[j]) != bit(v[j+1]) {
-			wtc += int64(j + 1)
-		}
-	}
-	return wtc
-}
-
-func bit(v logic.V) logic.V {
-	if v == logic.One {
-		return logic.One
-	}
-	return logic.Zero
-}
-
-// Profile summarises the shift-power behaviour of a pattern set.
-type Profile struct {
-	Patterns int
-	PeakWTC  int64
-	TotalWTC int64
-}
-
-// MeanWTC returns the average per-pattern WTC.
-func (p Profile) MeanWTC() float64 {
-	if p.Patterns == 0 {
-		return 0
-	}
-	return float64(p.TotalWTC) / float64(p.Patterns)
-}
-
-// Profiled computes the shift-in power profile of a pattern set (each
-// pattern over the full scan frame).
-func Profiled(patterns []logic.Cube) Profile {
-	p := Profile{Patterns: len(patterns)}
-	for _, v := range patterns {
-		w := ShiftInWTC(v)
-		p.TotalWTC += w
-		if w > p.PeakWTC {
-			p.PeakWTC = w
-		}
-	}
-	return p
-}
 
 // CoreLoad is a core's contribution to a power-constrained schedule.
 type CoreLoad struct {

@@ -5,99 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/logic"
 )
-
-func cube(s string) logic.Cube {
-	c, ok := logic.ParseCube(s)
-	if !ok {
-		panic("bad cube " + s)
-	}
-	return c
-}
-
-func TestShiftInWTC(t *testing.T) {
-	cases := []struct {
-		v    string
-		want int64
-	}{
-		{"0000", 0},
-		{"1111", 0},
-		{"", 0},
-		{"1", 0},
-		// 1000: transition at j=0 -> weight 3.
-		{"1000", 3},
-		// 0101: transitions at j=0,1,2 -> 3+2+1 = 6 (worst case).
-		{"0101", 6},
-		// X treated as 0: X1XX == 0100 -> j=0 (3) + j=1 (2) = 5.
-		{"X1XX", 5},
-	}
-	for _, c := range cases {
-		if got := ShiftInWTC(cube(c.v)); got != c.want {
-			t.Errorf("ShiftInWTC(%s) = %d, want %d", c.v, got, c.want)
-		}
-	}
-}
-
-func TestShiftOutWTCMirrors(t *testing.T) {
-	// Shift-out weights mirror shift-in: reversing the vector swaps them.
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(30)
-		v := make(logic.Cube, n)
-		for i := range v {
-			v[i] = logic.FromBool(r.Intn(2) == 1)
-		}
-		rev := make(logic.Cube, n)
-		for i := range v {
-			rev[n-1-i] = v[i]
-		}
-		if ShiftOutWTC(v) != ShiftInWTC(rev) {
-			t.Fatalf("mirror property fails for %v", v)
-		}
-	}
-}
-
-func TestWTCBoundsProperty(t *testing.T) {
-	// 0 <= WTC <= L(L-1)/2, with the max achieved by alternating vectors.
-	if err := quick.Check(func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(40)
-		v := make(logic.Cube, n)
-		for i := range v {
-			v[i] = logic.FromBool(r.Intn(2) == 1)
-		}
-		w := ShiftInWTC(v)
-		return w >= 0 && w <= int64(n*(n-1)/2)
-	}, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-	// Alternating achieves the bound.
-	if got := ShiftInWTC(cube("010101")); got != 15 {
-		t.Errorf("alternating WTC = %d, want 15", got)
-	}
-}
-
-func TestProfiled(t *testing.T) {
-	p := Profiled([]logic.Cube{cube("0101"), cube("0000"), cube("1000")})
-	if p.Patterns != 3 {
-		t.Errorf("patterns = %d", p.Patterns)
-	}
-	if p.PeakWTC != 6 {
-		t.Errorf("peak = %d, want 6", p.PeakWTC)
-	}
-	if p.TotalWTC != 9 {
-		t.Errorf("total = %d, want 9", p.TotalWTC)
-	}
-	if p.MeanWTC() != 3 {
-		t.Errorf("mean = %v, want 3", p.MeanWTC())
-	}
-	var empty Profile
-	if empty.MeanWTC() != 0 {
-		t.Error("empty mean must be 0")
-	}
-}
 
 func socCores() []CoreLoad {
 	return []CoreLoad{

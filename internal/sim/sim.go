@@ -1,10 +1,11 @@
-// Package sim provides logic simulation over finalized netlist circuits:
+// Package sim provides reference logic simulation over finalized netlist
+// circuits. No production code imports it: it is the independent test
+// oracle for the compiled faultsim.Program that ATPG, fault simulation and
+// response computation run on.
 //
 //   - Simulator: a five-valued (0, 1, X, D, D̄) levelized full-scan
-//     simulator, shared by ATPG implication and response computation.
-//   - PSim: a 64-way bit-parallel two-valued simulator used by fault
-//     simulation and random-pattern evaluation.
-//   - SeqSim: a cycle-accurate sequential simulator for non-scan operation.
+//     simulator.
+//   - PSim: a 64-way bit-parallel two-valued simulator.
 //
 // All simulators use the full-scan convention of package netlist: the
 // stimulus frame is PseudoInputs (primary inputs then DFF outputs) and the

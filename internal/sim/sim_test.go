@@ -220,68 +220,3 @@ func mustPanic(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
-
-const counterBench = `
-INPUT(EN)
-OUTPUT(Q1)
-B0 = DFF(N0)
-B1 = DFF(N1)
-N0 = XOR(B0, EN)
-C0 = AND(B0, EN)
-N1 = XOR(B1, C0)
-Q1 = BUF(B1)
-`
-
-func TestSeqSimCounter(t *testing.T) {
-	c := mustParse(t, "counter", counterBench)
-	s := NewSeqSim(c)
-	s.ResetState(logic.Zero)
-	en := logic.Cube{logic.One}
-	// A 2-bit counter: after 2 increments Q1 (bit1) must be 1.
-	states := []string{"10", "01", "11", "00"}
-	for i, want := range states {
-		s.Step(en)
-		if got := s.State().String(); got != want {
-			t.Fatalf("cycle %d: state %s, want %s", i, got, want)
-		}
-	}
-	// EN=0 holds state.
-	before := s.State().String()
-	s.Step(logic.Cube{logic.Zero})
-	if s.State().String() != before {
-		t.Error("state changed with EN=0")
-	}
-}
-
-func TestSeqSimMatchesScanInterpretation(t *testing.T) {
-	// One Step from a known state must equal one full-scan Simulate whose
-	// PPI section is that state.
-	c := mustParse(t, "counter", counterBench)
-	seq := NewSeqSim(c)
-	full := New(c)
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		st := logic.Cube{logic.FromBool(r.Intn(2) == 1), logic.FromBool(r.Intn(2) == 1)}
-		in := logic.Cube{logic.FromBool(r.Intn(2) == 1)}
-		seq.SetState(0, st[0])
-		seq.SetState(1, st[1])
-		out := seq.Step(in)
-
-		stim := append(in.Clone(), st...)
-		resp := full.Simulate(stim)
-		// Response frame: PO Q1, then DFF data inputs (N0, N1).
-		if resp[0] != out[0] {
-			t.Fatalf("PO mismatch: scan %v, seq %v", resp[0], out[0])
-		}
-		next := seq.State()
-		if resp[1] != next[0] || resp[2] != next[1] {
-			t.Fatalf("next-state mismatch: scan %v%v, seq %v", resp[1], resp[2], next)
-		}
-	}
-}
-
-func TestSeqSimStepPanicsOnBadWidth(t *testing.T) {
-	c := mustParse(t, "counter", counterBench)
-	s := NewSeqSim(c)
-	mustPanic(t, "bad step width", func() { s.Step(logic.NewCube(5)) })
-}

@@ -17,80 +17,26 @@ import (
 // full .bench netlist, comfortably under this.
 const maxBodyBytes = 16 << 20
 
-// The request/work types and builders live in work.go so journal replay
-// can rebuild jobs through the same code path the handlers use. The
-// handlers here are pure HTTP plumbing: decode, build, dispatch.
+// The request/work types, their builders and the table of served kinds
+// live in work.go, so journal replay rebuilds jobs through the same code
+// path the handlers use. The handlers here are pure HTTP plumbing:
+// decode, build, dispatch.
 
-// --- POST /v1/atpg -------------------------------------------------------
-
-func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
-	var req atpgRequest
-	if !decode(w, r, &req) {
-		return
+// handleSubmit serves POST /v1/<kind> for one served workload kind.
+func (s *Server) handleSubmit(k workKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req := k.newReq()
+		if !decode(w, r, req) {
+			return
+		}
+		wk, async, err := k.build(s, req)
+		if err != nil {
+			badRequest(w, "%v", err)
+			return
+		}
+		wk.client = clientID(r)
+		s.dispatch(w, r, wk, async)
 	}
-	wk, err := atpgWork(&req)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	req.apply(s, &wk)
-	wk.client = clientID(r)
-	wk.reqJSON = marshalReq(req)
-	s.dispatch(w, r, wk, req.Async)
-}
-
-// --- POST /v1/tdv --------------------------------------------------------
-
-func (s *Server) handleTDV(w http.ResponseWriter, r *http.Request) {
-	var req tdvRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	wk, err := tdvWork(&req)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	req.apply(s, &wk)
-	wk.client = clientID(r)
-	wk.reqJSON = marshalReq(req)
-	s.dispatch(w, r, wk, req.Async)
-}
-
-// --- POST /v1/lint -------------------------------------------------------
-
-func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	var req lintRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	wk, err := lintWork(&req)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	req.apply(s, &wk)
-	wk.client = clientID(r)
-	wk.reqJSON = marshalReq(req)
-	s.dispatch(w, r, wk, req.Async)
-}
-
-// --- POST /v1/schedule ---------------------------------------------------
-
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	var req scheduleRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	wk, err := scheduleWork(&req)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	req.apply(s, &wk)
-	wk.client = clientID(r)
-	wk.reqJSON = marshalReq(req)
-	s.dispatch(w, r, wk, req.Async)
 }
 
 // clientID buckets a request for fair dequeue: the X-API-Key header when

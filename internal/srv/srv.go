@@ -133,7 +133,7 @@ func (s jobState) String() string {
 // bookkeeping the queue, the coalescing map and /v1/jobs need.
 type job struct {
 	id       string
-	kind     string // "atpg", "tdv", "lint"
+	kind     string // a served kind: "atpg", "tdv", "lint" or "schedule"
 	circuit  string // short workload label for trace events and pprof labels
 	key      string // content address; "" = uncacheable
 	client   string // fairness bucket (see clientID); "" for direct submits
@@ -590,10 +590,9 @@ func (s *Server) Draining() bool {
 // Handler returns the HTTP API (see handlers.go for the routes).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/atpg", s.handleATPG)
-	mux.HandleFunc("POST /v1/tdv", s.handleTDV)
-	mux.HandleFunc("POST /v1/lint", s.handleLint)
-	mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
+	for _, k := range kinds {
+		mux.HandleFunc("POST /v1/"+k.name, s.handleSubmit(k))
+	}
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)

@@ -54,6 +54,9 @@ type submitCommon struct {
 	NoCache bool `json:"nocache"`
 }
 
+// envelope returns the request envelope; every request type embeds it.
+func (c submitCommon) envelope() submitCommon { return c }
+
 // apply copies the envelope onto the work unit.
 func (c submitCommon) apply(s *Server, wk *work) {
 	wk.priority = c.Priority
@@ -171,7 +174,6 @@ func atpgWork(req *atpgRequest) (work, error) {
 	canon := netlist.BenchString(c)
 	key := store.Key("atpg", []byte(canon), atpg.OptionsHash(c, atpg.NumFaultsFor(c), opts))
 	return work{
-		kind:    "atpg",
 		circuit: c.Name,
 		key:     key,
 		run: func(ctx context.Context, col *obs.Collector) ([]byte, error) {
@@ -203,22 +205,23 @@ type tdvRequest struct {
 	TMono   *int   `json:"tmono"`
 }
 
+// resolveSOC loads the SOC profile a tdv or schedule request names: an
+// inline .soc source or a built-in ITC'02 name, exactly one of the two.
+func resolveSOC(src, builtin string) (*core.SOC, error) {
+	switch {
+	case builtin != "" && src != "":
+		return nil, fmt.Errorf("give soc or builtin, not both")
+	case builtin != "":
+		return itc02.SOCByName(builtin)
+	case src != "":
+		return itc02.ParseSOC(strings.NewReader(src))
+	}
+	return nil, fmt.Errorf("need soc or builtin")
+}
+
 // tdvWork validates a TDV request and builds its work unit.
 func tdvWork(req *tdvRequest) (work, error) {
-	var (
-		soc *core.SOC
-		err error
-	)
-	switch {
-	case req.Builtin != "" && req.SOC != "":
-		return work{}, fmt.Errorf("give soc or builtin, not both")
-	case req.Builtin != "":
-		soc, err = itc02.SOCByName(req.Builtin)
-	case req.SOC != "":
-		soc, err = itc02.ParseSOC(strings.NewReader(req.SOC))
-	default:
-		return work{}, fmt.Errorf("need soc or builtin")
-	}
+	soc, err := resolveSOC(req.SOC, req.Builtin)
 	if err != nil {
 		return work{}, err
 	}
@@ -228,7 +231,6 @@ func tdvWork(req *tdvRequest) (work, error) {
 	// Canonicalizing after the override folds tmono into the address.
 	canon := itc02.SOCString(soc)
 	return work{
-		kind:    "tdv",
 		circuit: soc.Name,
 		key:     store.Key("tdv", []byte(canon), "v1"),
 		run: func(ctx context.Context, col *obs.Collector) ([]byte, error) {
@@ -288,7 +290,6 @@ func lintWork(req *lintRequest) (work, error) {
 		return work{}, fmt.Errorf("need bench or soc")
 	}
 	return work{
-		kind:    "lint",
 		circuit: mode,
 		key:     store.Key("lint", []byte(src), mode),
 		run: func(ctx context.Context, col *obs.Collector) ([]byte, error) {
@@ -346,20 +347,7 @@ type scheduleRequest struct {
 // (width, budget, precedence), so a changed knob never aliases a cached
 // schedule.
 func scheduleWork(req *scheduleRequest) (work, error) {
-	var (
-		soc *core.SOC
-		err error
-	)
-	switch {
-	case req.Builtin != "" && req.SOC != "":
-		return work{}, fmt.Errorf("give soc or builtin, not both")
-	case req.Builtin != "":
-		soc, err = itc02.SOCByName(req.Builtin)
-	case req.SOC != "":
-		soc, err = itc02.ParseSOC(strings.NewReader(req.SOC))
-	default:
-		return work{}, fmt.Errorf("need soc or builtin")
-	}
+	soc, err := resolveSOC(req.SOC, req.Builtin)
 	if err != nil {
 		return work{}, err
 	}
@@ -373,7 +361,6 @@ func scheduleWork(req *scheduleRequest) (work, error) {
 	}
 	canon := itc02.SOCString(soc)
 	return work{
-		kind:    "schedule",
 		circuit: soc.Name,
 		key:     store.Key("schedule", []byte(canon), opts.OptionsHash()),
 		run: func(ctx context.Context, col *obs.Collector) ([]byte, error) {
@@ -390,51 +377,73 @@ func scheduleWork(req *scheduleRequest) (work, error) {
 	}, nil
 }
 
-// --- replay --------------------------------------------------------------
+// --- served kinds --------------------------------------------------------
+
+// workKind is one served workload kind. Its name routes POST /v1/<name>,
+// tags the kind's journal records and suffixes its per-kind metrics.
+// newReq returns an empty request to decode into; build turns the decoded
+// request into its work unit, with the kind, the envelope and the
+// canonical request JSON applied, and reports whether the client asked for
+// async.
+type workKind struct {
+	name   string
+	newReq func() any
+	build  func(s *Server, req any) (wk work, async bool, err error)
+}
+
+// kinds is the table of served workload kinds: Handler registers one
+// route per entry and journal replay looks recorded kinds up here.
+var kinds = []workKind{
+	kindOf("atpg", atpgWork),
+	kindOf("tdv", tdvWork),
+	kindOf("lint", lintWork),
+	kindOf("schedule", scheduleWork),
+}
+
+// kindOf binds a kind name to its request type R and work builder.
+func kindOf[R any, P interface {
+	*R
+	envelope() submitCommon
+}](name string, build func(P) (work, error)) workKind {
+	return workKind{
+		name:   name,
+		newReq: func() any { return P(new(R)) },
+		build: func(s *Server, req any) (work, bool, error) {
+			p := req.(P)
+			wk, err := build(p)
+			if err != nil {
+				return work{}, false, err
+			}
+			wk.kind = name
+			env := p.envelope()
+			env.apply(s, &wk)
+			wk.reqJSON = marshalReq(p)
+			return wk, env.Async, nil
+		},
+	}
+}
 
 // replayWork rebuilds a work unit from the request JSON the journal
 // recorded at admission. An unknown kind — a journal written by a newer
 // (or differently built) daemon — is an error the caller degrades on,
 // never a panic.
 func replayWork(s *Server, kind string, raw []byte) (work, error) {
-	var (
-		wk  work
-		err error
-		env submitCommon
-	)
-	switch kind {
-	case "atpg":
-		var req atpgRequest
-		if err = json.Unmarshal(raw, &req); err == nil {
-			wk, err = atpgWork(&req)
-			env = req.submitCommon
+	for _, k := range kinds {
+		if k.name != kind {
+			continue
 		}
-	case "tdv":
-		var req tdvRequest
-		if err = json.Unmarshal(raw, &req); err == nil {
-			wk, err = tdvWork(&req)
-			env = req.submitCommon
+		req := k.newReq()
+		err := json.Unmarshal(raw, req)
+		var wk work
+		if err == nil {
+			wk, _, err = k.build(s, req)
 		}
-	case "lint":
-		var req lintRequest
-		if err = json.Unmarshal(raw, &req); err == nil {
-			wk, err = lintWork(&req)
-			env = req.submitCommon
+		if err != nil {
+			return work{}, fmt.Errorf("replay %s: %w", kind, err)
 		}
-	case "schedule":
-		var req scheduleRequest
-		if err = json.Unmarshal(raw, &req); err == nil {
-			wk, err = scheduleWork(&req)
-			env = req.submitCommon
-		}
-	default:
-		return work{}, fmt.Errorf("unsupported job kind %q", kind)
+		return wk, nil
 	}
-	if err != nil {
-		return work{}, fmt.Errorf("replay %s: %w", kind, err)
-	}
-	env.apply(s, &wk)
-	return wk, nil
+	return work{}, fmt.Errorf("unsupported job kind %q", kind)
 }
 
 // marshalReq renders the decoded request back to canonical JSON for the

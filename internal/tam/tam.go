@@ -1,16 +1,14 @@
-// Package tam models test access mechanisms and wrapper chain design — the
-// layer the paper deliberately excludes from its TDV accounting ("we
-// exclude the impact of the scan chain organization or the test access
-// mechanism from our analysis", Section 3) but builds on throughout its
-// related work: wrapper scan-chain design in the style of IEEE 1500 test
-// wrappers [5, 6], and the classic TAM architectures — Multiplexing,
-// Daisychain and Distribution [12] and the fixed-width Test Bus [10, 13].
+// Package tam models IEEE 1500-style wrapper chain design — the layer the
+// paper deliberately excludes from its TDV accounting ("we exclude the
+// impact of the scan chain organization or the test access mechanism from
+// our analysis", Section 3) but builds on throughout its related work:
+// wrapper scan-chain design in the style of [5, 6].
 //
-// The package quantifies exactly what that exclusion hides: test
-// application time and the idle (non-useful) bits shifted because wrapper
-// chains cannot always be balanced and TAM wires cannot always be kept
-// busy. The extension benches in the repository root use it to show how
-// idle bits shift the monolithic-vs-modular comparison.
+// The package quantifies exactly what that exclusion hides: the test
+// application time of a wrapped core and the idle (non-useful) bits
+// shifted because wrapper chains cannot always be balanced. The
+// co-optimizer in internal/coopt builds every core's wrapper staircase on
+// DesignWrapper and schedules the cores on the TAM.
 package tam
 
 import (

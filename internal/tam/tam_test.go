@@ -2,7 +2,6 @@ package tam
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -111,177 +110,6 @@ func TestIdleBitsImbalanced(t *testing.T) {
 	wc, _ := DesignWrapper(c, 2)
 	if wc.IdleBitsPerPattern() != 2*(30-5) {
 		t.Errorf("idle = %d, want 50", wc.IdleBitsPerPattern())
-	}
-}
-
-func TestScheduleMultiplexingIsSumOfTimes(t *testing.T) {
-	cores := []CoreTest{
-		{Name: "a", Inputs: 4, Outputs: 4, Chains: []int{20}, Patterns: 10},
-		{Name: "b", Inputs: 2, Outputs: 2, Chains: []int{8, 8}, Patterns: 30},
-	}
-	s, err := BuildSchedule(Multiplexing, cores, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for _, c := range cores {
-		wc, _ := DesignWrapper(c, 4)
-		sum += TestTime(c, wc)
-	}
-	if s.Makespan != sum {
-		t.Errorf("makespan = %d, want %d", s.Makespan, sum)
-	}
-	// Slots must be back to back.
-	if s.Slots[0].End != s.Slots[1].Start {
-		t.Error("multiplexing slots not serial")
-	}
-	if s.IdleBits() < 0 {
-		t.Error("negative idle bits")
-	}
-}
-
-func TestScheduleDistributionParallel(t *testing.T) {
-	cores := []CoreTest{
-		{Name: "slow", Inputs: 4, Outputs: 4, Chains: []int{50, 50}, Patterns: 400},
-		{Name: "fast", Inputs: 2, Outputs: 2, Chains: []int{10}, Patterns: 10},
-	}
-	s, err := BuildSchedule(Distribution, cores, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All slots start at 0; the greedy split must give the slow core more
-	// wires.
-	var slowW, fastW int
-	for _, sl := range s.Slots {
-		if sl.Start != 0 {
-			t.Error("distribution slot not parallel")
-		}
-		if sl.Core == "slow" {
-			slowW = sl.Width
-		} else {
-			fastW = sl.Width
-		}
-	}
-	if slowW <= fastW {
-		t.Errorf("slow core got %d wires, fast got %d", slowW, fastW)
-	}
-	if slowW+fastW != 8 {
-		t.Errorf("width not fully distributed: %d+%d", slowW, fastW)
-	}
-	// Distribution must beat multiplexing here (parallelism wins when one
-	// core dominates and the other is tiny).
-	m, _ := BuildSchedule(Multiplexing, cores, 8, 0)
-	if s.Makespan > m.Makespan {
-		t.Errorf("distribution %d worse than multiplexing %d", s.Makespan, m.Makespan)
-	}
-}
-
-func TestScheduleDistributionNeedsEnoughWires(t *testing.T) {
-	cores := []CoreTest{{Name: "a", Patterns: 1, Inputs: 1, Outputs: 1}, {Name: "b", Patterns: 1, Inputs: 1, Outputs: 1}}
-	if _, err := BuildSchedule(Distribution, cores, 1, 0); err == nil {
-		t.Error("1 wire for 2 cores accepted")
-	}
-}
-
-func TestScheduleDaisychainSlowerThanMultiplexing(t *testing.T) {
-	cores := []CoreTest{
-		{Name: "a", Inputs: 4, Outputs: 4, Chains: []int{20}, Patterns: 50},
-		{Name: "b", Inputs: 2, Outputs: 2, Chains: []int{8, 8}, Patterns: 30},
-		{Name: "c", Inputs: 3, Outputs: 1, Chains: []int{5}, Patterns: 20},
-	}
-	d, err := BuildSchedule(Daisychain, cores, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := BuildSchedule(Multiplexing, cores, 4, 0)
-	// The bypass bits make daisychain strictly slower in this model.
-	if d.Makespan <= m.Makespan {
-		t.Errorf("daisychain %d not slower than multiplexing %d", d.Makespan, m.Makespan)
-	}
-}
-
-func TestScheduleTestBus(t *testing.T) {
-	cores := []CoreTest{
-		{Name: "a", Inputs: 4, Outputs: 4, Chains: []int{30}, Patterns: 100},
-		{Name: "b", Inputs: 2, Outputs: 2, Chains: []int{10, 10}, Patterns: 80},
-		{Name: "c", Inputs: 3, Outputs: 1, Chains: []int{5}, Patterns: 60},
-		{Name: "d", Inputs: 1, Outputs: 2, Chains: []int{4}, Patterns: 40},
-	}
-	s, err := BuildSchedule(TestBus, cores, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Slots) != 4 {
-		t.Fatalf("slots = %d", len(s.Slots))
-	}
-	// Two buses: cores on the same bus must not overlap; the makespan is
-	// the latest end.
-	var latest int64
-	for i, a := range s.Slots {
-		if a.End > latest {
-			latest = a.End
-		}
-		for j, b := range s.Slots {
-			if i >= j || a.Width != b.Width {
-				continue
-			}
-			_ = b
-		}
-	}
-	if s.Makespan != latest {
-		t.Errorf("makespan %d != latest end %d", s.Makespan, latest)
-	}
-	// Bus count beyond the width clamps instead of failing.
-	if _, err := BuildSchedule(TestBus, cores, 2, 5); err != nil {
-		t.Errorf("clamping failed: %v", err)
-	}
-	if _, err := BuildSchedule(TestBus, cores, 4, 0); err == nil {
-		t.Error("0 buses accepted")
-	}
-}
-
-func TestBuildScheduleErrors(t *testing.T) {
-	if _, err := BuildSchedule(Multiplexing, nil, 4, 0); err == nil {
-		t.Error("no cores accepted")
-	}
-	if _, err := BuildSchedule(Multiplexing, []CoreTest{{Name: "a"}}, 0, 0); err == nil {
-		t.Error("zero width accepted")
-	}
-	if _, err := BuildSchedule(Architecture(99), []CoreTest{{Name: "a", Patterns: 1}}, 4, 0); err == nil {
-		t.Error("unknown architecture accepted")
-	}
-}
-
-func TestArchitectureString(t *testing.T) {
-	for a, want := range map[Architecture]string{
-		Multiplexing: "Multiplexing", Distribution: "Distribution",
-		Daisychain: "Daisychain", TestBus: "TestBus",
-	} {
-		if a.String() != want {
-			t.Errorf("%d = %q", a, a.String())
-		}
-	}
-	if Architecture(99).String() == "" {
-		t.Error("unknown arch empty")
-	}
-}
-
-func TestCompareArchitectures(t *testing.T) {
-	cores := []CoreTest{
-		{Name: "a", Inputs: 4, Outputs: 4, Chains: []int{20, 20}, Patterns: 50},
-		{Name: "b", Inputs: 2, Outputs: 2, Chains: []int{8}, Patterns: 30},
-	}
-	out, scheds, err := CompareArchitectures(cores, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scheds) != 4 {
-		t.Fatalf("schedules = %d", len(scheds))
-	}
-	for _, want := range []string{"Multiplexing", "Distribution", "Daisychain", "TestBus"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("comparison missing %s", want)
-		}
 	}
 }
 

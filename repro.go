@@ -12,7 +12,8 @@
 //     compaction (RunATPG),
 //   - logic-cone analysis, the unit of the paper's conceptual argument
 //     (AnalyzeCones, ConeExample),
-//   - IEEE 1500-style wrapper isolation (Isolate, ISOCost),
+//   - IEEE 1500-style wrapper isolation and wrapper chain design (Isolate,
+//     ISOCost, DesignWrapperChains),
 //   - hierarchical SOC test-parameter models and the paper's TDV
 //     Equations 1-8 (SOC, Module, and their methods),
 //   - the paper's experiments: SOC1/SOC2 (Tables 1-2), the ITC'02
@@ -38,6 +39,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/runctl"
 	"repro/internal/soc"
+	"repro/internal/tam"
 	"repro/internal/wrapper"
 )
 
@@ -164,6 +166,23 @@ type WrapperSpec = wrapper.Spec
 func ISOCost(parent WrapperSpec, children []WrapperSpec) int {
 	return wrapper.ISOCost(parent, children)
 }
+
+// CoreTest describes a wrapped core's test resources for wrapper design.
+type CoreTest = tam.CoreTest
+
+// WrapperChains is a wrapper chain configuration.
+type WrapperChains = tam.WrapperChains
+
+// DesignWrapperChains partitions a core's scan chains and wrapper cells
+// over w wrapper chains, minimizing the scan depth (IEEE 1500-style
+// wrapper design).
+func DesignWrapperChains(c CoreTest, w int) (WrapperChains, error) {
+	return tam.DesignWrapper(c, w)
+}
+
+// CoreTestTime returns the scan test time of a core under a wrapper
+// configuration: (1 + max(si, so))·T + min(si, so).
+func CoreTestTime(c CoreTest, wc WrapperChains) int64 { return tam.TestTime(c, wc) }
 
 // Module is one SOC module (core or top level) with its test parameters;
 // SOC is a complete chip profile. Their methods implement Equations 1-8.

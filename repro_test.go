@@ -56,6 +56,20 @@ func TestFacadeISOCost(t *testing.T) {
 	}
 }
 
+func TestFacadeTAM(t *testing.T) {
+	core := CoreTest{Name: "c", Inputs: 8, Outputs: 6, Chains: []int{20, 20}, Patterns: 40}
+	wc, err := DesignWrapperChains(core, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if CoreTestTime(core, wc) <= 0 {
+		t.Error("zero test time")
+	}
+	if _, err := DesignWrapperChains(core, 0); err == nil {
+		t.Error("width 0 accepted")
+	}
+}
+
 func TestRenderTable1MatchesPaperNumbers(t *testing.T) {
 	out := RenderTable1()
 	for _, want := range []string{"45,183", "129,816", "51,085", "2.87", "1.13"} {
