@@ -4,28 +4,54 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
-// buildBinary compiles benchjson once per test into a temp dir. The schema
-// of BENCH_*.json is a cross-PR contract (the files are committed and
-// diffed), so it is pinned at the exec level against the real binary.
+// The exec-level tests share one benchjson binary: buildBinary compiles it on
+// first use and TestMain removes it after the last test.
+var (
+	buildOnce sync.Once
+	buildDir  string
+	builtBin  string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
+// buildBinary returns the path of the benchjson binary, compiling it once per
+// test binary. Exec-level tests need the real process: signal handling,
+// exit codes and flushed output only exist there.
 func buildBinary(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("exec test skipped in -short mode")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "benchjson")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	buildOnce.Do(func() {
+		if buildDir, buildErr = os.MkdirTemp("", "benchjson-test-"); buildErr != nil {
+			return
+		}
+		bin := filepath.Join(buildDir, "benchjson")
+		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+			return
+		}
+		builtBin = bin
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	return bin
+	return builtBin
 }
 
 // reportSchema mirrors the JSON contract; unknown-field checks below keep it

@@ -2,31 +2,57 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cli"
 )
 
-// buildBinary compiles soclint once per test invocation into a temp dir
-// and returns its path. The exit-code contract (0 clean, 1 findings, 2
-// usage) is what CI scripts consume, so it is tested at the exec level.
+// The exec-level tests share one soclint binary: buildBinary compiles it on
+// first use and TestMain removes it after the last test.
+var (
+	buildOnce sync.Once
+	buildDir  string
+	builtBin  string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
+// buildBinary returns the path of the soclint binary, compiling it once per
+// test binary. Exec-level tests need the real process: signal handling,
+// exit codes and flushed output only exist there.
 func buildBinary(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("exec test skipped in -short mode")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "soclint")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	buildOnce.Do(func() {
+		if buildDir, buildErr = os.MkdirTemp("", "soclint-test-"); buildErr != nil {
+			return
+		}
+		bin := filepath.Join(buildDir, "soclint")
+		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+			return
+		}
+		builtBin = bin
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	return bin
+	return builtBin
 }
 
 func exitCode(t *testing.T, err error) int {

@@ -4,33 +4,61 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 
 	"repro/internal/cli"
 )
 
-// buildBinaries compiles socload and socd; the harness is only meaningful
-// against a live daemon, so its tests exec both real binaries.
+// The exec-level tests share one socload and one socd binary:
+// buildBinaries compiles them on first use and TestMain removes them
+// after the last test.
+var (
+	buildOnce         sync.Once
+	buildDir          string
+	builtLoad, builtD string
+	buildErr          error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
+// buildBinaries returns the paths of socload and socd, compiling them once
+// per test binary; the harness is only meaningful against a live daemon,
+// so its tests exec both real binaries.
 func buildBinaries(t *testing.T) (load, daemon string) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("exec test skipped in -short mode")
 	}
-	dir := t.TempDir()
-	load = filepath.Join(dir, "socload")
-	daemon = filepath.Join(dir, "socd")
-	for bin, pkg := range map[string]string{load: ".", daemon: "../socd"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+	buildOnce.Do(func() {
+		if buildDir, buildErr = os.MkdirTemp("", "socload-test-"); buildErr != nil {
+			return
 		}
+		load, daemon := filepath.Join(buildDir, "socload"), filepath.Join(buildDir, "socd")
+		for _, b := range []struct{ bin, pkg string }{{load, "."}, {daemon, "../socd"}} {
+			if out, err := exec.Command("go", "build", "-o", b.bin, b.pkg).CombinedOutput(); err != nil {
+				buildErr = fmt.Errorf("go build %s: %v\n%s", b.pkg, err, out)
+				return
+			}
+		}
+		builtLoad, builtD = load, daemon
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	return load, daemon
+	return builtLoad, builtD
 }
 
 func exitCode(t *testing.T, err error) int {

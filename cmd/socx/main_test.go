@@ -3,26 +3,57 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cli"
 )
 
-// buildBinary compiles socx for the exec-level preflight tests.
+// The exec-level tests share one socx binary: buildBinary compiles it on
+// first use and TestMain removes it after the last test.
+var (
+	buildOnce sync.Once
+	buildDir  string
+	builtBin  string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
+// buildBinary returns the path of the socx binary, compiling it once per
+// test binary. Exec-level tests need the real process: signal handling,
+// exit codes and flushed output only exist there.
 func buildBinary(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("exec test skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "socx")
-	out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	buildOnce.Do(func() {
+		if buildDir, buildErr = os.MkdirTemp("", "socx-test-"); buildErr != nil {
+			return
+		}
+		bin := filepath.Join(buildDir, "socx")
+		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+			return
+		}
+		builtBin = bin
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	return bin
+	return builtBin
 }
 
 func exitCode(t *testing.T, err error) int {
@@ -77,5 +108,30 @@ func TestUsageBadSOC(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "SOC1") {
 		t.Errorf("usage message not surfaced:\n%s", out)
+	}
+}
+
+// TestLiveMetricsListATPGSpans checks that a live run's -metrics snapshot
+// names every ATPG phase span, setup and final accounting included, so
+// the phase timers account for the whole of atpg.generate.
+func TestLiveMetricsListATPGSpans(t *testing.T) {
+	bin := buildBinary(t)
+	out, err := exec.Command(bin, "-live", "-soc", "SOC1", "-metrics").CombinedOutput()
+	if code := exitCode(t, err); code != 0 {
+		t.Fatalf("exit %d, want 0\n%s", code, out)
+	}
+	timers := map[string]bool{}
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "timer" {
+			timers[f[1]] = true
+		}
+	}
+	for _, name := range []string{
+		"atpg.generate", "atpg.setup", "atpg.phase.random", "atpg.phase.podem",
+		"atpg.phase.compact", "atpg.finalize",
+	} {
+		if !timers[name] {
+			t.Errorf("-metrics lists no %s timer:\n%s", name, out)
+		}
 	}
 }

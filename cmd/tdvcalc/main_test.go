@@ -3,28 +3,57 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cli"
 )
 
+// The exec-level tests share one tdvcalc binary: buildBinary compiles it on
+// first use and TestMain removes it after the last test.
+var (
+	buildOnce sync.Once
+	buildDir  string
+	builtBin  string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
+// buildBinary returns the path of the tdvcalc binary, compiling it once per
+// test binary. Exec-level tests need the real process: signal handling,
+// exit codes and flushed output only exist there.
 func buildBinary(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("exec test skipped in -short mode")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "tdvcalc")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	buildOnce.Do(func() {
+		if buildDir, buildErr = os.MkdirTemp("", "tdvcalc-test-"); buildErr != nil {
+			return
+		}
+		bin := filepath.Join(buildDir, "tdvcalc")
+		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+			return
+		}
+		builtBin = bin
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	return bin
+	return builtBin
 }
 
 func exitCode(t *testing.T, err error) int {

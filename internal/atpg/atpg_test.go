@@ -338,7 +338,7 @@ func TestRunWithBaseRespectsBase(t *testing.T) {
 	// Constrain the search so the needed assignment conflicts with the
 	// base: the secondary attempt must fail as Aborted, never Redundant.
 	c := mustParse(t, "c17", c17Bench)
-	pd := newPodem(c, 1000, 0, nil)
+	pd := newPodem(faultsim.Compile(c), 1000, 0, nil)
 	g1, _ := c.Lookup("G1")
 	// G1/SA0 needs G1=1; base pins G1=0.
 	f := faults.Fault{Gate: g1, Pin: faults.StemPin, Stuck: logic.Zero}

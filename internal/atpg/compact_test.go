@@ -149,7 +149,7 @@ func TestReversePruneMatchesSerial(t *testing.T) {
 				for _, workers := range []int{1, 2} {
 					label := name + "/" + tc.label
 					want := reversePruneSerial(c, tc.flist, tc.patterns, workers)
-					got, e := reversePrune(c, tc.flist, tc.patterns, workers)
+					got, e := reversePrune(faultsim.Compile(c), tc.flist, tc.patterns, workers)
 					if !patternsEqual(got, want) {
 						t.Fatalf("%s n=%d workers=%d: kept %d patterns, reference kept %d",
 							label, n, workers, len(got), len(want))
@@ -250,7 +250,7 @@ func FuzzMergeCubes(f *testing.F) {
 // newRetarget returns a fresh top-up retarget function with its own PODEM,
 // fill RNG and failed-fault memory, mirroring the generator's.
 func newRetarget(c *netlist.Circuit) func(faults.Fault) (logic.Cube, bool) {
-	pd := newPodem(c, 100, 0, nil)
+	pd := newPodem(faultsim.Compile(c), 100, 0, nil)
 	rng := rand.New(rand.NewSource(7))
 	width := len(c.PseudoInputs())
 	failed := make(map[faults.Fault]bool)
@@ -279,7 +279,7 @@ func TestTopUpMatchesFreshEngine(t *testing.T) {
 		width := len(c.PseudoInputs())
 		for _, n := range []int{0, 1, 8, 70} {
 			r := rand.New(rand.NewSource(int64(n)))
-			pruned, check := reversePrune(c, flist, randomPatterns(r, n, width), 1)
+			pruned, check := reversePrune(faultsim.Compile(c), flist, randomPatterns(r, n, width), 1)
 			base := append([]logic.Cube(nil), pruned...)
 
 			want, err := topUpFresh(context.Background(), c, flist, 1, base, newRetarget(c))
@@ -296,7 +296,39 @@ func TestTopUpMatchesFreshEngine(t *testing.T) {
 			if !patternsEqual(got, want) {
 				t.Fatalf("%s n=%d: top-up produced %d patterns, reference %d", name, n, len(got), len(want))
 			}
+			if sim := faultsim.SimulateWorkers(c, got, flist, 1); check.DetectedCount() != sim.NumDetected {
+				t.Fatalf("%s n=%d: check engine detected %d, the set detects %d", name, n, check.DetectedCount(), sim.NumDetected)
+			}
 		}
+	}
+}
+
+// TestTopUpAppliesLastRound forces all three top-up rounds — the retarget
+// answers every fault with a random pattern, which rarely detects it — and
+// checks the engine has applied the final round's patterns too, so final
+// accounting may read it.
+func TestTopUpAppliesLastRound(t *testing.T) {
+	c := standin(t, "s713")
+	flist := faults.CollapsedUniverse(c)
+	width := len(c.PseudoInputs())
+	r := rand.New(rand.NewSource(3))
+	pruned, check := reversePrune(faultsim.Compile(c), flist, randomPatterns(r, 4, width), 1)
+	rounds := map[int]bool{}
+	got, err := topUp(context.Background(), check, pruned, func(faults.Fault) (logic.Cube, bool) {
+		rounds[check.NumPatterns()] = true
+		return randomPatterns(r, 1, width)[0], true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rounds) != 3 {
+		t.Fatalf("top-up ran %d rounds, the test needs 3", len(rounds))
+	}
+	if check.NumPatterns() != len(got) {
+		t.Fatalf("check engine applied %d of %d patterns", check.NumPatterns(), len(got))
+	}
+	if sim := faultsim.SimulateWorkers(c, got, flist, 1); check.DetectedCount() != sim.NumDetected {
+		t.Fatalf("check engine detected %d, the set detects %d", check.DetectedCount(), sim.NumDetected)
 	}
 }
 
@@ -307,7 +339,7 @@ func TestTopUpCancelled(t *testing.T) {
 	flist := faults.CollapsedUniverse(c)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, check := reversePrune(c, flist, nil, 1)
+	_, check := reversePrune(faultsim.Compile(c), flist, nil, 1)
 	calls := 0
 	_, err := topUp(ctx, check, nil, func(faults.Fault) (logic.Cube, bool) {
 		calls++

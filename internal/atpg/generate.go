@@ -321,7 +321,9 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 			cause = errors.Join(cause, serr)
 		}
 		res.Patterns = fillZero(cubes)
-		finalizeAccounting(c, flist, failed, res, col, workers)
+		span := col.StartSpan("atpg.finalize")
+		finalizeAccounting(failed, res, col, faultsim.SimulateWorkers(c, res.Patterns, flist, workers).NumDetected)
+		span.End()
 		col.Counter("atpg.canceled").Inc()
 		if col.Tracing() {
 			col.Emit("atpg.canceled",
@@ -335,18 +337,29 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 			stage, c.Name, res.PatternCount(), res.Coverage*100, cause)
 	}
 
+	// Setup: the run's one compiled Program, shared by every engine and
+	// PODEM search below, and the generation engine. The engine's detection
+	// state is a pure function of the applied cube list, so a resumed run
+	// replays its checkpointed cubes here and continues the exact
+	// computation the interrupted run was performing. The replay happens
+	// before Instrument: only new work reaches the counters.
+	spanSetup := col.StartSpan("atpg.setup")
+	prog := faultsim.Compile(c)
+	engine := faultsim.NewEngineFor(prog, flist)
+	engine.SetWorkers(workers)
+	engine.Apply(cubes)
+	// Instrumented so the random phase — where most of the sharded
+	// fault-simulation work happens — contributes its batch counters and
+	// per-worker busy-time timers to the run manifest.
+	engine.Instrument(col)
+	pd := newPodem(prog, opts.BacktrackLimit, opts.FaultBudget, col)
+	spanSetup.End()
+
 	// Phase 1: random bootstrap. Apply the whole budget, then keep only
 	// the patterns that are some fault's first detector — dropping the
 	// rest cannot lose any detection. A resumed run skips the phase: its
 	// kept patterns are already in the checkpoint's cube list.
-	var engine *faultsim.Engine
 	if !resumed && opts.RandomPatterns > 0 && width > 0 {
-		engine = faultsim.NewEngine(c, flist)
-		engine.SetWorkers(workers)
-		// Instrumented so the random phase — where most of the sharded
-		// fault-simulation work happens — contributes its batch counters
-		// and per-worker busy-time timers to the run manifest.
-		engine.Instrument(col)
 		spanRand := col.StartSpan("atpg.phase.random")
 		randPats := make([]logic.Cube, opts.RandomPatterns)
 		if workers > 1 {
@@ -405,18 +418,16 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 		spanRand.End()
 	}
 
-	// Phase 2: deterministic PODEM with fault dropping. The random-phase
-	// engine continues as is: every fault it detected has its first
-	// detector among the kept patterns, so its remaining set is exactly the
-	// kept list's. The engine's detection state is a pure function of the
-	// applied cube list, so a resumed run rebuilding it from the
-	// checkpoint continues the exact computation the interrupted run was
-	// performing.
-	if engine == nil {
-		engine = rebaseEngine(c, flist, cubes, workers)
-		engine.Instrument(col)
-	}
-	pd := newPodem(c, opts.BacktrackLimit, opts.FaultBudget, col)
+	// Phase 2: deterministic PODEM with lazy fault dropping. The
+	// random-phase engine continues as is: every fault it detected has its
+	// first detector among the kept patterns, so its remaining set is
+	// exactly the kept list's. New cubes are queued on the engine, not
+	// applied one by one: a fault is skipped as a target when the applied
+	// patterns or a queued cube detect it, which is exactly "not in the
+	// remaining set of an engine that applied every cube so far". Targets
+	// are taken in fault-list order and each one ends detected or failed,
+	// so the scan resumes from a cursor past the last target. A full batch
+	// of 64 queued cubes is flushed; the rest flush after the loop.
 	cTargeted := col.Counter("atpg.faults.targeted")
 	cDetDet := col.Counter("atpg.detected.deterministic")
 	cDegraded := col.Counter("atpg.degraded")
@@ -424,31 +435,28 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	if !loopDone {
 		spanPodem := col.StartSpan("atpg.phase.podem")
 		clk := &podemClock{on: col != nil}
-		for {
-			var target *faults.Fault
-			for _, f := range engine.Remaining() {
-				if _, done := failed[f]; !done {
-					g := f
-					target = &g
-					break
-				}
-			}
-			if target == nil {
+		for next := 0; ; {
+			clk.lap()
+			ti := nextTarget(engine, flist, failed, next, ^uint64(0))
+			clk.drop += clk.lap()
+			if ti < 0 {
 				break
 			}
+			target := flist[ti]
+			next = ti + 1
 			// Cancellation check, once per fault: cheap against the cost
 			// of a PODEM search, fine-grained enough that a deadline stops
 			// the run within one fault's work.
 			if cerr := ctx.Err(); cerr != nil {
 				return finishPartial("generation", cerr)
 			}
-			curFault, haveFault = *target, true
+			curFault, haveFault = target, true
 			if ferr := runctl.Hit(FPFault); ferr != nil {
 				panic(ferr) // simulated internal failure; recovered at the boundary
 			}
 			cTargeted.Inc()
 			clk.lap()
-			cube, status := pd.run(*target)
+			cube, status := pd.run(target)
 			clk.search += clk.lap()
 			if pd.degraded {
 				res.Degraded++
@@ -464,22 +472,23 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 			switch status {
 			case Detected:
 				cDetDet.Inc()
-				if !faultsim.SerialDetects(c, padCube(cube, width), *target) {
+				lane := engine.Queue(cube)
+				if !queuedDetects(engine, lane, target) {
 					// A cube that fails verification indicates a search bug;
 					// never silently accept it.
 					panic(fmt.Sprintf("atpg: generated cube %v does not detect %s", cube, target.String(c)))
 				}
 				clk.drop += clk.lap()
 				if opts.DynamicCompact {
-					cube = extendCube(c, pd, engine, cube, *target, failed, opts, res, clk)
+					cube = extendCube(c, pd, engine, lane, next, cube, target, flist, failed, opts, res, clk)
 				}
 				cubes = append(cubes, cube)
-				engine.Apply([]logic.Cube{cube})
+				flushFull(engine)
 				clk.drop += clk.lap()
-				res.Outcomes = append(res.Outcomes, Outcome{*target, Detected, pd.backtracks})
+				res.Outcomes = append(res.Outcomes, Outcome{target, Detected, pd.backtracks})
 			case Redundant, Aborted:
-				failed[*target] = status
-				res.Outcomes = append(res.Outcomes, Outcome{*target, status, pd.backtracks})
+				failed[target] = status
+				res.Outcomes = append(res.Outcomes, Outcome{target, status, pd.backtracks})
 			}
 			haveFault = false
 			sinceCkpt++
@@ -495,6 +504,8 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 				}
 			}
 		}
+		engine.Flush()
+		clk.drop += clk.lap()
 		clk.record(col)
 		spanPodem.End()
 		loopDone = true
@@ -508,12 +519,14 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 		}
 	}
 
-	// Phase 2b: escalation passes over the aborted faults.
+	// Phase 2b: escalation passes over the aborted faults. They read the
+	// verdicts, not the remaining set, so their cubes queue too; the batch
+	// flushes when full and after the last pass.
 	limit := opts.BacktrackLimit
 	for pass := 2; pass <= opts.Passes; pass++ {
 		limit *= 10
 		spanEsc := col.StartSpan("atpg.phase.escalate")
-		retry := newPodem(c, limit, opts.FaultBudget, col)
+		retry := newPodem(prog, limit, opts.FaultBudget, col)
 		var targets []faults.Fault
 		for f, st := range failed {
 			if st == Aborted {
@@ -543,12 +556,12 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 			switch status {
 			case Detected:
 				cDetDet.Inc()
-				if !faultsim.SerialDetects(c, padCube(cube, width), f) {
+				if !queuedDetects(engine, engine.Queue(cube), f) {
 					panic(fmt.Sprintf("atpg: retry cube does not detect %s", f.String(c)))
 				}
 				delete(failed, f)
 				cubes = append(cubes, cube)
-				engine.Apply([]logic.Cube{cube})
+				flushFull(engine)
 				res.Outcomes = append(res.Outcomes, Outcome{f, Detected, retry.backtracks})
 			case Redundant:
 				failed[f] = Redundant
@@ -560,15 +573,20 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 		}
 		spanEsc.End()
 	}
+	engine.Flush()
 	res.Cubes = cubes
 
 	// Phase 3: compaction. Without it, X bits fill with 0 — the same
 	// convention the fault-dropping engine used, so every detection the
-	// generation loop credited survives into the final set. The compacted
+	// generation loop credited survives into the final set, and the
+	// generation engine has applied exactly the final set. The compacted
 	// path uses random fill (better fortuitous coverage) and repairs any
-	// fill-dependent loss with the top-up loop below.
+	// fill-dependent loss with the top-up loop below; its check engine
+	// then holds the final set's detections. Either way, final accounting
+	// reads an engine instead of simulating the set once more.
 	spanCompact := col.StartSpan("atpg.phase.compact")
 	var patterns []logic.Cube
+	final := engine
 	if !opts.Compact {
 		patterns = fillZero(cubes)
 	} else {
@@ -577,7 +595,8 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 		span.End()
 		span = col.StartSpan("atpg.compact.prune")
 		var check *faultsim.Engine
-		patterns, check = reversePrune(c, flist, patterns, workers)
+		patterns, check = reversePrune(prog, flist, patterns, workers)
+		final = check
 		span.End()
 		// Fortuitous detections can depend on the fill; top up any
 		// coverage lost by re-targeting newly undetected faults.
@@ -607,7 +626,9 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	spanCompact.End()
 	res.Patterns = patterns
 
-	finalizeAccounting(c, flist, failed, res, col, workers)
+	span := col.StartSpan("atpg.finalize")
+	finalizeAccounting(failed, res, col, final.DetectedCount())
+	span.End()
 	if col.Tracing() {
 		col.Emit("atpg.result",
 			obs.F("circuit", c.Name),
@@ -622,13 +643,13 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	return res, nil
 }
 
-// finalizeAccounting runs the authoritative final fault simulation of
-// res.Patterns and fills in the coverage bookkeeping. It is shared by the
+// finalizeAccounting fills in the coverage bookkeeping of res, given the
+// number of faults res.Patterns detects (from an engine that has applied
+// exactly that set, or from a fresh simulation of it). It is shared by the
 // complete and the cancelled exits, so a partial Result is exactly as
 // consistent as a full one.
-func finalizeAccounting(c *netlist.Circuit, flist []faults.Fault, failed map[faults.Fault]Status, res *Result, col *obs.Collector, workers int) {
-	final := faultsim.SimulateWorkers(c, res.Patterns, flist, workers)
-	res.NumDetected = final.NumDetected
+func finalizeAccounting(failed map[faults.Fault]Status, res *Result, col *obs.Collector, detected int) {
+	res.NumDetected = detected
 	res.NumRedundant, res.NumAborted, res.NumProvedRedundant = 0, 0, 0
 	for _, st := range failed {
 		switch st {
@@ -640,7 +661,10 @@ func finalizeAccounting(c *netlist.Circuit, flist []faults.Fault, failed map[fau
 			res.NumProvedRedundant++
 		}
 	}
-	res.Coverage = final.Coverage()
+	res.Coverage = 1
+	if res.NumFaults > 0 {
+		res.Coverage = float64(res.NumDetected) / float64(res.NumFaults)
+	}
 	den := res.NumFaults - res.NumRedundant - res.NumProvedRedundant
 	if den <= 0 {
 		res.EffectiveCoverage = 1
@@ -654,40 +678,73 @@ func finalizeAccounting(c *netlist.Circuit, flist []faults.Fault, failed map[fau
 	col.Counter("atpg.aborted").Add(int64(res.NumAborted))
 }
 
+// nextTarget returns the index of the first fault at or after flist index
+// from that carries no verdict in failed and that neither the engine's
+// applied patterns nor the queued cubes in lanes detect, or -1.
+func nextTarget(e *faultsim.Engine, flist []faults.Fault, failed map[faults.Fault]Status, from int, lanes uint64) int {
+	for i := e.NextRemaining(from); i >= 0; i = e.NextRemaining(i + 1) {
+		if _, done := failed[flist[i]]; done {
+			continue
+		}
+		if e.QueuedDetects(flist[i])&lanes != 0 {
+			continue
+		}
+		return i
+	}
+	return -1
+}
+
+// queuedDetects reports whether the cube queued in lane detects f: the
+// compiled check every generated cube must pass before it is committed.
+func queuedDetects(e *faultsim.Engine, lane int, f faults.Fault) bool {
+	return e.QueuedDetects(f)>>uint(lane)&1 == 1
+}
+
+// flushFull flushes the engine's pending batch once it fills all 64 lanes.
+func flushFull(e *faultsim.Engine) {
+	if e.Pending() == 64 {
+		e.Flush()
+	}
+}
+
 // extendCube performs dynamic compaction: secondary still-undetected
 // faults are targeted under the committed bits of cube; every success
 // merges more assignments in. Secondary failures are NOT recorded as
 // verdicts — a fault incompatible with this particular cube is simply left
 // for a later primary attempt.
-func extendCube(c *netlist.Circuit, pd *podem, engine *faultsim.Engine,
-	cube logic.Cube, primary faults.Fault, failed map[faults.Fault]Status,
+//
+// The cube is queued on the engine in lane. Candidates are the faults
+// after the primary (every remaining fault before it carries a verdict)
+// that no earlier cube detects: the queued lanes below lane. Each accepted
+// extension replaces the cube in lane and must detect both the secondary
+// and the primary.
+func extendCube(c *netlist.Circuit, pd *podem, engine *faultsim.Engine, lane, from int,
+	cube logic.Cube, primary faults.Fault, flist []faults.Fault, failed map[faults.Fault]Status,
 	opts Options, res *Result, clk *podemClock) logic.Cube {
 	limit := opts.DynamicTargets
 	if limit <= 0 {
 		limit = 16
 	}
-	width := len(cube)
-	tried := 0
-	for _, g := range engine.Remaining() {
-		if tried >= limit {
+	earlier := uint64(1)<<uint(lane) - 1
+	for tried := 0; tried < limit; tried++ {
+		i := nextTarget(engine, flist, failed, from, earlier)
+		if i < 0 {
 			break
 		}
-		if g == primary {
-			continue
-		}
-		if _, bad := failed[g]; bad {
-			continue
-		}
-		tried++
+		g := flist[i]
+		from = i + 1
+		clk.drop += clk.lap()
 		extended, status := pd.runWithBase(g, cube)
 		clk.search += clk.lap()
 		if status != Detected {
 			continue
 		}
-		if !faultsim.SerialDetects(c, padCube(extended, width), g) {
+		engine.Unqueue()
+		engine.Queue(extended)
+		if !queuedDetects(engine, lane, g) {
 			panic(fmt.Sprintf("atpg: dynamic extension %v does not detect %s", extended, g.String(c)))
 		}
-		if !faultsim.SerialDetects(c, padCube(extended, width), primary) {
+		if !queuedDetects(engine, lane, primary) {
 			// The extension may only refine X bits, never break the
 			// primary detection; a violation is a search bug.
 			panic("atpg: dynamic extension broke the primary detection")
@@ -710,7 +767,8 @@ func extendCube(c *netlist.Circuit, pd *podem, engine *faultsim.Engine,
 // lose: for up to three rounds, every fault check still misses is offered
 // to retarget, and each pattern it returns is appended. check's remaining
 // faults must be exactly those the given set misses; each round then
-// applies only the patterns the previous round appended.
+// applies only the patterns the previous round appended. On a nil error,
+// check has applied every returned pattern.
 func topUp(ctx context.Context, check *faultsim.Engine, patterns []logic.Cube,
 	retarget func(faults.Fault) (logic.Cube, bool)) ([]logic.Cube, error) {
 	applied := len(patterns)
@@ -731,6 +789,8 @@ func topUp(ctx context.Context, check *faultsim.Engine, patterns []logic.Cube,
 			break
 		}
 	}
+	// The last round's patterns, so check has applied the whole set.
+	check.Apply(patterns[applied:])
 	return patterns, nil
 }
 
@@ -760,17 +820,6 @@ func (k *podemClock) lap() time.Duration {
 func (k *podemClock) record(col *obs.Collector) {
 	col.Timer("atpg.podem.search").Observe(k.search)
 	col.Timer("atpg.podem.drop").Observe(k.drop)
-}
-
-// rebaseEngine replays a resumed run's kept patterns on a fresh engine so
-// subsequent detection bookkeeping is relative to the kept list.
-func rebaseEngine(c *netlist.Circuit, flist []faults.Fault, kept []logic.Cube, workers int) *faultsim.Engine {
-	e := faultsim.NewEngine(c, flist)
-	e.SetWorkers(workers)
-	if len(kept) > 0 {
-		e.Apply(kept)
-	}
-	return e
 }
 
 // padCube extends a cube to the given width with X (defensive; PODEM cubes
@@ -870,13 +919,13 @@ func fillAll(cubes []logic.Cube, rng *rand.Rand) []logic.Cube {
 // over the reversed list keeps each fault's first detector, the same set a
 // pattern-at-a-time pass keeps. The returned engine has applied every
 // pattern, so its remaining faults are exactly those the kept set misses.
-func reversePrune(c *netlist.Circuit, flist []faults.Fault, patterns []logic.Cube, workers int) ([]logic.Cube, *faultsim.Engine) {
+func reversePrune(prog *faultsim.Program, flist []faults.Fault, patterns []logic.Cube, workers int) ([]logic.Cube, *faultsim.Engine) {
 	n := len(patterns)
 	rev := make([]logic.Cube, n)
 	for i, p := range patterns {
 		rev[n-1-i] = p
 	}
-	e := faultsim.NewEngine(c, flist)
+	e := faultsim.NewEngineFor(prog, flist)
 	e.SetWorkers(workers)
 	e.Apply(rev)
 	useful := firstDetectors(e, n)

@@ -11,6 +11,14 @@
 // walk only the target fault's combinational fanout cone, so one search
 // step costs O(changed gates + cone), not O(circuit).
 //
+// Fault dropping is lazy and exact: each new cube is queued in a lane of
+// the engine's pending batch and verified there by the compiled
+// single-fault check, and the batch is applied 64 cubes at a time. Targets
+// skip faults that the applied or the queued cubes detect, which is the
+// target sequence of applying every cube at once (DESIGN.md has the
+// argument). Each run compiles its circuit once and shares the Program
+// with every engine and PODEM search it builds.
+//
 // The generator is the reproduction's stand-in for ATALANTA in the paper's
 // experiments: it exhibits the generic ATPG properties the paper's analysis
 // relies on (per-cone pattern generation, compaction of non-conflicting
@@ -156,11 +164,11 @@ type podem struct {
 	afterImply func(stack []assignment)
 }
 
-func newPodem(c *netlist.Circuit, limit int, budget time.Duration, col *obs.Collector) *podem {
-	prog := faultsim.Compile(c)
+// newPodem returns a search engine over the run's compiled Program.
+func newPodem(prog *faultsim.Program, limit int, budget time.Duration, col *obs.Collector) *podem {
 	n := prog.NumGates()
 	p := &podem{
-		c:             c,
+		c:             prog.Circuit(),
 		prog:          prog,
 		gates:         make([]faultsim.GateSpec, n),
 		order:         prog.Order(),

@@ -37,8 +37,8 @@ type SettleReport struct {
 // SettleAborted formally settles every fault whose final generation verdict
 // is Aborted: the SAT redundancy prover builds the good-vs-faulty miter and
 // either proves the fault untestable (upgrading it to ProvedRedundant) or
-// extracts a test cube, which is verified by the serial reference simulator
-// and folded into the pattern set (zero-filled, the engine's X convention).
+// extracts a test cube, which is verified on the compiled Program and
+// folded into the pattern set (zero-filled, the engine's X convention).
 // Accounting is then re-finalized, so Coverage and EffectiveCoverage — and
 // with them the per-core pattern counts T_i of the paper's TDV analysis —
 // are exact: on return no fault is Aborted, and
@@ -75,6 +75,9 @@ func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *o
 	}
 
 	width := len(c.PseudoInputs())
+	// An engine with no fault list of its own: it only checks each cube
+	// against its fault in the pending batch.
+	chk := faultsim.NewEngineFor(faultsim.Compile(c), nil)
 	perProof := col.Histogram("sat.conflicts_per_proof", obs.ExpBounds(1, 4, 16)...)
 	for _, f := range aborted {
 		proof := sat.ProveFault(c, f)
@@ -90,7 +93,9 @@ func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *o
 			continue
 		}
 		cube := padCube(proof.Cube, width)
-		if !faultsim.SerialDetects(c, cube, f) {
+		ok := queuedDetects(chk, chk.Queue(cube), f)
+		chk.Unqueue()
+		if !ok {
 			// An unverifiable cube is a prover bug, never silently accepted —
 			// the same contract the PODEM loop holds its own cubes to.
 			panic(fmt.Sprintf("atpg: settle cube %v does not detect %s", proof.Cube, f.String(c)))
@@ -119,7 +124,7 @@ func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *o
 			failed[o.Fault] = o.Status
 		}
 	}
-	finalizeAccounting(c, flist, failed, res, col, workers)
+	finalizeAccounting(failed, res, col, faultsim.SimulateWorkers(c, res.Patterns, flist, workers).NumDetected)
 	return rep
 }
 

@@ -3,15 +3,25 @@
 // propagation) engine with fault dropping: the netlist is compiled once into
 // a levelized evaluation Program, 64 patterns are packed per machine word,
 // the good circuit is evaluated in one word-wide pass per batch, and each
-// fault is then propagated event-driven through its fanout cone only. Two
-// deliberately independent reference implementations cross-check it: the
-// pattern-at-a-time serial engine (SerialSimulate/SerialDetects, any input
-// width) and the exhaustive brute-force Oracle (<= 16 inputs).
+// fault is then propagated event-driven through its fanout cone only.
+//
+// An Engine also keeps a pending batch for callers that produce patterns
+// one at a time, like the ATPG loop: Queue packs a cube into the next of
+// 64 lanes, QueuedDetects checks one fault against every queued lane, and
+// Flush applies the batch with exactly the detection state, first
+// detectors included, that one Apply per cube would leave. A Program is
+// immutable; NewEngineFor lets one run share a single compilation.
+//
+// Two deliberately independent reference implementations cross-check the
+// kernel, in tests only: the pattern-at-a-time serial engine
+// (SerialSimulate/SerialDetects, any input width) and the exhaustive
+// brute-force Oracle (<= 16 inputs).
 package faultsim
 
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/faults"
@@ -82,8 +92,9 @@ func SimulateContext(ctx context.Context, c *netlist.Circuit, patterns []logic.C
 }
 
 // Engine is an incremental fault simulator: patterns are fed in batches via
-// Apply, detected faults are dropped, and Remaining reports the survivors.
-// ATPG drives an Engine pattern by pattern.
+// Apply (or queued one at a time and flushed), detected faults are
+// dropped, and Remaining reports the survivors. ATPG drives an Engine cube
+// by cube through its pending batch.
 //
 // Internally the engine is a 64-wide PPSFP (parallel-pattern single-fault
 // propagation) kernel over a compiled Program: the good circuit is evaluated
@@ -122,6 +133,14 @@ type Engine struct {
 	tWorkers    []*obs.Timer // faultsim.worker.N busy time (sharded batches)
 	recordCurve bool
 	curve       []CurvePoint
+
+	// Pending batch (Queue, QueuedDetects, Flush): the cubes queued since
+	// the last flush, one lane each, and their good-circuit words. qgood is
+	// separate from good so the pending lanes survive any Apply, and qev
+	// checks single faults against it.
+	queued []logic.Cube
+	qgood  []uint64
+	qev    *faultEval
 }
 
 // minShardFaults is the remaining-fault count below which a batch is
@@ -138,6 +157,7 @@ var minShardFaults = 128
 // evaluator, so sharded detection touches no shared mutable state.
 type faultEval struct {
 	e       *Engine
+	good    []uint64 // good-circuit words the fault is propagated over
 	fw      []uint64 // faulty words (epoch-validated)
 	epoch   []uint32 // fw[g] valid iff epoch[g] == cur
 	inq     []uint32 // g enqueued this fault iff inq[g] == cur
@@ -146,9 +166,10 @@ type faultEval struct {
 	scratch []uint64
 }
 
-func newFaultEval(e *Engine) *faultEval {
+func newFaultEval(e *Engine, good []uint64) *faultEval {
 	return &faultEval{
 		e:       e,
+		good:    good,
 		fw:      make([]uint64, e.c.NumGates()),
 		epoch:   make([]uint32, e.c.NumGates()),
 		inq:     make([]uint32, e.c.NumGates()),
@@ -163,14 +184,23 @@ type CurvePoint struct {
 	Detected int
 }
 
-// NewEngine returns an engine over the given collapsed fault list.
+// NewEngine returns an engine over the given collapsed fault list,
+// compiling the circuit for it.
 func NewEngine(c *netlist.Circuit, flist []faults.Fault) *Engine {
 	if !c.Finalized() {
 		panic("faultsim: circuit not finalized")
 	}
+	return NewEngineFor(Compile(c), flist)
+}
+
+// NewEngineFor returns an engine over the given fault list that runs on an
+// already compiled Program. A Program is immutable, so any number of
+// engines (and PODEM searches) may share one: compile once per run.
+func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
+	c := prog.Circuit()
 	e := &Engine{
 		c:          c,
-		prog:       Compile(c),
+		prog:       prog,
 		flist:      flist,
 		detectedBy: make([]int, len(flist)),
 		good:       make([]uint64, c.NumGates()),
@@ -178,7 +208,7 @@ func NewEngine(c *netlist.Circuit, flist []faults.Fault) *Engine {
 		dffPPO:     make(map[netlist.GateID][]int),
 		workers:    1,
 	}
-	e.ev = newFaultEval(e)
+	e.ev = newFaultEval(e, e.good)
 	for i := range e.detectedBy {
 		e.detectedBy[i] = Undetected
 		e.remaining = append(e.remaining, i)
@@ -364,6 +394,93 @@ func (e *Engine) applyBatch(batch []logic.Cube, baseIndex int) int {
 	return newly
 }
 
+// Queue adds one cube to the pending batch and returns its lane: the bit
+// of QueuedDetects that answers for it. The cube's source bits (X as 0, as
+// in Apply) are ORed into the pending good words and the good circuit is
+// re-evaluated once; no fault is simulated and nothing is dropped until
+// Flush. At most 64 cubes can be pending.
+func (e *Engine) Queue(cube logic.Cube) int {
+	lane := len(e.queued)
+	if lane == wordBits {
+		panic("faultsim: Queue on a full pending batch")
+	}
+	if len(cube) != len(e.prog.ppis) {
+		panic(fmt.Sprintf("faultsim: queued cube length %d != %d pseudo inputs", len(cube), len(e.prog.ppis)))
+	}
+	if e.qgood == nil {
+		e.qgood = make([]uint64, len(e.good))
+		e.qev = newFaultEval(e, e.qgood)
+	}
+	bit := uint64(1) << uint(lane)
+	for i, id := range e.prog.ppis {
+		if cube[i] == logic.One {
+			e.qgood[id] |= bit
+		}
+	}
+	e.prog.Run(e.qgood)
+	e.queued = append(e.queued, cube)
+	return lane
+}
+
+// Unqueue withdraws the most recently queued cube, freeing its lane for
+// the next Queue.
+func (e *Engine) Unqueue() {
+	lane := len(e.queued) - 1
+	if lane < 0 {
+		panic("faultsim: Unqueue on an empty pending batch")
+	}
+	// Only the source bits need clearing: the lane is outside every
+	// QueuedDetects mask until the next Queue re-runs the circuit.
+	for _, id := range e.prog.ppis {
+		e.qgood[id] &^= 1 << uint(lane)
+	}
+	e.queued = e.queued[:lane]
+}
+
+// Pending returns the number of queued cubes.
+func (e *Engine) Pending() int { return len(e.queued) }
+
+// QueuedDetects returns the detection word of fault f over the pending
+// batch: bit k is set iff the cube in lane k detects f. f need not be in
+// the engine's fault list, and the engine's detection state is untouched.
+func (e *Engine) QueuedDetects(f faults.Fault) uint64 {
+	if len(e.queued) == 0 {
+		return 0
+	}
+	mask := ^uint64(0)
+	if len(e.queued) < wordBits {
+		mask = uint64(1)<<uint(len(e.queued)) - 1
+	}
+	return e.qev.detectWord(f, mask)
+}
+
+// Flush applies the pending batch — Apply over the queued cubes, in lane
+// order, at pattern indices NumPatterns() onwards — and empties it. The
+// detection state afterwards, first detectors included, is exactly that
+// of applying each cube with its own Apply call as it was queued; only
+// the batch count differs. It returns the newly detected fault count.
+func (e *Engine) Flush() int {
+	if len(e.queued) == 0 {
+		return 0
+	}
+	n := e.Apply(e.queued)
+	e.queued = e.queued[:0]
+	clear(e.qgood)
+	return n
+}
+
+// NextRemaining returns the lowest fault-list index at or after from whose
+// fault no applied pattern detects yet, or -1. Queued cubes do not count
+// until they are flushed. The remaining list stays in fault-list order, so
+// this is a binary search.
+func (e *Engine) NextRemaining(from int) int {
+	k := sort.SearchInts(e.remaining, from)
+	if k == len(e.remaining) {
+		return -1
+	}
+	return e.remaining[k]
+}
+
 // shardDetect computes the detection word of every remaining fault for the
 // loaded batch, sharded across the engine's workers. Slot i of the returned
 // slice belongs to e.remaining[i] regardless of which worker computed it.
@@ -398,7 +515,7 @@ func (e *Engine) shardDetect(mask uint64) []uint64 {
 // worker slot for the duration of a sharded batch.
 func (e *Engine) shardEvals() []*faultEval {
 	for len(e.evals) < e.workers {
-		e.evals = append(e.evals, newFaultEval(e))
+		e.evals = append(e.evals, newFaultEval(e, e.good))
 	}
 	return e.evals[:e.workers]
 }
@@ -446,7 +563,7 @@ func (ev *faultEval) detectWordDetail(f faults.Fault, mask uint64, perPPO []uint
 		// Branch fault on a DFF data pin: the captured value is stuck;
 		// detection is any pattern where the good driver value differs.
 		drv := g.Fanin[f.Pin]
-		det := (e.good[drv] ^ stuck) & mask
+		det := (ev.good[drv] ^ stuck) & mask
 		if perPPO != nil {
 			if pos, ok := e.dffPPO[f.Gate]; ok {
 				for _, pp := range pos {
@@ -474,7 +591,7 @@ func (ev *faultEval) detectWordDetail(f faults.Fault, mask uint64, perPPO []uint
 		ev.fw[site] = ev.evalWithPin(site, f.Pin, stuck)
 	}
 	ev.epoch[site] = ev.cur
-	if ev.fw[site] == e.good[site] {
+	if ev.fw[site] == ev.good[site] {
 		// The fault never changes the site value for this batch — but a
 		// stem stuck fault still differs wherever good != stuck; that IS
 		// fw != good. Equal means undetectable in this batch.
@@ -483,7 +600,7 @@ func (ev *faultEval) detectWordDetail(f faults.Fault, mask uint64, perPPO []uint
 
 	var det uint64
 	if p.observed[site] {
-		det = (ev.fw[site] ^ e.good[site]) & mask
+		det = (ev.fw[site] ^ ev.good[site]) & mask
 	}
 	// Seed the event queue with the site's combinational fanouts. Every
 	// fanout's level exceeds the site's, so processing levels upward from
@@ -533,13 +650,13 @@ func (ev *faultEval) detectWordDetail(f faults.Fault, mask uint64, perPPO []uint
 				// Constants have no fanin; they can never be enqueued.
 			}
 			v ^= p.inv[id]
-			if v == e.good[id] {
+			if v == ev.good[id] {
 				continue
 			}
 			ev.fw[id] = v
 			ev.epoch[id] = ev.cur
 			if p.observed[id] {
-				det |= (v ^ e.good[id]) & mask
+				det |= (v ^ ev.good[id]) & mask
 			}
 			for _, s := range p.fanouts[p.fanoutOff[id]:p.fanoutOff[id+1]] {
 				if ev.inq[s] != ev.cur {
@@ -561,7 +678,7 @@ func (ev *faultEval) detectWordDetail(f faults.Fault, mask uint64, perPPO []uint
 		det = 0
 		for i, id := range e.ppos {
 			if ev.epoch[id] == ev.cur {
-				d := (ev.fw[id] ^ e.good[id]) & mask
+				d := (ev.fw[id] ^ ev.good[id]) & mask
 				det |= d
 				perPPO[i] = d
 			}
@@ -576,7 +693,7 @@ func (ev *faultEval) val(id int32) uint64 {
 	if ev.epoch[id] == ev.cur {
 		return ev.fw[id]
 	}
-	return ev.e.good[id]
+	return ev.good[id]
 }
 
 // evalWithPin recomputes gate id with fanin pin forced to the given word
@@ -593,7 +710,7 @@ func (ev *faultEval) evalWithPin(id int32, pin int, forced uint64) uint64 {
 		if j == pin {
 			in[j] = forced
 		} else {
-			in[j] = ev.e.good[fin]
+			in[j] = ev.good[fin]
 		}
 	}
 	return p.evalWords(id, in)

@@ -116,9 +116,9 @@ func serialPatternDetects(c *netlist.Circuit, p logic.Cube, good, bad []bool, f 
 // SerialDetects reports whether the single fully specified pattern detects
 // the fault. It is an independent, deliberately simple implementation
 // (recursive evaluation with memoization, one pattern at a time) used as the
-// reference oracle for the bit-parallel engine in tests, and by the ATPG to
-// confirm generated patterns. X bits in the pattern are treated as 0,
-// matching Engine.Apply.
+// reference oracle for the bit-parallel engine in tests; the ATPG verifies
+// its cubes with Engine.QueuedDetects. X bits in the pattern are treated as
+// 0, matching Engine.Apply.
 func SerialDetects(c *netlist.Circuit, pattern logic.Cube, f faults.Fault) bool {
 	return len(serialFailing(c, pattern, f, true)) > 0
 }

@@ -72,8 +72,8 @@ func faultMiter(c *netlist.Circuit, f faults.Fault) (*CNF, *CircuitEncoding) {
 
 	// A branch fault on a DFF data pin is captured directly into that
 	// flop's response position: it is detected exactly when the good
-	// driver value differs from the stuck value (the convention shared by
-	// Oracle.Detects and SerialDetects).
+	// driver value differs from the stuck value (the convention every
+	// faultsim engine and reference oracle shares).
 	if f.Pin != faults.StemPin && site.Type == netlist.DFF {
 		drv := site.Fanin[f.Pin]
 		cnf := NewCNF()
