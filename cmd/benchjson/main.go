@@ -20,7 +20,8 @@
 //
 // Kernel speedups need no extra cores: word packing and cone-limited
 // propagation are single-thread gains. The host block records
-// cpus/gomaxprocs so readers can tell where a file was measured.
+// cpus/gomaxprocs so readers can tell where a file was measured, and the
+// version field the `git describe` of the measured tree.
 //
 // Usage:
 //
@@ -46,6 +47,7 @@ import (
 	"repro/internal/itc02"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/runctl"
 )
 
@@ -74,8 +76,9 @@ type benchCase struct {
 }
 
 type report struct {
-	Mode string `json:"mode"`
-	Host struct {
+	Mode    string `json:"mode"`
+	Version string `json:"version,omitempty"` // git describe of the measured tree
+	Host    struct {
 		CPUs       int    `json:"cpus"`
 		GoMaxProcs int    `json:"gomaxprocs"`
 		GoVersion  string `json:"go_version"`
@@ -219,6 +222,7 @@ func main() {
 
 	var rep report
 	rep.Mode = *mode
+	rep.Version = obs.GitDescribe()
 	rep.Host.CPUs = runtime.NumCPU()
 	rep.Host.GoMaxProcs = runtime.GOMAXPROCS(0)
 	rep.Host.GoVersion = runtime.Version()

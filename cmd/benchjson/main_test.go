@@ -57,8 +57,9 @@ func buildBinary(t *testing.T) string {
 // reportSchema mirrors the JSON contract; unknown-field checks below keep it
 // honest against drift in main.go's report struct.
 type reportSchema struct {
-	Mode string `json:"mode"`
-	Host struct {
+	Mode    string `json:"mode"`
+	Version string `json:"version"`
+	Host    struct {
 		CPUs       int    `json:"cpus"`
 		GoMaxProcs int    `json:"gomaxprocs"`
 		GoVersion  string `json:"go_version"`

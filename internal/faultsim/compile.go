@@ -190,29 +190,91 @@ func (p *Program) Circuit() *netlist.Circuit { return p.c }
 // Load packs up to 64 stimulus cubes into the source words of the value
 // array (one bit per pattern, X loaded as 0 — the engine's deterministic
 // X-fill convention) and returns the mask covering the valid pattern bits.
-// words must have length NumGates.
+// words must have length NumGates; every word that is not a pseudo input
+// is cleared.
+//
+// The packing is branch-free and word-parallel. The pseudo inputs are
+// walked in blocks of 64. Each pattern's block is read in order, eight
+// values per step, and ones8 turns each step into eight bits of one row
+// word; the 64 row words (row = pattern, column = input) are then
+// transposed as a 64×64 bit matrix, which leaves one word of pattern bits
+// per input, stored once.
 func (p *Program) Load(words []uint64, batch []logic.Cube) uint64 {
 	if len(batch) == 0 || len(batch) > 64 {
 		panic(fmt.Sprintf("faultsim: Program.Load batch size %d out of range 1..64", len(batch)))
-	}
-	for i := range words {
-		words[i] = 0
 	}
 	for k, cube := range batch {
 		if len(cube) != len(p.ppis) {
 			panic(fmt.Sprintf("faultsim: pattern %d length %d != %d pseudo inputs", k, len(cube), len(p.ppis)))
 		}
-		bit := uint64(1) << uint(k)
-		for i, id := range p.ppis {
-			if cube[i] == logic.One {
-				words[id] |= bit
-			}
+	}
+	clear(words)
+	var tile [64]uint64
+	for base := 0; base < len(p.ppis); base += 64 {
+		ids := p.ppis[base:min(base+64, len(p.ppis))]
+		for k, cube := range batch {
+			tile[k] = ones64(cube[base : base+len(ids)])
+		}
+		clear(tile[len(batch):])
+		transpose64(&tile)
+		for j, id := range ids {
+			words[id] = tile[j]
 		}
 	}
 	if len(batch) >= 64 {
 		return ^uint64(0)
 	}
 	return (uint64(1) << uint(len(batch))) - 1
+}
+
+// ones64 maps up to 64 values to the bits of one word: bit i is
+// loadsOne(v[i]).
+func ones64(v []logic.V) uint64 {
+	var row uint64
+	i := 0
+	for ; i+8 <= len(v); i += 8 {
+		o := v[i : i+8 : i+8]
+		w := uint64(o[0]) | uint64(o[1])<<8 | uint64(o[2])<<16 | uint64(o[3])<<24 |
+			uint64(o[4])<<32 | uint64(o[5])<<40 | uint64(o[6])<<48 | uint64(o[7])<<56
+		row |= ones8(w) << (i & 63) // i < 64: the mask only drops the shift check
+	}
+	for ; i < len(v); i++ {
+		row |= loadsOne(v[i]) << (i & 63)
+	}
+	return row
+}
+
+// ones8 maps the eight bytes of w to eight bits: bit i is 1 exactly when
+// byte i equals logic.One, whatever the byte holds (X, D, D̄ and any other
+// value load as 0). It is the one definition of "loads as 1".
+func ones8(w uint64) uint64 {
+	const lsb, low7 = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f
+	x := w ^ lsb*uint64(logic.One) // zero bytes where w holds One
+	// A byte's top bit survives exactly when the byte is zero: adding low7
+	// to its low seven bits carries into bit 7 iff any is set, and the OR
+	// with x covers bit 7 itself. No carry crosses a byte.
+	z := ^(x&low7 + low7 | x) & (lsb << 7)
+	// Gather bit 7 of byte i into bit 56+i with one multiply (the partial
+	// products land on distinct bits, so nothing carries).
+	return (z >> 7) * 0x0102040810204080 >> 56
+}
+
+// loadsOne is ones8 on a single value: 1 when v loads as a 1 bit, else 0.
+func loadsOne(v logic.V) uint64 { return ones8(uint64(v)) }
+
+// transpose64 transposes the 64×64 bit matrix a in place (bit c of a[r] is
+// row r, column c) by recursive block swaps (Hacker's Delight §7-3): the
+// off-diagonal 32×32 quadrants, then 16×16 blocks, down to single bits.
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000ffffffff)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>j ^ a[k+j]) & m
+			a[k] ^= t << j
+			a[k+j] ^= t
+		}
+		m ^= m << (j >> 1)
+	}
 }
 
 // Run evaluates the combinational logic over the loaded value words in

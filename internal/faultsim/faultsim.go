@@ -21,6 +21,7 @@ package faultsim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -130,6 +131,9 @@ type Engine struct {
 	cPatterns   *obs.Counter // faultsim.patterns.applied
 	cDropped    *obs.Counter // faultsim.faults.dropped
 	cBatches    *obs.Counter // faultsim.batches
+	tLoad       *obs.Timer   // faultsim.load: Program.Load per batch
+	tGood       *obs.Timer   // faultsim.good: good-circuit Program.Run per batch
+	tDetect     *obs.Timer   // faultsim.detect: fault propagation and dropping per batch
 	tWorkers    []*obs.Timer // faultsim.worker.N busy time (sharded batches)
 	recordCurve bool
 	curve       []CurvePoint
@@ -223,7 +227,9 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 }
 
 // Instrument attaches an observability collector: per-batch counters
-// (patterns applied, faults dropped, batches simulated) and, when the
+// (patterns applied, faults dropped, batches simulated), per-batch timers
+// splitting each batch into packing (faultsim.load), the good-circuit pass
+// (faultsim.good) and fault propagation (faultsim.detect), and, when the
 // collector traces, a "faultsim.batch" event per 64-pattern batch carrying
 // the running coverage-vs-pattern curve. Instrumenting also enables curve
 // recording. A nil collector is a no-op.
@@ -235,6 +241,9 @@ func (e *Engine) Instrument(col *obs.Collector) {
 	e.cPatterns = col.Counter("faultsim.patterns.applied")
 	e.cDropped = col.Counter("faultsim.faults.dropped")
 	e.cBatches = col.Counter("faultsim.batches")
+	e.tLoad = col.Timer("faultsim.load")
+	e.tGood = col.Timer("faultsim.good")
+	e.tDetect = col.Timer("faultsim.detect")
 	e.EnableCurve()
 }
 
@@ -355,8 +364,12 @@ func (e *Engine) applyBatch(batch []logic.Cube, baseIndex int) int {
 	if len(e.remaining) == 0 {
 		return 0
 	}
+	var clock time.Time
+	lap(e.tLoad, &clock) // starts the clock on an instrumented engine
 	mask := e.prog.Load(e.good, batch)
+	lap(e.tLoad, &clock)
 	e.prog.Run(e.good)
+	lap(e.tGood, &clock)
 
 	// Detection words come either from the per-worker shards (index-
 	// addressed slots, one per remaining fault) or from the serial
@@ -381,17 +394,28 @@ func (e *Engine) applyBatch(batch []logic.Cube, baseIndex int) int {
 			continue
 		}
 		// First detecting pattern = lowest set bit.
-		k := 0
-		for det&1 == 0 {
-			det >>= 1
-			k++
-		}
-		e.detectedBy[fi] = baseIndex + k
+		e.detectedBy[fi] = baseIndex + bits.TrailingZeros64(det)
 		e.nDetected++
 		newly++
 	}
 	e.remaining = keep
+	lap(e.tDetect, &clock)
 	return newly
+}
+
+// lap observes on t the time since *clock (unless *clock is zero, which
+// starts the first lap) and moves *clock to now. A nil timer, as on an
+// uninstrumented engine, reads no clock.
+func lap(t *obs.Timer, clock *time.Time) {
+	if t == nil {
+		return
+	}
+	// lintgo:allow GO002 per-layer timing metric, never a result input.
+	now := time.Now()
+	if !clock.IsZero() {
+		t.Observe(now.Sub(*clock))
+	}
+	*clock = now
 }
 
 // Queue adds one cube to the pending batch and returns its lane: the bit
@@ -411,11 +435,8 @@ func (e *Engine) Queue(cube logic.Cube) int {
 		e.qgood = make([]uint64, len(e.good))
 		e.qev = newFaultEval(e, e.qgood)
 	}
-	bit := uint64(1) << uint(lane)
 	for i, id := range e.prog.ppis {
-		if cube[i] == logic.One {
-			e.qgood[id] |= bit
-		}
+		e.qgood[id] |= loadsOne(cube[i]) << uint(lane)
 	}
 	e.prog.Run(e.qgood)
 	e.queued = append(e.queued, cube)
@@ -737,20 +758,11 @@ func FailingPositions(c *netlist.Circuit, patterns []logic.Cube, f faults.Fault)
 		e.ev.detectWordDetail(f, mask, perPPO)
 		for i, w := range perPPO {
 			for w != 0 {
-				k := trailingZeros(w)
+				k := bits.TrailingZeros64(w)
 				w &^= 1 << uint(k)
 				out[off+k] = append(out[off+k], i)
 			}
 		}
 	}
 	return out
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }

@@ -1,0 +1,214 @@
+package faultsim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/logic"
+	"repro/internal/netlist"
+)
+
+// loadBitwise is the reference for Program.Load: the bit-at-a-time loop
+// the kernel packed patterns with before the word-parallel rewrite. It
+// clears words, sets bit k of a pseudo input's word when pattern k holds
+// logic.One there, and returns the valid-pattern mask.
+func loadBitwise(p *Program, words []uint64, batch []logic.Cube) uint64 {
+	if len(batch) == 0 || len(batch) > 64 {
+		panic(fmt.Sprintf("faultsim: Program.Load batch size %d out of range 1..64", len(batch)))
+	}
+	for i := range words {
+		words[i] = 0
+	}
+	for k, cube := range batch {
+		if len(cube) != len(p.ppis) {
+			panic(fmt.Sprintf("faultsim: pattern %d length %d != %d pseudo inputs", k, len(cube), len(p.ppis)))
+		}
+		bit := uint64(1) << uint(k)
+		for i, id := range p.ppis {
+			if cube[i] == logic.One {
+				words[id] |= bit
+			}
+		}
+	}
+	if len(batch) >= 64 {
+		return ^uint64(0)
+	}
+	return (uint64(1) << uint(len(batch))) - 1
+}
+
+// wideCircuit builds a circuit with width pseudo inputs whose gate IDs are
+// scattered: every fourth pseudo input is a DFF, and each pseudo input is
+// followed by an inverter, so Load must honour the ppi-to-gate mapping.
+func wideCircuit(t testing.TB, width int) *netlist.Circuit {
+	t.Helper()
+	c := netlist.New(fmt.Sprintf("wide%d", width))
+	var last netlist.GateID
+	for i := 0; i < width; i++ {
+		var src netlist.GateID
+		if i%4 == 3 {
+			src = c.MustAddGate(fmt.Sprintf("ff%d", i), netlist.DFF, last)
+		} else {
+			src = c.MustAddGate(fmt.Sprintf("in%d", i), netlist.Input)
+		}
+		last = c.MustAddGate(fmt.Sprintf("n%d", i), netlist.Not, src)
+	}
+	if err := c.MarkOutput(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// byteCubes returns n cubes of the given width holding arbitrary bytes:
+// mostly 0 and 1, but every value 0–255 occurs.
+func byteCubes(r *rand.Rand, width, n int) []logic.Cube {
+	out := make([]logic.Cube, n)
+	for k := range out {
+		cube := make(logic.Cube, width)
+		for i := range cube {
+			if r.Intn(4) == 0 {
+				cube[i] = logic.V(r.Intn(256))
+			} else {
+				cube[i] = logic.V(r.Intn(2))
+			}
+		}
+		out[k] = cube
+	}
+	return out
+}
+
+// checkLoad runs Load and the reference over garbage-filled word arrays
+// and fails on any difference in the words or the mask.
+func checkLoad(t *testing.T, r *rand.Rand, p *Program, batch []logic.Cube) {
+	t.Helper()
+	got := make([]uint64, p.c.NumGates())
+	want := make([]uint64, len(got))
+	for i := range got {
+		got[i], want[i] = r.Uint64(), r.Uint64()
+	}
+	gm, wm := p.Load(got, batch), loadBitwise(p, want, batch)
+	if gm != wm {
+		t.Fatalf("width %d, %d patterns: mask %x, reference %x", len(p.ppis), len(batch), gm, wm)
+	}
+	for id := range got {
+		if got[id] != want[id] {
+			t.Fatalf("width %d, %d patterns, gate %d: word %x, reference %x",
+				len(p.ppis), len(batch), id, got[id], want[id])
+		}
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, or nil.
+func panicMessage(f func()) (msg any) {
+	defer func() { msg = recover() }()
+	f()
+	return nil
+}
+
+// TestLoadMatchesBitwise holds the word-parallel Load to the bit-at-a-time
+// reference: every batch size 1–64 at pseudo-input widths 1–130, around
+// 512, and the live frames (700 for s13207, 1532 for SOC2-flat), over
+// arbitrary byte values and garbage-filled destination words. Both panics
+// must fire with the reference's messages.
+func TestLoadMatchesBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	var widths []int
+	for w := 1; w <= 130; w++ {
+		widths = append(widths, w)
+	}
+	widths = append(widths, 511, 512, 513, 700, 1532)
+	for _, w := range widths {
+		p := Compile(wideCircuit(t, w))
+		cubes := byteCubes(r, w, 64)
+		for n := 1; n <= 64; n++ {
+			off := r.Intn(64 - n + 1)
+			checkLoad(t, r, p, cubes[off:off+n])
+		}
+	}
+
+	p := Compile(wideCircuit(t, 9))
+	words := make([]uint64, p.c.NumGates())
+	cubes := byteCubes(r, 9, 65)
+	bad := append(append([]logic.Cube(nil), cubes[:5]...), make(logic.Cube, 8))
+	for _, batch := range [][]logic.Cube{nil, cubes, bad} {
+		got := panicMessage(func() { p.Load(words, batch) })
+		want := panicMessage(func() { loadBitwise(p, words, batch) })
+		if got == nil || got != want {
+			t.Fatalf("%d patterns: Load panicked with %v, reference with %v", len(batch), got, want)
+		}
+	}
+}
+
+// FuzzLoad cross-checks Load against the bit-at-a-time reference on
+// arbitrary widths, batch sizes and byte values.
+func FuzzLoad(f *testing.F) {
+	f.Add(uint16(1), uint8(1), int64(1), []byte{1})
+	f.Add(uint16(8), uint8(64), int64(2), []byte{0, 1, 2, 3, 4, 255})
+	f.Add(uint16(700), uint8(63), int64(3), []byte{1, 1, 0, 0x81})
+	f.Add(uint16(1532), uint8(7), int64(4), []byte{})
+	f.Fuzz(func(t *testing.T, width uint16, nPat uint8, seed int64, data []byte) {
+		w := 1 + int(width)%1600
+		n := 1 + int(nPat)%64
+		r := rand.New(rand.NewSource(seed))
+		batch := make([]logic.Cube, n)
+		for k := range batch {
+			cube := make(logic.Cube, w)
+			for i := range cube {
+				cube[i] = logic.V(r.Intn(2))
+				if len(data) > 0 {
+					cube[i] ^= logic.V(data[(k*w+i)%len(data)])
+				}
+			}
+			batch[k] = cube
+		}
+		checkLoad(t, r, Compile(wideCircuit(t, w)), batch)
+	})
+}
+
+// TestLoadAndApplyAllocateNothing: packing a batch and applying a
+// 64-pattern batch on an uninstrumented engine allocate nothing.
+func TestLoadAndApplyAllocateNothing(t *testing.T) {
+	c := standinCircuit(t, "s1423")
+	r := rand.New(rand.NewSource(9))
+	patterns := randomPatterns(r, len(c.PseudoInputs()), 64*8)
+	e := NewEngine(c, faults.CollapsedUniverse(c))
+	e.Apply(patterns[:64]) // grow the event buckets once
+
+	words := make([]uint64, c.NumGates())
+	if a := testing.AllocsPerRun(20, func() { e.prog.Load(words, patterns[:64]) }); a != 0 {
+		t.Errorf("Program.Load: %v allocs per run, want 0", a)
+	}
+	next := 64
+	if a := testing.AllocsPerRun(5, func() {
+		e.Apply(patterns[next : next+64])
+		next += 64
+	}); a != 0 {
+		t.Errorf("uninstrumented Apply of 64 patterns: %v allocs per run, want 0", a)
+	}
+	if len(e.remaining) == 0 {
+		t.Fatal("every fault dropped: the Apply runs measured no detection work")
+	}
+}
+
+// BenchmarkProgramLoad packs 64-pattern batches at the pseudo-input
+// widths of the live frames: s13207 (700) and SOC2-flat (1532).
+func BenchmarkProgramLoad(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		width int
+	}{{"s13207", 700}, {"SOC2-flat", 1532}} {
+		p := Compile(wideCircuit(b, tc.width))
+		batch := randomPatterns(rand.New(rand.NewSource(1)), tc.width, 64)
+		words := make([]uint64, p.c.NumGates())
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Load(words, batch)
+			}
+		})
+	}
+}
