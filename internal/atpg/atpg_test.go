@@ -8,7 +8,6 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 const c17Bench = `
@@ -351,61 +350,6 @@ func TestRunWithBaseRespectsBase(t *testing.T) {
 	// Unconstrained, the same fault is detectable.
 	if _, status := pd.run(f); status != Detected {
 		t.Fatalf("unconstrained run = %v, want detected", status)
-	}
-}
-
-func TestResponsesMatchSimulator(t *testing.T) {
-	c := mustParse(t, "c17", c17Bench)
-	res := Generate(c, DefaultOptions())
-	responses := res.Responses(c)
-	if len(responses) != len(res.Patterns) {
-		t.Fatalf("responses = %d, patterns = %d", len(responses), len(res.Patterns))
-	}
-	td := res.BuildTesterData(c)
-	if td.TotalBits != td.StimulusBits+td.ResponseBits {
-		t.Error("tester data totals inconsistent")
-	}
-	// Naive full-frame accounting: width x T each way.
-	if td.StimulusBits != int64(len(c.PseudoInputs())*len(res.Patterns)) {
-		t.Errorf("stimulus bits = %d", td.StimulusBits)
-	}
-	if td.ResponseBits != int64(len(c.PseudoOutputs())*len(res.Patterns)) {
-		t.Errorf("response bits = %d", td.ResponseBits)
-	}
-	// Cross-check every response against the serial simulator.
-	s := sim.New(c)
-	for k := range res.Patterns {
-		want := s.Simulate(res.Patterns[k])
-		if responses[k].String() != want.String() {
-			t.Fatalf("pattern %d: response %v, want %v", k, responses[k], want)
-		}
-	}
-
-	// Across word boundaries (1, 63, 64, 65 and 130 patterns) on a
-	// stand-in, with X bits, which both simulators load as 0: the
-	// compiled Program must match the reference bit-parallel simulator.
-	c = standin(t, "s713")
-	r := rand.New(rand.NewSource(5))
-	p := sim.NewPSim(c)
-	for _, n := range []int{1, 63, 64, 65, 130} {
-		pats := make([]logic.Cube, n)
-		for k := range pats {
-			pats[k] = make(logic.Cube, len(c.PseudoInputs()))
-			for i := range pats[k] {
-				pats[k][i] = []logic.V{logic.Zero, logic.One, logic.X}[r.Intn(3)]
-			}
-		}
-		got := (&Result{Patterns: pats}).Responses(c)
-		for off := 0; off < n; off += 64 {
-			end := min(off+64, n)
-			p.Load(pats[off:end])
-			p.Run()
-			for k := off; k < end; k++ {
-				if want := p.Response(k - off); got[k].String() != want.String() {
-					t.Fatalf("%d patterns, pattern %d: response %v, want %v", n, k, got[k], want)
-				}
-			}
-		}
 	}
 }
 

@@ -61,18 +61,17 @@ type Options struct {
 	Checkpoint *CheckpointConfig
 	// Obs receives instrumentation when non-nil: search-effort counters
 	// (backtracks, decisions, implications), per-fault outcome events,
-	// phase spans and the fault simulator's coverage curve. The nil
+	// phase spans and the fault simulator's per-batch events. The nil
 	// default keeps the hot path free of any observability cost.
 	Obs *obs.Collector
-	// Workers bounds the worker pool of the parallel phases: random-fill
-	// pattern generation and every fault-dropping simulation pass shard
-	// across up to Workers goroutines, while the PODEM search itself stays
-	// serial per fault. 0 (the default) resolves to runtime.NumCPU();
-	// 1 forces the strictly serial path. Results are bit-identical for
-	// every setting — per-worker RNGs replay the exact draw positions of
-	// the single serial stream, so checkpoints written under any worker
-	// count resume under any other. Workers is deliberately excluded from
-	// the checkpoint options hash for the same reason.
+	// Workers bounds the fault-simulation worker pool: every
+	// fault-dropping simulation pass shards its fault list across up to
+	// Workers goroutines, while random fill and the PODEM search stay
+	// serial. 0 (the default) resolves to runtime.NumCPU(); 1 forces the
+	// strictly serial path. Results are bit-identical for every setting,
+	// so checkpoints written under any worker count resume under any
+	// other. Workers is deliberately excluded from the checkpoint options
+	// hash for the same reason.
 	Workers int
 }
 
@@ -362,40 +361,12 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	if !resumed && opts.RandomPatterns > 0 && width > 0 {
 		spanRand := col.StartSpan("atpg.phase.random")
 		randPats := make([]logic.Cube, opts.RandomPatterns)
-		if workers > 1 {
-			// Parallel random fill. The worker owning patterns [Lo, Hi)
-			// draws from a private rand.Rand — never a shared one — seeded
-			// like the run RNG and fast-forwarded to its shard's exact
-			// position in the single logical draw stream. The generated
-			// bits, and the RandDraws replay count that checkpoint/resume
-			// depends on, are therefore identical to the serial phase.
-			_ = par.Run(nil, opts.RandomPatterns, workers, func(s par.Shard) error {
-				wr := rand.New(rand.NewSource(opts.Seed))
-				for k := int64(0); k < int64(s.Lo)*int64(width); k++ {
-					wr.Intn(2)
-				}
-				for i := s.Lo; i < s.Hi; i++ {
-					p := make(logic.Cube, width)
-					for j := range p {
-						p[j] = logic.FromBool(wr.Intn(2) == 1)
-					}
-					randPats[i] = p
-				}
-				return nil
-			})
-			// Advance the run RNG past the whole phase so compaction's
-			// X-fill continues from the identical stream position.
-			for k := int64(0); k < int64(opts.RandomPatterns)*int64(width); k++ {
-				rng.Intn(2)
+		for i := range randPats {
+			p := make(logic.Cube, width)
+			for j := range p {
+				p[j] = logic.FromBool(rng.Intn(2) == 1)
 			}
-		} else {
-			for i := range randPats {
-				p := make(logic.Cube, width)
-				for j := range p {
-					p[j] = logic.FromBool(rng.Intn(2) == 1)
-				}
-				randPats[i] = p
-			}
+			randPats[i] = p
 		}
 		randDraws = int64(opts.RandomPatterns) * int64(width)
 		engine.Apply(randPats)

@@ -54,8 +54,9 @@ func TestCompiledOpsMatchEvalGateWord(t *testing.T) {
 }
 
 // TestProgramRunMatchesPSim checks the compiled good-circuit pass against
-// the original PSim on fixtures and random netlists: every gate's value
-// word must agree on the valid pattern bits, for full and partial batches.
+// the original PSim on fixtures, random netlists and the s713 stand-in:
+// every gate's value word must agree on the valid pattern bits, for full and
+// partial batches.
 func TestProgramRunMatchesPSim(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	circuits := []*netlist.Circuit{
@@ -63,6 +64,7 @@ func TestProgramRunMatchesPSim(t *testing.T) {
 		mustParse(t, "seq", seqBench),
 		randomCircuit(t, r, 6, 40, 3, 2),
 		randomCircuit(t, r, 10, 120, 5, 8),
+		standinCircuit(t, "s713"),
 	}
 	for _, c := range circuits {
 		p := Compile(c)

@@ -19,7 +19,6 @@
 package faultsim
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -83,15 +82,6 @@ func SimulateWorkers(c *netlist.Circuit, patterns []logic.Cube, flist []faults.F
 	return e.Result()
 }
 
-// SimulateContext is Simulate with cancellation at 64-pattern batch
-// granularity. On cancellation it returns the partial Result over the
-// batches actually simulated, together with the context's error.
-func SimulateContext(ctx context.Context, c *netlist.Circuit, patterns []logic.Cube, flist []faults.Fault) (*Result, error) {
-	e := NewEngine(c, flist)
-	_, err := e.ApplyContext(ctx, patterns)
-	return e.Result(), err
-}
-
 // Engine is an incremental fault simulator: patterns are fed in batches via
 // Apply (or queued one at a time and flushed), detected faults are
 // dropped, and Remaining reports the survivors. ATPG drives an Engine cube
@@ -114,9 +104,6 @@ type Engine struct {
 
 	good []uint64 // good-circuit words of the current batch
 
-	ppos   []netlist.GateID
-	dffPPO map[netlist.GateID][]int // DFF gate -> indices in ppo frame
-
 	// Parallel detection. workers is the shard bound (1 = strictly serial);
 	// ev is the serial evaluator, evals the lazily-grown per-worker pool,
 	// and dets the index-addressed detection-word slots (parallel to
@@ -126,17 +113,15 @@ type Engine struct {
 	evals   []*faultEval
 	dets    []uint64
 
-	// Observability (all nil/false by default: zero overhead).
-	col         *obs.Collector
-	cPatterns   *obs.Counter // faultsim.patterns.applied
-	cDropped    *obs.Counter // faultsim.faults.dropped
-	cBatches    *obs.Counter // faultsim.batches
-	tLoad       *obs.Timer   // faultsim.load: Program.Load per batch
-	tGood       *obs.Timer   // faultsim.good: good-circuit Program.Run per batch
-	tDetect     *obs.Timer   // faultsim.detect: fault propagation and dropping per batch
-	tWorkers    []*obs.Timer // faultsim.worker.N busy time (sharded batches)
-	recordCurve bool
-	curve       []CurvePoint
+	// Observability (all nil by default: zero overhead).
+	col       *obs.Collector
+	cPatterns *obs.Counter // faultsim.patterns.applied
+	cDropped  *obs.Counter // faultsim.faults.dropped
+	cBatches  *obs.Counter // faultsim.batches
+	tLoad     *obs.Timer   // faultsim.load: Program.Load per batch
+	tGood     *obs.Timer   // faultsim.good: good-circuit Program.Run per batch
+	tDetect   *obs.Timer   // faultsim.detect: fault propagation and dropping per batch
+	tWorkers  []*obs.Timer // faultsim.worker.N busy time (sharded batches)
 
 	// Pending batch (Queue, QueuedDetects, Flush): the cubes queued since
 	// the last flush, one lane each, and their good-circuit words. qgood is
@@ -181,13 +166,6 @@ func newFaultEval(e *Engine, good []uint64) *faultEval {
 	}
 }
 
-// CurvePoint is one point of the coverage-vs-pattern curve: the cumulative
-// detected-fault count after Patterns patterns have been applied.
-type CurvePoint struct {
-	Patterns int
-	Detected int
-}
-
 // NewEngine returns an engine over the given collapsed fault list,
 // compiling the circuit for it.
 func NewEngine(c *netlist.Circuit, flist []faults.Fault) *Engine {
@@ -208,20 +186,12 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 		flist:      flist,
 		detectedBy: make([]int, len(flist)),
 		good:       make([]uint64, c.NumGates()),
-		ppos:       c.PseudoOutputs(),
-		dffPPO:     make(map[netlist.GateID][]int),
 		workers:    1,
 	}
 	e.ev = newFaultEval(e, e.good)
 	for i := range e.detectedBy {
 		e.detectedBy[i] = Undetected
 		e.remaining = append(e.remaining, i)
-	}
-	// Map each DFF to the response-frame positions it captures, for
-	// branch faults on DFF data pins.
-	outs := len(c.Outputs())
-	for i, d := range c.DFFs() {
-		e.dffPPO[d] = append(e.dffPPO[d], outs+i)
 	}
 	return e
 }
@@ -231,8 +201,7 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 // splitting each batch into packing (faultsim.load), the good-circuit pass
 // (faultsim.good) and fault propagation (faultsim.detect), and, when the
 // collector traces, a "faultsim.batch" event per 64-pattern batch carrying
-// the running coverage-vs-pattern curve. Instrumenting also enables curve
-// recording. A nil collector is a no-op.
+// the running coverage-vs-pattern curve. A nil collector is a no-op.
 func (e *Engine) Instrument(col *obs.Collector) {
 	if col == nil {
 		return
@@ -244,7 +213,6 @@ func (e *Engine) Instrument(col *obs.Collector) {
 	e.tLoad = col.Timer("faultsim.load")
 	e.tGood = col.Timer("faultsim.good")
 	e.tDetect = col.Timer("faultsim.detect")
-	e.EnableCurve()
 }
 
 // SetWorkers bounds the worker pool Apply may use to shard the
@@ -256,19 +224,6 @@ func (e *Engine) Instrument(col *obs.Collector) {
 // wall-clock changes.
 func (e *Engine) SetWorkers(n int) {
 	e.workers = par.Workers(n)
-}
-
-// Workers reports the engine's resolved worker bound.
-func (e *Engine) Workers() int { return e.workers }
-
-// EnableCurve turns on coverage-vs-pattern curve recording (one point per
-// applied batch). Off by default so the ATPG hot path pays nothing.
-func (e *Engine) EnableCurve() { e.recordCurve = true }
-
-// CoverageCurve returns the recorded coverage-vs-pattern curve (empty
-// unless EnableCurve or Instrument was called before Apply).
-func (e *Engine) CoverageCurve() []CurvePoint {
-	return append([]CurvePoint(nil), e.curve...)
 }
 
 // NumPatterns returns the number of patterns applied so far.
@@ -308,44 +263,14 @@ func (e *Engine) Result() *Result {
 // Patterns with X bits are simulated with X loaded as 0, matching the
 // deterministic X-fill convention of the ATPG.
 func (e *Engine) Apply(patterns []logic.Cube) int {
-	n, _ := e.apply(nil, patterns)
-	return n
-}
-
-// ApplyContext is Apply with cancellation between 64-pattern batches: a
-// cancelled context stops the simulation at the next batch boundary and
-// returns ctx's error with the detections counted so far. The engine state
-// stays consistent — every fully applied batch is accounted — so a caller
-// may inspect Result and continue or abandon as it sees fit.
-func (e *Engine) ApplyContext(ctx context.Context, patterns []logic.Cube) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return e.apply(ctx, patterns)
-}
-
-func (e *Engine) apply(ctx context.Context, patterns []logic.Cube) (int, error) {
 	newly := 0
 	for off := 0; off < len(patterns); off += wordBits {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				// Account only the patterns actually simulated.
-				e.nPatterns += off
-				return newly, err
-			}
-		}
-		end := off + wordBits
-		if end > len(patterns) {
-			end = len(patterns)
-		}
+		end := min(off+wordBits, len(patterns))
 		dropped := e.applyBatch(patterns[off:end], e.nPatterns+off)
 		newly += dropped
 		e.cPatterns.Add(int64(end - off))
 		e.cDropped.Add(int64(dropped))
 		e.cBatches.Inc()
-		if e.recordCurve {
-			e.curve = append(e.curve, CurvePoint{Patterns: e.nPatterns + end, Detected: e.nDetected})
-		}
 		if e.col.Tracing() {
 			e.col.Emit("faultsim.batch",
 				obs.F("patterns", e.nPatterns+end),
@@ -357,7 +282,7 @@ func (e *Engine) apply(ctx context.Context, patterns []logic.Cube) (int, error) 
 		}
 	}
 	e.nPatterns += len(patterns)
-	return newly, nil
+	return newly
 }
 
 func (e *Engine) applyBatch(batch []logic.Cube, baseIndex int) int {
@@ -555,13 +480,6 @@ func (e *Engine) workerTimers() []*obs.Timer {
 
 // detectWord computes the detection word of one fault for the loaded batch:
 // bit k set iff pattern k detects the fault at any pseudo output.
-func (ev *faultEval) detectWord(f faults.Fault, mask uint64) uint64 {
-	return ev.detectWordDetail(f, mask, nil)
-}
-
-// detectWordDetail is detectWord with an optional per-output capture:
-// when perPPO is non-nil (length = pseudo-output frame), perPPO[i] receives
-// the word of patterns failing at output i.
 //
 // Propagation is event-driven over the compiled Program: the fault is
 // injected at its site, the site's combinational fanouts are pushed onto a
@@ -571,7 +489,7 @@ func (ev *faultEval) detectWord(f faults.Fault, mask uint64) uint64 {
 // at most once, after all its changed fanins are final — so the set of
 // changed gates (and hence the detection word) is exactly what a full
 // topological sweep would compute, at the cost of the fault's cone.
-func (ev *faultEval) detectWordDetail(f faults.Fault, mask uint64, perPPO []uint64) uint64 {
+func (ev *faultEval) detectWord(f faults.Fault, mask uint64) uint64 {
 	e := ev.e
 	p := e.prog
 	stuck := uint64(0)
@@ -583,16 +501,7 @@ func (ev *faultEval) detectWordDetail(f faults.Fault, mask uint64, perPPO []uint
 	if f.Pin != faults.StemPin && g.Type == netlist.DFF {
 		// Branch fault on a DFF data pin: the captured value is stuck;
 		// detection is any pattern where the good driver value differs.
-		drv := g.Fanin[f.Pin]
-		det := (ev.good[drv] ^ stuck) & mask
-		if perPPO != nil {
-			if pos, ok := e.dffPPO[f.Gate]; ok {
-				for _, pp := range pos {
-					perPPO[pp] = det
-				}
-			}
-		}
-		return det
+		return (ev.good[g.Fanin[f.Pin]] ^ stuck) & mask
 	}
 
 	ev.cur++
@@ -692,20 +601,7 @@ func (ev *faultEval) detectWordDetail(f faults.Fault, mask uint64, perPPO []uint
 		}
 	}
 
-	if perPPO != nil {
-		// Detail capture: re-derive the detection word per observation
-		// position. PseudoOutputs holds driver gates, so a directly
-		// observed site is covered by the same comparison.
-		det = 0
-		for i, id := range e.ppos {
-			if ev.epoch[id] == ev.cur {
-				d := (ev.fw[id] ^ ev.good[id]) & mask
-				det |= d
-				perPPO[i] = d
-			}
-		}
-	}
-	return det & mask
+	return det
 }
 
 // val returns gate id's word under the current fault: the faulty word when
@@ -735,34 +631,4 @@ func (ev *faultEval) evalWithPin(id int32, pin int, forced uint64) uint64 {
 		}
 	}
 	return p.evalWords(id, in)
-}
-
-// FailingPositions runs the fault against the pattern set and returns, per
-// failing pattern index, the pseudo-output positions that miscompare — the
-// full-response dictionary column of the fault. It uses the bit-parallel
-// engine, so building whole-core dictionaries stays fast.
-func FailingPositions(c *netlist.Circuit, patterns []logic.Cube, f faults.Fault) map[int][]int {
-	e := NewEngine(c, []faults.Fault{f})
-	out := make(map[int][]int)
-	perPPO := make([]uint64, len(e.ppos))
-	for off := 0; off < len(patterns); off += wordBits {
-		end := off + wordBits
-		if end > len(patterns) {
-			end = len(patterns)
-		}
-		mask := e.prog.Load(e.good, patterns[off:end])
-		e.prog.Run(e.good)
-		for i := range perPPO {
-			perPPO[i] = 0
-		}
-		e.ev.detectWordDetail(f, mask, perPPO)
-		for i, w := range perPPO {
-			for w != 0 {
-				k := bits.TrailingZeros64(w)
-				w &^= 1 << uint(k)
-				out[off+k] = append(out[off+k], i)
-			}
-		}
-	}
-	return out
 }

@@ -265,43 +265,3 @@ func TestXBitsTreatedAsZero(t *testing.T) {
 		t.Errorf("X-as-zero mismatch: %d vs %d", a.NumDetected, b.NumDetected)
 	}
 }
-
-func TestFailingPositionsMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	c := randomCircuit(t, r, 7, 50, 4, 3)
-	flist := faults.Universe(c)
-	patterns := randomPatterns(r, len(c.PseudoInputs()), 90)
-	for _, f := range flist {
-		got := FailingPositions(c, patterns, f)
-		for k, p := range patterns {
-			want := SerialFailingOutputs(c, p, f)
-			if len(want) != len(got[k]) {
-				t.Fatalf("fault %s pattern %d: parallel %v, serial %v", f.String(c), k, got[k], want)
-			}
-			for i := range want {
-				if got[k][i] != want[i] {
-					t.Fatalf("fault %s pattern %d: parallel %v, serial %v", f.String(c), k, got[k], want)
-				}
-			}
-		}
-	}
-}
-
-func TestFailingPositionsDFFPin(t *testing.T) {
-	src := `
-INPUT(a)
-OUTPUT(y)
-n = NOT(a)
-f = DFF(n)
-y = AND(n, f)
-`
-	c := mustParse(t, "dffpin", src)
-	ffID, _ := c.Lookup("f")
-	fault := faults.Fault{Gate: ffID, Pin: 0, Stuck: logic.Zero}
-	p := logic.Cube{logic.Zero, logic.Zero}
-	pos := FailingPositions(c, []logic.Cube{p}, fault)
-	// The DFF capture position is outputs(1) + dff index 0 = 1.
-	if len(pos[0]) != 1 || pos[0][0] != 1 {
-		t.Errorf("DFF pin failing positions = %v, want [1]", pos[0])
-	}
-}

@@ -11,10 +11,10 @@ import (
 // FuzzPPSFPWord cross-checks one packed word of the PPSFP kernel against 64
 // independent serial evaluations: for an arbitrary parsed netlist, an
 // arbitrary fault and an arbitrary batch of up to 64 random patterns, bit k
-// of the kernel's detection behaviour (both the plain detection path and
-// the per-output detail path) must agree with SerialDetects /
-// SerialFailingOutputs run on pattern k alone — and, on circuits narrow
-// enough, with the brute-force Oracle too.
+// of the kernel's per-pattern detection word (QueuedDetects over the
+// patterns queued one lane each) must agree with SerialDetects run on
+// pattern k alone — and, on circuits narrow enough, with the brute-force
+// Oracle too — and Simulate's first detector must be the lowest such k.
 func FuzzPPSFPWord(f *testing.F) {
 	f.Add(c17Bench, int64(1), uint16(0), uint8(64))
 	f.Add(c17Bench, int64(7), uint16(13), uint8(1))
@@ -38,10 +38,14 @@ func FuzzPPSFPWord(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		patterns := randomPatterns(r, len(c.PseudoInputs()), n)
 
-		// Kernel, detection path: first-detecting pattern index.
+		// Kernel, dropping path: first-detecting pattern index.
 		res := Simulate(c, patterns, []faults.Fault{fault})
-		// Kernel, detail path: per-pattern failing output positions.
-		positions := FailingPositions(c, patterns, fault)
+		// Kernel, per-pattern path: one lane per pattern.
+		e := NewEngine(c, []faults.Fault{fault})
+		for _, p := range patterns {
+			e.Queue(p)
+		}
+		word := e.QueuedDetects(fault)
 
 		var oracle *Oracle
 		if len(c.PseudoInputs()) <= MaxOracleInputs {
@@ -49,28 +53,16 @@ func FuzzPPSFPWord(f *testing.F) {
 		}
 		wantFirst := Undetected
 		for k, p := range patterns {
-			want := SerialFailingOutputs(c, p, fault)
-			if wantFirst == Undetected && len(want) > 0 {
+			want := SerialDetects(c, p, fault)
+			if wantFirst == Undetected && want {
 				wantFirst = k
 			}
-			got := positions[k]
-			if len(got) != len(want) {
-				t.Fatalf("fault %s pattern %d: kernel positions %v, serial %v",
-					fault.String(c), k, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("fault %s pattern %d: kernel positions %v, serial %v",
-						fault.String(c), k, got, want)
-				}
-			}
-			if det := SerialDetects(c, p, fault); det != (len(want) > 0) {
-				t.Fatalf("serial self-contradiction on pattern %d", k)
+			if got := word>>uint(k)&1 == 1; got != want {
+				t.Fatalf("fault %s pattern %d: kernel %v, serial %v", fault.String(c), k, got, want)
 			}
 			if oracle != nil {
-				if od := oracle.Detects(p, fault); od != (len(want) > 0) {
-					t.Fatalf("fault %s pattern %d: oracle %v, serial %v",
-						fault.String(c), k, od, len(want) > 0)
+				if od := oracle.Detects(p, fault); od != want {
+					t.Fatalf("fault %s pattern %d: oracle %v, serial %v", fault.String(c), k, od, want)
 				}
 			}
 		}

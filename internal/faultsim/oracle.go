@@ -33,10 +33,10 @@ func AllPatterns(width int) []logic.Cube {
 }
 
 // Oracle is a brute-force reference fault simulator, deliberately sharing
-// no machinery with the bit-parallel Engine or the recursive serial
-// reference: one pattern at a time, plain bools, a full faulty-circuit
-// re-evaluation per fault, no epochs, no dropping, no memoization. It is
-// the third, slowest, most obviously-correct implementation that the
+// no machinery with the bit-parallel Engine or the serial reference beyond
+// the gate evaluator: one pattern at a time, plain bools, a full
+// faulty-circuit re-evaluation per fault, no epochs, no dropping. It is the
+// third, slowest, most obviously-correct implementation that the
 // differential tests pit the fast ones against.
 type Oracle struct {
 	c *netlist.Circuit
@@ -72,13 +72,17 @@ func (o *Oracle) eval(p logic.Cube, inject faults.Fault) []bool {
 			vals[inject.Gate] = stuck
 		}
 	}
+	var in []bool
 	for _, id := range o.c.TopoOrder() {
 		g := o.c.Gate(id)
 		if injecting && id == inject.Gate && inject.Pin == faults.StemPin {
 			vals[id] = stuck
 			continue
 		}
-		in := make([]bool, len(g.Fanin))
+		if cap(in) < len(g.Fanin) {
+			in = make([]bool, len(g.Fanin))
+		}
+		in = in[:len(g.Fanin)]
 		for j, fin := range g.Fanin {
 			in[j] = vals[fin]
 		}

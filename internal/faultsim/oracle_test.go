@@ -101,9 +101,9 @@ func TestOracleDifferentialExhaustive(t *testing.T) {
 }
 
 // TestOracleAgainstSerialReference pits the third implementation against
-// the second: the recursive memoized single-pattern reference must agree
-// with the exhaustive oracle on every (fault, pattern) pair of the
-// testdata circuits.
+// the second: the serial single-pattern reference must agree with the
+// exhaustive oracle on every (fault, pattern) pair of the testdata
+// circuits.
 func TestOracleAgainstSerialReference(t *testing.T) {
 	for name, c := range oracleCircuits(t) {
 		t.Run(name, func(t *testing.T) {

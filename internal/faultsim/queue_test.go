@@ -42,9 +42,9 @@ func laneCubes(r *rand.Rand, width int) []logic.Cube {
 // TestQueuedDetectsMatchesSerial fills a pending batch with 64 cubes and
 // checks QueuedDetects for every collapsed fault of every fixture and
 // stand-in: each lane against a fresh engine's Apply of that lane's cube
-// alone, and against the serial reference SerialDetects — on the fixtures
+// alone, and against the serial reference SerialSimulate — on the fixtures
 // every lane, on the stand-ins (where one serial check costs a full
-// recursive evaluation) one X lane per fault, cycling through xLanes.
+// faulty-circuit evaluation) one X lane per fault, cycling through xLanes.
 func TestQueuedDetectsMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	fixtures := fixtureCircuits(t)
@@ -80,14 +80,27 @@ func TestQueuedDetectsMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-		for i, f := range flist {
-			lanes := []int{xLanes[i%len(xLanes)]}
-			if fixture {
-				lanes = allLanes
+		// The serial leg checks each lane's faults with one SerialSimulate
+		// call, so the good circuit is evaluated once per lane, not once
+		// per (fault, lane) pair.
+		for _, k := range allLanes {
+			var idx []int
+			for i := range flist {
+				if fixture || xLanes[i%len(xLanes)] == k {
+					idx = append(idx, i)
+				}
 			}
-			for _, k := range lanes {
-				if bit := got[i]>>uint(k)&1 == 1; bit != SerialDetects(c, cubes[k], f) {
-					t.Fatalf("%s: fault %s lane %d: QueuedDetects %v, SerialDetects %v", name, f.String(c), k, bit, !bit)
+			if len(idx) == 0 {
+				continue
+			}
+			laneFaults := make([]faults.Fault, len(idx))
+			for j, i := range idx {
+				laneFaults[j] = flist[i]
+			}
+			want := SerialSimulate(c, []logic.Cube{cubes[k]}, laneFaults).DetectedBy
+			for j, i := range idx {
+				if bit := got[i]>>uint(k)&1 == 1; bit != (want[j] == 0) {
+					t.Fatalf("%s: fault %s lane %d: QueuedDetects %v, SerialSimulate %v", name, flist[i].String(c), k, bit, !bit)
 				}
 			}
 		}

@@ -65,12 +65,12 @@ func TestHistogramBucketing(t *testing.T) {
 	for _, v := range []float64{-5, 0.5, 1} { // bucket 0: v <= 1
 		h.Observe(v)
 	}
-	h.Observe(1.0001) // bucket 1
-	h.Observe(10)     // bucket 1
-	h.Observe(99.9)   // bucket 2
-	h.Observe(100)    // bucket 2
-	h.Observe(100.01) // overflow
-	h.Observe(1e12)   // overflow
+	h.Observe(1.0001)     // bucket 1
+	h.Observe(10)         // bucket 1
+	h.Observe(99.9)       // bucket 2
+	h.Observe(100)        // bucket 2
+	h.Observe(100.01)     // overflow
+	h.Observe(1e12)       // overflow
 	h.Observe(math.NaN()) // dropped
 
 	s := h.Stats()

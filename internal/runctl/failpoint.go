@@ -21,7 +21,7 @@ var (
 )
 
 type failpoint struct {
-	remaining int  // hits left before triggering (1 = next hit fires)
+	remaining int // hits left before triggering (1 = next hit fires)
 	err       error
 	panicVal  any
 }

@@ -77,9 +77,9 @@ func TestProveFaultRedundantCircuit(t *testing.T) {
 		f    faults.Fault
 		want bool // redundant
 	}{
-		{faults.Fault{Gate: y, Pin: faults.StemPin, Stuck: logic.Zero}, true},  // y is constant 0
-		{faults.Fault{Gate: y, Pin: faults.StemPin, Stuck: logic.One}, false},  // y SA1 flips o when a=0
-		{faults.Fault{Gate: o, Pin: faults.StemPin, Stuck: logic.Zero}, false}, // o follows a
+		{faults.Fault{Gate: y, Pin: faults.StemPin, Stuck: logic.Zero}, true},                // y is constant 0
+		{faults.Fault{Gate: y, Pin: faults.StemPin, Stuck: logic.One}, false},                // y SA1 flips o when a=0
+		{faults.Fault{Gate: o, Pin: faults.StemPin, Stuck: logic.Zero}, false},               // o follows a
 		{faults.Fault{Gate: netlist.GateID(4), Pin: faults.StemPin, Stuck: logic.One}, true}, // dead net
 	}
 	for _, tc := range cases {
