@@ -15,7 +15,9 @@
 //	atpgrun -standin s13207 -timeout 30s         # bounded run; partial results on expiry
 //	atpgrun -standin s13207 -checkpoint run.ckpt # periodic atomic state saves
 //	atpgrun -standin s13207 -checkpoint run.ckpt -resume   # continue an interrupted run
-//	atpgrun -standin s13207 -fault-budget 100ms  # degrade stuck faults instead of hanging
+//
+// -backtrack bounds each search by a count, not by time, so results never
+// depend on the host; -timeout bounds the whole run.
 //
 // Ctrl-C (SIGINT) cancels the run gracefully: the trace is flushed, the
 // manifest written, a final checkpoint saved, and the command exits 130.
@@ -89,6 +91,10 @@ func run() int {
 		cli.Errorf(prog, "%v", err)
 		return cli.ExitUsage
 	}
+	if *backtrack < 1 || *random < 0 {
+		cli.Errorf(prog, "need -backtrack >= 1 and -random >= 0, got %d and %d", *backtrack, *random)
+		return cli.ExitUsage
+	}
 	if *file == "" && *standin == "" {
 		cli.Errorf(prog, "need -f <file> or -standin <name>; see -help")
 		return cli.ExitUsage
@@ -121,9 +127,6 @@ func run() int {
 	if rf.CheckpointPath != "" {
 		man.SetOption("checkpoint", rf.CheckpointPath)
 		man.SetOption("resume", rf.Resume)
-	}
-	if rf.FaultBudget > 0 {
-		man.SetOption("fault_budget", rf.FaultBudget.String())
 	}
 
 	// fail records the error on the manifest and flushes everything the
@@ -196,7 +199,6 @@ func run() int {
 		RandomPatterns: *random,
 		Compact:        *compact,
 		Seed:           *seed,
-		FaultBudget:    rf.FaultBudget,
 		Checkpoint:     rf.Checkpoint(),
 		Obs:            col,
 		Workers:        *workers,
@@ -247,9 +249,6 @@ func run() int {
 		man.SetResult("patterns", res.PatternCount())
 		man.SetResult("cubes", len(res.Cubes))
 		man.SetResult("incomplete", res.Incomplete)
-		if res.Degraded > 0 {
-			man.SetResult("degraded", res.Degraded)
-		}
 	}
 	if err != nil {
 		// A cancelled or failed run still reports the partial pattern set
@@ -268,9 +267,6 @@ func run() int {
 		if *satProve {
 			fmt.Printf("proved redundant:    %d (SAT; settled %d aborts, %d new cubes, %d conflicts)\n",
 				res.NumProvedRedundant, settle.Aborted, settle.CubesAdded, settle.Conflicts)
-		}
-		if res.Degraded > 0 {
-			fmt.Printf("degraded (budget):   %d\n", res.Degraded)
 		}
 		fmt.Printf("coverage:            %.2f%% (effective %.2f%%)\n", res.Coverage*100, res.EffectiveCoverage*100)
 		fmt.Printf("patterns:            %d (from %d generated cubes)\n", res.PatternCount(), len(res.Cubes))

@@ -75,12 +75,29 @@ func exitCode(t *testing.T, err error) int {
 	return ee.ExitCode()
 }
 
-// TestExitUsage covers flag-validation failures: -resume without -checkpoint.
+// TestExitUsage covers flag-validation failures: -resume without
+// -checkpoint, and values the run could not use as given. Each exits 2
+// with a message naming the flag.
 func TestExitUsage(t *testing.T) {
 	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-standin", "s713", "-resume").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitUsage {
-		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitUsage, out)
+	for _, tc := range []struct {
+		args []string
+		want string // the flag the message must name
+	}{
+		{[]string{"-resume"}, "-resume"},
+		{[]string{"-backtrack", "0"}, "-backtrack"},
+		{[]string{"-backtrack", "-3"}, "-backtrack"},
+		{[]string{"-random", "-5"}, "-random"},
+		{[]string{"-checkpoint-every", "-1"}, "-checkpoint-every"},
+	} {
+		args := append([]string{"-standin", "s713"}, tc.args...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if code := exitCode(t, err); code != cli.ExitUsage {
+			t.Errorf("%v: exit %d, want %d\n%s", tc.args, code, cli.ExitUsage, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: message does not name %s:\n%s", tc.args, tc.want, out)
+		}
 	}
 }
 

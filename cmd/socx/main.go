@@ -77,6 +77,10 @@ func run() int {
 		cli.Errorf(prog, "-soc must be SOC1, SOC2 or both, not %q", *which)
 		return cli.ExitUsage
 	}
+	if !(*scale > 0 && *scale <= 1) {
+		cli.Errorf(prog, "-scale must be in (0,1], got %g", *scale)
+		return cli.ExitUsage
+	}
 	if err := rf.Validate(); err != nil {
 		cli.Errorf(prog, "%v", err)
 		return cli.ExitUsage
@@ -144,13 +148,6 @@ func run() int {
 	defer stop()
 
 	opts := repro.LiveOptions{GateScale: *scale, Seed: *seed, Obs: col, Workers: *workers}
-	if rf.FaultBudget > 0 {
-		// Start from the defaults: a partially-set ATPG struct would
-		// bypass the zero-value default substitution.
-		opts.ATPG = repro.DefaultATPGOptions()
-		opts.ATPG.FaultBudget = rf.FaultBudget
-		man.SetOption("fault_budget", rf.FaultBudget.String())
-	}
 	if cc := rf.Checkpoint(); cc != nil {
 		// The experiment derives one checkpoint file per ATPG stage from
 		// this path, so each stage resumes independently.

@@ -99,15 +99,27 @@ func TestLintPreflightPasses(t *testing.T) {
 	}
 }
 
-// TestUsageBadSOC pins the existing exit-2 contract alongside the new flag.
+// TestUsageBadSOC pins the exit-2 contract for flag values the run could
+// not use as given: an unknown SOC, a -scale outside (0,1], a negative
+// -checkpoint-every.
 func TestUsageBadSOC(t *testing.T) {
 	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-soc", "SOC9", "-lint").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitUsage {
-		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitUsage, out)
-	}
-	if !strings.Contains(string(out), "SOC1") {
-		t.Errorf("usage message not surfaced:\n%s", out)
+	for _, tc := range []struct {
+		args []string
+		want string // what the usage message must name
+	}{
+		{[]string{"-soc", "SOC9", "-lint"}, "SOC1"},
+		{[]string{"-live", "-soc", "SOC1", "-scale", "7"}, "-scale"},
+		{[]string{"-live", "-soc", "SOC1", "-scale", "0"}, "-scale"},
+		{[]string{"-live", "-soc", "SOC1", "-checkpoint-every", "-1"}, "-checkpoint-every"},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		if code := exitCode(t, err); code != cli.ExitUsage {
+			t.Errorf("%v: exit %d, want %d\n%s", tc.args, code, cli.ExitUsage, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: usage message does not name %s:\n%s", tc.args, tc.want, out)
+		}
 	}
 }
 

@@ -183,15 +183,29 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestTinyBacktrackLimitAborts(t *testing.T) {
-	// With an absurd limit of 0 (coerced to default) nothing breaks; with 1,
-	// hard faults abort but the run still completes and accounts correctly.
-	c := randomCircuit(t, 5, 10, 120, 5, 5)
-	res := Generate(c, Options{BacktrackLimit: 1, RandomPatterns: 0, Compact: false, Seed: 1})
-	if res.NumDetected+res.NumAborted+res.NumRedundant < res.NumFaults {
-		// Some faults may be detected fortuitously; the sum can exceed
-		// NumFaults but never undershoot.
-		t.Errorf("accounting hole: det %d + ab %d + red %d < %d faults",
-			res.NumDetected, res.NumAborted, res.NumRedundant, res.NumFaults)
+	// With a limit of 1, hard faults abort but the run still completes,
+	// accounts correctly, and repeats bit for bit: the backtrack count is
+	// the search's only bound, so liveness never costs determinism.
+	opts := Options{BacktrackLimit: 1, RandomPatterns: 0, Compact: false, Seed: 1}
+	for name, c := range map[string]*netlist.Circuit{
+		"random": randomCircuit(t, 5, 10, 120, 5, 5),
+		"s953":   standin(t, "s953"),
+	} {
+		res := Generate(c, opts)
+		if res.NumDetected+res.NumAborted+res.NumRedundant < res.NumFaults {
+			// Some faults may be detected fortuitously; the sum can exceed
+			// NumFaults but never undershoot.
+			t.Errorf("%s: accounting hole: det %d + ab %d + red %d < %d faults",
+				name, res.NumDetected, res.NumAborted, res.NumRedundant, res.NumFaults)
+		}
+		if res.NumAborted == 0 || res.Incomplete {
+			t.Errorf("%s: aborted %d, incomplete %t; want aborts in a complete run",
+				name, res.NumAborted, res.Incomplete)
+		}
+		if res.Coverage <= 0 || res.Coverage > 1 {
+			t.Errorf("%s: coverage %v out of (0, 1]", name, res.Coverage)
+		}
+		resultsIdentical(t, name+" rerun", res, Generate(c, opts))
 	}
 }
 
@@ -337,7 +351,7 @@ func TestRunWithBaseRespectsBase(t *testing.T) {
 	// Constrain the search so the needed assignment conflicts with the
 	// base: the secondary attempt must fail as Aborted, never Redundant.
 	c := mustParse(t, "c17", c17Bench)
-	pd := newPodem(faultsim.Compile(c), 1000, 0, nil)
+	pd := newPodem(faultsim.Compile(c), 1000, nil)
 	g1, _ := c.Lookup("G1")
 	// G1/SA0 needs G1=1; base pins G1=0.
 	f := faults.Fault{Gate: g1, Pin: faults.StemPin, Stuck: logic.Zero}

@@ -90,9 +90,10 @@ type ckptState struct {
 func optionsHash(c *netlist.Circuit, nFaults int, opts Options) string {
 	h := sha256.New()
 	io.WriteString(h, netlist.BenchString(c))
-	fmt.Fprintf(h, "|v%d|faults=%d|bt=%d|rand=%d|compact=%t|dc=%t|dt=%d|passes=%d|seed=%d|budget=%d",
+	// budget=0 stands for the removed per-fault time budget: old hashes match.
+	fmt.Fprintf(h, "|v%d|faults=%d|bt=%d|rand=%d|compact=%t|dc=%t|dt=%d|passes=%d|seed=%d|budget=0",
 		ckptVersion, nFaults, opts.BacktrackLimit, opts.RandomPatterns, opts.Compact,
-		opts.DynamicCompact, opts.DynamicTargets, opts.Passes, opts.Seed, opts.FaultBudget)
+		opts.DynamicCompact, opts.DynamicTargets, opts.Passes, opts.Seed)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -250,7 +250,7 @@ func FuzzMergeCubes(f *testing.F) {
 // newRetarget returns a fresh top-up retarget function with its own PODEM,
 // fill RNG and failed-fault memory, mirroring the generator's.
 func newRetarget(c *netlist.Circuit) func(faults.Fault) (logic.Cube, bool) {
-	pd := newPodem(faultsim.Compile(c), 100, 0, nil)
+	pd := newPodem(faultsim.Compile(c), 100, nil)
 	rng := rand.New(rand.NewSource(7))
 	width := len(c.PseudoInputs())
 	failed := make(map[faults.Fault]bool)

@@ -32,7 +32,7 @@ func resultsIdentical(t *testing.T, label string, a, b *Result) {
 	}
 	if a.NumFaults != b.NumFaults || a.NumDetected != b.NumDetected ||
 		a.NumRedundant != b.NumRedundant || a.NumAborted != b.NumAborted ||
-		a.Degraded != b.Degraded || a.Incomplete != b.Incomplete ||
+		a.Incomplete != b.Incomplete ||
 		a.Coverage != b.Coverage || a.EffectiveCoverage != b.EffectiveCoverage {
 		t.Fatalf("%s: accounting differs:\n  a: %+v\n  b: %+v", label, a, b)
 	}

@@ -47,14 +47,6 @@ type Options struct {
 	// Seed drives the random phase and the X-fill, making runs
 	// reproducible.
 	Seed int64
-	// FaultBudget, when positive, bounds the wall-clock time PODEM may
-	// spend searching for a single fault. A fault whose search exhausts
-	// the budget is recorded Aborted and counted in Result.Degraded (the
-	// "atpg.degraded" counter): a graceful degradation — its coverage is
-	// left to the random fill of compaction — rather than a wedged run.
-	// Budgeted runs trade bit-exact reproducibility for bounded latency;
-	// leave it zero when determinism matters (e.g. with checkpointing).
-	FaultBudget time.Duration
 	// Checkpoint, when non-nil, periodically persists the main loop's
 	// state to CheckpointConfig.Path and (with Resume) continues an
 	// interrupted run from it. See CheckpointConfig.
@@ -121,11 +113,6 @@ type Result struct {
 	// are excluded from the EffectiveCoverage denominator exactly like
 	// NumRedundant.
 	NumProvedRedundant int
-	// Degraded counts faults abandoned because their per-fault time
-	// budget (Options.FaultBudget) ran out — a subset of NumAborted. Each
-	// is a recorded degradation: the run stayed alive and its coverage
-	// fell back to the fortuitous random fill.
-	Degraded int
 	// Incomplete marks a partial result: the run was cancelled, hit its
 	// deadline, or was cut short by a recovered failure before targeting
 	// every fault. The pattern set and accounting are consistent for the
@@ -180,11 +167,10 @@ func GenerateContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Re
 }
 
 // GenerateForFaultsContext is the full-control entry point of the
-// generator: explicit fault list, cancellation and deadlines via ctx,
-// optional checkpoint/resume via Options.Checkpoint, and per-fault time
-// budgets via Options.FaultBudget. On any abnormal exit — cancellation,
-// checkpoint-write failure, recovered panic — the returned Result holds
-// the partial work (Incomplete set) and the error says why.
+// generator: explicit fault list, cancellation and deadlines via ctx, and
+// optional checkpoint/resume via Options.Checkpoint. On any abnormal exit
+// — cancellation, checkpoint-write failure, recovered panic — the returned
+// Result holds the partial work (Incomplete set) and the error says why.
 func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []faults.Fault, opts Options) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -351,7 +337,7 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	// fault-simulation work happens — contributes its batch counters and
 	// per-worker busy-time timers to the run manifest.
 	engine.Instrument(col)
-	pd := newPodem(prog, opts.BacktrackLimit, opts.FaultBudget, col)
+	pd := newPodem(prog, opts.BacktrackLimit, col)
 	spanSetup.End()
 
 	// Phase 1: random bootstrap. Apply the whole budget, then keep only
@@ -401,7 +387,6 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	// of 64 queued cubes is flushed; the rest flush after the loop.
 	cTargeted := col.Counter("atpg.faults.targeted")
 	cDetDet := col.Counter("atpg.detected.deterministic")
-	cDegraded := col.Counter("atpg.degraded")
 	sinceCkpt := 0
 	if !loopDone {
 		spanPodem := col.StartSpan("atpg.phase.podem")
@@ -429,10 +414,6 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 			clk.lap()
 			cube, status := pd.run(target)
 			clk.search += clk.lap()
-			if pd.degraded {
-				res.Degraded++
-				cDegraded.Inc()
-			}
 			if col.Tracing() {
 				col.Emit("atpg.fault",
 					obs.F("fault", target.String(c)),
@@ -492,19 +473,26 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 
 	// Phase 2b: escalation passes over the aborted faults. They read the
 	// verdicts, not the remaining set, so their cubes queue too; the batch
-	// flushes when full and after the last pass.
+	// flushes when full and after the last pass. A pass with no aborted
+	// fault left ends the escalation: no later pass could change anything.
 	limit := opts.BacktrackLimit
 	for pass := 2; pass <= opts.Passes; pass++ {
-		limit *= 10
-		spanEsc := col.StartSpan("atpg.phase.escalate")
-		retry := newPodem(prog, limit, opts.FaultBudget, col)
+		if cerr := ctx.Err(); cerr != nil {
+			return finishPartial("escalation", cerr)
+		}
 		var targets []faults.Fault
 		for f, st := range failed {
 			if st == Aborted {
 				targets = append(targets, f)
 			}
 		}
+		if len(targets) == 0 {
+			break
+		}
 		sortFaults(targets)
+		limit *= 10
+		spanEsc := col.StartSpan("atpg.phase.escalate")
+		retry := newPodem(prog, limit, col)
 		col.Counter("atpg.escalated").Add(int64(len(targets)))
 		for _, f := range targets {
 			if cerr := ctx.Err(); cerr != nil {
@@ -513,10 +501,6 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 			}
 			curFault, haveFault = f, true
 			cube, status := retry.run(f)
-			if retry.degraded {
-				res.Degraded++
-				cDegraded.Inc()
-			}
 			if col.Tracing() {
 				col.Emit("atpg.fault",
 					obs.F("fault", f.String(c)),

@@ -203,7 +203,7 @@ func everyLine(c *netlist.Circuit) []faults.Fault {
 // number of implication steps checked.
 func diffSearch(t testing.TB, c *netlist.Circuit, limit int) int {
 	t.Helper()
-	p := newPodem(faultsim.Compile(c), limit, 0, nil)
+	p := newPodem(faultsim.Compile(c), limit, nil)
 	steps := checkAgainstSweep(t, p)
 	fs := everyLine(c)
 	for i, f := range fs {
@@ -334,7 +334,7 @@ n3 = NAND(one, one)
 y = XOR(n1, n3)
 z = AND(n2, one)
 `)
-	p := newPodem(faultsim.Compile(c), 100, 0, nil)
+	p := newPodem(faultsim.Compile(c), 100, nil)
 	n3, _ := c.Lookup("n3")
 	if p.values[n3] != logic.Zero {
 		t.Fatalf("baseline n3 = %v, want 0 from the constants", p.values[n3])
@@ -362,7 +362,7 @@ func TestImplyMatchesSweepOnStandin(t *testing.T) {
 		t.Skip("full-fault differential on a stand-in; skipped in -short")
 	}
 	c := standin(t, "s713")
-	p := newPodem(faultsim.Compile(c), 30, 0, nil)
+	p := newPodem(faultsim.Compile(c), 30, nil)
 	checkAgainstSweep(t, p)
 	fs := faults.CollapsedUniverse(c)
 	for i := 0; i < len(fs); i += 7 {
@@ -375,7 +375,7 @@ func TestImplyMatchesSweepOnStandin(t *testing.T) {
 // circuit holds.
 func TestImplyPerStepWork(t *testing.T) {
 	c := standin(t, "s953")
-	p := newPodem(faultsim.Compile(c), 100, 0, nil)
+	p := newPodem(faultsim.Compile(c), 100, nil)
 	var steps int64
 	p.afterImply = func([]assignment) { steps++ }
 	p.cGateEvals = obs.New(obs.NewRegistry(), nil).Counter("atpg.implication.gate_evals")
@@ -399,7 +399,7 @@ func FuzzImply(f *testing.F) {
 		c := diffCircuit(t, r, types, 1+int(nIn)%12, 1+int(nGates)%80, 1+int(nGates)%4,
 			int(nDFF)%6, int(nConst)%4)
 		fs := everyLine(c)
-		p := newPodem(faultsim.Compile(c), 15, 0, nil)
+		p := newPodem(faultsim.Compile(c), 15, nil)
 		checkAgainstSweep(t, p)
 		start := int(fault) % len(fs)
 		for i := 0; i < 8 && i < len(fs); i++ {

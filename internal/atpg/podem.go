@@ -28,7 +28,6 @@ package atpg
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/faultsim"
@@ -145,13 +144,6 @@ type podem struct {
 	backtracks int
 	limit      int
 
-	// Per-fault wall-clock budget (zero = unlimited). The deadline is
-	// rearmed for every search; degraded reports whether the last search
-	// was cut short by it rather than by the backtrack limit.
-	budget   time.Duration
-	deadline time.Time
-	degraded bool
-
 	// Search-effort counters (nil when observability is disabled).
 	cBacktracks   *obs.Counter // atpg.backtracks
 	cDecisions    *obs.Counter // atpg.decisions
@@ -165,7 +157,7 @@ type podem struct {
 }
 
 // newPodem returns a search engine over the run's compiled Program.
-func newPodem(prog *faultsim.Program, limit int, budget time.Duration, col *obs.Collector) *podem {
+func newPodem(prog *faultsim.Program, limit int, col *obs.Collector) *podem {
 	n := prog.NumGates()
 	p := &podem{
 		c:             prog.Circuit(),
@@ -181,7 +173,6 @@ func newPodem(prog *faultsim.Program, limit int, budget time.Duration, col *obs.
 		queued:        make([]bool, n),
 		seen:          make([]uint32, n),
 		limit:         limit,
-		budget:        budget,
 		cBacktracks:   col.Counter("atpg.backtracks"),
 		cDecisions:    col.Counter("atpg.decisions"),
 		cImplications: col.Counter("atpg.implications"),
@@ -233,11 +224,6 @@ func (p *podem) run(f faults.Fault) (logic.Cube, Status) {
 func (p *podem) runWithBase(f faults.Fault, base logic.Cube) (logic.Cube, Status) {
 	p.begin(f, base)
 	p.backtracks = 0
-	p.degraded = false
-	if p.budget > 0 {
-		// lintgo:allow GO002 FaultBudget is a wall-clock deadline by contract.
-		p.deadline = time.Now().Add(p.budget)
-	}
 
 	var stack []assignment
 	for {
@@ -268,7 +254,7 @@ func (p *podem) runWithBase(f faults.Fault, base logic.Cube) (logic.Cube, Status
 					}
 					return nil, Redundant
 				}
-				if p.overLimit() {
+				if p.backtracks > p.limit {
 					return nil, Aborted
 				}
 				continue
@@ -284,7 +270,7 @@ func (p *podem) runWithBase(f faults.Fault, base logic.Cube) (logic.Cube, Status
 				}
 				return nil, Redundant
 			}
-			if p.overLimit() {
+			if p.backtracks > p.limit {
 				return nil, Aborted
 			}
 		}
@@ -318,21 +304,6 @@ func (p *podem) begin(f faults.Fault, base logic.Cube) {
 		}
 	}
 	p.propagate()
-}
-
-// overLimit reports whether the search must abort: the backtrack limit is
-// exceeded, or (graceful degradation) the per-fault time budget ran out.
-// Budget exhaustion sets degraded so the caller can account for it.
-func (p *podem) overLimit() bool {
-	if p.backtracks > p.limit {
-		return true
-	}
-	// lintgo:allow GO002 FaultBudget is a wall-clock deadline by contract.
-	if p.budget > 0 && time.Now().After(p.deadline) {
-		p.degraded = true
-		return true
-	}
-	return false
 }
 
 // backtrack pops exhausted decisions and flips the deepest unflipped one.

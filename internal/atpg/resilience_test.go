@@ -384,28 +384,37 @@ func TestInjectedCheckpointWriteFailure(t *testing.T) {
 	}
 }
 
-func TestFaultBudgetDegradation(t *testing.T) {
+// TestEscalationHonoursDeadline runs an absurd number of escalation
+// passes under a deadline. Passes past the last aborted fault must not
+// run at all, and the deadline must be checked between passes, so the
+// run returns at once with exactly the result of two passes.
+func TestEscalationHonoursDeadline(t *testing.T) {
 	c := standin(t, "s713")
 	opts := DefaultOptions()
-	opts.RandomPatterns = 0 // force every fault through PODEM
-	opts.BacktrackLimit = 1 << 30
-	opts.FaultBudget = 1 * time.Nanosecond
-	res, err := GenerateContext(context.Background(), c, opts)
-	if err != nil {
-		t.Fatal(err)
+	opts.Passes = 2
+	want := Generate(c, opts)
+
+	const deadline = 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	opts.Passes = 1 << 40
+	type out struct {
+		res *Result
+		err error
 	}
-	if res.Incomplete {
-		t.Error("budget degradation must not mark the run incomplete")
-	}
-	if res.Degraded == 0 {
-		t.Fatal("no fault degraded under a 1ns budget with an unbounded backtrack limit")
-	}
-	if res.Degraded > res.NumAborted {
-		t.Errorf("Degraded %d exceeds NumAborted %d", res.Degraded, res.NumAborted)
-	}
-	// Degradation trades coverage for liveness, it must not corrupt it.
-	if res.Coverage <= 0 || res.Coverage > 1 {
-		t.Errorf("coverage %v out of range", res.Coverage)
+	done := make(chan out, 1)
+	go func() {
+		res, err := GenerateContext(ctx, c, opts)
+		done <- out{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("Passes=1<<40: %v", o.err)
+		}
+		resultsIdentical(t, "Passes=1<<40 vs Passes=2", want, o.res)
+	case <-time.After(deadline + time.Second):
+		t.Fatalf("Passes=1<<40 did not return within its %v deadline", deadline)
 	}
 }
 

@@ -30,7 +30,6 @@ type ResultSummary struct {
 	Redundant         int      `json:"redundant"`
 	Aborted           int      `json:"aborted"`
 	ProvedRedundant   int      `json:"proved_redundant,omitempty"`
-	Degraded          int      `json:"degraded,omitempty"`
 	Incomplete        bool     `json:"incomplete,omitempty"`
 	Coverage          float64  `json:"coverage"`
 	EffectiveCoverage float64  `json:"effective_coverage"`
@@ -49,7 +48,6 @@ func (r *Result) Summary(circuit string) ResultSummary {
 		Redundant:         r.NumRedundant,
 		Aborted:           r.NumAborted,
 		ProvedRedundant:   r.NumProvedRedundant,
-		Degraded:          r.Degraded,
 		Incomplete:        r.Incomplete,
 		Coverage:          r.Coverage,
 		EffectiveCoverage: r.EffectiveCoverage,

@@ -208,8 +208,7 @@ func TestSettleCheckpointCompatible(t *testing.T) {
 	path := filepath.Join(dir, "atpg.ckpt")
 	ck := base
 	ck.Checkpoint = &CheckpointConfig{Path: path, Every: 3, Resume: false}
-	// Write a mid-run checkpoint by bounding the fault budget? No — just
-	// run to completion with checkpointing on, then resume from the final
+	// Run to completion with checkpointing on, then resume from the final
 	// checkpoint; restore must accept every recorded status.
 	first := GenerateForFaults(c, flist, ck)
 	SettleAborted(c, flist, first, nil, 1)

@@ -3,8 +3,9 @@
 // (2 for usage errors, 1 for runtime failures, 3 for runs stopped by a
 // deadline, 130 for SIGINT), the common observability flag set (-trace,
 // -metrics, -cpuprofile), and the shared resilience flag set (-timeout,
-// -checkpoint, -checkpoint-every, -resume, -fault-budget) of every
-// experiment-running command.
+// -checkpoint, -checkpoint-every, -resume) of every experiment-running
+// command. The run deadline is the only wall-clock bound; searches are
+// bounded by deterministic limits, so results never depend on the host.
 package cli
 
 import (
@@ -71,28 +72,29 @@ func ExitCode(err error, interrupted bool) int {
 }
 
 // RunFlags is the shared resilience flag set: run deadline, checkpoint
-// location and cadence, resume, and the per-fault degradation budget.
+// location and cadence, and resume.
 type RunFlags struct {
 	Timeout         time.Duration
 	CheckpointPath  string
 	CheckpointEvery int
 	Resume          bool
-	FaultBudget     time.Duration
 }
 
-// Register installs -timeout, -checkpoint, -checkpoint-every, -resume and
-// -fault-budget on fs.
+// Register installs -timeout, -checkpoint, -checkpoint-every and -resume
+// on fs.
 func (r *RunFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&r.Timeout, "timeout", 0, "wall-clock budget for the whole run (e.g. 90s; 0 = none); an exceeded budget stops the run with exit code 3 after flushing partial state")
 	fs.StringVar(&r.CheckpointPath, "checkpoint", "", "periodically save generation state to `file` (atomic replace); interrupted runs keep the last complete checkpoint")
 	fs.IntVar(&r.CheckpointEvery, "checkpoint-every", 0, "targeted faults between checkpoint writes (default 64)")
 	fs.BoolVar(&r.Resume, "resume", false, "with -checkpoint, continue from the checkpoint file when present (bit-for-bit identical results)")
-	fs.DurationVar(&r.FaultBudget, "fault-budget", 0, "wall-clock budget per targeted fault (0 = none); exhausted faults degrade to aborted instead of wedging the run")
 }
 
-// Validate reports flag-combination errors (currently: -resume without
-// -checkpoint).
+// Validate reports flag errors: a negative -checkpoint-every, or -resume
+// without -checkpoint.
 func (r *RunFlags) Validate() error {
+	if r.CheckpointEvery < 0 {
+		return fmt.Errorf("-checkpoint-every must be >= 0, got %d", r.CheckpointEvery)
+	}
 	if r.Resume && r.CheckpointPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}

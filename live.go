@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/atpg"
 	"repro/internal/bench89"
@@ -84,10 +83,6 @@ type LiveCore struct {
 type LiveResult struct {
 	Name  string
 	Cores []LiveCore
-	// CoreSeconds is the wall-clock ATPG time of each core, parallel to
-	// Cores. Timing is measurement noise, kept out of LiveCore so Cores
-	// stays directly comparable across runs with different worker counts.
-	CoreSeconds []float64
 	// Workers is the resolved per-core concurrency bound the run used.
 	Workers int
 	// TMono is the measured monolithic pattern count on the flattened SOC.
@@ -199,7 +194,6 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 	type coreOut struct {
 		lc  LiveCore
 		reg *obs.Registry
-		sec float64
 	}
 	outs := make([]coreOut, len(circuits))
 	failIdx, ferr := par.ForEach(ctx, len(circuits), workers, func(i int) error {
@@ -209,12 +203,8 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 		spanCore := coreCol.StartSpan("live.core")
 		so := stageOpts(fmt.Sprintf("core%d", i+1))
 		so.Obs = coreCol
-		// lintgo:allow GO002 CoreSeconds reports wall time; results ignore it.
-		start := time.Now()
 		r, err := atpg.GenerateContext(ctx, c, so)
-		// lintgo:allow GO002 CoreSeconds reports wall time; results ignore it.
-		outs[i].sec = time.Since(start).Seconds()
-		spanCore.End()
+		coreTime := spanCore.End()
 		if err != nil {
 			return fmt.Errorf("repro: live %s core %d (%s): %w", name, i+1, coreNames[i], err)
 		}
@@ -237,7 +227,7 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 				obs.F("scan_cells", lc.ScanCells),
 				obs.F("patterns", lc.Patterns),
 				obs.F("coverage", lc.Coverage),
-				obs.F("seconds", outs[i].sec))
+				obs.F("seconds", coreTime.Seconds()))
 		}
 		return nil
 	})
@@ -251,7 +241,6 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 		// serial loop committed before its first error.
 		for i := 0; i < failIdx && i < len(outs); i++ {
 			res.Cores = append(res.Cores, outs[i].lc)
-			res.CoreSeconds = append(res.CoreSeconds, outs[i].sec)
 			if outs[i].lc.Patterns > res.MaxCoreT {
 				res.MaxCoreT = outs[i].lc.Patterns
 			}
@@ -262,7 +251,6 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 	}
 	for i := range outs {
 		res.Cores = append(res.Cores, outs[i].lc)
-		res.CoreSeconds = append(res.CoreSeconds, outs[i].sec)
 		if outs[i].lc.Patterns > res.MaxCoreT {
 			res.MaxCoreT = outs[i].lc.Patterns
 		}
