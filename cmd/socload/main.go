@@ -1,8 +1,9 @@
 // socload replays a Zipf-distributed mix of ATPG, TDV and lint requests
 // against a live socd daemon and writes the serving measurements as
-// machine-readable JSON (BENCH_serving.json by default).
+// machine-readable JSON (BENCH_serving.json by default). It is the CI
+// load and chaos driver; no report of it is committed.
 //
-// Like benchjson, it verifies before it measures: every catalog entry is
+// It verifies before it measures: every catalog entry is
 // first issued twice and the two responses must be byte-identical (the
 // serving layer's warm-equals-cold contract), or the program exits 1
 // without writing numbers — a throughput measured on divergent output is

@@ -61,14 +61,32 @@ func checkValid(t *testing.T, pk *Packing) {
 
 // TestPackAllITC02WithinTwiceLowerBound is the acceptance gate: on every
 // ITC'02 SOC at TAM width 32, the heuristic schedule is valid, at least
-// the lower bound, and within 2× of it.
+// the lower bound, and within 2× of it. It also pins the packer's output:
+// the core count, total time and lower bound of each SOC must stay
+// exactly as recorded, so any change to the staircases, the bound or the
+// placement order shows up here.
 func TestPackAllITC02WithinTwiceLowerBound(t *testing.T) {
+	want := map[string]struct {
+		cores             int
+		total, lowerBound int64
+	}{
+		"d695":    {10, 21035, 19445},
+		"h953":    {8, 36392, 34832},
+		"f2126":   {4, 166711, 160734},
+		"g1023":   {14, 11721, 9577},
+		"g12710":  {4, 772305, 765610},
+		"p22810":  {28, 262921, 228100},
+		"p34392":  {20, 523066, 469931},
+		"p93791":  {32, 825474, 741680},
+		"t512505": {31, 5190334, 5115074},
+		"a586710": {7, 26275262, 16307320},
+	}
 	socs, err := itc02.AllSOCs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(socs) != 10 {
-		t.Fatalf("expected 10 ITC'02 SOCs, got %d", len(socs))
+	if len(socs) != len(want) {
+		t.Fatalf("expected %d ITC'02 SOCs, got %d", len(want), len(socs))
 	}
 	for _, s := range socs {
 		cores, err := BuildCores(s, 32)
@@ -80,6 +98,14 @@ func TestPackAllITC02WithinTwiceLowerBound(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 		checkValid(t, pk)
+		w, ok := want[s.Name]
+		if !ok {
+			t.Fatalf("%s: no pinned result", s.Name)
+		}
+		if len(cores) != w.cores || pk.TotalTime != w.total || pk.LowerBound != w.lowerBound {
+			t.Errorf("%s: cores/total/lower bound = %d/%d/%d, want %d/%d/%d", s.Name,
+				len(cores), pk.TotalTime, pk.LowerBound, w.cores, w.total, w.lowerBound)
+		}
 		if pk.TotalTime < pk.LowerBound {
 			t.Errorf("%s: total %d beats lower bound %d — bound or packer broken",
 				s.Name, pk.TotalTime, pk.LowerBound)
@@ -250,5 +276,28 @@ func TestSweepParetoMonotone(t *testing.T) {
 	}
 	if !points[0].Pareto {
 		t.Fatal("narrowest width must always be on the frontier")
+	}
+}
+
+// BenchmarkPack times the rectangle packer on every ITC'02 SOC at TAM
+// width 32. The staircases are built once per SOC outside the timer, as
+// every real caller builds them once; the packing is the hot loop.
+func BenchmarkPack(b *testing.B) {
+	socs, err := itc02.AllSOCs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range socs {
+		cores, err := BuildCores(s, 32)
+		if err != nil {
+			b.Fatalf("%s: %v", s.Name, err)
+		}
+		b.Run(s.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Pack(cores, 32, 0, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -247,37 +247,112 @@ func TestTDVMonoUnmeasured(t *testing.T) {
 	}
 }
 
+// randomSOC draws a consistent random SOC: a top module with one to eight
+// first-level cores, some of which carry grandchildren. TMono is left 0.
+func randomSOC(r *rand.Rand) *SOC {
+	top := &Module{
+		Name:   "top",
+		Params: Params{Inputs: r.Intn(100), Outputs: r.Intn(100), Bidirs: r.Intn(20), ScanCells: r.Intn(50), Patterns: 1 + r.Intn(50)},
+	}
+	n := 1 + r.Intn(8)
+	for i := 0; i < n; i++ {
+		ch := &Module{Params: Params{
+			Inputs: r.Intn(200), Outputs: r.Intn(200), Bidirs: r.Intn(30),
+			ScanCells: r.Intn(5000), Patterns: 1 + r.Intn(10000),
+		}}
+		// Occasionally add grandchildren.
+		for j := 0; j < r.Intn(3); j++ {
+			ch.Children = append(ch.Children, &Module{Params: Params{
+				Inputs: r.Intn(100), Outputs: r.Intn(100), Patterns: 1 + r.Intn(8000),
+			}})
+		}
+		top.Children = append(top.Children, ch)
+	}
+	return &SOC{Name: "rand", Top: top}
+}
+
+// cloneModule deep-copies a module tree so a test can rewrite it freely.
+func cloneModule(m *Module) *Module {
+	c := *m
+	c.Children = make([]*Module, len(m.Children))
+	for i, ch := range m.Children {
+		c.Children[i] = cloneModule(ch)
+	}
+	return &c
+}
+
 // Property: the Equation 6 identity holds for every consistent random SOC
 // and every t >= T_max.
 func TestIdentityProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		top := &Module{
-			Name:   "top",
-			Params: Params{Inputs: r.Intn(100), Outputs: r.Intn(100), Bidirs: r.Intn(20), ScanCells: r.Intn(50), Patterns: 1 + r.Intn(50)},
-		}
-		n := 1 + r.Intn(8)
-		for i := 0; i < n; i++ {
-			ch := &Module{Params: Params{
-				Inputs: r.Intn(200), Outputs: r.Intn(200), Bidirs: r.Intn(30),
-				ScanCells: r.Intn(5000), Patterns: 1 + r.Intn(10000),
-			}}
-			// Occasionally add grandchildren.
-			for j := 0; j < r.Intn(3); j++ {
-				ch.Children = append(ch.Children, &Module{Params: Params{
-					Inputs: r.Intn(100), Outputs: r.Intn(100), Patterns: 1 + r.Intn(8000),
-				}})
-			}
-			top.Children = append(top.Children, ch)
-		}
-		s := &SOC{Name: "rand", Top: top}
+		s := randomSOC(r)
 		t1 := s.MaxPatterns()
 		t2 := t1 + r.Intn(1000)
 		return s.VerifyIdentity(t1) == nil && s.VerifyIdentity(t2) == nil
 	}, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// tdvTerms are the int64 quantities of Eq. 1, 3, 4, 7 and 8 at the SOC's
+// own TMono.
+func tdvTerms(s *SOC) [5]int64 {
+	return [5]int64{s.TDVMono(), s.TDVMonoOpt(), s.TDVModular(), s.Penalty(), s.Benefit(s.TMono)}
+}
+
+// Metamorphic properties of Eq. 1-8 on random SOCs: permuting the
+// first-level cores changes no TDV quantity, and scaling every pattern
+// count (T_i and T_mono) by an integer k scales every TDV quantity by
+// exactly k. The normalized pattern-count spread stays within 1e-12
+// relative under both: its floating-point sums depend on module order.
+func TestMetamorphicProperties(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 200}
+	if err := quick.Check(func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		s := randomSOC(r)
+		s.TMono = s.MaxPatterns() + r.Intn(1000)
+		want := tdvTerms(s)
+		stdev := s.NormStdevPatterns()
+
+		perm := &SOC{Name: s.Name, Top: cloneModule(s.Top), TMono: s.TMono}
+		kids := perm.Top.Children
+		r.Shuffle(len(kids), func(i, j int) { kids[i], kids[j] = kids[j], kids[i] })
+		if got := tdvTerms(perm); got != want {
+			t.Logf("seed %d: permuted cores give %v, want %v", seed, got, want)
+			return false
+		}
+		if !closeRel(perm.NormStdevPatterns(), stdev) {
+			t.Logf("seed %d: permuted cores give stdev %v, want %v", seed, perm.NormStdevPatterns(), stdev)
+			return false
+		}
+
+		k := 2 + r.Intn(9)
+		scaled := &SOC{Name: s.Name, Top: cloneModule(s.Top), TMono: k * s.TMono}
+		for _, m := range scaled.Modules() {
+			m.Patterns *= k
+		}
+		got := tdvTerms(scaled)
+		for i := range want {
+			if got[i] != int64(k)*want[i] {
+				t.Logf("seed %d: term %d scaled by %d is %d, want %d", seed, i, k, got[i], int64(k)*want[i])
+				return false
+			}
+		}
+		if !closeRel(scaled.NormStdevPatterns(), stdev) {
+			t.Logf("seed %d: stdev %v scaled by %d became %v", seed, stdev, k, scaled.NormStdevPatterns())
+			return false
+		}
+		return true
+	}, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// closeRel reports whether got is within 1e-12 relative of want.
+func closeRel(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-12*math.Abs(want)
 }
 
 // Property: modular TDV decomposes as Σ 2S·T plus the penalty.

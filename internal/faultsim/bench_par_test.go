@@ -53,9 +53,8 @@ func BenchmarkShardDetectOnly(b *testing.B) {
 
 // BenchmarkKernelVsSerial measures the PPSFP kernel against the
 // pattern-at-a-time serial reference engine — the speedup the 64-wide
-// packing plus event-driven cone propagation buys on one thread.
-// cmd/benchjson records the committed trajectory (BENCH_kernel.json);
-// this benchmark is the in-tree smoke handle for the same comparison.
+// packing plus event-driven cone propagation buys on one thread. The
+// TestDifferential* tests check that the two engines agree.
 func BenchmarkKernelVsSerial(b *testing.B) {
 	for _, name := range []string{"s713", "s1423"} {
 		c := standinCircuit(b, name)

@@ -15,7 +15,7 @@ import (
 //
 // It is the differential oracle for circuits whose input frame is too wide
 // for the exhaustive Oracle, and the honest serial baseline that
-// cmd/benchjson measures the PPSFP kernel against.
+// BenchmarkKernelVsSerial measures the PPSFP kernel against.
 func SerialSimulate(c *netlist.Circuit, patterns []logic.Cube, flist []faults.Fault) *Result {
 	if !c.Finalized() {
 		panic("faultsim: SerialSimulate on non-finalized circuit")

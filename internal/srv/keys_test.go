@@ -1,6 +1,10 @@
 package srv
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
 
 // keySOC is a small inline .soc profile for the tdv and lint key pins.
 const keySOC = `soc keyed
@@ -67,4 +71,47 @@ func TestWorkKeysPinned(t *testing.T) {
 			t.Errorf("%s: replayed key %q, built key %q", tc.name, replayed.key, wk.key)
 		}
 	}
+}
+
+// FuzzDecode feeds arbitrary bytes to every served kind's decoder and work
+// builder. Nothing may panic, and every request that builds must survive
+// journal replay: replayWork on the recorded request JSON yields the same
+// content address and the same request JSON.
+func FuzzDecode(f *testing.F) {
+	for _, tc := range invalidRequests {
+		f.Add([]byte(tc.body))
+	}
+	tmono := 300
+	seed := int64(7)
+	random := 0
+	for _, req := range []any{
+		&atpgRequest{Standin: "s713", Options: &atpgOptions{Random: &random, Seed: &seed}},
+		&tdvRequest{SOC: keySOC, TMono: &tmono},
+		&lintRequest{Bench: tinyBench},
+		&scheduleRequest{Builtin: "d695", TAM: 32, PowerBudget: 5000,
+			Precedence: [][2]string{{"d695-core5", "d695-core1"}}},
+	} {
+		f.Add(marshalReq(req))
+	}
+	s, _ := newTestServer(f, Config{Workers: 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, k := range kinds {
+			req := k.newReq()
+			if json.Unmarshal(data, req) != nil {
+				continue
+			}
+			wk, _, err := k.build(s, req)
+			if err != nil {
+				continue
+			}
+			replayed, err := replayWork(s, k.name, wk.reqJSON)
+			if err != nil {
+				t.Fatalf("%s: replay of %s: %v", k.name, wk.reqJSON, err)
+			}
+			if replayed.key != wk.key || !bytes.Equal(replayed.reqJSON, wk.reqJSON) {
+				t.Fatalf("%s: replay drifted: key %s -> %s, request %s -> %s",
+					k.name, wk.key, replayed.key, wk.reqJSON, replayed.reqJSON)
+			}
+		}
+	})
 }

@@ -18,7 +18,7 @@ import (
 
 // newTestServer builds a server over a temp-dir store and registers its
 // drain as cleanup. The registry is returned for counter assertions.
-func newTestServer(t *testing.T, cfg Config) (*Server, *obs.Registry) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	if cfg.Col == nil {
@@ -232,20 +232,34 @@ func TestLintEndpoint(t *testing.T) {
 	}
 }
 
+// invalidRequests are bodies every handler must refuse with a 400.
+// FuzzDecode seeds its corpus with them.
+var invalidRequests = []struct{ path, body string }{
+	{"/v1/atpg", `{}`},
+	{"/v1/atpg", `{"bench":"x","standin":"c17-like"}`},
+	{"/v1/atpg", `{"standin":"no-such-circuit"}`},
+	{"/v1/atpg", `not json`},
+	{"/v1/tdv", `{}`},
+	{"/v1/tdv", `{"soc":"x","builtin":"d695"}`},
+	{"/v1/lint", `{}`},
+	// Negative numeric fields are rejected, never replaced by a default.
+	{"/v1/atpg", `{"standin":"s713","options":{"random":-1}}`},
+	{"/v1/atpg", `{"standin":"s713","options":{"backtrack":-1}}`},
+	{"/v1/atpg", `{"standin":"s713","options":{"passes":-1}}`},
+	{"/v1/atpg", `{"standin":"s713","options":{"dynamic_targets":-1}}`},
+	{"/v1/atpg", `{"standin":"s713","options":{"workers":-1}}`},
+	{"/v1/atpg", `{"standin":"s713","timeout_ms":-1}`},
+	{"/v1/tdv", `{"builtin":"d695","tmono":-1}`},
+	{"/v1/lint", `{"bench":"INPUT(a)\nOUTPUT(a)\n","timeout_ms":-5}`},
+	{"/v1/schedule", `{"builtin":"d695","tam":32,"power_budget":-1}`},
+}
+
 // TestValidationErrors checks malformed requests are 400s with a JSON
 // error, never queued.
 func TestValidationErrors(t *testing.T) {
 	s, reg := newTestServer(t, Config{Workers: 1})
 	h := s.Handler()
-	for _, tc := range []struct{ path, body string }{
-		{"/v1/atpg", `{}`},
-		{"/v1/atpg", `{"bench":"x","standin":"c17-like"}`},
-		{"/v1/atpg", `{"standin":"no-such-circuit"}`},
-		{"/v1/atpg", `not json`},
-		{"/v1/tdv", `{}`},
-		{"/v1/tdv", `{"soc":"x","builtin":"d695"}`},
-		{"/v1/lint", `{}`},
-	} {
+	for _, tc := range invalidRequests {
 		rec := post(t, h, tc.path, tc.body)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("POST %s %q = %d, want 400", tc.path, tc.body, rec.Code)

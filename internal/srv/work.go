@@ -47,7 +47,8 @@ type submitCommon struct {
 	Priority int `json:"priority"`
 	// Async returns 202 + a job id immediately; poll /v1/jobs/{id}.
 	Async bool `json:"async"`
-	// TimeoutMS overrides the server's default per-job deadline.
+	// TimeoutMS overrides the server's default per-job deadline (0 keeps
+	// it; negative is rejected).
 	TimeoutMS int64 `json:"timeout_ms"`
 	// NoCache forces a fresh computation and keeps its result out of the
 	// store (and out of coalescing).
@@ -97,7 +98,8 @@ type atpgRequest struct {
 }
 
 // atpgOptions mirrors the atpg.Options knobs that are meaningful over the
-// wire. Pointers distinguish "absent" (default) from explicit zeros.
+// wire. Pointers distinguish "absent" (default) from explicit zeros; a
+// plain count keeps its default at 0.
 type atpgOptions struct {
 	Backtrack      int    `json:"backtrack"`
 	Random         *int   `json:"random"`
@@ -109,17 +111,16 @@ type atpgOptions struct {
 	Workers        int    `json:"workers"`
 }
 
-// buildOptions resolves the wire options onto the experiment defaults.
-func (o *atpgOptions) buildOptions() atpg.Options {
+// buildOptions resolves the wire options onto the experiment defaults. A
+// negative count is an error, not a default: otherwise one search would
+// be stored under two keys.
+func (o *atpgOptions) buildOptions() (atpg.Options, error) {
 	opts := atpg.DefaultOptions()
 	// Jobs default to serial ATPG internals: the pool supplies cross-job
 	// parallelism, and one job must not monopolize every core.
 	opts.Workers = 1
 	if o == nil {
-		return opts
-	}
-	if o.Backtrack > 0 {
-		opts.BacktrackLimit = o.Backtrack
+		return opts, nil
 	}
 	if o.Random != nil {
 		opts.RandomPatterns = *o.Random
@@ -128,19 +129,28 @@ func (o *atpgOptions) buildOptions() atpg.Options {
 		opts.Compact = *o.Compact
 	}
 	opts.DynamicCompact = o.DynamicCompact
-	if o.DynamicTargets > 0 {
-		opts.DynamicTargets = o.DynamicTargets
-	}
-	if o.Passes > 0 {
-		opts.Passes = o.Passes
-	}
 	if o.Seed != nil {
 		opts.Seed = *o.Seed
 	}
-	if o.Workers > 0 {
-		opts.Workers = o.Workers
+	for _, c := range []struct {
+		name string
+		v    int
+		dst  *int
+	}{
+		{"random", opts.RandomPatterns, &opts.RandomPatterns}, // set above
+		{"backtrack", o.Backtrack, &opts.BacktrackLimit},
+		{"dynamic_targets", o.DynamicTargets, &opts.DynamicTargets},
+		{"passes", o.Passes, &opts.Passes},
+		{"workers", o.Workers, &opts.Workers},
+	} {
+		if c.v < 0 {
+			return opts, fmt.Errorf("options.%s must be >= 0, got %d", c.name, c.v)
+		}
+		if c.v > 0 {
+			*c.dst = c.v
+		}
 	}
-	return opts
+	return opts, nil
 }
 
 // atpgWork validates an ATPG request and builds its work unit.
@@ -166,7 +176,10 @@ func atpgWork(req *atpgRequest) (work, error) {
 	if err != nil {
 		return work{}, err
 	}
-	opts := req.Options.buildOptions()
+	opts, err := req.Options.buildOptions()
+	if err != nil {
+		return work{}, err
+	}
 	// The content address binds the canonical circuit structure to every
 	// option that steers the search — the same fingerprint checkpoints
 	// use — so formatting differences or a changed seed never alias.
@@ -226,6 +239,9 @@ func tdvWork(req *tdvRequest) (work, error) {
 		return work{}, err
 	}
 	if req.TMono != nil {
+		if *req.TMono < 0 {
+			return work{}, fmt.Errorf("tmono must be >= 0, got %d", *req.TMono)
+		}
 		soc.TMono = *req.TMono
 	}
 	// Canonicalizing after the override folds tmono into the address.
@@ -354,6 +370,9 @@ func scheduleWork(req *scheduleRequest) (work, error) {
 	if req.TAM < 1 || req.TAM > coopt.MaxTAMWidth {
 		return work{}, fmt.Errorf("tam must be 1..%d, got %d", coopt.MaxTAMWidth, req.TAM)
 	}
+	if req.PowerBudget < 0 {
+		return work{}, fmt.Errorf("power_budget must be >= 0, got %d", req.PowerBudget)
+	}
 	opts := coopt.Options{
 		TAMWidth:    req.TAM,
 		PowerBudget: req.PowerBudget,
@@ -410,12 +429,15 @@ func kindOf[R any, P interface {
 		newReq: func() any { return P(new(R)) },
 		build: func(s *Server, req any) (work, bool, error) {
 			p := req.(P)
+			env := p.envelope()
+			if env.TimeoutMS < 0 {
+				return work{}, false, fmt.Errorf("timeout_ms must be >= 0, got %d", env.TimeoutMS)
+			}
 			wk, err := build(p)
 			if err != nil {
 				return work{}, false, err
 			}
 			wk.kind = name
-			env := p.envelope()
 			env.apply(s, &wk)
 			wk.reqJSON = marshalReq(p)
 			return wk, env.Async, nil
