@@ -16,7 +16,6 @@ package bench89
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -83,13 +82,13 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 	span := col.StartSpan("bench89.generate")
 	hCone := col.Histogram("bench89.cone.budget", obs.ExpBounds(1, 2, 13)...)
 	rng := rand.New(rand.NewSource(p.Seed))
-	var b strings.Builder
+	b := netlist.NewBuilder(p.Name)
 
 	// Sources: primary inputs and flip-flop outputs (forward-referenced).
 	sources := make([]string, 0, p.Inputs+p.DFFs)
 	for i := 0; i < p.Inputs; i++ {
 		name := fmt.Sprintf("i%d", i)
-		fmt.Fprintf(&b, "INPUT(%s)\n", name)
+		b.Input(name)
 		sources = append(sources, name)
 	}
 	for i := 0; i < p.DFFs; i++ {
@@ -115,10 +114,10 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 		prob[s] = 0.5
 	}
 	gateCount := 0
-	newGate := func(typ string, fanin []string, outProb float64) string {
+	newGate := func(typ netlist.GateType, fanin []string, outProb float64) string {
 		name := fmt.Sprintf("g%d", gateCount)
 		gateCount++
-		fmt.Fprintf(&b, "%s = %s(%s)\n", name, typ, strings.Join(fanin, ", "))
+		b.Gate(name, typ, fanin...)
 		gateNames = append(gateNames, name)
 		prob[name] = outProb
 		return name
@@ -126,15 +125,15 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 	combine := func(x, y string) string {
 		px, py := prob[x], prob[y]
 		type cand struct {
-			typ string
+			typ netlist.GateType
 			out float64
 		}
 		cands := []cand{
-			{"AND", px * py},
-			{"NAND", 1 - px*py},
-			{"OR", 1 - (1-px)*(1-py)},
-			{"NOR", (1 - px) * (1 - py)},
-			{"XOR", px*(1-py) + py*(1-px)},
+			{netlist.And, px * py},
+			{netlist.Nand, 1 - px*py},
+			{netlist.Or, 1 - (1-px)*(1-py)},
+			{netlist.Nor, (1 - px) * (1 - py)},
+			{netlist.Xor, px*(1-py) + py*(1-px)},
 		}
 		best, bestScore := cands[0], 2.0
 		for _, c := range cands {
@@ -193,9 +192,9 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 				}
 				var g string
 				if rng.Intn(2) == 0 {
-					g = newGate("AND", wide, pAll)
+					g = newGate(netlist.And, wide, pAll)
 				} else {
-					g = newGate("NOR", wide, qAll)
+					g = newGate(netlist.Nor, wide, qAll)
 				}
 				roots = append(roots, g)
 				continue
@@ -208,7 +207,7 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 			merged := combine(roots[i], roots[j])
 			// Occasionally insert an inverter for structural variety.
 			if rng.Float64() < 0.10 {
-				merged = newGate("NOT", []string{merged}, 1-prob[merged])
+				merged = newGate(netlist.Not, []string{merged}, 1-prob[merged])
 			}
 			// Replace i, delete j.
 			roots[i] = merged
@@ -226,13 +225,13 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 	}
 
 	for i := 0; i < p.Outputs; i++ {
-		fmt.Fprintf(&b, "OUTPUT(%s)\n", sinkRoots[i])
+		b.Output(sinkRoots[i])
 	}
 	for i := 0; i < p.DFFs; i++ {
-		fmt.Fprintf(&b, "ff%d = DFF(%s)\n", i, sinkRoots[p.Outputs+i])
+		b.Gate(sources[p.Inputs+i], netlist.DFF, sinkRoots[p.Outputs+i])
 	}
 
-	c, err := netlist.ParseBenchString(p.Name, b.String())
+	c, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("bench89: generating %s: %w", p.Name, err)
 	}

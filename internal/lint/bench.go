@@ -135,59 +135,38 @@ func CheckBench(file, src string, opt Options) *Report {
 		}
 	}
 
-	// NL001: combinational cycles. Mirror the parser's worklist: resolve
-	// gates whose fanins are all resolved; DFFs, inputs, constants and
-	// undriven names are pre-resolved (DFF fanin edges cut cycles). Any
-	// stall is a genuine cycle in the stuck subgraph.
-	pending := map[string][]string{}
-	resolved := map[string]bool{}
+	// NL001: combinational cycles. Inputs, DFFs (whose fanin edges cut
+	// cycles), constants, unknown types and undriven names count as
+	// resolved; the gates netlist.Rounds leaves at 0 sit on or behind a
+	// cycle, and FindCycle walks the graph they span.
+	var pending []string
+	node := map[string]int32{}
 	for _, name := range defOrder {
-		d := defs[name]
-		if d.input || !d.stmt.TypeKnown ||
-			d.stmt.Type == netlist.DFF || d.stmt.Type.MinFanin() == 0 {
-			resolved[name] = true
-			continue
+		if d := defs[name]; !d.input && d.stmt.TypeKnown && d.stmt.Type != netlist.DFF && d.stmt.Type.MinFanin() > 0 {
+			node[name] = int32(len(pending))
+			pending = append(pending, name)
 		}
-		pending[name] = d.stmt.Fanin
 	}
-	for changed := true; changed; {
-		changed = false
-		names := make([]string, 0, len(pending))
-		for n := range pending {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			ready := true
-			for _, fn := range pending[n] {
-				if _, isPending := pending[fn]; isPending {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				resolved[n] = true
-				delete(pending, n)
-				changed = true
+	deps := make([][]int32, len(pending))
+	for k, name := range pending {
+		for _, fn := range defs[name].stmt.Fanin {
+			if j, ok := node[fn]; ok {
+				deps[k] = append(deps[k], j)
 			}
 		}
 	}
-	if len(pending) > 0 {
-		deps := make(map[string][]string, len(pending))
-		for n, fanin := range pending {
-			for _, fn := range fanin {
-				if _, isPending := pending[fn]; isPending {
-					deps[n] = append(deps[n], fn)
-				}
+	round := netlist.Rounds(pending, deps)
+	stuck := map[string][]string{}
+	for k, ds := range deps {
+		for _, j := range ds {
+			if round[k] == 0 && round[j] == 0 {
+				stuck[pending[k]] = append(stuck[pending[k]], pending[j])
 			}
 		}
-		cycle := netlist.FindCycle(deps)
-		line := 0
-		if len(cycle) > 0 {
-			line = defs[cycle[0]].line
-		}
-		r.Add("NL001", Pos{File: file, Line: line}, strings.Join(cycle, " -> "),
-			"combinational cycle: %s", strings.Join(cycle, " -> "))
+	}
+	if cycle := netlist.FindCycle(stuck); cycle != nil {
+		path := strings.Join(cycle, " -> ")
+		r.Add("NL001", Pos{File: file, Line: defs[cycle[0]].line}, path, "combinational cycle: %s", path)
 	}
 
 	if r.HasErrors() {
@@ -195,9 +174,10 @@ func CheckBench(file, src string, opt Options) *Report {
 		return r
 	}
 
-	// The source is structurally clean: build the circuit and run the
-	// reachability/threshold rules with source positions attached.
-	c, err := netlist.ParseBenchString(file, src)
+	// The source is structurally clean: build the circuit from the scanned
+	// statements and run the reachability/threshold rules with source
+	// positions attached.
+	c, err := netlist.BuildBench(file, stmts)
 	if err != nil {
 		// Unreachable when the source-level pass is complete; keep the
 		// finding rather than losing it if the two layers ever diverge.

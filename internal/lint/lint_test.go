@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench89"
 	"repro/internal/coopt"
@@ -352,5 +353,30 @@ z = OR(x, c)
 	clean := "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n"
 	if r := CheckBench("clean", clean, Options{SAT: true}); hasRule(r, "NL013") || hasRule(r, "NL014") {
 		t.Errorf("SAT findings on a clean netlist: %v", rulesOf(r))
+	}
+}
+
+// TestReverseNamedChain lints a 50,000-gate NOT chain whose names sort
+// against signal flow (n000000 = NOT(n000001), ...) against a timer: a
+// cycle check that re-sorts pending names per resolved gate is quadratic
+// on it, and must fail the test instead of hanging it.
+func TestReverseNamedChain(t *testing.T) {
+	const gates = 50000
+	var b strings.Builder
+	b.WriteString("INPUT(a)\nOUTPUT(n000000)\n")
+	for i := 0; i < gates-1; i++ {
+		fmt.Fprintf(&b, "n%06d = NOT(n%06d)\n", i, i+1)
+	}
+	fmt.Fprintf(&b, "n%06d = NOT(a)\n", gates-1)
+	src := b.String()
+	done := make(chan *Report, 1)
+	go func() { done <- CheckBench("chain.bench", src, DefaultOptions()) }()
+	select {
+	case r := <-done:
+		if len(r.Diags) != 0 {
+			t.Fatalf("clean chain drew findings: %v", r.Diags)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("CheckBench took over 5 s on a 50,000-gate chain")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -73,20 +74,17 @@ func ScanBenchStmts(file string, r io.Reader) ([]BenchStmt, []*BenchSyntaxError,
 			continue
 		}
 		switch {
-		case isDecl(line, "INPUT"):
-			arg, err := parseParen(line[len("INPUT"):], lineNo)
-			if err != nil {
-				badLine(lineNo, "%s", err.msg)
+		case isDecl(line, "INPUT"), isDecl(line, "OUTPUT"):
+			kind, kw := BenchInput, "INPUT"
+			if !isDecl(line, kw) {
+				kind, kw = BenchOutput, "OUTPUT"
+			}
+			arg, msg := parseParen(line[len(kw):])
+			if msg != "" {
+				badLine(lineNo, "%s", msg)
 				continue
 			}
-			stmts = append(stmts, BenchStmt{Line: lineNo, Kind: BenchInput, Name: arg})
-		case isDecl(line, "OUTPUT"):
-			arg, err := parseParen(line[len("OUTPUT"):], lineNo)
-			if err != nil {
-				badLine(lineNo, "%s", err.msg)
-				continue
-			}
-			stmts = append(stmts, BenchStmt{Line: lineNo, Kind: BenchOutput, Name: arg})
+			stmts = append(stmts, BenchStmt{Line: lineNo, Kind: kind, Name: arg})
 		default:
 			eq := strings.IndexByte(line, '=')
 			if eq < 0 {
@@ -104,20 +102,14 @@ func ScanBenchStmts(file string, r io.Reader) ([]BenchStmt, []*BenchSyntaxError,
 			tname := strings.TrimSpace(rhs[:open])
 			typ, known := ParseGateTypeName(tname)
 			var fanin []string
-			args := strings.TrimSpace(rhs[open+1 : close])
-			bad := false
-			if args != "" {
-				for _, a := range strings.Split(args, ",") {
-					a = strings.TrimSpace(a)
-					if a == "" {
-						badLine(lineNo, "empty fanin in %q", line)
-						bad = true
-						break
-					}
-					fanin = append(fanin, a)
+			if args := strings.TrimSpace(rhs[open+1 : close]); args != "" {
+				fanin = strings.Split(args, ",")
+				for i := range fanin {
+					fanin[i] = strings.TrimSpace(fanin[i])
 				}
 			}
-			if bad {
+			if slices.Contains(fanin, "") {
+				badLine(lineNo, "empty fanin in %q", line)
 				continue
 			}
 			stmts = append(stmts, BenchStmt{
@@ -142,6 +134,8 @@ func ScanBenchStmts(file string, r io.Reader) ([]BenchStmt, []*BenchSyntaxError,
 //
 // Gate type names are case-insensitive; NOT may also be spelled INV.
 // Forward references are allowed (a gate may use a net defined later).
+// Gates are numbered as Builder documents: inputs, then DFFs, then the
+// combinational gates by (sweep round, name), in O(n log n) time in gates.
 // The returned circuit is finalized.
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	stmts, serrs, err := ScanBenchStmts(name, r)
@@ -151,169 +145,12 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	if len(serrs) > 0 {
 		return nil, serrs[0]
 	}
-
-	type protoGate struct {
-		name  string
-		typ   GateType
-		fanin []string
-		line  int
-	}
-	var (
-		protos  []protoGate
-		inputs  []string
-		outputs []string
-	)
-	for _, st := range stmts {
-		switch st.Kind {
-		case BenchInput:
-			inputs = append(inputs, st.Name)
-		case BenchOutput:
-			outputs = append(outputs, st.Name)
-		case BenchGate:
-			if !st.TypeKnown {
-				return nil, fmt.Errorf("bench %s:%d: unknown gate type %q", name, st.Line, st.TypeName)
-			}
-			protos = append(protos, protoGate{name: st.Name, typ: st.Type, fanin: st.Fanin, line: st.Line})
-		}
-	}
-
-	c := New(name)
-	for _, in := range inputs {
-		if _, err := c.AddGate(in, Input); err != nil {
-			return nil, fmt.Errorf("bench %s: %w", name, err)
-		}
-	}
-	// Two-pass insertion to allow forward references: sort gates so that a
-	// gate is added only after all of its fanin. Use iterative worklist.
-	pending := make(map[string]protoGate, len(protos))
-	for _, p := range protos {
-		if _, dup := pending[p.name]; dup {
-			return nil, fmt.Errorf("bench %s:%d: duplicate definition of %q", name, p.line, p.name)
-		}
-		pending[p.name] = p
-	}
-	// DFF fanin does not gate insertion order (it may close a sequential
-	// loop), so DFFs are inserted in a final pass with placeholder fixup.
-	// Strategy: first add all DFF gates with deferred fanin, then add
-	// combinational gates in dependency order, then patch DFF fanin.
-	type dffFix struct {
-		id    GateID
-		fanin string
-		line  int
-	}
-	var fixes []dffFix
-	for _, p := range protos {
-		if p.typ != DFF {
-			continue
-		}
-		// Temporarily create the DFF with a self-fanin placeholder; the
-		// real fanin is patched after all gates exist.
-		id, err := c.addDFFDeferred(p.name)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s:%d: %w", name, p.line, err)
-		}
-		if len(p.fanin) != 1 {
-			return nil, fmt.Errorf("bench %s:%d: DFF %q must have exactly one fanin", name, p.line, p.name)
-		}
-		fixes = append(fixes, dffFix{id: id, fanin: p.fanin[0], line: p.line})
-		delete(pending, p.name)
-	}
-	// Kahn-style insertion of combinational gates.
-	for len(pending) > 0 {
-		progress := false
-		// Deterministic order: sort pending names each round.
-		names := make([]string, 0, len(pending))
-		for n := range pending {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			p := pending[n]
-			ready := true
-			fanin := make([]GateID, len(p.fanin))
-			for i, fn := range p.fanin {
-				id, ok := c.Lookup(fn)
-				if !ok {
-					ready = false
-					break
-				}
-				fanin[i] = id
-			}
-			if !ready {
-				continue
-			}
-			if _, err := c.AddGate(p.name, p.typ, fanin...); err != nil {
-				return nil, fmt.Errorf("bench %s:%d: %w", name, p.line, err)
-			}
-			delete(pending, n)
-			progress = true
-		}
-		if !progress {
-			// Split the blame precisely instead of reporting every stuck
-			// gate as "unresolved or cyclic": a net that neither the
-			// circuit nor the pending set will ever define is undriven;
-			// with every reference resolvable, the stall is a genuine
-			// combinational cycle, reported with one concrete path.
-			var undriven []string
-			seen := map[string]bool{}
-			for _, p := range pending {
-				for _, fn := range p.fanin {
-					if _, ok := c.Lookup(fn); ok {
-						continue
-					}
-					if _, ok := pending[fn]; ok {
-						continue
-					}
-					if !seen[fn] {
-						seen[fn] = true
-						undriven = append(undriven, fn)
-					}
-				}
-			}
-			if len(undriven) > 0 {
-				sort.Strings(undriven)
-				return nil, fmt.Errorf("bench %s: undriven nets (referenced but never defined): %s",
-					name, strings.Join(undriven, ", "))
-			}
-			deps := make(map[string][]string, len(pending))
-			for n, p := range pending {
-				for _, fn := range p.fanin {
-					if _, ok := pending[fn]; ok {
-						deps[n] = append(deps[n], fn)
-					}
-				}
-			}
-			cycle := FindCycle(deps)
-			return nil, fmt.Errorf("bench %s: combinational cycle: %s",
-				name, strings.Join(cycle, " -> "))
-		}
-	}
-	for _, f := range fixes {
-		id, ok := c.Lookup(f.fanin)
-		if !ok {
-			return nil, fmt.Errorf("bench %s:%d: DFF references unknown net %q", name, f.line, f.fanin)
-		}
-		c.gates[f.id].Fanin = []GateID{id}
-	}
-	for _, out := range outputs {
-		id, ok := c.Lookup(out)
-		if !ok {
-			return nil, fmt.Errorf("bench %s: OUTPUT references unknown net %q", name, out)
-		}
-		if err := c.MarkOutput(id); err != nil {
-			return nil, fmt.Errorf("bench %s: %w", name, err)
-		}
-	}
-	if err := c.Finalize(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return BuildBench(name, stmts)
 }
 
 // FindCycle returns one dependency cycle in the graph as a name path
-// "a, b, ..., a". The graph is guaranteed to contain a cycle (every node
-// has at least one resolvable in-graph dependency and none can make
-// progress). Traversal order is deterministic: sorted names throughout.
+// "a, b, ..., a", or nil if the graph has none. Traversal order is
+// deterministic: sorted names throughout.
 func FindCycle(deps map[string][]string) []string {
 	names := make([]string, 0, len(deps))
 	for n := range deps {
@@ -362,18 +199,6 @@ func FindCycle(deps map[string][]string) []string {
 	return nil
 }
 
-// addDFFDeferred inserts a DFF whose fanin will be patched later.
-func (c *Circuit) addDFFDeferred(name string) (GateID, error) {
-	if _, dup := c.byName[name]; dup {
-		return InvalidGate, fmt.Errorf("duplicate net name %q", name)
-	}
-	id := GateID(len(c.gates))
-	c.gates = append(c.gates, Gate{ID: id, Type: DFF, Name: name, Fanin: []GateID{id}})
-	c.byName[name] = id
-	c.dffs = append(c.dffs, id)
-	return id, nil
-}
-
 // ParseBenchString is ParseBench over an in-memory string.
 func ParseBenchString(name, src string) (*Circuit, error) {
 	return ParseBench(name, strings.NewReader(src))
@@ -415,38 +240,26 @@ func BenchString(c *Circuit) string {
 	return b.String()
 }
 
-func hasPrefixFold(s, prefix string) bool {
-	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
-}
-
 // isDecl reports whether line is a genuine `KEYWORD(name)` declaration.
 // The keyword prefix alone is not enough: `INPUT1 = AND(a, b)` is an
 // assignment to a net that happens to start with INPUT, so the keyword
 // must be followed (after optional spaces) by an opening parenthesis.
 func isDecl(line, keyword string) bool {
-	if !hasPrefixFold(line, keyword) {
-		return false
-	}
-	rest := strings.TrimSpace(line[len(keyword):])
-	return strings.HasPrefix(rest, "(")
+	return len(line) >= len(keyword) && strings.EqualFold(line[:len(keyword)], keyword) &&
+		strings.HasPrefix(strings.TrimSpace(line[len(keyword):]), "(")
 }
 
-// parenError carries the bare message so the scanner can wrap it with its
-// own file/line position.
-type parenError struct{ msg string }
-
-func (e *parenError) Error() string { return e.msg }
-
-func parseParen(s string, line int) (string, *parenError) {
+// parseParen returns the name inside "( name )", or a message saying why
+// there is none.
+func parseParen(s string) (arg, msg string) {
 	s = strings.TrimSpace(s)
 	if !strings.HasPrefix(s, "(") || !strings.HasSuffix(s, ")") {
-		return "", &parenError{fmt.Sprintf("expected parenthesised name, got %q", s)}
+		return "", fmt.Sprintf("expected parenthesised name, got %q", s)
 	}
-	arg := strings.TrimSpace(s[1 : len(s)-1])
-	if arg == "" {
-		return "", &parenError{"empty name"}
+	if arg = strings.TrimSpace(s[1 : len(s)-1]); arg == "" {
+		return "", "empty name"
 	}
-	return arg, nil
+	return arg, ""
 }
 
 // ParseGateTypeName resolves a .bench gate type token (case-insensitive;

@@ -36,8 +36,10 @@ func seedFromTestdata(f *testing.F) {
 }
 
 // FuzzParseBench exercises the .bench parser with arbitrary input. The
-// invariants: no panic; on success the circuit is finalized and its bench
-// serialization reparses to an equal-shape circuit (idempotent round trip).
+// invariants: no panic; the parser agrees with the sorted-rounds oracle
+// (same serialization, or the same error text); on success the circuit is
+// finalized and its bench serialization reparses to an equal-shape circuit
+// (idempotent round trip).
 func FuzzParseBench(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
 	f.Add(c17Bench)
@@ -76,9 +78,23 @@ func FuzzParseBench(f *testing.F) {
 	wide.WriteString(")\n")
 	f.Add(wide.String())
 	f.Add("INPUT(a)\nOUTPUT(y)\nd1 = AND(a, a)\nd2 = AND(a, a)\nc0 = XOR(a, a)\ndead = NOR(d2, c0)\ny = OR(d1, c0)\n")
+	// Gate-order and error-order edges for the oracle check: names that
+	// sort against signal flow, gates shadowing an input, DFFs closing
+	// loops, and each class of build error.
+	f.Add(reverseChainBench(40))
+	f.Add("INPUT(a)\nOUTPUT(z)\nz = AND(b, y)\ny = NOT(c)\nc = OR(a, b)\nb = BUF(a)\n")
+	f.Add("INPUT(a)\nINPUT(b)\nOUTPUT(x)\nx = XOR(q, b)\nq = DFF(x)\nb = NOT(a)\n")
+	f.Add("INPUT(a)\nOUTPUT(y)\ny = AND(a, u)\nu = NOT(m)\nm = DFF(y)\nv = AND(u, u, y)\n")
+	f.Add("INPUT(a)\nOUTPUT(y)\ny = AND(a, w)\nw = NOT(k)\nk = BUF(y)\nz = NOT(nowhere)\n")
+	f.Add("INPUT(a)\ny = AND(a)\nb = NOT(a)\nx = AND(a, b, c)\nc = OR(a)\n")
+	f.Add("INPUT(a)\nf = DFF(g)\ng = DFF(h)\n")
 	seedFromTestdata(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := ParseBenchString("fuzz", src)
+		oc, oerr := parseBenchRounds("fuzz", src)
+		if fmt.Sprint(err) != fmt.Sprint(oerr) || (err == nil && BenchString(c) != BenchString(oc)) {
+			t.Fatalf("parser and sorted-rounds oracle disagree: error %v, oracle %v", err, oerr)
+		}
 		if err != nil {
 			return
 		}

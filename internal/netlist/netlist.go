@@ -209,11 +209,13 @@ func (c *Circuit) Finalize() error {
 	// DFF and Input gates are sources (level 0); DFF fanin edges are cut:
 	// a DFF consumes its fanin but does not propagate level through it.
 	indeg := make([]int32, n)
+	want := 0 // non-source gates, each of which must be ordered once
 	for _, g := range c.gates {
 		if g.Type == Input || g.Type == DFF {
 			continue
 		}
 		indeg[g.ID] = int32(len(g.Fanin))
+		want++
 	}
 	c.levels = make([]int32, n)
 	queue := make([]GateID, 0, n)
@@ -223,11 +225,9 @@ func (c *Circuit) Finalize() error {
 		}
 	}
 	c.order = make([]GateID, 0, n)
-	seen := 0
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		seen++
 		g := &c.gates[id]
 		if g.Type.Combinational() {
 			c.order = append(c.order, id)
@@ -246,18 +246,10 @@ func (c *Circuit) Finalize() error {
 			}
 		}
 	}
-	// Every non-source gate must have been visited exactly once.
-	want := 0
-	for _, g := range c.gates {
-		if g.Type != Input && g.Type != DFF {
-			want++
-		}
-	}
 	if len(c.order) != want {
 		return fmt.Errorf("netlist: circuit %q has a combinational cycle (%d of %d gates ordered)",
 			c.Name, len(c.order), want)
 	}
-	_ = seen
 	c.finalized = true
 	return nil
 }

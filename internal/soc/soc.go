@@ -8,6 +8,7 @@ package soc
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -130,7 +131,7 @@ func Flatten(name string, cores []*netlist.Circuit, opt FlattenOptions) (*netlis
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	// Gather every core's output net names (prefixed), per core.
-	prefixed := func(i int, n string) string { return fmt.Sprintf("c%d_%s", i, n) }
+	prefixed := func(i int, n string) string { return "c" + strconv.Itoa(i) + "_" + n }
 	outsByCore := make([][]string, len(cores))
 	for i, c := range cores {
 		for _, o := range c.Outputs() {
@@ -138,7 +139,7 @@ func Flatten(name string, cores []*netlist.Circuit, opt FlattenOptions) (*netlis
 		}
 	}
 
-	var b strings.Builder
+	b := netlist.NewBuilder(name)
 	usedAsDriver := make(map[string]bool)
 	chipIn := 0
 
@@ -159,39 +160,25 @@ func Flatten(name string, cores []*netlist.Circuit, opt FlattenOptions) (*netlis
 				}
 			}
 			if driver == "" {
-				pin := fmt.Sprintf("pin_in_%d", chipIn)
+				driver = fmt.Sprintf("pin_in_%d", chipIn)
 				chipIn++
-				fmt.Fprintf(&b, "INPUT(%s)\n", pin)
-				driver = pin
+				b.Input(driver)
 			} else {
 				usedAsDriver[driver] = true
 			}
-			fmt.Fprintf(&b, "%s = BUF(%s)\n", inName, driver)
+			b.Gate(inName, netlist.Buf, driver)
 		}
-		for id := netlist.GateID(0); int(id) < c.NumGates(); id++ {
-			g := c.Gate(id)
-			if g.Type == netlist.Input {
-				continue
-			}
-			fmt.Fprintf(&b, "%s = %s(", prefixed(i, g.Name), g.Type)
-			for k, f := range g.Fanin {
-				if k > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(prefixed(i, c.Gate(f).Name))
-			}
-			b.WriteString(")\n")
-		}
+		b.CopyGates(c, func(id netlist.GateID) string { return prefixed(i, c.Gate(id).Name) })
 	}
 	// Unused core outputs become chip outputs.
 	for i := range cores {
 		for _, o := range outsByCore[i] {
 			if !usedAsDriver[o] {
-				fmt.Fprintf(&b, "OUTPUT(%s)\n", o)
+				b.Output(o)
 			}
 		}
 	}
-	flat, err := netlist.ParseBenchString(name, b.String())
+	flat, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("soc: flattening %s: %w", name, err)
 	}

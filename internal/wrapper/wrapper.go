@@ -112,20 +112,18 @@ type IsolationResult struct {
 // the wrapped core has S + I + O scan cells — exactly the bit accounting of
 // the paper — while the core logic between controllable and observable
 // points is unchanged, so ATPG pattern counts are preserved.
-// Isolate emits the wrapped netlist in bench format and reparses it; the
-// bench parser already handles the forward references that DFF-based
-// wrapper cells introduce.
+// Isolate builds the wrapped netlist directly through a netlist.Builder,
+// which resolves the forward references that DFF-based wrapper cells
+// introduce.
 func Isolate(core *netlist.Circuit) (*IsolationResult, error) {
 	if !core.Finalized() {
 		return nil, fmt.Errorf("wrapper: core %q not finalized", core.Name)
 	}
-	var b []byte
-	add := func(s string) { b = append(b, s...); b = append(b, '\n') }
-
+	b := netlist.NewBuilder(core.Name + ".wrapped")
 	for _, in := range core.Inputs() {
 		name := core.Gate(in).Name
-		add(fmt.Sprintf("INPUT(%s)", name))
-		add(fmt.Sprintf("%s__wc = DFF(%s)", name, name))
+		b.Input(name)
+		b.Gate(name+"__wc", netlist.DFF, name)
 	}
 	// Core gates: rename each original input reference to its wrapper cell.
 	faninName := func(id netlist.GateID) string {
@@ -135,46 +133,26 @@ func Isolate(core *netlist.Circuit) (*IsolationResult, error) {
 		}
 		return g.Name
 	}
-	for id := netlist.GateID(0); int(id) < core.NumGates(); id++ {
-		g := core.Gate(id)
-		if g.Type == netlist.Input {
-			continue
-		}
-		line := g.Name + " = " + g.Type.String() + "("
-		for i, f := range g.Fanin {
-			if i > 0 {
-				line += ", "
-			}
-			line += faninName(f)
-		}
-		line += ")"
-		add(line)
-	}
+	b.CopyGates(core, faninName)
 	// Output wrapper cells and chip outputs.
 	for _, out := range core.Outputs() {
 		name := core.Gate(out).Name
-		add(fmt.Sprintf("%s__wc = DFF(%s)", name, faninName(out)))
-		add(fmt.Sprintf("%s__pin = BUF(%s__wc)", name, name))
-		add(fmt.Sprintf("OUTPUT(%s__pin)", name))
+		b.Gate(name+"__wc", netlist.DFF, faninName(out))
+		b.Gate(name+"__pin", netlist.Buf, name+"__wc")
+		b.Output(name + "__pin")
 	}
 
-	wrapped, err := netlist.ParseBenchString(core.Name+".wrapped", string(b))
+	wrapped, err := b.Build()
 	if err != nil {
-		return nil, fmt.Errorf("wrapper: rebuilding wrapped netlist: %w", err)
+		return nil, fmt.Errorf("wrapper: building wrapped netlist: %w", err)
 	}
 	res := &IsolationResult{Wrapped: wrapped}
 	for _, in := range core.Inputs() {
-		id, ok := wrapped.Lookup(core.Gate(in).Name + "__wc")
-		if !ok {
-			return nil, fmt.Errorf("wrapper: lost input cell for %s", core.Gate(in).Name)
-		}
+		id, _ := wrapped.Lookup(core.Gate(in).Name + "__wc")
 		res.InputCells = append(res.InputCells, id)
 	}
 	for _, out := range core.Outputs() {
-		id, ok := wrapped.Lookup(core.Gate(out).Name + "__wc")
-		if !ok {
-			return nil, fmt.Errorf("wrapper: lost output cell for %s", core.Gate(out).Name)
-		}
+		id, _ := wrapped.Lookup(core.Gate(out).Name + "__wc")
 		res.OutputCells = append(res.OutputCells, id)
 	}
 	return res, nil
