@@ -69,6 +69,18 @@ func Pack(cores []Core, w int, powerBudget int64, precedence [][2]string) (*Pack
 		if len(c.Configs) == 0 {
 			return nil, fmt.Errorf("coopt: core %q has no wrapper configuration fitting width %d", c.Name, w)
 		}
+		for j, cfg := range c.Configs {
+			if cfg.Width < 1 || cfg.Width > w || cfg.Time < 0 {
+				return nil, fmt.Errorf("coopt: core %q configuration of width %d and time %d does not fit width %d",
+					c.Name, cfg.Width, cfg.Time, w)
+			}
+			if j > 0 && (cfg.Width <= c.Configs[j-1].Width || cfg.Time >= c.Configs[j-1].Time) {
+				return nil, fmt.Errorf("coopt: core %q configurations are not a staircase (ascending width, strictly decreasing time)", c.Name)
+			}
+		}
+		if c.Power < 0 {
+			return nil, fmt.Errorf("coopt: core %q has negative power %d", c.Name, c.Power)
+		}
 		if powerBudget > 0 && c.Power > powerBudget {
 			return nil, fmt.Errorf("coopt: core %q alone exceeds the power budget (%d > %d)",
 				c.Name, c.Power, powerBudget)

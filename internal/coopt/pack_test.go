@@ -2,6 +2,9 @@ package coopt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/itc02"
@@ -249,6 +252,20 @@ func TestPackRejectsBadWidth(t *testing.T) {
 	if _, err := Pack([]Core{rect("a", 1, 1, 0), rect("a", 1, 1, 0)}, 4, 0, nil); err == nil {
 		t.Fatal("duplicate core names accepted")
 	}
+	if _, err := Pack([]Core{rect("a", 5, 1, 0)}, 4, 0, nil); err == nil {
+		t.Fatal("configuration wider than the TAM accepted")
+	}
+	if _, err := Pack([]Core{rect("a", 1, -1, 0)}, 4, 0, nil); err == nil {
+		t.Fatal("negative test time accepted")
+	}
+	if _, err := Pack([]Core{rect("a", 1, 1, -1)}, 4, 0, nil); err == nil {
+		t.Fatal("negative power accepted")
+	}
+	notStair := rect("a", 1, 10, 0)
+	notStair.Configs = append(notStair.Configs, Config{Width: 2, Time: 20})
+	if _, err := Pack([]Core{notStair}, 4, 0, nil); err == nil {
+		t.Fatal("configurations that are not a staircase accepted")
+	}
 }
 
 // TestSweepParetoMonotone: frontier-marked points must strictly improve
@@ -300,4 +317,150 @@ func BenchmarkPack(b *testing.B) {
 			}
 		})
 	}
+}
+
+// fuzzCores is the most cores a FuzzPack input decodes to, and fuzzConfigs
+// the most configurations per core: enough for every ITC'02 SOC at W=32.
+const fuzzCores, fuzzConfigs = 64, 64
+
+// encodeCores writes cores in the byte form decodeCores reads: per core,
+// the configuration count, each configuration's width and time, and the
+// power, all as uvarints.
+func encodeCores(cores []Core) []byte {
+	var b []byte
+	for _, c := range cores {
+		b = binary.AppendUvarint(b, uint64(len(c.Configs)))
+		for _, cfg := range c.Configs {
+			b = binary.AppendUvarint(b, uint64(cfg.Width))
+			b = binary.AppendUvarint(b, uint64(cfg.Time))
+		}
+		b = binary.AppendUvarint(b, uint64(c.Power))
+	}
+	return b
+}
+
+// decodeCores reads the cores encodeCores writes, named c0, c1, ... and
+// with one pattern each. Values are taken as given apart from bounds that
+// keep every sum Pack forms far from overflow: widths below 256, times
+// and powers below 2^40. A truncated last core is dropped.
+func decodeCores(data []byte) []Core {
+	next := func() (uint64, bool) {
+		v, n := binary.Uvarint(data)
+		if n <= 0 {
+			return 0, false
+		}
+		data = data[n:]
+		return v, true
+	}
+	var cores []Core
+	for len(cores) < fuzzCores {
+		n, ok := next()
+		if !ok {
+			break
+		}
+		name := fmt.Sprintf("c%d", len(cores))
+		c := Core{Name: name, Test: tam.CoreTest{Name: name, Patterns: 1}}
+		for j := uint64(0); j < min(n, fuzzConfigs) && ok; j++ {
+			var w, t uint64
+			if w, ok = next(); ok {
+				t, ok = next()
+			}
+			c.Configs = append(c.Configs, Config{Width: int(w % 256), Time: int64(t % (1 << 40))})
+		}
+		p, pok := next()
+		if !ok || !pok {
+			break
+		}
+		c.Power = int64(p % (1 << 40))
+		cores = append(cores, c)
+	}
+	return cores
+}
+
+// FuzzPack fuzzes the packer's cores, configurations, TAM width, power
+// budget and precedence edges (byte pairs indexing the cores), seeded
+// from the ITC'02 cores at W=32. Pack must either return an error or a
+// packing that is valid, places every core exactly once in one of its
+// configurations, takes at least LowerBound, keeps every precedence edge
+// and never runs cores whose summed power exceeds a positive budget.
+func FuzzPack(f *testing.F) {
+	socs, err := itc02.AllSOCs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, s := range socs {
+		cores, err := BuildCores(s, 32)
+		if err != nil {
+			f.Fatalf("%s: %v", s.Name, err)
+		}
+		var budget int64
+		var prec []byte
+		if i%2 == 1 {
+			for _, c := range cores {
+				budget = max(budget, 2*c.Power)
+			}
+			prec = []byte{0, 1, 2, 3, 1, 3}
+		}
+		f.Add(uint8(32), budget, encodeCores(cores), prec)
+	}
+	f.Fuzz(func(t *testing.T, wb uint8, budget int64, data, prec []byte) {
+		w := int(wb) % (MaxTAMWidth + 2) // 0 and MaxTAMWidth+1 must be rejected
+		cores := decodeCores(data)
+		var edges [][2]string
+		if len(cores) > 0 {
+			for i := 0; i+1 < len(prec); i += 2 {
+				edges = append(edges, [2]string{
+					cores[int(prec[i])%len(cores)].Name, cores[int(prec[i+1])%len(cores)].Name})
+			}
+		}
+		pk, err := Pack(cores, w, budget, edges)
+		if err != nil {
+			return
+		}
+		checkValid(t, pk)
+
+		at := make(map[string]Placement, len(pk.Placements))
+		for _, p := range pk.Placements {
+			if _, dup := at[p.Core]; dup {
+				t.Fatalf("core %s placed twice", p.Core)
+			}
+			at[p.Core] = p
+		}
+		if len(at) != len(cores) {
+			t.Fatalf("%d placements for %d cores", len(at), len(cores))
+		}
+		for _, c := range cores {
+			p, ok := at[c.Name]
+			if !ok {
+				t.Fatalf("core %s not placed", c.Name)
+			}
+			if !slices.ContainsFunc(c.Configs, func(cfg Config) bool {
+				return cfg.Width == p.Width && cfg.Time == p.Finish-p.Start
+			}) {
+				t.Fatalf("core %s placed %d wide for %d cycles, not one of its configurations", c.Name, p.Width, p.Finish-p.Start)
+			}
+		}
+		if lb := LowerBound(cores, w); pk.LowerBound != lb || pk.TotalTime < lb {
+			t.Fatalf("total time %d, lower bound %d (packing reports %d)", pk.TotalTime, lb, pk.LowerBound)
+		}
+		for _, e := range edges {
+			if before, after := at[e[0]], at[e[1]]; after.Start < before.Finish {
+				t.Fatalf("%s starts at %d before its predecessor %s finishes at %d", e[1], after.Start, e[0], before.Finish)
+			}
+		}
+		if budget > 0 {
+			// The summed power peaks at some placement's start.
+			for _, p := range pk.Placements {
+				var sum int64
+				for _, q := range pk.Placements {
+					if q.Start <= p.Start && p.Start < q.Finish {
+						sum += q.Power
+					}
+				}
+				if sum > budget {
+					t.Fatalf("power %d over budget %d at cycle %d", sum, budget, p.Start)
+				}
+			}
+		}
+	})
 }

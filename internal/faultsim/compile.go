@@ -191,15 +191,15 @@ func (p *Program) Circuit() *netlist.Circuit { return p.c }
 // array (one bit per pattern, X loaded as 0 — the engine's deterministic
 // X-fill convention) and returns the mask covering the valid pattern bits.
 // words must have length NumGates; every word that is not a pseudo input
-// is cleared.
+// is cleared. tiles is the caller's scratch, at least NumTiles long.
 //
-// The packing is branch-free and word-parallel. The pseudo inputs are
-// walked in blocks of 64. Each pattern's block is read in order, eight
-// values per step, and ones8 turns each step into eight bits of one row
-// word; the 64 row words (row = pattern, column = input) are then
-// transposed as a 64×64 bit matrix, which leaves one word of pattern bits
-// per input, stored once.
-func (p *Program) Load(words []uint64, batch []logic.Cube) uint64 {
+// The packing is branch-free, word-parallel and cube-major. Each cube is
+// read once from start to end, eight values per step; ones8 turns each
+// step into eight bits, and every 64 pseudo inputs fill one row word of
+// their own 64×64 tile (row = pattern, column = input). Each tile is then
+// transposed, which leaves one word of pattern bits per input, stored
+// once.
+func (p *Program) Load(words []uint64, tiles [][64]uint64, batch []logic.Cube) uint64 {
 	if len(batch) == 0 || len(batch) > 64 {
 		panic(fmt.Sprintf("faultsim: Program.Load batch size %d out of range 1..64", len(batch)))
 	}
@@ -208,16 +208,18 @@ func (p *Program) Load(words []uint64, batch []logic.Cube) uint64 {
 			panic(fmt.Sprintf("faultsim: pattern %d length %d != %d pseudo inputs", k, len(cube), len(p.ppis)))
 		}
 	}
-	clear(words)
-	var tile [64]uint64
-	for base := 0; base < len(p.ppis); base += 64 {
-		ids := p.ppis[base:min(base+64, len(p.ppis))]
-		for k, cube := range batch {
-			tile[k] = ones64(cube[base : base+len(ids)])
+	tiles = tiles[:p.NumTiles()]
+	for k, cube := range batch {
+		for t := range tiles {
+			tiles[t][k] = ones64(cube[t*64 : min(t*64+64, len(cube))])
 		}
+	}
+	clear(words)
+	for t := range tiles {
+		tile := &tiles[t]
 		clear(tile[len(batch):])
-		transpose64(&tile)
-		for j, id := range ids {
+		transpose64(tile)
+		for j, id := range p.ppis[t*64 : min(t*64+64, len(p.ppis))] {
 			words[id] = tile[j]
 		}
 	}
@@ -227,21 +229,36 @@ func (p *Program) Load(words []uint64, batch []logic.Cube) uint64 {
 	return (uint64(1) << uint(len(batch))) - 1
 }
 
+// NumTiles returns the number of 64×64 bit tiles Load packs the pseudo
+// inputs into: one per 64 of them.
+func (p *Program) NumTiles() int { return (len(p.ppis) + 63) / 64 }
+
 // ones64 maps up to 64 values to the bits of one word: bit i is
 // loadsOne(v[i]).
 func ones64(v []logic.V) uint64 {
+	if len(v) == 64 {
+		a := (*[64]logic.V)(v)
+		return ones8(word8(a[0:8])) | ones8(word8(a[8:16]))<<8 |
+			ones8(word8(a[16:24]))<<16 | ones8(word8(a[24:32]))<<24 |
+			ones8(word8(a[32:40]))<<32 | ones8(word8(a[40:48]))<<40 |
+			ones8(word8(a[48:56]))<<48 | ones8(word8(a[56:64]))<<56
+	}
 	var row uint64
 	i := 0
 	for ; i+8 <= len(v); i += 8 {
-		o := v[i : i+8 : i+8]
-		w := uint64(o[0]) | uint64(o[1])<<8 | uint64(o[2])<<16 | uint64(o[3])<<24 |
-			uint64(o[4])<<32 | uint64(o[5])<<40 | uint64(o[6])<<48 | uint64(o[7])<<56
-		row |= ones8(w) << (i & 63) // i < 64: the mask only drops the shift check
+		row |= ones8(word8(v[i:i+8:i+8])) << (i & 63) // i < 64: the mask only drops the shift check
 	}
 	for ; i < len(v); i++ {
 		row |= loadsOne(v[i]) << (i & 63)
 	}
 	return row
+}
+
+// word8 packs eight values into one word, v[i] in byte i.
+func word8(o []logic.V) uint64 {
+	_ = o[7]
+	return uint64(o[0]) | uint64(o[1])<<8 | uint64(o[2])<<16 | uint64(o[3])<<24 |
+		uint64(o[4])<<32 | uint64(o[5])<<40 | uint64(o[6])<<48 | uint64(o[7])<<56
 }
 
 // ones8 maps the eight bytes of w to eight bits: bit i is 1 exactly when
@@ -277,12 +294,15 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// Run evaluates the combinational logic over the loaded value words in
-// compiled topological order. This is the good-circuit half of a PPSFP
-// batch: one pass computes all 64 patterns' values for every gate.
-func (p *Program) Run(words []uint64) {
+// Run evaluates the combinational gates of order, a topological sub-order
+// of Order, over the loaded value words. This is the good-circuit half of
+// a PPSFP batch: one pass computes all 64 patterns' values for every gate
+// of order. Each gate reads only its fanins' words, so a gate outside
+// order keeps whatever word it held; the caller passes an order closed
+// under fanin (Order itself, or an engine's live region).
+func (p *Program) Run(words []uint64, order []int32) {
 	fanins, faninOff := p.fanins, p.faninOff
-	for _, id := range p.order {
+	for _, id := range order {
 		off := faninOff[id]
 		var v uint64
 		switch p.op[id] {

@@ -80,8 +80,8 @@ func TestProgramRunMatchesPSim(t *testing.T) {
 					}
 				}
 			}
-			mask := p.Load(words, batch)
-			p.Run(words)
+			mask := p.Load(words, make([][64]uint64, p.NumTiles()), batch)
+			p.Run(words, p.Order())
 			ps.Load(batch)
 			ps.Run()
 			if mask != ps.Mask() {
@@ -173,7 +173,7 @@ func TestLoadMask(t *testing.T) {
 		{1, 1}, {63, (1 << 63) - 1}, {64, ^uint64(0)},
 	} {
 		batch := randomPatterns(rand.New(rand.NewSource(int64(tc.n))), 5, tc.n)
-		if got := p.Load(words, batch); got != tc.mask {
+		if got := p.Load(words, make([][64]uint64, p.NumTiles()), batch); got != tc.mask {
 			t.Fatalf("Load(%d patterns) mask %x, want %x", tc.n, got, tc.mask)
 		}
 	}

@@ -2,8 +2,9 @@
 // circuits. The workhorse is a 64-wide PPSFP (parallel-pattern single-fault
 // propagation) engine with fault dropping: the netlist is compiled once into
 // a levelized evaluation Program, 64 patterns are packed per machine word,
-// the good circuit is evaluated in one word-wide pass per batch, and each
-// fault is then propagated event-driven through its fanout cone only.
+// the good circuit is evaluated in one word-wide pass per batch over the
+// live region (the gates the remaining faults can read), and each fault is
+// then propagated event-driven through its fanout cone only.
 //
 // An Engine also keeps a pending batch for callers that produce patterns
 // one at a time, like the ATPG loop: Queue packs a cube into the next of
@@ -89,9 +90,10 @@ func SimulateWorkers(c *netlist.Circuit, patterns []logic.Cube, flist []faults.F
 //
 // Internally the engine is a 64-wide PPSFP (parallel-pattern single-fault
 // propagation) kernel over a compiled Program: the good circuit is evaluated
-// once per 64-pattern batch in compiled topological order, then each
-// remaining fault is propagated event-driven through its fanout cone only,
-// with word-wide operations and a per-fault detection mask.
+// once per 64-pattern batch in compiled topological order, over the live
+// region only, then each remaining fault is propagated event-driven through
+// its fanout cone only, with word-wide operations and a per-fault detection
+// mask.
 type Engine struct {
 	c    *netlist.Circuit
 	prog *Program
@@ -102,7 +104,22 @@ type Engine struct {
 	nDetected  int
 	nPatterns  int
 
-	good []uint64 // good-circuit words of the current batch
+	good  []uint64     // good-circuit words of the current batch
+	tiles [][64]uint64 // Program.Load scratch
+
+	// Live region: the gates whose good words detectWord can read for
+	// some remaining fault, closed under fanin (see computeRegion). region
+	// lists its combinational gates in topological order, live marks every
+	// member, sources included, and stack is the cone walk's scratch.
+	// regionStale holds from construction and from each batch that drops a
+	// fault until the next batch recomputes the region before its good pass.
+	region      []int32
+	live        []bool
+	stack       []int32
+	regionStale bool
+
+	// goodHook, when set (tests only), runs after every batch's good pass.
+	goodHook func(*Engine)
 
 	// Parallel detection. workers is the shard bound (1 = strictly serial);
 	// ev is the serial evaluator, evals the lazily-grown per-worker pool,
@@ -118,6 +135,7 @@ type Engine struct {
 	cPatterns *obs.Counter // faultsim.patterns.applied
 	cDropped  *obs.Counter // faultsim.faults.dropped
 	cBatches  *obs.Counter // faultsim.batches
+	cGood     *obs.Counter // faultsim.good.gates: gates the good pass evaluated
 	tLoad     *obs.Timer   // faultsim.load: Program.Load per batch
 	tGood     *obs.Timer   // faultsim.good: good-circuit Program.Run per batch
 	tDetect   *obs.Timer   // faultsim.detect: fault propagation and dropping per batch
@@ -181,12 +199,14 @@ func NewEngine(c *netlist.Circuit, flist []faults.Fault) *Engine {
 func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 	c := prog.Circuit()
 	e := &Engine{
-		c:          c,
-		prog:       prog,
-		flist:      flist,
-		detectedBy: make([]int, len(flist)),
-		good:       make([]uint64, c.NumGates()),
-		workers:    1,
+		c:           c,
+		prog:        prog,
+		flist:       flist,
+		detectedBy:  make([]int, len(flist)),
+		good:        make([]uint64, c.NumGates()),
+		tiles:       make([][64]uint64, prog.NumTiles()),
+		regionStale: true,
+		workers:     1,
 	}
 	e.ev = newFaultEval(e, e.good)
 	for i := range e.detectedBy {
@@ -197,11 +217,12 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 }
 
 // Instrument attaches an observability collector: per-batch counters
-// (patterns applied, faults dropped, batches simulated), per-batch timers
-// splitting each batch into packing (faultsim.load), the good-circuit pass
-// (faultsim.good) and fault propagation (faultsim.detect), and, when the
-// collector traces, a "faultsim.batch" event per 64-pattern batch carrying
-// the running coverage-vs-pattern curve. A nil collector is a no-op.
+// (patterns applied, faults dropped, batches simulated, gates the good
+// pass evaluated), per-batch timers splitting each batch into packing
+// (faultsim.load), the good-circuit pass (faultsim.good) and fault
+// propagation (faultsim.detect), and, when the collector traces, a
+// "faultsim.batch" event per 64-pattern batch carrying the running
+// coverage-vs-pattern curve. A nil collector is a no-op.
 func (e *Engine) Instrument(col *obs.Collector) {
 	if col == nil {
 		return
@@ -210,6 +231,7 @@ func (e *Engine) Instrument(col *obs.Collector) {
 	e.cPatterns = col.Counter("faultsim.patterns.applied")
 	e.cDropped = col.Counter("faultsim.faults.dropped")
 	e.cBatches = col.Counter("faultsim.batches")
+	e.cGood = col.Counter("faultsim.good.gates")
 	e.tLoad = col.Timer("faultsim.load")
 	e.tGood = col.Timer("faultsim.good")
 	e.tDetect = col.Timer("faultsim.detect")
@@ -291,9 +313,16 @@ func (e *Engine) applyBatch(batch []logic.Cube, baseIndex int) int {
 	}
 	var clock time.Time
 	lap(e.tLoad, &clock) // starts the clock on an instrumented engine
-	mask := e.prog.Load(e.good, batch)
+	mask := e.prog.Load(e.good, e.tiles, batch)
 	lap(e.tLoad, &clock)
-	e.prog.Run(e.good)
+	if e.regionStale {
+		e.computeRegion()
+	}
+	e.prog.Run(e.good, e.region)
+	e.cGood.Add(int64(len(e.region)))
+	if e.goodHook != nil {
+		e.goodHook(e)
+	}
 	lap(e.tGood, &clock)
 
 	// Detection words come either from the per-worker shards (index-
@@ -324,8 +353,71 @@ func (e *Engine) applyBatch(batch []logic.Cube, baseIndex int) int {
 		newly++
 	}
 	e.remaining = keep
+	e.regionStale = newly > 0
 	lap(e.tDetect, &clock)
 	return newly
+}
+
+// computeRegion recomputes the live region from the remaining faults in
+// O(gates + edges). It is exactly the set of good words detectWord reads,
+// closed under fanin so the good pass can compute them:
+//
+//  1. the cone: each fault site and its combinational fanout, whose good
+//     words detectWord compares its faulty words against;
+//  2. the driver of each faulted DFF data pin, the one word such a fault
+//     reads;
+//  3. every fanin of a live gate: detectWord reads a cone gate's fanins
+//     where the fault has not changed them (evalWithPin reads the site's),
+//     and the good pass needs every live gate's fanins to compute it.
+//
+// Faults only ever leave the remaining list, so a region computed before
+// a drop stays a superset of the one after it. The scratch is allocated on
+// the first call, at its largest size, so later calls allocate nothing.
+func (e *Engine) computeRegion() {
+	p := e.prog
+	if e.live == nil {
+		n := e.c.NumGates()
+		e.live, e.stack, e.region = make([]bool, n), make([]int32, 0, n), make([]int32, 0, len(p.order))
+	}
+	live, stack := e.live, e.stack[:0]
+	clear(live)
+	for _, fi := range e.remaining {
+		f := e.flist[fi]
+		if g := e.c.Gate(f.Gate); f.Pin != faults.StemPin && g.Type == netlist.DFF {
+			live[g.Fanin[f.Pin]] = true
+		} else if !live[f.Gate] {
+			live[f.Gate] = true
+			stack = append(stack, int32(f.Gate))
+		}
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range p.fanouts[p.fanoutOff[id]:p.fanoutOff[id+1]] {
+			if !live[s] {
+				live[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	// Fanins precede their gate in the topological order, so one reverse
+	// pass closes the region under fanin. The order holds only
+	// combinational gates: the walk ends at sources, whose words Load sets.
+	for i := len(p.order) - 1; i >= 0; i-- {
+		if id := p.order[i]; live[id] {
+			for _, f := range p.fanins[p.faninOff[id]:p.faninOff[id+1]] {
+				live[f] = true
+			}
+		}
+	}
+	e.region = e.region[:0]
+	for _, id := range p.order {
+		if live[id] {
+			e.region = append(e.region, id)
+		}
+	}
+	e.stack = stack
+	e.regionStale = false
 }
 
 // lap observes on t the time since *clock (unless *clock is zero, which
@@ -363,7 +455,7 @@ func (e *Engine) Queue(cube logic.Cube) int {
 	for i, id := range e.prog.ppis {
 		e.qgood[id] |= loadsOne(cube[i]) << uint(lane)
 	}
-	e.prog.Run(e.qgood)
+	e.prog.Run(e.qgood, e.prog.order)
 	e.queued = append(e.queued, cube)
 	return lane
 }

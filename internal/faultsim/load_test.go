@@ -90,7 +90,7 @@ func checkLoad(t *testing.T, r *rand.Rand, p *Program, batch []logic.Cube) {
 	for i := range got {
 		got[i], want[i] = r.Uint64(), r.Uint64()
 	}
-	gm, wm := p.Load(got, batch), loadBitwise(p, want, batch)
+	gm, wm := p.Load(got, make([][64]uint64, p.NumTiles()), batch), loadBitwise(p, want, batch)
 	if gm != wm {
 		t.Fatalf("width %d, %d patterns: mask %x, reference %x", len(p.ppis), len(batch), gm, wm)
 	}
@@ -135,7 +135,7 @@ func TestLoadMatchesBitwise(t *testing.T) {
 	cubes := byteCubes(r, 9, 65)
 	bad := append(append([]logic.Cube(nil), cubes[:5]...), make(logic.Cube, 8))
 	for _, batch := range [][]logic.Cube{nil, cubes, bad} {
-		got := panicMessage(func() { p.Load(words, batch) })
+		got := panicMessage(func() { p.Load(words, make([][64]uint64, p.NumTiles()), batch) })
 		want := panicMessage(func() { loadBitwise(p, words, batch) })
 		if got == nil || got != want {
 			t.Fatalf("%d patterns: Load panicked with %v, reference with %v", len(batch), got, want)
@@ -170,7 +170,8 @@ func FuzzLoad(f *testing.F) {
 }
 
 // TestLoadAndApplyAllocateNothing: packing a batch and applying a
-// 64-pattern batch on an uninstrumented engine allocate nothing.
+// 64-pattern batch on an uninstrumented engine allocate nothing, also when
+// the batch drops faults and so recomputes the live region.
 func TestLoadAndApplyAllocateNothing(t *testing.T) {
 	c := standinCircuit(t, "s1423")
 	r := rand.New(rand.NewSource(9))
@@ -179,35 +180,78 @@ func TestLoadAndApplyAllocateNothing(t *testing.T) {
 	e.Apply(patterns[:64]) // grow the event buckets once
 
 	words := make([]uint64, c.NumGates())
-	if a := testing.AllocsPerRun(20, func() { e.prog.Load(words, patterns[:64]) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { e.prog.Load(words, e.tiles, patterns[:64]) }); a != 0 {
 		t.Errorf("Program.Load: %v allocs per run, want 0", a)
 	}
-	next := 64
+	next, recomputed := 64, 0
 	if a := testing.AllocsPerRun(5, func() {
+		if e.regionStale && next > 64 {
+			recomputed++ // a measured run (not the warm-up) recomputes the region
+		}
 		e.Apply(patterns[next : next+64])
 		next += 64
 	}); a != 0 {
 		t.Errorf("uninstrumented Apply of 64 patterns: %v allocs per run, want 0", a)
+	}
+	if recomputed == 0 {
+		t.Fatal("no measured Apply recomputed the live region")
 	}
 	if len(e.remaining) == 0 {
 		t.Fatal("every fault dropped: the Apply runs measured no detection work")
 	}
 }
 
+// streamCubes returns fully specified cubes of the given width, distinct
+// and together at least size bytes, in one backing array.
+func streamCubes(r *rand.Rand, width, size int) []logic.Cube {
+	n := (size + width - 1) / width
+	n = (n + 63) &^ 63
+	vals := make([]logic.V, n*width)
+	for i := 0; i < len(vals); i += 64 {
+		bits := r.Uint64()
+		for j := i; j < min(i+64, len(vals)); j++ {
+			vals[j] = logic.V(bits & 1)
+			bits >>= 1
+		}
+	}
+	out := make([]logic.Cube, n)
+	for k := range out {
+		out[k] = logic.Cube(vals[k*width : (k+1)*width : (k+1)*width])
+	}
+	return out
+}
+
 // BenchmarkProgramLoad packs 64-pattern batches at the pseudo-input
-// widths of the live frames: s13207 (700) and SOC2-flat (1532).
+// widths of the live frames: s13207 (700) and SOC2-flat (1532). The
+// cached cases repack one batch that stays in cache; the streaming case
+// walks 64 MiB of distinct cubes, as a grading pass does, so the order in
+// which Load reads the cubes shows.
 func BenchmarkProgramLoad(b *testing.B) {
+	const streamBytes = 64 << 20
 	for _, tc := range []struct {
-		name  string
-		width int
-	}{{"s13207", 700}, {"SOC2-flat", 1532}} {
+		name   string
+		width  int
+		stream bool
+	}{{"s13207", 700, false}, {"SOC2-flat", 1532, false}, {"SOC2-flat/stream64MiB", 1532, true}} {
 		p := Compile(wideCircuit(b, tc.width))
-		batch := randomPatterns(rand.New(rand.NewSource(1)), tc.width, 64)
+		r := rand.New(rand.NewSource(1))
+		var cubes []logic.Cube
+		if tc.stream {
+			cubes = streamCubes(r, tc.width, streamBytes)
+		} else {
+			cubes = randomPatterns(r, tc.width, 64)
+		}
 		words := make([]uint64, p.c.NumGates())
+		tiles := make([][64]uint64, p.NumTiles())
 		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(64 * tc.width))
 			b.ReportAllocs()
+			off := 0
 			for i := 0; i < b.N; i++ {
-				p.Load(words, batch)
+				p.Load(words, tiles, cubes[off:off+64])
+				if off += 64; off == len(cubes) {
+					off = 0
+				}
 			}
 		})
 	}

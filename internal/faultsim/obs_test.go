@@ -12,8 +12,9 @@ import (
 )
 
 // TestEngineInstrumentation checks the counters and trace events an
-// instrumented engine produces: patterns/drops add up and every batch
-// event parses as JSON with a non-decreasing detected count.
+// instrumented engine produces: patterns/drops add up, good.gates sums the
+// live regions the good passes evaluated, and every batch event parses as
+// JSON with a non-decreasing detected count.
 func TestEngineInstrumentation(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	flist := faults.CollapsedUniverse(c)
@@ -24,6 +25,8 @@ func TestEngineInstrumentation(t *testing.T) {
 
 	e := NewEngine(c, flist)
 	e.Instrument(col)
+	var evaluated int64
+	e.goodHook = func(e *Engine) { evaluated += int64(len(e.region)) }
 	rng := rand.New(rand.NewSource(7))
 	e.Apply(randomPatterns(rng, len(c.PseudoInputs()), 100))
 
@@ -36,6 +39,9 @@ func TestEngineInstrumentation(t *testing.T) {
 	}
 	if got := snap.Counters["faultsim.batches"]; got != 2 {
 		t.Errorf("batches = %d, want 2", got)
+	}
+	if got := snap.Counters["faultsim.good.gates"]; got != evaluated || got == 0 {
+		t.Errorf("good.gates = %d, want %d (> 0)", got, evaluated)
 	}
 
 	prev := -1
