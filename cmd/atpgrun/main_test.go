@@ -123,9 +123,11 @@ func TestEarlyErrorFlushesTrace(t *testing.T) {
 }
 
 // bigNetlist writes a deterministic stand-in ten times the size of s15850
-// to a temp .bench file. A full ATPG run on it takes seconds, far longer
-// than the deadlines and signal delays below, so those tests do not
-// depend on how fast ATPG is.
+// to a temp .bench file. The tests below run ATPG on it with -random 0,
+// so PODEM targets every fault itself: that takes seconds (~2 s on two
+// CPUs), far longer than their deadlines and signal delays, so they do
+// not depend on how fast ATPG is. With the random phase, the whole run
+// takes ~0.3 s, as long as the deadline.
 func bigNetlist(t *testing.T) string {
 	t.Helper()
 	prof, _ := bench89.ProfileByName("s15850")
@@ -150,7 +152,7 @@ func bigNetlist(t *testing.T) string {
 // incomplete code and report partial patterns.
 func TestTimeoutExitsIncomplete(t *testing.T) {
 	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-f", bigNetlist(t), "-timeout", "300ms").CombinedOutput()
+	out, err := exec.Command(bin, "-f", bigNetlist(t), "-random", "0", "-timeout", "300ms").CombinedOutput()
 	if code := exitCode(t, err); code != cli.ExitIncomplete {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitIncomplete, out)
 	}
@@ -167,7 +169,7 @@ func TestSIGINTExitsInterrupted(t *testing.T) {
 	}
 	bin := buildBinary(t)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	cmd := exec.Command(bin, "-f", bigNetlist(t), "-checkpoint", ckpt, "-checkpoint-every", "8")
+	cmd := exec.Command(bin, "-f", bigNetlist(t), "-random", "0", "-checkpoint", ckpt, "-checkpoint-every", "8")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestWorkersTimeoutExitsIncomplete(t *testing.T) {
 	bin := buildBinary(t)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	out, err := exec.Command(bin,
-		"-f", bigNetlist(t), "-workers", "4", "-timeout", "300ms",
+		"-f", bigNetlist(t), "-random", "0", "-workers", "4", "-timeout", "300ms",
 		"-checkpoint", ckpt, "-checkpoint-every", "8").CombinedOutput()
 	if code := exitCode(t, err); code != cli.ExitIncomplete {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitIncomplete, out)

@@ -53,37 +53,46 @@ func (f Fault) Less(o Fault) bool {
 //     fanout greater than one (fanout branches).
 //
 // Input pins on single-fanout nets are structurally identical to the driver
-// stem and are not enumerated separately. The result is sorted.
+// stem and are not enumerated separately. The result is sorted by Less, as
+// enumerated: gates in ID order, each gate's stem before its pins in pin
+// order, SA0 before SA1.
 func Universe(c *netlist.Circuit) []Fault {
 	if !c.Finalized() {
 		panic("faults: circuit not finalized")
 	}
-	var fs []Fault
-	for id := netlist.GateID(0); int(id) < c.NumGates(); id++ {
-		g := c.Gate(id)
-		// Stem faults on every driven net that somebody observes: skip
-		// nets with no fanout that are not outputs (dangling); they are
-		// untestable by construction and would pollute coverage.
-		if len(c.Fanout(id)) > 0 || isOutput(c, id) {
+	n := c.NumGates()
+	output := make([]bool, n)
+	for _, o := range c.Outputs() {
+		output[o] = true
+	}
+	// Stem faults on every driven net that somebody observes: skip nets
+	// with no fanout that are not outputs (dangling); they are untestable
+	// by construction and would pollute coverage.
+	stem := func(id netlist.GateID) bool { return len(c.Fanout(id)) > 0 || output[id] }
+	branch := func(drv netlist.GateID) bool { return len(c.Fanout(drv)) > 1 }
+	size := 0
+	for id := netlist.GateID(0); int(id) < n; id++ {
+		if stem(id) {
+			size += 2
+		}
+		for _, drv := range c.Gate(id).Fanin {
+			if branch(drv) {
+				size += 2
+			}
+		}
+	}
+	fs := make([]Fault, 0, size)
+	for id := netlist.GateID(0); int(id) < n; id++ {
+		if stem(id) {
 			fs = append(fs, Fault{id, StemPin, logic.Zero}, Fault{id, StemPin, logic.One})
 		}
-		for pin, drv := range g.Fanin {
-			if len(c.Fanout(drv)) > 1 {
+		for pin, drv := range c.Gate(id).Fanin {
+			if branch(drv) {
 				fs = append(fs, Fault{id, pin, logic.Zero}, Fault{id, pin, logic.One})
 			}
 		}
 	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Less(fs[j]) })
 	return fs
-}
-
-func isOutput(c *netlist.Circuit, id netlist.GateID) bool {
-	for _, o := range c.Outputs() {
-		if o == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Collapse partitions the fault list into structural equivalence classes and
@@ -150,7 +159,7 @@ func CollapsedUniverse(c *netlist.Circuit) []Fault {
 		return i, i < len(fs) && fs[i] == f
 	})
 	seen := make([]bool, len(fs))
-	var reps []Fault
+	reps := make([]Fault, 0, uf.sets)
 	for i, f := range fs {
 		if r := uf.find(i); !seen[r] {
 			seen[r] = true
@@ -224,14 +233,16 @@ func InCone(fs []Fault, cone *netlist.Cone) []Fault {
 	return out
 }
 
-// unionFind is a plain weighted quick-union with path halving.
+// unionFind is a plain weighted quick-union with path halving. sets counts
+// the classes.
 type unionFind struct {
 	parent []int
 	size   []int
+	sets   int
 }
 
 func newUnionFind(n int) *unionFind {
-	u := &unionFind{parent: make([]int, n), size: make([]int, n)}
+	u := &unionFind{parent: make([]int, n), size: make([]int, n), sets: n}
 	for i := range u.parent {
 		u.parent[i] = i
 		u.size[i] = 1
@@ -257,4 +268,5 @@ func (u *unionFind) union(a, b int) {
 	}
 	u.parent[rb] = ra
 	u.size[ra] += u.size[rb]
+	u.sets--
 }

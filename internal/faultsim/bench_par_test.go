@@ -32,7 +32,7 @@ func BenchmarkShardedFaultSim(b *testing.B) {
 }
 
 // BenchmarkShardDetectOnly isolates the hot inner kernel: one batch of 64
-// patterns over the full fault list, serial detectWord loop vs shardDetect.
+// patterns over the full fault list, serial root propagation vs sharded.
 func BenchmarkShardDetectOnly(b *testing.B) {
 	c := standinCircuit(b, "s1423")
 	flist := faults.CollapsedUniverse(c)

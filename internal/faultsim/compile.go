@@ -106,6 +106,14 @@ type Program struct {
 	observed []bool  // gate drives >= 1 pseudo-output frame position
 	maxLevel int32
 
+	// Fanout-free regions. succ[g] is the one gate g feeds when g has
+	// exactly one combinational fanout edge and drives no pseudo output,
+	// and -1 otherwise: g is then a region root. succPin[g] is the fanin
+	// pin g drives on succ[g]. A driver wired to two pins of one gate has
+	// two edges, so it is a root.
+	succ    []int32
+	succPin []int32
+
 	ppis []netlist.GateID
 	ppos []netlist.GateID
 }
@@ -181,24 +189,40 @@ func Compile(c *netlist.Circuit) *Program {
 	for _, id := range p.ppos {
 		p.observed[id] = true
 	}
+
+	p.succ, p.succPin = make([]int32, n), make([]int32, n)
+	for id := 0; id < n; id++ {
+		p.succ[id] = -1
+		if off := p.fanoutOff[id]; p.fanoutOff[id+1]-off == 1 && !p.observed[id] {
+			s := p.fanouts[off]
+			for j, f := range p.fanins[p.faninOff[s]:p.faninOff[s+1]] {
+				if f == int32(id) {
+					p.succ[id], p.succPin[id] = s, int32(j)
+				}
+			}
+		}
+	}
 	return p
 }
 
 // Circuit returns the circuit the program was compiled from.
 func (p *Program) Circuit() *netlist.Circuit { return p.c }
 
-// Load packs up to 64 stimulus cubes into the source words of the value
-// array (one bit per pattern, X loaded as 0 — the engine's deterministic
-// X-fill convention) and returns the mask covering the valid pattern bits.
-// words must have length NumGates; every word that is not a pseudo input
-// is cleared. tiles is the caller's scratch, at least NumTiles long.
+// Load packs up to 64 stimulus cubes into the pseudo-input words of the
+// value array (one bit per pattern, X loaded as 0 — the engine's
+// deterministic X-fill convention) and returns the mask covering the valid
+// pattern bits. words must have length NumGates; Load writes only the
+// pseudo-input words and leaves every other word as it was, for the good
+// pass computes every word it reads. tiles is the caller's scratch, at
+// least NumTiles long.
 //
 // The packing is branch-free, word-parallel and cube-major. Each cube is
-// read once from start to end, eight values per step; ones8 turns each
-// step into eight bits, and every 64 pseudo inputs fill one row word of
-// their own 64×64 tile (row = pattern, column = input). Each tile is then
-// transposed, which leaves one word of pattern bits per input, stored
-// once.
+// read once from start to end, eight values per step, and every 64 pseudo
+// inputs fill one row word of their own 64×64 tile (row = pattern). A row
+// holds value 8i+j at bit 8j+i, so the byte-equality flags of each eight
+// values merge by shifts alone. Each tile is then transposed, which leaves
+// one word of pattern bits per column, and the store undoes the row
+// permutation as it writes each input's word once.
 func (p *Program) Load(words []uint64, tiles [][64]uint64, batch []logic.Cube) uint64 {
 	if len(batch) == 0 || len(batch) > 64 {
 		panic(fmt.Sprintf("faultsim: Program.Load batch size %d out of range 1..64", len(batch)))
@@ -214,13 +238,12 @@ func (p *Program) Load(words []uint64, tiles [][64]uint64, batch []logic.Cube) u
 			tiles[t][k] = ones64(cube[t*64 : min(t*64+64, len(cube))])
 		}
 	}
-	clear(words)
 	for t := range tiles {
 		tile := &tiles[t]
 		clear(tile[len(batch):])
 		transpose64(tile)
-		for j, id := range p.ppis[t*64 : min(t*64+64, len(p.ppis))] {
-			words[id] = tile[j]
+		for c, id := range p.ppis[t*64 : min(t*64+64, len(p.ppis))] {
+			words[id] = tile[(c&7)<<3|c>>3]
 		}
 	}
 	if len(batch) >= 64 {
@@ -233,23 +256,24 @@ func (p *Program) Load(words []uint64, tiles [][64]uint64, batch []logic.Cube) u
 // inputs into: one per 64 of them.
 func (p *Program) NumTiles() int { return (len(p.ppis) + 63) / 64 }
 
-// ones64 maps up to 64 values to the bits of one word: bit i is
-// loadsOne(v[i]).
+// ones64 maps up to 64 values to the bits of one row word, loadsOne(v[8i+j])
+// at bit 8j+i: the flags eq8 leaves in the low bit of each byte of eight
+// values merge by shifts alone (Load's store undoes the permutation).
 func ones64(v []logic.V) uint64 {
 	if len(v) == 64 {
 		a := (*[64]logic.V)(v)
-		return ones8(word8(a[0:8])) | ones8(word8(a[8:16]))<<8 |
-			ones8(word8(a[16:24]))<<16 | ones8(word8(a[24:32]))<<24 |
-			ones8(word8(a[32:40]))<<32 | ones8(word8(a[40:48]))<<40 |
-			ones8(word8(a[48:56]))<<48 | ones8(word8(a[56:64]))<<56
+		return eq8(word8(a[0:8])) | eq8(word8(a[8:16]))<<1 |
+			eq8(word8(a[16:24]))<<2 | eq8(word8(a[24:32]))<<3 |
+			eq8(word8(a[32:40]))<<4 | eq8(word8(a[40:48]))<<5 |
+			eq8(word8(a[48:56]))<<6 | eq8(word8(a[56:64]))<<7
 	}
 	var row uint64
 	i := 0
 	for ; i+8 <= len(v); i += 8 {
-		row |= ones8(word8(v[i:i+8:i+8])) << (i & 63) // i < 64: the mask only drops the shift check
+		row |= eq8(word8(v[i:i+8:i+8])) << (i >> 3 & 63) // i < 64: the mask only drops the shift check
 	}
 	for ; i < len(v); i++ {
-		row |= loadsOne(v[i]) << (i & 63)
+		row |= loadsOne(v[i]) << ((i&7)<<3 | i>>3&63)
 	}
 	return row
 }
@@ -261,23 +285,22 @@ func word8(o []logic.V) uint64 {
 		uint64(o[4])<<32 | uint64(o[5])<<40 | uint64(o[6])<<48 | uint64(o[7])<<56
 }
 
-// ones8 maps the eight bytes of w to eight bits: bit i is 1 exactly when
-// byte i equals logic.One, whatever the byte holds (X, D, D̄ and any other
-// value load as 0). It is the one definition of "loads as 1".
-func ones8(w uint64) uint64 {
+// eq8 maps the eight bytes of w to the low bits of the same bytes: bit 8i
+// is 1 exactly when byte i equals logic.One, whatever the byte holds (X,
+// D, D̄ and any other value load as 0). It is the one definition of
+// "loads as 1".
+func eq8(w uint64) uint64 {
 	const lsb, low7 = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f
 	x := w ^ lsb*uint64(logic.One) // zero bytes where w holds One
 	// A byte's top bit survives exactly when the byte is zero: adding low7
 	// to its low seven bits carries into bit 7 iff any is set, and the OR
 	// with x covers bit 7 itself. No carry crosses a byte.
-	z := ^(x&low7 + low7 | x) & (lsb << 7)
-	// Gather bit 7 of byte i into bit 56+i with one multiply (the partial
-	// products land on distinct bits, so nothing carries).
-	return (z >> 7) * 0x0102040810204080 >> 56
+	return ^(x&low7 + low7 | x) & (lsb << 7) >> 7
 }
 
-// loadsOne is ones8 on a single value: 1 when v loads as a 1 bit, else 0.
-func loadsOne(v logic.V) uint64 { return ones8(uint64(v)) }
+// loadsOne is eq8 on a single value: 1 when v loads as a 1 bit, else 0
+// (the zero bytes above v never equal logic.One).
+func loadsOne(v logic.V) uint64 { return eq8(uint64(v)) }
 
 // transpose64 transposes the 64×64 bit matrix a in place (bit c of a[r] is
 // row r, column c) by recursive block swaps (Hacker's Delight §7-3): the
@@ -370,6 +393,38 @@ func (p *Program) evalWords(id int32, in []uint64) uint64 {
 		panic(fmt.Sprintf("faultsim: branch fault evaluation on non-combinational gate %v", p.c.Gate(netlist.GateID(id)).Type))
 	}
 	return v ^ p.inv[id]
+}
+
+// sensitize returns the lanes in which a flip on fanin pin of gate id
+// flips the gate's output, given the good words of its other fanins: the
+// other fanins' AND for AND gates, the complement of their OR for OR
+// gates, and every lane for buffers, inverters and XOR gates. Constants
+// have no fanin, so no region leads into one.
+func (p *Program) sensitize(words []uint64, id, pin int32) uint64 {
+	off := p.faninOff[id]
+	switch p.op[id] {
+	case pAnd2:
+		return words[p.fanins[off+1-pin]]
+	case pOr2:
+		return ^words[p.fanins[off+1-pin]]
+	case pAndN:
+		v := ^uint64(0)
+		for j, f := range p.fanins[off:p.faninOff[id+1]] {
+			if int32(j) != pin {
+				v &= words[f]
+			}
+		}
+		return v
+	case pOrN:
+		var v uint64
+		for j, f := range p.fanins[off:p.faninOff[id+1]] {
+			if int32(j) != pin {
+				v |= words[f]
+			}
+		}
+		return ^v
+	}
+	return ^uint64(0)
 }
 
 // NumLevels returns the number of distinct combinational levels

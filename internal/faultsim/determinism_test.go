@@ -34,11 +34,13 @@ func TestShardedBitIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := standinCircuit(t, name)
 			flist := faults.CollapsedUniverse(c)
-			if len(flist) < minShardFaults {
-				t.Fatalf("universe %d below shard threshold %d: test would not exercise sharding", len(flist), minShardFaults)
-			}
 			r := rand.New(rand.NewSource(7))
 			patterns := randomPatterns(r, len(c.PseudoInputs()), 192)
+			probe := NewEngine(c, flist)
+			probe.Apply(patterns[:64])
+			if len(probe.roots) < minShardRoots {
+				t.Fatalf("first batch propagates %d roots, below the shard threshold %d: test would not exercise sharding", len(probe.roots), minShardRoots)
+			}
 
 			serial := NewEngine(c, flist)
 			serial.Apply(patterns)

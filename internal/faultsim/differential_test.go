@@ -59,9 +59,9 @@ func diffAgainstSerial(t *testing.T, label string, c *netlist.Circuit, patterns 
 	compareDetections(t, label+"/ppsfp-vs-serial", c, flist, got, want)
 
 	// Sharded kernel: force the shard path even on tiny fault lists.
-	old := minShardFaults
-	minShardFaults = 1
-	defer func() { minShardFaults = old }()
+	old := minShardRoots
+	minShardRoots = 1
+	defer func() { minShardRoots = old }()
 	sharded := SimulateWorkers(c, patterns, flist, 4)
 	compareDetections(t, label+"/sharded-vs-serial", c, flist, sharded, want)
 }

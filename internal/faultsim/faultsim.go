@@ -3,8 +3,10 @@
 // propagation) engine with fault dropping: the netlist is compiled once into
 // a levelized evaluation Program, 64 patterns are packed per machine word,
 // the good circuit is evaluated in one word-wide pass per batch over the
-// live region (the gates the remaining faults can read), and each fault is
-// then propagated event-driven through its fanout cone only.
+// live region (the gates the remaining faults can read). Each fault's
+// effect is then carried to the root of its fanout-free region by local
+// sensitization, and one event-driven propagation per region root, through
+// its fanout cone only, serves every fault of the region.
 //
 // An Engine also keeps a pending batch for callers that produce patterns
 // one at a time, like the ATPG loop: Queue packs a cube into the next of
@@ -91,9 +93,10 @@ func SimulateWorkers(c *netlist.Circuit, patterns []logic.Cube, flist []faults.F
 // Internally the engine is a 64-wide PPSFP (parallel-pattern single-fault
 // propagation) kernel over a compiled Program: the good circuit is evaluated
 // once per 64-pattern batch in compiled topological order, over the live
-// region only, then each remaining fault is propagated event-driven through
-// its fanout cone only, with word-wide operations and a per-fault detection
-// mask.
+// region only. Each remaining fault's effect word is then walked up its
+// fanout-free region to the region's root, and each such root's full flip
+// is propagated event-driven through its fanout cone once per batch; a
+// fault's detection word is its effect at the root ANDed with the root's.
 type Engine struct {
 	c    *netlist.Circuit
 	prog *Program
@@ -107,28 +110,39 @@ type Engine struct {
 	good  []uint64     // good-circuit words of the current batch
 	tiles [][64]uint64 // Program.Load scratch
 
-	// Live region: the gates whose good words detectWord can read for
-	// some remaining fault, closed under fanin (see computeRegion). region
-	// lists its combinational gates in topological order, live marks every
-	// member, sources included, and stack is the cone walk's scratch.
-	// regionStale holds from construction and from each batch that drops a
-	// fault until the next batch recomputes the region before its good pass.
+	// Live region: the gates whose good words detection can read for some
+	// remaining fault, closed under fanin (see computeRegion). region lists
+	// its combinational gates in topological order, live marks every
+	// member, sources included (liveCone where the gate's whole fanout
+	// cone is in the region too, liveFanin elsewhere), and stack is the
+	// cone walk's scratch. regionStale holds from construction and from
+	// each batch that drops a fault until the next batch or Queue
+	// recomputes the region before its good pass.
 	region      []int32
-	live        []bool
+	live        []uint8
 	stack       []int32
 	regionStale bool
+
+	// Region-root detection (see detectBatch). Per remaining fault, eff is
+	// its effect word at its region root and slot the root's index in
+	// roots, or -1 when eff is already the detection word. rootObs is
+	// parallel to roots, and slotOf maps a gate to its index in roots (-1
+	// for a gate not listed).
+	eff     []uint64
+	slot    []int32
+	roots   []int32
+	rootObs []uint64
+	slotOf  []int32
 
 	// goodHook, when set (tests only), runs after every batch's good pass.
 	goodHook func(*Engine)
 
 	// Parallel detection. workers is the shard bound (1 = strictly serial);
-	// ev is the serial evaluator, evals the lazily-grown per-worker pool,
-	// and dets the index-addressed detection-word slots (parallel to
-	// remaining) that workers fill and the serial merge consumes in order.
+	// ev is the serial evaluator and evals the lazily-grown per-worker
+	// pool, which fills index-addressed rootObs slots.
 	workers int
 	ev      *faultEval
 	evals   []*faultEval
-	dets    []uint64
 
 	// Observability (all nil by default: zero overhead).
 	col       *obs.Collector
@@ -136,6 +150,7 @@ type Engine struct {
 	cDropped  *obs.Counter // faultsim.faults.dropped
 	cBatches  *obs.Counter // faultsim.batches
 	cGood     *obs.Counter // faultsim.good.gates: gates the good pass evaluated
+	cRoots    *obs.Counter // faultsim.detect.roots: region roots propagated
 	tLoad     *obs.Timer   // faultsim.load: Program.Load per batch
 	tGood     *obs.Timer   // faultsim.good: good-circuit Program.Run per batch
 	tDetect   *obs.Timer   // faultsim.detect: fault propagation and dropping per batch
@@ -144,23 +159,38 @@ type Engine struct {
 	// Pending batch (Queue, QueuedDetects, Flush): the cubes queued since
 	// the last flush, one lane each, and their good-circuit words. qgood is
 	// separate from good so the pending lanes survive any Apply, and qev
-	// checks single faults against it.
+	// checks single faults against it. Queue computes qgood over the live
+	// region; qfull records that QueuedDetects has since completed it over
+	// the full order. qobs[g] is root g's observability word over the
+	// pending lanes, valid while qseen[g] == qepoch. Every Queue, Unqueue
+	// and Flush clears qfull and moves qepoch on.
 	queued []logic.Cube
 	qgood  []uint64
 	qev    *faultEval
+	qfull  bool
+	qobs   []uint64
+	qseen  []uint32
+	qepoch uint32
 }
 
-// minShardFaults is the remaining-fault count below which a batch is
-// simulated serially even on a multi-worker engine: under this size the
-// goroutine fan-out costs more than the detection words it spreads out.
+// Marks of Engine.live.
+const (
+	deadGate  uint8 = iota // outside the live region
+	liveFanin              // in the region
+	liveCone               // in the region, and so is its whole fanout cone
+)
+
+// minShardRoots is the region-root count below which a batch's roots are
+// propagated serially even on a multi-worker engine: under this size the
+// goroutine fan-out costs more than the root words it spreads out.
 // The threshold never affects results, only wall-clock. A variable so the
 // determinism tests can force tiny circuits through the sharded path.
-var minShardFaults = 128
+var minShardRoots = 128
 
-// faultEval holds the per-goroutine scratch state of single-fault
-// propagation: the epoch-validated faulty words over the good-circuit words
-// of the engine's current batch, plus the level-bucketed event queue that
-// drives propagation through the fault's fanout cone. Each worker owns one
+// faultEval holds the per-goroutine scratch state of fault propagation:
+// the epoch-validated faulty words over the good-circuit words of the
+// engine's current batch, plus the level-bucketed event queue that drives
+// propagation through a region root's fanout cone. Each worker owns one
 // evaluator, so sharded detection touches no shared mutable state.
 type faultEval struct {
 	e       *Engine
@@ -198,15 +228,24 @@ func NewEngine(c *netlist.Circuit, flist []faults.Fault) *Engine {
 // engines (and PODEM searches) may share one: compile once per run.
 func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 	c := prog.Circuit()
+	n := c.NumGates()
 	e := &Engine{
 		c:           c,
 		prog:        prog,
 		flist:       flist,
 		detectedBy:  make([]int, len(flist)),
-		good:        make([]uint64, c.NumGates()),
+		good:        make([]uint64, n),
 		tiles:       make([][64]uint64, prog.NumTiles()),
 		regionStale: true,
+		eff:         make([]uint64, len(flist)),
+		slot:        make([]int32, len(flist)),
+		roots:       make([]int32, 0, min(len(flist), n)),
+		rootObs:     make([]uint64, 0, min(len(flist), n)),
+		slotOf:      make([]int32, n),
 		workers:     1,
+	}
+	for i := range e.slotOf {
+		e.slotOf[i] = -1
 	}
 	e.ev = newFaultEval(e, e.good)
 	for i := range e.detectedBy {
@@ -218,7 +257,8 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 
 // Instrument attaches an observability collector: per-batch counters
 // (patterns applied, faults dropped, batches simulated, gates the good
-// pass evaluated), per-batch timers splitting each batch into packing
+// pass evaluated, region roots propagated by batches and QueuedDetects),
+// per-batch timers splitting each batch into packing
 // (faultsim.load), the good-circuit pass (faultsim.good) and fault
 // propagation (faultsim.detect), and, when the collector traces, a
 // "faultsim.batch" event per 64-pattern batch carrying the running
@@ -232,6 +272,7 @@ func (e *Engine) Instrument(col *obs.Collector) {
 	e.cDropped = col.Counter("faultsim.faults.dropped")
 	e.cBatches = col.Counter("faultsim.batches")
 	e.cGood = col.Counter("faultsim.good.gates")
+	e.cRoots = col.Counter("faultsim.detect.roots")
 	e.tLoad = col.Timer("faultsim.load")
 	e.tGood = col.Timer("faultsim.good")
 	e.tDetect = col.Timer("faultsim.detect")
@@ -325,24 +366,14 @@ func (e *Engine) applyBatch(batch []logic.Cube, baseIndex int) int {
 	}
 	lap(e.tGood, &clock)
 
-	// Detection words come either from the per-worker shards (index-
-	// addressed slots, one per remaining fault) or from the serial
-	// evaluator; the drop/first-detection merge below is serial and in
-	// fault order either way, so both paths are bit-identical.
-	var dets []uint64
-	if e.workers > 1 && len(e.remaining) >= minShardFaults {
-		dets = e.shardDetect(mask)
-	}
-
+	// The drop/first-detection merge is serial and in fault order, and
+	// the root words it reads do not depend on which worker computed them,
+	// so every worker count is bit-identical.
+	e.detectBatch()
 	newly := 0
 	keep := e.remaining[:0]
 	for i, fi := range e.remaining {
-		var det uint64
-		if dets != nil {
-			det = dets[i]
-		} else {
-			det = e.ev.detectWord(e.flist[fi], mask)
-		}
+		det := e.detection(i, mask)
 		if det == 0 {
 			keep = append(keep, fi)
 			continue
@@ -358,17 +389,66 @@ func (e *Engine) applyBatch(batch []logic.Cube, baseIndex int) int {
 	return newly
 }
 
+// detectBatch prepares the detection words of the remaining faults for the
+// loaded batch. First, serially and in fault order, it computes each
+// fault's effect word at its region root (see faultEval.effect) and lists
+// every root some fault flips in some lane, once, in first-seen order.
+// Then it propagates each listed root's full flip through the root's
+// fanout cone, sharded over the root list when there are enough roots.
+func (e *Engine) detectBatch() {
+	for _, r := range e.roots {
+		e.slotOf[r] = -1
+	}
+	e.roots = e.roots[:0]
+	for i, fi := range e.remaining {
+		root, d := e.ev.effect(e.flist[fi])
+		e.eff[i], e.slot[i] = d, -1
+		if root < 0 || d == 0 {
+			continue
+		}
+		if e.slotOf[root] < 0 {
+			e.slotOf[root] = int32(len(e.roots))
+			e.roots = append(e.roots, root)
+		}
+		e.slot[i] = e.slotOf[root]
+	}
+	e.rootObs = e.rootObs[:len(e.roots)]
+	if e.workers > 1 && len(e.roots) >= minShardRoots {
+		e.shardRoots()
+	} else {
+		for k, r := range e.roots {
+			e.rootObs[k] = e.ev.observe(r)
+		}
+	}
+	e.cRoots.Add(int64(len(e.roots)))
+}
+
+// detection returns the detection word of remaining fault i once
+// detectBatch has run: bit k set iff pattern k detects it at some pseudo
+// output. In each lane the fault flips its region root exactly where its
+// effect word is set, and nothing else, so it is detected exactly where
+// that flip is.
+func (e *Engine) detection(i int, mask uint64) uint64 {
+	det := e.eff[i] & mask
+	if s := e.slot[i]; s >= 0 {
+		det &= e.rootObs[s]
+	}
+	return det
+}
+
 // computeRegion recomputes the live region from the remaining faults in
-// O(gates + edges). It is exactly the set of good words detectWord reads,
+// O(gates + edges). It is exactly the set of good words detection reads,
 // closed under fanin so the good pass can compute them:
 //
-//  1. the cone: each fault site and its combinational fanout, whose good
-//     words detectWord compares its faulty words against;
+//  1. the cone: each fault site and its combinational fanout, which holds
+//     the site's region and its root's cone, whose good words a root's
+//     propagation compares its faulty words against;
 //  2. the driver of each faulted DFF data pin, the one word such a fault
 //     reads;
-//  3. every fanin of a live gate: detectWord reads a cone gate's fanins
-//     where the fault has not changed them (evalWithPin reads the site's),
-//     and the good pass needs every live gate's fanins to compute it.
+//  3. every fanin of a live gate: effect reads the site's fanins
+//     (evalWithPin) and the side inputs along the region, propagation a
+//     cone gate's fanins where the flip has not changed them, and the good
+//     pass needs every live gate's fanins to compute it.
 //
 // Faults only ever leave the remaining list, so a region computed before
 // a drop stays a superset of the one after it. The scratch is allocated on
@@ -377,16 +457,16 @@ func (e *Engine) computeRegion() {
 	p := e.prog
 	if e.live == nil {
 		n := e.c.NumGates()
-		e.live, e.stack, e.region = make([]bool, n), make([]int32, 0, n), make([]int32, 0, len(p.order))
+		e.live, e.stack, e.region = make([]uint8, n), make([]int32, 0, n), make([]int32, 0, len(p.order))
 	}
 	live, stack := e.live, e.stack[:0]
 	clear(live)
 	for _, fi := range e.remaining {
 		f := e.flist[fi]
-		if g := e.c.Gate(f.Gate); f.Pin != faults.StemPin && g.Type == netlist.DFF {
-			live[g.Fanin[f.Pin]] = true
-		} else if !live[f.Gate] {
-			live[f.Gate] = true
+		if drv := p.pinDriver(f); drv >= 0 {
+			live[drv] = max(live[drv], liveFanin)
+		} else if live[f.Gate] != liveCone {
+			live[f.Gate] = liveCone
 			stack = append(stack, int32(f.Gate))
 		}
 	}
@@ -394,8 +474,8 @@ func (e *Engine) computeRegion() {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range p.fanouts[p.fanoutOff[id]:p.fanoutOff[id+1]] {
-			if !live[s] {
-				live[s] = true
+			if live[s] != liveCone {
+				live[s] = liveCone
 				stack = append(stack, s)
 			}
 		}
@@ -404,15 +484,15 @@ func (e *Engine) computeRegion() {
 	// pass closes the region under fanin. The order holds only
 	// combinational gates: the walk ends at sources, whose words Load sets.
 	for i := len(p.order) - 1; i >= 0; i-- {
-		if id := p.order[i]; live[id] {
+		if id := p.order[i]; live[id] != deadGate {
 			for _, f := range p.fanins[p.faninOff[id]:p.faninOff[id+1]] {
-				live[f] = true
+				live[f] = max(live[f], liveFanin)
 			}
 		}
 	}
 	e.region = e.region[:0]
 	for _, id := range p.order {
-		if live[id] {
+		if live[id] != deadGate {
 			e.region = append(e.region, id)
 		}
 	}
@@ -438,8 +518,9 @@ func lap(t *obs.Timer, clock *time.Time) {
 // Queue adds one cube to the pending batch and returns its lane: the bit
 // of QueuedDetects that answers for it. The cube's source bits (X as 0, as
 // in Apply) are ORed into the pending good words and the good circuit is
-// re-evaluated once; no fault is simulated and nothing is dropped until
-// Flush. At most 64 cubes can be pending.
+// re-evaluated once over the live region (recomputed first if stale); no
+// fault is simulated and nothing is dropped until Flush. At most 64 cubes
+// can be pending.
 func (e *Engine) Queue(cube logic.Cube) int {
 	lane := len(e.queued)
 	if lane == wordBits {
@@ -449,15 +530,30 @@ func (e *Engine) Queue(cube logic.Cube) int {
 		panic(fmt.Sprintf("faultsim: queued cube length %d != %d pseudo inputs", len(cube), len(e.prog.ppis)))
 	}
 	if e.qgood == nil {
-		e.qgood = make([]uint64, len(e.good))
+		n := len(e.good)
+		e.qgood, e.qobs, e.qseen = make([]uint64, n), make([]uint64, n), make([]uint32, n)
 		e.qev = newFaultEval(e, e.qgood)
 	}
 	for i, id := range e.prog.ppis {
 		e.qgood[id] |= loadsOne(cube[i]) << uint(lane)
 	}
-	e.prog.Run(e.qgood, e.prog.order)
+	if e.regionStale {
+		e.computeRegion()
+	}
+	e.prog.Run(e.qgood, e.region)
 	e.queued = append(e.queued, cube)
+	e.pendingChanged()
 	return lane
+}
+
+// pendingChanged forgets what QueuedDetects derived from the previous
+// pending lanes: the root words it cached and its full-order pass.
+func (e *Engine) pendingChanged() {
+	e.qfull = false
+	if e.qepoch++; e.qepoch == 0 { // epoch wrapped: reset
+		clear(e.qseen)
+		e.qepoch = 1
+	}
 }
 
 // Unqueue withdraws the most recently queued cube, freeing its lane for
@@ -473,6 +569,7 @@ func (e *Engine) Unqueue() {
 		e.qgood[id] &^= 1 << uint(lane)
 	}
 	e.queued = e.queued[:lane]
+	e.pendingChanged()
 }
 
 // Pending returns the number of queued cubes.
@@ -481,6 +578,10 @@ func (e *Engine) Pending() int { return len(e.queued) }
 // QueuedDetects returns the detection word of fault f over the pending
 // batch: bit k is set iff the cube in lane k detects f. f need not be in
 // the engine's fault list, and the engine's detection state is untouched.
+// A fault that reads good words outside the live region, such as one the
+// engine has dropped or does not list, first has the pending lanes
+// evaluated over the full order, once per pending state. Root words are
+// computed once per pending state and shared by every fault of the region.
 func (e *Engine) QueuedDetects(f faults.Fault) uint64 {
 	if len(e.queued) == 0 {
 		return 0
@@ -489,7 +590,30 @@ func (e *Engine) QueuedDetects(f faults.Fault) uint64 {
 	if len(e.queued) < wordBits {
 		mask = uint64(1)<<uint(len(e.queued)) - 1
 	}
-	return e.qev.detectWord(f, mask)
+	if !e.qfull && !e.inRegion(f) {
+		e.prog.Run(e.qgood, e.prog.order)
+		e.qfull = true
+	}
+	root, d := e.qev.effect(f)
+	if root >= 0 && d != 0 {
+		if e.qseen[root] != e.qepoch {
+			e.qseen[root] = e.qepoch
+			e.qobs[root] = e.qev.observe(root)
+			e.cRoots.Inc()
+		}
+		d &= e.qobs[root]
+	}
+	return d & mask
+}
+
+// inRegion reports whether every good word f's detection reads lies in
+// the live region: the driver of a faulted DFF data pin, or else the
+// fault site's whole fanout cone and its fanins.
+func (e *Engine) inRegion(f faults.Fault) bool {
+	if drv := e.prog.pinDriver(f); drv >= 0 {
+		return e.live[drv] != deadGate
+	}
+	return e.live[f.Gate] == liveCone
 }
 
 // Flush applies the pending batch — Apply over the queued cubes, in lane
@@ -504,6 +628,7 @@ func (e *Engine) Flush() int {
 	n := e.Apply(e.queued)
 	e.queued = e.queued[:0]
 	clear(e.qgood)
+	e.pendingChanged()
 	return n
 }
 
@@ -519,33 +644,30 @@ func (e *Engine) NextRemaining(from int) int {
 	return e.remaining[k]
 }
 
-// shardDetect computes the detection word of every remaining fault for the
-// loaded batch, sharded across the engine's workers. Slot i of the returned
-// slice belongs to e.remaining[i] regardless of which worker computed it.
-func (e *Engine) shardDetect(mask uint64) []uint64 {
-	n := len(e.remaining)
-	if cap(e.dets) < n {
-		e.dets = make([]uint64, n)
-	}
-	dets := e.dets[:n]
+// shardRoots fills rootObs for the batch's root list, sharded across the
+// engine's workers. Slot k belongs to roots[k] regardless of which worker
+// computed it. Worker w takes every workers-th root from w on: roots met
+// early lie near the inputs and have the widest cones, so contiguous
+// ranges would load the first worker most.
+func (e *Engine) shardRoots() {
 	evals := e.shardEvals()
 	timers := e.workerTimers()
-	_ = par.Run(nil, n, e.workers, func(s par.Shard) error {
+	workers := min(e.workers, len(e.roots))
+	_ = par.Run(nil, workers, workers, func(s par.Shard) error {
 		ev := evals[s.Worker]
 		var start time.Time
 		if timers != nil {
 			// lintgo:allow GO002 per-worker timing metric, never a result input.
 			start = time.Now()
 		}
-		for i := s.Lo; i < s.Hi; i++ {
-			dets[i] = ev.detectWord(e.flist[e.remaining[i]], mask)
+		for k := s.Worker; k < len(e.roots); k += workers {
+			e.rootObs[k] = ev.observe(e.roots[k])
 		}
 		if timers != nil {
 			timers[s.Worker].Since(start)
 		}
 		return nil
 	})
-	return dets
 }
 
 // shardEvals grows the per-worker evaluator pool to the current worker
@@ -570,32 +692,72 @@ func (e *Engine) workerTimers() []*obs.Timer {
 	return e.tWorkers[:e.workers]
 }
 
-// detectWord computes the detection word of one fault for the loaded batch:
-// bit k set iff pattern k detects the fault at any pseudo output.
-//
-// Propagation is event-driven over the compiled Program: the fault is
-// injected at its site, the site's combinational fanouts are pushed onto a
-// level-bucketed queue, and only gates with a changed fanin are ever
-// evaluated, in ascending level order. Because every gate's level is
-// strictly greater than all of its fanins' levels, each gate is evaluated
-// at most once, after all its changed fanins are final — so the set of
-// changed gates (and hence the detection word) is exactly what a full
-// topological sweep would compute, at the cost of the fault's cone.
-func (ev *faultEval) detectWord(f faults.Fault, mask uint64) uint64 {
-	e := ev.e
-	p := e.prog
+// pinDriver returns the driver of f's pin when f is a fault on a DFF data
+// pin, and -1 for every other fault. Such a fault only changes the value
+// the DFF captures, so it is detected wherever that driver's good word
+// differs from the stuck value.
+func (p *Program) pinDriver(f faults.Fault) int32 {
+	site := int32(f.Gate)
+	if f.Pin == faults.StemPin || p.op[site] != pSource {
+		return -1
+	}
+	return p.fanins[p.faninOff[site]+int32(f.Pin)]
+}
+
+// effect returns the root of fault f's fanout-free region and the lanes in
+// which f flips that root. The word starts as the fault's effect at its
+// site and is ANDed, at each step up the region, with the successor's
+// sensitization of the pin the step enters (Program.sensitize). Every gate
+// below the root has exactly one fanout edge and feeds no pseudo output,
+// so in each lane the fault reaches the rest of the circuit only through
+// the root, and flips it exactly where the word is set. For a fault on a
+// DFF data pin root is -1 and the word is already its detection word.
+func (ev *faultEval) effect(f faults.Fault) (root int32, d uint64) {
+	p := ev.e.prog
 	stuck := uint64(0)
 	if f.Stuck == logic.One {
 		stuck = ^uint64(0)
 	}
-
-	g := e.c.Gate(f.Gate)
-	if f.Pin != faults.StemPin && g.Type == netlist.DFF {
-		// Branch fault on a DFF data pin: the captured value is stuck;
-		// detection is any pattern where the good driver value differs.
-		return (ev.good[g.Fanin[f.Pin]] ^ stuck) & mask
+	if drv := p.pinDriver(f); drv >= 0 {
+		return -1, ev.good[drv] ^ stuck
 	}
+	site := int32(f.Gate)
+	if f.Pin == faults.StemPin {
+		d = stuck ^ ev.good[site]
+	} else {
+		// Branch fault: recompute gate f.Gate with pin forced.
+		d = ev.evalWithPin(site, f.Pin, stuck) ^ ev.good[site]
+	}
+	for d != 0 && p.succ[site] >= 0 {
+		d &= p.sensitize(ev.good, p.succ[site], p.succPin[site])
+		site = p.succ[site]
+	}
+	return site, d
+}
 
+// observe returns the observability word of gate root for the loaded
+// batch: bit k set iff flipping root in pattern k changes some pseudo
+// output.
+func (ev *faultEval) observe(root int32) uint64 {
+	return ev.propagate(root, ^ev.good[root])
+}
+
+// propagate returns the lanes in which the faulty word fw at site changes
+// some pseudo output, all other gates starting at their good words.
+//
+// Propagation is event-driven over the compiled Program: the site's
+// combinational fanouts are pushed onto a level-bucketed queue, and only
+// gates with a changed fanin are ever evaluated, in ascending level
+// order. Because every gate's level is strictly greater than all of its
+// fanins' levels, each gate is evaluated at most once, after all its
+// changed fanins are final — so the set of changed gates (and hence the
+// detection word) is exactly what a full topological sweep would compute,
+// at the cost of the site's cone.
+func (ev *faultEval) propagate(site int32, fw uint64) uint64 {
+	p := ev.e.prog
+	if fw == ev.good[site] {
+		return 0
+	}
 	ev.cur++
 	if ev.cur == 0 { // epoch wrapped: reset
 		for i := range ev.epoch {
@@ -604,25 +766,12 @@ func (ev *faultEval) detectWord(f faults.Fault, mask uint64) uint64 {
 		}
 		ev.cur = 1
 	}
-
-	site := int32(f.Gate)
-	if f.Pin == faults.StemPin {
-		ev.fw[site] = stuck
-	} else {
-		// Branch fault: recompute gate f.Gate with pin forced.
-		ev.fw[site] = ev.evalWithPin(site, f.Pin, stuck)
-	}
+	ev.fw[site] = fw
 	ev.epoch[site] = ev.cur
-	if ev.fw[site] == ev.good[site] {
-		// The fault never changes the site value for this batch — but a
-		// stem stuck fault still differs wherever good != stuck; that IS
-		// fw != good. Equal means undetectable in this batch.
-		return 0
-	}
 
 	var det uint64
 	if p.observed[site] {
-		det = (ev.fw[site] ^ ev.good[site]) & mask
+		det = fw ^ ev.good[site]
 	}
 	// Seed the event queue with the site's combinational fanouts. Every
 	// fanout's level exceeds the site's, so processing levels upward from
@@ -678,7 +827,7 @@ func (ev *faultEval) detectWord(f faults.Fault, mask uint64) uint64 {
 			ev.fw[id] = v
 			ev.epoch[id] = ev.cur
 			if p.observed[id] {
-				det |= (v ^ ev.good[id]) & mask
+				det |= v ^ ev.good[id]
 			}
 			for _, s := range p.fanouts[p.fanoutOff[id]:p.fanoutOff[id+1]] {
 				if ev.inq[s] != ev.cur {

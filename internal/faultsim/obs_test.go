@@ -13,8 +13,9 @@ import (
 
 // TestEngineInstrumentation checks the counters and trace events an
 // instrumented engine produces: patterns/drops add up, good.gates sums the
-// live regions the good passes evaluated, and every batch event parses as
-// JSON with a non-decreasing detected count.
+// live regions the good passes evaluated, detect.roots is positive and at
+// most the fault evaluations (one per remaining fault per batch), and
+// every batch event parses as JSON with a non-decreasing detected count.
 func TestEngineInstrumentation(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	flist := faults.CollapsedUniverse(c)
@@ -25,8 +26,11 @@ func TestEngineInstrumentation(t *testing.T) {
 
 	e := NewEngine(c, flist)
 	e.Instrument(col)
-	var evaluated int64
-	e.goodHook = func(e *Engine) { evaluated += int64(len(e.region)) }
+	var evaluated, faultEvals int64
+	e.goodHook = func(e *Engine) {
+		evaluated += int64(len(e.region))
+		faultEvals += int64(len(e.remaining))
+	}
 	rng := rand.New(rand.NewSource(7))
 	e.Apply(randomPatterns(rng, len(c.PseudoInputs()), 100))
 
@@ -42,6 +46,9 @@ func TestEngineInstrumentation(t *testing.T) {
 	}
 	if got := snap.Counters["faultsim.good.gates"]; got != evaluated || got == 0 {
 		t.Errorf("good.gates = %d, want %d (> 0)", got, evaluated)
+	}
+	if got := snap.Counters["faultsim.detect.roots"]; got <= 0 || got > faultEvals {
+		t.Errorf("detect.roots = %d, want 1..%d", got, faultEvals)
 	}
 
 	prev := -1

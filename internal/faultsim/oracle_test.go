@@ -75,9 +75,9 @@ func TestAllPatternsEnumeration(t *testing.T) {
 // bit-parallel engine — serial and sharded at several worker counts — must
 // report the identical first-detection table the exhaustive oracle computes.
 func TestOracleDifferentialExhaustive(t *testing.T) {
-	old := minShardFaults
-	minShardFaults = 1 // force even tiny fault lists through the sharded path
-	defer func() { minShardFaults = old }()
+	old := minShardRoots
+	minShardRoots = 1 // force even tiny fault lists through the sharded path
+	defer func() { minShardRoots = old }()
 
 	for name, c := range oracleCircuits(t) {
 		t.Run(name, func(t *testing.T) {
@@ -126,9 +126,9 @@ func TestOracleAgainstSerialReference(t *testing.T) {
 // curated netlists: random multi-level circuits, exhaustive patterns,
 // engine (sharded) vs oracle.
 func TestOracleRandomCircuits(t *testing.T) {
-	old := minShardFaults
-	minShardFaults = 1
-	defer func() { minShardFaults = old }()
+	old := minShardRoots
+	minShardRoots = 1
+	defer func() { minShardRoots = old }()
 
 	r := rand.New(rand.NewSource(0x5eed))
 	for trial := 0; trial < 8; trial++ {

@@ -45,6 +45,9 @@ func laneCubes(r *rand.Rand, width int) []logic.Cube {
 // alone, and against the serial reference SerialSimulate — on the fixtures
 // every lane, on the stand-ins (where one serial check costs a full
 // faulty-circuit evaluation) one X lane per fault, cycling through xLanes.
+// Two more engines queue the same cubes and must answer alike for every
+// fault, though Queue evaluates only their live region: one with no fault
+// list, as SettleAborted builds, and one whose earlier Apply dropped faults.
 func TestQueuedDetectsMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	fixtures := fixtureCircuits(t)
@@ -106,6 +109,24 @@ func TestQueuedDetectsMatchesSerial(t *testing.T) {
 		}
 		if e.DetectedCount() != 0 || e.NumPatterns() != 0 {
 			t.Fatalf("%s: queueing changed the engine state", name)
+		}
+
+		bare, dropped := NewEngineFor(prog, nil), NewEngineFor(prog, flist)
+		if dropped.Apply(randomPatterns(r, len(c.PseudoInputs()), 8)) == 0 {
+			t.Fatalf("%s: the earlier Apply dropped no fault", name)
+		}
+		for _, cube := range cubes {
+			bare.Queue(cube)
+			dropped.Queue(cube)
+		}
+		for i, f := range flist {
+			if w := bare.QueuedDetects(f); w != got[i] {
+				t.Fatalf("%s: fault %s: QueuedDetects %#x on an engine with no faults, %#x", name, f.String(c), w, got[i])
+			}
+			if w := dropped.QueuedDetects(f); w != got[i] {
+				t.Fatalf("%s: fault %s (dropped: %v): QueuedDetects %#x after an Apply, %#x",
+					name, f.String(c), dropped.Result().DetectedBy[i] != Undetected, w, got[i])
+			}
 		}
 	}
 }

@@ -15,11 +15,11 @@ import (
 
 // scrambleDead returns a good-pass hook that overwrites every good word
 // outside the engine's live region with garbage, so that any word
-// detectWord reads but the region misses changes some detection.
+// detection reads but the region misses changes some detection.
 func scrambleDead(r *rand.Rand) func(*Engine) {
 	return func(e *Engine) {
 		for id, live := range e.live {
-			if !live {
+			if live == deadGate {
 				e.good[id] = r.Uint64()
 			}
 		}
@@ -117,34 +117,10 @@ func loopCircuit(t *testing.T, r *rand.Rand, nIn, nGates, nDFF, nOut int) *netli
 	return c
 }
 
-// TestLiveRegionCoversEveryRead holds the live region to its claim: it
-// contains every good word detectWord reads for a remaining fault. With
-// every word outside it scrambled after each good pass, the detection
-// tables must equal those of grading over the full order — on every
-// collapsed fault of every .bench fixture, the six stand-ins, flattened
-// SOC1 and SOC2, and random circuits with DFF loops under the full
-// (uncollapsed) fault universe of stem, branch and DFF data-pin faults.
-// The random circuits are also graded on their DFF data-pin faults alone:
-// in the full universe, the driver's own stem fault, which every pattern
-// detecting the pin fault detects too, keeps the driver in the cone
-// whenever the pin fault remains.
-func TestLiveRegionCoversEveryRead(t *testing.T) {
-	defer func(old int) { minShardFaults = old }(minShardFaults)
-	minShardFaults = 1 // shard every batch at 2 workers
-
-	r := rand.New(rand.NewSource(24))
-	patternsFor := func(c *netlist.Circuit) []logic.Cube {
-		return randomPatterns(r, len(c.PseudoInputs()), 256)
-	}
-	for name, c := range fixtureCircuits(t) {
-		checkRegion(t, name, c, faults.CollapsedUniverse(c), patternsFor(c))
-	}
-
-	// Circuits big enough that the region must shrink below the full order.
-	var big []*netlist.Circuit
-	for _, name := range []string{"s713", "s953", "s1423", "s5378", "s13207", "s15850"} {
-		big = append(big, standinCircuit(t, name))
-	}
+// flatSOCs returns SOC1 and SOC2 flattened as the live rerun builds them.
+func flatSOCs(t *testing.T) []*netlist.Circuit {
+	t.Helper()
+	var out []*netlist.Circuit
 	for _, chip := range []struct {
 		name  string
 		cores []string
@@ -169,8 +145,40 @@ func TestLiveRegionCoversEveryRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		big = append(big, c)
+		out = append(out, c)
 	}
+	return out
+}
+
+// TestLiveRegionCoversEveryRead holds the live region to its claim: it
+// contains every good word detection reads for a remaining fault. With
+// every word outside it scrambled after each good pass, the detection
+// tables must equal those of grading over the full order — on every
+// collapsed fault of every .bench fixture, the six stand-ins, flattened
+// SOC1 and SOC2, and random circuits with DFF loops under the full
+// (uncollapsed) fault universe of stem, branch and DFF data-pin faults.
+// The random circuits are also graded on their DFF data-pin faults alone:
+// in the full universe, the driver's own stem fault, which every pattern
+// detecting the pin fault detects too, keeps the driver in the cone
+// whenever the pin fault remains.
+func TestLiveRegionCoversEveryRead(t *testing.T) {
+	defer func(old int) { minShardRoots = old }(minShardRoots)
+	minShardRoots = 1 // shard every batch at 2 workers
+
+	r := rand.New(rand.NewSource(24))
+	patternsFor := func(c *netlist.Circuit) []logic.Cube {
+		return randomPatterns(r, len(c.PseudoInputs()), 256)
+	}
+	for name, c := range fixtureCircuits(t) {
+		checkRegion(t, name, c, faults.CollapsedUniverse(c), patternsFor(c))
+	}
+
+	// Circuits big enough that the region must shrink below the full order.
+	var big []*netlist.Circuit
+	for _, name := range []string{"s713", "s953", "s1423", "s5378", "s13207", "s15850"} {
+		big = append(big, standinCircuit(t, name))
+	}
+	big = append(big, flatSOCs(t)...)
 	for _, c := range big {
 		if fewest := checkRegion(t, c.Name, c, faults.CollapsedUniverse(c), patternsFor(c)); fewest >= len(Compile(c).order) {
 			t.Errorf("%s: the region never shrank below the full order; scrambling tested nothing", c.Name)
