@@ -174,10 +174,6 @@ func printSchedule(sch *coopt.Schedule) {
 	fmt.Printf("lower bound %s   ratio %s   TDV %s bits   useful %s   utilization %s\n",
 		report.Int(sch.LowerBound), report.Fixed2(sch.LBRatio),
 		report.Int(sch.TDVBits), report.Int(sch.UsefulBits), pct(sch.Utilization))
-	if sch.PowerBudget > 0 {
-		fmt.Printf("power budget %s   session-baseline time %s\n",
-			report.Int(sch.PowerBudget), report.Int(sch.SessionTime))
-	}
 	fmt.Printf("abort-on-fail: packed E=%.1f, optimal E=%.1f (%s better)\n",
 		sch.Abort.PackedExpected, sch.Abort.OptimalExpected, pct(sch.Abort.Improvement))
 }

@@ -5,6 +5,144 @@ import (
 	"testing"
 )
 
+// maxBruteCores bounds PackOptimal: the exhaustive search is exponential
+// in the core count and exists only to certify the heuristic on small
+// instances.
+const maxBruteCores = 5
+
+// PackOptimal returns the minimum makespan of any valid schedule of the
+// cores on a TAM of width w (optionally under a power budget), by
+// exhaustive search. It is the ground truth the heuristic is tested
+// against: Pack must never beat it, because PackOptimal is a true optimum
+// for the line model.
+//
+// The search uses the capacity relaxation: a schedule is valid iff at
+// every instant the summed widths of running cores is ≤ w (and the summed
+// power ≤ budget). Any capacity-feasible set of intervals can be assigned
+// to concrete, possibly non-contiguous TAM lines greedily in start order
+// — a core starting at time t takes any free lines, and capacity
+// feasibility guarantees enough lines are free — so the capacity optimum
+// equals the line-model optimum. Within the relaxation, some optimal
+// schedule is left-justified (every start is 0 or another core's finish),
+// so the DFS enumerates placements in nondecreasing start order over
+// exactly those event points, with branch-and-bound on the incumbent.
+func PackOptimal(cores []Core, w int, powerBudget int64) (int64, error) {
+	if len(cores) == 0 {
+		return 0, fmt.Errorf("coopt: no cores to pack")
+	}
+	if len(cores) > maxBruteCores {
+		return 0, fmt.Errorf("coopt: PackOptimal is capped at %d cores, got %d", maxBruteCores, len(cores))
+	}
+	if w < 1 {
+		return 0, fmt.Errorf("coopt: TAM width %d outside 1..%d", w, MaxTAMWidth)
+	}
+	for _, c := range cores {
+		if len(c.Configs) == 0 {
+			return 0, fmt.Errorf("coopt: core %q has no wrapper configuration fitting width %d", c.Name, w)
+		}
+		if powerBudget > 0 && c.Power > powerBudget {
+			return 0, fmt.Errorf("coopt: core %q alone exceeds the power budget (%d > %d)",
+				c.Name, c.Power, powerBudget)
+		}
+	}
+
+	type slot struct {
+		start, finish int64
+		width         int
+		power         int64
+	}
+	placed := make([]slot, 0, len(cores))
+	used := make([]bool, len(cores))
+	best := upperBoundSerial(cores)
+
+	// feasible reports whether adding cand keeps the width and power
+	// capacities respected at every instant; checking at the starts of
+	// overlapping intervals (and cand's own start) suffices because the
+	// concurrent set only changes at starts.
+	feasible := func(cand slot) bool {
+		checkAt := func(t int64) bool {
+			if t < cand.start || t >= cand.finish {
+				return true
+			}
+			width, pow := cand.width, cand.power
+			for _, s := range placed {
+				if s.start <= t && t < s.finish {
+					width += s.width
+					pow += s.power
+				}
+			}
+			return width <= w && (powerBudget <= 0 || pow <= powerBudget)
+		}
+		if !checkAt(cand.start) {
+			return false
+		}
+		for _, s := range placed {
+			if !checkAt(s.start) {
+				return false
+			}
+		}
+		return true
+	}
+
+	var dfs func(lastStart, makespan int64)
+	dfs = func(lastStart, makespan int64) {
+		if makespan >= best {
+			return // bound: cannot improve the incumbent
+		}
+		done := true
+		for i, c := range cores {
+			if used[i] {
+				continue
+			}
+			done = false
+			// Candidate starts: left-justified event points at or after the
+			// last placed start (nondecreasing start order is WLOG).
+			starts := []int64{lastStart}
+			for _, s := range placed {
+				if s.finish >= lastStart {
+					starts = append(starts, s.finish)
+				}
+			}
+			for _, cfg := range c.Configs {
+				if cfg.Width > w {
+					continue
+				}
+				for _, st := range starts {
+					cand := slot{start: st, finish: st + cfg.Time, width: cfg.Width, power: c.Power}
+					if !feasible(cand) {
+						continue
+					}
+					used[i] = true
+					placed = append(placed, cand)
+					m := makespan
+					if cand.finish > m {
+						m = cand.finish
+					}
+					dfs(st, m)
+					placed = placed[:len(placed)-1]
+					used[i] = false
+				}
+			}
+		}
+		if done && makespan < best {
+			best = makespan
+		}
+	}
+	dfs(0, 0)
+	return best, nil
+}
+
+// upperBoundSerial is a trivially valid makespan: every core serial on
+// its narrowest configuration, plus one so the first real schedule
+// strictly improves it.
+func upperBoundSerial(cores []Core) int64 {
+	var t int64
+	for _, c := range cores {
+		t += c.Configs[0].Time
+	}
+	return t + 1
+}
+
 // TestHeuristicNeverBeatsOptimal exhaustively enumerates small rectangle
 // instances and checks the ordering PackOptimal ≤ Pack ≤ 2·LowerBound and
 // LowerBound ≤ PackOptimal. A heuristic "beating" the exhaustive optimum

@@ -18,13 +18,13 @@
 //  2. Scheduling (pack.go): every core test is a width × time rectangle
 //     (any of its staircase configurations); the rectangles are packed
 //     onto the W TAM lines by the diagonal-length heuristic of 1008.4446,
-//     under an optional power budget (the session-based power model of
-//     internal/power) and optional precedence edges.
+//     under an optional power budget (1008.4448) and optional precedence
+//     edges.
 //
 // The result (schedule.go) carries the total test time, the per-core TAM
 // assignment, the idle-bit overhead decomposed into wrapper idle and TAM
 // idle (the quantities whose exclusion the paper acknowledges), and the
-// expected-time-optimal abort-on-fail ordering via internal/sched.
+// expected-time-optimal abort-on-fail ordering of the placed tests.
 // Everything is deterministic: no wall clock, no randomness, total
 // tie-break orders everywhere, so the same SOC and options produce
 // byte-identical schedules across runs, worker counts and daemons.
@@ -164,7 +164,7 @@ func Optimize(s *core.SOC, opts Options) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildSchedule(s.Name, cores, pk, opts)
+	return buildSchedule(s.Name, cores, pk, opts), nil
 }
 
 // FrontierPoint is one TAM width's outcome in a width sweep: the

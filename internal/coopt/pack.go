@@ -29,7 +29,19 @@ type Packing struct {
 	// TDVBits is the total data volume clocked on the TAM over the
 	// schedule: every one of the W lines, both directions, for the whole
 	// makespan — 2·W·TotalTime.
-	TDVBits    int64
+	TDVBits int64
+	// UsefulBits is Σ T·(2S + I + O + 2B) over the scheduled cores: every
+	// core pays its own scan and port bits once per pattern. It differs
+	// from the paper's Equation 4 (core.SOC.TDVModular) by exactly one
+	// named term,
+	//
+	//	TDVModular = UsefulBits + Σ_P T_P·(Σ_{C∈Child(P)} PortBits(C)
+	//	                                   − [P tester-accessible]·PortBits(P))
+	//
+	// because Equation 4 also charges each module its children's ports
+	// (ExTest) and waives the ports of a tester-accessible module. The
+	// term is 0 on nine of the ten ITC'02 SOCs; TestUsefulBitsMatchEquation4
+	// holds the identity.
 	UsefulBits int64
 	// WrapperIdleBits is Σ per-placement IdleBits: padding inside the
 	// rectangles because wrapper chains cannot always balance.
@@ -49,8 +61,8 @@ type Packing struct {
 //
 // Constraints: an optional power budget — the summed power proxy of
 // concurrently running cores never exceeds it, enforced by delaying a
-// core past the finishes of running cores (the session-style constraint
-// of internal/power, applied to a 2D schedule) — and optional precedence
+// core past the finishes of running cores (the power-constrained packing
+// of 1008.4448) — and optional precedence
 // edges, honored by only placing cores whose predecessors are already
 // placed and starting them no earlier than the latest predecessor finish.
 //

@@ -2,10 +2,7 @@ package coopt
 
 import (
 	"encoding/json"
-	"fmt"
-
-	"repro/internal/power"
-	"repro/internal/sched"
+	"sort"
 )
 
 // Schedule is the complete co-optimization result for one SOC at one TAM
@@ -32,18 +29,13 @@ type Schedule struct {
 
 	Placements []Placement `json:"placements"`
 
-	// SessionTime is the session-based power schedule's total time for the
-	// same cores and budget (internal/power's model) — the 1D baseline the
-	// 2D packing is measured against. Present only under a power budget.
-	SessionTime int64 `json:"session_time,omitempty"`
-
 	Abort AbortReport `json:"abort"`
 }
 
 // AbortReport carries the abort-on-fail view of the schedule: the packed
-// start order versus the expected-time-optimal order of internal/sched,
-// with the expected times of both under the deterministic failure-
-// probability proxy (see failProb).
+// start order versus the expected-time-optimal order, with the expected
+// times of both under the deterministic failure-probability proxy (see
+// failProb).
 type AbortReport struct {
 	PackedOrder     []string `json:"packed_order"`
 	PackedExpected  float64  `json:"packed_expected"`
@@ -57,7 +49,7 @@ type AbortReport struct {
 // failProb is the deterministic failure-probability proxy used when no
 // yield data exists: cores with more patterns target more faults and are
 // proportionally likelier to catch a defect. Scaling by 2·maxPatterns
-// keeps every probability in (0, 0.5], safely inside sched's [0,1] domain.
+// keeps every probability in (0, 0.5].
 func failProb(patterns, maxPatterns int) float64 {
 	if maxPatterns <= 0 {
 		return 0
@@ -65,8 +57,42 @@ func failProb(patterns, maxPatterns int) float64 {
 	return float64(patterns) / float64(2*maxPatterns)
 }
 
+// abortTest is one placed core test in an abort-on-first-fail flow.
+type abortTest struct {
+	name string
+	time int64
+	p    float64 // failure probability, in [0, 1]
+}
+
+// expectedTime returns the expected test time of running the tests in
+// order, stopping at the first failure:
+//
+//	E[t] = Σ_k t_k · Π_{j<k} (1 − p_j)
+func expectedTime(order []abortTest) float64 {
+	reach := 1.0
+	var e float64
+	for _, t := range order {
+		e += float64(t.time) * reach
+		reach *= 1 - t.p
+	}
+	return e
+}
+
+// optimalOrder returns the order minimizing expectedTime. By the exchange
+// argument, a before b is optimal exactly when t_a·p_b ≤ t_b·p_a, so a
+// stable sort on the cross-multiplied t/p ratio is globally optimal, and
+// never-failing tests (p = 0) sort last.
+func optimalOrder(tests []abortTest) []abortTest {
+	order := append([]abortTest(nil), tests...)
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		return float64(a.time)*b.p < float64(b.time)*a.p
+	})
+	return order
+}
+
 // buildSchedule dresses a raw packing as the serving artifact.
-func buildSchedule(socName string, cores []Core, pk *Packing, opts Options) (*Schedule, error) {
+func buildSchedule(socName string, cores []Core, pk *Packing, opts Options) *Schedule {
 	s := &Schedule{
 		SOC:             socName,
 		TAMWidth:        pk.TAMWidth,
@@ -92,44 +118,25 @@ func buildSchedule(socName string, cores []Core, pk *Packing, opts Options) (*Sc
 		}
 	}
 	// Abort-on-fail ordering over the placed tests, in packed start order.
-	tests := make([]sched.Test, len(pk.Placements))
+	tests := make([]abortTest, len(pk.Placements))
 	for i, p := range pk.Placements {
-		tests[i] = sched.Test{
-			Name:     p.Core,
-			Time:     p.Finish - p.Start,
-			FailProb: failProb(patterns[p.Core], maxPatterns),
-		}
+		tests[i] = abortTest{name: p.Core, time: p.Finish - p.Start, p: failProb(patterns[p.Core], maxPatterns)}
 	}
-	opt, err := sched.Optimize(tests)
-	if err != nil {
-		return nil, fmt.Errorf("coopt: abort-on-fail ordering: %w", err)
-	}
+	opt := optimalOrder(tests)
 	s.Abort = AbortReport{
-		PackedExpected:  round4(sched.ExpectedTime(tests)),
-		OptimalExpected: round4(sched.ExpectedTime(opt)),
+		PackedExpected:  round4(expectedTime(tests)),
+		OptimalExpected: round4(expectedTime(opt)),
 	}
 	for _, t := range tests {
-		s.Abort.PackedOrder = append(s.Abort.PackedOrder, t.Name)
+		s.Abort.PackedOrder = append(s.Abort.PackedOrder, t.name)
 	}
 	for _, t := range opt {
-		s.Abort.OptimalOrder = append(s.Abort.OptimalOrder, t.Name)
+		s.Abort.OptimalOrder = append(s.Abort.OptimalOrder, t.name)
 	}
 	if s.Abort.PackedExpected > 0 {
 		s.Abort.Improvement = round4(1 - s.Abort.OptimalExpected/s.Abort.PackedExpected)
 	}
-
-	if opts.PowerBudget > 0 {
-		loads := make([]power.CoreLoad, len(pk.Placements))
-		for i, p := range pk.Placements {
-			loads[i] = power.CoreLoad{Name: p.Core, Time: p.Finish - p.Start, Power: p.Power}
-		}
-		ses, err := power.ScheduleSessions(loads, opts.PowerBudget)
-		if err != nil {
-			return nil, fmt.Errorf("coopt: session baseline: %w", err)
-		}
-		s.SessionTime = ses.TotalTime
-	}
-	return s, nil
+	return s
 }
 
 // Encode renders the schedule as its canonical artifact bytes: compact

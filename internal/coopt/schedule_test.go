@@ -1,11 +1,15 @@
 package coopt
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/itc02"
-	"repro/internal/sched"
+	"repro/internal/tam"
 )
 
 func mustJSON(t *testing.T, v interface{}) []byte {
@@ -17,47 +21,137 @@ func mustJSON(t *testing.T, v interface{}) []byte {
 	return b
 }
 
-// TestAbortReportPinnedToSchedVectors pins the schedule's abort-on-fail
-// ordering to the exact vectors of internal/sched's own tests: t/p ratios
-// 100000, 20, 1000 order as short-flaky, medium, long-reliable, and the
-// two-test expected times are 20 and 30 depending on order. The schedule
-// layer must reproduce sched's arithmetic bit for bit.
-func TestAbortReportPinnedToSchedVectors(t *testing.T) {
-	vec := []sched.Test{
-		{Name: "long-reliable", Time: 1000, FailProb: 0.01},
-		{Name: "short-flaky", Time: 10, FailProb: 0.5},
-		{Name: "medium", Time: 100, FailProb: 0.1},
+// TestExpectedTime pins expectedTime to the two-test reference vector of
+// the exchange argument: expected times 20 and 30 depending on order.
+func TestExpectedTime(t *testing.T) {
+	// t1=10 p1=0.5 then t2=20 p2=0: E = 10 + 0.5·20 = 20.
+	two := []abortTest{{name: "a", time: 10, p: 0.5}, {name: "b", time: 20, p: 0}}
+	if got := expectedTime(two); got != 20 {
+		t.Errorf("E = %v, want 20", got)
 	}
-	opt, err := sched.Optimize(vec)
-	if err != nil {
-		t.Fatal(err)
+	// Reversed: E = 20 + 1.0·10 = 30.
+	if got := expectedTime([]abortTest{two[1], two[0]}); got != 30 {
+		t.Errorf("reversed E = %v, want 30", got)
 	}
+	if expectedTime(nil) != 0 {
+		t.Error("empty order must be 0")
+	}
+}
+
+// TestOptimalOrderRatios pins optimalOrder to the three-test reference
+// vector: t/p ratios 100000, 20, 1000 order as short-flaky, medium,
+// long-reliable.
+func TestOptimalOrderRatios(t *testing.T) {
+	tests := []abortTest{
+		{name: "long-reliable", time: 1000, p: 0.01},
+		{name: "short-flaky", time: 10, p: 0.5},
+		{name: "medium", time: 100, p: 0.1},
+	}
+	opt := optimalOrder(tests)
 	want := []string{"short-flaky", "medium", "long-reliable"}
 	for i, w := range want {
-		if opt[i].Name != w {
-			t.Fatalf("sched vector drifted: position %d = %s, want %s", i, opt[i].Name, w)
+		if opt[i].name != w {
+			t.Fatalf("position %d = %s, want %s", i, opt[i].name, w)
 		}
 	}
+	if expectedTime(opt) >= expectedTime(tests) {
+		t.Errorf("optimal %v not better than baseline %v", expectedTime(opt), expectedTime(tests))
+	}
+	if tests[0].name != "long-reliable" {
+		t.Error("optimalOrder must not reorder its argument")
+	}
+}
 
-	// The same exchange-argument ordering must surface in a built schedule.
-	// Patterns drive both the proxy failure probability and (via the
-	// wrapper) the time, so craft cores whose placed durations and proxy
-	// probabilities mirror a known optimize outcome.
-	two := []sched.Test{
-		{Name: "a", Time: 10, FailProb: 0.5},
-		{Name: "b", Time: 20, FailProb: 0},
+// TestAbortReportPinnedToSchedVectors checks that the two-test reference
+// vector surfaces in a built schedule's abort report. Core a has the most
+// patterns (p = 0.5) and runs 10 cycles; core b has none (p = 0) and runs
+// 20 cycles. Packed b-then-a, the report must give E = 30 for the packed
+// order, E = 20 for the optimal a-then-b order, and an improvement of 1/3.
+func TestAbortReportPinnedToSchedVectors(t *testing.T) {
+	cores := []Core{
+		{Name: "a", Test: tam.CoreTest{Patterns: 8}},
+		{Name: "b", Test: tam.CoreTest{Patterns: 0}},
 	}
-	if got := sched.ExpectedTime(two); got != 20 {
-		t.Fatalf("E = %v, want 20 (sched vector drifted)", got)
+	pk := &Packing{
+		TAMWidth:  1,
+		TotalTime: 30,
+		Placements: []Placement{
+			{Core: "b", Width: 1, Lines: []int{0}, Start: 0, Finish: 20},
+			{Core: "a", Width: 1, Lines: []int{0}, Start: 20, Finish: 30},
+		},
 	}
-	if got := sched.ExpectedTime([]sched.Test{two[1], two[0]}); got != 30 {
-		t.Fatalf("reversed E = %v, want 30 (sched vector drifted)", got)
+	ab := buildSchedule("vec", cores, pk, Options{TAMWidth: 1}).Abort
+	if ab.PackedExpected != 30 || ab.OptimalExpected != 20 {
+		t.Fatalf("expected times packed %v optimal %v, want 30 and 20", ab.PackedExpected, ab.OptimalExpected)
 	}
+	if fmt.Sprint(ab.PackedOrder) != "[b a]" || fmt.Sprint(ab.OptimalOrder) != "[a b]" {
+		t.Fatalf("orders packed %v optimal %v, want [b a] and [a b]", ab.PackedOrder, ab.OptimalOrder)
+	}
+	if ab.Improvement != round4(1-20.0/30) {
+		t.Fatalf("improvement %v, want %v", ab.Improvement, round4(1-20.0/30))
+	}
+}
+
+func TestOptimalOrderZeroProbabilitySortsLast(t *testing.T) {
+	opt := optimalOrder([]abortTest{
+		{name: "never-fails", time: 1, p: 0},
+		{name: "fails", time: 1000, p: 0.9},
+	})
+	if opt[len(opt)-1].name != "never-fails" {
+		t.Error("zero-probability test must sort last")
+	}
+}
+
+// TestOptimalOrderIsGloballyOptimal: no permutation beats the t/p order,
+// checked by full enumeration of up to five tests (120 permutations).
+func TestOptimalOrderIsGloballyOptimal(t *testing.T) {
+	if err := quick.Check(func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tests := make([]abortTest, 2+r.Intn(4))
+		for i := range tests {
+			tests[i] = abortTest{
+				name: string(rune('a' + i)),
+				time: int64(1 + r.Intn(1000)),
+				p:    float64(r.Intn(100)) / 100,
+			}
+		}
+		best := expectedTime(optimalOrder(tests))
+		ok := true
+		permute(tests, func(p []abortTest) {
+			if expectedTime(p) < best-1e-9 {
+				ok = false
+			}
+		})
+		return ok
+	}, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// permute enumerates all permutations of ts (Heap's algorithm).
+func permute(ts []abortTest, visit func([]abortTest)) {
+	p := append([]abortTest(nil), ts...)
+	var rec func(k int)
+	rec = func(k int) {
+		if k <= 1 {
+			visit(p)
+			return
+		}
+		for i := 0; i < k; i++ {
+			rec(k - 1)
+			if k%2 == 0 {
+				p[i], p[k-1] = p[k-1], p[i]
+			} else {
+				p[0], p[k-1] = p[k-1], p[0]
+			}
+		}
+	}
+	rec(len(p))
 }
 
 // TestScheduleAbortOrdering checks the report on a real SOC: the optimal
 // order's expected time never exceeds the packed order's, the orders are
-// permutations of the same cores, and failProb stays within sched's domain.
+// permutations of the same cores, and the improvement is a fraction.
 func TestScheduleAbortOrdering(t *testing.T) {
 	s, err := itc02.SOCByName("d695")
 	if err != nil {
@@ -101,50 +195,6 @@ func TestFailProbDomain(t *testing.T) {
 	}
 }
 
-// TestScheduleSessionBaseline: under a power budget the schedule reports
-// the session-based 1D baseline, and the 2D packing never loses to it by
-// construction pressure alone (the session model is a restriction of the
-// 2D model, so SessionTime ≥ the 2D optimum — but the heuristic is not
-// guaranteed to win, so only presence and sanity are asserted).
-func TestScheduleSessionBaseline(t *testing.T) {
-	s, err := itc02.SOCByName("g1023")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cores, err := BuildCores(s, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxPower int64
-	for _, c := range cores {
-		if c.Power > maxPower {
-			maxPower = c.Power
-		}
-	}
-	budget := 2 * maxPower
-	sch, err := Optimize(s, Options{TAMWidth: 16, PowerBudget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sch.SessionTime <= 0 {
-		t.Fatal("power-budgeted schedule must carry the session baseline")
-	}
-	if sch.PowerBudget != budget {
-		t.Fatal("budget must round-trip into the artifact")
-	}
-
-	free, err := Optimize(s, Options{TAMWidth: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.SessionTime != 0 {
-		t.Fatal("unbudgeted schedule must omit the session baseline")
-	}
-	if free.TotalTime > sch.TotalTime {
-		t.Fatal("adding a power budget cannot speed the schedule up")
-	}
-}
-
 func TestOptionsHashSensitivity(t *testing.T) {
 	base := Options{TAMWidth: 32}
 	if base.OptionsHash() == (Options{TAMWidth: 33}).OptionsHash() {
@@ -166,5 +216,44 @@ func TestBuildCoresRejectsChainMismatch(t *testing.T) {
 	s.Top.Children[0].ScanChains[0]++ // corrupt the declared chains
 	if _, err := BuildCores(s, 16); err == nil {
 		t.Fatal("chain-sum mismatch must be rejected")
+	}
+}
+
+// TestScheduleArtifactsPinned pins the SHA-256 of served schedule bytes.
+// The unbudgeted d695@32 and g1023@24 digests are the ones the socbench
+// serving catalog (cmd/socbench/testdata/serve_catalog.json) checks on
+// every /v1/schedule response. The budgeted one, with the precedence
+// pairs of srv's TestWorkKeysPinned, is the v1 artifact
+// (0989918184069f57…) minus its 21-byte `,"session_time":17484`.
+func TestScheduleArtifactsPinned(t *testing.T) {
+	prec := [][2]string{{"d695-core5", "d695-core1"}, {"d695-core2", "d695-core9"}}
+	for _, tc := range []struct {
+		soc  string
+		opts Options
+		want string
+	}{
+		{"d695", Options{TAMWidth: 32},
+			"a6cb2adb736afaf486bc0705f12b841080f7c4cb94d91e2e6b00bdd3593f994c"},
+		{"g1023", Options{TAMWidth: 24},
+			"e80d030daab41f4d720f2746957177712f5bb56260a68ec01a1241ccf37c722c"},
+		{"d695", Options{TAMWidth: 32, PowerBudget: 5000, Precedence: prec},
+			"ff35a661bc65f4ea078a79b670a16feead39fe934ee4d12d7462b42595a3f6f6"},
+	} {
+		s, err := itc02.SOCByName(tc.soc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sch, err := Optimize(s, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sch.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.want {
+			t.Errorf("%s@%d budget %d: artifact sha256 %s, want %s\n%s",
+				tc.soc, tc.opts.TAMWidth, tc.opts.PowerBudget, got, tc.want, b)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func Staircase(t tam.CoreTest, scanCells, maxW int) ([]Config, error) {
 // core whose scanCells internal cells are each their own length-1 chain,
 // without iterating per cell or per wrapper-cell.
 //
-// Phase 1 of DesignWrapper (LPT over unit chains, argminSum tie-breaking
+// Phase 1 of DesignWrapper (LPT over unit chains, LeastLoaded tie-breaking
 // on the lowest index) deals the cells round-robin. Phases 2a/2b (leveling
 // the input/output wrapper cells, argmin on the lowest index) first fill
 // the valley the round-robin left, then continue round-robin — so each
@@ -97,7 +97,7 @@ func designSplittable(scanCells, inputs, outputs, bidirs, w int) (tam.WrapperCha
 		Out: balancedFill(scanCells+outputs, w),
 	}
 	for i := 0; i < bidirs; i++ {
-		k := argminSum(wc)
+		k := wc.LeastLoaded()
 		wc.In[k]++
 		wc.Out[k]++
 	}
@@ -116,17 +116,4 @@ func balancedFill(n, w int) []int {
 		}
 	}
 	return out
-}
-
-// argminSum mirrors tam's unexported helper bit for bit: the fast path
-// must break ties on the same (lowest) index to stay differential-test-
-// identical to DesignWrapper.
-func argminSum(wc tam.WrapperChains) int {
-	best := 0
-	for i := range wc.In {
-		if wc.In[i]+wc.Out[i] < wc.In[best]+wc.Out[best] {
-			best = i
-		}
-	}
-	return best
 }

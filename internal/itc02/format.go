@@ -174,6 +174,9 @@ func ParseSOC(r io.Reader) (*core.SOC, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	if s.Name == "" {
+		return nil, fmt.Errorf("soc: missing 'soc <name>' directive")
+	}
 	if topName == "" {
 		return nil, fmt.Errorf("soc: missing 'top' directive")
 	}

@@ -93,6 +93,7 @@ func TestParseErrors(t *testing.T) {
 		{"negative value", "soc x\nmodule A i -2\ntop A"},
 		{"module no name", "soc x\nmodule"},
 		{"bad soc line", "soc"},
+		{"no soc line", "module A\ntop A"},
 		{"bad top line", "soc x\nmodule A t 1\ntop"},
 		{"self cycle", "soc x\nmodule A t 1 children A\ntop A"},
 	}

@@ -1,9 +1,15 @@
 package itc02
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzParseSOC exercises the SOC description parser: no panics; successful
-// parses round trip through the writer with identical TDV results.
+// parses round trip through the writer with identical TDV results and
+// satisfy the exact Equation 6 identity. testdata/fuzz/FuzzParseSOC holds
+// inputs it once failed on (a profile with no 'soc' line used to parse
+// and then write text that did not).
 func FuzzParseSOC(f *testing.F) {
 	f.Add("soc x\nmodule A i 1 o 2 b 0 s 3 t 4\ntop A\n")
 	f.Add("soc sc\nmodule A i 1 o 2 b 0 s 806 t 4 sc 403,403\ntop A\n")
@@ -35,6 +41,19 @@ func FuzzParseSOC(f *testing.F) {
 		}
 		if len(re.Modules()) != len(s.Modules()) {
 			t.Fatal("round trip changed module count")
+		}
+		// Eq. 6 is algebraic, so it holds for every accepted profile at
+		// every T_mono ≥ max T_i (Benefit panics below that by design).
+		// int64 arithmetic wraps in a ring, so overflowing inputs agree too.
+		tmax := s.MaxPatterns()
+		tms := []int{tmax, max(s.TMono, tmax)}
+		if tmax <= (math.MaxInt-1)/2 {
+			tms = append(tms, 2*tmax+1)
+		}
+		for _, tm := range tms {
+			if err := s.VerifyIdentity(tm); err != nil {
+				t.Fatalf("T_mono=%d: %v\n%s", tm, err, text)
+			}
 		}
 	})
 }

@@ -41,10 +41,11 @@ func TestWorkKeysPinned(t *testing.T) {
 			"f71dcbddc2e3338e0f6fad6b892e44c9e4596ae2b48178fcb6ad5bb2c9478d11"},
 		{"lint soc", "lint", &lintRequest{SOC: keySOC},
 			"399555a06b0973f65ed26e77345a6a3eddd36741dd4ed757be204f82fb504b76"},
+		// Keyed "v2|"+OptionsHash: see scheduleWork.
 		{"schedule d695", "schedule", &scheduleRequest{
 			Builtin: "d695", TAM: 32, PowerBudget: 5000,
 			Precedence: [][2]string{{"d695-core5", "d695-core1"}, {"d695-core2", "d695-core9"}},
-		}, "167d0ab3eb6ff9de6465af6850c8c1e8c9524687de48f04432d75950a543d373"},
+		}, "051e9fdf63b2dbf3cf72aa088b345b35a0ec9624f2d6394f022076b15bb43197"},
 	} {
 		var built []work
 		for _, k := range kinds {

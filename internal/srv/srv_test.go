@@ -252,6 +252,10 @@ var invalidRequests = []struct{ path, body string }{
 	{"/v1/tdv", `{"builtin":"d695","tmono":-1}`},
 	{"/v1/lint", `{"bench":"INPUT(a)\nOUTPUT(a)\n","timeout_ms":-5}`},
 	{"/v1/schedule", `{"builtin":"d695","tam":32,"power_budget":-1}`},
+	// An inline profile must name its SOC: without a 'soc <name>' line
+	// the canonical text would not parse back.
+	{"/v1/tdv", `{"soc":"module A t 1\ntop A"}`},
+	{"/v1/schedule", `{"soc":"module A t 1\ntop A","tam":8}`},
 }
 
 // TestValidationErrors checks malformed requests are 400s with a JSON

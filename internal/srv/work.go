@@ -361,7 +361,9 @@ type scheduleRequest struct {
 // scheduleWork validates a schedule request and builds its work unit. The
 // content address binds the canonical SOC text to the options fingerprint
 // (width, budget, precedence), so a changed knob never aliases a cached
-// schedule.
+// schedule. The "v2" tag versions the artifact shape: v2 schedules carry
+// no session_time, so a store filled with v1 bytes misses instead of
+// serving them.
 func scheduleWork(req *scheduleRequest) (work, error) {
 	soc, err := resolveSOC(req.SOC, req.Builtin)
 	if err != nil {
@@ -381,7 +383,7 @@ func scheduleWork(req *scheduleRequest) (work, error) {
 	canon := itc02.SOCString(soc)
 	return work{
 		circuit: soc.Name,
-		key:     store.Key("schedule", []byte(canon), opts.OptionsHash()),
+		key:     store.Key("schedule", []byte(canon), "v2|"+opts.OptionsHash()),
 		run: func(ctx context.Context, col *obs.Collector) ([]byte, error) {
 			span := col.StartSpan("schedule.optimize",
 				obs.F("soc", soc.Name), obs.F("tam", opts.TAMWidth))

@@ -102,7 +102,7 @@ func DesignWrapper(c CoreTest, w int) (WrapperChains, error) {
 	chains := append([]int(nil), c.Chains...)
 	sort.Sort(sort.Reverse(sort.IntSlice(chains)))
 	for _, l := range chains {
-		k := argminSum(wc)
+		k := wc.LeastLoaded()
 		wc.In[k] += l
 		wc.Out[k] += l
 	}
@@ -117,7 +117,7 @@ func DesignWrapper(c CoreTest, w int) (WrapperChains, error) {
 	// Phase 2c: bidir cells count in both directions; level on the max of
 	// the two.
 	for i := 0; i < c.Bidirs; i++ {
-		k := argminSum(wc)
+		k := wc.LeastLoaded()
 		wc.In[k]++
 		wc.Out[k]++
 	}
@@ -130,15 +130,17 @@ func argmin(xs []int) int {
 		if x < xs[best] {
 			best = i
 		}
-		_ = x
 	}
 	return best
 }
 
-func argminSum(wc WrapperChains) int {
+// LeastLoaded returns the chain with the smallest scan-in plus scan-out
+// length, the lowest index on ties: the chain DesignWrapper gives the next
+// internal scan chain or bidir cell.
+func (w WrapperChains) LeastLoaded() int {
 	best := 0
-	for i := range wc.In {
-		if wc.In[i]+wc.Out[i] < wc.In[best]+wc.Out[best] {
+	for i := range w.In {
+		if w.In[i]+w.Out[i] < w.In[best]+w.Out[best] {
 			best = i
 		}
 	}
