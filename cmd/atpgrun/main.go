@@ -51,6 +51,7 @@ import (
 	"repro/internal/bench89"
 	"repro/internal/cli"
 	"repro/internal/cones"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/lint"
 	"repro/internal/netlist"
@@ -220,7 +221,7 @@ func run() int {
 		}
 		man.SetResult("cones", len(a.Profiles))
 		man.SetResult("max_patterns", a.MaxPatterns())
-		man.SetResult("norm_stdev", cones.NormStdev(a.PatternCounts()))
+		man.SetResult("norm_stdev", core.NormStdev(a.PatternCounts()))
 		man.SetResult("overlap_pairs", a.OverlapPairs)
 		finish(&ob, man, reg, *jsonOut)
 		return 0
@@ -231,7 +232,8 @@ func run() int {
 	if err == nil && *satProve {
 		// Only a complete generation run is settled: a partial run's
 		// aborted set is an artifact of where it stopped, not of the search.
-		settle = atpg.SettleAborted(c, faults.CollapsedUniverse(c), res, col, *workers)
+		// A stop during settlement leaves the unsettled faults aborted.
+		settle, err = atpg.SettleAbortedContext(ctx, c, faults.CollapsedUniverse(c), res, col, *workers)
 	}
 	if res != nil {
 		man.SetResult("faults", res.NumFaults)

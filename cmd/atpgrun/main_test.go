@@ -199,6 +199,51 @@ func TestSIGINTExitsInterrupted(t *testing.T) {
 	}
 }
 
+// TestSatProveSignalExitsInterrupted signals atpgrun once SAT settlement
+// has started on s5378, whose three aborts the prover cannot settle in
+// any reasonable time: the run must stop promptly and exit 130, for
+// SIGTERM as for SIGINT.
+func TestSatProveSignalExitsInterrupted(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("no signal delivery on windows")
+	}
+	bin := buildBinary(t)
+	for name, sig := range map[string]syscall.Signal{"SIGTERM": syscall.SIGTERM, "SIGINT": syscall.SIGINT} {
+		t.Run(name, func(t *testing.T) {
+			trace := filepath.Join(t.TempDir(), "run.jsonl")
+			cmd := exec.Command(bin, "-standin", "s5378", "-sat-prove", "-trace", trace)
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				if data, err := os.ReadFile(trace); err == nil && bytes.Contains(data, []byte(`"atpg.phase.settle.begin"`)) {
+					break
+				}
+				if time.Now().After(deadline) {
+					_ = cmd.Process.Kill()
+					t.Fatal("run never started settlement")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if err := cmd.Process.Signal(sig); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- cmd.Wait() }()
+			select {
+			case err := <-done:
+				if code := exitCode(t, err); code != cli.ExitInterrupted {
+					t.Fatalf("exit %d, want %d", code, cli.ExitInterrupted)
+				}
+			case <-time.After(10 * time.Second):
+				_ = cmd.Process.Kill()
+				t.Fatalf("still settling 10 s after %v", sig)
+			}
+		})
+	}
+}
+
 // TestWorkersManifestIdentical is the exec-level determinism check: -workers 1
 // and -workers 8 runs must report identical result fields in their -json
 // manifests and leave byte-identical checkpoint files on disk.

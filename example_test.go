@@ -46,10 +46,13 @@ func ExampleConeExample() {
 }
 
 // Equation 5's isolation cost for a hierarchical core (p34392's Core 18).
-func ExampleISOCost() {
-	parent := repro.WrapperSpec{Core: "Core18", Inputs: 175, Outputs: 212}
-	child := repro.WrapperSpec{Core: "Core19", Inputs: 62, Outputs: 25}
-	fmt.Println(repro.ISOCost(parent, []repro.WrapperSpec{child}))
+func ExampleModule_ISOCost() {
+	core18 := &repro.Module{
+		Name:     "Core18",
+		Params:   repro.Params{Inputs: 175, Outputs: 212},
+		Children: []*repro.Module{{Name: "Core19", Params: repro.Params{Inputs: 62, Outputs: 25}}},
+	}
+	fmt.Println(core18.ISOCost())
 	// Output:
 	// 474
 }

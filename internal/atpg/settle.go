@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/faults"
@@ -52,6 +53,18 @@ type SettleReport struct {
 // sat.memo_hits; the sat.conflicts_per_proof histogram holds each proof's
 // conflict count.
 func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *obs.Collector, workers int) SettleReport {
+	rep, _ := SettleAbortedContext(context.Background(), c, flist, res, col, workers)
+	return rep
+}
+
+// SettleAbortedContext is SettleAborted that stops when ctx is done. The
+// proof under way is abandoned, never counted as redundant: its fault and
+// every fault not yet proved stay Aborted and count as unsettled. The
+// verdicts recorded before the stop are those a full pass records. res is
+// marked Incomplete, its accounting re-finalized over the patterns so
+// far, and the error wraps the context's. The report covers the finished
+// proofs only.
+func SettleAbortedContext(ctx context.Context, c *netlist.Circuit, flist []faults.Fault, res *Result, col *obs.Collector, workers int) (SettleReport, error) {
 	span := col.StartSpan("atpg.phase.settle")
 	defer span.End()
 
@@ -71,7 +84,7 @@ func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *o
 
 	rep := SettleReport{Aborted: len(aborted)}
 	if len(aborted) == 0 {
-		return rep
+		return rep, nil
 	}
 
 	width := len(c.PseudoInputs())
@@ -79,8 +92,14 @@ func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *o
 	// against its fault in the pending batch.
 	chk := faultsim.NewEngineFor(faultsim.Compile(c), nil)
 	perProof := col.Histogram("sat.conflicts_per_proof", obs.ExpBounds(1, 4, 16)...)
+	var stop error
 	for _, f := range aborted {
-		proof := sat.ProveFault(c, f)
+		proof, err := sat.ProveFaultContext(ctx, c, f)
+		if err != nil {
+			stop = fmt.Errorf("atpg: settling %q stopped with %d of %d aborts settled: %w",
+				c.Name, rep.ProvedRedundant+rep.CubesAdded, rep.Aborted, err)
+			break
+		}
 		rep.Conflicts += proof.Conflicts
 		rep.Decisions += proof.Decisions
 		rep.Propagations += proof.Propagations
@@ -124,8 +143,11 @@ func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *o
 			failed[o.Fault] = o.Status
 		}
 	}
+	if stop != nil {
+		res.Incomplete = true
+	}
 	finalizeAccounting(failed, res, col, faultsim.SimulateWorkers(c, res.Patterns, flist, workers).NumDetected)
-	return rep
+	return rep, stop
 }
 
 // emitSettle traces one settled fault: its verdict and the proof's

@@ -2,17 +2,20 @@ package atpg
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/faultsim"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/runctl"
 )
 
 // settleRun runs generation under a deliberately starved backtrack limit
@@ -354,5 +357,58 @@ func TestSettleS953Pinned(t *testing.T) {
 				t.Errorf("settle cube %s, want %s", got, cube)
 			}
 		})
+	}
+}
+
+// TestSettleStopsOnDeadline cuts an s953 settlement short with a deadline.
+// The stopped pass must return a cancel error, mark the result Incomplete,
+// leave every unfinished fault Aborted, and record for each fault it did
+// settle the verdict and conflict count of the full pass.
+func TestSettleStopsOnDeadline(t *testing.T) {
+	c := standin(t, "s953")
+	flist := faults.CollapsedUniverse(c)
+	opts := Options{BacktrackLimit: 3, RandomPatterns: 0, Compact: false, Seed: 1, Workers: 1}
+
+	full := GenerateForFaults(c, flist, opts)
+	generated := len(full.Outcomes)
+	start := time.Now()
+	fullRep := SettleAborted(c, flist, full, nil, 1)
+	took := time.Since(start)
+	verdict := map[faults.Fault]Outcome{}
+	for _, o := range full.Outcomes[generated:] {
+		verdict[o.Fault] = o
+	}
+
+	res := GenerateForFaults(c, flist, opts)
+	// A deadline at a quarter of the full pass's time, so the cut lands
+	// mid-pass on any host.
+	ctx, cancel := context.WithTimeout(context.Background(), took/4)
+	defer cancel()
+	rep, err := SettleAbortedContext(ctx, c, flist, res, nil, 1)
+	if !runctl.IsCancel(err) {
+		t.Fatalf("settlement under a %v deadline returned %v, want a cancel error", took/4, err)
+	}
+	if !res.Incomplete {
+		t.Error("stopped settlement did not mark the result Incomplete")
+	}
+	settled := res.Outcomes[generated:]
+	t.Logf("the deadline stopped the pass after %d of %d aborts", len(settled), fullRep.Aborted)
+	if len(settled) >= fullRep.Aborted {
+		t.Fatalf("stopped pass settled %d of %d aborts", len(settled), fullRep.Aborted)
+	}
+	if got := rep.ProvedRedundant + rep.CubesAdded; got != len(settled) {
+		t.Errorf("report counts %d settled faults, outcomes record %d", got, len(settled))
+	}
+	for _, o := range settled {
+		if want := verdict[o.Fault]; o != want {
+			t.Errorf("stopped pass recorded %s %v %d, full pass %v %d",
+				o.Fault.String(c), o.Status, o.Backtracks, want.Status, want.Backtracks)
+		}
+	}
+	if want := fullRep.Aborted - len(settled); res.NumAborted != want {
+		t.Errorf("%d faults left aborted, want %d", res.NumAborted, want)
+	}
+	if got := res.NumDetected + res.NumRedundant + res.NumProvedRedundant + res.NumAborted; got != res.NumFaults {
+		t.Errorf("accounting does not close: %d of %d faults", got, res.NumFaults)
 	}
 }

@@ -7,10 +7,10 @@ package cones
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/atpg"
+	"repro/internal/core"
 	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -211,7 +211,7 @@ func AnalyzeContext(ctx context.Context, c *netlist.Circuit, opts atpg.Options) 
 			obs.F("circuit", c.Name),
 			obs.F("cones", len(a.Profiles)),
 			obs.F("max_patterns", a.MaxPatterns()),
-			obs.F("norm_stdev", NormStdev(a.PatternCounts())),
+			obs.F("norm_stdev", core.NormStdev(a.PatternCounts())),
 			obs.F("overlap_pairs", a.OverlapPairs),
 			obs.F("total_pairs", a.TotalPairs))
 	}
@@ -268,29 +268,6 @@ func (a *Analysis) MaxPatterns() int {
 	return max
 }
 
-// NormStdev returns the normalized sample standard deviation (stdev/mean,
-// with the n−1 divisor) of the per-cone pattern counts — the statistic the
-// paper correlates with TDV reduction (Table 4, column 3).
-func NormStdev(ts []int) float64 {
-	if len(ts) < 2 {
-		return 0
-	}
-	var sum float64
-	for _, t := range ts {
-		sum += float64(t)
-	}
-	mean := sum / float64(len(ts))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, t := range ts {
-		d := float64(t) - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(len(ts)-1)) / mean
-}
-
 // String renders a short summary of the analysis.
 func (a *Analysis) String() string {
 	ts := a.PatternCounts()
@@ -300,76 +277,5 @@ func (a *Analysis) String() string {
 		min, max = ts[0], ts[len(ts)-1]
 	}
 	return fmt.Sprintf("%s: %d cones, patterns %d..%d (norm stdev %.2f), %d/%d overlapping pairs",
-		a.Circuit, len(a.Profiles), min, max, NormStdev(ts), a.OverlapPairs, a.TotalPairs)
-}
-
-// MonoEstimate bounds the monolithic pattern count from the per-cone
-// decomposition, making the paper's Section 3 argument quantitative:
-//
-//   - Lower is max_i T_i — Equation 2's bound, achieved only if every
-//     pair of cones merges perfectly;
-//   - Upper is Σ T_i — no merging at all;
-//   - Estimate greedily packs support-disjoint cones into shared pattern
-//     slots (disjoint cones always merge; overlapping cones are assumed
-//     never to), which is exactly the paper's pessimistic compaction
-//     model.
-type MonoEstimate struct {
-	Lower    int
-	Estimate int
-	Upper    int
-}
-
-// EstimateMonolithicPatterns computes the bounds for the analyzed circuit.
-// The circuit must be the one Analyze ran on (the cone order must match).
-func (a *Analysis) EstimateMonolithicPatterns(c *netlist.Circuit) (MonoEstimate, error) {
-	cones := c.AllCones()
-	if len(cones) != len(a.Profiles) {
-		return MonoEstimate{}, fmt.Errorf("cones: circuit has %d cones, analysis has %d profiles",
-			len(cones), len(a.Profiles))
-	}
-	for i := range cones {
-		if got := c.Gate(cones[i].Apex).Name; got != a.Profiles[i].Apex {
-			return MonoEstimate{}, fmt.Errorf("cones: cone %d apex %q does not match profile %q",
-				i, got, a.Profiles[i].Apex)
-		}
-	}
-	var est MonoEstimate
-	order := make([]int, len(cones))
-	for i := range order {
-		order[i] = i
-		t := a.Profiles[i].Patterns
-		est.Upper += t
-		if t > est.Lower {
-			est.Lower = t
-		}
-	}
-	sort.Slice(order, func(x, y int) bool {
-		return a.Profiles[order[x]].Patterns > a.Profiles[order[y]].Patterns
-	})
-	// Greedy grouping: a cone joins the first group whose members are all
-	// support-disjoint from it; the group's slot need is its largest
-	// (first) member, so the estimate sums the group openers.
-	var groups [][]int
-	for _, i := range order {
-		placed := false
-		for gi := range groups {
-			ok := true
-			for _, j := range groups[gi] {
-				if netlist.SupportOverlap(&cones[i], &cones[j]) > 0 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				groups[gi] = append(groups[gi], i)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			groups = append(groups, []int{i})
-			est.Estimate += a.Profiles[i].Patterns
-		}
-	}
-	return est, nil
+		a.Circuit, len(a.Profiles), min, max, core.NormStdev(ts), a.OverlapPairs, a.TotalPairs)
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/atpg"
-	"repro/internal/bench89"
+	"repro/internal/core"
 	"repro/internal/lint"
 	"repro/internal/netlist"
 )
@@ -152,97 +152,18 @@ z = OR(c, d)
 }
 
 func TestNormStdev(t *testing.T) {
-	// Paper Table 4: g12710's counts give 0.18 (sample stdev / mean).
-	if got := NormStdev([]int{852, 1314, 1223, 1223}); math.Abs(got-0.178) > 0.002 {
+	// The per-cone spread is core's Table 4 statistic. Paper Table 4:
+	// g12710's counts give 0.18 (sample stdev / mean).
+	if got := core.NormStdev([]int{852, 1314, 1223, 1223}); math.Abs(got-0.178) > 0.002 {
 		t.Errorf("norm stdev = %v, want ~0.178", got)
 	}
-	if NormStdev([]int{5}) != 0 || NormStdev(nil) != 0 {
+	if core.NormStdev([]int{5}) != 0 || core.NormStdev(nil) != 0 {
 		t.Error("degenerate stdev must be 0")
 	}
-	if NormStdev([]int{0, 0, 0}) != 0 {
+	if core.NormStdev([]int{0, 0, 0}) != 0 {
 		t.Error("zero-mean stdev must be 0")
 	}
-	if NormStdev([]int{7, 7, 7}) != 0 {
+	if core.NormStdev([]int{7, 7, 7}) != 0 {
 		t.Error("constant counts must have zero stdev")
 	}
-}
-
-func TestEstimateMonolithicPatterns(t *testing.T) {
-	// Overlapping cones (c17): no sharing -> estimate == upper.
-	c, err := netlist.ParseBenchString("c17", c17Bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Analyze(c, atpg.Options{BacktrackLimit: 100, RandomPatterns: 0, Compact: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := a.EstimateMonolithicPatterns(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Lower > est.Estimate || est.Estimate > est.Upper {
-		t.Fatalf("bounds out of order: %+v", est)
-	}
-	if est.Estimate != est.Upper {
-		t.Errorf("overlapping cones must not share slots: %+v", est)
-	}
-
-	// Disjoint cones: full sharing -> estimate == lower.
-	src := `
-INPUT(a)
-INPUT(b)
-INPUT(c)
-INPUT(d)
-OUTPUT(y)
-OUTPUT(z)
-y = AND(a, b)
-z = OR(c, d)
-`
-	dc, err := netlist.ParseBenchString("disjoint", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	da, err := Analyze(dc, atpg.Options{BacktrackLimit: 100, RandomPatterns: 0, Compact: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dest, err := da.EstimateMonolithicPatterns(dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dest.Estimate != dest.Lower {
-		t.Errorf("disjoint cones must share slots fully: %+v", dest)
-	}
-
-	// Mismatched circuit is rejected.
-	if _, err := a.EstimateMonolithicPatterns(dc); err == nil {
-		t.Error("mismatched circuit accepted")
-	}
-}
-
-func TestEstimateBracketsRealMonoCount(t *testing.T) {
-	// On a stand-in core the real whole-circuit ATPG count must respect
-	// the lower bound and (with compaction) stay at or below the
-	// pessimistic upper bound.
-	prof, _ := bench89.ProfileByName("s953")
-	c := bench89.MustGenerate(prof)
-	opts := atpg.DefaultOptions()
-	a, err := Analyze(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := a.EstimateMonolithicPatterns(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := atpg.Generate(c, opts)
-	if whole.PatternCount() < est.Lower {
-		t.Errorf("whole-circuit %d below the max-cone bound %d", whole.PatternCount(), est.Lower)
-	}
-	if whole.PatternCount() > est.Upper {
-		t.Errorf("whole-circuit %d above the no-merge bound %d", whole.PatternCount(), est.Upper)
-	}
-	t.Logf("mono bounds: lower %d, estimate %d, upper %d, measured %d",
-		est.Lower, est.Estimate, est.Upper, whole.PatternCount())
 }

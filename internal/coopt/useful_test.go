@@ -38,7 +38,7 @@ func TestUsefulBitsMatchEquation4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	socs = append(socs, soc.SOC1Profile().Profile(), soc.SOC2Profile().Profile())
+	socs = append(socs, soc.SOC1Profile(), soc.SOC2Profile())
 	wantTerm := map[string]int64{"p34392": 363033, "SOC1": 204, "SOC2": 328}
 	if len(socs) != 12 {
 		t.Fatalf("%d SOCs, want 12", len(socs))

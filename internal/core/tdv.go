@@ -147,27 +147,26 @@ func (s *SOC) MaxPatterns() int {
 	return max
 }
 
-// PatternCounts returns every module's pattern count, in pre-order.
-func (s *SOC) PatternCounts() []int {
-	var ts []int
-	for _, m := range s.Modules() {
-		ts = append(ts, m.Patterns)
-	}
-	return ts
-}
-
-// NormStdevPatterns returns the normalized sample standard deviation
-// (stdev/mean with the n−1 divisor) of the module pattern counts — the
-// paper's Table 4 column 3 statistic. Modules without a test of their own
-// (T == 0, e.g. pure container levels) are excluded, mirroring the paper's
-// restriction to core tests with TamUse=1 and ScanUse=1.
+// NormStdevPatterns returns the normalized sample standard deviation of
+// the module pattern counts (NormStdev) — the paper's Table 4 column 3
+// statistic. Modules without a test of their own (T == 0, e.g. pure
+// container levels) are excluded, mirroring the paper's restriction to
+// core tests with TamUse=1 and ScanUse=1.
 func (s *SOC) NormStdevPatterns() float64 {
 	var ts []int
-	for _, t := range s.PatternCounts() {
-		if t > 0 {
-			ts = append(ts, t)
+	for _, m := range s.Modules() {
+		if m.Patterns > 0 {
+			ts = append(ts, m.Patterns)
 		}
 	}
+	return NormStdev(ts)
+}
+
+// NormStdev returns the normalized sample standard deviation (stdev/mean,
+// with the n−1 divisor) of a set of pattern counts — the statistic the
+// paper correlates with TDV reduction (Table 4, column 3). It is 0 for
+// fewer than two counts or a zero mean.
+func NormStdev(ts []int) float64 {
 	if len(ts) < 2 {
 		return 0
 	}

@@ -161,7 +161,7 @@ func buildPatternCounts(row PublishedRow, benT int64) ([]int, error) {
 	lo, hi := 0.0, 40.0
 	for iter := 0; iter < 200; iter++ {
 		mid := (lo + hi) / 2
-		if nstdOf(build(mid)) < row.NormStdev {
+		if core.NormStdev(build(mid)) < row.NormStdev {
 			lo = mid
 		} else {
 			hi = mid
@@ -171,8 +171,8 @@ func buildPatternCounts(row PublishedRow, benT int64) ([]int, error) {
 	// Integer rounding makes the bisection land near, not on, the target;
 	// hill-climb the tunable entries (indices 3..) one step at a time.
 	ts = tuneNstd(ts, 3, int(tmax), row.NormStdev)
-	if math.Abs(nstdOf(ts)-row.NormStdev) > 0.005 {
-		return nil, fmt.Errorf("itc02: cannot reach norm stdev %.2f (best %.4f)", row.NormStdev, nstdOf(ts))
+	if math.Abs(core.NormStdev(ts)-row.NormStdev) > 0.005 {
+		return nil, fmt.Errorf("itc02: cannot reach norm stdev %.2f (best %.4f)", row.NormStdev, core.NormStdev(ts))
 	}
 	return ts, nil
 }
@@ -181,7 +181,7 @@ func buildPatternCounts(row PublishedRow, benT int64) ([]int, error) {
 // each within [1, tmax]) to bring the normalized deviation to the target.
 func tuneNstd(ts []int, lo, tmax int, target float64) []int {
 	best := append([]int(nil), ts...)
-	bestErr := math.Abs(nstdOf(best) - target)
+	bestErr := math.Abs(core.NormStdev(best) - target)
 	for step := 0; step < 5000 && bestErr > 1e-4; step++ {
 		improved := false
 		for i := lo; i < len(best); i++ {
@@ -192,7 +192,7 @@ func tuneNstd(ts []int, lo, tmax int, target float64) []int {
 				}
 				old := best[i]
 				best[i] = v
-				if e := math.Abs(nstdOf(best) - target); e < bestErr {
+				if e := math.Abs(core.NormStdev(best) - target); e < bestErr {
 					bestErr = e
 					improved = true
 				} else {
@@ -475,26 +475,6 @@ func modInverse(a, m int64) (int64, bool) {
 		t += m
 	}
 	return t, true
-}
-
-func nstdOf(ts []int) float64 {
-	if len(ts) < 2 {
-		return 0
-	}
-	var sum float64
-	for _, t := range ts {
-		sum += float64(t)
-	}
-	mean := sum / float64(len(ts))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, t := range ts {
-		d := float64(t) - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(len(ts)-1)) / mean
 }
 
 func maxInt(ts []int) int {

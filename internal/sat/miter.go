@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/faults"
@@ -42,18 +43,30 @@ type Proof struct {
 // bit-reproducible: identical inputs give identical verdicts, cubes and
 // conflict counts.
 func ProveFault(c *netlist.Circuit, f faults.Fault) Proof {
+	p, _ := ProveFaultContext(context.Background(), c, f)
+	return p
+}
+
+// ProveFaultContext is ProveFault that stops when ctx is done. A stopped
+// proof returns an error wrapping the context's and a Proof that is
+// neither Redundant nor carries a Cube: the fault is undecided. Its
+// counters hold the work done up to the stop.
+func ProveFaultContext(ctx context.Context, c *netlist.Circuit, f faults.Fault) (Proof, error) {
 	cnf, good := faultMiter(c, f)
 	if cnf == nil {
-		return Proof{Redundant: true}
+		return Proof{Redundant: true}, nil
 	}
 	s := NewSolver(cnf)
-	p := Proof{Redundant: !s.Solve()}
-	if !p.Redundant {
+	sat, err := s.SolveContext(ctx)
+	p := Proof{Conflicts: s.Conflicts(), Decisions: s.Decisions(), Propagations: s.Propagations(), MemoHits: s.MemoHits()}
+	if err != nil {
+		return p, fmt.Errorf("sat: proof of %s stopped after %d conflicts: %w", f.String(c), p.Conflicts, err)
+	}
+	p.Redundant = !sat
+	if sat {
 		p.Cube = good.InputCube(s)
 	}
-	p.Conflicts, p.Decisions, p.Propagations, p.MemoHits =
-		s.Conflicts(), s.Decisions(), s.Propagations(), s.MemoHits()
-	return p
+	return p, nil
 }
 
 // faultMiter builds ProveFault's miter for f and the good copy's encoding,

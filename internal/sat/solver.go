@@ -1,5 +1,7 @@
 package sat
 
+import "context"
+
 // Solver is a deterministic DPLL solver with two-watched-literal unit
 // propagation and chronological backtracking. There is deliberately no
 // VSIDS, no clause learning, no restarts and no randomness: the decision
@@ -47,7 +49,16 @@ type Solver struct {
 	decisions    int64
 	propagations int64
 	memoHits     int64
+
+	// ctx stops the running search (see SolveContext); steps counts its
+	// search steps, and stopErr holds ctx's error once it stopped.
+	ctx     context.Context
+	steps   int
+	stopErr error
 }
+
+// pollEvery is the number of search steps between two polls of ctx.
+const pollEvery = 4096
 
 // NewSolver builds a solver over the formula. The solver takes ownership
 // of f's clause slices; f must not be modified afterwards.
@@ -197,9 +208,31 @@ type decision struct {
 // assumption literals. After a true result, Model holds a total, fully
 // deterministic assignment.
 func (s *Solver) Solve(assumptions ...Lit) bool {
+	sat, _ := s.SolveContext(context.Background(), assumptions...)
+	return sat
+}
+
+// SolveContext is Solve that stops when ctx is done. It polls ctx once
+// every pollEvery search steps (decisions and memo hits), by count and not
+// by clock, so polling never changes a search that finishes. A stopped
+// search returns false with ctx's error: that false is no verdict. The
+// counters then hold the work done up to the stop.
+func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) (bool, error) {
+	s.ctx, s.steps, s.stopErr = ctx, 0, nil
 	sat := s.search(assumptions)
 	s.releaseMemo()
-	return sat
+	s.ctx = nil
+	return sat, s.stopErr
+}
+
+// stopped polls ctx every pollEvery calls and reports whether the search
+// must stop, recording ctx's error.
+func (s *Solver) stopped() bool {
+	if s.steps++; s.steps%pollEvery != 0 {
+		return false
+	}
+	s.stopErr = s.ctx.Err()
+	return s.stopErr != nil
 }
 
 // search is the fixed-order chronological DPLL search behind Solve.
@@ -242,6 +275,9 @@ func (s *Solver) search(assumptions []Lit) bool {
 		v := s.nextUnassigned()
 		if v == 0 {
 			return true // total assignment, no conflict: a model
+		}
+		if s.stopped() {
+			return false
 		}
 		if n, ok := s.memoLookup(); ok {
 			// This residual formula was refuted before: charge its

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bench89"
+	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/wrapper"
 )
@@ -98,6 +99,27 @@ func liveInstances(t *testing.T, names []string, scale float64) []*netlist.Circu
 	return out
 }
 
+// checkWrapperBits ties the structural wrapper to the paper's formulas: the
+// bits AccountBits counts per pattern on the isolated core must equal
+// 2S + I + O (Eq. 4's 2S_P plus Eq. 5's port term), the per-pattern factor
+// core.Module.ModularTDV charges the core in the live experiment's model.
+func checkWrapperBits(t *testing.T, key string, c *netlist.Circuit, w *wrapper.IsolationResult) {
+	t.Helper()
+	bits, err := wrapper.AccountBits(w)
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	st := c.ComputeStats()
+	p := core.Params{Inputs: st.Inputs, Outputs: st.Outputs, ScanCells: st.DFFs, Patterns: 1}
+	want := 2*int64(st.DFFs) + core.Params{Inputs: st.Inputs, Outputs: st.Outputs}.PortBits()
+	if got := bits.Total(); got != want {
+		t.Errorf("%s: wrapper bits per pattern %d, want 2S+I+O = %d", key, got, want)
+	}
+	if got := (&core.Module{Params: p}).ModularTDV(); got != want {
+		t.Errorf("%s: Eq. 4 charges %d bits per pattern, want 2S+I+O = %d", key, got, want)
+	}
+}
+
 func TestBuiltNetlistsPinned(t *testing.T) {
 	got := map[string]string{}
 	digest := func(key, text string) {
@@ -124,6 +146,7 @@ func TestBuiltNetlistsPinned(t *testing.T) {
 					t.Fatalf("%s: %v", key, err)
 				}
 				digest(key+"/wrapped", fmt.Sprintf("%s%v%v", netlist.BenchString(w.Wrapped), w.InputCells, w.OutputCells))
+				checkWrapperBits(t, key, c, w)
 			}
 			for seed := int64(1); seed <= 3; seed++ {
 				flat, err := Flatten(s.name+"-flat", cores, FlattenOptions{Seed: seed, InterconnectFraction: 0.45})

@@ -1,8 +1,7 @@
-// Package soc models hierarchical systems-on-chip for the paper's
-// experiments: cores with test-parameter profiles and optional gate-level
-// netlists, the SOC1 and SOC2 designs built from ISCAS'89-style cores
-// (paper Figures 4 and 5, Tables 1 and 2), and structural flattening — the
-// "monolithic design with no isolation logic" the paper compares against.
+// Package soc holds the paper's two ISCAS'89-based designs and their
+// structural flattening: the SOC1 and SOC2 profiles (paper Figures 4 and 5,
+// Tables 1 and 2) as core.SOC values, and Flatten — the "monolithic design
+// with no isolation logic" the paper compares against.
 package soc
 
 import (
@@ -15,63 +14,17 @@ import (
 	"repro/internal/netlist"
 )
 
-// Core is one design module: published or measured test parameters plus an
-// optional structural netlist, with embedded child cores.
-type Core struct {
-	Name     string
-	Params   core.Params
-	Netlist  *netlist.Circuit // nil in profile-only mode
-	Children []*Core
-	// PortsTesterAccessible propagates to core.Module (chip-pin modules
-	// carry no wrapper cells of their own).
-	PortsTesterAccessible bool
-}
-
-// Module converts the core subtree to the TDV equation model.
-func (c *Core) Module() *core.Module {
-	m := &core.Module{
-		Name:                  c.Name,
-		Params:                c.Params,
-		PortsTesterAccessible: c.PortsTesterAccessible,
-	}
-	for _, ch := range c.Children {
-		m.Children = append(m.Children, ch.Module())
-	}
-	return m
-}
-
-// AllCores returns the core and all descendants in pre-order.
-func (c *Core) AllCores() []*Core {
-	out := []*Core{c}
-	for _, ch := range c.Children {
-		out = append(out, ch.AllCores()...)
-	}
-	return out
-}
-
-// SOC is a complete design: the top module (Core 0) embedding all first-
-// level cores, plus an optional measured monolithic pattern count.
-type SOC struct {
-	Name  string
-	Top   *Core
-	TMono int
-}
-
-// Profile converts the SOC to the TDV equation model of package core.
-func (s *SOC) Profile() *core.SOC {
-	return &core.SOC{Name: s.Name, Top: s.Top.Module(), TMono: s.TMono}
-}
-
 // SOC1Profile returns the paper's SOC1 (Figure 4, Table 1) with the
 // published per-core parameters: s713, s953 and three instances of s1423
 // under a small top-level glue module, including the ATALANTA pattern
-// counts and the measured monolithic pattern count of 216.
-func SOC1Profile() *SOC {
-	top := &Core{
+// counts and the measured monolithic pattern count of 216. The top
+// module's ports are chip pins, so they carry no wrapper cells.
+func SOC1Profile() *core.SOC {
+	top := &core.Module{
 		Name:                  "Top",
 		Params:                core.Params{Inputs: 51, Outputs: 10, ScanCells: 0, Patterns: 2},
 		PortsTesterAccessible: true,
-		Children: []*Core{
+		Children: []*core.Module{
 			{Name: "Core1(s713)", Params: core.Params{Inputs: 35, Outputs: 23, ScanCells: 19, Patterns: 52}},
 			{Name: "Core2(s953)", Params: core.Params{Inputs: 16, Outputs: 23, ScanCells: 29, Patterns: 85}},
 			{Name: "Core3(s1423)", Params: core.Params{Inputs: 17, Outputs: 5, ScanCells: 74, Patterns: 62}},
@@ -79,24 +32,24 @@ func SOC1Profile() *SOC {
 			{Name: "Core5(s1423)", Params: core.Params{Inputs: 17, Outputs: 5, ScanCells: 74, Patterns: 62}},
 		},
 	}
-	return &SOC{Name: "SOC1", Top: top, TMono: 216}
+	return &core.SOC{Name: "SOC1", Top: top, TMono: 216}
 }
 
 // SOC2Profile returns the paper's SOC2 (Figure 5, Table 2): s953, s5378,
 // s13207 and s15850, with the published parameters and T_mono = 945.
-func SOC2Profile() *SOC {
-	top := &Core{
+func SOC2Profile() *core.SOC {
+	top := &core.Module{
 		Name:                  "Top",
 		Params:                core.Params{Inputs: 14, Outputs: 198, ScanCells: 0, Patterns: 2},
 		PortsTesterAccessible: true,
-		Children: []*Core{
+		Children: []*core.Module{
 			{Name: "Core1(s953)", Params: core.Params{Inputs: 16, Outputs: 23, ScanCells: 29, Patterns: 85}},
 			{Name: "Core2(s5378)", Params: core.Params{Inputs: 35, Outputs: 49, ScanCells: 179, Patterns: 244}},
 			{Name: "Core3(s13207)", Params: core.Params{Inputs: 31, Outputs: 121, ScanCells: 669, Patterns: 452}},
 			{Name: "Core4(s15850)", Params: core.Params{Inputs: 14, Outputs: 87, ScanCells: 597, Patterns: 428}},
 		},
 	}
-	return &SOC{Name: "SOC2", Top: top, TMono: 945}
+	return &core.SOC{Name: "SOC2", Top: top, TMono: 945}
 }
 
 // FlattenOptions steers the structural flattening of a set of core netlists
@@ -186,16 +139,16 @@ func Flatten(name string, cores []*netlist.Circuit, opt FlattenOptions) (*netlis
 }
 
 // Describe renders the SOC hierarchy as an indented tree — used to
-// reproduce the topology sketches of Figures 3, 4 and 5.
-func (s *SOC) Describe() string {
+// reproduce the topology sketches of Figures 4 and 5.
+func Describe(s *core.SOC) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (T_mono=%d)\n", s.Name, s.TMono)
-	var walk func(c *Core, depth int)
-	walk = func(c *Core, depth int) {
+	var walk func(m *core.Module, depth int)
+	walk = func(m *core.Module, depth int) {
 		fmt.Fprintf(&b, "%s%-16s I=%-4d O=%-4d B=%-3d S=%-5d T=%d\n",
-			strings.Repeat("  ", depth), c.Name,
-			c.Params.Inputs, c.Params.Outputs, c.Params.Bidirs, c.Params.ScanCells, c.Params.Patterns)
-		for _, ch := range c.Children {
+			strings.Repeat("  ", depth), m.Name,
+			m.Inputs, m.Outputs, m.Bidirs, m.ScanCells, m.Patterns)
+		for _, ch := range m.Children {
 			walk(ch, depth+1)
 		}
 	}

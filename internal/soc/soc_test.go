@@ -8,8 +8,7 @@ import (
 )
 
 func TestSOC1ProfileMatchesTable1(t *testing.T) {
-	s := SOC1Profile()
-	p := s.Profile()
+	p := SOC1Profile()
 	if got := p.TDVModular(); got != 45183 {
 		t.Errorf("SOC1 modular TDV = %d, want 45183", got)
 	}
@@ -19,14 +18,16 @@ func TestSOC1ProfileMatchesTable1(t *testing.T) {
 	if got := p.TDVMonoOpt(); got != 51085 {
 		t.Errorf("SOC1 opt TDV = %d, want 51085", got)
 	}
-	if len(s.Top.AllCores()) != 6 {
-		t.Errorf("cores = %d, want 6", len(s.Top.AllCores()))
+	if len(p.Modules()) != 6 {
+		t.Errorf("modules = %d, want 6", len(p.Modules()))
+	}
+	if !p.Top.PortsTesterAccessible {
+		t.Error("top module must be tester accessible")
 	}
 }
 
 func TestSOC2ProfileMatchesTable2(t *testing.T) {
-	s := SOC2Profile()
-	p := s.Profile()
+	p := SOC2Profile()
 	if got := p.TDVModular(); got != 1344585 {
 		t.Errorf("SOC2 modular TDV = %d, want 1344585", got)
 	}
@@ -39,8 +40,7 @@ func TestSOC2ProfileMatchesTable2(t *testing.T) {
 }
 
 func TestDescribe(t *testing.T) {
-	s := SOC1Profile()
-	d := s.Describe()
+	d := Describe(SOC1Profile())
 	for _, want := range []string{"SOC1", "s713", "s953", "s1423", "T_mono=216"} {
 		if !strings.Contains(d, want) {
 			t.Errorf("Describe missing %q:\n%s", want, d)
@@ -158,19 +158,5 @@ func TestFlattenSingleCore(t *testing.T) {
 	fs := flat.ComputeStats()
 	if fs.Inputs != 2 || fs.Outputs != 2 {
 		t.Errorf("single-core flatten: %d in, %d out", fs.Inputs, fs.Outputs)
-	}
-}
-
-func TestCoreModuleConversion(t *testing.T) {
-	s := SOC1Profile()
-	m := s.Top.Module()
-	if !m.PortsTesterAccessible {
-		t.Error("top module must be tester accessible")
-	}
-	if len(m.Children) != 5 {
-		t.Errorf("children = %d", len(m.Children))
-	}
-	if m.Children[0].Params.ScanCells != 19 {
-		t.Error("child params lost in conversion")
 	}
 }

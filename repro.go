@@ -13,9 +13,10 @@
 //   - logic-cone analysis, the unit of the paper's conceptual argument
 //     (AnalyzeCones, ConeExample),
 //   - IEEE 1500-style wrapper isolation and wrapper chain design (Isolate,
-//     ISOCost, DesignWrapperChains),
+//     DesignWrapperChains),
 //   - hierarchical SOC test-parameter models and the paper's TDV
-//     Equations 1-8 (SOC, Module, and their methods),
+//     Equations 1-8 (SOC, Module, and their methods; Module.ISOCost is
+//     Equation 5),
 //   - the paper's experiments: SOC1/SOC2 (Tables 1-2), the ITC'02
 //     benchmarks (Tables 3-4) and the worked cone example (Figures 1-2),
 //     in both published-profile and live-ATPG modes.
@@ -158,15 +159,6 @@ func ConeExample() ConeModel { return cones.PaperExample() }
 // cells (modelled as scan cells) on every terminal.
 func Isolate(c *Circuit) (*wrapper.IsolationResult, error) { return wrapper.Isolate(c) }
 
-// WrapperSpec describes a wrapper by terminal counts.
-type WrapperSpec = wrapper.Spec
-
-// ISOCost computes the paper's Equation 5 for a parent core and its direct
-// children.
-func ISOCost(parent WrapperSpec, children []WrapperSpec) int {
-	return wrapper.ISOCost(parent, children)
-}
-
 // CoreTest describes a wrapped core's test resources for wrapper design.
 type CoreTest = tam.CoreTest
 
@@ -195,7 +187,7 @@ type (
 
 // SOC1 returns the paper's SOC1 profile (Figure 4, Table 1) with the
 // published per-core parameters and the measured T_mono = 216.
-func SOC1() *SOC { return soc.SOC1Profile().Profile() }
+func SOC1() *SOC { return soc.SOC1Profile() }
 
 // SOC2 returns the paper's SOC2 profile (Figure 5, Table 2), T_mono = 945.
-func SOC2() *SOC { return soc.SOC2Profile().Profile() }
+func SOC2() *SOC { return soc.SOC2Profile() }

@@ -50,8 +50,9 @@ func TestFacadeSOCProfiles(t *testing.T) {
 }
 
 func TestFacadeISOCost(t *testing.T) {
-	got := ISOCost(WrapperSpec{Inputs: 175, Outputs: 212}, []WrapperSpec{{Inputs: 62, Outputs: 25}})
-	if got != 474 {
+	m := &Module{Params: Params{Inputs: 175, Outputs: 212},
+		Children: []*Module{{Params: Params{Inputs: 62, Outputs: 25}}}}
+	if got := m.ISOCost(); got != 474 {
 		t.Errorf("ISOCost = %d, want 474", got)
 	}
 }

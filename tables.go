@@ -202,10 +202,10 @@ func RenderFigure3() string {
 
 // RenderFigure4 reproduces the Figure 4 sketch: the SOC1 topology.
 func RenderFigure4() string {
-	return "Figure 4: SOC1 constructed with ISCAS'89 cores\n" + soc.SOC1Profile().Describe()
+	return "Figure 4: SOC1 constructed with ISCAS'89 cores\n" + soc.Describe(soc.SOC1Profile())
 }
 
 // RenderFigure5 reproduces the Figure 5 sketch: the SOC2 topology.
 func RenderFigure5() string {
-	return "Figure 5: SOC2 constructed with ISCAS'89 cores\n" + soc.SOC2Profile().Describe()
+	return "Figure 5: SOC2 constructed with ISCAS'89 cores\n" + soc.Describe(soc.SOC2Profile())
 }
