@@ -13,7 +13,7 @@ import (
 
 // The reference implementations below are the compaction steps as they were
 // written before batching: one Engine.Apply per pattern for pruning, an
-// insertion sort and byte-wise Compatible for merging, and a fresh engine
+// insertion sort and byte-wise compatible for merging, and a fresh engine
 // re-simulating the whole set on every top-up round. They exist only as
 // oracles for the differential tests in this file.
 
@@ -48,8 +48,8 @@ func mergeCubesInsertion(cubes []logic.Cube) []logic.Cube {
 		c := cubes[idx]
 		placed := false
 		for i := range merged {
-			if merged[i].Compatible(c) {
-				merged[i].MergeInto(c)
+			if compatible(merged[i], c) {
+				mergeInto(merged[i], c)
 				placed = true
 				break
 			}
@@ -59,6 +59,33 @@ func mergeCubesInsertion(cubes []logic.Cube) []logic.Cube {
 		}
 	}
 	return merged
+}
+
+// compatible reports whether c and d can be merged, one value at a time:
+// they have equal length and no position holds two different binary
+// values (paper, Section 3: "Non-conflicting values are the same logic
+// values, or different logic values one of which is X").
+func compatible(c, d logic.Cube) bool {
+	if len(c) != len(d) {
+		return false
+	}
+	for i, v := range c {
+		w := d[i]
+		if v.Binary() && w.Binary() && v != w {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeInto merges the compatible d into c in place: every position
+// where c is not binary takes d's binary value.
+func mergeInto(c, d logic.Cube) {
+	for i, w := range d {
+		if !c[i].Binary() && w.Binary() {
+			c[i] = w
+		}
+	}
 }
 
 func topUpFresh(ctx context.Context, c *netlist.Circuit, flist []faults.Fault, workers int,
@@ -252,7 +279,6 @@ func FuzzMergeCubes(f *testing.F) {
 func newRetarget(c *netlist.Circuit) func(faults.Fault) (logic.Cube, bool) {
 	pd := newPodem(faultsim.Compile(c), 100, nil)
 	rng := rand.New(rand.NewSource(7))
-	width := len(c.PseudoInputs())
 	failed := make(map[faults.Fault]bool)
 	return func(f faults.Fault) (logic.Cube, bool) {
 		if failed[f] {
@@ -263,7 +289,7 @@ func newRetarget(c *netlist.Circuit) func(faults.Fault) (logic.Cube, bool) {
 			failed[f] = true
 			return nil, false
 		}
-		return padCube(cube, width).Fill(func(int) logic.V {
+		return cube.Fill(func(int) logic.V {
 			return logic.FromBool(rng.Intn(2) == 1)
 		}), true
 	}

@@ -568,7 +568,7 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 				failed[f] = status
 				return nil, false
 			}
-			return padCube(cube, width).Fill(func(int) logic.V {
+			return cube.Fill(func(int) logic.V {
 				return logic.FromBool(rng.Intn(2) == 1)
 			}), true
 		})
@@ -777,26 +777,12 @@ func (k *podemClock) record(col *obs.Collector) {
 	col.Timer("atpg.podem.drop").Observe(k.drop)
 }
 
-// padCube extends a cube to the given width with X (defensive; PODEM cubes
-// are already full width).
-func padCube(c logic.Cube, width int) logic.Cube {
-	if len(c) == width {
-		return c
-	}
-	out := logic.NewCube(width)
-	copy(out, c)
-	return out
-}
-
 // mergeCubes greedily merges compatible cubes, most-specified first — the
 // static compaction of the paper's Section 3. Ties keep their input order,
-// and each cube merges into the first compatible merged cube. Compatibility
-// is tested on packed care/one words, 64 positions per word.
+// and each cube merges into the first compatible merged cube. Cubes are
+// tested and merged in their packed form (logic.Pack); each merge keeps
+// its first cube's other positions.
 func mergeCubes(cubes []logic.Cube) []logic.Cube {
-	type packed struct {
-		seed      logic.Cube // the first cube of the merge, for its non-binary positions
-		care, one []uint64
-	}
 	spec := make([]int, len(cubes))
 	order := make([]int, len(cubes))
 	for i, c := range cubes {
@@ -805,59 +791,27 @@ func mergeCubes(cubes []logic.Cube) []logic.Cube {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return spec[order[a]] > spec[order[b]] })
 
-	var merged []packed
+	var seeds []logic.Cube
+	var merged []logic.Packed
 	for _, idx := range order {
-		c := cubes[idx]
-		nw := (len(c) + 63) / 64
-		words := make([]uint64, 2*nw)
-		care, one := words[:nw], words[nw:]
-		for j, v := range c {
-			if v.Binary() {
-				care[j/64] |= 1 << (j % 64)
-				if v == logic.One {
-					one[j/64] |= 1 << (j % 64)
-				}
-			}
+		c, p := cubes[idx], logic.Pack(cubes[idx])
+		i := 0
+		for i < len(merged) && !(len(seeds[i]) == len(c) && merged[i].Compatible(p)) {
+			i++
 		}
-		placed := false
-		for i := range merged {
-			m := &merged[i]
-			if len(m.seed) == len(c) && compatibleWords(m.care, m.one, care, one) {
-				for w := range care {
-					m.care[w] |= care[w]
-					m.one[w] |= one[w]
-				}
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			merged = append(merged, packed{c, care, one})
+		if i < len(merged) {
+			merged[i].Merge(p)
+		} else {
+			seeds, merged = append(seeds, c), append(merged, p)
 		}
 	}
 
-	var out []logic.Cube
-	for _, m := range merged {
-		cube := m.seed.Clone()
-		for j := range cube {
-			if m.care[j/64]>>(j%64)&1 == 1 {
-				cube[j] = logic.FromBool(m.one[j/64]>>(j%64)&1 == 1)
-			}
-		}
-		out = append(out, cube)
+	out := make([]logic.Cube, len(seeds))
+	for i, seed := range seeds {
+		out[i] = seed.Clone()
+		merged[i].Unpack(out[i])
 	}
 	return out
-}
-
-// compatibleWords reports whether two packed cubes agree on every position
-// both specify.
-func compatibleWords(care1, one1, care2, one2 []uint64) bool {
-	for w := range care1 {
-		if care1[w]&care2[w]&(one1[w]^one2[w]) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // fillAll X-fills every cube with seeded random values.

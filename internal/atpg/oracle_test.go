@@ -49,7 +49,6 @@ func TestGenerateAgainstExhaustiveOracle(t *testing.T) {
 	for name, c := range oracleSubjects(t) {
 		t.Run(name, func(t *testing.T) {
 			universe := faults.CollapsedUniverse(c)
-			oracle := faultsim.NewOracle(c)
 			all := faultsim.AllPatterns(len(c.PseudoInputs()))
 			for _, w := range []int{1, 8} {
 				opts := DefaultOptions()
@@ -57,29 +56,20 @@ func TestGenerateAgainstExhaustiveOracle(t *testing.T) {
 				res := Generate(c, opts)
 
 				for _, o := range res.Outcomes {
+					one := []faults.Fault{o.Fault}
 					switch o.Status {
 					case Detected:
-						ok := false
-						for _, p := range res.Patterns {
-							if oracle.Detects(p, o.Fault) {
-								ok = true
-								break
-							}
-						}
-						if !ok {
+						if faultsim.SerialSimulate(c, res.Patterns, one).NumDetected == 0 {
 							t.Errorf("workers=%d: fault %s claimed Detected but no final pattern detects it", w, o.Fault.String(c))
 						}
 					case Redundant:
-						for _, p := range all {
-							if oracle.Detects(p, o.Fault) {
-								t.Errorf("workers=%d: fault %s claimed Redundant but pattern %v detects it", w, o.Fault.String(c), p)
-								break
-							}
+						if k := faultsim.SerialSimulate(c, all, one).DetectedBy[0]; k != faultsim.Undetected {
+							t.Errorf("workers=%d: fault %s claimed Redundant but pattern %v detects it", w, o.Fault.String(c), all[k])
 						}
 					}
 				}
 
-				recount := oracle.Simulate(res.Patterns, universe)
+				recount := faultsim.SerialSimulate(c, res.Patterns, universe)
 				if recount.NumDetected != res.NumDetected {
 					t.Errorf("workers=%d: NumDetected %d, oracle recount %d", w, res.NumDetected, recount.NumDetected)
 				}
@@ -99,18 +89,10 @@ func TestRedundantFaultsProvenExhaustively(t *testing.T) {
 	for name, c := range oracleSubjects(t) {
 		t.Run(name, func(t *testing.T) {
 			universe := faults.CollapsedUniverse(c)
-			oracle := faultsim.NewOracle(c)
-			all := faultsim.AllPatterns(len(c.PseudoInputs()))
+			table := faultsim.SerialSimulate(c, faultsim.AllPatterns(len(c.PseudoInputs())), universe)
 			undetectable := map[string]bool{}
-			for _, f := range universe {
-				hit := false
-				for _, p := range all {
-					if oracle.Detects(p, f) {
-						hit = true
-						break
-					}
-				}
-				if !hit {
+			for i, f := range universe {
+				if table.DetectedBy[i] == faultsim.Undetected {
 					undetectable[f.String(c)] = true
 				}
 			}

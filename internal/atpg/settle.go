@@ -87,7 +87,6 @@ func SettleAbortedContext(ctx context.Context, c *netlist.Circuit, flist []fault
 		return rep, nil
 	}
 
-	width := len(c.PseudoInputs())
 	// An engine with no fault list of its own: it only checks each cube
 	// against its fault in the pending batch.
 	chk := faultsim.NewEngineFor(faultsim.Compile(c), nil)
@@ -111,7 +110,7 @@ func SettleAbortedContext(ctx context.Context, c *netlist.Circuit, flist []fault
 			emitSettle(col, c, f, ProvedRedundant, proof)
 			continue
 		}
-		cube := padCube(proof.Cube, width)
+		cube := proof.Cube
 		ok := queuedDetects(chk, chk.Queue(cube), f)
 		chk.Unqueue()
 		if !ok {

@@ -65,16 +65,13 @@ func TestSettleAbortedSettlesEverything(t *testing.T) {
 			// and every added cube pulled coverage up, which the final
 			// re-simulation has already confirmed via NumDetected above.
 			if len(c.PseudoInputs()) <= faultsim.MaxOracleInputs {
-				oracle := faultsim.NewOracle(c)
 				pats := faultsim.AllPatterns(len(c.PseudoInputs()))
 				for _, o := range res.Outcomes {
 					if o.Status != ProvedRedundant {
 						continue
 					}
-					for _, p := range pats {
-						if oracle.Detects(p, o.Fault) {
-							t.Fatalf("fault %s proved redundant but pattern %v detects it", o.Fault.String(c), p)
-						}
+					if k := faultsim.SerialSimulate(c, pats, []faults.Fault{o.Fault}).DetectedBy[0]; k != faultsim.Undetected {
+						t.Fatalf("fault %s proved redundant but pattern %v detects it", o.Fault.String(c), pats[k])
 					}
 				}
 			}

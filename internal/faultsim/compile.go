@@ -216,13 +216,12 @@ func (p *Program) Circuit() *netlist.Circuit { return p.c }
 // pass computes every word it reads. tiles is the caller's scratch, at
 // least NumTiles long.
 //
-// The packing is branch-free, word-parallel and cube-major. Each cube is
-// read once from start to end, eight values per step, and every 64 pseudo
-// inputs fill one row word of their own 64×64 tile (row = pattern). A row
-// holds value 8i+j at bit 8j+i, so the byte-equality flags of each eight
-// values merge by shifts alone. Each tile is then transposed, which leaves
-// one word of pattern bits per column, and the store undoes the row
-// permutation as it writes each input's word once.
+// The packing is cube-major: each cube is read once from start to end,
+// and the one word of every 64 pseudo inputs (Cube.OneWord) is the row
+// of their own 64×64 tile (row = pattern). Each tile is then transposed,
+// which leaves one word of pattern bits per column, and the store undoes
+// the packer's bit order (logic.BitIndex) as it writes each input's word
+// once.
 func (p *Program) Load(words []uint64, tiles [][64]uint64, batch []logic.Cube) uint64 {
 	if len(batch) == 0 || len(batch) > 64 {
 		panic(fmt.Sprintf("faultsim: Program.Load batch size %d out of range 1..64", len(batch)))
@@ -235,7 +234,7 @@ func (p *Program) Load(words []uint64, tiles [][64]uint64, batch []logic.Cube) u
 	tiles = tiles[:p.NumTiles()]
 	for k, cube := range batch {
 		for t := range tiles {
-			tiles[t][k] = ones64(cube[t*64 : min(t*64+64, len(cube))])
+			tiles[t][k] = cube.OneWord(t)
 		}
 	}
 	for t := range tiles {
@@ -243,7 +242,7 @@ func (p *Program) Load(words []uint64, tiles [][64]uint64, batch []logic.Cube) u
 		clear(tile[len(batch):])
 		transpose64(tile)
 		for c, id := range p.ppis[t*64 : min(t*64+64, len(p.ppis))] {
-			words[id] = tile[(c&7)<<3|c>>3]
+			words[id] = tile[logic.BitIndex(c)]
 		}
 	}
 	if len(batch) >= 64 {
@@ -254,53 +253,7 @@ func (p *Program) Load(words []uint64, tiles [][64]uint64, batch []logic.Cube) u
 
 // NumTiles returns the number of 64×64 bit tiles Load packs the pseudo
 // inputs into: one per 64 of them.
-func (p *Program) NumTiles() int { return (len(p.ppis) + 63) / 64 }
-
-// ones64 maps up to 64 values to the bits of one row word, loadsOne(v[8i+j])
-// at bit 8j+i: the flags eq8 leaves in the low bit of each byte of eight
-// values merge by shifts alone (Load's store undoes the permutation).
-func ones64(v []logic.V) uint64 {
-	if len(v) == 64 {
-		a := (*[64]logic.V)(v)
-		return eq8(word8(a[0:8])) | eq8(word8(a[8:16]))<<1 |
-			eq8(word8(a[16:24]))<<2 | eq8(word8(a[24:32]))<<3 |
-			eq8(word8(a[32:40]))<<4 | eq8(word8(a[40:48]))<<5 |
-			eq8(word8(a[48:56]))<<6 | eq8(word8(a[56:64]))<<7
-	}
-	var row uint64
-	i := 0
-	for ; i+8 <= len(v); i += 8 {
-		row |= eq8(word8(v[i:i+8:i+8])) << (i >> 3 & 63) // i < 64: the mask only drops the shift check
-	}
-	for ; i < len(v); i++ {
-		row |= loadsOne(v[i]) << ((i&7)<<3 | i>>3&63)
-	}
-	return row
-}
-
-// word8 packs eight values into one word, v[i] in byte i.
-func word8(o []logic.V) uint64 {
-	_ = o[7]
-	return uint64(o[0]) | uint64(o[1])<<8 | uint64(o[2])<<16 | uint64(o[3])<<24 |
-		uint64(o[4])<<32 | uint64(o[5])<<40 | uint64(o[6])<<48 | uint64(o[7])<<56
-}
-
-// eq8 maps the eight bytes of w to the low bits of the same bytes: bit 8i
-// is 1 exactly when byte i equals logic.One, whatever the byte holds (X,
-// D, D̄ and any other value load as 0). It is the one definition of
-// "loads as 1".
-func eq8(w uint64) uint64 {
-	const lsb, low7 = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f
-	x := w ^ lsb*uint64(logic.One) // zero bytes where w holds One
-	// A byte's top bit survives exactly when the byte is zero: adding low7
-	// to its low seven bits carries into bit 7 iff any is set, and the OR
-	// with x covers bit 7 itself. No carry crosses a byte.
-	return ^(x&low7 + low7 | x) & (lsb << 7) >> 7
-}
-
-// loadsOne is eq8 on a single value: 1 when v loads as a 1 bit, else 0
-// (the zero bytes above v never equal logic.One).
-func loadsOne(v logic.V) uint64 { return eq8(uint64(v)) }
+func (p *Program) NumTiles() int { return logic.Words(len(p.ppis)) }
 
 // transpose64 transposes the 64×64 bit matrix a in place (bit c of a[r] is
 // row r, column c) by recursive block swaps (Hacker's Delight §7-3): the
@@ -309,9 +262,10 @@ func transpose64(a *[64]uint64) {
 	m := uint64(0x00000000ffffffff)
 	for j := 32; j != 0; j >>= 1 {
 		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := (a[k]>>j ^ a[k+j]) & m
-			a[k] ^= t << j
-			a[k+j] ^= t
+			// k and k+j stay below 64; the masks only drop the bounds checks.
+			t := (a[k&63]>>j ^ a[(k+j)&63]) & m
+			a[k&63] ^= t << j
+			a[(k+j)&63] ^= t
 		}
 		m ^= m << (j >> 1)
 	}

@@ -9,16 +9,16 @@
 // its fanout cone only, serves every fault of the region.
 //
 // An Engine also keeps a pending batch for callers that produce patterns
-// one at a time, like the ATPG loop: Queue packs a cube into the next of
-// 64 lanes, QueuedDetects checks one fault against every queued lane, and
+// one at a time, like the ATPG loop: Queue sets a cube's bits in the next
+// of 64 lanes, QueuedDetects checks one fault against every queued lane, and
 // Flush applies the batch with exactly the detection state, first
 // detectors included, that one Apply per cube would leave. A Program is
 // immutable; NewEngineFor lets one run share a single compilation.
 //
-// Two deliberately independent reference implementations cross-check the
+// A deliberately independent reference implementation cross-checks the
 // kernel, in tests only: the pattern-at-a-time serial engine
-// (SerialSimulate/SerialDetects, any input width) and the exhaustive
-// brute-force Oracle (<= 16 inputs).
+// (SerialSimulate/SerialDetects), at any input width, and exhaustively
+// over AllPatterns up to 16 inputs.
 package faultsim
 
 import (
@@ -534,9 +534,7 @@ func (e *Engine) Queue(cube logic.Cube) int {
 		e.qgood, e.qobs, e.qseen = make([]uint64, n), make([]uint64, n), make([]uint32, n)
 		e.qev = newFaultEval(e, e.qgood)
 	}
-	for i, id := range e.prog.ppis {
-		e.qgood[id] |= loadsOne(cube[i]) << uint(lane)
-	}
+	e.flipLane(lane, cube) // the lane's source bits are clear: this sets them
 	if e.regionStale {
 		e.computeRegion()
 	}
@@ -564,12 +562,22 @@ func (e *Engine) Unqueue() {
 		panic("faultsim: Unqueue on an empty pending batch")
 	}
 	// Only the source bits need clearing: the lane is outside every
-	// QueuedDetects mask until the next Queue re-runs the circuit.
-	for _, id := range e.prog.ppis {
-		e.qgood[id] &^= 1 << uint(lane)
-	}
+	// QueuedDetects mask until the next Queue re-runs the circuit. They
+	// are exactly the bits Queue set, so flipping them again clears them.
+	e.flipLane(lane, e.queued[lane])
 	e.queued = e.queued[:lane]
 	e.pendingChanged()
+}
+
+// flipLane flips lane's bit in the pending word of every pseudo input
+// that cube loads as 1, read from its packed one words.
+func (e *Engine) flipLane(lane int, cube logic.Cube) {
+	for k := 0; k < logic.Words(len(cube)); k++ {
+		for m := cube.OneWord(k); m != 0; m &= m - 1 {
+			i := k*64 + logic.BitIndex(bits.TrailingZeros64(m))
+			e.qgood[e.prog.ppis[i]] ^= 1 << uint(lane)
+		}
+	}
 }
 
 // Pending returns the number of queued cubes.

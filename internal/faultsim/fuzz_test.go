@@ -13,8 +13,7 @@ import (
 // arbitrary fault and an arbitrary batch of up to 64 random patterns, bit k
 // of the kernel's per-pattern detection word (QueuedDetects over the
 // patterns queued one lane each) must agree with SerialDetects run on
-// pattern k alone — and, on circuits narrow enough, with the brute-force
-// Oracle too — and Simulate's first detector must be the lowest such k.
+// pattern k alone, and Simulate's first detector must be the lowest such k.
 func FuzzPPSFPWord(f *testing.F) {
 	f.Add(c17Bench, int64(1), uint16(0), uint8(64))
 	f.Add(c17Bench, int64(7), uint16(13), uint8(1))
@@ -47,10 +46,6 @@ func FuzzPPSFPWord(f *testing.F) {
 		}
 		word := e.QueuedDetects(fault)
 
-		var oracle *Oracle
-		if len(c.PseudoInputs()) <= MaxOracleInputs {
-			oracle = NewOracle(c)
-		}
 		wantFirst := Undetected
 		for k, p := range patterns {
 			want := SerialDetects(c, p, fault)
@@ -59,11 +54,6 @@ func FuzzPPSFPWord(f *testing.F) {
 			}
 			if got := word>>uint(k)&1 == 1; got != want {
 				t.Fatalf("fault %s pattern %d: kernel %v, serial %v", fault.String(c), k, got, want)
-			}
-			if oracle != nil {
-				if od := oracle.Detects(p, fault); od != want {
-					t.Fatalf("fault %s pattern %d: oracle %v, serial %v", fault.String(c), k, od, want)
-				}
 			}
 		}
 		if res.DetectedBy[0] != wantFirst {

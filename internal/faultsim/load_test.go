@@ -174,9 +174,10 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// TestLoadAndApplyAllocateNothing: packing a batch and applying a
-// 64-pattern batch on an uninstrumented engine allocate nothing, also when
-// the batch drops faults and so recomputes the live region.
+// TestLoadAndApplyAllocateNothing: packing a batch, applying a 64-pattern
+// batch and queueing and withdrawing a cube on an uninstrumented engine
+// allocate nothing, Apply also when the batch drops faults and so
+// recomputes the live region.
 func TestLoadAndApplyAllocateNothing(t *testing.T) {
 	c := standinCircuit(t, "s1423")
 	r := rand.New(rand.NewSource(9))
@@ -203,6 +204,15 @@ func TestLoadAndApplyAllocateNothing(t *testing.T) {
 	}
 	if len(e.remaining) == 0 {
 		t.Fatal("every fault dropped: the Apply runs measured no detection work")
+	}
+
+	e.Queue(patterns[0]) // allocate the pending batch once
+	e.Queue(patterns[1])
+	if a := testing.AllocsPerRun(20, func() {
+		e.Queue(patterns[next])
+		e.Unqueue()
+	}); a != 0 {
+		t.Errorf("warm Queue and Unqueue: %v allocs per run, want 0", a)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"repro/internal/netlist"
 )
 
-// oracleCircuits collects every differential-oracle subject: the testdata
+// oracleCircuits collects every exhaustive-oracle subject: the testdata
 // benches plus the two inline netlists the engine tests already use. Only
 // circuits narrow enough to brute-force are returned.
 func oracleCircuits(t *testing.T) map[string]*netlist.Circuit {
@@ -73,7 +73,7 @@ func TestAllPatternsEnumeration(t *testing.T) {
 // TestOracleDifferentialExhaustive is the brute-force cross-check: for
 // every testdata circuit, every collapsed fault, and ALL 2^w patterns, the
 // bit-parallel engine — serial and sharded at several worker counts — must
-// report the identical first-detection table the exhaustive oracle computes.
+// report the identical first-detection table the serial reference computes.
 func TestOracleDifferentialExhaustive(t *testing.T) {
 	old := minShardRoots
 	minShardRoots = 1 // force even tiny fault lists through the sharded path
@@ -83,7 +83,7 @@ func TestOracleDifferentialExhaustive(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			flist := faults.CollapsedUniverse(c)
 			patterns := AllPatterns(len(c.PseudoInputs()))
-			want := NewOracle(c).Simulate(patterns, flist)
+			want := SerialSimulate(c, patterns, flist)
 			for _, w := range []int{1, 2, 3, 8} {
 				got := SimulateWorkers(c, patterns, flist, w)
 				if got.NumDetected != want.NumDetected {
@@ -100,31 +100,9 @@ func TestOracleDifferentialExhaustive(t *testing.T) {
 	}
 }
 
-// TestOracleAgainstSerialReference pits the third implementation against
-// the second: the serial single-pattern reference must agree with the
-// exhaustive oracle on every (fault, pattern) pair of the testdata
-// circuits.
-func TestOracleAgainstSerialReference(t *testing.T) {
-	for name, c := range oracleCircuits(t) {
-		t.Run(name, func(t *testing.T) {
-			flist := faults.CollapsedUniverse(c)
-			patterns := AllPatterns(len(c.PseudoInputs()))
-			o := NewOracle(c)
-			for _, f := range flist {
-				for _, p := range patterns {
-					if got, want := SerialDetects(c, p, f), o.Detects(p, f); got != want {
-						t.Fatalf("fault %s pattern %v: SerialDetects %v, oracle %v",
-							f.String(c), p, got, want)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestOracleRandomCircuits extends the differential check beyond the
 // curated netlists: random multi-level circuits, exhaustive patterns,
-// engine (sharded) vs oracle.
+// engine (sharded) vs the serial reference.
 func TestOracleRandomCircuits(t *testing.T) {
 	old := minShardRoots
 	minShardRoots = 1
@@ -136,7 +114,7 @@ func TestOracleRandomCircuits(t *testing.T) {
 		c := randomCircuit(t, r, nIn, 10+r.Intn(25), 2, r.Intn(3))
 		flist := faults.CollapsedUniverse(c)
 		patterns := AllPatterns(len(c.PseudoInputs()))
-		want := NewOracle(c).Simulate(patterns, flist)
+		want := SerialSimulate(c, patterns, flist)
 		got := SimulateWorkers(c, patterns, flist, 4)
 		for fi := range flist {
 			if got.DetectedBy[fi] != want.DetectedBy[fi] {

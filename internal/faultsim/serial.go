@@ -1,6 +1,8 @@
 package faultsim
 
 import (
+	"fmt"
+
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -13,9 +15,10 @@ import (
 // its semantics identical to Simulate: DetectedBy[i] is the first pattern
 // index detecting Faults[i], or Undetected.
 //
-// It is the differential oracle for circuits whose input frame is too wide
-// for the exhaustive Oracle, and the honest serial baseline that
-// BenchmarkKernelVsSerial measures the PPSFP kernel against.
+// It is the differential oracle the tests hold the PPSFP kernel, ATPG and
+// the SAT miter to, exhaustively over AllPatterns on narrow circuits, and
+// the honest serial baseline that BenchmarkKernelVsSerial measures the
+// PPSFP kernel against.
 func SerialSimulate(c *netlist.Circuit, patterns []logic.Cube, flist []faults.Fault) *Result {
 	if !c.Finalized() {
 		panic("faultsim: SerialSimulate on non-finalized circuit")
@@ -135,4 +138,74 @@ func (s *serialRef) detects(p logic.Cube, f faults.Fault) bool {
 		}
 	}
 	return false
+}
+
+// noFault marks an eval call with no injection.
+var noFault = faults.Fault{Gate: -1}
+
+// evalBool is the serial reference's own gate evaluator — independent of
+// the compiled Program and of sim.EvalGateWord on purpose.
+func evalBool(t netlist.GateType, in []bool) bool {
+	switch t {
+	case netlist.Buf:
+		return in[0]
+	case netlist.Not:
+		return !in[0]
+	case netlist.And, netlist.Nand:
+		r := true
+		for _, v := range in {
+			r = r && v
+		}
+		if t == netlist.Nand {
+			return !r
+		}
+		return r
+	case netlist.Or, netlist.Nor:
+		r := false
+		for _, v := range in {
+			r = r || v
+		}
+		if t == netlist.Nor {
+			return !r
+		}
+		return r
+	case netlist.Xor, netlist.Xnor:
+		r := false
+		for _, v := range in {
+			r = r != v
+		}
+		if t == netlist.Xnor {
+			return !r
+		}
+		return r
+	case netlist.Const0:
+		return false
+	case netlist.Const1:
+		return true
+	}
+	panic(fmt.Sprintf("faultsim: serial eval on non-combinational gate type %v", t))
+}
+
+// MaxOracleInputs bounds exhaustive enumeration: AllPatterns refuses wider
+// pseudo-input frames, because 2^17 patterns stops being "brute force you
+// can afford in a test" territory.
+const MaxOracleInputs = 16
+
+// AllPatterns enumerates every fully specified cube over a width-bit
+// pseudo-input frame, in ascending binary order: cube k has position j set
+// to bit j of k. It panics beyond MaxOracleInputs — the caller should skip
+// circuits too wide to brute-force rather than silently subsample.
+func AllPatterns(width int) []logic.Cube {
+	if width < 0 || width > MaxOracleInputs {
+		panic(fmt.Sprintf("faultsim: AllPatterns width %d outside [0, %d]", width, MaxOracleInputs))
+	}
+	out := make([]logic.Cube, 1<<uint(width))
+	for k := range out {
+		p := make(logic.Cube, width)
+		for j := 0; j < width; j++ {
+			p[j] = logic.FromBool(k&(1<<uint(j)) != 0)
+		}
+		out[k] = p
+	}
+	return out
 }

@@ -38,86 +38,6 @@ func (c Cube) Specified() int {
 	return n
 }
 
-// CareRatio returns the fraction of specified bits, in [0, 1].
-// An empty cube has care ratio 0.
-func (c Cube) CareRatio() float64 {
-	if len(c) == 0 {
-		return 0
-	}
-	return float64(c.Specified()) / float64(len(c))
-}
-
-// Compatible reports whether c and d can be merged: they have equal length
-// and every position is non-conflicting. Two values conflict exactly when
-// both are binary and differ (paper, Section 3: "Non-conflicting values are
-// the same logic values, or different logic values one of which is X").
-func (c Cube) Compatible(d Cube) bool {
-	if len(c) != len(d) {
-		return false
-	}
-	for i, v := range c {
-		w := d[i]
-		if v.Binary() && w.Binary() && v != w {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge combines c and d into a new cube: at every position the specified
-// value (if any) wins. Merge panics if the cubes are incompatible; callers
-// must check Compatible first.
-func (c Cube) Merge(d Cube) Cube {
-	if len(c) != len(d) {
-		panic("logic: merging cubes of different lengths")
-	}
-	m := make(Cube, len(c))
-	for i, v := range c {
-		w := d[i]
-		switch {
-		case v.Binary() && w.Binary() && v != w:
-			panic("logic: merging conflicting cubes")
-		case v.Binary():
-			m[i] = v
-		case w.Binary():
-			m[i] = w
-		default:
-			m[i] = X
-		}
-	}
-	return m
-}
-
-// MergeInto merges d into c in place (same semantics as Merge).
-func (c Cube) MergeInto(d Cube) {
-	if len(c) != len(d) {
-		panic("logic: merging cubes of different lengths")
-	}
-	for i, w := range d {
-		v := c[i]
-		switch {
-		case v.Binary() && w.Binary() && v != w:
-			panic("logic: merging conflicting cubes")
-		case !v.Binary() && w.Binary():
-			c[i] = w
-		}
-	}
-}
-
-// Covers reports whether every specified bit of d is specified identically
-// in c; i.e. c is at least as specific as d everywhere d cares.
-func (c Cube) Covers(d Cube) bool {
-	if len(c) != len(d) {
-		return false
-	}
-	for i, w := range d {
-		if w.Binary() && c[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
 // Fill returns a copy of c with every X replaced by the value produced by
 // fill(i), where i is the bit position. It is used for X-filling compacted
 // cubes into fully specified tester patterns.

@@ -12,9 +12,9 @@ import (
 
 // TestProveFaultMatchesOracle is the exhaustive cross-check: on every
 // fixture narrow enough to brute-force, for every collapsed fault, the
-// miter verdict must coincide with the exhaustive Oracle (UNSAT ⟺ no fully
-// specified pattern detects the fault), and every extracted cube must be
-// confirmed by the serial reference simulator.
+// miter verdict must coincide with the serial reference simulator run over
+// every fully specified pattern (UNSAT ⟺ no pattern detects the fault), and
+// every extracted cube must be confirmed by the same reference.
 func TestProveFaultMatchesOracle(t *testing.T) {
 	tested := 0
 	for name, c := range fixtureCircuits(t) {
@@ -22,16 +22,10 @@ func TestProveFaultMatchesOracle(t *testing.T) {
 		if width > faultsim.MaxOracleInputs {
 			continue
 		}
-		oracle := faultsim.NewOracle(c)
-		patterns := faultsim.AllPatterns(width)
-		for _, f := range faults.CollapsedUniverse(c) {
-			detectable := false
-			for _, p := range patterns {
-				if oracle.Detects(p, f) {
-					detectable = true
-					break
-				}
-			}
+		flist := faults.CollapsedUniverse(c)
+		table := faultsim.SerialSimulate(c, faultsim.AllPatterns(width), flist)
+		for i, f := range flist {
+			detectable := table.DetectedBy[i] != faultsim.Undetected
 			proof := ProveFault(c, f)
 			if proof.Redundant == detectable {
 				t.Fatalf("%s fault %s: miter redundant=%v, oracle detectable=%v",
