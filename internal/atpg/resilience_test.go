@@ -44,7 +44,7 @@ func (c *afterNCtx) Err() error {
 	return nil
 }
 
-func standin(t *testing.T, name string) *netlist.Circuit {
+func standin(t testing.TB, name string) *netlist.Circuit {
 	t.Helper()
 	prof, ok := bench89.ProfileByName(name)
 	if !ok {

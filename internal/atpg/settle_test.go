@@ -16,6 +16,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/runctl"
+	"repro/internal/sat"
 )
 
 // settleRun runs generation under a deliberately starved backtrack limit
@@ -303,7 +304,9 @@ z = OR(x, c)
 // -compact=false at backtrack limits 2 and 3. The per-fault conflict
 // counts are those of the fixed-order DPLL tree, recorded before the
 // solver memoized refuted subtrees; the memo must reproduce them, and the
-// one testable abort's cube, exactly.
+// one testable abort's cube, exactly. Each row's summed decisions and memo
+// hits pin the work the memo table saves, so a table change that loses
+// hits fails here too.
 func TestSettleS953Pinned(t *testing.T) {
 	type settled struct {
 		fault     string
@@ -314,16 +317,18 @@ func TestSettleS953Pinned(t *testing.T) {
 	for _, tc := range []struct {
 		backtrack int
 		conflicts int64
+		decisions int64
+		memoHits  int64
 		faults    []settled
 	}{
-		{2, 85_672_000, []settled{
+		{2, 85_672_000, 1_306_593, 454_777, []settled{
 			{"g13/SA0", ProvedRedundant, 4_194_304},
 			{"ff13->g13.0/SA1", ProvedRedundant, 18_415_616},
 			{"i8->g13.1/SA1", ProvedRedundant, 18_415_616},
 			{"g9->g13.3/SA1", ProvedRedundant, 34_603_008},
 			{"g112->g178.2/SA1", Detected, 10_043_456},
 		}},
-		{3, 48_840_768, []settled{
+		{3, 48_840_768, 301_209, 147_772, []settled{
 			{"g13/SA0", ProvedRedundant, 4_194_304},
 			{"g9->g13.3/SA1", ProvedRedundant, 34_603_008},
 			{"g112->g178.2/SA1", Detected, 10_043_456},
@@ -335,8 +340,10 @@ func TestSettleS953Pinned(t *testing.T) {
 			opts := Options{BacktrackLimit: tc.backtrack, RandomPatterns: 0, Compact: false, Seed: 1, Workers: 1}
 			res := GenerateForFaults(c, flist, opts)
 			rep := SettleAborted(c, flist, res, nil, 1)
-			want := SettleReport{Aborted: len(tc.faults), ProvedRedundant: len(tc.faults) - 1, CubesAdded: 1, Conflicts: tc.conflicts}
-			got := SettleReport{Aborted: rep.Aborted, ProvedRedundant: rep.ProvedRedundant, CubesAdded: rep.CubesAdded, Conflicts: rep.Conflicts}
+			want := SettleReport{Aborted: len(tc.faults), ProvedRedundant: len(tc.faults) - 1, CubesAdded: 1,
+				Conflicts: tc.conflicts, Decisions: tc.decisions, MemoHits: tc.memoHits}
+			got := SettleReport{Aborted: rep.Aborted, ProvedRedundant: rep.ProvedRedundant, CubesAdded: rep.CubesAdded,
+				Conflicts: rep.Conflicts, Decisions: rep.Decisions, MemoHits: rep.MemoHits}
 			if got != want {
 				t.Fatalf("settle report %+v, want %+v", got, want)
 			}
@@ -355,6 +362,37 @@ func TestSettleS953Pinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkSettleS953 proves the three aborts of s953 at backtrack limit
+// 3 (the socbench sat_settle operation) and reports the solver's work per
+// iteration: decisions/op and memo_hits/op fall when the memo table keeps
+// more refuted subtrees, while the tree conflicts stay pinned by
+// TestSettleS953Pinned.
+func BenchmarkSettleS953(b *testing.B) {
+	c := standin(b, "s953")
+	flist := faults.CollapsedUniverse(c)
+	opts := Options{BacktrackLimit: 3, RandomPatterns: 0, Compact: false, Seed: 1, Workers: 1}
+	res := GenerateForFaults(c, flist, opts)
+	rep := SettleAborted(c, flist, res, nil, 1)
+	if rep.Aborted != 3 {
+		b.Fatalf("%d aborts at backtrack limit 3, want 3", rep.Aborted)
+	}
+	var aborted []faults.Fault
+	for _, o := range res.Outcomes[len(res.Outcomes)-rep.Aborted:] {
+		aborted = append(aborted, o.Fault)
+	}
+	b.ResetTimer()
+	var decisions, memoHits int64
+	for i := 0; i < b.N; i++ {
+		for _, f := range aborted {
+			p := sat.ProveFault(c, f)
+			decisions += p.Decisions
+			memoHits += p.MemoHits
+		}
+	}
+	b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
+	b.ReportMetric(float64(memoHits)/float64(b.N), "memo_hits/op")
 }
 
 // TestSettleStopsOnDeadline cuts an s953 settlement short with a deadline.

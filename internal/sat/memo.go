@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -9,29 +10,37 @@ import (
 // DPLL with caching (Bacchus, Dalmao & Pitassi, FOCS 2003). At a decision
 // node the residual formula — the clauses not yet satisfied, restricted to
 // the unassigned variables — is fixed by two sets: the assigned variables
-// and the satisfied clauses. The key is those two bitsets, kept current on
-// every enqueue and undo together with a Zobrist hash of them.
+// and the satisfied clauses. The key is those two bitsets, packed end to
+// end, kept current on every enqueue and undo together with a Zobrist
+// hash of them.
 //
 // Exactness: unit propagation is confluent (a residual formula has one
 // propagation fixpoint, or conflicts under every propagation order), and
 // the decision rule reads only the unassigned set, so every node with the
 // same key roots the same subtree with the same conflict count. Only
-// refuted subtrees are stored, so a satisfiable search still meets the
-// same first model. The table is direct-mapped: a colliding store replaces
-// the slot, which costs only re-exploration, never a wrong count.
+// refuted subtrees are stored, and a lookup compares the full key, so a
+// satisfiable search still meets the same first model.
+//
+// The table is a two-level transposition table (Breuker, Uiterwijk & van
+// den Herik, ICCA Journal 1996): each bucket holds two entries. Entry 0
+// keeps the biggest subtree stored in the bucket, the one whose loss
+// would cost the most re-exploration; entry 1 keeps the most recent
+// store. A store that loses an entry costs only re-exploration, never a
+// wrong count.
 
 // memoBudgetWords is the size of one memo table: 640 KiB in 64-bit words.
-// The slot count is the largest power of two whose slots fit in it.
+// The table holds as many two-entry buckets as fit in it.
 const memoBudgetWords = 640 << 10 / 8
 
-// memoSlots, when positive, overrides the slot count (a power of two) so
-// tests can force collisions and replacement.
+// memoSlots, when positive, overrides the bucket count (capped at what
+// fits the budget) so tests can force collisions and replacement.
 var memoSlots int
 
-// memoTable is one pooled table. A slot is stride words: the key, the
-// stored conflict count, and the epoch that wrote it. A slot is valid only
-// when its epoch is the table's current one, so a reused table needs no
-// clearing unless the stride changes.
+// memoTable is one pooled table. An entry is stride words: the key, the
+// stored conflict count, and the epoch that wrote it; a bucket is two
+// consecutive entries. An entry is valid only when its epoch is the
+// table's current one, so a reused table needs no clearing unless the
+// stride changes.
 type memoTable struct {
 	words  []uint64
 	stride int
@@ -52,8 +61,8 @@ type memo struct {
 	clauseBit uint      // key bit of clause 0
 	hash      uint64    // Zobrist hash of key
 
-	tbl  *memoTable
-	mask uint64
+	tbl     *memoTable
+	buckets uint64
 }
 
 // engageMemo makes the memo live: it rebuilds the key from the current
@@ -65,14 +74,11 @@ func (s *Solver) engageMemo() {
 		m.buildOcc(s)
 	}
 	stride := len(m.key) + 2
-	slots := memoSlots
-	if slots == 0 {
-		slots = 1
-		for 2*slots*stride <= memoBudgetWords {
-			slots *= 2
-		}
+	buckets := memoBudgetWords / (2 * stride)
+	if memoSlots > 0 {
+		buckets = min(buckets, memoSlots)
 	}
-	if slots*stride > memoBudgetWords {
+	if buckets == 0 {
 		return // a key too wide for the budget: search without the memo
 	}
 	clear(m.nTrue)
@@ -87,7 +93,7 @@ func (s *Solver) engageMemo() {
 		t.stride, t.epoch = stride, 0
 	}
 	t.epoch++
-	m.tbl, m.mask = t, uint64(slots-1)
+	m.tbl, m.buckets = t, uint64(buckets)
 	s.memoOn = true
 }
 
@@ -112,9 +118,8 @@ func (m *memo) buildOcc(s *Solver) {
 			m.occ[watchIdx(l)] = append(m.occ[watchIdx(l)], int32(ci))
 		}
 	}
-	varWords := int(s.nVars)/64 + 1
-	m.clauseBit = uint(64 * varWords)
-	m.key = make([]uint64, varWords+(len(s.clauses)+63)/64)
+	m.clauseBit = uint(s.nVars) + 1
+	m.key = make([]uint64, (int(m.clauseBit)+len(s.clauses)+63)/64)
 	m.nTrue = make([]int32, len(s.clauses))
 }
 
@@ -157,10 +162,18 @@ func (m *memo) unassign(l Lit) {
 	}
 }
 
-// slot returns the table slot of the current key.
-func (m *memo) slot() []uint64 {
-	i := int(m.hash&m.mask) * m.tbl.stride
-	return m.tbl.words[i : i+m.tbl.stride]
+// bucket returns the two entries of the current key's bucket.
+func (m *memo) bucket() (e0, e1 []uint64) {
+	st := m.tbl.stride
+	i, _ := bits.Mul64(m.hash, m.buckets)
+	b := m.tbl.words[int(i)*2*st:][:2*st]
+	return b[:st], b[st:]
+}
+
+// holds reports whether entry e is valid and keyed by the current key.
+func (m *memo) holds(e []uint64) bool {
+	n := len(m.key)
+	return e[n+1] == m.tbl.epoch && slices.Equal(e[:n], m.key)
 }
 
 // memoLookup returns the stored conflict count of the current residual
@@ -170,23 +183,36 @@ func (s *Solver) memoLookup() (int64, bool) {
 		return 0, false
 	}
 	m := &s.memo
-	e := m.slot()
 	n := len(m.key)
-	if e[n+1] != m.tbl.epoch || !slices.Equal(e[:n], m.key) {
-		return 0, false
+	e0, e1 := m.bucket()
+	if m.holds(e0) {
+		return int64(e0[n]), true
 	}
-	return int64(e[n]), true
+	if m.holds(e1) {
+		return int64(e1[n]), true
+	}
+	return 0, false
 }
 
 // memoStore records that the subtree rooted at the current residual
-// formula was refuted with the given number of conflicts.
+// formula was refuted with the given number of conflicts. The new entry
+// takes entry 0 when that is stale or holds a subtree no bigger, demoting
+// a valid old entry 0 to entry 1; otherwise it replaces entry 1.
 func (s *Solver) memoStore(conflicts int64) {
 	if !s.memoOn {
 		return
 	}
 	m := &s.memo
-	e := m.slot()
-	n := copy(e, m.key)
+	n := len(m.key)
+	e, e1 := m.bucket()
+	if e[n+1] == m.tbl.epoch {
+		if int64(e[n]) <= conflicts {
+			copy(e1, e)
+		} else {
+			e = e1
+		}
+	}
+	copy(e, m.key)
 	e[n], e[n+1] = uint64(conflicts), m.tbl.epoch
 }
 

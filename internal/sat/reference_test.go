@@ -174,12 +174,12 @@ func compareSolve(s, ref *Solver, assumptions []Lit) error {
 // TestSolverMatchesReference differentially checks the memoized solver
 // against the memo-free reference search: random formulas under assumption
 // sequences on one reused solver, every collapsed fault's miter on every
-// fixture, and both again with a four-slot table that forces collisions
-// and replacement.
+// fixture, and both again with tables of one and two buckets that force
+// collisions and replacement.
 func TestSolverMatchesReference(t *testing.T) {
-	for _, slots := range []int{0, 4} {
-		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
-			memoSlots = slots
+	for _, buckets := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("buckets=%d", buckets), func(t *testing.T) {
+			memoSlots = buckets
 			t.Cleanup(func() { memoSlots = 0 })
 			var randomHits, fixtureHits int64
 			r := rand.New(rand.NewSource(20261017))
