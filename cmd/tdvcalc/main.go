@@ -21,8 +21,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cli"
@@ -82,52 +84,51 @@ func run() int {
 		return code
 	}
 
-	// Source-level preflight for files: lint before parsing so a broken
-	// input reports the full set of findings, not the parser's first error.
-	if *lintPre && *file != "" && *file != "-" {
-		lr, lerr := lint.CheckSOCFile(*file)
-		if lerr != nil {
-			return fail(cli.ExitRuntime, lerr)
-		}
-		if code := lintGate(man, lr); code != 0 {
-			return fail(code, fmt.Errorf("%s failed lint with %d error(s); refusing to run", *file, lr.Count(lint.Error)))
-		}
-	}
-
+	// A profile from -f is read once, from the file or from stdin, and the
+	// linter and the parser see the same bytes: lint first, so a broken
+	// input reports every finding, not the parser's first error.
 	var (
 		s   *core.SOC
+		src []byte
 		err error
 	)
+	name := *builtin
 	switch {
 	case *builtin != "":
-		man.SetOption("soc", *builtin)
 		s, err = itc02.SOCByName(*builtin)
 	case *file == "-":
-		man.SetOption("soc", "stdin")
-		s, err = itc02.ParseSOC(os.Stdin)
+		name = "stdin"
+		src, err = io.ReadAll(os.Stdin)
 	default:
-		man.SetOption("soc", *file)
-		var f *os.File
-		f, err = os.Open(*file)
-		if err == nil {
-			defer f.Close()
-			s, err = itc02.ParseSOC(f)
-		}
+		name = *file
+		src, err = os.ReadFile(*file)
 	}
+	man.SetOption("soc", name)
 	if err != nil {
 		return fail(cli.ExitRuntime, err)
+	}
+	if *builtin == "" {
+		if *lintPre {
+			if code, err := lintGate(man, name, lint.CheckSOCSource(name, string(src))); code != 0 {
+				return fail(code, err)
+			}
+		}
+		if s, err = itc02.ParseSOC(bytes.NewReader(src)); err != nil {
+			return fail(cli.ExitRuntime, err)
+		}
 	}
 	if *tmono >= 0 {
 		s.TMono = *tmono
 	}
-
-	// Structural preflight for inputs with no backing source (builtins and
-	// stdin): the bookkeeping and TDV-precondition rules still apply.
-	if *lintPre && (*builtin != "" || *file == "-") {
-		lr := lint.CheckSOC(s)
-		if code := lintGate(man, lr); code != 0 {
-			return fail(code, fmt.Errorf("SOC failed lint with %d error(s); refusing to run", lr.Count(lint.Error)))
+	// A builtin has no source: the bookkeeping and TDV-precondition rules
+	// still apply to the profile, tmono override included.
+	if *lintPre && *builtin != "" {
+		if code, err := lintGate(man, name, lint.CheckSOC(s)); code != 0 {
+			return fail(code, err)
 		}
+	}
+	if tmax := s.MaxPatterns(); s.TMono > 0 && s.TMono < tmax {
+		return fail(cli.ExitRuntime, fmt.Errorf("T_mono=%d is below T_max=%d, violating Eq. 2", s.TMono, tmax))
 	}
 
 	r := s.Analyze()
@@ -178,15 +179,16 @@ func run() int {
 
 // lintGate prints the preflight report to stderr, records the counts on
 // the manifest, and returns the exit code the findings demand: 0 to
-// proceed (warnings and infos never block), ExitRuntime on errors.
-func lintGate(man *obs.Manifest, lr *lint.Report) int {
+// proceed (warnings and infos never block), ExitRuntime with the refusal
+// on errors.
+func lintGate(man *obs.Manifest, name string, lr *lint.Report) (int, error) {
 	cli.Check(prog, lr.WriteText(os.Stderr))
 	man.SetResult("lint_errors", lr.Count(lint.Error))
 	man.SetResult("lint_warnings", lr.Count(lint.Warning))
 	if lr.HasErrors() {
-		return cli.ExitRuntime
+		return cli.ExitRuntime, fmt.Errorf("%s failed lint with %d error(s); refusing to run", name, lr.Count(lint.Error))
 	}
-	return 0
+	return 0, nil
 }
 
 // finish seals the manifest, emits it as the final trace event, shuts the

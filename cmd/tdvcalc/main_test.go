@@ -153,3 +153,56 @@ func TestUsage(t *testing.T) {
 		t.Fatalf("-example: %v\n%s", err, ex)
 	}
 }
+
+// TestLintStdinReportsEveryFinding checks -lint -f - lints the stdin bytes
+// as source: both defects are reported, not just the parser's first.
+func TestLintStdinReportsEveryFinding(t *testing.T) {
+	bin := buildBinary(t)
+	cmd := exec.Command(bin, "-lint", "-f", "-")
+	cmd.Stdin = strings.NewReader("soc two\nmodule A t nope\nmodule A t 1\ntop A\n")
+	out, err := cmd.CombinedOutput()
+	if code := exitCode(t, err); code != cli.ExitRuntime {
+		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
+	}
+	for _, want := range []string{
+		`stdin:2: error: SOC001: bad value "nope" for "t"`,
+		`stdin:3: error: SOC002: duplicate module "A" (first defined at line 2)`,
+		"stdin failed lint with 2 error(s); refusing to run",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestLintRefusesNamelessSOC checks a profile without a 'soc <name>' line
+// is refused at the lint gate, before the parser sees it.
+func TestLintRefusesNamelessSOC(t *testing.T) {
+	bin := buildBinary(t)
+	path := filepath.Join(t.TempDir(), "nameless.soc")
+	if err := os.WriteFile(path, []byte("module A i 1 o 1 t 1\ntop A\n"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-f", path, "-lint").CombinedOutput()
+	if code := exitCode(t, err); code != cli.ExitRuntime {
+		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
+	}
+	for _, want := range []string{"SOC001: missing 'soc <name>' directive", "refusing to run"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestTMonoBelowTMaxRefused checks a T_mono below the largest module
+// pattern count (Eq. 2's precondition) is a runtime error, not a panic.
+func TestTMonoBelowTMaxRefused(t *testing.T) {
+	bin := buildBinary(t)
+	out, err := exec.Command(bin, "-builtin", "d695", "-tmono", "1").CombinedOutput()
+	if code := exitCode(t, err); code != cli.ExitRuntime {
+		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
+	}
+	if !strings.Contains(string(out), "violating Eq. 2") || strings.Contains(string(out), "panic") {
+		t.Errorf("want the Eq. 2 refusal, not a panic:\n%s", out)
+	}
+}

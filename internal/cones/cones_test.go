@@ -1,7 +1,10 @@
 package cones
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -165,5 +168,61 @@ func TestNormStdev(t *testing.T) {
 	}
 	if core.NormStdev([]int{7, 7, 7}) != 0 {
 		t.Error("constant counts must have zero stdev")
+	}
+}
+
+// TestModelAgreesWithCore holds the Section 3 cone model to the paper's
+// Equations 3 and 4 in internal/core: each cone becomes a core of S =
+// Cells, T = Patterns and I = O = its wrapper cells, embedded in an empty
+// tester-accessible top. Core counts stimulus and response, so every
+// figure is twice the model's: the factor 2 is the response half that
+// Section 3's stimulus-only figures leave out.
+func TestModelAgreesWithCore(t *testing.T) {
+	const responseHalf = 2
+	check := func(name string, m Model, wrapper []int) {
+		t.Helper()
+		top := &core.Module{Name: "top", PortsTesterAccessible: true}
+		for i, c := range m.Cones {
+			top.Children = append(top.Children, &core.Module{
+				Name:   c.Name,
+				Params: core.Params{Inputs: wrapper[i], Outputs: wrapper[i], ScanCells: c.Cells, Patterns: c.Patterns},
+			})
+		}
+		s := &core.SOC{Name: name, Top: top}
+		if got, want := s.TDVMonoOpt(), responseHalf*m.MonolithicStimulusBits(); got != want {
+			t.Errorf("%s: TDVMonoOpt = %d, want 2×%d", name, got, want/responseHalf)
+		}
+		withWrapper, err := m.ModularStimulusBitsWithWrapper(wrapper)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.TDVModular(), responseHalf*withWrapper; got != want {
+			t.Errorf("%s: TDVModular = %d, want 2×%d (wrapper %v)", name, got, withWrapper, wrapper)
+		}
+		if !slices.ContainsFunc(wrapper, func(w int) bool { return w != 0 }) {
+			if got, want := s.TDVModular(), responseHalf*m.ModularStimulusBits(); got != want {
+				t.Errorf("%s: TDVModular = %d, want 2×%d with no wrapper cells", name, got, want/responseHalf)
+			}
+		}
+	}
+	paper := PaperExample()
+	check("paper", paper, []int{0, 0, 0})
+	check("paper+wrapper", paper, []int{4, 2, 6})
+
+	rng := rand.New(rand.NewSource(2008))
+	for trial := 0; trial < 200; trial++ {
+		var m Model
+		wrapper := make([]int, 1+rng.Intn(8))
+		for i := range wrapper {
+			m.Cones = append(m.Cones, Spec{
+				Name:     fmt.Sprintf("cone%d", i),
+				Cells:    rng.Intn(200),
+				Patterns: rng.Intn(1000),
+			})
+			if trial%2 == 1 {
+				wrapper[i] = rng.Intn(32)
+			}
+		}
+		check(fmt.Sprintf("random%d", trial), m, wrapper)
 	}
 }

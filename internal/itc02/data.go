@@ -19,7 +19,11 @@
 // the corrected value and records the printed one.
 package itc02
 
-import "repro/internal/core"
+import (
+	"strconv"
+
+	"repro/internal/core"
+)
 
 // p34392Row is one row of the paper's Table 3.
 type p34392Row struct {
@@ -100,21 +104,7 @@ func moduleName(idx int) string {
 	if idx == 0 {
 		return "Core0(top)"
 	}
-	return "Core" + itoa(idx)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "Core" + strconv.Itoa(idx)
 }
 
 // PublishedRow is one row of the paper's Table 4.

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -26,7 +26,9 @@ import (
 // (forward references allowed); sc is an optional comma-separated list of
 // internal scan-chain lengths (the ITC'02 files publish these per core —
 // the SOC linter checks their sum against s); testeraccess marks chip-pin
-// modules.
+// modules. A description needs a 'soc <name>' and a 'top <name>' line,
+// and its modules must form one tree under the top: every child defined,
+// embedded once, and reachable from the top.
 
 // WriteSOC serializes the SOC profile.
 func WriteSOC(w io.Writer, s *core.SOC) error {
@@ -68,54 +70,126 @@ func SOCString(s *core.SOC) string {
 	return b.String()
 }
 
-// ParseSOC reads a SOC description.
+// ParseSOC reads a SOC description and returns the first problem ReadSOC
+// finds in it as the error.
 func ParseSOC(r io.Reader) (*core.SOC, error) {
+	src, err := ReadSOC(r)
+	switch {
+	case len(src.Problems) > 0:
+		return nil, src.Problems[0]
+	case err != nil:
+		return nil, err
+	}
+	return &core.SOC{Name: src.Name, TMono: src.TMono, Top: src.Top}, nil
+}
+
+// ParseSOCString parses an in-memory description.
+func ParseSOCString(src string) (*core.SOC, error) {
+	return ParseSOC(strings.NewReader(src))
+}
+
+// ProblemKind classifies a Problem.
+type ProblemKind uint8
+
+// Problem kinds, one per way a description fails.
+const (
+	Malformed       ProblemKind = iota // a line the grammar rejects, or no 'soc <name>' line
+	DuplicateModule                    // a second definition of a module name
+	UndefinedChild                     // a children list names an undefined module
+	SharedChild                        // a module embedded by two parents
+	Cycle                              // a hierarchy cycle, or the top embedded in a module
+	NoTop                              // the top module is missing or undefined
+	Orphan                             // a module the top does not reach
+)
+
+// Problem is one defect ReadSOC found in a description.
+type Problem struct {
+	Kind    ProblemKind
+	Line    int    // source line, or 0 when the description as a whole is at fault
+	Subject string // the module concerned, or ""
+	Msg     string
+}
+
+// Error renders the problem as ParseSOC reports it.
+func (p Problem) Error() string {
+	if p.Line > 0 {
+		return fmt.Sprintf("soc line %d: %s", p.Line, p.Msg)
+	}
+	return "soc: " + p.Msg
+}
+
+// SOCSource is a description as ReadSOC read it.
+type SOCSource struct {
+	Name  string // "" without a 'soc <name>' line
+	TMono int
+	// Modules lists the modules in definition order; a duplicate
+	// definition is dropped. Their Children hold the children that
+	// resolved.
+	Modules  []SourceModule
+	Top      *core.Module // nil when the top is missing or undefined
+	Problems []Problem
+}
+
+// SourceModule is one module line of a description. ScanChains is
+// non-nil when the line has an sc key, even if no length in it parsed.
+type SourceModule struct {
+	*core.Module
+	Line       int
+	ChildNames []string // the children list as written, resolved or not
+}
+
+// ReadSOC reads a description leniently: it scans every line, then
+// resolves the hierarchy in module definition order, and records every
+// problem on the way instead of stopping at the first. ParseSOC and the
+// SOC linter both read through it, so what the parser accepts and what
+// the linter reports cannot drift apart. The error is an I/O error from
+// the reader; the hierarchy is left unresolved after one.
+func ReadSOC(r io.Reader) (*SOCSource, error) {
+	s := &SOCSource{}
+	bad := func(kind ProblemKind, line int, subject, format string, args ...any) {
+		s.Problems = append(s.Problems, Problem{kind, line, subject, fmt.Sprintf(format, args...)})
+	}
+	byName := map[string]int{} // module name -> index in s.Modules
+	topName, topLine := "", 0
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-
-	s := &core.SOC{}
-	mods := map[string]*core.Module{}
-	children := map[string][]string{}
-	var order []string
-	topName := ""
-	lineNo := 0
-
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = strings.TrimSpace(line[:i])
-		}
-		if line == "" {
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		text, _, _ := strings.Cut(sc.Text(), "#")
+		fields := strings.Fields(text)
+		if len(fields) == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
 		switch fields[0] {
 		case "soc":
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("soc line %d: want 'soc <name>'", lineNo)
+				bad(Malformed, lineNo, "", "want 'soc <name>'")
+				continue
 			}
 			s.Name = fields[1]
 		case "tmono":
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("soc line %d: want 'tmono <n>'", lineNo)
+				bad(Malformed, lineNo, "", "want 'tmono <n>'")
+				continue
 			}
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("soc line %d: bad tmono %q", lineNo, fields[1])
+				bad(Malformed, lineNo, "", "bad tmono %q", fields[1])
+				continue
 			}
 			s.TMono = n
 		case "module":
 			if len(fields) < 2 {
-				return nil, fmt.Errorf("soc line %d: module needs a name", lineNo)
+				bad(Malformed, lineNo, "", "module needs a name")
+				continue
 			}
 			name := fields[1]
-			if _, dup := mods[name]; dup {
-				return nil, fmt.Errorf("soc line %d: duplicate module %q", lineNo, name)
+			if i, dup := byName[name]; dup {
+				bad(DuplicateModule, lineNo, name,
+					"duplicate module %q (first defined at line %d)", name, s.Modules[i].Line)
+				continue
 			}
-			m := &core.Module{Name: name}
-			i := 2
-			for i < len(fields) {
+			m := SourceModule{Module: &core.Module{Name: name}, Line: lineNo}
+			for i := 2; i < len(fields); {
 				key := fields[i]
 				if key == "testeraccess" {
 					m.PortsTesterAccessible = true
@@ -123,121 +197,118 @@ func ParseSOC(r io.Reader) (*core.SOC, error) {
 					continue
 				}
 				if i+1 >= len(fields) {
-					return nil, fmt.Errorf("soc line %d: key %q missing value", lineNo, key)
+					bad(Malformed, lineNo, name, "key %q missing value", key)
+					break
 				}
 				val := fields[i+1]
 				i += 2
-				if key == "children" {
-					children[name] = strings.Split(val, ",")
+				var p *int
+				switch key {
+				case "i":
+					p = &m.Inputs
+				case "o":
+					p = &m.Outputs
+				case "b":
+					p = &m.Bidirs
+				case "s":
+					p = &m.ScanCells
+				case "t":
+					p = &m.Patterns
+				case "children":
+					m.ChildNames = strings.Split(val, ",")
 					continue
-				}
-				if key == "sc" {
-					for _, part := range strings.Split(val, ",") {
-						l, err := strconv.Atoi(strings.TrimSpace(part))
+				case "sc":
+					parts := strings.Split(val, ",")
+					m.ScanChains = slices.Grow(m.ScanChains, len(parts)) // non-nil from here on
+					for _, part := range parts {
+						l, err := strconv.Atoi(part)
 						if err != nil || l < 0 {
-							return nil, fmt.Errorf("soc line %d: bad scan-chain length %q", lineNo, part)
+							bad(Malformed, lineNo, name, "bad scan-chain length %q", part)
+							continue
 						}
 						m.ScanChains = append(m.ScanChains, l)
 					}
 					continue
+				default:
+					bad(Malformed, lineNo, name, "unknown key %q", key)
+					continue
 				}
 				n, err := strconv.Atoi(val)
 				if err != nil || n < 0 {
-					return nil, fmt.Errorf("soc line %d: bad value %q for %q", lineNo, val, key)
+					bad(Malformed, lineNo, name, "bad value %q for %q", val, key)
+					continue
 				}
-				switch key {
-				case "i":
-					m.Inputs = n
-				case "o":
-					m.Outputs = n
-				case "b":
-					m.Bidirs = n
-				case "s":
-					m.ScanCells = n
-				case "t":
-					m.Patterns = n
-				default:
-					return nil, fmt.Errorf("soc line %d: unknown key %q", lineNo, key)
-				}
+				*p = n
 			}
-			mods[name] = m
-			order = append(order, name)
+			byName[name] = len(s.Modules)
+			s.Modules = append(s.Modules, m)
 		case "top":
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("soc line %d: want 'top <name>'", lineNo)
+				bad(Malformed, lineNo, "", "want 'top <name>'")
+				continue
 			}
-			topName = fields[1]
+			topName, topLine = fields[1], lineNo
 		default:
-			return nil, fmt.Errorf("soc line %d: unknown directive %q", lineNo, fields[0])
+			bad(Malformed, lineNo, "", "unknown directive %q", fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return s, err
 	}
+
 	if s.Name == "" {
-		return nil, fmt.Errorf("soc: missing 'soc <name>' directive")
+		bad(Malformed, 0, "", "missing 'soc <name>' directive")
 	}
-	if topName == "" {
-		return nil, fmt.Errorf("soc: missing 'top' directive")
-	}
-
-	// Resolve children and check the hierarchy is a tree rooted at top.
-	childOf := map[string]string{}
-	for parent, kids := range children {
-		for _, k := range kids {
-			k = strings.TrimSpace(k)
-			ch, ok := mods[k]
+	// Link each child to the first module that names it.
+	parent := map[string]string{}
+	for _, m := range s.Modules {
+		for _, k := range m.ChildNames {
+			i, ok := byName[k]
 			if !ok {
-				return nil, fmt.Errorf("soc: module %q references unknown child %q", parent, k)
+				bad(UndefinedChild, m.Line, m.Name, "module %q references undefined child %q", m.Name, k)
+				continue
 			}
-			if prev, taken := childOf[k]; taken {
-				return nil, fmt.Errorf("soc: module %q embedded by both %q and %q", k, prev, parent)
+			if prev, taken := parent[k]; taken {
+				bad(SharedChild, m.Line, k, "module %q embedded by both %q and %q", k, prev, m.Name)
+				continue
 			}
-			childOf[k] = parent
-			mods[parent].Children = append(mods[parent].Children, ch)
+			parent[k] = m.Name
+			m.Children = append(m.Children, s.Modules[i].Module)
 		}
 	}
-	top, ok := mods[topName]
-	if !ok {
-		return nil, fmt.Errorf("soc: top module %q not defined", topName)
+	top, ok := byName[topName]
+	switch {
+	case topName == "":
+		bad(NoTop, 0, "", "missing 'top' directive")
+		return s, nil
+	case !ok:
+		bad(NoTop, topLine, topName, "top module %q not defined", topName)
+		return s, nil
 	}
-	if _, embedded := childOf[topName]; embedded {
-		return nil, fmt.Errorf("soc: top module %q is embedded in another module", topName)
+	if p, embedded := parent[topName]; embedded {
+		bad(Cycle, topLine, topName, "top module %q is embedded in module %q", topName, p)
 	}
-	// Every module must be reachable from the top (no orphans, no cycles:
-	// single-parent + reachable-from-root implies a tree).
-	reach := map[string]bool{}
-	var walk func(m *core.Module) error
-	walk = func(m *core.Module) error {
-		if reach[m.Name] {
-			return fmt.Errorf("soc: cycle through module %q", m.Name)
+	// Walk down from the top. With one parent per module, a module
+	// reached twice closes a cycle; one never reached is an orphan.
+	reached := make([]bool, len(s.Modules))
+	var walk func(i int)
+	walk = func(i int) {
+		m := s.Modules[i]
+		if reached[i] {
+			bad(Cycle, m.Line, m.Name, "hierarchy cycle through module %q", m.Name)
+			return
 		}
-		reach[m.Name] = true
+		reached[i] = true
 		for _, ch := range m.Children {
-			if err := walk(ch); err != nil {
-				return err
-			}
+			walk(byName[ch.Name])
 		}
-		return nil
 	}
-	if err := walk(top); err != nil {
-		return nil, err
-	}
-	if len(reach) != len(mods) {
-		var orphans []string
-		for _, n := range order {
-			if !reach[n] {
-				orphans = append(orphans, n)
-			}
+	walk(top)
+	for i, m := range s.Modules {
+		if !reached[i] {
+			bad(Orphan, m.Line, m.Name, "module %q is not reachable from top %q", m.Name, topName)
 		}
-		sort.Strings(orphans)
-		return nil, fmt.Errorf("soc: modules not reachable from top: %v", orphans)
 	}
-	s.Top = top
+	s.Top = s.Modules[top].Module
 	return s, nil
-}
-
-// ParseSOCString parses an in-memory description.
-func ParseSOCString(src string) (*core.SOC, error) {
-	return ParseSOC(strings.NewReader(src))
 }

@@ -175,3 +175,17 @@ func TestScanChainsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestParseSOCErrorsDeterministic: hierarchy problems are found in module
+// definition order, so a two-parent profile always names its parents the
+// same way (socd returns this text as a 400 body).
+func TestParseSOCErrorsDeterministic(t *testing.T) {
+	src := "soc x\nmodule A t 1 children C\nmodule B t 1 children C\nmodule C t 1\nmodule R t 1 children A,B\ntop R\n"
+	const want = `soc line 3: module "C" embedded by both "A" and "B"`
+	for i := 0; i < 100; i++ {
+		_, err := ParseSOCString(src)
+		if err == nil || err.Error() != want {
+			t.Fatalf("parse %d: got %v, want %s", i, err, want)
+		}
+	}
+}

@@ -7,9 +7,10 @@
 //     undriven and multiply-driven nets, duplicate definitions, fanin arity,
 //     dead and unobservable logic, unused inputs and fanout thresholds —
 //     plus SCOAP testability analysis (scoap.go).
-//   - ITC'02 SOC lint (rules SOC001–SOC012) over .soc sources and built
-//     core.SOC profiles: hierarchy consistency, scan-chain bookkeeping and
-//     the preconditions of the paper's TDV equations.
+//   - ITC'02 SOC lint (rules SOC001–SOC013) over .soc sources, read
+//     through itc02.ReadSOC, and built core.SOC profiles: hierarchy
+//     consistency, scan-chain bookkeeping and the preconditions of the
+//     paper's TDV equations.
 //
 // Every diagnostic carries a stable rule ID, a severity and a source
 // position, renders as one text line, and can be emitted as a structured

@@ -185,26 +185,30 @@ func TestReportEmitJSONL(t *testing.T) {
 	}
 }
 
+// socRuleCases holds one .soc source per structural and bookkeeping rule;
+// FuzzCheckSOCSource seeds from it too.
+var socRuleCases = []struct {
+	name string
+	src  string
+	want string
+}{
+	{"syntax", "soc x\nmodule A t nope\ntop A\n", "SOC001"},
+	{"dup", "soc x\nmodule A t 1 s 1\nmodule A t 2\ntop A\n", "SOC002"},
+	{"undef-child", "soc x\nmodule A t 1 children B\ntop A\n", "SOC003"},
+	{"two-parents", "soc x\nmodule A t 1 children C\nmodule B t 1 children C\nmodule C t 1\nmodule R t 1 children A,B\ntop R\n", "SOC004"},
+	{"top-embedded", "soc x\nmodule A t 1 children B\nmodule B t 1 children A\ntop A\n", "SOC005"},
+	{"no-top", "soc x\nmodule A t 1\n", "SOC006"},
+	{"orphan", "soc x\nmodule A t 1\nmodule B t 1\ntop A\n", "SOC007"},
+	{"sc-mismatch", "soc x\nmodule A s 10 t 1 sc 4,4\ntop A\n", "SOC008"},
+	{"scan-no-patterns", "soc x\nmodule A s 10 t 0\ntop A\n", "SOC009"},
+	{"eq2", "soc x\ntmono 5\nmodule A t 9 s 1\ntop A\n", "SOC010"},
+	{"no-tmono", "soc x\nmodule A t 1 s 1\ntop A\n", "SOC011"},
+	{"zero-data", "soc x\nmodule A t 7\ntop A\n", "SOC012"},
+	{"nameless", "module A t 1 s 1\ntop A\n", "SOC001"},
+}
+
 func TestCheckSOCSourceRules(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want string
-	}{
-		{"syntax", "soc x\nmodule A t nope\ntop A\n", "SOC001"},
-		{"dup", "soc x\nmodule A t 1 s 1\nmodule A t 2\ntop A\n", "SOC002"},
-		{"undef-child", "soc x\nmodule A t 1 children B\ntop A\n", "SOC003"},
-		{"two-parents", "soc x\nmodule A t 1 children C\nmodule B t 1 children C\nmodule C t 1\nmodule R t 1 children A,B\ntop R\n", "SOC004"},
-		{"top-embedded", "soc x\nmodule A t 1 children B\nmodule B t 1 children A\ntop A\n", "SOC005"},
-		{"no-top", "soc x\nmodule A t 1\n", "SOC006"},
-		{"orphan", "soc x\nmodule A t 1\nmodule B t 1\ntop A\n", "SOC007"},
-		{"sc-mismatch", "soc x\nmodule A s 10 t 1 sc 4,4\ntop A\n", "SOC008"},
-		{"scan-no-patterns", "soc x\nmodule A s 10 t 0\ntop A\n", "SOC009"},
-		{"eq2", "soc x\ntmono 5\nmodule A t 9 s 1\ntop A\n", "SOC010"},
-		{"no-tmono", "soc x\nmodule A t 1 s 1\ntop A\n", "SOC011"},
-		{"zero-data", "soc x\nmodule A t 7\ntop A\n", "SOC012"},
-	}
-	for _, tc := range cases {
+	for _, tc := range socRuleCases {
 		r := CheckSOCSource(tc.name, tc.src)
 		if !hasRule(r, tc.want) {
 			t.Errorf("%s: rule %s did not fire; got %v", tc.name, tc.want, rulesOf(r))
