@@ -26,6 +26,7 @@
 //
 //	atpgrun -standin s13207 -workers 8   # shard fault simulation over 8 workers
 //	atpgrun -standin s13207 -workers 1   # force serial (identical results)
+//	atpgrun -standin s953 -sat-prove -workers 2   # up to 2 SAT proofs in flight
 //
 // Results are bit-identical for every -workers value (default 0 = all
 // CPUs), and checkpoints are interchangeable across worker counts.
@@ -80,7 +81,7 @@ func run() int {
 		lintPre   = flag.Bool("lint", false, "preflight the netlist through the design-rule linter; refuse to run on errors")
 		satProve  = flag.Bool("sat-prove", false, "settle every aborted fault with the SAT redundancy prover: prove it redundant or add a proven test cube (exact coverage)")
 		jsonOut   = flag.Bool("json", false, "write the run manifest as JSON to stdout instead of the human summary")
-		workers   = flag.Int("workers", 0, "worker pool bound for parallel fault simulation (0 = NumCPU, 1 = serial; results are identical for every value)")
+		workers   = flag.Int("workers", 0, "worker pool bound for parallel fault simulation and, with -sat-prove, for the SAT proofs in flight (0 = NumCPU, 1 = serial; results are identical for every value)")
 	)
 	var ob cli.Obs
 	ob.Register(flag.CommandLine)

@@ -127,8 +127,8 @@ func run() int {
 			return fail(code, err)
 		}
 	}
-	if tmax := s.MaxPatterns(); s.TMono > 0 && s.TMono < tmax {
-		return fail(cli.ExitRuntime, fmt.Errorf("T_mono=%d is below T_max=%d, violating Eq. 2", s.TMono, tmax))
+	if err := s.Validate(); err != nil {
+		return fail(cli.ExitRuntime, err)
 	}
 
 	r := s.Analyze()

@@ -3,12 +3,15 @@ package atpg
 import (
 	"context"
 	"fmt"
+	"sync"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sat"
 )
 
@@ -46,24 +49,26 @@ type SettleReport struct {
 //
 //	NumDetected + NumRedundant + NumProvedRedundant == NumFaults
 //
-// holds whenever the generation run itself was complete. The pass is
-// bit-reproducible and independent of the worker count; workers only shards
-// the final accounting simulation. Counters: sat.proved_redundant,
-// sat.cubes, sat.conflicts, sat.decisions, sat.propagations and
-// sat.memo_hits; the sat.conflicts_per_proof histogram holds each proof's
-// conflict count.
+// holds whenever the generation run itself was complete. workers bounds
+// the proofs in flight (each holds one pooled 640 KiB memo table) and the
+// shards of the final accounting simulation. Proofs commit in fault order,
+// so the pass is bit-reproducible and independent of the worker count.
+// Counters: sat.proved_redundant, sat.cubes, sat.conflicts, sat.decisions,
+// sat.propagations and sat.memo_hits; the sat.conflicts_per_proof
+// histogram holds each proof's conflict count, and the sat.prove timer
+// sums the proofs' busy time.
 func SettleAborted(c *netlist.Circuit, flist []faults.Fault, res *Result, col *obs.Collector, workers int) SettleReport {
 	rep, _ := SettleAbortedContext(context.Background(), c, flist, res, col, workers)
 	return rep
 }
 
 // SettleAbortedContext is SettleAborted that stops when ctx is done. The
-// proof under way is abandoned, never counted as redundant: its fault and
-// every fault not yet proved stay Aborted and count as unsettled. The
-// verdicts recorded before the stop are those a full pass records. res is
-// marked Incomplete, its accounting re-finalized over the patterns so
-// far, and the error wraps the context's. The report covers the finished
-// proofs only.
+// proofs under way are abandoned, never counted as redundant. Only the
+// committed prefix is recorded, the proofs before the first unfinished
+// one, each with the verdict a full pass records; every later fault stays
+// Aborted and counts as unsettled. res is marked Incomplete, its
+// accounting re-finalized over the patterns so far, and the error wraps
+// the context's. The report covers the committed proofs only.
 func SettleAbortedContext(ctx context.Context, c *netlist.Circuit, flist []faults.Fault, res *Result, col *obs.Collector, workers int) (SettleReport, error) {
 	span := col.StartSpan("atpg.phase.settle")
 	defer span.End()
@@ -89,16 +94,21 @@ func SettleAbortedContext(ctx context.Context, c *netlist.Circuit, flist []fault
 
 	// An engine with no fault list of its own: it only checks each cube
 	// against its fault in the pending batch.
-	chk := faultsim.NewEngineFor(faultsim.Compile(c), nil)
+	prog := faultsim.Compile(c)
+	chk := faultsim.NewEngineFor(prog, nil)
 	perProof := col.Histogram("sat.conflicts_per_proof", obs.ExpBounds(1, 4, 16)...)
-	var stop error
-	for _, f := range aborted {
-		proof, err := sat.ProveFaultContext(ctx, c, f)
-		if err != nil {
-			stop = fmt.Errorf("atpg: settling %q stopped with %d of %d aborts settled: %w",
-				c.Name, rep.ProvedRedundant+rep.CubesAdded, rep.Aborted, err)
-			break
-		}
+	// The proofs run on the worker pool, each into its own slot. Proof i
+	// commits once proofs 0..i have all finished, so outcomes, patterns,
+	// counters and trace follow fault order for every worker count, and a
+	// stop commits exactly the proofs before the first unfinished one.
+	type slot struct {
+		proof sat.Proof
+		took  time.Duration
+		done  bool
+	}
+	slots := make([]slot, len(aborted))
+	committed := 0
+	commit := func(f faults.Fault, proof sat.Proof, took time.Duration) {
 		rep.Conflicts += proof.Conflicts
 		rep.Decisions += proof.Decisions
 		rep.Propagations += proof.Propagations
@@ -107,8 +117,8 @@ func SettleAbortedContext(ctx context.Context, c *netlist.Circuit, flist []fault
 		if proof.Redundant {
 			rep.ProvedRedundant++
 			res.Outcomes = append(res.Outcomes, Outcome{f, ProvedRedundant, int(proof.Conflicts)})
-			emitSettle(col, c, f, ProvedRedundant, proof)
-			continue
+			emitSettle(col, c, f, ProvedRedundant, proof, took)
+			return
 		}
 		cube := proof.Cube
 		ok := queuedDetects(chk, chk.Queue(cube), f)
@@ -122,7 +132,29 @@ func SettleAbortedContext(ctx context.Context, c *netlist.Circuit, flist []fault
 		res.Cubes = append(res.Cubes, cube)
 		res.Patterns = append(res.Patterns, cube.Fill(func(int) logic.V { return logic.Zero }))
 		res.Outcomes = append(res.Outcomes, Outcome{f, Detected, int(proof.Conflicts)})
-		emitSettle(col, c, f, Detected, proof)
+		emitSettle(col, c, f, Detected, proof, took)
+	}
+	var mu sync.Mutex
+	tProve := col.Timer("sat.prove")
+	_, stop := par.ForEach(ctx, len(aborted), workers, func(i int) error {
+		// lintgo:allow GO002 proof timing metric, never a result input.
+		start := time.Now()
+		proof, err := sat.ProveFaultContext(ctx, c, aborted[i])
+		took := tProve.Since(start)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		slots[i] = slot{proof, took, true}
+		for ; committed < len(slots) && slots[committed].done; committed++ {
+			commit(aborted[committed], slots[committed].proof, slots[committed].took)
+		}
+		return nil
+	})
+	if stop != nil {
+		stop = fmt.Errorf("atpg: settling %q stopped with %d of %d aborts settled: %w",
+			c.Name, committed, rep.Aborted, stop)
 	}
 	col.Counter("sat.proved_redundant").Add(int64(rep.ProvedRedundant))
 	col.Counter("sat.cubes").Add(int64(rep.CubesAdded))
@@ -145,13 +177,16 @@ func SettleAbortedContext(ctx context.Context, c *netlist.Circuit, flist []fault
 	if stop != nil {
 		res.Incomplete = true
 	}
-	finalizeAccounting(failed, res, col, faultsim.SimulateWorkers(c, res.Patterns, flist, workers).NumDetected)
+	final := faultsim.NewEngineFor(prog, flist)
+	final.SetWorkers(workers)
+	final.Apply(res.Patterns)
+	finalizeAccounting(failed, res, col, final.DetectedCount())
 	return rep, stop
 }
 
-// emitSettle traces one settled fault: its verdict and the proof's
-// conflict count and work counters.
-func emitSettle(col *obs.Collector, c *netlist.Circuit, f faults.Fault, st Status, p sat.Proof) {
+// emitSettle traces one settled fault: its verdict, the proof's conflict
+// count and work counters, and the proof's wall time.
+func emitSettle(col *obs.Collector, c *netlist.Circuit, f faults.Fault, st Status, p sat.Proof, d time.Duration) {
 	if !col.Tracing() {
 		return
 	}
@@ -161,5 +196,6 @@ func emitSettle(col *obs.Collector, c *netlist.Circuit, f faults.Fault, st Statu
 		obs.F("conflicts", p.Conflicts),
 		obs.F("decisions", p.Decisions),
 		obs.F("propagations", p.Propagations),
-		obs.F("memo_hits", p.MemoHits))
+		obs.F("memo_hits", p.MemoHits),
+		obs.F("sec", d.Seconds()))
 }

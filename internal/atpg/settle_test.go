@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -398,7 +399,9 @@ func BenchmarkSettleS953(b *testing.B) {
 // TestSettleStopsOnDeadline cuts an s953 settlement short with a deadline.
 // The stopped pass must return a cancel error, mark the result Incomplete,
 // leave every unfinished fault Aborted, and record for each fault it did
-// settle the verdict and conflict count of the full pass.
+// settle the verdict and conflict count of the full pass. With two workers
+// the proofs finish out of fault order, so the settled faults must also be
+// a prefix of the aborts in fault order.
 func TestSettleStopsOnDeadline(t *testing.T) {
 	c := standin(t, "s953")
 	flist := faults.CollapsedUniverse(c)
@@ -409,41 +412,120 @@ func TestSettleStopsOnDeadline(t *testing.T) {
 	start := time.Now()
 	fullRep := SettleAborted(c, flist, full, nil, 1)
 	took := time.Since(start)
+	order := full.Outcomes[generated:]
 	verdict := map[faults.Fault]Outcome{}
-	for _, o := range full.Outcomes[generated:] {
+	for _, o := range order {
 		verdict[o.Fault] = o
 	}
 
-	res := GenerateForFaults(c, flist, opts)
-	// A deadline at a quarter of the full pass's time, so the cut lands
-	// mid-pass on any host.
-	ctx, cancel := context.WithTimeout(context.Background(), took/4)
-	defer cancel()
-	rep, err := SettleAbortedContext(ctx, c, flist, res, nil, 1)
-	if !runctl.IsCancel(err) {
-		t.Fatalf("settlement under a %v deadline returned %v, want a cancel error", took/4, err)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			res := GenerateForFaults(c, flist, opts)
+			// A deadline at a quarter of the serial pass's time, so the cut
+			// lands mid-pass on any host: the longest proof alone takes
+			// more than half of it.
+			ctx, cancel := context.WithTimeout(context.Background(), took/4)
+			defer cancel()
+			rep, err := SettleAbortedContext(ctx, c, flist, res, nil, workers)
+			if !runctl.IsCancel(err) {
+				t.Fatalf("settlement under a %v deadline returned %v, want a cancel error", took/4, err)
+			}
+			if !res.Incomplete {
+				t.Error("stopped settlement did not mark the result Incomplete")
+			}
+			settled := res.Outcomes[generated:]
+			t.Logf("the deadline stopped the pass after %d of %d aborts", len(settled), fullRep.Aborted)
+			if len(settled) >= fullRep.Aborted {
+				t.Fatalf("stopped pass settled %d of %d aborts", len(settled), fullRep.Aborted)
+			}
+			if got := rep.ProvedRedundant + rep.CubesAdded; got != len(settled) {
+				t.Errorf("report counts %d settled faults, outcomes record %d", got, len(settled))
+			}
+			for i, o := range settled {
+				if o.Fault != order[i].Fault {
+					t.Errorf("settled fault %d is %s, want %s: not a prefix in fault order",
+						i, o.Fault.String(c), order[i].Fault.String(c))
+				}
+				if want := verdict[o.Fault]; o != want {
+					t.Errorf("stopped pass recorded %s %v %d, full pass %v %d",
+						o.Fault.String(c), o.Status, o.Backtracks, want.Status, want.Backtracks)
+				}
+			}
+			if want := fullRep.Aborted - len(settled); res.NumAborted != want {
+				t.Errorf("%d faults left aborted, want %d", res.NumAborted, want)
+			}
+			if got := res.NumDetected + res.NumRedundant + res.NumProvedRedundant + res.NumAborted; got != res.NumFaults {
+				t.Errorf("accounting does not close: %d of %d faults", got, res.NumFaults)
+			}
+		})
 	}
-	if !res.Incomplete {
-		t.Error("stopped settlement did not mark the result Incomplete")
+}
+
+// TestSettleParallelMatchesSerial holds the concurrent pass to the serial
+// one on s953, whose proofs differ in length by an order of magnitude and
+// so finish out of fault order. At every worker count the report (work
+// counters included), outcomes, cubes, summary bytes and atpg.settle
+// events (timestamps and proof times aside) must equal the serial pass's.
+func TestSettleParallelMatchesSerial(t *testing.T) {
+	c := standin(t, "s953")
+	flist := faults.CollapsedUniverse(c)
+	type snap struct {
+		report   SettleReport
+		outcomes []Outcome
+		cubes    []string
+		summary  []byte
+		events   []map[string]any
 	}
-	settled := res.Outcomes[generated:]
-	t.Logf("the deadline stopped the pass after %d of %d aborts", len(settled), fullRep.Aborted)
-	if len(settled) >= fullRep.Aborted {
-		t.Fatalf("stopped pass settled %d of %d aborts", len(settled), fullRep.Aborted)
-	}
-	if got := rep.ProvedRedundant + rep.CubesAdded; got != len(settled) {
-		t.Errorf("report counts %d settled faults, outcomes record %d", got, len(settled))
-	}
-	for _, o := range settled {
-		if want := verdict[o.Fault]; o != want {
-			t.Errorf("stopped pass recorded %s %v %d, full pass %v %d",
-				o.Fault.String(c), o.Status, o.Backtracks, want.Status, want.Backtracks)
+	take := func(t *testing.T, backtrack, workers int) snap {
+		opts := Options{BacktrackLimit: backtrack, RandomPatterns: 0, Compact: false, Seed: 1, Workers: workers}
+		res := GenerateForFaults(c, flist, opts)
+		var buf bytes.Buffer
+		rep := SettleAborted(c, flist, res, obs.New(obs.NewRegistry(), obs.NewJSONLSink(&buf)), workers)
+		s := snap{report: rep, outcomes: res.Outcomes}
+		for _, cu := range res.Cubes {
+			s.cubes = append(s.cubes, cu.String())
 		}
+		var err error
+		if s.summary, err = EncodeSummary(res.Summary("s953")); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var ev map[string]any
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("bad trace line %q: %v", line, err)
+			}
+			if ev["event"] == "atpg.settle" {
+				delete(ev, "ts")
+				delete(ev, "sec")
+				s.events = append(s.events, ev)
+			}
+		}
+		return s
 	}
-	if want := fullRep.Aborted - len(settled); res.NumAborted != want {
-		t.Errorf("%d faults left aborted, want %d", res.NumAborted, want)
-	}
-	if got := res.NumDetected + res.NumRedundant + res.NumProvedRedundant + res.NumAborted; got != res.NumFaults {
-		t.Errorf("accounting does not close: %d of %d faults", got, res.NumFaults)
+	for _, tc := range []struct{ backtrack, aborts int }{{2, 5}, {3, 3}} {
+		t.Run(fmt.Sprintf("backtrack=%d", tc.backtrack), func(t *testing.T) {
+			ref := take(t, tc.backtrack, 1)
+			if ref.report.Aborted != tc.aborts || len(ref.events) != tc.aborts {
+				t.Fatalf("%d aborts and %d atpg.settle events, want %d", ref.report.Aborted, len(ref.events), tc.aborts)
+			}
+			for _, workers := range []int{2, 4} {
+				got := take(t, tc.backtrack, workers)
+				if got.report != ref.report {
+					t.Errorf("workers=%d: report %+v, serial %+v", workers, got.report, ref.report)
+				}
+				if !reflect.DeepEqual(got.outcomes, ref.outcomes) {
+					t.Errorf("workers=%d: outcomes differ from the serial pass", workers)
+				}
+				if !reflect.DeepEqual(got.cubes, ref.cubes) {
+					t.Errorf("workers=%d: cubes %v, serial %v", workers, got.cubes, ref.cubes)
+				}
+				if !bytes.Equal(got.summary, ref.summary) {
+					t.Errorf("workers=%d: summary bytes differ:\n%s\n%s", workers, got.summary, ref.summary)
+				}
+				if !reflect.DeepEqual(got.events, ref.events) {
+					t.Errorf("workers=%d: atpg.settle events\n%v\nserial\n%v", workers, got.events, ref.events)
+				}
+			}
+		})
 	}
 }

@@ -226,6 +226,26 @@ func (s *SOC) Penalty() int64 {
 	return n
 }
 
+// Validate checks the numbers the equations read: no count is negative,
+// and a measured T_mono satisfies Equation 2 (T_mono ≥ max_i T_i), the
+// precondition Benefit panics on. Entry points that take user numbers call
+// it before any analysis.
+func (s *SOC) Validate() error {
+	if s.TMono < 0 {
+		return fmt.Errorf("T_mono=%d is negative", s.TMono)
+	}
+	for _, m := range s.Modules() {
+		if p := m.Params; min(p.Inputs, p.Outputs, p.Bidirs, p.ScanCells, p.Patterns) < 0 {
+			return fmt.Errorf("module %s has a negative count (i=%d o=%d b=%d s=%d t=%d)",
+				m.Name, p.Inputs, p.Outputs, p.Bidirs, p.ScanCells, p.Patterns)
+		}
+	}
+	if tmax := s.MaxPatterns(); s.TMono > 0 && s.TMono < tmax {
+		return fmt.Errorf("T_mono=%d is below T_max=%d, violating Eq. 2", s.TMono, tmax)
+	}
+	return nil
+}
+
 // Benefit computes Equation 8 against the given monolithic pattern count:
 // Σ (T_mono − T_A) · 2S_A. Every term is guaranteed non-negative when
 // tmono ≥ max_i T_i (Equation 2); Benefit panics if the guarantee is

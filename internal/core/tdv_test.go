@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -229,6 +230,38 @@ func TestBenefitPanicsOnEq2Violation(t *testing.T) {
 	}()
 	s := soc1()
 	s.Benefit(10) // far below max core pattern count 85
+}
+
+// TestValidate checks the one Eq. 2 check outside Benefit's panic: it
+// accepts the paper's SOCs, a T_mono at T_max and an unmeasured T_mono,
+// and refuses a T_mono below T_max and negative counts.
+func TestValidate(t *testing.T) {
+	for _, s := range []*SOC{soc1(), soc2()} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+	for _, tmono := range []int{0, 85} {
+		s := soc1()
+		s.TMono = tmono
+		if err := s.Validate(); err != nil {
+			t.Errorf("T_mono=%d: %v", tmono, err)
+		}
+	}
+	below := soc1()
+	below.TMono = 84
+	if err := below.Validate(); err == nil || err.Error() != "T_mono=84 is below T_max=85, violating Eq. 2" {
+		t.Errorf("T_mono=84: got %v", err)
+	}
+	negTMono := soc1()
+	negTMono.TMono = -1
+	negScan := soc1()
+	negScan.Top.Children[2].ScanCells = -3
+	for _, s := range []*SOC{negTMono, negScan} {
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("negative count: got %v", err)
+		}
+	}
 }
 
 func TestTDVMonoUnmeasured(t *testing.T) {

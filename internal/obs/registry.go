@@ -106,8 +106,12 @@ func (t *Timer) Observe(d time.Duration) {
 }
 
 // Since records the duration elapsed since start, for use as
-// defer timer.Since(time.Now()).
-func (t *Timer) Since(start time.Time) { t.Observe(time.Since(start)) }
+// defer timer.Since(time.Now()), and returns it (also on a nil timer).
+func (t *Timer) Since(start time.Time) time.Duration {
+	d := time.Since(start)
+	t.Observe(d)
+	return d
+}
 
 // TimerStats is a point-in-time snapshot of a Timer.
 type TimerStats struct {

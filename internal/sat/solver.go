@@ -39,6 +39,9 @@ type Solver struct {
 	trail  []Lit
 	qhead  int
 	stack  []decision
+	// cursor is where nextUnassigned starts: every variable below it is
+	// assigned. undoTo lowers it to the smallest variable it unassigns.
+	cursor int32
 
 	// memo caches refuted subtrees; it is live (memoOn) from the first
 	// conflict below the assumptions to the end of that Solve call.
@@ -70,6 +73,7 @@ func NewSolver(f *CNF) *Solver {
 		empty:   f.empty,
 		watches: make([][]int32, 2*(f.nVars+1)),
 		assign:  make([]int8, f.nVars+1),
+		cursor:  1,
 	}
 	for ci, c := range s.clauses {
 		s.watches[watchIdx(c[0])] = append(s.watches[watchIdx(c[0])], int32(ci))
@@ -138,6 +142,7 @@ func (s *Solver) undoTo(n int) {
 	for i := len(s.trail) - 1; i >= n; i-- {
 		l := s.trail[i]
 		s.assign[l.Var()] = 0
+		s.cursor = min(s.cursor, l.Var())
 		if s.memoOn {
 			s.memo.unassign(l)
 		}
@@ -334,11 +339,13 @@ func (s *Solver) backtrack() bool {
 // nextUnassigned returns the lowest-index unassigned variable, or 0 when
 // the assignment is total.
 func (s *Solver) nextUnassigned() int32 {
-	for v := int32(1); v <= s.nVars; v++ {
+	for v := s.cursor; v <= s.nVars; v++ {
 		if s.assign[v] == 0 {
+			s.cursor = v
 			return v
 		}
 	}
+	s.cursor = s.nVars + 1
 	return 0
 }
 

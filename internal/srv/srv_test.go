@@ -256,6 +256,10 @@ var invalidRequests = []struct{ path, body string }{
 	// the canonical text would not parse back.
 	{"/v1/tdv", `{"soc":"module A t 1\ntop A"}`},
 	{"/v1/schedule", `{"soc":"module A t 1\ntop A","tam":8}`},
+	// A T_mono below the largest module pattern count violates Eq. 2,
+	// from the request field or from the profile's own tmono line.
+	{"/v1/tdv", `{"builtin":"d695","tmono":1}`},
+	{"/v1/tdv", `{"soc":"soc x\ntmono 3\nmodule A t 50\ntop A"}`},
 }
 
 // TestValidationErrors checks malformed requests are 400s with a JSON
@@ -277,6 +281,24 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["srv.jobs.enqueued"]; got != 0 {
 		t.Errorf("validation failures enqueued %d jobs", got)
+	}
+}
+
+// TestEq2ViolationRefused checks a T_mono below T_max, given by the
+// request or by an inline profile, is a 400 naming Eq. 2 and never
+// reaches Benefit's panic.
+func TestEq2ViolationRefused(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	h := s.Handler()
+	for body, want := range map[string]string{
+		`{"builtin":"d695","tmono":1}`:                   "T_mono=1 is below T_max=",
+		`{"soc":"soc x\ntmono 3\nmodule A t 50\ntop A"}`: "T_mono=3 is below T_max=50, violating Eq. 2",
+	} {
+		rec := post(t, h, "/v1/tdv", body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) ||
+			!strings.Contains(rec.Body.String(), "violating Eq. 2") {
+			t.Errorf("POST /v1/tdv %q = %d %s, want 400 with %q", body, rec.Code, rec.Body, want)
+		}
 	}
 }
 

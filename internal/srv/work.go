@@ -239,10 +239,10 @@ func tdvWork(req *tdvRequest) (work, error) {
 		return work{}, err
 	}
 	if req.TMono != nil {
-		if *req.TMono < 0 {
-			return work{}, fmt.Errorf("tmono must be >= 0, got %d", *req.TMono)
-		}
 		soc.TMono = *req.TMono
+	}
+	if err := soc.Validate(); err != nil {
+		return work{}, err
 	}
 	// Canonicalizing after the override folds tmono into the address.
 	canon := itc02.SOCString(soc)
