@@ -208,13 +208,13 @@ func Compile(c *netlist.Circuit) *Program {
 // Circuit returns the circuit the program was compiled from.
 func (p *Program) Circuit() *netlist.Circuit { return p.c }
 
-// Load packs up to 64 stimulus cubes into the pseudo-input words of the
-// value array (one bit per pattern, X loaded as 0 — the engine's
-// deterministic X-fill convention) and returns the mask covering the valid
-// pattern bits. words must have length NumGates; Load writes only the
-// pseudo-input words and leaves every other word as it was, for the good
-// pass computes every word it reads. tiles is the caller's scratch, at
-// least NumTiles long.
+// Load packs up to 64 stimulus cubes into dense pseudo-input words (one
+// bit per pattern, X loaded as 0 — the engine's deterministic X-fill
+// convention) and returns the mask covering the valid pattern bits. Word i
+// of dst belongs to pseudo input i, in PseudoInputs order; Load writes
+// dst[:len(PseudoInputs)] and nothing else. tiles is the caller's scratch,
+// at least NumTiles long. Load touches no shared state, so goroutines with
+// their own dst and tiles may pack batches of one Program at once.
 //
 // The packing is cube-major: each cube is read once from start to end,
 // and the one word of every 64 pseudo inputs (Cube.OneWord) is the row
@@ -222,7 +222,7 @@ func (p *Program) Circuit() *netlist.Circuit { return p.c }
 // which leaves one word of pattern bits per column, and the store undoes
 // the packer's bit order (logic.BitIndex) as it writes each input's word
 // once.
-func (p *Program) Load(words []uint64, tiles [][64]uint64, batch []logic.Cube) uint64 {
+func (p *Program) Load(dst []uint64, tiles [][64]uint64, batch []logic.Cube) uint64 {
 	if len(batch) == 0 || len(batch) > 64 {
 		panic(fmt.Sprintf("faultsim: Program.Load batch size %d out of range 1..64", len(batch)))
 	}
@@ -237,18 +237,25 @@ func (p *Program) Load(words []uint64, tiles [][64]uint64, batch []logic.Cube) u
 			tiles[t][k] = cube.OneWord(t)
 		}
 	}
+	dst = dst[:len(p.ppis)]
 	for t := range tiles {
 		tile := &tiles[t]
 		clear(tile[len(batch):])
 		transpose64(tile)
-		for c, id := range p.ppis[t*64 : min(t*64+64, len(p.ppis))] {
-			words[id] = tile[logic.BitIndex(c)]
+		col := dst[t*64 : min(t*64+64, len(dst))]
+		for c := range col {
+			col[c] = tile[logic.BitIndex(c)]
 		}
 	}
-	if len(batch) >= 64 {
+	return laneMask(len(batch))
+}
+
+// laneMask returns the mask of the first n of a batch's 64 lanes.
+func laneMask(n int) uint64 {
+	if n >= 64 {
 		return ^uint64(0)
 	}
-	return (uint64(1) << uint(len(batch))) - 1
+	return uint64(1)<<uint(n) - 1
 }
 
 // NumTiles returns the number of 64×64 bit tiles Load packs the pseudo

@@ -80,7 +80,7 @@ func TestProgramRunMatchesPSim(t *testing.T) {
 					}
 				}
 			}
-			mask := p.Load(words, make([][64]uint64, p.NumTiles()), batch)
+			mask := loadWords(p, words, batch)
 			p.Run(words, p.Order())
 			ps.Load(batch)
 			ps.Run()
@@ -165,7 +165,7 @@ func TestCompilePanicsOnNonFinalized(t *testing.T) {
 func TestLoadMask(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	p := Compile(c)
-	words := make([]uint64, c.NumGates())
+	dense := make([]uint64, len(p.ppis))
 	for _, tc := range []struct {
 		n    int
 		mask uint64
@@ -173,7 +173,7 @@ func TestLoadMask(t *testing.T) {
 		{1, 1}, {63, (1 << 63) - 1}, {64, ^uint64(0)},
 	} {
 		batch := randomPatterns(rand.New(rand.NewSource(int64(tc.n))), 5, tc.n)
-		if got := p.Load(words, make([][64]uint64, p.NumTiles()), batch); got != tc.mask {
+		if got := p.Load(dense, make([][64]uint64, p.NumTiles()), batch); got != tc.mask {
 			t.Fatalf("Load(%d patterns) mask %x, want %x", tc.n, got, tc.mask)
 		}
 	}

@@ -6,7 +6,9 @@
 // live region (the gates the remaining faults can read). Each fault's
 // effect is then carried to the root of its fanout-free region by local
 // sensitization, and one event-driven propagation per region root, through
-// its fanout cone only, serves every fault of the region.
+// its fanout cone only, serves every fault of the region. A multi-worker
+// Apply packs up to 32 batches ahead on its workers, then simulates them
+// one by one and drops faults in fault order.
 //
 // An Engine also keeps a pending batch for callers that produce patterns
 // one at a time, like the ATPG loop: Queue sets a cube's bits in the next
@@ -107,8 +109,12 @@ type Engine struct {
 	nDetected  int
 	nPatterns  int
 
-	good  []uint64     // good-circuit words of the current batch
-	tiles [][64]uint64 // Program.Load scratch
+	good []uint64 // good-circuit words of the current batch
+
+	// Program.Load's dense words, of one batch or of up to packChunk
+	// packed ahead, and its tiles, NumTiles per worker.
+	packed []uint64
+	tiles  [][64]uint64
 
 	// Live region: the gates whose good words detection can read for some
 	// remaining fault, closed under fanin (see computeRegion). region lists
@@ -235,6 +241,7 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 		flist:       flist,
 		detectedBy:  make([]int, len(flist)),
 		good:        make([]uint64, n),
+		packed:      make([]uint64, len(prog.ppis)),
 		tiles:       make([][64]uint64, prog.NumTiles()),
 		regionStale: true,
 		eff:         make([]uint64, len(flist)),
@@ -258,11 +265,12 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 // Instrument attaches an observability collector: per-batch counters
 // (patterns applied, faults dropped, batches simulated, gates the good
 // pass evaluated, region roots propagated by batches and QueuedDetects),
-// per-batch timers splitting each batch into packing
-// (faultsim.load), the good-circuit pass (faultsim.good) and fault
-// propagation (faultsim.detect), and, when the collector traces, a
-// "faultsim.batch" event per 64-pattern batch carrying the running
-// coverage-vs-pattern curve. A nil collector is a no-op.
+// timers for packing (faultsim.load: per batch, or per chunk packed ahead
+// as its wall time on the caller), the good-circuit pass (faultsim.good)
+// and fault propagation (faultsim.detect) per batch, and, when the
+// collector traces, a "faultsim.batch" event per 64-pattern batch
+// carrying the running coverage-vs-pattern curve. A nil collector is a
+// no-op.
 func (e *Engine) Instrument(col *obs.Collector) {
 	if col == nil {
 		return
@@ -321,41 +329,68 @@ func (e *Engine) Result() *Result {
 	}
 }
 
+// packChunk is the number of batches a multi-worker Apply packs ahead.
+const packChunk = 32
+
 // Apply fault-simulates the given patterns (any count; they are batched 64
 // at a time) and returns how many previously-undetected faults they detect.
 // Patterns with X bits are simulated with X loaded as 0, matching the
 // deterministic X-fill convention of the ATPG.
+// A multi-worker engine packs each chunk of batches ahead on its workers;
+// a serial one, or a chunk of one batch, packs each batch as it applies
+// it. Either way the batches are simulated in order, and packing stops
+// once no fault remains.
 func (e *Engine) Apply(patterns []logic.Cube) int {
-	newly := 0
-	for off := 0; off < len(patterns); off += wordBits {
-		end := min(off+wordBits, len(patterns))
-		dropped := e.applyBatch(patterns[off:end], e.nPatterns+off)
-		newly += dropped
-		e.cPatterns.Add(int64(end - off))
-		e.cDropped.Add(int64(dropped))
-		e.cBatches.Inc()
-		if e.col.Tracing() {
-			e.col.Emit("faultsim.batch",
-				obs.F("patterns", e.nPatterns+end),
-				obs.F("batch_size", end-off),
-				obs.F("dropped", dropped),
-				obs.F("detected", e.nDetected),
-				obs.F("remaining", len(e.remaining)),
-				obs.F("coverage", e.Coverage()))
+	newly, n := 0, len(e.prog.ppis)
+	for start := 0; start < len(patterns); start += packChunk * wordBits {
+		chunk := patterns[start:min(start+packChunk*wordBits, len(patterns))]
+		ahead := e.workers > 1 && len(chunk) > wordBits && len(e.remaining) > 0
+		if ahead {
+			e.packAhead(chunk)
+		}
+		for off := 0; off < len(chunk); off += wordBits {
+			end := min(off+wordBits, len(chunk))
+			var dense []uint64
+			if ahead {
+				dense = e.packed[off/wordBits*n:][:n]
+			}
+			dropped := e.applyBatch(chunk[off:end], dense, e.nPatterns+start+off)
+			newly += dropped
+			e.cPatterns.Add(int64(end - off))
+			e.cDropped.Add(int64(dropped))
+			e.cBatches.Inc()
+			if e.col.Tracing() {
+				e.col.Emit("faultsim.batch",
+					obs.F("patterns", e.nPatterns+start+end),
+					obs.F("batch_size", end-off),
+					obs.F("dropped", dropped),
+					obs.F("detected", e.nDetected),
+					obs.F("remaining", len(e.remaining)),
+					obs.F("coverage", e.Coverage()))
+			}
 		}
 	}
 	e.nPatterns += len(patterns)
 	return newly
 }
 
-func (e *Engine) applyBatch(batch []logic.Cube, baseIndex int) int {
+// applyBatch simulates batch, the first pattern at index baseIndex, from
+// its dense pseudo-input words if Apply packed them ahead (else nil).
+func (e *Engine) applyBatch(batch []logic.Cube, dense []uint64, baseIndex int) int {
 	if len(e.remaining) == 0 {
 		return 0
 	}
 	var clock time.Time
 	lap(e.tLoad, &clock) // starts the clock on an instrumented engine
-	mask := e.prog.Load(e.good, e.tiles, batch)
-	lap(e.tLoad, &clock)
+	if dense == nil {
+		dense = e.packed[:len(e.prog.ppis)]
+		e.prog.Load(dense, e.tiles, batch)
+		lap(e.tLoad, &clock)
+	}
+	for i, id := range e.prog.ppis {
+		e.good[id] = dense[i]
+	}
+	mask := laneMask(len(batch))
 	if e.regionStale {
 		e.computeRegion()
 	}
@@ -387,6 +422,28 @@ func (e *Engine) applyBatch(batch []logic.Cube, baseIndex int) int {
 	e.regionStale = newly > 0
 	lap(e.tDetect, &clock)
 	return newly
+}
+
+// packAhead packs chunk's batches over the engine's workers, each with its
+// own tiles, batch b into e.packed[b*n:(b+1)*n] for n pseudo inputs.
+func (e *Engine) packAhead(chunk []logic.Cube) {
+	var clock time.Time
+	lap(e.tLoad, &clock)
+	n, nt, nb := len(e.prog.ppis), e.prog.NumTiles(), (len(chunk)+wordBits-1)/wordBits
+	if len(e.packed) < nb*n {
+		e.packed = make([]uint64, nb*n)
+	}
+	if len(e.tiles) < e.workers*nt {
+		e.tiles = make([][64]uint64, e.workers*nt)
+	}
+	_ = par.Run(nil, nb, e.workers, func(s par.Shard) error {
+		tiles := e.tiles[s.Worker*nt : (s.Worker+1)*nt]
+		for b := s.Lo; b < s.Hi; b++ {
+			e.prog.Load(e.packed[b*n:(b+1)*n], tiles, chunk[b*wordBits:min(b*wordBits+wordBits, len(chunk))])
+		}
+		return nil
+	})
+	lap(e.tLoad, &clock)
 }
 
 // detectBatch prepares the detection words of the remaining faults for the
@@ -594,10 +651,7 @@ func (e *Engine) QueuedDetects(f faults.Fault) uint64 {
 	if len(e.queued) == 0 {
 		return 0
 	}
-	mask := ^uint64(0)
-	if len(e.queued) < wordBits {
-		mask = uint64(1)<<uint(len(e.queued)) - 1
-	}
+	mask := laneMask(len(e.queued))
 	if !e.qfull && !e.inRegion(f) {
 		e.prog.Run(e.qgood, e.prog.order)
 		e.qfull = true

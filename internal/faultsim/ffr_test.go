@@ -139,7 +139,7 @@ func checkRegionDetect(t *testing.T, label string, c *netlist.Circuit, r *rand.R
 	patterns = append(patterns, laneCubes(r, len(c.PseudoInputs()))...)
 	ref := NewEngineFor(prog, flist)
 	oracle := func(batch []logic.Cube) []uint64 {
-		mask := prog.Load(ref.good, ref.tiles, batch)
+		mask := loadWords(prog, ref.good, batch)
 		prog.Run(ref.good, prog.order)
 		want := make([]uint64, len(flist))
 		for i, f := range flist {
@@ -165,7 +165,7 @@ func checkRegionDetect(t *testing.T, label string, c *netlist.Circuit, r *rand.R
 			batch := patterns[b*size : (b+1)*size]
 			want := oracle(batch)
 			for w, e := range engines {
-				mask := prog.Load(e.good, e.tiles, batch)
+				mask := loadWords(prog, e.good, batch)
 				if e.regionStale {
 					e.computeRegion()
 				}

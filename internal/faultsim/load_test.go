@@ -82,25 +82,49 @@ func byteCubes(r *rand.Rand, width, n int) []logic.Cube {
 	return out
 }
 
-// checkLoad runs Load and the reference over the same garbage-filled word
-// array and fails on any difference in the words or the mask: every
-// pseudo-input word must equal the reference's, and every other word must
-// come back unchanged.
+// loadWords packs batch with Load and scatters the dense words over the
+// pseudo inputs' gates in words, as an engine does, returning the mask.
+func loadWords(p *Program, words []uint64, batch []logic.Cube) uint64 {
+	dense := make([]uint64, len(p.ppis))
+	mask := p.Load(dense, make([][64]uint64, p.NumTiles()), batch)
+	for i, id := range p.ppis {
+		words[id] = dense[i]
+	}
+	return mask
+}
+
+// checkLoad runs Load into a garbage-filled dense array, over garbage-filled
+// tiles, and the reference into a gate-indexed one, and fails on any
+// difference in the words or the mask: dense word i must equal the
+// reference's word of pseudo input i, and the words past the pseudo inputs
+// must come back unchanged.
 func checkLoad(t *testing.T, r *rand.Rand, p *Program, batch []logic.Cube) {
 	t.Helper()
-	got := make([]uint64, p.c.NumGates())
+	got := make([]uint64, len(p.ppis)+64)
 	for i := range got {
 		got[i] = r.Uint64()
 	}
-	want := append([]uint64(nil), got...)
-	gm, wm := p.Load(got, make([][64]uint64, p.NumTiles()), batch), loadBitwise(p, want, batch)
+	tail := append([]uint64(nil), got[len(p.ppis):]...)
+	tiles := make([][64]uint64, p.NumTiles())
+	for i := range tiles {
+		for j := range tiles[i] {
+			tiles[i][j] = r.Uint64()
+		}
+	}
+	want := make([]uint64, p.c.NumGates())
+	gm, wm := p.Load(got, tiles, batch), loadBitwise(p, want, batch)
 	if gm != wm {
 		t.Fatalf("width %d, %d patterns: mask %x, reference %x", len(p.ppis), len(batch), gm, wm)
 	}
-	for id := range got {
-		if got[id] != want[id] {
-			t.Fatalf("width %d, %d patterns, gate %d: word %x, reference %x",
-				len(p.ppis), len(batch), id, got[id], want[id])
+	for i, id := range p.ppis {
+		if got[i] != want[id] {
+			t.Fatalf("width %d, %d patterns, pseudo input %d: word %x, reference %x",
+				len(p.ppis), len(batch), i, got[i], want[id])
+		}
+	}
+	for i, w := range tail {
+		if got[len(p.ppis)+i] != w {
+			t.Fatalf("width %d, %d patterns: Load wrote word %d past the pseudo inputs", len(p.ppis), len(batch), i)
 		}
 	}
 }
@@ -115,9 +139,9 @@ func panicMessage(f func()) (msg any) {
 // TestLoadMatchesBitwise holds the word-parallel Load to the bit-at-a-time
 // reference: every batch size 1–64 at pseudo-input widths 1–130, around
 // 512, and the live frames (700 for s13207, 1532 for SOC2-flat), over
-// arbitrary byte values and garbage-filled destination words, of which
-// only the pseudo inputs' may change. Both panics must fire with the
-// reference's messages.
+// arbitrary byte values and garbage-filled dense words and tiles, of
+// which only the pseudo inputs' words may change. Both panics must fire
+// with the reference's messages.
 func TestLoadMatchesBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	var widths []int
@@ -139,7 +163,7 @@ func TestLoadMatchesBitwise(t *testing.T) {
 	cubes := byteCubes(r, 9, 65)
 	bad := append(append([]logic.Cube(nil), cubes[:5]...), make(logic.Cube, 8))
 	for _, batch := range [][]logic.Cube{nil, cubes, bad} {
-		got := panicMessage(func() { p.Load(words, make([][64]uint64, p.NumTiles()), batch) })
+		got := panicMessage(func() { p.Load(make([]uint64, len(p.ppis)), make([][64]uint64, p.NumTiles()), batch) })
 		want := panicMessage(func() { loadBitwise(p, words, batch) })
 		if got == nil || got != want {
 			t.Fatalf("%d patterns: Load panicked with %v, reference with %v", len(batch), got, want)
@@ -149,7 +173,7 @@ func TestLoadMatchesBitwise(t *testing.T) {
 
 // FuzzLoad cross-checks Load against the bit-at-a-time reference on
 // arbitrary widths, batch sizes and byte values, over garbage-filled
-// destination words of which only the pseudo inputs' may change.
+// dense words and tiles of which only the pseudo inputs' words may change.
 func FuzzLoad(f *testing.F) {
 	f.Add(uint16(1), uint8(1), int64(1), []byte{1})
 	f.Add(uint16(8), uint8(64), int64(2), []byte{0, 1, 2, 3, 4, 255})
@@ -177,7 +201,8 @@ func FuzzLoad(f *testing.F) {
 // TestLoadAndApplyAllocateNothing: packing a batch, applying a 64-pattern
 // batch and queueing and withdrawing a cube on an uninstrumented engine
 // allocate nothing, Apply also when the batch drops faults and so
-// recomputes the live region.
+// recomputes the live region. A warm serial Apply over several pack-ahead
+// chunks allocates nothing either: it packs each batch inline.
 func TestLoadAndApplyAllocateNothing(t *testing.T) {
 	c := standinCircuit(t, "s1423")
 	r := rand.New(rand.NewSource(9))
@@ -185,8 +210,7 @@ func TestLoadAndApplyAllocateNothing(t *testing.T) {
 	e := NewEngine(c, faults.CollapsedUniverse(c))
 	e.Apply(patterns[:64]) // grow the event buckets once
 
-	words := make([]uint64, c.NumGates())
-	if a := testing.AllocsPerRun(20, func() { e.prog.Load(words, e.tiles, patterns[:64]) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { e.prog.Load(e.packed, e.tiles, patterns[:64]) }); a != 0 {
 		t.Errorf("Program.Load: %v allocs per run, want 0", a)
 	}
 	next, recomputed := 64, 0
@@ -213,6 +237,16 @@ func TestLoadAndApplyAllocateNothing(t *testing.T) {
 		e.Unqueue()
 	}); a != 0 {
 		t.Errorf("warm Queue and Unqueue: %v allocs per run, want 0", a)
+	}
+
+	long := randomPatterns(r, len(c.PseudoInputs()), 2*packChunk*wordBits+17)
+	serial := NewEngine(c, faults.CollapsedUniverse(c))
+	serial.Apply(long) // warm
+	if a := testing.AllocsPerRun(3, func() { serial.Apply(long) }); a != 0 {
+		t.Errorf("warm serial Apply of %d patterns: %v allocs per run, want 0", len(long), a)
+	}
+	if len(serial.remaining) == 0 {
+		t.Fatal("every fault dropped: the long Apply runs measured no detection work")
 	}
 }
 
@@ -256,14 +290,14 @@ func BenchmarkProgramLoad(b *testing.B) {
 		} else {
 			cubes = randomPatterns(r, tc.width, 64)
 		}
-		words := make([]uint64, p.c.NumGates())
+		dense := make([]uint64, len(p.ppis))
 		tiles := make([][64]uint64, p.NumTiles())
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(64 * tc.width))
 			b.ReportAllocs()
 			off := 0
 			for i := 0; i < b.N; i++ {
-				p.Load(words, tiles, cubes[off:off+64])
+				p.Load(dense, tiles, cubes[off:off+64])
 				if off += 64; off == len(cubes) {
 					off = 0
 				}

@@ -81,6 +81,10 @@ func FuzzPackCube(f *testing.F) {
 		f.Add(w, all)
 	}
 	f.Add(uint8(130), []byte{0, 1, 2, 3, 4})
+	// All-binary words take OneWord's fast path.
+	for _, w := range []uint8{64, 128, 130} {
+		f.Add(w, []byte{1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1})
+	}
 	f.Fuzz(func(t *testing.T, width uint8, data []byte) {
 		n := int(width)
 		c, tern := make(Cube, n), make(Cube, n)
@@ -123,4 +127,57 @@ func FuzzPackCube(f *testing.F) {
 			t.Fatalf("width %d: unpacked %v, packed %v", n, back, tern)
 		}
 	})
+}
+
+// oneWordBytewise is the byte-wise definition of word k of c's one words.
+func oneWordBytewise(c Cube, k int) uint64 {
+	var w uint64
+	for i, v := range c.word(k) {
+		if v == One {
+			w |= 1 << uint(BitIndex(i))
+		}
+	}
+	return w
+}
+
+// TestOneWordBinaryFastPath: a word of binary values takes OneWord's fast
+// path, and a single other byte anywhere in it must send the word through
+// packWord. Every byte value 2–255 at every position of an otherwise
+// binary word, D (3, low bit set) among them, must leave OneWord and Pack
+// equal to the byte-wise definition: at every one of the 64 positions of a
+// full word, and of the 37 of a short last word.
+func TestOneWordBinaryFastPath(t *testing.T) {
+	r := rand.New(rand.NewSource(64))
+	for _, width := range []int{64, 64 + 37} {
+		for round := 0; round < 4; round++ {
+			c := make(Cube, width)
+			for i := range c {
+				c[i] = V(r.Intn(2))
+			}
+			k := Words(width) - 1
+			if got, want := c.OneWord(k), oneWordBytewise(c, k); got != want {
+				t.Fatalf("binary cube %v: OneWord(%d) %#x, byte-wise %#x", c, k, got, want)
+			}
+			var care uint64
+			for i := range c.word(k) {
+				care |= 1 << uint(BitIndex(i))
+			}
+			for pos := range c.word(k) {
+				i := k*64 + pos
+				old := c[i]
+				for b := 2; b < 256; b++ {
+					c[i] = V(b)
+					want := oneWordBytewise(c, k)
+					if got := c.OneWord(k); got != want {
+						t.Fatalf("width %d, byte %d at position %d: OneWord %#x, byte-wise %#x", width, b, i, got, want)
+					}
+					p := Pack(c)
+					if p.one[k] != want || p.care[k] != care&^(1<<uint(BitIndex(pos))) {
+						t.Fatalf("width %d, byte %d at position %d: Pack one %#x care %#x", width, b, i, p.one[k], p.care[k])
+					}
+				}
+				c[i] = old
+			}
+		}
+	}
 }
