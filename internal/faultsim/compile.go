@@ -211,18 +211,12 @@ func (p *Program) Circuit() *netlist.Circuit { return p.c }
 // Load packs up to 64 stimulus cubes into dense pseudo-input words (one
 // bit per pattern, X loaded as 0 — the engine's deterministic X-fill
 // convention) and returns the mask covering the valid pattern bits. Word i
-// of dst belongs to pseudo input i, in PseudoInputs order; Load writes
-// dst[:len(PseudoInputs)] and nothing else. tiles is the caller's scratch,
-// at least NumTiles long. Load touches no shared state, so goroutines with
-// their own dst and tiles may pack batches of one Program at once.
-//
-// The packing is cube-major: each cube is read once from start to end,
-// and the one word of every 64 pseudo inputs (Cube.OneWord) is the row
-// of their own 64×64 tile (row = pattern). Each tile is then transposed,
-// which leaves one word of pattern bits per column, and the store undoes
-// the packer's bit order (logic.BitIndex) as it writes each input's word
-// once.
-func (p *Program) Load(dst []uint64, tiles [][64]uint64, batch []logic.Cube) uint64 {
+// of dst belongs to pseudo input i, in PseudoInputs order. Load writes the
+// words of the groups of eight pseudo inputs that groups selects (see
+// logic.PackLanes; nil selects all) and nothing else, and touches no
+// shared state, so goroutines with their own dst may pack batches of one
+// Program at once.
+func (p *Program) Load(dst, groups []uint64, batch []logic.Cube) uint64 {
 	if len(batch) == 0 || len(batch) > 64 {
 		panic(fmt.Sprintf("faultsim: Program.Load batch size %d out of range 1..64", len(batch)))
 	}
@@ -231,22 +225,7 @@ func (p *Program) Load(dst []uint64, tiles [][64]uint64, batch []logic.Cube) uin
 			panic(fmt.Sprintf("faultsim: pattern %d length %d != %d pseudo inputs", k, len(cube), len(p.ppis)))
 		}
 	}
-	tiles = tiles[:p.NumTiles()]
-	for k, cube := range batch {
-		for t := range tiles {
-			tiles[t][k] = cube.OneWord(t)
-		}
-	}
-	dst = dst[:len(p.ppis)]
-	for t := range tiles {
-		tile := &tiles[t]
-		clear(tile[len(batch):])
-		transpose64(tile)
-		col := dst[t*64 : min(t*64+64, len(dst))]
-		for c := range col {
-			col[c] = tile[logic.BitIndex(c)]
-		}
-	}
+	logic.PackLanes(dst[:len(p.ppis)], batch, groups)
 	return laneMask(len(batch))
 }
 
@@ -256,26 +235,6 @@ func laneMask(n int) uint64 {
 		return ^uint64(0)
 	}
 	return uint64(1)<<uint(n) - 1
-}
-
-// NumTiles returns the number of 64×64 bit tiles Load packs the pseudo
-// inputs into: one per 64 of them.
-func (p *Program) NumTiles() int { return logic.Words(len(p.ppis)) }
-
-// transpose64 transposes the 64×64 bit matrix a in place (bit c of a[r] is
-// row r, column c) by recursive block swaps (Hacker's Delight §7-3): the
-// off-diagonal 32×32 quadrants, then 16×16 blocks, down to single bits.
-func transpose64(a *[64]uint64) {
-	m := uint64(0x00000000ffffffff)
-	for j := 32; j != 0; j >>= 1 {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			// k and k+j stay below 64; the masks only drop the bounds checks.
-			t := (a[k&63]>>j ^ a[(k+j)&63]) & m
-			a[k&63] ^= t << j
-			a[(k+j)&63] ^= t
-		}
-		m ^= m << (j >> 1)
-	}
 }
 
 // Run evaluates the combinational gates of order, a topological sub-order

@@ -173,7 +173,7 @@ func TestLoadMask(t *testing.T) {
 		{1, 1}, {63, (1 << 63) - 1}, {64, ^uint64(0)},
 	} {
 		batch := randomPatterns(rand.New(rand.NewSource(int64(tc.n))), 5, tc.n)
-		if got := p.Load(dense, make([][64]uint64, p.NumTiles()), batch); got != tc.mask {
+		if got := p.Load(dense, nil, batch); got != tc.mask {
 			t.Fatalf("Load(%d patterns) mask %x, want %x", tc.n, got, tc.mask)
 		}
 	}

@@ -6,9 +6,10 @@
 // live region (the gates the remaining faults can read). Each fault's
 // effect is then carried to the root of its fanout-free region by local
 // sensitization, and one event-driven propagation per region root, through
-// its fanout cone only, serves every fault of the region. A multi-worker
-// Apply packs up to 32 batches ahead on its workers, then simulates them
-// one by one and drops faults in fault order.
+// its fanout cone only, serves every fault of the region. Only the pseudo
+// inputs the live region reads are packed, and a multi-worker Apply packs
+// the next chunk of up to 32 batches on its pool while it simulates the
+// current one batch by batch, dropping faults in fault order.
 //
 // An Engine also keeps a pending batch for callers that produce patterns
 // one at a time, like the ATPG loop: Queue sets a cube's bits in the next
@@ -26,7 +27,9 @@ package faultsim
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -111,22 +114,25 @@ type Engine struct {
 
 	good []uint64 // good-circuit words of the current batch
 
-	// Program.Load's dense words, of one batch or of up to packChunk
-	// packed ahead, and its tiles, NumTiles per worker.
+	// Program.Load's dense words: one batch's, or two chunks' of up to
+	// packChunk batches each where a multi-worker Apply packs one chunk
+	// while it simulates the other.
 	packed []uint64
-	tiles  [][64]uint64
 
 	// Live region: the gates whose good words detection can read for some
 	// remaining fault, closed under fanin (see computeRegion). region lists
 	// its combinational gates in topological order, live marks every
 	// member, sources included (liveCone where the gate's whole fanout
 	// cone is in the region too, liveFanin elsewhere), and stack is the
-	// cone walk's scratch. regionStale holds from construction and from
-	// each batch that drops a fault until the next batch or Queue
-	// recomputes the region before its good pass.
+	// cone walk's scratch. groups has bit g set when pseudo inputs 8g to
+	// 8g+7 (in PseudoInputs order) hold a member: the words Load packs.
+	// regionStale holds from construction and from each batch that drops a
+	// fault until the next batch or Queue recomputes the region before its
+	// good pass.
 	region      []int32
 	live        []uint8
 	stack       []int32
+	groups      []uint64
 	regionStale bool
 
 	// Region-root detection (see detectBatch). Per remaining fault, eff is
@@ -242,7 +248,6 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 		detectedBy:  make([]int, len(flist)),
 		good:        make([]uint64, n),
 		packed:      make([]uint64, len(prog.ppis)),
-		tiles:       make([][64]uint64, prog.NumTiles()),
 		regionStale: true,
 		eff:         make([]uint64, len(flist)),
 		slot:        make([]int32, len(flist)),
@@ -265,8 +270,9 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 // Instrument attaches an observability collector: per-batch counters
 // (patterns applied, faults dropped, batches simulated, gates the good
 // pass evaluated, region roots propagated by batches and QueuedDetects),
-// timers for packing (faultsim.load: per batch, or per chunk packed ahead
-// as its wall time on the caller), the good-circuit pass (faultsim.good)
+// timers for the packing the simulation waits for (faultsim.load: per
+// batch, with the live region's recompute, or per chunk packed ahead, as
+// the caller's wait for it), the good-circuit pass (faultsim.good)
 // and fault propagation (faultsim.detect) per batch, and, when the
 // collector traces, a "faultsim.batch" event per 64-pattern batch
 // carrying the running coverage-vs-pattern curve. A nil collector is a
@@ -336,42 +342,113 @@ const packChunk = 32
 // at a time) and returns how many previously-undetected faults they detect.
 // Patterns with X bits are simulated with X loaded as 0, matching the
 // deterministic X-fill convention of the ATPG.
-// A multi-worker engine packs each chunk of batches ahead on its workers;
-// a serial one, or a chunk of one batch, packs each batch as it applies
-// it. Either way the batches are simulated in order, and packing stops
-// once no fault remains.
+// Only the groups of pseudo inputs the live region reads are packed. When
+// more than one CPU runs, a multi-worker engine packs each chunk of up to
+// packChunk batches while it simulates the one before (see packAhead);
+// otherwise each batch is packed as it is applied. Either way the batches
+// are simulated in order, and no packing starts once no fault remains.
 func (e *Engine) Apply(patterns []logic.Cube) int {
-	newly, n := 0, len(e.prog.ppis)
-	for start := 0; start < len(patterns); start += packChunk * wordBits {
-		chunk := patterns[start:min(start+packChunk*wordBits, len(patterns))]
-		ahead := e.workers > 1 && len(chunk) > wordBits && len(e.remaining) > 0
-		if ahead {
-			e.packAhead(chunk)
+	var turn func(k int) []uint64
+	if e.workers > 1 && len(patterns) > wordBits && len(e.remaining) > 0 && runtime.GOMAXPROCS(0) > 1 {
+		var stop func()
+		turn, stop = e.packAhead(patterns)
+		defer stop()
+	}
+	newly, n, size := 0, len(e.prog.ppis), packChunk*wordBits
+	var chunk []uint64
+	for off := 0; off < len(patterns); off += wordBits {
+		if turn != nil && off%size == 0 {
+			chunk = turn(off / size)
 		}
-		for off := 0; off < len(chunk); off += wordBits {
-			end := min(off+wordBits, len(chunk))
-			var dense []uint64
-			if ahead {
-				dense = e.packed[off/wordBits*n:][:n]
-			}
-			dropped := e.applyBatch(chunk[off:end], dense, e.nPatterns+start+off)
-			newly += dropped
-			e.cPatterns.Add(int64(end - off))
-			e.cDropped.Add(int64(dropped))
-			e.cBatches.Inc()
-			if e.col.Tracing() {
-				e.col.Emit("faultsim.batch",
-					obs.F("patterns", e.nPatterns+start+end),
-					obs.F("batch_size", end-off),
-					obs.F("dropped", dropped),
-					obs.F("detected", e.nDetected),
-					obs.F("remaining", len(e.remaining)),
-					obs.F("coverage", e.Coverage()))
-			}
+		var dense []uint64
+		if chunk != nil {
+			dense = chunk[off%size/wordBits*n:][:n]
+		}
+		end := min(off+wordBits, len(patterns))
+		dropped := e.applyBatch(patterns[off:end], dense, e.nPatterns+off)
+		newly += dropped
+		e.cPatterns.Add(int64(end - off))
+		e.cDropped.Add(int64(dropped))
+		e.cBatches.Inc()
+		if e.col.Tracing() {
+			e.col.Emit("faultsim.batch",
+				obs.F("patterns", e.nPatterns+end),
+				obs.F("batch_size", end-off),
+				obs.F("dropped", dropped),
+				obs.F("detected", e.nDetected),
+				obs.F("remaining", len(e.remaining)),
+				obs.F("coverage", e.Coverage()))
 		}
 	}
 	e.nPatterns += len(patterns)
 	return newly
+}
+
+// packAhead starts a pool goroutine that packs the patterns of a
+// multi-worker Apply one chunk ahead, into alternate halves of e.packed and
+// over a copy of the live groups, on chunk 0 first. turn(k), called once
+// chunk k-1 is simulated, helps pack chunk k, waits for it, starts chunk
+// k+1 unless no fault remains, and returns chunk k's words. The region only
+// shrinks, so groups taken before chunk k's drops cover every word chunk
+// k+1 reads. A chunk that will not be simulated is left unfinished; stop
+// returns once the goroutine has.
+func (e *Engine) packAhead(patterns []logic.Cube) (turn func(k int) []uint64, stop func()) {
+	n, size := len(e.prog.ppis), packChunk*wordBits
+	if need := min((len(patterns)+size-1)/size, 2) * packChunk * n; len(e.packed) < need {
+		e.packed = make([]uint64, need)
+	}
+	if e.regionStale {
+		e.computeRegion()
+	}
+	// flight is the chunk last started, next its first unclaimed batch and
+	// groups the live groups it packs.
+	var flight int
+	var next atomic.Int64
+	groups := make([]uint64, len(e.groups))
+	pack := func() {
+		c, dst := patterns[flight*size:min(flight*size+size, len(patterns))], e.packed[flight%2*packChunk*n:]
+		for b := int(next.Add(1) - 1); b*wordBits < len(c); b = int(next.Add(1) - 1) {
+			e.prog.Load(dst[b*n:], groups, c[b*wordBits:min(b*wordBits+wordBits, len(c))])
+		}
+	}
+	req, done := make(chan struct{}), make(chan bool, 1)
+	pool := par.StartPool(1, func(int) {
+		defer close(done)
+		for range req {
+			pack()
+			done <- true
+		}
+	})
+	start := func(k int) {
+		flight = k
+		copy(groups, e.groups)
+		next.Store(0)
+		req <- struct{}{}
+	}
+	start(0)
+	turn = func(k int) []uint64 {
+		if flight == k {
+			var clock time.Time
+			if len(e.remaining) > 0 { // help with, and time, a chunk to simulate
+				lap(e.tLoad, &clock)
+				pack()
+			} else { // claim what is left of one that will not be
+				next.Store(packChunk)
+			}
+			if !<-done {
+				pool.Wait() // re-raises the packer's panic
+			}
+			lap(e.tLoad, &clock) // observes only once the clock has started
+		}
+		if (k+1)*size < len(patterns) && len(e.remaining) > 0 {
+			start(k + 1)
+		}
+		return e.packed[k%2*packChunk*n:]
+	}
+	return turn, func() {
+		close(req)
+		pool.Wait()
+	}
 }
 
 // applyBatch simulates batch, the first pattern at index baseIndex, from
@@ -382,18 +459,18 @@ func (e *Engine) applyBatch(batch []logic.Cube, dense []uint64, baseIndex int) i
 	}
 	var clock time.Time
 	lap(e.tLoad, &clock) // starts the clock on an instrumented engine
+	if e.regionStale {
+		e.computeRegion()
+	}
 	if dense == nil {
 		dense = e.packed[:len(e.prog.ppis)]
-		e.prog.Load(dense, e.tiles, batch)
+		e.prog.Load(dense, e.groups, batch)
 		lap(e.tLoad, &clock)
 	}
 	for i, id := range e.prog.ppis {
 		e.good[id] = dense[i]
 	}
 	mask := laneMask(len(batch))
-	if e.regionStale {
-		e.computeRegion()
-	}
 	e.prog.Run(e.good, e.region)
 	e.cGood.Add(int64(len(e.region)))
 	if e.goodHook != nil {
@@ -422,28 +499,6 @@ func (e *Engine) applyBatch(batch []logic.Cube, dense []uint64, baseIndex int) i
 	e.regionStale = newly > 0
 	lap(e.tDetect, &clock)
 	return newly
-}
-
-// packAhead packs chunk's batches over the engine's workers, each with its
-// own tiles, batch b into e.packed[b*n:(b+1)*n] for n pseudo inputs.
-func (e *Engine) packAhead(chunk []logic.Cube) {
-	var clock time.Time
-	lap(e.tLoad, &clock)
-	n, nt, nb := len(e.prog.ppis), e.prog.NumTiles(), (len(chunk)+wordBits-1)/wordBits
-	if len(e.packed) < nb*n {
-		e.packed = make([]uint64, nb*n)
-	}
-	if len(e.tiles) < e.workers*nt {
-		e.tiles = make([][64]uint64, e.workers*nt)
-	}
-	_ = par.Run(nil, nb, e.workers, func(s par.Shard) error {
-		tiles := e.tiles[s.Worker*nt : (s.Worker+1)*nt]
-		for b := s.Lo; b < s.Hi; b++ {
-			e.prog.Load(e.packed[b*n:(b+1)*n], tiles, chunk[b*wordBits:min(b*wordBits+wordBits, len(chunk))])
-		}
-		return nil
-	})
-	lap(e.tLoad, &clock)
 }
 
 // detectBatch prepares the detection words of the remaining faults for the
@@ -515,6 +570,7 @@ func (e *Engine) computeRegion() {
 	if e.live == nil {
 		n := e.c.NumGates()
 		e.live, e.stack, e.region = make([]uint8, n), make([]int32, 0, n), make([]int32, 0, len(p.order))
+		e.groups = make([]uint64, logic.Words((len(p.ppis)+7)/8))
 	}
 	live, stack := e.live, e.stack[:0]
 	clear(live)
@@ -551,6 +607,12 @@ func (e *Engine) computeRegion() {
 	for _, id := range p.order {
 		if live[id] != deadGate {
 			e.region = append(e.region, id)
+		}
+	}
+	clear(e.groups)
+	for i, id := range p.ppis {
+		if live[id] != deadGate {
+			e.groups[i>>9] |= 1 << uint(i>>3&63)
 		}
 	}
 	e.stack = stack

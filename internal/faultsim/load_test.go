@@ -42,10 +42,15 @@ func loadBitwise(p *Program, words []uint64, batch []logic.Cube) uint64 {
 // wideCircuit builds a circuit with width pseudo inputs whose gate IDs are
 // scattered: every fourth pseudo input is a DFF, and each pseudo input is
 // followed by an inverter, so Load must honour the ppi-to-gate mapping.
-func wideCircuit(t testing.TB, width int) *netlist.Circuit {
+func wideCircuit(t testing.TB, width int) *netlist.Circuit { return buildWide(t, width, false) }
+
+// buildWide builds wideCircuit, with a dangling AND gate named sink that
+// reads every pseudo input when sink is set.
+func buildWide(t testing.TB, width int, sink bool) *netlist.Circuit {
 	t.Helper()
 	c := netlist.New(fmt.Sprintf("wide%d", width))
 	var last netlist.GateID
+	var srcs []netlist.GateID
 	for i := 0; i < width; i++ {
 		var src netlist.GateID
 		if i%4 == 3 {
@@ -53,7 +58,11 @@ func wideCircuit(t testing.TB, width int) *netlist.Circuit {
 		} else {
 			src = c.MustAddGate(fmt.Sprintf("in%d", i), netlist.Input)
 		}
+		srcs = append(srcs, src)
 		last = c.MustAddGate(fmt.Sprintf("n%d", i), netlist.Not, src)
+	}
+	if sink {
+		c.MustAddGate("sink", netlist.And, srcs...)
 	}
 	if err := c.MarkOutput(last); err != nil {
 		t.Fatal(err)
@@ -86,45 +95,67 @@ func byteCubes(r *rand.Rand, width, n int) []logic.Cube {
 // pseudo inputs' gates in words, as an engine does, returning the mask.
 func loadWords(p *Program, words []uint64, batch []logic.Cube) uint64 {
 	dense := make([]uint64, len(p.ppis))
-	mask := p.Load(dense, make([][64]uint64, p.NumTiles()), batch)
+	mask := p.Load(dense, nil, batch)
 	for i, id := range p.ppis {
 		words[id] = dense[i]
 	}
 	return mask
 }
 
-// checkLoad runs Load into a garbage-filled dense array, over garbage-filled
-// tiles, and the reference into a gate-indexed one, and fails on any
-// difference in the words or the mask: dense word i must equal the
-// reference's word of pseudo input i, and the words past the pseudo inputs
-// must come back unchanged.
-func checkLoad(t *testing.T, r *rand.Rand, p *Program, batch []logic.Cube) {
+// randomGroups returns nil (every group) or a mask over the groups of
+// eight of width pseudo inputs: none, all, about half or about one in
+// eight of them, bits past the last group set or not.
+func randomGroups(r *rand.Rand, width int) []uint64 {
+	kind := r.Intn(5)
+	if kind == 0 {
+		return nil
+	}
+	groups := make([]uint64, (width+511)/512)
+	for i := range groups {
+		switch kind {
+		case 2:
+			groups[i] = ^uint64(0)
+		case 3:
+			groups[i] = r.Uint64()
+		case 4:
+			groups[i] = r.Uint64() & r.Uint64() & r.Uint64()
+		}
+	}
+	return groups
+}
+
+// inGroups reports whether groups selects pseudo input i (nil: all).
+func inGroups(groups []uint64, i int) bool {
+	return groups == nil || groups[i>>9]>>uint(i>>3&63)&1 != 0
+}
+
+// checkLoad runs Load over groups into a garbage-filled dense array and
+// the reference into a gate-indexed one, and fails on any difference in
+// the mask or in a selected word: dense word i of a selected group must
+// equal the reference's word of pseudo input i. Every other word, those
+// past the pseudo inputs included, must come back unchanged.
+func checkLoad(t *testing.T, r *rand.Rand, p *Program, groups []uint64, batch []logic.Cube) {
 	t.Helper()
 	got := make([]uint64, len(p.ppis)+64)
 	for i := range got {
 		got[i] = r.Uint64()
 	}
-	tail := append([]uint64(nil), got[len(p.ppis):]...)
-	tiles := make([][64]uint64, p.NumTiles())
-	for i := range tiles {
-		for j := range tiles[i] {
-			tiles[i][j] = r.Uint64()
-		}
-	}
+	before := append([]uint64(nil), got...)
 	want := make([]uint64, p.c.NumGates())
-	gm, wm := p.Load(got, tiles, batch), loadBitwise(p, want, batch)
+	gm, wm := p.Load(got, groups, batch), loadBitwise(p, want, batch)
 	if gm != wm {
 		t.Fatalf("width %d, %d patterns: mask %x, reference %x", len(p.ppis), len(batch), gm, wm)
 	}
 	for i, id := range p.ppis {
-		if got[i] != want[id] {
-			t.Fatalf("width %d, %d patterns, pseudo input %d: word %x, reference %x",
-				len(p.ppis), len(batch), i, got[i], want[id])
+		if inGroups(groups, i) && got[i] != want[id] {
+			t.Fatalf("width %d, %d patterns, groups %x, pseudo input %d: word %x, reference %x",
+				len(p.ppis), len(batch), groups, i, got[i], want[id])
 		}
 	}
-	for i, w := range tail {
-		if got[len(p.ppis)+i] != w {
-			t.Fatalf("width %d, %d patterns: Load wrote word %d past the pseudo inputs", len(p.ppis), len(batch), i)
+	for i, w := range before {
+		if (i >= len(p.ppis) || !inGroups(groups, i)) && got[i] != w {
+			t.Fatalf("width %d, %d patterns, groups %x: Load wrote word %d outside the selected pseudo inputs",
+				len(p.ppis), len(batch), groups, i)
 		}
 	}
 }
@@ -139,9 +170,10 @@ func panicMessage(f func()) (msg any) {
 // TestLoadMatchesBitwise holds the word-parallel Load to the bit-at-a-time
 // reference: every batch size 1–64 at pseudo-input widths 1–130, around
 // 512, and the live frames (700 for s13207, 1532 for SOC2-flat), over
-// arbitrary byte values and garbage-filled dense words and tiles, of
-// which only the pseudo inputs' words may change. Both panics must fire
-// with the reference's messages.
+// arbitrary byte values, all-binary cubes and garbage-filled dense words,
+// with every group selected and with random group masks; only the
+// selected pseudo inputs' words may change. Both panics must fire with the
+// reference's messages.
 func TestLoadMatchesBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	var widths []int
@@ -152,9 +184,12 @@ func TestLoadMatchesBitwise(t *testing.T) {
 	for _, w := range widths {
 		p := Compile(wideCircuit(t, w))
 		cubes := byteCubes(r, w, 64)
+		binary := randomPatterns(r, w, 64)
 		for n := 1; n <= 64; n++ {
 			off := r.Intn(64 - n + 1)
-			checkLoad(t, r, p, cubes[off:off+n])
+			checkLoad(t, r, p, nil, cubes[off:off+n])
+			checkLoad(t, r, p, randomGroups(r, w), cubes[off:off+n])
+			checkLoad(t, r, p, randomGroups(r, w), binary[off:off+n])
 		}
 	}
 
@@ -163,7 +198,7 @@ func TestLoadMatchesBitwise(t *testing.T) {
 	cubes := byteCubes(r, 9, 65)
 	bad := append(append([]logic.Cube(nil), cubes[:5]...), make(logic.Cube, 8))
 	for _, batch := range [][]logic.Cube{nil, cubes, bad} {
-		got := panicMessage(func() { p.Load(make([]uint64, len(p.ppis)), make([][64]uint64, p.NumTiles()), batch) })
+		got := panicMessage(func() { p.Load(make([]uint64, len(p.ppis)), nil, batch) })
 		want := panicMessage(func() { loadBitwise(p, words, batch) })
 		if got == nil || got != want {
 			t.Fatalf("%d patterns: Load panicked with %v, reference with %v", len(batch), got, want)
@@ -172,8 +207,9 @@ func TestLoadMatchesBitwise(t *testing.T) {
 }
 
 // FuzzLoad cross-checks Load against the bit-at-a-time reference on
-// arbitrary widths, batch sizes and byte values, over garbage-filled
-// dense words and tiles of which only the pseudo inputs' words may change.
+// arbitrary widths, batch sizes, byte values and group masks (nil among
+// them), over garbage-filled dense words of which only the selected
+// pseudo inputs' words may change.
 func FuzzLoad(f *testing.F) {
 	f.Add(uint16(1), uint8(1), int64(1), []byte{1})
 	f.Add(uint16(8), uint8(64), int64(2), []byte{0, 1, 2, 3, 4, 255})
@@ -194,7 +230,7 @@ func FuzzLoad(f *testing.F) {
 			}
 			batch[k] = cube
 		}
-		checkLoad(t, r, Compile(wideCircuit(t, w)), batch)
+		checkLoad(t, r, Compile(wideCircuit(t, w)), randomGroups(r, w), batch)
 	})
 }
 
@@ -210,7 +246,7 @@ func TestLoadAndApplyAllocateNothing(t *testing.T) {
 	e := NewEngine(c, faults.CollapsedUniverse(c))
 	e.Apply(patterns[:64]) // grow the event buckets once
 
-	if a := testing.AllocsPerRun(20, func() { e.prog.Load(e.packed, e.tiles, patterns[:64]) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { e.prog.Load(e.packed, e.groups, patterns[:64]) }); a != 0 {
 		t.Errorf("Program.Load: %v allocs per run, want 0", a)
 	}
 	next, recomputed := 64, 0
@@ -274,14 +310,22 @@ func streamCubes(r *rand.Rand, width, size int) []logic.Cube {
 // widths of the live frames: s13207 (700) and SOC2-flat (1532). The
 // cached cases repack one batch that stays in cache; the streaming case
 // walks 64 MiB of distinct cubes, as a grading pass does, so the order in
-// which Load reads the cubes shows.
+// which Load reads the cubes shows. Every case packs every group of eight
+// pseudo inputs but the half case, which packs every other one, as a
+// live region that reads half of them would.
 func BenchmarkProgramLoad(b *testing.B) {
 	const streamBytes = 64 << 20
 	for _, tc := range []struct {
 		name   string
 		width  int
 		stream bool
-	}{{"s13207", 700, false}, {"SOC2-flat", 1532, false}, {"SOC2-flat/stream64MiB", 1532, true}} {
+		half   bool
+	}{
+		{"s13207", 700, false, false},
+		{"SOC2-flat", 1532, false, false},
+		{"SOC2-flat/stream64MiB", 1532, true, false},
+		{"SOC2-flat/half", 1532, false, true},
+	} {
 		p := Compile(wideCircuit(b, tc.width))
 		r := rand.New(rand.NewSource(1))
 		var cubes []logic.Cube
@@ -290,14 +334,20 @@ func BenchmarkProgramLoad(b *testing.B) {
 		} else {
 			cubes = randomPatterns(r, tc.width, 64)
 		}
+		var groups []uint64
+		if tc.half {
+			groups = make([]uint64, (tc.width+511)/512)
+			for i := range groups {
+				groups[i] = 0x5555555555555555
+			}
+		}
 		dense := make([]uint64, len(p.ppis))
-		tiles := make([][64]uint64, p.NumTiles())
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(64 * tc.width))
 			b.ReportAllocs()
 			off := 0
 			for i := 0; i < b.N; i++ {
-				p.Load(dense, tiles, cubes[off:off+64])
+				p.Load(dense, groups, cubes[off:off+64])
 				if off += 64; off == len(cubes) {
 					off = 0
 				}

@@ -26,23 +26,39 @@ func scrambleDead(r *rand.Rand) func(*Engine) {
 	}
 }
 
-// runFullOrder is the reference engines' good-pass hook: it evaluates the
-// full topological order, as the good pass did before it was restricted
-// to the live region.
-func runFullOrder(e *Engine) { e.prog.Run(e.good, e.prog.order) }
+// fullPass returns the reference engines' good-pass hook for the given
+// batches, in the order the engine simulates them: it reloads every
+// pseudo input bit by bit (loadBitwise) and evaluates the full
+// topological order, as the good pass did before both were restricted to
+// the live region.
+func fullPass(batches [][]logic.Cube) func(*Engine) {
+	return func(e *Engine) {
+		loadBitwise(e.prog, e.good, batches[0])
+		batches = batches[1:]
+		e.prog.Run(e.good, e.prog.order)
+	}
+}
 
 // checkRegion grades patterns on c twice per batch size (1, 63, 64) and
 // worker count (1, 2): once with every good word outside the live region
-// scrambled after each good pass, once over the full order. The first
-// half of the patterns goes in 64-pattern batches, dropping most faults;
-// the rest in batches of the given size, against the few faults left.
-// Any difference in the detection tables fails the test. It returns the
-// fewest gates a scrambled good pass evaluated.
+// scrambled after each good pass, once with every pseudo input loaded and
+// the full order evaluated. The first half of the patterns goes in
+// 64-pattern batches, dropping most faults; the rest in batches of the
+// given size, against the few faults left. Any difference in the
+// detection tables fails the test. It returns the fewest gates a
+// scrambled good pass evaluated.
 func checkRegion(t *testing.T, label string, c *netlist.Circuit, flist []faults.Fault, patterns []logic.Cube) int {
 	t.Helper()
 	fewest := c.NumGates()
 	half := len(patterns) / 2
 	for _, batch := range []int{1, 63, 64} {
+		var batches [][]logic.Cube
+		for off := 0; off < half; off += wordBits {
+			batches = append(batches, patterns[off:min(off+wordBits, half)])
+		}
+		for off := half; off < len(patterns); off += batch {
+			batches = append(batches, patterns[off:min(off+batch, len(patterns))])
+		}
 		for _, workers := range []int{1, 2} {
 			grade := func(hook func(*Engine)) *Result {
 				e := NewEngine(c, flist)
@@ -60,7 +76,7 @@ func checkRegion(t *testing.T, label string, c *netlist.Circuit, flist []faults.
 				fewest = min(fewest, len(e.region))
 				scramble(e)
 			})
-			want := grade(runFullOrder)
+			want := grade(fullPass(batches))
 			if !slices.Equal(got.DetectedBy, want.DetectedBy) {
 				for i := range flist {
 					if got.DetectedBy[i] != want.DetectedBy[i] {

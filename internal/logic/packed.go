@@ -53,8 +53,8 @@ func (c Cube) OneWord(k int) uint64 {
 		copy(pad[:], v)
 		a = &pad
 	}
-	w0, w1, w2, w3 := word8(a[0:8]), word8(a[8:16]), word8(a[16:24]), word8(a[24:32])
-	w4, w5, w6, w7 := word8(a[32:40]), word8(a[40:48]), word8(a[48:56]), word8(a[56:64])
+	w0, w1, w2, w3 := load8(a[:], 0), load8(a[:], 8), load8(a[:], 16), load8(a[:], 24)
+	w4, w5, w6, w7 := load8(a[:], 32), load8(a[:], 40), load8(a[:], 48), load8(a[:], 56)
 	if (w0|w1|w2|w3|w4|w5|w6|w7)&^lsb == 0 {
 		return w0 | w1<<1 | w2<<2 | w3<<3 | w4<<4 | w5<<5 | w6<<6 | w7<<7
 	}
@@ -96,6 +96,106 @@ func (p Packed) Unpack(c Cube) {
 	}
 }
 
+// PackLanes is Pack turned on its side, for 1 to 64 cubes of len(dst)
+// positions: word i of dst gets bit k set exactly when cubes[k][i] is
+// One. It writes the words of the groups of eight positions that groups
+// selects, group g (positions 8g to 8g+7) by bit g%64 of groups[g/64], or
+// of every group when groups is nil, and no other word of dst.
+//
+// The cubes are read eight at a time, each from start to end. A 64-bit
+// load takes one cube's values of one group; the eight cubes' loads,
+// shifted by their lane and ORed, give the group's byte plane: byte j
+// holds their bits of position 8g+j. Cube block c parks its plane in
+// dst[8g+c], and one 8×8 byte transpose turns a group's eight planes into
+// its words. A short last block repeats its last cube, and a block past it
+// the last cube, with the repeats' lanes masked off. The low bit of a 0 or
+// 1 byte is its one bit; a batch whose loads hold any other byte is packed
+// again, testing each byte for One, so X, D and invalid bytes load as 0.
+func PackLanes(dst []uint64, cubes []Cube, groups []uint64) {
+	full, last := len(dst)&^7, len(cubes)-1
+	for exact := false; ; exact = true {
+		var all uint64
+		for k := 0; k < 64; k += 8 {
+			keep := uint64(lsb) * (1<<uint(min(max(last-k+1, 0), 8)) - 1)
+			// One length for all eight lets one bounds check serve them.
+			s0, s1, s2, s3 := cubes[min(k, last)][:full], cubes[min(k+1, last)][:full], cubes[min(k+2, last)][:full], cubes[min(k+3, last)][:full]
+			s4, s5, s6, s7 := cubes[min(k+4, last)][:full], cubes[min(k+5, last)][:full], cubes[min(k+6, last)][:full], cubes[min(k+7, last)][:full]
+			for o := 0; o+8 <= full; o += 8 {
+				if !selected(groups, o>>3) {
+					continue
+				}
+				w0, w1, w2, w3 := load8(s0, o), load8(s1, o), load8(s2, o), load8(s3, o)
+				w4, w5, w6, w7 := load8(s4, o), load8(s5, o), load8(s6, o), load8(s7, o)
+				all |= w0 | w1 | w2 | w3 | w4 | w5 | w6 | w7
+				if exact {
+					w0, w1, w2, w3 = one8(w0), one8(w1), one8(w2), one8(w3)
+					w4, w5, w6, w7 = one8(w4), one8(w5), one8(w6), one8(w7)
+				}
+				dst[o+k>>3] = (w0 | w1<<1 | w2<<2 | w3<<3 | w4<<4 | w5<<5 | w6<<6 | w7<<7) & keep
+			}
+		}
+		if exact || all&^lsb == 0 {
+			break
+		}
+	}
+	for o := 0; o < full; o += 8 {
+		if selected(groups, o>>3) {
+			transpose8((*[8]uint64)(dst[o : o+8]))
+		}
+	}
+	for i := full; i < len(dst) && selected(groups, full>>3); i++ { // the short last group
+		var w uint64
+		for k, c := range cubes {
+			w |= (uint64(c[i]^One) - 1) >> 63 << uint(k) // 1 exactly when c[i] is One
+		}
+		dst[i] = w
+	}
+}
+
+// selected reports whether the group mask selects group g (nil: all).
+func selected(groups []uint64, g int) bool {
+	return groups == nil || groups[g>>6]>>uint(g&63)&1 != 0
+}
+
+// load8 packs the eight values of s from o on into one word, s[o+i] in
+// byte i.
+func load8(s []V, o int) uint64 {
+	_ = s[o+7]
+	return uint64(s[o]) | uint64(s[o+1])<<8 | uint64(s[o+2])<<16 | uint64(s[o+3])<<24 |
+		uint64(s[o+4])<<32 | uint64(s[o+5])<<40 | uint64(s[o+6])<<48 | uint64(s[o+7])<<56
+}
+
+// one8 maps the eight bytes of x to the low bits of the same bytes: bit 8i
+// is 1 exactly when byte i is One.
+func one8(x uint64) uint64 { return zero8(x ^ lsb*uint64(One)) }
+
+// transpose8 transposes the 8×8 byte matrix a in place (byte j of a[i] is
+// row i, column j) in registers, by swapping blocks across the diagonal:
+// 4×4 blocks of bytes, then 2×2, then single bytes.
+func transpose8(a *[8]uint64) {
+	const m32, m16, m8 = 0x00000000ffffffff, 0x0000ffff0000ffff, 0x00ff00ff00ff00ff
+	r0, r1, r2, r3, r4, r5, r6, r7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
+	r0, r4 = swapBlocks(r0, r4, 32, m32)
+	r1, r5 = swapBlocks(r1, r5, 32, m32)
+	r2, r6 = swapBlocks(r2, r6, 32, m32)
+	r3, r7 = swapBlocks(r3, r7, 32, m32)
+	r0, r2 = swapBlocks(r0, r2, 16, m16)
+	r1, r3 = swapBlocks(r1, r3, 16, m16)
+	r4, r6 = swapBlocks(r4, r6, 16, m16)
+	r5, r7 = swapBlocks(r5, r7, 16, m16)
+	r0, r1 = swapBlocks(r0, r1, 8, m8)
+	r2, r3 = swapBlocks(r2, r3, 8, m8)
+	r4, r5 = swapBlocks(r4, r5, 8, m8)
+	r6, r7 = swapBlocks(r6, r7, 8, m8)
+	a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = r0, r1, r2, r3, r4, r5, r6, r7
+}
+
+// swapBlocks swaps the bits of x under m<<s with the bits of y under m.
+func swapBlocks(x, y uint64, s uint, m uint64) (uint64, uint64) {
+	t := (x>>s ^ y) & m
+	return x ^ t<<s, y ^ t
+}
+
 // lsb has the low bit of every byte set.
 const lsb = 0x0101010101010101
 
@@ -121,16 +221,8 @@ func packWord(v []V, want, ign uint64) uint64 {
 		v = pad[:]
 	}
 	a := (*[64]V)(v)
-	f := func(o []V) uint64 { return zero8((word8(o) ^ want) &^ ign) }
-	return f(a[0:8]) | f(a[8:16])<<1 | f(a[16:24])<<2 | f(a[24:32])<<3 |
-		f(a[32:40])<<4 | f(a[40:48])<<5 | f(a[48:56])<<6 | f(a[56:64])<<7
-}
-
-// word8 packs eight values into one word, o[i] in byte i.
-func word8(o []V) uint64 {
-	_ = o[7]
-	return uint64(o[0]) | uint64(o[1])<<8 | uint64(o[2])<<16 | uint64(o[3])<<24 |
-		uint64(o[4])<<32 | uint64(o[5])<<40 | uint64(o[6])<<48 | uint64(o[7])<<56
+	f := func(o int) uint64 { return zero8((load8(a[:], o) ^ want) &^ ign) }
+	return f(0) | f(8)<<1 | f(16)<<2 | f(24)<<3 | f(32)<<4 | f(40)<<5 | f(48)<<6 | f(56)<<7
 }
 
 // zero8 maps the eight bytes of x to the low bits of the same bytes: bit
