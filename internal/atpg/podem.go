@@ -425,24 +425,24 @@ func (p *podem) eval(id int32) logic.V {
 	}
 	var v logic.V
 	switch g.Kind {
-	case faultsim.OpBuf:
+	case netlist.FuncBuf:
 		v = p.pinValue(g.Fanin, 0, pin)
-	case faultsim.OpAnd:
+	case netlist.FuncAnd:
 		v = logic.One
 		for j := range g.Fanin {
 			v = and5[v][p.pinValue(g.Fanin, j, pin)]
 		}
-	case faultsim.OpOr:
+	case netlist.FuncOr:
 		v = logic.Zero
 		for j := range g.Fanin {
 			v = or5[v][p.pinValue(g.Fanin, j, pin)]
 		}
-	case faultsim.OpXor:
+	case netlist.FuncXor:
 		v = logic.Zero
 		for j := range g.Fanin {
 			v = xor5[v][p.pinValue(g.Fanin, j, pin)]
 		}
-	case faultsim.OpConst:
+	case netlist.FuncConst:
 		v = logic.Zero
 	default:
 		panic(fmt.Sprintf("atpg: implication evaluated source gate %d", id))
@@ -656,17 +656,14 @@ func (p *podem) nextObjective() (netlist.GateID, logic.V, bool) {
 		if id == p.site && j == p.fault.Pin {
 			continue // the faulty branch is not assignable
 		}
-		return p.backtrace(fin, nonControlling(g.Kind))
+		// The non-controlling value; BUF and XOR propagate either, so 0.
+		v := logic.Zero
+		if c := g.Kind.Controlling(); c != logic.X {
+			v = logic.Not(c)
+		}
+		return p.backtrace(fin, v)
 	}
 	return 0, logic.X, false
-}
-
-// nonControlling returns the input value that does not dominate the gate.
-func nonControlling(k faultsim.OpKind) logic.V {
-	if k == faultsim.OpAnd {
-		return logic.One
-	}
-	return logic.Zero // OR family; XOR/BUF: any value propagates
 }
 
 // backtrace walks an objective (line, value) backwards to an unassigned
@@ -675,25 +672,22 @@ func (p *podem) backtrace(line int32, v logic.V) (netlist.GateID, logic.V, bool)
 	for {
 		g := &p.gates[line]
 		switch g.Kind {
-		case faultsim.OpSource:
+		case netlist.FuncSource:
 			if p.values[line] != logic.X {
 				return 0, logic.X, false // already assigned: objective stuck
 			}
 			return netlist.GateID(line), v, true
-		case faultsim.OpBuf:
+		case netlist.FuncBuf:
 			line = g.Fanin[0]
 			if g.Invert {
 				v = logic.Not(v)
 			}
-		case faultsim.OpAnd, faultsim.OpOr:
+		case netlist.FuncAnd, netlist.FuncOr:
 			u := v
 			if g.Invert {
 				u = logic.Not(v)
 			}
-			ctrl := logic.Zero // controlling value of the AND family
-			if g.Kind == faultsim.OpOr {
-				ctrl = logic.One
-			}
+			ctrl := g.Kind.Controlling()
 			next := int32(-1)
 			best := int32(-1)
 			for _, fin := range g.Fanin {
@@ -714,7 +708,7 @@ func (p *podem) backtrace(line int32, v logic.V) (netlist.GateID, logic.V, bool)
 			}
 			line = next
 			v = u
-		case faultsim.OpXor:
+		case netlist.FuncXor:
 			// Choose the first unassigned input; required value depends on
 			// the parity of the assigned inputs, assuming the remaining X
 			// inputs settle at 0.

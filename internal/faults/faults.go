@@ -99,7 +99,10 @@ func Universe(c *netlist.Circuit) []Fault {
 // returns one representative per class (sorted), plus the mapping from every
 // fault to its class representative.
 //
-// The rules are the classical ones:
+// The rules are the classical ones, read off the netlist gate table: an
+// input stuck at the controlling value c of a gate with output inversion i
+// is the output stuck at c⊕i, and BUF/NOT inputs are the output for both
+// values:
 //
 //	BUF:  in SA-v        ≡ out SA-v
 //	NOT:  in SA-v        ≡ out SA-(¬v)
@@ -196,21 +199,17 @@ func unionClasses(c *netlist.Circuit, n int, index func(Fault) (int, bool)) *uni
 				}
 				return Fault{drv, StemPin, v}
 			}
-			switch g.Type {
-			case netlist.Buf:
-				union(inFault(logic.Zero), Fault{id, StemPin, logic.Zero})
-				union(inFault(logic.One), Fault{id, StemPin, logic.One})
-			case netlist.Not:
-				union(inFault(logic.Zero), Fault{id, StemPin, logic.One})
-				union(inFault(logic.One), Fault{id, StemPin, logic.Zero})
-			case netlist.And:
-				union(inFault(logic.Zero), Fault{id, StemPin, logic.Zero})
-			case netlist.Nand:
-				union(inFault(logic.Zero), Fault{id, StemPin, logic.One})
-			case netlist.Or:
-				union(inFault(logic.One), Fault{id, StemPin, logic.One})
-			case netlist.Nor:
-				union(inFault(logic.One), Fault{id, StemPin, logic.Zero})
+			// Input SA-v fixes the output at v⊕i when v is the gate's
+			// controlling value c, and for every v on BUF and NOT.
+			for v := logic.Zero; v <= logic.One; v++ {
+				if v != g.Type.Controlling() && g.Type.Func() != netlist.FuncBuf {
+					continue
+				}
+				out := v
+				if g.Type.Inverted() {
+					out = logic.Not(v)
+				}
+				union(inFault(v), Fault{id, StemPin, out})
 			}
 		}
 	}

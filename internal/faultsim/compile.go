@@ -13,11 +13,12 @@ import (
 // cost after that is array walks over int32 indices — no map lookups, no
 // Gate pointer chasing, no per-gate scratch refills.
 
-// pOp is a compiled gate opcode. The twelve netlist gate types collapse to
-// three word-wide reductions (AND, OR, XOR) with an output-inversion word,
-// plus buffer, constant and source forms. Arity-2 gates (the overwhelming
-// majority in ISCAS-style netlists) get dedicated opcodes so the hot loops
-// read both fanins without bounds-checked slice iteration.
+// pOp is a compiled gate opcode: a gate's base function (netlist.Func),
+// with its output inversion kept as a word — three word-wide reductions
+// (AND, OR, XOR) plus buffer, constant and source forms. Arity-2 gates
+// (the overwhelming majority in ISCAS-style netlists) get dedicated
+// opcodes so the hot loops read both fanins without bounds-checked slice
+// iteration; the N-ary opcodes follow them in the same order.
 type pOp uint8
 
 const (
@@ -32,52 +33,33 @@ const (
 	pConst             // 0 fanin: out = inv (CONST0: 0, CONST1: ^0)
 )
 
-// compileOp maps a gate type and arity to its opcode and inversion word.
+// compileOp maps a gate type and arity to its opcode and inversion word:
+// the base function picks the opcode, and arity 2 the reductions' fast
+// path.
 func compileOp(t netlist.GateType, arity int) (pOp, uint64) {
-	const allOnes = ^uint64(0)
-	switch t {
-	case netlist.Input, netlist.DFF:
-		return pSource, 0
-	case netlist.Buf:
-		return pBuf, 0
-	case netlist.Not:
-		return pBuf, allOnes
-	case netlist.And:
-		if arity == 2 {
-			return pAnd2, 0
-		}
-		return pAndN, 0
-	case netlist.Nand:
-		if arity == 2 {
-			return pAnd2, allOnes
-		}
-		return pAndN, allOnes
-	case netlist.Or:
-		if arity == 2 {
-			return pOr2, 0
-		}
-		return pOrN, 0
-	case netlist.Nor:
-		if arity == 2 {
-			return pOr2, allOnes
-		}
-		return pOrN, allOnes
-	case netlist.Xor:
-		if arity == 2 {
-			return pXor2, 0
-		}
-		return pXorN, 0
-	case netlist.Xnor:
-		if arity == 2 {
-			return pXor2, allOnes
-		}
-		return pXorN, allOnes
-	case netlist.Const0:
-		return pConst, 0
-	case netlist.Const1:
-		return pConst, allOnes
+	var inv uint64
+	if t.Inverted() {
+		inv = ^uint64(0)
 	}
-	panic(fmt.Sprintf("faultsim: compile of invalid gate type %v", t))
+	var op pOp
+	switch t.Func() {
+	case netlist.FuncSource:
+		return pSource, 0
+	case netlist.FuncBuf:
+		return pBuf, inv
+	case netlist.FuncConst:
+		return pConst, inv
+	case netlist.FuncAnd:
+		op = pAnd2
+	case netlist.FuncOr:
+		op = pOr2
+	case netlist.FuncXor:
+		op = pXor2
+	}
+	if arity != 2 {
+		op += pAndN - pAnd2 // the N-ary form of the same reduction
+	}
+	return op, inv
 }
 
 // Program is the compiled, levelized evaluation form of a circuit: per-gate

@@ -9,9 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// TestCompiledOpsMatchEvalGateWord pits every compiled opcode against the
-// independent word-wide gate evaluator in package sim, over random fanin
-// words at the arities the compiler specializes (1, 2 and N).
+// TestCompiledOpsMatchEvalGateWord checks each compiled opcode word-wide:
+// evalWords on 64 random lanes of fanin words must match sim.EvalGate on
+// every lane, for every gate type and for arities beyond
+// TestGateSemanticsAgree's exhaustive range.
 func TestCompiledOpsMatchEvalGateWord(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	cases := []struct {
@@ -39,25 +40,33 @@ func TestCompiledOpsMatchEvalGateWord(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := Compile(c)
+		in := make([]uint64, tc.arity)
+		vals := make([]logic.V, tc.arity)
 		for trial := 0; trial < 50; trial++ {
-			in := make([]uint64, tc.arity)
 			for i := range in {
 				in[i] = r.Uint64()
 			}
 			got := p.evalWords(int32(id), in)
-			want := sim.EvalGateWord(tc.typ, in)
-			if got != want {
-				t.Fatalf("%v/%d: compiled %x, EvalGateWord %x (in=%x)", tc.typ, tc.arity, got, want, in)
+			for lane := 0; lane < 64; lane++ {
+				for i := range in {
+					vals[i] = logic.FromBool(in[i]>>lane&1 == 1)
+				}
+				if g, want := logic.FromBool(got>>lane&1 == 1), sim.EvalGate(tc.typ, vals); g != want {
+					t.Fatalf("%v/%d lane %d: compiled %v, EvalGate %v (in=%x)", tc.typ, tc.arity, lane, g, want, in)
+				}
 			}
 		}
 	}
 }
 
-// TestProgramRunMatchesPSim checks the compiled good-circuit pass against
-// the original PSim on fixtures, random netlists and the s713 stand-in:
-// every gate's value word must agree on the valid pattern bits, for full and
-// partial batches.
-func TestProgramRunMatchesPSim(t *testing.T) {
+// TestProgramRunMatchesSimulator checks the compiled good-circuit pass
+// against the five-valued reference simulator on fixtures, random netlists
+// and the s713 stand-in, for full and partial batches: every gate's value
+// word must agree with the Simulator lane by lane, with the pattern's X
+// bits set to 0 (the engine's X-fill) before the Simulator sees them.
+// evalWords, the one-gate form that branch-fault injection uses, must
+// reproduce every gate's word from its fanin words.
+func TestProgramRunMatchesSimulator(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	circuits := []*netlist.Circuit{
 		mustParse(t, "c17", c17Bench),
@@ -68,11 +77,11 @@ func TestProgramRunMatchesPSim(t *testing.T) {
 	}
 	for _, c := range circuits {
 		p := Compile(c)
-		ps := sim.NewPSim(c)
+		s := sim.New(c)
 		words := make([]uint64, c.NumGates())
 		for _, n := range []int{1, 7, 63, 64} {
 			batch := randomPatterns(r, len(c.PseudoInputs()), n)
-			// Sprinkle X bits: both implementations must load them as 0.
+			// Sprinkle X bits: Load must load them as 0.
 			for _, cube := range batch {
 				for j := range cube {
 					if r.Intn(5) == 0 {
@@ -82,15 +91,56 @@ func TestProgramRunMatchesPSim(t *testing.T) {
 			}
 			mask := loadWords(p, words, batch)
 			p.Run(words, p.Order())
-			ps.Load(batch)
-			ps.Run()
-			if mask != ps.Mask() {
-				t.Fatalf("%s n=%d: mask %x vs PSim %x", c.Name, n, mask, ps.Mask())
+			if want := ^uint64(0) >> (64 - n); mask != want {
+				t.Fatalf("%s n=%d: mask %x, want %x", c.Name, n, mask, want)
 			}
-			for id := 0; id < c.NumGates(); id++ {
-				if got, want := words[id]&mask, ps.Word(netlist.GateID(id))&mask; got != want {
-					t.Fatalf("%s n=%d gate %s: compiled %x, PSim %x",
-						c.Name, n, c.Gate(netlist.GateID(id)).Name, got, want)
+			for k, cube := range batch {
+				s.Simulate(cube.Fill(func(int) logic.V { return logic.Zero }))
+				for id := 0; id < c.NumGates(); id++ {
+					got := logic.FromBool(words[id]>>k&1 == 1)
+					if want := s.Value(netlist.GateID(id)); got != want {
+						t.Fatalf("%s n=%d lane %d gate %s: compiled %v, Simulator %v",
+							c.Name, n, k, c.Gate(netlist.GateID(id)).Name, got, want)
+					}
+				}
+			}
+			var in []uint64
+			for _, id := range p.Order() {
+				in = in[:0]
+				for _, f := range p.Spec(id).Fanin {
+					in = append(in, words[f])
+				}
+				if got := p.evalWords(id, in); got != words[id] {
+					t.Fatalf("%s n=%d gate %s: evalWords %x, Run %x",
+						c.Name, n, c.Gate(netlist.GateID(id)).Name, got, words[id])
+				}
+			}
+		}
+	}
+}
+
+// TestEvalBoolMatchesEvalGate holds the serial reference's two-valued gate
+// evaluator to the five-valued sim.EvalGate on every binary input vector
+// of every combinational gate type, at every arity from its minimum to 4.
+func TestEvalBoolMatchesEvalGate(t *testing.T) {
+	for typ := netlist.GateType(0); typ.Valid(); typ++ {
+		if !typ.Combinational() {
+			continue
+		}
+		hi := typ.MaxFanin()
+		if hi < 0 {
+			hi = 4
+		}
+		for arity := typ.MinFanin(); arity <= hi; arity++ {
+			in := make([]bool, arity)
+			vals := make([]logic.V, arity)
+			for bits := 0; bits < 1<<arity; bits++ {
+				for j := range in {
+					in[j] = bits>>j&1 == 1
+					vals[j] = logic.FromBool(in[j])
+				}
+				if got, want := logic.FromBool(evalBool(typ, in)), sim.EvalGate(typ, vals); got != want {
+					t.Fatalf("%v %v: evalBool %v, EvalGate %v", typ, vals, got, want)
 				}
 			}
 		}

@@ -13,39 +13,13 @@ import (
 // encodes a Program through this surface, so a compiler bug that corrupts
 // the compiled form cannot hide behind a netlist-derived re-encoding.
 
-// OpKind classifies a compiled opcode by its base word function. The
-// arity-2 fast-path opcodes and their N-ary forms decode to the same kind;
-// output inversion is reported separately.
-type OpKind uint8
-
-const (
-	OpSource OpKind = iota // Input or DFF output: a stimulus value source
-	OpBuf                  // identity of the single fanin
-	OpAnd                  // word AND reduction over the fanins
-	OpOr                   // word OR reduction
-	OpXor                  // word XOR reduction
-	OpConst                // constant word
-)
-
-var opKindNames = [...]string{
-	OpSource: "SOURCE", OpBuf: "BUF", OpAnd: "AND", OpOr: "OR",
-	OpXor: "XOR", OpConst: "CONST",
-}
-
-// String returns the canonical name of k.
-func (k OpKind) String() string {
-	if int(k) < len(opKindNames) {
-		return opKindNames[k]
-	}
-	return fmt.Sprintf("OpKind(%d)", uint8(k))
-}
-
 // GateSpec describes one compiled gate exactly as the kernel evaluates it:
-// base kind, whether the output word is inverted, and the fanin gate ids in
-// evaluation order. Fanin aliases the Program's internal storage; callers
-// must not modify it.
+// base function, whether the output word is inverted, and the fanin gate
+// ids in evaluation order. The arity-2 fast-path opcodes and their N-ary
+// forms decode to the same base function. Fanin aliases the Program's
+// internal storage; callers must not modify it.
 type GateSpec struct {
-	Kind   OpKind
+	Kind   netlist.Func
 	Invert bool
 	Fanin  []int32
 }
@@ -55,20 +29,20 @@ type GateSpec struct {
 // two, so anything else means the Program bytes are corrupt and no decode
 // is faithful.
 func (p *Program) Spec(id int32) GateSpec {
-	var kind OpKind
+	var kind netlist.Func
 	switch p.op[id] {
 	case pSource:
-		kind = OpSource
+		kind = netlist.FuncSource
 	case pBuf:
-		kind = OpBuf
+		kind = netlist.FuncBuf
 	case pAnd2, pAndN:
-		kind = OpAnd
+		kind = netlist.FuncAnd
 	case pOr2, pOrN:
-		kind = OpOr
+		kind = netlist.FuncOr
 	case pXor2, pXorN:
-		kind = OpXor
+		kind = netlist.FuncXor
 	case pConst:
-		kind = OpConst
+		kind = netlist.FuncConst
 	default:
 		panic(fmt.Sprintf("faultsim: Spec of unknown opcode %d on gate %d", p.op[id], id))
 	}

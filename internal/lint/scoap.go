@@ -77,15 +77,15 @@ func ComputeSCOAP(c *netlist.Circuit) *SCOAP {
 		s.CC0[i], s.CC1[i], s.CO[i] = ScoapInf, ScoapInf, ScoapInf
 	}
 
-	// Controllability. Sources first, then gates in evaluation order.
+	// Controllability. Sources first, then gates in evaluation order. A
+	// constant is free to hold its own value and can hold no other.
+	cc := s.cc()
 	for id := netlist.GateID(0); int(id) < n; id++ {
-		switch c.Gate(id).Type {
-		case netlist.Input, netlist.DFF:
+		switch t := c.Gate(id).Type; t.Func() {
+		case netlist.FuncSource:
 			s.CC0[id], s.CC1[id] = 1, 1
-		case netlist.Const0:
-			s.CC0[id] = 1
-		case netlist.Const1:
-			s.CC1[id] = 1
+		case netlist.FuncConst:
+			cc[logic.FromBool(t.Inverted())][id] = 1
 		}
 	}
 	for _, id := range c.TopoOrder() {
@@ -112,37 +112,31 @@ func ComputeSCOAP(c *netlist.Circuit) *SCOAP {
 	return s
 }
 
+// cc returns the controllabilities indexed by logic value: cc()[v] is
+// CC0 for v = 0 and CC1 for v = 1.
+func (s *SCOAP) cc() [2][]ScoapV { return [2][]ScoapV{s.CC0, s.CC1} }
+
 // gateControllability computes (CC0, CC1) of a combinational gate from the
-// already-computed controllabilities of its fanins.
+// already-computed controllabilities of its fanins: (b0, b1) of its base
+// function, swapped when the gate inverts, plus one for the gate.
 func (s *SCOAP) gateControllability(g *netlist.Gate) (cc0, cc1 ScoapV) {
-	switch g.Type {
-	case netlist.Buf:
+	cc := s.cc()
+	var b [2]ScoapV
+	switch fn := g.Type.Func(); fn {
+	case netlist.FuncBuf:
 		f := g.Fanin[0]
-		return scoapAdd(s.CC0[f], 1), scoapAdd(s.CC1[f], 1)
-	case netlist.Not:
-		f := g.Fanin[0]
-		return scoapAdd(s.CC1[f], 1), scoapAdd(s.CC0[f], 1)
-	case netlist.And, netlist.Nand:
-		all1, min0 := ScoapV(0), ScoapInf
+		b = [2]ScoapV{s.CC0[f], s.CC1[f]}
+	case netlist.FuncAnd, netlist.FuncOr:
+		// One input at the controlling value c gives the output c; the
+		// other value needs every input at ¬c.
+		c := fn.Controlling()
+		one, all := ScoapInf, ScoapV(0)
 		for _, f := range g.Fanin {
-			all1 = scoapAdd(all1, s.CC1[f])
-			min0 = scoapMin(min0, s.CC0[f])
+			one = scoapMin(one, cc[c][f])
+			all = scoapAdd(all, cc[logic.Not(c)][f])
 		}
-		if g.Type == netlist.And {
-			return scoapAdd(min0, 1), scoapAdd(all1, 1)
-		}
-		return scoapAdd(all1, 1), scoapAdd(min0, 1)
-	case netlist.Or, netlist.Nor:
-		all0, min1 := ScoapV(0), ScoapInf
-		for _, f := range g.Fanin {
-			all0 = scoapAdd(all0, s.CC0[f])
-			min1 = scoapMin(min1, s.CC1[f])
-		}
-		if g.Type == netlist.Or {
-			return scoapAdd(all0, 1), scoapAdd(min1, 1)
-		}
-		return scoapAdd(min1, 1), scoapAdd(all0, 1)
-	case netlist.Xor, netlist.Xnor:
+		b[c], b[logic.Not(c)] = one, all
+	case netlist.FuncXor:
 		// Fold the inputs tracking the cheapest way to reach even/odd
 		// parity — exact for the n-input parity function.
 		even, odd := s.CC0[g.Fanin[0]], s.CC1[g.Fanin[0]]
@@ -151,38 +145,41 @@ func (s *SCOAP) gateControllability(g *netlist.Gate) (cc0, cc1 ScoapV) {
 			nOdd := scoapMin(scoapAdd(even, s.CC1[f]), scoapAdd(odd, s.CC0[f]))
 			even, odd = nEven, nOdd
 		}
-		if g.Type == netlist.Xor {
-			return scoapAdd(even, 1), scoapAdd(odd, 1)
-		}
-		return scoapAdd(odd, 1), scoapAdd(even, 1)
+		b = [2]ScoapV{even, odd}
+	default:
+		// Sources and constants never reach here (not in TopoOrder).
+		return ScoapInf, ScoapInf
 	}
-	// Input/DFF/Const never reach here (not in TopoOrder).
-	return ScoapInf, ScoapInf
+	if g.Type.Inverted() {
+		b[0], b[1] = b[1], b[0]
+	}
+	return scoapAdd(b[0], 1), scoapAdd(b[1], 1)
 }
 
 // PinObservability returns the observability of the pin-th input of gate
 // id: the cost of propagating a change on that pin through the gate to an
-// observation point. For a DFF the data pin is itself a capture site (0).
+// observation point — its side inputs at the non-controlling value, any
+// value for XOR. For a DFF the data pin is itself a capture site (0).
 func (s *SCOAP) PinObservability(id netlist.GateID, pin int) ScoapV {
 	g := s.c.Gate(id)
-	switch g.Type {
-	case netlist.DFF:
-		return 0
-	case netlist.Buf, netlist.Not:
+	switch fn := g.Type.Func(); fn {
+	case netlist.FuncSource:
+		if g.Type == netlist.DFF {
+			return 0
+		}
+	case netlist.FuncBuf:
 		return scoapAdd(s.CO[id], 1)
-	case netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor:
+	case netlist.FuncAnd, netlist.FuncOr, netlist.FuncXor:
+		cc, c := s.cc(), fn.Controlling()
 		side := ScoapV(0)
 		for j, f := range g.Fanin {
 			if j == pin {
 				continue
 			}
-			switch g.Type {
-			case netlist.And, netlist.Nand:
-				side = scoapAdd(side, s.CC1[f]) // side inputs at 1
-			case netlist.Or, netlist.Nor:
-				side = scoapAdd(side, s.CC0[f]) // side inputs at 0
-			default:
+			if c == logic.X {
 				side = scoapAdd(side, scoapMin(s.CC0[f], s.CC1[f]))
+			} else {
+				side = scoapAdd(side, cc[logic.Not(c)][f])
 			}
 		}
 		return scoapAdd(s.CO[id], scoapAdd(side, 1))

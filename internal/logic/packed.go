@@ -39,27 +39,8 @@ func Pack(c Cube) Packed {
 }
 
 // OneWord returns word k of c's one words: bit BitIndex(i) is set exactly
-// when position 64k+i holds One. A word of only Zero (0) and One (1)
-// bytes, a short one padded with Zero (like X, no one bit), takes a fast
-// path: each byte's low bit is its one bit. Any other byte, D (3) among
-// them, sends the word through packWord.
-func (c Cube) OneWord(k int) uint64 {
-	v := c.word(k)
-	var a *[64]V
-	if len(v) == 64 {
-		a = (*[64]V)(v)
-	} else {
-		var pad [64]V
-		copy(pad[:], v)
-		a = &pad
-	}
-	w0, w1, w2, w3 := load8(a[:], 0), load8(a[:], 8), load8(a[:], 16), load8(a[:], 24)
-	w4, w5, w6, w7 := load8(a[:], 32), load8(a[:], 40), load8(a[:], 48), load8(a[:], 56)
-	if (w0|w1|w2|w3|w4|w5|w6|w7)&^lsb == 0 {
-		return w0 | w1<<1 | w2<<2 | w3<<3 | w4<<4 | w5<<5 | w6<<6 | w7<<7
-	}
-	return packWord(v, lsb*uint64(One), 0)
-}
+// when position 64k+i holds One.
+func (c Cube) OneWord(k int) uint64 { return packWord(c.word(k), lsb*uint64(One), 0) }
 
 // word returns the up to 64 positions word k packs.
 func (c Cube) word(k int) []V { return c[k*64 : min(k*64+64, len(c))] }

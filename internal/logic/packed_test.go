@@ -81,7 +81,7 @@ func FuzzPackCube(f *testing.F) {
 		f.Add(w, all)
 	}
 	f.Add(uint8(130), []byte{0, 1, 2, 3, 4})
-	// All-binary words take OneWord's fast path.
+	// All-binary words, full and short.
 	for _, w := range []uint8{64, 128, 130} {
 		f.Add(w, []byte{1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1})
 	}
@@ -140,12 +140,11 @@ func oneWordBytewise(c Cube, k int) uint64 {
 	return w
 }
 
-// TestOneWordBinaryFastPath: a word of binary values takes OneWord's fast
-// path, and a single other byte anywhere in it must send the word through
-// packWord. Every byte value 2–255 at every position of an otherwise
-// binary word, D (3, low bit set) among them, must leave OneWord and Pack
-// equal to the byte-wise definition: at every one of the 64 positions of a
-// full word, and of the 37 of a short last word.
+// TestOneWordBinaryFastPath: OneWord and Pack on a word of binary values,
+// and with a single other byte anywhere in it, must equal the byte-wise
+// definition. Every byte value 2–255, D (3, low bit set) among them, at
+// every one of the 64 positions of a full word and of the 37 of a short
+// last word.
 func TestOneWordBinaryFastPath(t *testing.T) {
 	r := rand.New(rand.NewSource(64))
 	for _, width := range []int{64, 64 + 37} {

@@ -14,6 +14,8 @@ package netlist
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/logic"
 )
 
 // GateType identifies the logic function of a gate.
@@ -38,16 +40,64 @@ const (
 	numGateTypes
 )
 
-var gateTypeNames = [...]string{
-	Input: "INPUT", Buf: "BUF", Not: "NOT", And: "AND", Nand: "NAND",
-	Or: "OR", Nor: "NOR", Xor: "XOR", Xnor: "XNOR", DFF: "DFF",
-	Const0: "CONST0", Const1: "CONST1",
+// Func is the base function of a gate: what it computes before its output
+// inversion. NOT is an inverted BUF, NAND an inverted AND, CONST1 an
+// inverted CONST (constant 0). Every production reader of gate semantics —
+// the compiled simulator, the CNF encoder, fault collapsing, PODEM and
+// SCOAP — works on (Func, inversion) pairs from the gate table below.
+type Func uint8
+
+const (
+	FuncSource Func = iota // Input or DFF output: a stimulus value source
+	FuncBuf                // identity of the single fanin
+	FuncAnd                // AND over the fanins
+	FuncOr                 // OR over the fanins
+	FuncXor                // XOR (parity) over the fanins
+	FuncConst              // constant 0, no fanin
+)
+
+// The gate table. Each gate type has its base function, its output
+// inversion and its fanin bounds (max -1: unbounded); each base function
+// has its controlling value c, the input value that alone decides the
+// output: 0 for the AND family, 1 for the OR family, X where no single
+// input does. A gate of type t with one input at c outputs c⊕i, where
+// i = t.Inverted().
+var gateTable = [numGateTypes]struct {
+	name               string
+	fn                 Func
+	inv                bool
+	minFanin, maxFanin int8
+}{
+	Input:  {"INPUT", FuncSource, false, 0, 0},
+	Buf:    {"BUF", FuncBuf, false, 1, 1},
+	Not:    {"NOT", FuncBuf, true, 1, 1},
+	And:    {"AND", FuncAnd, false, 2, -1},
+	Nand:   {"NAND", FuncAnd, true, 2, -1},
+	Or:     {"OR", FuncOr, false, 2, -1},
+	Nor:    {"NOR", FuncOr, true, 2, -1},
+	Xor:    {"XOR", FuncXor, false, 2, -1},
+	Xnor:   {"XNOR", FuncXor, true, 2, -1},
+	DFF:    {"DFF", FuncSource, false, 1, 1},
+	Const0: {"CONST0", FuncConst, false, 0, 0},
+	Const1: {"CONST1", FuncConst, true, 0, 0},
+}
+
+var funcTable = [...]struct {
+	name string
+	ctrl logic.V
+}{
+	FuncSource: {"SOURCE", logic.X},
+	FuncBuf:    {"BUF", logic.X},
+	FuncAnd:    {"AND", logic.Zero},
+	FuncOr:     {"OR", logic.One},
+	FuncXor:    {"XOR", logic.X},
+	FuncConst:  {"CONST", logic.X},
 }
 
 // String returns the canonical upper-case name of t.
 func (t GateType) String() string {
-	if int(t) < len(gateTypeNames) {
-		return gateTypeNames[t]
+	if t.Valid() {
+		return gateTable[t].name
 	}
 	return fmt.Sprintf("GateType(%d)", uint8(t))
 }
@@ -58,32 +108,38 @@ func (t GateType) Valid() bool { return t < numGateTypes }
 // Combinational reports whether t is an evaluating combinational gate
 // (everything except Input and DFF).
 func (t GateType) Combinational() bool {
-	return t != Input && t != DFF && t.Valid()
+	return t.Valid() && t.Func() != FuncSource
 }
+
+// Func returns the base function of t.
+func (t GateType) Func() Func { return gateTable[t].fn }
+
+// Inverted reports whether t inverts the output of its base function.
+func (t GateType) Inverted() bool { return gateTable[t].inv }
+
+// Controlling returns the controlling value of t's base function (0 for
+// AND/NAND, 1 for OR/NOR), or X when no single input decides the output.
+func (t GateType) Controlling() logic.V { return t.Func().Controlling() }
 
 // MinFanin returns the minimum legal fanin count for t.
-func (t GateType) MinFanin() int {
-	switch t {
-	case Input, Const0, Const1:
-		return 0
-	case Buf, Not, DFF:
-		return 1
-	default:
-		return 2
-	}
-}
+func (t GateType) MinFanin() int { return int(gateTable[t].minFanin) }
 
 // MaxFanin returns the maximum legal fanin count for t, or -1 for unbounded.
-func (t GateType) MaxFanin() int {
-	switch t {
-	case Input, Const0, Const1:
-		return 0
-	case Buf, Not, DFF:
-		return 1
-	default:
-		return -1
+func (t GateType) MaxFanin() int { return int(gateTable[t].maxFanin) }
+
+// String returns the canonical upper-case name of f.
+func (f Func) String() string {
+	if int(f) < len(funcTable) {
+		return funcTable[f].name
 	}
+	return fmt.Sprintf("Func(%d)", uint8(f))
 }
+
+// Controlling returns the controlling value of f: the input value that on
+// any one input decides the output (0 for AND, 1 for OR), or X when f has
+// none (BUF and XOR propagate every input value; sources and constants
+// have no inputs).
+func (f Func) Controlling() logic.V { return funcTable[f].ctrl }
 
 // GateID indexes a gate within its circuit.
 type GateID int32

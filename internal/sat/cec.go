@@ -32,39 +32,6 @@ type CECResult struct {
 	Conflicts int64
 }
 
-// specGateType maps a compiled gate's public spec back onto the netlist
-// gate type with the same semantics, for the shared Tseitin constructor.
-func specGateType(s faultsim.GateSpec) (netlist.GateType, bool) {
-	switch s.Kind {
-	case faultsim.OpBuf:
-		if s.Invert {
-			return netlist.Not, true
-		}
-		return netlist.Buf, true
-	case faultsim.OpAnd:
-		if s.Invert {
-			return netlist.Nand, true
-		}
-		return netlist.And, true
-	case faultsim.OpOr:
-		if s.Invert {
-			return netlist.Nor, true
-		}
-		return netlist.Or, true
-	case faultsim.OpXor:
-		if s.Invert {
-			return netlist.Xnor, true
-		}
-		return netlist.Xor, true
-	case faultsim.OpConst:
-		if s.Invert {
-			return netlist.Const1, true
-		}
-		return netlist.Const0, true
-	}
-	return 0, false
-}
-
 // CheckProgram proves (or refutes) that the compiled Program computes the
 // same observation-frame functions as the finalized circuit it claims to
 // implement. The Program side is encoded purely from its compiled arrays
@@ -115,8 +82,7 @@ func CheckProgram(c *netlist.Circuit, p *faultsim.Program) CECResult {
 	var ins []Lit
 	for _, id := range p.Order() {
 		spec := p.Spec(id)
-		gt, ok := specGateType(spec)
-		if !ok {
+		if spec.Kind == netlist.FuncSource {
 			return fail("gate %d: opcode kind %v in evaluation order", id, spec.Kind)
 		}
 		ins = ins[:0]
@@ -129,7 +95,7 @@ func CheckProgram(c *netlist.Circuit, p *faultsim.Program) CECResult {
 		if plits[id] != 0 {
 			return fail("gate %d evaluated twice in compiled order", id)
 		}
-		plits[id] = enc.Gate(gt, ins)
+		plits[id] = enc.Gate(spec.Kind, spec.Invert, ins)
 	}
 
 	// Miter over the observation frame. Literal-identical pairs can never

@@ -12,10 +12,11 @@ import (
 // share it, and share the stimulus variables); every variable it allocates
 // comes from the same CNF, in a deterministic traversal order.
 //
-// Buf/Not never allocate variables — they alias the fanin literal (Not by
-// sign). Inverted-output gates (Nand/Nor/Xnor) encode the base function and
-// return the negated literal. Constants share two lazily allocated pinned
-// variables. With sharing enabled (EnableSharing), structurally identical
+// Gates are encoded as (base function, inversion) pairs from the netlist
+// gate table: BUF never allocates a variable — it aliases the fanin
+// literal — and an inverted gate (NOT/NAND/NOR/XNOR/CONST1) encodes its
+// base function and returns the negated literal. Constants share one
+// lazily allocated pinned variable. With sharing enabled (EnableSharing), structurally identical
 // gates — same base function over the same fanin literals — collapse to one
 // variable, which is what lets the equivalence check of an honest kernel
 // compile discharge structurally, with no search at all.
@@ -64,33 +65,29 @@ func packLits(ins []Lit) string {
 	return string(b)
 }
 
-// Gate encodes one combinational gate over the given fanin literals and
-// returns its output literal. Input and DFF types are value sources, not
-// functions, and panic here.
-func (e *Encoder) Gate(t netlist.GateType, ins []Lit) Lit {
-	switch t {
-	case netlist.Buf:
-		return ins[0]
-	case netlist.Not:
-		return ins[0].Neg()
-	case netlist.Const0:
-		return e.False()
-	case netlist.Const1:
-		return e.True()
-	case netlist.And:
-		return e.and(ins)
-	case netlist.Nand:
-		return e.and(ins).Neg()
-	case netlist.Or:
-		return e.or(ins)
-	case netlist.Nor:
-		return e.or(ins).Neg()
-	case netlist.Xor:
-		return e.xor(ins)
-	case netlist.Xnor:
-		return e.xor(ins).Neg()
+// Gate encodes one combinational gate, base function fn with its output
+// inverted when invert is set, over the given fanin literals and returns
+// its output literal. Sources are values, not functions, and panic here.
+func (e *Encoder) Gate(fn netlist.Func, invert bool, ins []Lit) Lit {
+	var o Lit
+	switch fn {
+	case netlist.FuncBuf:
+		o = ins[0]
+	case netlist.FuncConst:
+		o = e.False()
+	case netlist.FuncAnd:
+		o = e.and(ins)
+	case netlist.FuncOr:
+		o = e.or(ins)
+	case netlist.FuncXor:
+		o = e.xor(ins)
+	default:
+		panic(fmt.Sprintf("sat: Tseitin encode of non-combinational function %v", fn))
 	}
-	panic(fmt.Sprintf("sat: Tseitin encode of non-combinational gate type %v", t))
+	if invert {
+		o = o.Neg()
+	}
+	return o
 }
 
 // lookup consults the sharing table; alloc is called (and memoized) on miss.
@@ -247,7 +244,7 @@ func (e *Encoder) encodeGates(ce *CircuitEncoding, keep map[netlist.GateID]bool)
 			}
 			ins = append(ins, l)
 		}
-		ce.lit[id] = e.Gate(g.Type, ins)
+		ce.lit[id] = e.Gate(g.Type.Func(), g.Type.Inverted(), ins)
 	}
 }
 

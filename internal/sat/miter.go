@@ -180,7 +180,7 @@ func faultMiter(c *netlist.Circuit, f faults.Fault) (*CNF, *CircuitEncoding) {
 				ins[j] = good.Lit(fin)
 			}
 		}
-		faulty[f.Gate] = enc.Gate(site.Type, ins)
+		faulty[f.Gate] = enc.Gate(site.Type.Func(), site.Type.Inverted(), ins)
 	}
 	var ins []Lit
 	for _, id := range c.TopoOrder() {
@@ -196,7 +196,7 @@ func faultMiter(c *netlist.Circuit, f faults.Fault) (*CNF, *CircuitEncoding) {
 				ins = append(ins, good.Lit(fin))
 			}
 		}
-		faulty[id] = enc.Gate(g.Type, ins)
+		faulty[id] = enc.Gate(g.Type.Func(), g.Type.Inverted(), ins)
 	}
 
 	// Activation: the line the fault sits on must carry the opposite of

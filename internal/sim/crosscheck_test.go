@@ -10,43 +10,38 @@ import (
 	"repro/internal/netlist"
 )
 
-// TestPSimMatchesSimulatorOnStandins cross-checks the bit-parallel and the
-// five-valued simulators on realistic generated circuits, batch after
-// batch — the two independent evaluation paths every higher layer rests on.
-func TestPSimMatchesSimulatorOnStandins(t *testing.T) {
-	for _, name := range []string{"s713", "s953"} {
-		prof, ok := bench89.ProfileByName(name)
-		if !ok {
-			t.Fatalf("profile %s missing", name)
+// evalGateWord evaluates gate type t on 64 two-valued lanes at once from
+// the netlist gate table alone: the base function over the fanin words,
+// then the output inversion. It is the word-wide reading of the table that
+// the compiled simulator, the CNF encoder and fault collapsing share.
+func evalGateWord(t netlist.GateType, in []uint64) uint64 {
+	var w uint64
+	switch t.Func() {
+	case netlist.FuncBuf:
+		w = in[0]
+	case netlist.FuncAnd:
+		w = ^uint64(0)
+		for _, x := range in {
+			w &= x
 		}
-		c := bench89.MustGenerate(prof)
-		s := New(c)
-		p := NewPSim(c)
-		r := rand.New(rand.NewSource(33))
-		width := s.NumPseudoInputs()
-
-		batch := make([]logic.Cube, 64)
-		for k := range batch {
-			v := make(logic.Cube, width)
-			for i := range v {
-				v[i] = logic.FromBool(r.Intn(2) == 1)
-			}
-			batch[k] = v
+	case netlist.FuncOr:
+		for _, x := range in {
+			w |= x
 		}
-		p.Load(batch)
-		p.Run()
-		for _, k := range []int{0, 1, 31, 63} {
-			want := s.Simulate(batch[k])
-			got := p.Response(k)
-			if got.String() != want.String() {
-				t.Fatalf("%s pattern %d: PSim %v != Simulator %v", name, k, got, want)
-			}
+	case netlist.FuncXor:
+		for _, x := range in {
+			w ^= x
 		}
 	}
+	if t.Inverted() {
+		w = ^w
+	}
+	return w
 }
 
-// TestEvalGateWordMatchesEvalGate checks the two gate evaluators agree on
-// every gate type over random two-valued inputs.
+// TestEvalGateWordMatchesEvalGate checks that the gate table, read word-wide,
+// agrees with EvalGate on every gate type over random two-valued inputs,
+// and that noise on the other lanes never reaches the checked one.
 func TestEvalGateWordMatchesEvalGate(t *testing.T) {
 	types := []netlist.GateType{
 		netlist.Buf, netlist.Not, netlist.And, netlist.Nand,
@@ -74,7 +69,7 @@ func TestEvalGateWordMatchesEvalGate(t *testing.T) {
 			words[i] |= r.Uint64() &^ (1 << bit)
 		}
 		want := EvalGate(tt, vals) == logic.One
-		got := EvalGateWord(tt, words)&(1<<bit) != 0
+		got := evalGateWord(tt, words)&(1<<bit) != 0
 		return want == got
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -1,13 +1,13 @@
 // Package sim provides reference logic simulation over finalized netlist
-// circuits. No production code imports it: it is the independent test
-// oracle for the compiled faultsim.Program that ATPG, fault simulation and
-// response computation run on.
+// circuits. No production code imports it: its five-valued (0, 1, X, D, D̄)
+// levelized full-scan Simulator and gate evaluator EvalGate are the
+// independent test oracle for the compiled faultsim.Program that ATPG,
+// fault simulation and response computation run on, and for the netlist
+// gate table that Program, the CNF encoder, fault collapsing, PODEM and
+// SCOAP read. EvalGate spells out every gate type on purpose instead of
+// reading that table.
 //
-//   - Simulator: a five-valued (0, 1, X, D, D̄) levelized full-scan
-//     simulator.
-//   - PSim: a 64-way bit-parallel two-valued simulator.
-//
-// All simulators use the full-scan convention of package netlist: the
+// The Simulator uses the full-scan convention of package netlist: the
 // stimulus frame is PseudoInputs (primary inputs then DFF outputs) and the
 // response frame is PseudoOutputs (primary outputs then DFF data inputs).
 package sim

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/logic"
@@ -134,89 +133,4 @@ func TestEvalGatePanicsOnInput(t *testing.T) {
 		}
 	}()
 	EvalGate(netlist.Input, nil)
-}
-
-func TestPSimAgreesWithSimulator(t *testing.T) {
-	c := mustParse(t, "c17", c17Bench)
-	s := New(c)
-	p := NewPSim(c)
-	r := rand.New(rand.NewSource(11))
-
-	batch := make([]logic.Cube, 64)
-	for k := range batch {
-		cube := make(logic.Cube, 5)
-		for i := range cube {
-			cube[i] = logic.FromBool(r.Intn(2) == 1)
-		}
-		batch[k] = cube
-	}
-	if n := p.Load(batch); n != 64 {
-		t.Fatalf("Load = %d", n)
-	}
-	p.Run()
-	if p.Mask() != ^uint64(0) {
-		t.Error("full batch mask wrong")
-	}
-	for k, cube := range batch {
-		want := s.Simulate(cube)
-		got := p.Response(k)
-		if got.String() != want.String() {
-			t.Fatalf("pattern %d: PSim %v, Simulator %v", k, got, want)
-		}
-	}
-}
-
-func TestPSimPartialBatch(t *testing.T) {
-	c := mustParse(t, "c17", c17Bench)
-	p := NewPSim(c)
-	cube, _ := logic.ParseCube("10110")
-	p.Load([]logic.Cube{cube, cube, cube})
-	p.Run()
-	if p.BatchSize() != 3 {
-		t.Errorf("BatchSize = %d", p.BatchSize())
-	}
-	if p.Mask() != 0b111 {
-		t.Errorf("Mask = %b", p.Mask())
-	}
-	a, b := p.Response(0), p.Response(2)
-	if a.String() != b.String() {
-		t.Error("identical patterns disagree")
-	}
-	words := p.ResponseWords()
-	if len(words) != 2 {
-		t.Errorf("ResponseWords len = %d", len(words))
-	}
-}
-
-func TestPSimXLoadsAsZero(t *testing.T) {
-	c := mustParse(t, "c17", c17Bench)
-	p := NewPSim(c)
-	withX := logic.NewCube(5) // all X
-	zeros, _ := logic.ParseCube("00000")
-	p.Load([]logic.Cube{withX, zeros})
-	p.Run()
-	if p.Response(0).String() != p.Response(1).String() {
-		t.Error("X must load as 0")
-	}
-}
-
-func TestPSimPanics(t *testing.T) {
-	c := mustParse(t, "c17", c17Bench)
-	p := NewPSim(c)
-	mustPanic(t, "empty batch", func() { p.Load(nil) })
-	mustPanic(t, "wrong width", func() { p.Load([]logic.Cube{logic.NewCube(3)}) })
-	cube := logic.NewCube(5)
-	p.Load([]logic.Cube{cube})
-	p.Run()
-	mustPanic(t, "response out of range", func() { p.Response(5) })
-}
-
-func mustPanic(t *testing.T, name string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: no panic", name)
-		}
-	}()
-	f()
 }
