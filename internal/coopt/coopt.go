@@ -33,6 +33,7 @@ package coopt
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -153,16 +154,28 @@ func BuildCores(s *core.SOC, maxW int) ([]Core, error) {
 	return cores, nil
 }
 
+// ErrInfeasible is matched (errors.Is) by every error Optimize returns.
+// Optimize is a pure function of the profile and the options, so each of
+// its errors rejects them — a power budget below one core's own power, a
+// precedence edge naming an unknown core or closing a cycle — and none is
+// a fault of the scheduler. The serving layer answers it with a 400.
+var ErrInfeasible = errors.New("coopt: infeasible profile or options")
+
+// infeasible marks an Optimize error as ErrInfeasible and keeps its text.
+type infeasible struct{ error }
+
+func (infeasible) Is(target error) bool { return target == ErrInfeasible }
+
 // Optimize runs the full co-optimization for one TAM width and returns
 // the deterministic schedule.
 func Optimize(s *core.SOC, opts Options) (*Schedule, error) {
 	cores, err := BuildCores(s, opts.TAMWidth)
 	if err != nil {
-		return nil, err
+		return nil, infeasible{err}
 	}
 	pk, err := Pack(cores, opts.TAMWidth, opts.PowerBudget, opts.Precedence)
 	if err != nil {
-		return nil, err
+		return nil, infeasible{err}
 	}
 	return buildSchedule(s.Name, cores, pk, opts), nil
 }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 
+	"repro/internal/coopt"
 	"repro/internal/par"
 	"repro/internal/runctl"
 )
@@ -165,8 +166,11 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, wk work, async
 	_, result, jerr, cached, _ := j.snapshot()
 	if jerr != nil {
 		code := http.StatusInternalServerError
-		if runctl.IsCancel(jerr) {
+		switch {
+		case runctl.IsCancel(jerr):
 			code = http.StatusGatewayTimeout
+		case errors.Is(jerr, coopt.ErrInfeasible):
+			code = http.StatusBadRequest // the scheduler refused the request's profile or options
 		}
 		writeJSON(w, code, map[string]string{"error": jerr.Error(), "job": j.id})
 		return

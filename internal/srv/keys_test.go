@@ -3,7 +3,10 @@ package srv
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // keySOC is a small inline .soc profile for the tdv and lint key pins.
@@ -79,20 +82,8 @@ func TestWorkKeysPinned(t *testing.T) {
 // journal replay: replayWork on the recorded request JSON yields the same
 // content address and the same request JSON.
 func FuzzDecode(f *testing.F) {
-	for _, tc := range invalidRequests {
-		f.Add([]byte(tc.body))
-	}
-	tmono := 300
-	seed := int64(7)
-	random := 0
-	for _, req := range []any{
-		&atpgRequest{Standin: "s713", Options: &atpgOptions{Random: &random, Seed: &seed}},
-		&tdvRequest{SOC: keySOC, TMono: &tmono},
-		&lintRequest{Bench: tinyBench},
-		&scheduleRequest{Builtin: "d695", TAM: 32, PowerBudget: 5000,
-			Precedence: [][2]string{{"d695-core5", "d695-core1"}}},
-	} {
-		f.Add(marshalReq(req))
+	for _, seed := range decodeSeeds() {
+		f.Add(seed)
 	}
 	s, _ := newTestServer(f, Config{Workers: 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -112,6 +103,73 @@ func FuzzDecode(f *testing.F) {
 			if replayed.key != wk.key || !bytes.Equal(replayed.reqJSON, wk.reqJSON) {
 				t.Fatalf("%s: replay drifted: key %s -> %s, request %s -> %s",
 					k.name, wk.key, replayed.key, wk.reqJSON, replayed.reqJSON)
+			}
+		}
+	})
+}
+
+// decodeSeeds is FuzzDecode's corpus: every invalid request, among them
+// the two Eq. 2 probes, and one valid request per served kind.
+func decodeSeeds() [][]byte {
+	var seeds [][]byte
+	for _, tc := range invalidRequests {
+		seeds = append(seeds, []byte(tc.body))
+	}
+	tmono := 300
+	seed := int64(7)
+	random := 0
+	for _, req := range []any{
+		&atpgRequest{Standin: "s713", Options: &atpgOptions{Random: &random, Seed: &seed}},
+		&tdvRequest{SOC: keySOC, TMono: &tmono},
+		&lintRequest{Bench: tinyBench},
+		&scheduleRequest{Builtin: "d695", TAM: 32, PowerBudget: 5000,
+			Precedence: [][2]string{{"d695-core5", "d695-core1"}}},
+	} {
+		seeds = append(seeds, marshalReq(req))
+	}
+	return seeds
+}
+
+// FuzzServe posts arbitrary bodies through the in-process handler to
+// /v1/tdv, /v1/lint and /v1/schedule, and to /v1/atpg with the fuzzed
+// envelope and options over the fixed tinyBench netlist, so every run
+// stays small. No request may answer 500, and a 200 must come back byte
+// for byte when the same body is posted again. The corpus adds the
+// request mix of cmd/socload to decodeSeeds.
+func FuzzServe(f *testing.F) {
+	for _, seed := range decodeSeeds() {
+		f.Add(seed)
+	}
+	for _, body := range []string{
+		`{"builtin":"d695"}`, `{"builtin":"g1023"}`, `{"builtin":"p22810"}`, `{"builtin":"p93791"}`,
+		`{"builtin":"d695","tam":32}`, `{"builtin":"g1023","tam":24}`, `{"standin":"s713"}`,
+		`{"bench":"INPUT(s)\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\nns = NOT(s)\nta = AND(a, ns)\ntb = AND(b, s)\ny = OR(ta, tb)\n"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	st, err := store.Open(f.TempDir(), 1<<20, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, _ := newTestServer(f, Config{Workers: 1, Store: st})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bodies := map[string][]byte{"/v1/tdv": data, "/v1/lint": data, "/v1/schedule": data}
+		var req atpgRequest
+		if json.Unmarshal(data, &req) == nil {
+			req.Bench, req.Standin = tinyBench, ""
+			bodies["/v1/atpg"] = marshalReq(&req)
+		}
+		for path, body := range bodies {
+			first := post(t, h, path, string(body))
+			if first.Code == http.StatusInternalServerError {
+				t.Fatalf("POST %s %q = 500 %s", path, body, first.Body)
+			}
+			if first.Code != http.StatusOK {
+				continue
+			}
+			if again := post(t, h, path, string(body)); again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("POST %s %q: 200 %q, then %d %q", path, body, first.Body, again.Code, again.Body)
 			}
 		}
 	})

@@ -249,6 +249,9 @@ var invalidRequests = []struct{ path, body string }{
 	{"/v1/atpg", `{"standin":"s713","options":{"dynamic_targets":-1}}`},
 	{"/v1/atpg", `{"standin":"s713","options":{"workers":-1}}`},
 	{"/v1/atpg", `{"standin":"s713","timeout_ms":-1}`},
+	// Counts that size an allocation are bounded.
+	{"/v1/atpg", `{"standin":"s713","options":{"random":65537}}`},
+	{"/v1/atpg", `{"standin":"s713","options":{"workers":65}}`},
 	{"/v1/tdv", `{"builtin":"d695","tmono":-1}`},
 	{"/v1/lint", `{"bench":"INPUT(a)\nOUTPUT(a)\n","timeout_ms":-5}`},
 	{"/v1/schedule", `{"builtin":"d695","tam":32,"power_budget":-1}`},
@@ -260,14 +263,27 @@ var invalidRequests = []struct{ path, body string }{
 	// from the request field or from the profile's own tmono line.
 	{"/v1/tdv", `{"builtin":"d695","tmono":1}`},
 	{"/v1/tdv", `{"soc":"soc x\ntmono 3\nmodule A t 50\ntop A"}`},
+	// A power budget below one core's own power: only the scheduler can
+	// tell, so the request is queued and refused when it runs.
+	{"/v1/schedule", `{"builtin":"d695","tam":1,"power_budget":1}`},
 }
 
 // TestValidationErrors checks malformed requests are 400s with a JSON
-// error, never queued.
+// error. Only the requests whose work unit builds, and which the
+// scheduler then refuses, are queued.
 func TestValidationErrors(t *testing.T) {
 	s, reg := newTestServer(t, Config{Workers: 1})
 	h := s.Handler()
+	var builds int64
 	for _, tc := range invalidRequests {
+		for _, k := range kinds {
+			req := k.newReq()
+			if "/v1/"+k.name == tc.path && json.Unmarshal([]byte(tc.body), req) == nil {
+				if _, _, err := k.build(s, req); err == nil {
+					builds++
+				}
+			}
+		}
 		rec := post(t, h, tc.path, tc.body)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("POST %s %q = %d, want 400", tc.path, tc.body, rec.Code)
@@ -279,8 +295,8 @@ func TestValidationErrors(t *testing.T) {
 			t.Errorf("POST %s %q: error body %q not JSON", tc.path, tc.body, rec.Body)
 		}
 	}
-	if got := reg.Snapshot().Counters["srv.jobs.enqueued"]; got != 0 {
-		t.Errorf("validation failures enqueued %d jobs", got)
+	if got := reg.Snapshot().Counters["srv.jobs.enqueued"]; got != builds {
+		t.Errorf("validation failures enqueued %d jobs, want %d", got, builds)
 	}
 }
 

@@ -111,6 +111,15 @@ type atpgOptions struct {
 	Workers        int    `json:"workers"`
 }
 
+// The largest random budget and worker count a request may ask for. The
+// random phase allocates one pattern per budgeted draw and each worker
+// its own evaluator, so an unbounded count lets one request exhaust the
+// daemon's memory; above these the request is refused.
+const (
+	maxRandomPatterns = 1 << 16
+	maxJobWorkers     = 64
+)
+
 // buildOptions resolves the wire options onto the experiment defaults. A
 // negative count is an error, not a default: otherwise one search would
 // be stored under two keys.
@@ -136,15 +145,19 @@ func (o *atpgOptions) buildOptions() (atpg.Options, error) {
 		name string
 		v    int
 		dst  *int
+		max  int // 0 = unbounded
 	}{
-		{"random", opts.RandomPatterns, &opts.RandomPatterns}, // set above
-		{"backtrack", o.Backtrack, &opts.BacktrackLimit},
-		{"dynamic_targets", o.DynamicTargets, &opts.DynamicTargets},
-		{"passes", o.Passes, &opts.Passes},
-		{"workers", o.Workers, &opts.Workers},
+		{"random", opts.RandomPatterns, &opts.RandomPatterns, maxRandomPatterns}, // set above
+		{"backtrack", o.Backtrack, &opts.BacktrackLimit, 0},
+		{"dynamic_targets", o.DynamicTargets, &opts.DynamicTargets, 0},
+		{"passes", o.Passes, &opts.Passes, 0},
+		{"workers", o.Workers, &opts.Workers, maxJobWorkers},
 	} {
 		if c.v < 0 {
 			return opts, fmt.Errorf("options.%s must be >= 0, got %d", c.name, c.v)
+		}
+		if c.max > 0 && c.v > c.max {
+			return opts, fmt.Errorf("options.%s must be <= %d, got %d", c.name, c.max, c.v)
 		}
 		if c.v > 0 {
 			*c.dst = c.v
