@@ -206,3 +206,22 @@ func TestTMonoBelowTMaxRefused(t *testing.T) {
 		t.Errorf("want the Eq. 2 refusal, not a panic:\n%s", out)
 	}
 }
+
+// TestOverflowRefused checks a profile whose TDV arithmetic leaves int64
+// (one core at S = 2·10⁹, T = 3·10⁹) is a runtime error naming the module
+// and the equation, not a wrapped, negative volume.
+func TestOverflowRefused(t *testing.T) {
+	bin := buildBinary(t)
+	path := filepath.Join(t.TempDir(), "big.soc")
+	src := "soc big\nmodule Top t 1 children A\nmodule A s 2000000000 t 3000000000\ntop Top\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-f", path).CombinedOutput()
+	if code := exitCode(t, err); code != cli.ExitRuntime {
+		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
+	}
+	if want := "module A: Eq. 4 TDV_modular overflows int64"; !strings.Contains(string(out), want) {
+		t.Errorf("want %q:\n%s", want, out)
+	}
+}

@@ -16,6 +16,7 @@ package bench89
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -84,15 +85,16 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 	rng := rand.New(rand.NewSource(p.Seed))
 	b := netlist.NewBuilder(p.Name)
 
-	// Sources: primary inputs and flip-flop outputs (forward-referenced).
-	sources := make([]string, 0, p.Inputs+p.DFFs)
+	// Net k < nSrc is a source (the inputs, then the forward-referenced
+	// flip-flop outputs), the rest are gates; name[k] and prob[k] are net k's.
+	nSrc := p.Inputs + p.DFFs
+	name := make([]string, nSrc, nSrc+p.Gates+p.Gates/4)
 	for i := 0; i < p.Inputs; i++ {
-		name := fmt.Sprintf("i%d", i)
-		b.Input(name)
-		sources = append(sources, name)
+		name[i] = "i" + strconv.Itoa(i)
+		b.Input(name[i])
 	}
 	for i := 0; i < p.DFFs; i++ {
-		sources = append(sources, fmt.Sprintf("ff%d", i))
+		name[p.Inputs+i] = "ff" + strconv.Itoa(i)
 	}
 
 	// The circuit is built as one logic cone per sink (primary output or
@@ -108,21 +110,23 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 	// Gate types are chosen probability-aware: the generator tracks an
 	// (independence-approximated) signal probability per net and picks
 	// the type keeping the output closest to 1/2, randomly perturbed.
-	gateNames := make([]string, 0, p.Gates+p.Gates/4)
-	prob := make(map[string]float64, p.Gates+len(sources))
-	for _, s := range sources {
-		prob[s] = 0.5
+	prob := make([]float64, nSrc, cap(name))
+	for k := range prob {
+		prob[k] = 0.5
 	}
-	gateCount := 0
-	newGate := func(typ netlist.GateType, fanin []string, outProb float64) string {
-		name := fmt.Sprintf("g%d", gateCount)
-		gateCount++
-		b.Gate(name, typ, fanin...)
-		gateNames = append(gateNames, name)
-		prob[name] = outProb
-		return name
+	var fanin []string // the builder keeps no fanin slice, so one serves all
+	newGate := func(typ netlist.GateType, in []int32, outProb float64) int32 {
+		fanin = fanin[:0]
+		for _, k := range in {
+			fanin = append(fanin, name[k])
+		}
+		k := int32(len(name))
+		name = append(name, "g"+strconv.Itoa(len(name)-nSrc))
+		prob = append(prob, outProb)
+		b.Gate(name[k], typ, fanin...)
+		return k
 	}
-	combine := func(x, y string) string {
+	combine := func(x, y int32) int32 {
 		px, py := prob[x], prob[y]
 		type cand struct {
 			typ netlist.GateType
@@ -141,7 +145,7 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 				bestScore, best = score, c
 			}
 		}
-		return newGate(best.typ, []string{x, y}, best.out)
+		return newGate(best.typ, []int32{x, y}, best.out)
 	}
 
 	sinks := p.Outputs + p.DFFs
@@ -153,19 +157,20 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 		weights[i] = 0.25 + rng.ExpFloat64()
 		wsum += weights[i]
 	}
-	buildCone := func(budget int) string {
+	var leaves, wide []int32
+	buildCone := func(budget int) int32 {
 		// Leaves: mostly fresh sources, some cross-links into earlier
 		// cones. A binary tree over k leaves uses k-1 combine gates.
 		k := budget
 		if k < 1 {
 			k = 1
 		}
-		leaves := make([]string, 0, k+1)
+		leaves = leaves[:0]
 		for len(leaves) < k+1 {
-			if len(gateNames) > 0 && rng.Float64() < 0.18 {
-				leaves = append(leaves, gateNames[rng.Intn(len(gateNames))])
+			if gates := len(name) - nSrc; gates > 0 && rng.Float64() < 0.18 {
+				leaves = append(leaves, int32(nSrc+rng.Intn(gates)))
 			} else {
-				leaves = append(leaves, sources[rng.Intn(len(sources))])
+				leaves = append(leaves, int32(rng.Intn(nSrc)))
 			}
 		}
 		roots := leaves
@@ -179,7 +184,7 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 				if m > len(roots)-1 {
 					m = len(roots) - 1
 				}
-				wide := make([]string, 0, m)
+				wide = wide[:0]
 				pAll, qAll := 1.0, 1.0
 				for n := 0; n < m; n++ {
 					idx := rng.Intn(len(roots))
@@ -190,7 +195,7 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 					pAll *= prob[w]
 					qAll *= 1 - prob[w]
 				}
-				var g string
+				var g int32
 				if rng.Intn(2) == 0 {
 					g = newGate(netlist.And, wide, pAll)
 				} else {
@@ -207,7 +212,7 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 			merged := combine(roots[i], roots[j])
 			// Occasionally insert an inverter for structural variety.
 			if rng.Float64() < 0.10 {
-				merged = newGate(netlist.Not, []string{merged}, 1-prob[merged])
+				merged = newGate(netlist.Not, []int32{merged}, 1-prob[merged])
 			}
 			// Replace i, delete j.
 			roots[i] = merged
@@ -217,7 +222,7 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 		return roots[0]
 	}
 
-	sinkRoots := make([]string, sinks)
+	sinkRoots := make([]int32, sinks)
 	for i := 0; i < sinks; i++ {
 		budget := int(float64(p.Gates) * weights[i] / wsum)
 		hCone.ObserveInt(budget)
@@ -225,10 +230,10 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 	}
 
 	for i := 0; i < p.Outputs; i++ {
-		b.Output(sinkRoots[i])
+		b.Output(name[sinkRoots[i]])
 	}
 	for i := 0; i < p.DFFs; i++ {
-		b.Gate(sources[p.Inputs+i], netlist.DFF, sinkRoots[p.Outputs+i])
+		b.Gate(name[p.Inputs+i], netlist.DFF, name[sinkRoots[p.Outputs+i]])
 	}
 
 	c, err := b.Build()
@@ -236,7 +241,7 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 		return nil, fmt.Errorf("bench89: generating %s: %w", p.Name, err)
 	}
 	col.Counter("bench89.circuits.generated").Inc()
-	col.Counter("bench89.gates.generated").Add(int64(gateCount))
+	col.Counter("bench89.gates.generated").Add(int64(len(name) - nSrc))
 	if col.Tracing() {
 		col.Emit("bench89.generated",
 			obs.F("name", p.Name),
@@ -244,7 +249,7 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 			obs.F("inputs", p.Inputs),
 			obs.F("outputs", p.Outputs),
 			obs.F("dffs", p.DFFs),
-			obs.F("gates", gateCount),
+			obs.F("gates", len(name)-nSrc),
 			obs.F("cones", sinks))
 	}
 	span.End()

@@ -264,6 +264,46 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesOverflow holds every magnitude branch of Validate:
+// each profile leaves int64 in exactly one place and is refused with its
+// module and equation named, among them the probe of one core at
+// S = 2·10⁹, T = 3·10⁹, whose Eq. 4 term wraps to a negative volume. A
+// profile a factor of two below the probe passes and balances Eq. 6.
+func TestValidateRefusesOverflow(t *testing.T) {
+	soc := func(tmono int, top Params, accessible bool, cores ...Params) *SOC {
+		s := &SOC{Name: "big", TMono: tmono, Top: &Module{Name: "Top", Params: top, PortsTesterAccessible: accessible}}
+		for i, p := range cores {
+			s.Top.Children = append(s.Top.Children, &Module{Name: string(rune('A' + i)), Params: p})
+		}
+		return s
+	}
+	const big = math.MaxInt64
+	for _, tc := range []struct {
+		s    *SOC
+		want string
+	}{
+		{soc(0, Params{Patterns: 1}, false, Params{ScanCells: 2e9, Patterns: 3e9}), "module A: Eq. 4 TDV_modular"},
+		{soc(0, Params{Patterns: 1}, false, Params{Inputs: big, Outputs: 1}), "module Top: Eq. 5 ISOCOST"},
+		{soc(0, Params{Patterns: 1}, false, Params{Bidirs: big/2 + 1}), "module Top: Eq. 5 ISOCOST"},
+		{soc(0, Params{Patterns: 1}, false, Params{ScanCells: 2e9, Patterns: 1}, Params{Patterns: 3e9}), "module A: Eq. 8 TDV_benefit"},
+		{soc(0, Params{}, false, Params{ScanCells: 3e18}, Params{ScanCells: 3e18}), "module B: Eq. 1/3 chip scan bits"},
+		{soc(0, Params{Inputs: 4e18, Patterns: 1}, true, Params{Patterns: 3}), "module Top: Eq. 1/3 TDV_mono"},
+		{soc(0, Params{Inputs: 5e18, Patterns: 1}, true, Params{Inputs: 2.25e18, Patterns: 1}), "module Top: Eq. 6 TDV_mono + TDV_penalty"},
+	} {
+		err := tc.s.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "overflows int64") {
+			t.Errorf("%+v: got %v, want %q", tc.s.Top.Children[0].Params, err, tc.want)
+		}
+	}
+	fits := soc(3000000000, Params{Inputs: 1, Outputs: 1, Patterns: 1}, false, Params{ScanCells: 1e9, Patterns: 3e9})
+	if err := fits.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if r := fits.Analyze(); r.TDVModular <= 0 || r.TDVMonoAct <= 0 || fits.VerifyIdentity(fits.TMono) != nil {
+		t.Errorf("a profile that fits: %+v", r)
+	}
+}
+
 func TestTDVMonoUnmeasured(t *testing.T) {
 	s := soc1()
 	s.TMono = 0

@@ -254,6 +254,7 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 		roots:       make([]int32, 0, min(len(flist), n)),
 		rootObs:     make([]uint64, 0, min(len(flist), n)),
 		slotOf:      make([]int32, n),
+		remaining:   make([]int, len(flist)),
 		workers:     1,
 	}
 	for i := range e.slotOf {
@@ -261,8 +262,7 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 	}
 	e.ev = newFaultEval(e, e.good)
 	for i := range e.detectedBy {
-		e.detectedBy[i] = Undetected
-		e.remaining = append(e.remaining, i)
+		e.detectedBy[i], e.remaining[i] = Undetected, i
 	}
 	return e
 }

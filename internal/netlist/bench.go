@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -153,46 +152,32 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 // deterministic: sorted names throughout.
 func FindCycle(deps map[string][]string) []string {
 	names := make([]string, 0, len(deps))
-	for n := range deps {
+	for n, ds := range deps {
 		names = append(names, n)
-		sort.Strings(deps[n])
+		slices.Sort(ds)
 	}
-	sort.Strings(names)
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[string]int, len(deps))
-	var path []string
-	var cycle []string
+	slices.Sort(names)
+	// onPath[n] is n's position on the current path plus one; done marks
+	// the nodes explored to the end.
+	onPath, done := map[string]int{}, map[string]bool{}
+	var path, cycle []string
 	var visit func(n string) bool
 	visit = func(n string) bool {
-		color[n] = grey
 		path = append(path, n)
+		onPath[n] = len(path)
 		for _, d := range deps[n] {
-			switch color[d] {
-			case white:
-				if visit(d) {
-					return true
-				}
-			case grey:
-				// Found: slice the current path from the first occurrence
-				// of d and close the loop.
-				for i, p := range path {
-					if p == d {
-						cycle = append(append([]string(nil), path[i:]...), d)
-						return true
-					}
-				}
+			if i := onPath[d]; i > 0 {
+				cycle = append(slices.Clone(path[i-1:]), d) // close the loop at d
+				return true
+			} else if !done[d] && visit(d) {
+				return true
 			}
 		}
-		color[n] = black
-		path = path[:len(path)-1]
+		path, onPath[n], done[n] = path[:len(path)-1], 0, true
 		return false
 	}
 	for _, n := range names {
-		if color[n] == white && visit(n) {
+		if !done[n] && visit(n) {
 			return cycle
 		}
 	}
@@ -263,31 +248,20 @@ func parseParen(s string) (arg, msg string) {
 }
 
 // ParseGateTypeName resolves a .bench gate type token (case-insensitive;
-// NOT/INV and BUF/BUFF are aliases) to its GateType.
+// NOT/INV and BUF/BUFF are aliases) to its GateType: any name of the gate
+// table but INPUT.
 func ParseGateTypeName(s string) (GateType, bool) {
-	switch strings.ToUpper(s) {
-	case "BUF", "BUFF":
+	switch u := strings.ToUpper(s); u {
+	case "BUFF":
 		return Buf, true
-	case "NOT", "INV":
+	case "INV":
 		return Not, true
-	case "AND":
-		return And, true
-	case "NAND":
-		return Nand, true
-	case "OR":
-		return Or, true
-	case "NOR":
-		return Nor, true
-	case "XOR":
-		return Xor, true
-	case "XNOR":
-		return Xnor, true
-	case "DFF":
-		return DFF, true
-	case "CONST0":
-		return Const0, true
-	case "CONST1":
-		return Const1, true
+	default:
+		for t := Buf; t < numGateTypes; t++ {
+			if gateTable[t].name == u {
+				return t, true
+			}
+		}
 	}
 	return 0, false
 }

@@ -83,7 +83,8 @@ func TestBenchRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed structure: %+v vs %+v", so, sr)
 	}
 	// Every net name must survive.
-	for _, n := range orig.SortedNames() {
+	for id := 0; id < orig.NumGates(); id++ {
+		n := orig.Gate(GateID(id)).Name
 		if _, ok := re.Lookup(n); !ok {
 			t.Errorf("net %q lost in round trip", n)
 		}

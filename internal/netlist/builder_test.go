@@ -180,6 +180,17 @@ func parseBenchRounds(name, src string) (*Circuit, error) {
 	return c, nil
 }
 
+// addDFFDeferred inserts a DFF whose fanin will be patched later, the
+// oracle's way of closing sequential loops.
+func (c *Circuit) addDFFDeferred(name string) (GateID, error) {
+	if _, dup := c.byName[name]; dup {
+		return InvalidGate, fmt.Errorf("duplicate net name %q", name)
+	}
+	id := c.add(name, DFF, []GateID{GateID(len(c.gates))})
+	c.byName[name] = id
+	return id, nil
+}
+
 // reverseChainBench is a NOT chain whose gate names sort against signal
 // flow (n000000 = NOT(n000001), ...), the worst case of the sorted-rounds
 // oracle: one gate per round, so its cost grows with gates squared.

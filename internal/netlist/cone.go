@@ -1,7 +1,5 @@
 package netlist
 
-import "sort"
-
 // Cone is the transitive fan-in of one observation point: all combinational
 // logic driving a primary output or a flip-flop data input. Cones are the
 // unit of the paper's conceptual analysis (Section 3): ATPG works per cone,
@@ -30,31 +28,28 @@ func (cn *Cone) Size() int { return len(cn.Gates) }
 // controllable points). The circuit must be finalized.
 func (c *Circuit) ExtractCone(apex GateID) Cone {
 	c.mustBeFinalized("ExtractCone")
-	visited := make(map[GateID]bool)
+	in := make([]bool, len(c.gates))
 	stack := []GateID{apex}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if visited[id] {
+		if in[id] {
 			continue
 		}
-		visited[id] = true
-		g := &c.gates[id]
-		if g.Type == Input || g.Type == DFF {
-			continue // controllable boundary: do not cross
+		in[id] = true
+		if g := &c.gates[id]; g.Type != Input && g.Type != DFF { // not the controllable boundary
+			stack = append(stack, g.Fanin...)
 		}
-		stack = append(stack, g.Fanin...)
 	}
 	cn := Cone{Apex: apex}
-	for id := range visited {
-		cn.Gates = append(cn.Gates, id)
-		g := &c.gates[id]
-		if g.Type == Input || g.Type == DFF {
-			cn.Support = append(cn.Support, id)
+	for id, ok := range in {
+		if ok {
+			cn.Gates = append(cn.Gates, GateID(id))
+			if t := c.gates[id].Type; t == Input || t == DFF {
+				cn.Support = append(cn.Support, GateID(id))
+			}
 		}
 	}
-	sort.Slice(cn.Gates, func(i, j int) bool { return cn.Gates[i] < cn.Gates[j] })
-	sort.Slice(cn.Support, func(i, j int) bool { return cn.Support[i] < cn.Support[j] })
 	return cn
 }
 
@@ -67,26 +62,6 @@ func (c *Circuit) AllCones() []Cone {
 		cones[i] = c.ExtractCone(apex)
 	}
 	return cones
-}
-
-// ConeOverlap counts the gates shared by two cones. Overlapping cones are
-// the reason compaction cannot always merge per-cone patterns (paper,
-// Section 3, Figure 1(b)).
-func ConeOverlap(a, b *Cone) int {
-	i, j, n := 0, 0, 0
-	for i < len(a.Gates) && j < len(b.Gates) {
-		switch {
-		case a.Gates[i] < b.Gates[j]:
-			i++
-		case a.Gates[i] > b.Gates[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }
 
 // SupportOverlap counts the controllable points shared by two cones. Two

@@ -13,7 +13,7 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -169,7 +169,8 @@ type Circuit struct {
 	dffs    []GateID // flip-flops, in insertion order
 
 	finalized bool
-	fanout    [][]GateID
+	fanoutOff []int32  // gate id's consumers are fanoutTo[fanoutOff[id]:fanoutOff[id+1]]
+	fanoutTo  []GateID // every gate's consumers, in ID order, back to back
 	levels    []int32  // per-gate level; Input/DFF = 0
 	order     []GateID // combinational gates in topological order
 }
@@ -186,36 +187,51 @@ func (c *Circuit) AddGate(name string, t GateType, fanin ...GateID) (GateID, err
 	if c.finalized {
 		return InvalidGate, fmt.Errorf("netlist: circuit %q is finalized", c.Name)
 	}
-	if name == "" {
-		return InvalidGate, fmt.Errorf("netlist: empty gate name")
-	}
-	if !t.Valid() {
-		return InvalidGate, fmt.Errorf("netlist: invalid gate type %d", t)
-	}
-	if _, dup := c.byName[name]; dup {
-		return InvalidGate, fmt.Errorf("netlist: duplicate net name %q", name)
-	}
-	if min := t.MinFanin(); len(fanin) < min {
-		return InvalidGate, fmt.Errorf("netlist: gate %q (%v) needs at least %d fanin, got %d", name, t, min, len(fanin))
-	}
-	if max := t.MaxFanin(); max >= 0 && len(fanin) > max {
-		return InvalidGate, fmt.Errorf("netlist: gate %q (%v) allows at most %d fanin, got %d", name, t, max, len(fanin))
+	_, dup := c.byName[name]
+	if err := checkGate(name, t, len(fanin), dup); err != nil {
+		return InvalidGate, err
 	}
 	for _, f := range fanin {
 		if f < 0 || int(f) >= len(c.gates) {
 			return InvalidGate, fmt.Errorf("netlist: gate %q references unknown fanin %d", name, f)
 		}
 	}
-	id := GateID(len(c.gates))
-	c.gates = append(c.gates, Gate{ID: id, Type: t, Name: name, Fanin: append([]GateID(nil), fanin...)})
+	id := c.add(name, t, append([]GateID(nil), fanin...))
 	c.byName[name] = id
+	return id, nil
+}
+
+// checkGate returns AddGate's error for a gate of type t with n fanin
+// driving the net called name, where dup reports that the net is driven
+// already.
+func checkGate(name string, t GateType, n int, dup bool) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("netlist: empty gate name")
+	case !t.Valid():
+		return fmt.Errorf("netlist: invalid gate type %d", t)
+	case dup:
+		return fmt.Errorf("netlist: duplicate net name %q", name)
+	case n < t.MinFanin():
+		return fmt.Errorf("netlist: gate %q (%v) needs at least %d fanin, got %d", name, t, t.MinFanin(), n)
+	case t.MaxFanin() >= 0 && n > t.MaxFanin():
+		return fmt.Errorf("netlist: gate %q (%v) allows at most %d fanin, got %d", name, t, t.MaxFanin(), n)
+	}
+	return nil
+}
+
+// add appends a checked gate, keeping fanin as its Fanin; the caller
+// indexes its name.
+func (c *Circuit) add(name string, t GateType, fanin []GateID) GateID {
+	id := GateID(len(c.gates))
+	c.gates = append(c.gates, Gate{ID: id, Type: t, Name: name, Fanin: fanin})
 	switch t {
 	case Input:
 		c.inputs = append(c.inputs, id)
 	case DFF:
 		c.dffs = append(c.dffs, id)
 	}
-	return id, nil
+	return id
 }
 
 // MustAddGate is AddGate but panics on error; it is intended for
@@ -237,10 +253,8 @@ func (c *Circuit) MarkOutput(id GateID) error {
 	if id < 0 || int(id) >= len(c.gates) {
 		return fmt.Errorf("netlist: MarkOutput of unknown gate %d", id)
 	}
-	for _, o := range c.outputs {
-		if o == id {
-			return fmt.Errorf("netlist: gate %q already marked as output", c.gates[id].Name)
-		}
+	if slices.Contains(c.outputs, id) {
+		return fmt.Errorf("netlist: gate %q already marked as output", c.gates[id].Name)
 	}
 	c.outputs = append(c.outputs, id)
 	return nil
@@ -254,12 +268,7 @@ func (c *Circuit) Finalize() error {
 		return nil
 	}
 	n := len(c.gates)
-	c.fanout = make([][]GateID, n)
-	for _, g := range c.gates {
-		for _, f := range g.Fanin {
-			c.fanout[f] = append(c.fanout[f], g.ID)
-		}
-	}
+	c.fanoutOff, c.fanoutTo = invert(n, func(id int) []GateID { return c.gates[id].Fanin })
 
 	// Levelize with Kahn's algorithm over the combinational graph.
 	// DFF and Input gates are sources (level 0); DFF fanin edges are cut:
@@ -288,16 +297,13 @@ func (c *Circuit) Finalize() error {
 		if g.Type.Combinational() {
 			c.order = append(c.order, id)
 		}
-		for _, s := range c.fanout[id] {
+		for _, s := range c.fanout(id) {
 			succ := &c.gates[s]
 			if succ.Type == Input || succ.Type == DFF {
 				continue // edge into a DFF is a cycle-cut boundary
 			}
-			if l := c.levels[id] + 1; l > c.levels[s] {
-				c.levels[s] = l
-			}
-			indeg[s]--
-			if indeg[s] == 0 {
+			c.levels[s] = max(c.levels[s], c.levels[id]+1)
+			if indeg[s]--; indeg[s] == 0 {
 				queue = append(queue, s)
 			}
 		}
@@ -308,6 +314,35 @@ func (c *Circuit) Finalize() error {
 	}
 	c.finalized = true
 	return nil
+}
+
+// invert turns the in-lists of n nodes into out-lists in CSR form: the
+// nodes whose in-lists hold d are to[off[d]:off[d+1]], ascending (twice
+// if d is in a list twice). Negative entries are skipped.
+func invert[T ~int32](n int, in func(k int) []T) (off []int32, to []T) {
+	off = make([]int32, n+1)
+	for k := 0; k < n; k++ {
+		for _, d := range in(k) {
+			if d >= 0 {
+				off[d]++
+			}
+		}
+	}
+	for k := 1; k < n; k++ {
+		off[k] += off[k-1] // the end of node k's range, until the fill
+	}
+	to = make([]T, off[max(n-1, 0)])
+	for k := n - 1; k >= 0; k-- {
+		ds := in(k)
+		for j := len(ds) - 1; j >= 0; j-- {
+			if d := ds[j]; d >= 0 {
+				off[d]--
+				to[off[d]] = T(k)
+			}
+		}
+	}
+	off[n] = int32(len(to))
+	return off, to
 }
 
 // Finalized reports whether Finalize has completed successfully.
@@ -339,7 +374,12 @@ func (c *Circuit) DFFs() []GateID { return c.dffs }
 // Fanout returns the gates driven by id. Finalize must have been called.
 func (c *Circuit) Fanout(id GateID) []GateID {
 	c.mustBeFinalized("Fanout")
-	return c.fanout[id]
+	return c.fanout(id)
+}
+
+func (c *Circuit) fanout(id GateID) []GateID {
+	lo, hi := c.fanoutOff[id], c.fanoutOff[id+1]
+	return c.fanoutTo[lo:hi:hi]
 }
 
 // Level returns the combinational level of id (Inputs and DFFs are 0).
@@ -360,9 +400,7 @@ func (c *Circuit) Depth() int {
 	c.mustBeFinalized("Depth")
 	d := int32(0)
 	for _, l := range c.levels {
-		if l > d {
-			d = l
-		}
+		d = max(d, l)
 	}
 	return int(d)
 }
@@ -398,59 +436,23 @@ func (c *Circuit) PseudoOutputs() []GateID {
 
 // Stats summarises a circuit's structure.
 type Stats struct {
-	Name      string
-	Inputs    int
-	Outputs   int
-	DFFs      int
-	Gates     int // combinational gates only
-	Depth     int
-	ByType    map[GateType]int
-	MaxFanin  int
-	MaxFanout int
-	TotalNets int
+	Name    string
+	Inputs  int
+	Outputs int
+	DFFs    int
+	Gates   int // combinational gates only
+	Depth   int
 }
 
 // ComputeStats returns structural statistics; the circuit must be finalized.
 func (c *Circuit) ComputeStats() Stats {
 	c.mustBeFinalized("ComputeStats")
-	s := Stats{
-		Name:      c.Name,
-		Inputs:    len(c.inputs),
-		Outputs:   len(c.outputs),
-		DFFs:      len(c.dffs),
-		Depth:     c.Depth(),
-		ByType:    make(map[GateType]int),
-		TotalNets: len(c.gates),
-	}
-	for i := range c.gates {
-		g := &c.gates[i]
-		s.ByType[g.Type]++
-		if g.Type.Combinational() {
-			s.Gates++
-		}
-		if len(g.Fanin) > s.MaxFanin {
-			s.MaxFanin = len(g.Fanin)
-		}
-		if len(c.fanout[g.ID]) > s.MaxFanout {
-			s.MaxFanout = len(c.fanout[g.ID])
-		}
-	}
-	return s
+	return Stats{Name: c.Name, Inputs: len(c.inputs), Outputs: len(c.outputs), DFFs: len(c.dffs),
+		Gates: len(c.order), Depth: c.Depth()}
 }
 
 // String renders the statistics on one line.
 func (s Stats) String() string {
 	return fmt.Sprintf("%s: %d PI, %d PO, %d DFF, %d gates, depth %d",
 		s.Name, s.Inputs, s.Outputs, s.DFFs, s.Gates, s.Depth)
-}
-
-// SortedNames returns all net names in sorted order (mainly for stable
-// iteration in tests and writers).
-func (c *Circuit) SortedNames() []string {
-	names := make([]string, 0, len(c.byName))
-	for n := range c.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

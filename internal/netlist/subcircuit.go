@@ -1,6 +1,10 @@
 package netlist
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // SubcircuitFromCone materializes a logic cone as a stand-alone circuit:
 // the cone's support lines become primary inputs and the apex becomes the
@@ -31,10 +35,6 @@ func SubcircuitFromCone(c *Circuit, cone *Cone) (*Circuit, map[GateID]GateID, er
 	}
 	// Remaining cone gates in topological (ID-compatible with levels)
 	// order: sort by level so fanin exist before use.
-	inCone := make(map[GateID]bool, len(cone.Gates))
-	for _, g := range cone.Gates {
-		inCone[g] = true
-	}
 	rest := make([]GateID, 0, len(cone.Gates))
 	for _, g := range cone.Gates {
 		if _, isSupport := oldToNew[g]; !isSupport {
@@ -42,11 +42,7 @@ func SubcircuitFromCone(c *Circuit, cone *Cone) (*Circuit, map[GateID]GateID, er
 		}
 	}
 	// Stable level sort (Gates are already in ascending ID order).
-	for i := 1; i < len(rest); i++ {
-		for j := i; j > 0 && c.Level(rest[j]) < c.Level(rest[j-1]); j-- {
-			rest[j], rest[j-1] = rest[j-1], rest[j]
-		}
-	}
+	slices.SortStableFunc(rest, func(x, y GateID) int { return cmp.Compare(c.Level(x), c.Level(y)) })
 	for _, old := range rest {
 		g := c.Gate(old)
 		fanin := make([]GateID, len(g.Fanin))

@@ -83,51 +83,48 @@ func Flatten(name string, cores []*netlist.Circuit, opt FlattenOptions) (*netlis
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
-	// Gather every core's output net names (prefixed), per core.
-	prefixed := func(i int, n string) string { return "c" + strconv.Itoa(i) + "_" + n }
-	outsByCore := make([][]string, len(cores))
+	// names[i][id] is gate id of core i renamed into the chip; used[i][k]
+	// marks core i's output k as driving another core's input.
+	names, used := make([][]string, len(cores)), make([][]bool, len(cores))
 	for i, c := range cores {
-		for _, o := range c.Outputs() {
-			outsByCore[i] = append(outsByCore[i], prefixed(i, c.Gate(o).Name))
+		prefix := "c" + strconv.Itoa(i) + "_"
+		names[i], used[i] = make([]string, c.NumGates()), make([]bool, len(c.Outputs()))
+		for id := range names[i] {
+			names[i][id] = prefix + c.Gate(netlist.GateID(id)).Name
 		}
 	}
 
 	b := netlist.NewBuilder(name)
-	usedAsDriver := make(map[string]bool)
 	chipIn := 0
-
 	// Emit core logic with inputs rewired.
 	for i, c := range cores {
 		for _, in := range c.Inputs() {
-			inName := prefixed(i, c.Gate(in).Name)
 			// Candidate drivers: outputs of other cores.
 			var driver string
 			if rng.Float64() < opt.InterconnectFraction && i > 0 {
 				// Pick a random earlier core (feed-forward only).
 				for attempt := 0; attempt < 8 && driver == ""; attempt++ {
 					j := rng.Intn(i)
-					if len(outsByCore[j]) == 0 {
-						continue
+					if outs := cores[j].Outputs(); len(outs) > 0 {
+						k := rng.Intn(len(outs))
+						driver, used[j][k] = names[j][outs[k]], true
 					}
-					driver = outsByCore[j][rng.Intn(len(outsByCore[j]))]
 				}
 			}
 			if driver == "" {
-				driver = fmt.Sprintf("pin_in_%d", chipIn)
+				driver = "pin_in_" + strconv.Itoa(chipIn)
 				chipIn++
 				b.Input(driver)
-			} else {
-				usedAsDriver[driver] = true
 			}
-			b.Gate(inName, netlist.Buf, driver)
+			b.Gate(names[i][in], netlist.Buf, driver)
 		}
-		b.CopyGates(c, func(id netlist.GateID) string { return prefixed(i, c.Gate(id).Name) })
+		b.CopyGates(c, func(id netlist.GateID) string { return names[i][id] })
 	}
 	// Unused core outputs become chip outputs.
-	for i := range cores {
-		for _, o := range outsByCore[i] {
-			if !usedAsDriver[o] {
-				b.Output(o)
+	for i, c := range cores {
+		for k, o := range c.Outputs() {
+			if !used[i][k] {
+				b.Output(names[i][o])
 			}
 		}
 	}

@@ -263,6 +263,8 @@ var invalidRequests = []struct{ path, body string }{
 	// from the request field or from the profile's own tmono line.
 	{"/v1/tdv", `{"builtin":"d695","tmono":1}`},
 	{"/v1/tdv", `{"soc":"soc x\ntmono 3\nmodule A t 50\ntop A"}`},
+	// A profile whose TDV arithmetic leaves int64.
+	{"/v1/tdv", overflowSOC},
 	// A power budget below one core's own power: only the scheduler can
 	// tell, so the request is queued and refused when it runs.
 	{"/v1/schedule", `{"builtin":"d695","tam":1,"power_budget":1}`},
@@ -315,6 +317,22 @@ func TestEq2ViolationRefused(t *testing.T) {
 			!strings.Contains(rec.Body.String(), "violating Eq. 2") {
 			t.Errorf("POST /v1/tdv %q = %d %s, want 400 with %q", body, rec.Code, rec.Body, want)
 		}
+	}
+}
+
+// overflowSOC is a /v1/tdv body whose one core, at S = 2·10⁹ and T = 3·10⁹,
+// puts Eq. 4 past int64.
+const overflowSOC = `{"soc":"soc big\nmodule Top t 1 children A\nmodule A s 2000000000 t 3000000000\ntop Top"}`
+
+// TestOverflowRefused checks a profile whose TDV arithmetic leaves int64
+// is a 400 naming the module and the equation, not a 200 carrying a
+// wrapped, negative volume.
+func TestOverflowRefused(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	rec := post(t, s.Handler(), "/v1/tdv", overflowSOC)
+	if want := "module A: Eq. 4 TDV_modular overflows int64"; rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), want) {
+		t.Errorf("POST /v1/tdv %q = %d %s, want 400 with %q", overflowSOC, rec.Code, rec.Body, want)
 	}
 }
 

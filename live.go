@@ -41,12 +41,12 @@ type LiveOptions struct {
 	// interrupted experiment resumes each completed stage from its own
 	// file. Every/Resume apply to each stage unchanged.
 	Checkpoint *atpg.CheckpointConfig
-	// Workers bounds how many per-core ATPG jobs run concurrently, and is
-	// forwarded to the ATPG stages (unless ATPG.Workers is already set) so
-	// their fault simulation shards too. 0 (the default) resolves to
-	// runtime.NumCPU(); 1 forces the fully serial experiment. Results are
-	// bit-identical for every setting — per-core jobs are independent and
-	// merge back in core order.
+	// Workers bounds how many jobs run concurrently: core generations,
+	// then per-core ATPG runs beside the flatten. It is forwarded to the
+	// ATPG stages (unless ATPG.Workers is already set) so their fault
+	// simulation shards too. 0 (the default) resolves to runtime.NumCPU();
+	// 1 forces the fully serial experiment. Results are bit-identical for
+	// every setting — jobs are independent and merge back in core order.
 	Workers int
 }
 
@@ -157,12 +157,17 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 	}
 	res := &LiveResult{Name: name}
 
+	// The cores are generated on the pool, each instrumenting a fork;
+	// the forks merge in core order, and the first error in core order
+	// wins, as in a serial loop.
+	workers := par.Workers(opts.Workers)
 	spanGen := col.StartSpan("live.generate")
-	var circuits []*netlist.Circuit
-	for i, cn := range coreNames {
-		prof, ok := bench89.ProfileByName(cn)
+	circuits := make([]*netlist.Circuit, len(coreNames))
+	genRegs := make([]*obs.Registry, len(coreNames))
+	_, err := par.ForEach(nil, len(coreNames), workers, func(i int) error {
+		prof, ok := bench89.ProfileByName(coreNames[i])
 		if !ok {
-			return nil, fmt.Errorf("repro: unknown core %q", cn)
+			return fmt.Errorf("repro: unknown core %q", coreNames[i])
 		}
 		// Distinct instances of the same core get distinct structures,
 		// like distinct placements of the same RTL would.
@@ -171,38 +176,57 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 		if min := prof.Outputs + 8; prof.Gates < min {
 			prof.Gates = min
 		}
-		c, err := bench89.GenerateObserved(prof, col)
-		if err != nil {
-			return nil, err
-		}
-		circuits = append(circuits, c)
+		genCol, reg := col.Fork()
+		genRegs[i] = reg
+		var err error
+		circuits[i], err = bench89.GenerateObserved(prof, genCol)
+		return err
+	})
+	for _, reg := range genRegs {
+		col.Metrics().Merge(reg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	spanGen.End()
 
 	// Per-core ATPG: each core tested as a wrapped, stand-alone unit, with
 	// up to Workers cores in flight at once (dynamic dispatch, so one big
-	// core does not serialize the small ones behind it). Each job writes
-	// its LiveCore into an index-addressed slot and instruments a forked
+	// core does not serialize the small ones behind it). The flatten, with
+	// isolation ripped out, is one more job after the cores: it reads the
+	// same finalized circuits, which nothing writes. Each job writes its
+	// result into an index-addressed slot and instruments a forked
 	// collector; the forks merge back into the parent registry serially,
-	// in core order, so manifests are deterministic. Each per-core event
-	// carries the exact TDV-formula inputs (terminal and scan-cell counts
-	// plus the measured pattern count).
+	// cores in order and then the flatten, so manifests are deterministic.
+	// Each per-core event carries the exact TDV-formula inputs (terminal
+	// and scan-cell counts plus the measured pattern count).
 	spanCores := col.StartSpan("live.percore")
-	workers := par.Workers(opts.Workers)
 	res.Workers = workers
 	col.Gauge("live.workers").Set(int64(workers))
 	type coreOut struct {
 		lc  LiveCore
 		reg *obs.Registry
 	}
-	outs := make([]coreOut, len(circuits))
-	failIdx, ferr := par.ForEach(ctx, len(circuits), workers, func(i int) error {
+	n := len(circuits)
+	outs := make([]coreOut, n+1)
+	var flat *netlist.Circuit
+	job := func(i int) error {
+		jobCol, jobReg := col.Fork()
+		outs[i].reg = jobReg
+		if i == n {
+			spanFlat := jobCol.StartSpan("live.flatten")
+			defer spanFlat.End()
+			var err error
+			flat, err = soc.Flatten(name+"-flat", circuits, soc.FlattenOptions{
+				Seed:                 opts.Seed,
+				InterconnectFraction: opts.InterconnectFraction,
+			})
+			return err
+		}
 		c := circuits[i]
-		coreCol, coreReg := col.Fork()
-		outs[i].reg = coreReg
-		spanCore := coreCol.StartSpan("live.core")
+		spanCore := jobCol.StartSpan("live.core")
 		so := stageOpts(fmt.Sprintf("core%d", i+1))
-		so.Obs = coreCol
+		so.Obs = jobCol
 		r, err := atpg.GenerateContext(ctx, c, so)
 		coreTime := spanCore.End()
 		if err != nil {
@@ -218,8 +242,8 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 			Coverage:  r.Coverage,
 		}
 		outs[i].lc = lc
-		if coreCol.Tracing() {
-			coreCol.Emit("live.core.result",
+		if jobCol.Tracing() {
+			jobCol.Emit("live.core.result",
 				obs.F("soc", name),
 				obs.F("core", lc.Name),
 				obs.F("inputs", lc.Inputs),
@@ -230,12 +254,17 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 				obs.F("seconds", coreTime.Seconds()))
 		}
 		return nil
-	})
+	}
+	failIdx, ferr := par.ForEach(ctx, n+1, workers, job)
+	if failIdx == n && flat == nil && ferr == ctx.Err() {
+		ferr = job(n) // stopped before the flatten, which the serial pipeline runs regardless
+	}
+	spanCores.End()
 	// Fold the per-core registries into the parent, in core order.
-	for i := range outs {
+	for i := range outs[:n] {
 		col.Metrics().Merge(outs[i].reg)
 	}
-	if ferr != nil {
+	if ferr != nil && failIdx < n {
 		// Dispatch is in index order, so every core below the lowest
 		// failed index completed; keep that prefix — exactly what the
 		// serial loop committed before its first error.
@@ -245,28 +274,21 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 				res.MaxCoreT = outs[i].lc.Patterns
 			}
 		}
-		spanCores.End()
 		spanAll.End()
 		return res, ferr
 	}
-	for i := range outs {
+	col.Metrics().Merge(outs[n].reg)
+	if ferr != nil {
+		return nil, ferr
+	}
+	for i := range outs[:n] {
 		res.Cores = append(res.Cores, outs[i].lc)
 		if outs[i].lc.Patterns > res.MaxCoreT {
 			res.MaxCoreT = outs[i].lc.Patterns
 		}
 	}
-	spanCores.End()
 
-	// Monolithic: flatten with isolation ripped out and rerun ATPG.
-	spanFlat := col.StartSpan("live.flatten")
-	flat, err := soc.Flatten(name+"-flat", circuits, soc.FlattenOptions{
-		Seed:                 opts.Seed,
-		InterconnectFraction: opts.InterconnectFraction,
-	})
-	spanFlat.End()
-	if err != nil {
-		return nil, err
-	}
+	// Monolithic: rerun ATPG on the flattened SOC.
 	spanMono := col.StartSpan("live.mono")
 	mono, err := atpg.GenerateContext(ctx, flat, stageOpts("mono"))
 	spanMono.End()
