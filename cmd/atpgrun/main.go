@@ -44,8 +44,8 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/atpg"
@@ -56,66 +56,61 @@ import (
 	"repro/internal/faults"
 	"repro/internal/lint"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/report"
 )
 
 const prog = "atpgrun"
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
 // run is the whole command; every return path has already flushed the
 // trace sink and written the manifest, so an early error or interrupt
 // never loses the observability record of the partial run.
-func run() int {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	s := cli.NewSession(prog, stdout, stderr)
 	var (
-		file      = flag.String("f", "", ".bench netlist file (- for stdin)")
-		standin   = flag.String("standin", "", "generate and use an ISCAS'89 stand-in (s713, s953, s1423, s5378, s13207, s15850)")
-		backtrack = flag.Int("backtrack", 100, "PODEM backtrack limit per fault")
-		random    = flag.Int("random", 64, "random bootstrap patterns (0 disables)")
-		compact   = flag.Bool("compact", true, "enable static compaction and reverse-order pruning")
-		seed      = flag.Int64("seed", 1, "seed for the random phase and X-fill")
-		verbose   = flag.Bool("v", false, "list aborted and redundant faults")
-		coneMode  = flag.Bool("cones", false, "per-cone analysis instead of whole-circuit ATPG")
-		lintPre   = flag.Bool("lint", false, "preflight the netlist through the design-rule linter; refuse to run on errors")
-		satProve  = flag.Bool("sat-prove", false, "settle every aborted fault with the SAT redundancy prover: prove it redundant or add a proven test cube (exact coverage)")
-		jsonOut   = flag.Bool("json", false, "write the run manifest as JSON to stdout instead of the human summary")
-		workers   = flag.Int("workers", 0, "worker pool bound for parallel fault simulation and, with -sat-prove, for the SAT proofs in flight (0 = NumCPU, 1 = serial; results are identical for every value)")
+		file      = s.Flags.String("f", "", ".bench netlist file (- for stdin)")
+		standin   = s.Flags.String("standin", "", "generate and use an ISCAS'89 stand-in (s713, s953, s1423, s5378, s13207, s15850)")
+		backtrack = s.Flags.Int("backtrack", 100, "PODEM backtrack limit per fault")
+		random    = s.Flags.Int("random", 64, "random bootstrap patterns (0 disables)")
+		compact   = s.Flags.Bool("compact", true, "enable static compaction and reverse-order pruning")
+		seed      = s.Flags.Int64("seed", 1, "seed for the random phase and X-fill")
+		verbose   = s.Flags.Bool("v", false, "list aborted and redundant faults")
+		coneMode  = s.Flags.Bool("cones", false, "per-cone analysis instead of whole-circuit ATPG")
+		lintPre   = s.Flags.Bool("lint", false, "preflight the netlist through the design-rule linter; refuse to run on errors")
+		satProve  = s.Flags.Bool("sat-prove", false, "settle every aborted fault with the SAT redundancy prover: prove it redundant or add a proven test cube (exact coverage)")
+		workers   = s.Flags.Int("workers", 0, "worker pool bound for parallel fault simulation and, with -sat-prove, for the SAT proofs in flight (0 = NumCPU, 1 = serial; results are identical for every value)")
 	)
-	var ob cli.Obs
-	ob.Register(flag.CommandLine)
-	var rf cli.RunFlags
-	rf.Register(flag.CommandLine)
-	flag.Parse()
-
-	if err := rf.Validate(); err != nil {
-		cli.Errorf(prog, "%v", err)
-		return cli.ExitUsage
+	s.JSONFlag("write the run manifest as JSON to stdout instead of the human summary")
+	rf := s.RunFlags()
+	if code, ok := s.Parse(args); !ok {
+		return code
 	}
-	if *backtrack < 1 || *random < 0 {
-		cli.Errorf(prog, "need -backtrack >= 1 and -random >= 0, got %d and %d", *backtrack, *random)
-		return cli.ExitUsage
+	opts := atpg.Options{
+		BacktrackLimit: *backtrack,
+		RandomPatterns: *random,
+		Compact:        *compact,
+		Seed:           *seed,
+		Checkpoint:     rf.Checkpoint(),
+		Workers:        *workers,
+	}
+	if err := opts.Validate(); err != nil {
+		return s.Usagef("-%v", err)
 	}
 	if *file == "" && *standin == "" {
-		cli.Errorf(prog, "need -f <file> or -standin <name>; see -help")
-		return cli.ExitUsage
+		return s.Usagef("need -f <file> or -standin <name>; see -help")
 	}
 	if *satProve && *coneMode {
-		cli.Errorf(prog, "-sat-prove settles whole-circuit runs; it cannot be combined with -cones")
-		return cli.ExitUsage
+		return s.Usagef("-sat-prove settles whole-circuit runs; it cannot be combined with -cones")
 	}
 
-	col := ob.Start(prog)
-	reg := ob.Registry()
-	if *jsonOut && reg == nil {
-		// The manifest embeds a metrics snapshot, so -json alone still
-		// collects metrics (but no trace, no profile).
-		reg = obs.NewRegistry()
-		col = obs.New(reg, nil)
+	if code := s.Start(*seed); code != 0 {
+		return code
 	}
-
-	man := obs.NewManifest(prog, *seed)
+	col := s.Col()
+	opts.Obs = col
+	man := s.Man
 	man.SetOption("backtrack", *backtrack)
 	man.SetOption("random", *random)
 	man.SetOption("compact", *compact)
@@ -123,22 +118,6 @@ func run() int {
 	man.SetOption("lint", *lintPre)
 	man.SetOption("sat_prove", *satProve)
 	man.SetOption("workers", par.Workers(*workers))
-	if rf.Timeout > 0 {
-		man.SetOption("timeout", rf.Timeout.String())
-	}
-	if rf.CheckpointPath != "" {
-		man.SetOption("checkpoint", rf.CheckpointPath)
-		man.SetOption("resume", rf.Resume)
-	}
-
-	// fail records the error on the manifest and flushes everything the
-	// run produced before handing back the exit code.
-	fail := func(code int, err error) int {
-		cli.Errorf(prog, "%v", err)
-		man.SetResult("error", err.Error())
-		finish(&ob, man, reg, *jsonOut)
-		return code
-	}
 
 	ctx, interrupted, stop := rf.Context(context.Background())
 	defer stop()
@@ -149,10 +128,10 @@ func run() int {
 	if *lintPre && *file != "" && *file != "-" {
 		lr, lerr := lint.CheckBenchFile(*file, lint.DefaultOptions())
 		if lerr != nil {
-			return fail(cli.ExitRuntime, lerr)
+			return s.Fail(cli.ExitRuntime, lerr)
 		}
-		if code := lintGate(man, lr); code != 0 {
-			return fail(code, fmt.Errorf("%s failed lint with %d error(s); refusing to run", *file, lr.Count(lint.Error)))
+		if code := s.LintGate(*file, lr); code != 0 {
+			return code
 		}
 	}
 
@@ -164,13 +143,13 @@ func run() int {
 	case *standin != "":
 		prof, ok := bench89.ProfileByName(*standin)
 		if !ok {
-			return fail(cli.ExitUsage, fmt.Errorf("unknown stand-in %q", *standin))
+			return s.Fail(cli.ExitUsage, fmt.Errorf("unknown stand-in %q", *standin))
 		}
 		man.SetOption("circuit", *standin)
 		c, err = bench89.GenerateObserved(prof, col)
 	case *file == "-":
 		man.SetOption("circuit", "stdin")
-		c, err = netlist.ParseBench("stdin", os.Stdin)
+		c, err = netlist.ParseBench("stdin", stdin)
 	default:
 		man.SetOption("circuit", *file)
 		var f *os.File
@@ -181,51 +160,40 @@ func run() int {
 		}
 	}
 	if err != nil {
-		return fail(cli.ExitRuntime, err)
+		return s.Fail(cli.ExitRuntime, err)
 	}
 
 	// Circuit-level preflight for inputs with no backing file (stand-ins
 	// and stdin): the structural rules still apply to the built netlist.
 	if *lintPre && (*standin != "" || *file == "-") {
-		lr := lint.CheckCircuit(c, lint.DefaultOptions())
-		if code := lintGate(man, lr); code != 0 {
-			return fail(code, fmt.Errorf("netlist failed lint with %d error(s); refusing to run", lr.Count(lint.Error)))
+		if code := s.LintGate("netlist", lint.CheckCircuit(c, lint.DefaultOptions())); code != 0 {
+			return code
 		}
 	}
 
-	if !*jsonOut {
-		fmt.Println(c.ComputeStats())
-	}
-	opts := atpg.Options{
-		BacktrackLimit: *backtrack,
-		RandomPatterns: *random,
-		Compact:        *compact,
-		Seed:           *seed,
-		Checkpoint:     rf.Checkpoint(),
-		Obs:            col,
-		Workers:        *workers,
+	if !s.JSON {
+		fmt.Fprintln(stdout, c.ComputeStats())
 	}
 
 	if *coneMode {
 		a, err := cones.AnalyzeContext(ctx, c, opts)
 		if err != nil {
-			return fail(cli.ExitCode(err, interrupted()), err)
+			return s.Fail(cli.ExitCode(err, interrupted()), err)
 		}
-		if !*jsonOut {
+		if !s.JSON {
 			t := report.New("Per-cone ATPG profile", "Apex", "Width", "Gates", "Patterns", "Coverage")
 			for _, p := range a.Profiles {
 				t.AddRow(p.Apex, fmt.Sprint(p.Width), fmt.Sprint(p.Size),
 					fmt.Sprint(p.Patterns), fmt.Sprintf("%.1f%%", p.Coverage*100))
 			}
-			fmt.Println(t.String())
-			fmt.Println(a.String())
+			fmt.Fprintln(stdout, t.String())
+			fmt.Fprintln(stdout, a.String())
 		}
 		man.SetResult("cones", len(a.Profiles))
 		man.SetResult("max_patterns", a.MaxPatterns())
 		man.SetResult("norm_stdev", core.NormStdev(a.PatternCounts()))
 		man.SetResult("overlap_pairs", a.OverlapPairs)
-		finish(&ob, man, reg, *jsonOut)
-		return 0
+		return s.Finish()
 	}
 
 	res, err := atpg.GenerateContext(ctx, c, opts)
@@ -256,55 +224,31 @@ func run() int {
 	if err != nil {
 		// A cancelled or failed run still reports the partial pattern set
 		// it flushed; the exit code tells the caller why it stopped.
-		if res != nil && !*jsonOut {
-			fmt.Printf("patterns (partial):  %d\n", res.PatternCount())
-			fmt.Printf("coverage (partial):  %.2f%%\n", res.Coverage*100)
+		if res != nil && !s.JSON {
+			fmt.Fprintf(stdout, "patterns (partial):  %d\n", res.PatternCount())
+			fmt.Fprintf(stdout, "coverage (partial):  %.2f%%\n", res.Coverage*100)
 		}
-		return fail(cli.ExitCode(err, interrupted()), err)
+		return s.Fail(cli.ExitCode(err, interrupted()), err)
 	}
-	if !*jsonOut {
-		fmt.Printf("faults (collapsed):  %d\n", res.NumFaults)
-		fmt.Printf("detected:            %d\n", res.NumDetected)
-		fmt.Printf("redundant (proven):  %d\n", res.NumRedundant)
-		fmt.Printf("aborted:             %d\n", res.NumAborted)
+	if !s.JSON {
+		fmt.Fprintf(stdout, "faults (collapsed):  %d\n", res.NumFaults)
+		fmt.Fprintf(stdout, "detected:            %d\n", res.NumDetected)
+		fmt.Fprintf(stdout, "redundant (proven):  %d\n", res.NumRedundant)
+		fmt.Fprintf(stdout, "aborted:             %d\n", res.NumAborted)
 		if *satProve {
-			fmt.Printf("proved redundant:    %d (SAT; settled %d aborts, %d new cubes, %d conflicts)\n",
+			fmt.Fprintf(stdout, "proved redundant:    %d (SAT; settled %d aborts, %d new cubes, %d conflicts)\n",
 				res.NumProvedRedundant, settle.Aborted, settle.CubesAdded, settle.Conflicts)
 		}
-		fmt.Printf("coverage:            %.2f%% (effective %.2f%%)\n", res.Coverage*100, res.EffectiveCoverage*100)
-		fmt.Printf("patterns:            %d (from %d generated cubes)\n", res.PatternCount(), len(res.Cubes))
+		fmt.Fprintf(stdout, "coverage:            %.2f%% (effective %.2f%%)\n", res.Coverage*100, res.EffectiveCoverage*100)
+		fmt.Fprintf(stdout, "patterns:            %d (from %d generated cubes)\n", res.PatternCount(), len(res.Cubes))
 
 		if *verbose {
 			for _, o := range res.Outcomes {
 				if o.Status != atpg.Detected {
-					fmt.Printf("  %-9s %s\n", o.Status, o.Fault.String(c))
+					fmt.Fprintf(stdout, "  %-9s %s\n", o.Status, o.Fault.String(c))
 				}
 			}
 		}
 	}
-	finish(&ob, man, reg, *jsonOut)
-	return 0
-}
-
-// lintGate prints the preflight report to stderr, records the counts on
-// the manifest, and returns the exit code lint findings demand: 0 to
-// proceed (warnings and infos never block), ExitRuntime on errors.
-func lintGate(man *obs.Manifest, lr *lint.Report) int {
-	cli.Check(prog, lr.WriteText(os.Stderr))
-	man.SetResult("lint_errors", lr.Count(lint.Error))
-	man.SetResult("lint_warnings", lr.Count(lint.Warning))
-	if lr.HasErrors() {
-		return cli.ExitRuntime
-	}
-	return 0
-}
-
-// finish seals the manifest, emits it as the final trace event, shuts the
-// observability stack down, and prints the manifest to stdout with -json.
-func finish(ob *cli.Obs, man *obs.Manifest, reg *obs.Registry, jsonOut bool) {
-	man.Finish(reg)
-	ob.Stop(man)
-	if jsonOut {
-		cli.Check(prog, man.WriteJSON(os.Stdout))
-	}
+	return s.Finish()
 }

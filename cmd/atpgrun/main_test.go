@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -19,50 +20,39 @@ import (
 	"repro/internal/bench89"
 	"repro/internal/cli"
 	"repro/internal/netlist"
+	"repro/internal/srv"
 )
 
-// The exec-level tests share one atpgrun binary: buildBinary compiles it on
-// first use and TestMain removes it after the last test.
-var (
-	buildOnce sync.Once
-	buildDir  string
-	builtBin  string
-	buildErr  error
-)
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if buildDir != "" {
-		os.RemoveAll(buildDir)
-	}
-	os.Exit(code)
+// atpgrun runs the command in-process on stdin and returns its exit code,
+// its stdout, and stdout and stderr interleaved as a terminal shows them.
+func atpgrun(stdin string, args ...string) (code int, stdout, all string) {
+	var out, both bytes.Buffer
+	code = run(args, strings.NewReader(stdin), io.MultiWriter(&out, &both), &both)
+	return code, out.String(), both.String()
 }
 
-// buildBinary returns the path of the atpgrun binary, compiling it once per
-// test binary. Exec-level tests need the real process: signal handling,
-// exit codes and flushed output only exist there.
-func buildBinary(t *testing.T) string {
+// asMain, set in its environment, makes the test binary run as atpgrun.
+const asMain = "ATPGRUN_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asMain) != "" {
+		main()
+	}
+	m.Run()
+}
+
+// binary returns the test binary itself, which the processes the test
+// starts run as atpgrun: a signal needs a real process.
+func binary(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("exec test skipped in -short mode")
 	}
-	buildOnce.Do(func() {
-		if buildDir, buildErr = os.MkdirTemp("", "atpgrun-test-"); buildErr != nil {
-			return
-		}
-		bin := filepath.Join(buildDir, "atpgrun")
-		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
-			return
-		}
-		builtBin = bin
-	})
-	if buildErr != nil {
-		t.Fatal(buildErr)
-	}
-	return builtBin
+	t.Setenv(asMain, "1")
+	return os.Args[0]
 }
 
+// exitCode is the exit code of a finished exec.Cmd.
 func exitCode(t *testing.T, err error) int {
 	t.Helper()
 	if err == nil {
@@ -79,7 +69,6 @@ func exitCode(t *testing.T, err error) int {
 // -checkpoint, and values the run could not use as given. Each exits 2
 // with a message naming the flag.
 func TestExitUsage(t *testing.T) {
-	bin := buildBinary(t)
 	for _, tc := range []struct {
 		args []string
 		want string // the flag the message must name
@@ -88,15 +77,23 @@ func TestExitUsage(t *testing.T) {
 		{[]string{"-backtrack", "0"}, "-backtrack"},
 		{[]string{"-backtrack", "-3"}, "-backtrack"},
 		{[]string{"-random", "-5"}, "-random"},
+		{[]string{"-random", "65537"}, "-random must be <= 65536"},
+		{[]string{"-workers", "-3"}, "-workers must be >= 0"},
+		{[]string{"-workers", "65"}, "-workers must be <= 64"},
 		{[]string{"-checkpoint-every", "-1"}, "-checkpoint-every"},
 	} {
+		// The refusal comes before any work: not even the circuit
+		// statistics reach stdout.
 		args := append([]string{"-standin", "s713"}, tc.args...)
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		if code := exitCode(t, err); code != cli.ExitUsage {
+		code, stdout, out := atpgrun("", args...)
+		if code != cli.ExitUsage {
 			t.Errorf("%v: exit %d, want %d\n%s", tc.args, code, cli.ExitUsage, out)
 		}
-		if !strings.Contains(string(out), tc.want) {
+		if !strings.Contains(out, tc.want) {
 			t.Errorf("%v: message does not name %s:\n%s", tc.args, tc.want, out)
+		}
+		if stdout != "" {
+			t.Errorf("%v: refused run wrote to stdout:\n%s", tc.args, stdout)
 		}
 	}
 }
@@ -104,10 +101,9 @@ func TestExitUsage(t *testing.T) {
 // TestEarlyErrorFlushesTrace checks that a failure before ATPG even starts
 // (missing netlist file) still exits 1 and flushes the trace and manifest.
 func TestEarlyErrorFlushesTrace(t *testing.T) {
-	bin := buildBinary(t)
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
-	out, err := exec.Command(bin, "-f", "/nonexistent.bench", "-trace", trace).CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	code, _, out := atpgrun("", "-f", "/nonexistent.bench", "-trace", trace)
+	if code != cli.ExitRuntime {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
 	data, err := os.ReadFile(trace)
@@ -117,7 +113,7 @@ func TestEarlyErrorFlushesTrace(t *testing.T) {
 	if len(data) == 0 {
 		t.Fatal("trace file empty: sink not flushed on early error")
 	}
-	if !strings.Contains(string(out), "no such file") {
+	if !strings.Contains(out, "no such file") {
 		t.Errorf("error message not surfaced:\n%s", out)
 	}
 }
@@ -151,12 +147,11 @@ func bigNetlist(t *testing.T) string {
 // -timeout interrupts generation; the process must exit with the
 // incomplete code and report partial patterns.
 func TestTimeoutExitsIncomplete(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-f", bigNetlist(t), "-random", "0", "-timeout", "300ms").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitIncomplete {
+	code, _, out := atpgrun("", "-f", bigNetlist(t), "-random", "0", "-timeout", "300ms")
+	if code != cli.ExitIncomplete {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitIncomplete, out)
 	}
-	if !strings.Contains(string(out), "partial") {
+	if !strings.Contains(out, "partial") {
 		t.Errorf("partial results not reported:\n%s", out)
 	}
 }
@@ -167,7 +162,7 @@ func TestSIGINTExitsInterrupted(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("no SIGINT delivery on windows")
 	}
-	bin := buildBinary(t)
+	bin := binary(t)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	cmd := exec.Command(bin, "-f", bigNetlist(t), "-random", "0", "-checkpoint", ckpt, "-checkpoint-every", "8")
 	if err := cmd.Start(); err != nil {
@@ -207,7 +202,7 @@ func TestSatProveSignalExitsInterrupted(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("no signal delivery on windows")
 	}
-	bin := buildBinary(t)
+	bin := binary(t)
 	for name, sig := range map[string]syscall.Signal{"SIGTERM": syscall.SIGTERM, "SIGINT": syscall.SIGINT} {
 		t.Run(name, func(t *testing.T) {
 			trace := filepath.Join(t.TempDir(), "run.jsonl")
@@ -248,21 +243,20 @@ func TestSatProveSignalExitsInterrupted(t *testing.T) {
 // and -workers 8 runs must report identical result fields in their -json
 // manifests and leave byte-identical checkpoint files on disk.
 func TestWorkersManifestIdentical(t *testing.T) {
-	bin := buildBinary(t)
 	run := func(w string) (map[string]any, []byte) {
 		t.Helper()
 		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-		out, err := exec.Command(bin,
+		code, out, all := atpgrun("",
 			"-standin", "s953", "-workers", w, "-json",
-			"-checkpoint", ckpt, "-checkpoint-every", "8").Output()
-		if err != nil {
-			t.Fatalf("-workers %s: %v", w, err)
+			"-checkpoint", ckpt, "-checkpoint-every", "8")
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d\n%s", w, code, all)
 		}
 		var man struct {
 			Options map[string]any `json:"options"`
 			Results map[string]any `json:"results"`
 		}
-		if err := json.Unmarshal(out, &man); err != nil {
+		if err := json.Unmarshal([]byte(out), &man); err != nil {
 			t.Fatalf("-workers %s: manifest not JSON: %v", w, err)
 		}
 		data, err := os.ReadFile(ckpt)
@@ -284,15 +278,14 @@ func TestWorkersManifestIdentical(t *testing.T) {
 // TestWorkersRecordedInManifest pins the observability contract: the
 // resolved worker count lands in the manifest options.
 func TestWorkersRecordedInManifest(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-standin", "s713", "-workers", "3", "-json").Output()
-	if err != nil {
-		t.Fatal(err)
+	code, out, all := atpgrun("", "-standin", "s713", "-workers", "3", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, all)
 	}
 	var man struct {
 		Options map[string]any `json:"options"`
 	}
-	if err := json.Unmarshal(out, &man); err != nil {
+	if err := json.Unmarshal([]byte(out), &man); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := man.Options["workers"].(float64); !ok || got != 3 {
@@ -305,15 +298,14 @@ func TestWorkersRecordedInManifest(t *testing.T) {
 // with the incomplete code, report partial work, and leave a loadable
 // checkpoint behind.
 func TestWorkersTimeoutExitsIncomplete(t *testing.T) {
-	bin := buildBinary(t)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	out, err := exec.Command(bin,
+	code, _, out := atpgrun("",
 		"-f", bigNetlist(t), "-random", "0", "-workers", "4", "-timeout", "300ms",
-		"-checkpoint", ckpt, "-checkpoint-every", "8").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitIncomplete {
+		"-checkpoint", ckpt, "-checkpoint-every", "8")
+	if code != cli.ExitIncomplete {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitIncomplete, out)
 	}
-	if !strings.Contains(string(out), "partial") {
+	if !strings.Contains(out, "partial") {
 		t.Errorf("partial results not reported:\n%s", out)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
@@ -325,13 +317,11 @@ func TestWorkersTimeoutExitsIncomplete(t *testing.T) {
 // DRC finding must be refused before any ATPG runs, a clean one must
 // proceed, and the manifest must carry the lint counts.
 func TestLintPreflight(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin,
-		"-f", "../../internal/netlist/testdata/defects/cycle.bench", "-lint").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitRuntime {
-		t.Fatalf("defective netlist: exit %d, want %d\n%s", code, cli.ExitRuntime, out)
+	code, _, s := atpgrun("",
+		"-f", "../../internal/netlist/testdata/defects/cycle.bench", "-lint")
+	if code != cli.ExitRuntime {
+		t.Fatalf("defective netlist: exit %d, want %d\n%s", code, cli.ExitRuntime, s)
 	}
-	s := string(out)
 	if !strings.Contains(s, "NL001") || !strings.Contains(s, "refusing to run") {
 		t.Errorf("preflight refusal not reported:\n%s", s)
 	}
@@ -339,15 +329,15 @@ func TestLintPreflight(t *testing.T) {
 		t.Errorf("ATPG ran despite lint errors:\n%s", s)
 	}
 
-	jout, err := exec.Command(bin,
-		"-f", "../../internal/netlist/testdata/c17.bench", "-lint", "-json").Output()
-	if err != nil {
-		t.Fatalf("clean netlist rejected: %v", err)
+	code, jout, all := atpgrun("",
+		"-f", "../../internal/netlist/testdata/c17.bench", "-lint", "-json")
+	if code != 0 {
+		t.Fatalf("clean netlist rejected: exit %d\n%s", code, all)
 	}
 	var man struct {
 		Results map[string]any `json:"results"`
 	}
-	if err := json.Unmarshal(jout, &man); err != nil {
+	if err := json.Unmarshal([]byte(jout), &man); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := man.Results["lint_errors"].(float64); !ok || got != 0 {
@@ -362,9 +352,7 @@ func TestLintPreflight(t *testing.T) {
 // stand-ins have no backing file but still go through the linter (their
 // generator-artifact warnings must not block the run).
 func TestLintPreflightStandin(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-standin", "s713", "-lint").CombinedOutput()
-	if code := exitCode(t, err); code != 0 {
+	if code, _, out := atpgrun("", "-standin", "s713", "-lint"); code != 0 {
 		t.Fatalf("exit %d, want 0\n%s", code, out)
 	}
 }
@@ -374,20 +362,19 @@ func TestLintPreflightStandin(t *testing.T) {
 // aborted faults and a 100% effective coverage, bit-identically across
 // repeated runs and worker counts.
 func TestSatProveSettlesAborts(t *testing.T) {
-	bin := buildBinary(t)
 	run := func(w string) map[string]any {
 		t.Helper()
-		out, err := exec.Command(bin,
+		code, out, all := atpgrun("",
 			"-f", "../../internal/netlist/testdata/redundant.bench",
 			"-backtrack", "1", "-random", "0", "-compact=false",
-			"-sat-prove", "-workers", w, "-json").Output()
-		if err != nil {
-			t.Fatalf("-workers %s: %v", w, err)
+			"-sat-prove", "-workers", w, "-json")
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d\n%s", w, code, all)
 		}
 		var man struct {
 			Results map[string]any `json:"results"`
 		}
-		if err := json.Unmarshal(out, &man); err != nil {
+		if err := json.Unmarshal([]byte(out), &man); err != nil {
 			t.Fatalf("manifest not JSON: %v", err)
 		}
 		return man.Results
@@ -412,9 +399,54 @@ func TestSatProveSettlesAborts(t *testing.T) {
 // TestSatProveRejectsCones pins the flag validation: -sat-prove settles
 // whole-circuit runs only.
 func TestSatProveRejectsCones(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-standin", "s713", "-sat-prove", "-cones").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitUsage {
+	if code, _, out := atpgrun("", "-standin", "s713", "-sat-prove", "-cones"); code != cli.ExitUsage {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitUsage, out)
+	}
+}
+
+// serve answers a POST of body to path from an in-process srv.
+func serve(t *testing.T, path, body string) []byte {
+	t.Helper()
+	s := srv.New(srv.Config{Workers: 1})
+	defer s.Drain()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// TestResultsMatchServedATPG holds atpgrun -json to socd: at the same
+// (default) options, every count and coverage of the manifest equals the
+// /v1/atpg summary's. The summary adds the pattern bits; the manifest
+// adds the run's flags.
+func TestResultsMatchServedATPG(t *testing.T) {
+	code, out, all := atpgrun("", "-standin", "s713", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, all)
+	}
+	var man struct {
+		Results map[string]any `json:"results"`
+	}
+	var sum map[string]any
+	if err := json.Unmarshal([]byte(out), &man); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(serve(t, "/v1/atpg", `{"standin":"s713"}`), &sum); err != nil {
+		t.Fatal(err)
+	}
+	for key, f := range map[string]string{
+		"faults": "faults", "detected": "detected", "redundant": "redundant",
+		"aborted": "aborted", "coverage": "coverage", "effective_coverage": "effective_coverage",
+		"patterns": "pattern_count", "cubes": "cube_count",
+	} {
+		if man.Results[key] == nil || man.Results[key] != sum[f] {
+			t.Errorf("%s = %v, /v1/atpg %s = %v", key, man.Results[key], f, sum[f])
+		}
+	}
+	// A complete run: the manifest says so, the summary omits the flag.
+	if man.Results["incomplete"] != false || sum["incomplete"] != nil {
+		t.Errorf("incomplete: manifest %v, /v1/atpg %v", man.Results["incomplete"], sum["incomplete"])
 	}
 }

@@ -12,8 +12,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench89"
@@ -23,32 +23,36 @@ import (
 
 const prog = "benchgen"
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet(prog, stderr)
 	var (
-		name  = flag.String("name", "", "standard profile name, or the circuit name with custom -i/-o/-ff/-gates")
-		seed  = flag.Int64("seed", 0, "override the structure seed (0 keeps the profile default)")
-		in    = flag.Int("i", 0, "custom: primary inputs")
-		out   = flag.Int("o", 0, "custom: primary outputs")
-		ff    = flag.Int("ff", 0, "custom: flip-flops")
-		gates = flag.Int("gates", 0, "custom: approximate gate count")
-		list  = flag.Bool("list", false, "list the standard profiles and exit")
+		name  = fs.String("name", "", "standard profile name, or the circuit name with custom -i/-o/-ff/-gates")
+		seed  = fs.Int64("seed", 0, "override the structure seed (0 keeps the profile default)")
+		in    = fs.Int("i", 0, "custom: primary inputs")
+		out   = fs.Int("o", 0, "custom: primary outputs")
+		ff    = fs.Int("ff", 0, "custom: flip-flops")
+		gates = fs.Int("gates", 0, "custom: approximate gate count")
+		list  = fs.Bool("list", false, "list the standard profiles and exit")
 	)
-	flag.Parse()
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
 
 	if *list {
 		for _, p := range bench89.StandardProfiles() {
-			fmt.Printf("%-8s I=%-3d O=%-3d FF=%-4d gates~%d\n", p.Name, p.Inputs, p.Outputs, p.DFFs, p.Gates)
+			fmt.Fprintf(stdout, "%-8s I=%-3d O=%-3d FF=%-4d gates~%d\n", p.Name, p.Inputs, p.Outputs, p.DFFs, p.Gates)
 		}
-		return
+		return 0
 	}
 	if *name == "" {
-		cli.Usagef(prog, "-name required; see -help")
+		return cli.Exitf(stderr, prog, cli.ExitUsage, "-name required; see -help")
 	}
-
 	prof, ok := bench89.ProfileByName(*name)
 	if !ok {
 		if *in <= 0 || *out <= 0 || *gates <= 0 {
-			cli.Usagef(prog, "%q is not a standard profile; custom profiles need -i, -o and -gates", *name)
+			return cli.Exitf(stderr, prog, cli.ExitUsage, "%q is not a standard profile; custom profiles need -i, -o and -gates", *name)
 		}
 		prof = bench89.Profile{Name: *name, Inputs: *in, Outputs: *out, DFFs: *ff, Gates: *gates, Seed: 1}
 	}
@@ -56,6 +60,11 @@ func main() {
 		prof.Seed = *seed
 	}
 	c, err := bench89.Generate(prof)
-	cli.Check(prog, err)
-	cli.Check(prog, netlist.WriteBench(os.Stdout, c))
+	if err == nil {
+		err = netlist.WriteBench(stdout, c)
+	}
+	if err != nil {
+		return cli.Exitf(stderr, prog, cli.ExitRuntime, "%v", err)
+	}
+	return 0
 }

@@ -26,11 +26,13 @@
 //	       (write-rename) or runctl.AppendFile (fsync'd append). The rule
 //	       skips _test.go files even under -tests — tests corrupt files on
 //	       purpose.
-//	GO005  os.Exit outside cmd/ and internal/cli: an exit buried in a
-//	       library skips deferred cleanup (trace flushes, checkpoint
-//	       saves, temp-file removal) and turns a recoverable error into a
-//	       silent truncation of the run. Libraries return errors; only the
-//	       command mains and the shared CLI helpers own the process exit.
+//	GO005  os.Exit outside func main of a main package: an exit buried
+//	       in a library or a command's run function skips deferred
+//	       cleanup (trace flushes, checkpoint saves, temp-file removal),
+//	       turns a recoverable error into a silent truncation of the run,
+//	       and kills any test that calls it in-process. Everything else
+//	       returns an error or an exit code; main alone hands it to
+//	       os.Exit.
 //
 // A finding is suppressed by a '//lintgo:allow GO00x [reason]' comment on
 // the offending line or the line above it. Test files are skipped unless
@@ -48,11 +50,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -66,27 +70,31 @@ const (
 	exitUsage    = 2
 )
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	fset := flag.NewFlagSet("lintgo", flag.ExitOnError)
+func run(args []string, stdout, stderr io.Writer) int {
+	fset := flag.NewFlagSet("lintgo", flag.ContinueOnError)
+	fset.SetOutput(stderr)
 	tests := fset.Bool("tests", false, "also lint _test.go files")
 	fset.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: lintgo [-tests] [path...]")
-		fmt.Fprintln(os.Stderr, "lints Go sources for determinism rules GO001-GO005; paths default to .")
+		fmt.Fprintln(stderr, "usage: lintgo [-tests] [path...]")
+		fmt.Fprintln(stderr, "lints Go sources for determinism rules GO001-GO005; paths default to .")
 		fset.PrintDefaults()
 	}
-	fset.Parse(os.Args[1:])
-
-	args := fset.Args()
-	if len(args) == 0 {
-		args = []string{"."}
+	if err := fset.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return exitUsage
 	}
-	files, err := goFiles(args, *tests)
+
+	paths := fset.Args()
+	if len(paths) == 0 {
+		paths = []string{"."}
+	}
+	files, err := goFiles(paths, *tests)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lintgo: %v\n", err)
+		fmt.Fprintf(stderr, "lintgo: %v\n", err)
 		return exitUsage
 	}
 
@@ -95,12 +103,12 @@ func run() int {
 	for _, f := range files {
 		src, err := os.ReadFile(f)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lintgo: %v\n", err)
+			fmt.Fprintf(stderr, "lintgo: %v\n", err)
 			return exitUsage
 		}
 		fnd, err := checkSource(tokens, f, src)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lintgo: %v\n", err)
+			fmt.Fprintf(stderr, "lintgo: %v\n", err)
 			return exitUsage
 		}
 		all = append(all, fnd...)
@@ -116,10 +124,10 @@ func run() int {
 		return a.rule < b.rule
 	})
 	for _, f := range all {
-		fmt.Printf("%s:%d: %s: %s\n", f.file, f.line, f.rule, f.msg)
+		fmt.Fprintf(stdout, "%s:%d: %s: %s\n", f.file, f.line, f.rule, f.msg)
 	}
 	if len(all) > 0 {
-		fmt.Printf("%d finding(s)\n", len(all))
+		fmt.Fprintf(stdout, "%d finding(s)\n", len(all))
 		return exitFindings
 	}
 	return 0
@@ -211,11 +219,6 @@ func exempt(rule, slashPath string) bool {
 	in := func(dir string) bool {
 		return strings.Contains(slashPath, dir+"/") || strings.HasPrefix(slashPath, dir+"/")
 	}
-	// seg matches dir as a whole path segment. The looser in() would let
-	// "internal/mycmd/" pass for "cmd", which GO005 must not.
-	seg := func(dir string) bool {
-		return strings.HasPrefix(slashPath, dir+"/") || strings.Contains(slashPath, "/"+dir+"/")
-	}
 	switch rule {
 	case "GO002":
 		return in("internal/obs") || in("internal/runctl")
@@ -225,8 +228,6 @@ func exempt(rule, slashPath string) bool {
 		return in("internal/par")
 	case "GO004":
 		return in("internal/runctl")
-	case "GO005":
-		return seg("cmd") || seg("internal/cli")
 	}
 	return false
 }
@@ -339,9 +340,16 @@ func checkSource(tokens *token.FileSet, path string, src []byte) ([]finding, err
 	// purpose (torn artifacts, junk journal lines) and their output is
 	// t.TempDir scratch, not a durable result.
 	isTest := strings.HasSuffix(slash, "_test.go")
+	// GO005 spares func main of a main package, the one place a process
+	// exit belongs; Inspect reaches its declaration before its calls.
+	var mainFn *ast.FuncDecl
 
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if f.Name.Name == "main" && n.Recv == nil && n.Name.Name == "main" {
+				mainFn = n
+			}
 		case *ast.GoStmt:
 			report(n.Pos(), "GO003",
 				"bare go statement: route concurrency through internal/par")
@@ -367,9 +375,10 @@ func checkSource(tokens *token.FileSet, path string, src []byte) ([]finding, err
 			case !isTest && osName != "" && pkg.Name == osName && rawWriteFns[sel.Sel.Name]:
 				report(n.Pos(), "GO004",
 					"non-atomic file write os.%s: use runctl.WriteFileAtomic or runctl.AppendFile", sel.Sel.Name)
-			case osName != "" && pkg.Name == osName && sel.Sel.Name == "Exit":
+			case osName != "" && pkg.Name == osName && sel.Sel.Name == "Exit" &&
+				(mainFn == nil || n.Pos() < mainFn.Pos() || n.End() > mainFn.End()):
 				report(n.Pos(), "GO005",
-					"os.Exit outside cmd/ and internal/cli: libraries return errors, mains own the exit")
+					"os.Exit outside func main: return an error or an exit code, main owns the exit")
 			}
 		}
 		return true

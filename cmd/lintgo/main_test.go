@@ -1,14 +1,11 @@
 package main
 
 import (
-	"errors"
-	"fmt"
+	"bytes"
 	"go/token"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -254,68 +251,18 @@ func TestGoFilesSkipsTests(t *testing.T) {
 	}
 }
 
-// The exec-level tests share one lintgo binary: buildBinary compiles it on
-// first use and TestMain removes it after the last test.
-var (
-	buildOnce sync.Once
-	buildDir  string
-	builtBin  string
-	buildErr  error
-)
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if buildDir != "" {
-		os.RemoveAll(buildDir)
-	}
-	os.Exit(code)
-}
-
-// buildBinary returns the path of the lintgo binary, compiling it once per
-// test binary. Exec-level tests need the real process: signal handling,
-// exit codes and flushed output only exist there.
-func buildBinary(t *testing.T) string {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("exec test skipped in -short mode")
-	}
-	buildOnce.Do(func() {
-		if buildDir, buildErr = os.MkdirTemp("", "lintgo-test-"); buildErr != nil {
-			return
-		}
-		bin := filepath.Join(buildDir, "lintgo")
-		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
-			return
-		}
-		builtBin = bin
-	})
-	if buildErr != nil {
-		t.Fatal(buildErr)
-	}
-	return builtBin
-}
-
-func exitCode(t *testing.T, err error) int {
-	t.Helper()
-	if err == nil {
-		return 0
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("unexpected error kind: %v", err)
-	}
-	return ee.ExitCode()
+// lintgo runs the command in-process and returns its exit code and its
+// stdout and stderr interleaved as a terminal shows them.
+func lintgo(args ...string) (code int, out string) {
+	var both bytes.Buffer
+	code = run(args, &both, &both)
+	return code, both.String()
 }
 
 // TestRepoIsLintClean is the property the CI leg enforces: the repository
 // itself passes its own determinism lint.
 func TestRepoIsLintClean(t *testing.T) {
-	bin := buildBinary(t)
-	cmd := exec.Command(bin, ".")
-	cmd.Dir = "../.."
-	out, err := cmd.CombinedOutput()
-	if code := exitCode(t, err); code != 0 {
+	if code, out := lintgo("../.."); code != 0 {
 		t.Fatalf("repo has determinism findings (exit %d):\n%s", code, out)
 	}
 }
@@ -323,17 +270,15 @@ func TestRepoIsLintClean(t *testing.T) {
 // TestExecFindingsExitOne seeds a violation and checks the output line and
 // exit code end to end.
 func TestExecFindingsExitOne(t *testing.T) {
-	bin := buildBinary(t)
 	dir := t.TempDir()
 	src := "package x\n\nimport \"math/rand\"\n\nfunc f() int { return rand.Intn(3) }\n"
 	if err := os.WriteFile(filepath.Join(dir, "bad.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(bin, dir).CombinedOutput()
-	if code := exitCode(t, err); code != exitFindings {
-		t.Fatalf("exit %d, want %d\n%s", code, exitFindings, out)
+	code, s := lintgo(dir)
+	if code != exitFindings {
+		t.Fatalf("exit %d, want %d\n%s", code, exitFindings, s)
 	}
-	s := string(out)
 	if !strings.Contains(s, "bad.go:5: GO001") || !strings.Contains(s, "1 finding(s)") {
 		t.Errorf("unexpected output:\n%s", s)
 	}
@@ -348,15 +293,32 @@ func f() { os.Exit(1) }
 	if got := check(t, "internal/atpg/a.go", src); len(got) != 1 || got[0] != "GO005" {
 		t.Errorf("findings = %v, want [GO005]", got)
 	}
-	// Command mains and the shared CLI helpers own the exit.
-	if got := check(t, "cmd/atpgrun/main.go", src); len(got) != 0 {
-		t.Errorf("cmd/ flagged: %v", got)
+	// func main of a main package owns the exit, wherever the file lives.
+	mainExit := `package main
+import "os"
+func main() { os.Exit(run()) }
+func run() int { return 0 }
+`
+	for _, path := range []string{"cmd/atpgrun/main.go", "examples/x/main.go"} {
+		if got := check(t, path, mainExit); len(got) != 0 {
+			t.Errorf("%s: exit in func main flagged: %v", path, got)
+		}
 	}
-	if got := check(t, "internal/cli/cli.go", src); len(got) != 0 {
-		t.Errorf("internal/cli flagged: %v", got)
+	// Anywhere else in a command it is a finding: a run function that
+	// exits cannot be called in-process, and neither can a method or a
+	// non-main package's func main.
+	for _, tc := range []struct{ path, src string }{
+		{"cmd/atpgrun/main.go", "package main\nimport \"os\"\nfunc main() { run() }\nfunc run() { os.Exit(2) }\n"},
+		{"cmd/atpgrun/main.go", "package main\nimport \"os\"\ntype t struct{}\nfunc (t) main() { os.Exit(2) }\n"},
+		{"cmd/atpgrun/main.go", "package main\nimport \"os\"\nvar _ = func() int { os.Exit(2); return 0 }()\n"},
+		{"internal/cli/cli.go", "package cli\nimport \"os\"\nfunc main() { os.Exit(1) }\n"},
+	} {
+		if got := check(t, tc.path, tc.src); len(got) != 1 || got[0] != "GO005" {
+			t.Errorf("%s %q: findings = %v, want [GO005]", tc.path, tc.src, got)
+		}
 	}
-	// "cmd" must match as a whole path segment: a library package whose
-	// name merely contains it is not exempt.
+	// "cmd" in a path exempts nothing: a library package whose name
+	// merely contains it is still a library.
 	if got := check(t, "internal/mycmd/a.go", src); len(got) != 1 || got[0] != "GO005" {
 		t.Errorf("internal/mycmd findings = %v, want [GO005]", got)
 	}

@@ -91,7 +91,7 @@ func submitAsync(t *testing.T, d *daemon, path, body string) string {
 // original ids, and the results are byte-identical to an uninterrupted
 // run on a pristine daemon.
 func TestSigkillJournalReplayByteIdentical(t *testing.T) {
-	bin := buildBinary(t)
+	bin := binary(t)
 	// The heavy job is a stand-in four times the size of s15850. Its ATPG
 	// runs for seconds on one worker: long enough that its checkpoint file
 	// demonstrably lands first and the kill still finds it mid-run.
@@ -226,7 +226,7 @@ func mustQuote(t *testing.T, s string) []byte {
 // identical bytes — live, and again via the startup scrub after a
 // restart.
 func TestCorruptArtifactQuarantinedAndRecomputed(t *testing.T) {
-	bin := buildBinary(t)
+	bin := binary(t)
 	cache := filepath.Join(t.TempDir(), "cache")
 	req, _ := json.Marshal(map[string]any{"bench": tinyBench})
 

@@ -63,17 +63,15 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/runctl"
 	"repro/internal/srv"
@@ -82,39 +80,37 @@ import (
 
 const prog = "socd"
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	s := cli.NewSession(prog, stdout, stderr)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8089", "listen address (host:port; port 0 picks a free port)")
-		workers    = flag.Int("workers", 0, "job worker pool size (0 = NumCPU)")
-		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory (empty = caching disabled)")
-		cacheMax   = flag.Int64("cache-max-bytes", 0, "cache byte budget; least-recently-used artifacts are evicted past it (0 = unbounded)")
-		queueSize  = flag.Int("queue", 64, "job backlog bound; submissions past it are rejected with 503")
-		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline (0 = none); requests may override with timeout_ms")
-		jsonOut    = flag.Bool("json", false, "write the run manifest as JSON to stdout on shutdown")
-		manifest   = flag.String("manifest", "", "write the run manifest to `file` on shutdown (atomic replace)")
-		journal    = flag.String("journal", "", "durable job journal `file`; admitted jobs survive a crash and replay on the next start (empty = off)")
-		debugFPs   = flag.Bool("debug-failpoints", false, "expose POST /debug/failpoints for fault injection (chaos testing only; never on an untrusted network)")
+		addr       = s.Flags.String("addr", "127.0.0.1:8089", "listen address (host:port; port 0 picks a free port)")
+		workers    = s.Flags.Int("workers", 0, "job worker pool size (0 = NumCPU)")
+		cacheDir   = s.Flags.String("cache-dir", "", "content-addressed result cache directory (empty = caching disabled)")
+		cacheMax   = s.Flags.Int64("cache-max-bytes", 0, "cache byte budget; least-recently-used artifacts are evicted past it (0 = unbounded)")
+		queueSize  = s.Flags.Int("queue", 64, "job backlog bound; submissions past it are rejected with 503")
+		jobTimeout = s.Flags.Duration("job-timeout", 5*time.Minute, "default per-job deadline (0 = none); requests may override with timeout_ms")
+		journal    = s.Flags.String("journal", "", "durable job journal `file`; admitted jobs survive a crash and replay on the next start (empty = off)")
+		debugFPs   = s.Flags.Bool("debug-failpoints", false, "expose POST /debug/failpoints for fault injection (chaos testing only; never on an untrusted network)")
 	)
-	var ob cli.Obs
-	ob.Register(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		cli.Errorf(prog, "unexpected argument %q; see -help", flag.Arg(0))
-		return cli.ExitUsage
+	s.JSONFlag("write the run manifest as JSON to stdout on shutdown")
+	s.Flags.StringVar(&s.ManifestPath, "manifest", "", "write the run manifest to `file` on shutdown (atomic replace)")
+	if code, ok := s.Parse(args); !ok {
+		return code
+	}
+	if s.Flags.NArg() > 0 {
+		return s.Usagef("unexpected argument %q; see -help", s.Flags.Arg(0))
 	}
 
 	// The server is always instrumented — /metricsz and the shutdown
 	// manifest need a registry even when no observability flag was given.
-	col := ob.Start(prog)
-	reg := ob.Registry()
-	if reg == nil {
-		reg = obs.NewRegistry()
-		col = obs.New(reg, nil)
+	s.Instrument = true
+	if code := s.Start(0); code != 0 {
+		return code
 	}
-
-	man := obs.NewManifest(prog, 0)
+	col := s.Col()
+	man := s.Man
 	man.SetOption("addr", *addr)
 	man.SetOption("workers", par.Workers(*workers))
 	man.SetOption("queue", *queueSize)
@@ -130,28 +126,25 @@ func run() int {
 		man.SetOption("debug_failpoints", true)
 	}
 
-	fail := func(err error) int {
-		cli.Errorf(prog, "%v", err)
-		man.SetResult("error", err.Error())
-		finish(&ob, man, reg, *jsonOut, *manifest)
-		return cli.ExitRuntime
-	}
-
 	var st *store.Store
 	if *cacheDir != "" {
 		var err error
 		st, err = store.Open(*cacheDir, *cacheMax, col)
 		if err != nil {
-			return fail(err)
+			return s.Fail(cli.ExitRuntime, err)
 		}
 		// Walk the cache before serving from it: artifacts corrupted while
 		// the daemon was down are quarantined now rather than discovered
 		// (and recomputed) one miss at a time under load.
 		if checked, corrupt := st.Scrub(); corrupt > 0 {
-			fmt.Fprintf(os.Stderr, "%s: cache scrub quarantined %d of %d artifacts\n", prog, corrupt, checked)
+			s.Errorf("cache scrub quarantined %d of %d artifacts", corrupt, checked)
 		}
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return s.Fail(cli.ExitRuntime, err)
+	}
 	server := srv.New(srv.Config{
 		Workers:     *workers,
 		QueueSize:   *queueSize,
@@ -163,13 +156,9 @@ func run() int {
 		Debug:       *debugFPs,
 	})
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fail(err)
-	}
 	// The resolved address (meaningful with port 0) goes to stdout so a
 	// supervisor or test can find the daemon.
-	fmt.Printf("%s: listening on http://%s\n", prog, ln.Addr())
+	fmt.Fprintf(stdout, "%s: listening on http://%s\n", prog, ln.Addr())
 	man.SetOption("listen", ln.Addr().String())
 
 	httpSrv := &http.Server{Handler: server.Handler()}
@@ -188,7 +177,7 @@ func run() int {
 	err = httpSrv.Serve(ln)
 	if err != nil && err != http.ErrServerClosed {
 		server.Drain()
-		return fail(err)
+		return s.Fail(cli.ExitRuntime, err)
 	}
 
 	// Connections are closed; now drain the job backlog (async jobs may
@@ -197,23 +186,9 @@ func run() int {
 	server.Drain()
 	man.SetResult("interrupted", interrupted())
 	man.SetResult("drained", true)
-	finish(&ob, man, reg, *jsonOut, *manifest)
-	fmt.Printf("%s: drained, shut down cleanly\n", prog)
+	if code := s.Finish(); code != 0 {
+		return code
+	}
+	fmt.Fprintf(stdout, "%s: drained, shut down cleanly\n", prog)
 	return 0
-}
-
-// finish seals the manifest, emits it as the final trace event, shuts the
-// observability stack down, and writes the manifest to stdout (-json)
-// and/or a file (-manifest).
-func finish(ob *cli.Obs, man *obs.Manifest, reg *obs.Registry, jsonOut bool, path string) {
-	man.Finish(reg)
-	ob.Stop(man)
-	if jsonOut {
-		cli.Check(prog, man.WriteJSON(os.Stdout))
-	}
-	if path != "" {
-		var buf bytes.Buffer
-		cli.Check(prog, man.WriteJSON(&buf))
-		cli.Check(prog, runctl.WriteFileAtomic(path, buf.Bytes()))
-	}
 }

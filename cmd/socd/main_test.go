@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -21,46 +20,26 @@ import (
 	"repro/internal/cli"
 )
 
-// The exec-level tests share one socd binary: buildBinary compiles it on
-// first use and TestMain removes it after the last test.
-var (
-	buildOnce sync.Once
-	buildDir  string
-	builtBin  string
-	buildErr  error
-)
+// asMain, set in its environment, makes the test binary run as socd.
+const asMain = "SOCD_TEST_AS_MAIN"
 
 func TestMain(m *testing.M) {
-	code := m.Run()
-	if buildDir != "" {
-		os.RemoveAll(buildDir)
+	if os.Getenv(asMain) != "" {
+		main()
 	}
-	os.Exit(code)
+	m.Run()
 }
 
-// buildBinary returns the path of the socd binary, compiling it once per
-// test binary. Exec-level tests need the real process: signal handling,
-// exit codes and flushed output only exist there.
-func buildBinary(t *testing.T) string {
+// binary returns the test binary itself, which the processes the test
+// starts run as socd: signals, a crash and a live listener need a real
+// process.
+func binary(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("exec test skipped in -short mode")
 	}
-	buildOnce.Do(func() {
-		if buildDir, buildErr = os.MkdirTemp("", "socd-test-"); buildErr != nil {
-			return
-		}
-		bin := filepath.Join(buildDir, "socd")
-		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
-			return
-		}
-		builtBin = bin
-	})
-	if buildErr != nil {
-		t.Fatal(buildErr)
-	}
-	return builtBin
+	t.Setenv(asMain, "1")
+	return os.Args[0]
 }
 
 func exitCode(t *testing.T, err error) int {
@@ -182,7 +161,7 @@ y = AND(a, b)
 // directory, a warm response is byte-identical to the cold one — across a
 // daemon restart, because the artifacts persist on disk.
 func TestWarmCacheByteIdentical(t *testing.T) {
-	bin := buildBinary(t)
+	bin := binary(t)
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 	req, _ := json.Marshal(map[string]any{"bench": tinyBench})
 
@@ -224,7 +203,7 @@ func TestWarmCacheByteIdentical(t *testing.T) {
 // worker plus a slow builtin TDV job keeps the window open; the metrics
 // endpoint proves the execution count.
 func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
-	bin := buildBinary(t)
+	bin := binary(t)
 	d := startDaemon(t, bin, "-workers", "1", "-cache-dir", filepath.Join(t.TempDir(), "cache"))
 
 	// Pin the worker with one stand-in ATPG job (slow enough to hold the
@@ -300,7 +279,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 // TestSigtermDrainsAndWritesManifest is acceptance criterion (c): SIGTERM
 // drains in-flight jobs and writes a run manifest before a clean exit.
 func TestSigtermDrainsAndWritesManifest(t *testing.T) {
-	bin := buildBinary(t)
+	bin := binary(t)
 	manPath := filepath.Join(t.TempDir(), "manifest.json")
 	d := startDaemon(t, bin,
 		"-workers", "1",
@@ -367,7 +346,7 @@ func TestSigtermDrainsAndWritesManifest(t *testing.T) {
 // TestHealthzAndDrainRejection checks the liveness endpoint and that a
 // draining daemon turns new work away while finishing accepted work.
 func TestHealthzAndDrainRejection(t *testing.T) {
-	bin := buildBinary(t)
+	bin := binary(t)
 	d := startDaemon(t, bin, "-workers", "1")
 
 	resp, err := http.Get(d.base + "/healthz")
@@ -410,7 +389,7 @@ func TestHealthzAndDrainRejection(t *testing.T) {
 // must replay the buffered admission/queue events then follow the job
 // live through the worker and engine to the terminal done record.
 func TestEventStreamOverSSE(t *testing.T) {
-	bin := buildBinary(t)
+	bin := binary(t)
 	d := startDaemon(t, bin, "-workers", "1")
 
 	// Pin the worker so the target job demonstrably queues.
@@ -516,7 +495,7 @@ func TestEventStreamOverSSE(t *testing.T) {
 // process level: build version (git describe), worker capacity, busy
 // count and the Go runtime version.
 func TestHealthzReportsBuildInfo(t *testing.T) {
-	bin := buildBinary(t)
+	bin := binary(t)
 	d := startDaemon(t, bin, "-workers", "2")
 
 	resp, err := http.Get(d.base + "/healthz")
@@ -562,20 +541,24 @@ func TestHealthzReportsBuildInfo(t *testing.T) {
 	}
 }
 
+// socd runs the command in-process and returns its exit code and its
+// stdout and stderr interleaved as a terminal shows them.
+func socd(args ...string) (code int, out string) {
+	var both bytes.Buffer
+	code = run(args, &both, &both)
+	return code, both.String()
+}
+
 // TestUsageErrors checks flag validation exits 2 before binding a port.
 func TestUsageErrors(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "stray-arg").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitUsage {
+	if code, out := socd("stray-arg"); code != cli.ExitUsage {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitUsage, out)
 	}
 }
 
 // TestRuntimeErrorExitsOne checks a bind failure is a runtime error.
 func TestRuntimeErrorExitsOne(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-addr", "256.256.256.256:1").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	if code, out := socd("-addr", "256.256.256.256:1"); code != cli.ExitRuntime {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
 }

@@ -22,8 +22,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -39,12 +39,10 @@ import (
 
 const prog = "soclint"
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	fset := flag.NewFlagSet(prog, flag.ExitOnError)
+func run(args []string, stdout, stderr io.Writer) int {
+	fset := cli.NewFlagSet(prog, stderr)
 	jsonOut := fset.Bool("json", false, "emit diagnostics as JSONL lint.diag events on stdout")
 	quiet := fset.Bool("q", false, "suppress info-severity diagnostics")
 	warnAsError := fset.Bool("warn-as-error", false, "exit 1 on warnings as well as errors")
@@ -55,14 +53,16 @@ func run() int {
 	cec := fset.Bool("cec", false, "prove each netlist's compiled PPSFP program equivalent to its source (CEC001 on divergence)")
 	rules := fset.Bool("rules", false, "print the rule catalog and exit")
 	fset.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] path...\n", prog)
-		fmt.Fprintf(os.Stderr, "lints .bench netlists and .soc profiles; directories are walked recursively\n")
+		fmt.Fprintf(stderr, "usage: %s [flags] path...\n", prog)
+		fmt.Fprintf(stderr, "lints .bench netlists and .soc profiles; directories are walked recursively\n")
 		fset.PrintDefaults()
 	}
-	fset.Parse(os.Args[1:])
+	if code, ok := cli.Parse(fset, args); !ok {
+		return code
+	}
 
 	if *rules {
-		printRules()
+		printRules(stdout)
 		return 0
 	}
 	if fset.NArg() == 0 {
@@ -71,12 +71,10 @@ func run() int {
 	}
 	files, err := expandPaths(fset.Args())
 	if err != nil {
-		cli.Errorf(prog, "%v", err)
-		return cli.ExitRuntime
+		return cli.Exitf(stderr, prog, cli.ExitRuntime, "%v", err)
 	}
 	if len(files) == 0 {
-		cli.Errorf(prog, "no .bench or .soc files found")
-		return cli.ExitUsage
+		return cli.Exitf(stderr, prog, cli.ExitUsage, "no .bench or .soc files found")
 	}
 
 	opt := lint.Options{MaxFanout: *maxFanout, SCOAPLimit: *scoapLimit, SAT: *satRules}
@@ -108,12 +106,11 @@ func run() int {
 			r, err = lint.CheckSOCFile(f)
 		}
 		if err != nil {
-			cli.Errorf(prog, "%v", err)
-			return cli.ExitRuntime
+			return cli.Exitf(stderr, prog, cli.ExitRuntime, "%v", err)
 		}
 		report.Merge(r)
 		if *scoapTop > 0 && filepath.Ext(f) == ".bench" && !r.HasErrors() {
-			printScoapReport(f, *scoapTop)
+			printScoapReport(stdout, f, *scoapTop)
 		}
 	}
 	report.Sort()
@@ -128,7 +125,7 @@ func run() int {
 	}
 
 	if *jsonOut {
-		sink := obs.NewJSONLSink(os.Stdout)
+		sink := obs.NewJSONLSink(stdout)
 		report.EmitTo(sink)
 		// The run manifest is the final event: per-rule and CEC counts,
 		// zero-timed like every lint event so identical runs stay
@@ -153,12 +150,10 @@ func run() int {
 		}
 		sink.Emit(obs.Event{Name: "lint.manifest", Fields: fields})
 		if err := sink.Err(); err != nil {
-			cli.Errorf(prog, "writing JSONL: %v", err)
-			return cli.ExitRuntime
+			return cli.Exitf(stderr, prog, cli.ExitRuntime, "writing JSONL: %v", err)
 		}
-	} else if err := report.WriteText(os.Stdout); err != nil {
-		cli.Errorf(prog, "writing report: %v", err)
-		return cli.ExitRuntime
+	} else if err := report.WriteText(stdout); err != nil {
+		return cli.Exitf(stderr, prog, cli.ExitRuntime, "writing report: %v", err)
 	}
 
 	if report.HasErrors() || (*warnAsError && report.Count(lint.Warning) > 0) {
@@ -252,7 +247,7 @@ func countRule(r *lint.Report, id string) int {
 }
 
 // printScoapReport prints the k hardest nets of one netlist.
-func printScoapReport(path string, k int) {
+func printScoapReport(w io.Writer, path string, k int) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return
@@ -262,15 +257,15 @@ func printScoapReport(path string, k int) {
 		return
 	}
 	rows := lint.ComputeSCOAP(c).Hardest(k)
-	fmt.Printf("%s: %d hardest nets by SCOAP (CC0/CC1/CO, worst stuck-at difficulty):\n", path, len(rows))
+	fmt.Fprintf(w, "%s: %d hardest nets by SCOAP (CC0/CC1/CO, worst stuck-at difficulty):\n", path, len(rows))
 	for _, r := range rows {
-		fmt.Printf("  %-20s %6s %6s %6s  worst %s\n", r.Name, r.CC0, r.CC1, r.CO, r.Worst)
+		fmt.Fprintf(w, "  %-20s %6s %6s %6s  worst %s\n", r.Name, r.CC0, r.CC1, r.CO, r.Worst)
 	}
 }
 
-func printRules() {
-	fmt.Println("rule    severity  description")
+func printRules(w io.Writer) {
+	fmt.Fprintln(w, "rule    severity  description")
 	for _, r := range lint.Catalog {
-		fmt.Printf("%-7s %-9s %s\n", r.ID, r.Sev, r.Doc)
+		fmt.Fprintf(w, "%-7s %-9s %s\n", r.ID, r.Sev, r.Doc)
 	}
 }

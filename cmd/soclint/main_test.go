@@ -1,81 +1,41 @@
 package main
 
 import (
-	"errors"
-	"fmt"
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/srv"
 )
-
-// The exec-level tests share one soclint binary: buildBinary compiles it on
-// first use and TestMain removes it after the last test.
-var (
-	buildOnce sync.Once
-	buildDir  string
-	builtBin  string
-	buildErr  error
-)
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if buildDir != "" {
-		os.RemoveAll(buildDir)
-	}
-	os.Exit(code)
-}
-
-// buildBinary returns the path of the soclint binary, compiling it once per
-// test binary. Exec-level tests need the real process: signal handling,
-// exit codes and flushed output only exist there.
-func buildBinary(t *testing.T) string {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("exec test skipped in -short mode")
-	}
-	buildOnce.Do(func() {
-		if buildDir, buildErr = os.MkdirTemp("", "soclint-test-"); buildErr != nil {
-			return
-		}
-		bin := filepath.Join(buildDir, "soclint")
-		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
-			return
-		}
-		builtBin = bin
-	})
-	if buildErr != nil {
-		t.Fatal(buildErr)
-	}
-	return builtBin
-}
-
-func exitCode(t *testing.T, err error) int {
-	t.Helper()
-	if err == nil {
-		return 0
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("unexpected error kind: %v", err)
-	}
-	return ee.ExitCode()
-}
 
 // repoRoot is where the committed fixtures live relative to this package;
-// running the binary from there keeps the paths in golden output stable.
+// running the command from there keeps the paths in golden output stable.
 const repoRoot = "../.."
 
-// runAtRoot executes the binary with the repo root as working directory.
-func runAtRoot(bin string, args ...string) ([]byte, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Dir = repoRoot
-	return cmd.CombinedOutput()
+// soclint runs the command in-process with the repo root as working
+// directory and returns its exit code and its stdout and stderr
+// interleaved as a terminal shows them.
+func soclint(t *testing.T, args ...string) (code int, out string) {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(repoRoot); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	var both bytes.Buffer
+	code = run(args, &both, &both)
+	return code, both.String()
 }
 
 func readGolden(t *testing.T, name string) string {
@@ -92,13 +52,12 @@ func readGolden(t *testing.T, name string) string {
 // rule ID, at its expected line, with a stable message. A diff here means
 // either a rule regressed or its output contract changed.
 func TestDefectFixturesGolden(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := runAtRoot(bin,
+	code, out := soclint(t,
 		"internal/netlist/testdata/defects", "cmd/soclint/testdata/defects")
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	if code != cli.ExitRuntime {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
-	if want := readGolden(t, "defects.golden"); string(out) != want {
+	if want := readGolden(t, "defects.golden"); out != want {
 		t.Errorf("text report drifted from golden:\n--- got ---\n%s--- want ---\n%s", out, want)
 	}
 }
@@ -106,16 +65,15 @@ func TestDefectFixturesGolden(t *testing.T) {
 // TestDefectFixturesJSONGolden pins the -json form: one lint.diag JSONL
 // event per finding with a zeroed timestamp, so output is byte-stable.
 func TestDefectFixturesJSONGolden(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := runAtRoot(bin, "-json",
+	code, out := soclint(t, "-json",
 		"internal/netlist/testdata/defects", "cmd/soclint/testdata/defects")
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	if code != cli.ExitRuntime {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
-	if want := readGolden(t, "defects.json.golden"); string(out) != want {
+	if want := readGolden(t, "defects.json.golden"); out != want {
 		t.Errorf("JSONL report drifted from golden:\n--- got ---\n%s--- want ---\n%s", out, want)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if !strings.Contains(line, `"ts":"0001-01-01T00:00:00Z"`) {
 			t.Errorf("event carries a wall-clock timestamp (nondeterministic): %s", line)
 		}
@@ -125,7 +83,6 @@ func TestDefectFixturesJSONGolden(t *testing.T) {
 // TestCleanInputsExitZero runs the linter over the committed clean
 // fixtures and real profile data; none may produce an error.
 func TestCleanInputsExitZero(t *testing.T) {
-	bin := buildBinary(t)
 	for _, path := range []string{
 		"cmd/soclint/testdata/clean",
 		"internal/netlist/testdata/c17.bench",
@@ -133,8 +90,8 @@ func TestCleanInputsExitZero(t *testing.T) {
 		"internal/netlist/testdata/seq4.bench",
 		"internal/itc02/testdata/p34392.soc",
 	} {
-		out, err := runAtRoot(bin, path)
-		if code := exitCode(t, err); code != 0 {
+		code, out := soclint(t, path)
+		if code != 0 {
 			t.Errorf("%s: exit %d, want 0\n%s", path, code, out)
 		}
 	}
@@ -144,17 +101,16 @@ func TestCleanInputsExitZero(t *testing.T) {
 // and unobservable parse fine and only warn, so they pass by default and
 // fail under -warn-as-error.
 func TestWarnAsError(t *testing.T) {
-	bin := buildBinary(t)
 	for _, fix := range []string{
 		"internal/netlist/testdata/defects/deadlogic.bench",
 		"internal/netlist/testdata/defects/unobservable.bench",
 	} {
-		out, err := runAtRoot(bin, fix)
-		if code := exitCode(t, err); code != 0 {
+		code, out := soclint(t, fix)
+		if code != 0 {
 			t.Errorf("%s: exit %d without -warn-as-error, want 0\n%s", fix, code, out)
 		}
-		out, err = runAtRoot(bin, "-warn-as-error", fix)
-		if code := exitCode(t, err); code != cli.ExitRuntime {
+		code, out = soclint(t, "-warn-as-error", fix)
+		if code != cli.ExitRuntime {
 			t.Errorf("%s: exit %d with -warn-as-error, want %d\n%s", fix, code, cli.ExitRuntime, out)
 		}
 	}
@@ -163,17 +119,16 @@ func TestWarnAsError(t *testing.T) {
 // TestUsageErrors covers the exit-2 contract: no arguments, and a
 // directory holding nothing lintable.
 func TestUsageErrors(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin).CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitUsage {
+	code, out := soclint(t)
+	if code != cli.ExitUsage {
 		t.Fatalf("no args: exit %d, want %d\n%s", code, cli.ExitUsage, out)
 	}
 	empty := t.TempDir()
-	out, err = exec.Command(bin, empty).CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitUsage {
+	code, out = soclint(t, empty)
+	if code != cli.ExitUsage {
 		t.Fatalf("empty dir: exit %d, want %d\n%s", code, cli.ExitUsage, out)
 	}
-	if !strings.Contains(string(out), "no .bench or .soc files") {
+	if !strings.Contains(out, "no .bench or .soc files") {
 		t.Errorf("empty-dir message not surfaced:\n%s", out)
 	}
 }
@@ -181,29 +136,27 @@ func TestUsageErrors(t *testing.T) {
 // TestNonLintableFileRejected checks that an explicit file argument with
 // the wrong extension is a runtime error, not silently ignored.
 func TestNonLintableFileRejected(t *testing.T) {
-	bin := buildBinary(t)
 	stray := filepath.Join(t.TempDir(), "notes.txt")
 	if err := os.WriteFile(stray, []byte("hello"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(bin, stray).CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	code, out := soclint(t, stray)
+	if code != cli.ExitRuntime {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
-	if !strings.Contains(string(out), "not a .bench or .soc file") {
+	if !strings.Contains(out, "not a .bench or .soc file") {
 		t.Errorf("rejection message not surfaced:\n%s", out)
 	}
 }
 
 // TestRulesCatalog prints the catalog and exits 0 without any inputs.
 func TestRulesCatalog(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-rules").CombinedOutput()
-	if code := exitCode(t, err); code != 0 {
+	code, out := soclint(t, "-rules")
+	if code != 0 {
 		t.Fatalf("exit %d, want 0\n%s", code, out)
 	}
 	for _, id := range []string{"NL001", "NL012", "SOC001", "SOC013"} {
-		if !strings.Contains(string(out), id) {
+		if !strings.Contains(out, id) {
 			t.Errorf("catalog missing rule %s:\n%s", id, out)
 		}
 	}
@@ -211,17 +164,16 @@ func TestRulesCatalog(t *testing.T) {
 
 // TestScoapReport asks for the hardest nets of a clean netlist.
 func TestScoapReport(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := runAtRoot(bin, "-scoap", "3", "cmd/soclint/testdata/clean/good.bench")
-	if code := exitCode(t, err); code != 0 {
+	code, out := soclint(t, "-scoap", "3", "cmd/soclint/testdata/clean/good.bench")
+	if code != 0 {
 		t.Fatalf("exit %d, want 0\n%s", code, out)
 	}
-	if !strings.Contains(string(out), "3 hardest nets by SCOAP") {
+	if !strings.Contains(out, "3 hardest nets by SCOAP") {
 		t.Errorf("SCOAP report missing:\n%s", out)
 	}
 	// G11 fans out into both output cones but sits two NANDs from
 	// either output, giving c17's worst combined SCOAP difficulty.
-	if !strings.Contains(string(out), "G11") {
+	if !strings.Contains(out, "G11") {
 		t.Errorf("expected G11 in the hardest-net report:\n%s", out)
 	}
 }
@@ -229,12 +181,11 @@ func TestScoapReport(t *testing.T) {
 // TestQuietSuppressesInfo: p34392 carries only the SOC011 info note, so
 // -q must reduce the report to the summary line alone.
 func TestQuietSuppressesInfo(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := runAtRoot(bin, "-q", "internal/itc02/testdata/p34392.soc")
-	if code := exitCode(t, err); code != 0 {
+	code, out := soclint(t, "-q", "internal/itc02/testdata/p34392.soc")
+	if code != 0 {
 		t.Fatalf("exit %d, want 0\n%s", code, out)
 	}
-	if strings.Contains(string(out), "SOC011") {
+	if strings.Contains(out, "SOC011") {
 		t.Errorf("-q leaked an info diagnostic:\n%s", out)
 	}
 }
@@ -244,10 +195,9 @@ func TestQuietSuppressesInfo(t *testing.T) {
 // for each, bit-identically across repeated runs (the manifest carries the
 // checked/proved counts and total solver conflicts).
 func TestCECProvesAllFixtures(t *testing.T) {
-	bin := buildBinary(t)
-	run := func() []byte {
+	run := func() string {
 		t.Helper()
-		out, err := runAtRoot(bin, "-json", "-cec",
+		code, out := soclint(t, "-json", "-cec",
 			"internal/netlist/testdata/c17.bench",
 			"internal/netlist/testdata/deepchain.bench",
 			"internal/netlist/testdata/edges.bench",
@@ -256,20 +206,19 @@ func TestCECProvesAllFixtures(t *testing.T) {
 			"internal/netlist/testdata/seq4.bench",
 			"internal/netlist/testdata/widefan.bench",
 			"cmd/soclint/testdata/clean/good.bench")
-		if code := exitCode(t, err); code != 0 {
+		if code != 0 {
 			t.Fatalf("exit %d, want 0\n%s", code, out)
 		}
 		return out
 	}
-	out := run()
-	s := string(out)
+	s := run()
 	if strings.Contains(s, "CEC001") {
 		t.Fatalf("a fixture failed equivalence:\n%s", s)
 	}
 	if !strings.Contains(s, `"cec_checked":8,"cec_proved":8,"cec_structural":8`) {
 		t.Errorf("manifest does not report all 8 fixtures proved:\n%s", s)
 	}
-	if again := run(); string(again) != s {
+	if again := run(); again != s {
 		t.Errorf("repeated -cec runs are not byte-identical:\n--- first ---\n%s--- second ---\n%s", s, again)
 	}
 }
@@ -279,14 +228,13 @@ func TestCECProvesAllFixtures(t *testing.T) {
 // warnings (exit stays 0), counted in the manifest, byte-identically
 // across runs.
 func TestSatRulesFindings(t *testing.T) {
-	bin := buildBinary(t)
 	run := func() string {
 		t.Helper()
-		out, err := runAtRoot(bin, "-json", "-sat", "internal/netlist/testdata/redundant.bench")
-		if code := exitCode(t, err); code != 0 {
+		code, out := soclint(t, "-json", "-sat", "internal/netlist/testdata/redundant.bench")
+		if code != 0 {
 			t.Fatalf("exit %d, want 0\n%s", code, out)
 		}
-		return string(out)
+		return out
 	}
 	out := run()
 	if !strings.Contains(out, `"rule":"NL013"`) {
@@ -306,15 +254,81 @@ func TestSatRulesFindings(t *testing.T) {
 // TestSatRulesCleanFixture: a fixture with no redundancy produces no SAT
 // findings and zero counts.
 func TestSatRulesCleanFixture(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := runAtRoot(bin, "-json", "-sat", "internal/netlist/testdata/c17.bench")
-	if code := exitCode(t, err); code != 0 {
+	code, out := soclint(t, "-json", "-sat", "internal/netlist/testdata/c17.bench")
+	if code != 0 {
 		t.Fatalf("exit %d, want 0\n%s", code, out)
 	}
-	if strings.Contains(string(out), "NL013") && !strings.Contains(string(out), `"nl013":0`) {
+	if strings.Contains(out, "NL013") && !strings.Contains(out, `"nl013":0`) {
 		t.Errorf("unexpected NL013 on c17:\n%s", out)
 	}
-	if !strings.Contains(string(out), `"nl013":0,"nl014":0`) {
+	if !strings.Contains(out, `"nl013":0,"nl014":0`) {
 		t.Errorf("manifest should count zero SAT findings on c17:\n%s", out)
+	}
+}
+
+// serve answers a POST of body to path from an in-process srv.
+func serve(t *testing.T, path, body string) []byte {
+	t.Helper()
+	s := srv.New(srv.Config{Workers: 1})
+	defer s.Drain()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// diag is one finding as both soclint -json and /v1/lint report it, less
+// the file name: the request has none of its own.
+type diag struct {
+	Rule     string `json:"rule"`
+	Severity string `json:"severity"`
+	Line     int    `json:"line"`
+	Subject  string `json:"subject"`
+	Msg      string `json:"msg"`
+}
+
+// TestDiagsMatchServedLint holds soclint to socd: on every defect
+// fixture, the lint.diag events of soclint -json are the diags of the
+// /v1/lint response for the same source, in the same order.
+func TestDiagsMatchServedLint(t *testing.T) {
+	fixtures, err := filepath.Glob(filepath.Join(repoRoot, "internal/netlist/testdata/defects/*.bench"))
+	if err != nil || len(fixtures) == 0 {
+		t.Fatalf("no fixtures: %v", err)
+	}
+	fixtures = append(fixtures, filepath.Join(repoRoot, "cmd/soclint/testdata/defects/bad.soc"))
+	for _, path := range fixtures {
+		rel, _ := filepath.Rel(repoRoot, path)
+		_, out := soclint(t, "-json", rel)
+		var cli []diag
+		sc := bufio.NewScanner(strings.NewReader(out))
+		for sc.Scan() {
+			var ev struct {
+				Event string `json:"event"`
+				diag
+			}
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatalf("%s: %v in %q", rel, err, sc.Text())
+			}
+			if ev.Event == "lint.diag" {
+				cli = append(cli, ev.diag)
+			}
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := strings.TrimPrefix(filepath.Ext(path), ".")
+		b, _ := json.Marshal(map[string]string{kind: string(src)})
+		var art struct {
+			Diags []diag `json:"diags"`
+		}
+		if err := json.Unmarshal(serve(t, "/v1/lint", string(b)), &art); err != nil {
+			t.Fatal(err)
+		}
+		if len(cli) == 0 || !reflect.DeepEqual(cli, art.Diags) {
+			t.Errorf("%s: soclint and /v1/lint disagree:\n  soclint:  %+v\n  /v1/lint: %+v", rel, cli, art.Diags)
+		}
 	}
 }

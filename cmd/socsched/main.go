@@ -26,14 +26,15 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/coopt"
 	"repro/internal/itc02"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/runctl"
 )
@@ -44,67 +45,64 @@ const prog = "socsched"
 // 16..64 in steps of 8 (the widths the TAM literature tabulates).
 func sweepWidths() []int { return []int{16, 24, 32, 40, 48, 56, 64} }
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	s := cli.NewSession(prog, stdout, stderr)
 	var (
-		socName = flag.String("soc", "", "schedule one benchmark SOC (default: all ten)")
-		tamW    = flag.Int("tam", 0, "single TAM width: emit the full schedule instead of a sweep")
-		power   = flag.Int64("power", 0, "power budget for concurrently tested cores (0 = unconstrained)")
-		workers = flag.Int("workers", 1, "parallel packings during a sweep")
-		outPath = flag.String("out", "", "write the schedule/frontier JSON artifact to `file` (atomic)")
-		jsonOut = flag.Bool("json", false, "write the run manifest as JSON to stdout instead of the human tables")
+		socName = s.Flags.String("soc", "", "schedule one benchmark SOC (default: all ten)")
+		tamW    = s.Flags.Int("tam", 0, "single TAM width: emit the full schedule instead of a sweep")
+		power   = s.Flags.Int64("power", 0, "power budget for concurrently tested cores (0 = unconstrained)")
+		workers = s.Flags.Int("workers", 1, "parallel packings during a sweep")
+		outPath = s.Flags.String("out", "", "write the schedule/frontier JSON artifact to `file` (atomic)")
 	)
-	var ob cli.Obs
-	ob.Register(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		cli.Errorf(prog, "unexpected arguments %v; see -help", flag.Args())
-		return cli.ExitUsage
+	s.JSONFlag("write the run manifest as JSON to stdout instead of the human tables")
+	if code, ok := s.Parse(args); !ok {
+		return code
+	}
+	if s.Flags.NArg() > 0 {
+		return s.Usagef("unexpected arguments %v; see -help", s.Flags.Args())
 	}
 	if *tamW != 0 && *socName == "" {
-		cli.Errorf(prog, "-tam requires -soc (a single schedule is per-SOC)")
-		return cli.ExitUsage
+		return s.Usagef("-tam requires -soc (a single schedule is per-SOC)")
 	}
 	if *workers < 1 {
-		cli.Errorf(prog, "-workers must be >= 1")
-		return cli.ExitUsage
+		return s.Usagef("-workers must be >= 1")
+	}
+	// A sweep is checked at its widest width, which bounds the others.
+	opts := coopt.Options{TAMWidth: *tamW, PowerBudget: *power}
+	if *tamW == 0 {
+		opts.TAMWidth = slices.Max(sweepWidths())
+	}
+	if err := opts.Validate(); err != nil {
+		return s.Usagef("%v", err)
 	}
 
-	ob.Start(prog)
-	reg := ob.Registry()
-	if *jsonOut && reg == nil {
-		reg = obs.NewRegistry()
+	if code := s.Start(0); code != 0 {
+		return code
 	}
-	man := obs.NewManifest(prog, 0)
+	man := s.Man
 	man.SetOption("soc", *socName)
 	man.SetOption("tam", *tamW)
 	man.SetOption("power", *power)
 	man.SetOption("workers", *workers)
 
-	fail := func(err error) int {
-		cli.Errorf(prog, "%v", err)
-		man.SetResult("error", err.Error())
-		finish(&ob, man, reg, *jsonOut)
-		return cli.ExitRuntime
-	}
-
 	if *tamW != 0 {
-		s, err := itc02.SOCByName(*socName)
+		soc, err := itc02.SOCByName(*socName)
 		if err != nil {
-			return fail(err)
+			return s.Fail(cli.ExitRuntime, err)
 		}
-		sch, err := coopt.Optimize(s, coopt.Options{TAMWidth: *tamW, PowerBudget: *power})
+		sch, err := coopt.Optimize(soc, opts)
 		if err != nil {
-			return fail(err)
+			return s.Fail(cli.ExitRuntime, err)
 		}
 		art, err := sch.Encode()
 		if err != nil {
-			return fail(err)
+			return s.Fail(cli.ExitRuntime, err)
 		}
 		if *outPath != "" {
 			if err := runctl.WriteFileAtomic(*outPath, art); err != nil {
-				return fail(err)
+				return s.Fail(cli.ExitRuntime, err)
 			}
 		}
 		man.SetResult("total_time", sch.TotalTime)
@@ -112,11 +110,10 @@ func run() int {
 		man.SetResult("lb_ratio", sch.LBRatio)
 		man.SetResult("tdv_bits", sch.TDVBits)
 		man.SetResult("utilization", sch.Utilization)
-		if !*jsonOut {
-			printSchedule(sch)
+		if !s.JSON {
+			printSchedule(stdout, sch)
 		}
-		finish(&ob, man, reg, *jsonOut)
-		return 0
+		return s.Finish()
 	}
 
 	names := []string{*socName}
@@ -132,37 +129,36 @@ func run() int {
 	}
 	var all []socFrontier
 	for _, name := range names {
-		s, err := itc02.SOCByName(name)
+		soc, err := itc02.SOCByName(name)
 		if err != nil {
-			return fail(err)
+			return s.Fail(cli.ExitRuntime, err)
 		}
-		points, err := coopt.Sweep(s, sweepWidths(), *workers, *power)
+		points, err := coopt.Sweep(soc, sweepWidths(), *workers, *power)
 		if err != nil {
-			return fail(fmt.Errorf("%s: %w", name, err))
+			return s.Fail(cli.ExitRuntime, fmt.Errorf("%s: %w", name, err))
 		}
 		all = append(all, socFrontier{SOC: name, Frontier: points})
-		if !*jsonOut {
-			printFrontier(name, points)
+		if !s.JSON {
+			printFrontier(stdout, name, points)
 		}
 	}
 	if *outPath != "" {
 		b, err := json.Marshal(all)
 		if err != nil {
-			return fail(err)
+			return s.Fail(cli.ExitRuntime, err)
 		}
 		if err := runctl.WriteFileAtomic(*outPath, append(b, '\n')); err != nil {
-			return fail(err)
+			return s.Fail(cli.ExitRuntime, err)
 		}
 	}
 	man.SetResult("socs", len(all))
 	man.SetResult("widths", len(sweepWidths()))
-	finish(&ob, man, reg, *jsonOut)
-	return 0
+	return s.Finish()
 }
 
 // printSchedule renders the single-width schedule: the placement table and
 // the abort-on-fail ordering comparison.
-func printSchedule(sch *coopt.Schedule) {
+func printSchedule(w io.Writer, sch *coopt.Schedule) {
 	t := report.New(fmt.Sprintf("%s schedule, TAM width %d", sch.SOC, sch.TAMWidth),
 		"Core", "W", "Lines", "Start", "Finish", "IdleBits")
 	for _, p := range sch.Placements {
@@ -170,11 +166,11 @@ func printSchedule(sch *coopt.Schedule) {
 			report.Int(p.Start), report.Int(p.Finish), report.Int(p.IdleBits))
 	}
 	t.AddFooter("total", "", "", "", report.Int(sch.TotalTime), report.Int(sch.WrapperIdleBits))
-	fmt.Println(t.String())
-	fmt.Printf("lower bound %s   ratio %s   TDV %s bits   useful %s   utilization %s\n",
+	fmt.Fprintln(w, t.String())
+	fmt.Fprintf(w, "lower bound %s   ratio %s   TDV %s bits   useful %s   utilization %s\n",
 		report.Int(sch.LowerBound), report.Fixed2(sch.LBRatio),
 		report.Int(sch.TDVBits), report.Int(sch.UsefulBits), pct(sch.Utilization))
-	fmt.Printf("abort-on-fail: packed E=%.1f, optimal E=%.1f (%s better)\n",
+	fmt.Fprintf(w, "abort-on-fail: packed E=%.1f, optimal E=%.1f (%s better)\n",
 		sch.Abort.PackedExpected, sch.Abort.OptimalExpected, pct(sch.Abort.Improvement))
 }
 
@@ -183,7 +179,7 @@ func printSchedule(sch *coopt.Schedule) {
 func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 
 // printFrontier renders one SOC's sweep as the Pareto table.
-func printFrontier(name string, points []coopt.FrontierPoint) {
+func printFrontier(w io.Writer, name string, points []coopt.FrontierPoint) {
 	t := report.New(fmt.Sprintf("%s TAM-width sweep", name),
 		"W", "Time", "LB", "Ratio", "TDV bits", "Util", "Pareto")
 	for _, p := range points {
@@ -194,39 +190,18 @@ func printFrontier(name string, points []coopt.FrontierPoint) {
 		t.AddRow(fmt.Sprint(p.TAMWidth), report.Int(p.TotalTime), report.Int(p.LowerBound),
 			report.Fixed2(p.LBRatio), report.Int(p.TDVBits), pct(p.Utilization), mark)
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 }
 
 // lineRange compacts an ascending line list into "a-b" when contiguous
 // (the common case) and a comma list otherwise.
 func lineRange(lines []int) string {
-	if len(lines) == 0 {
-		return ""
+	if n := len(lines); n > 1 && lines[n-1]-lines[0] == n-1 {
+		return fmt.Sprintf("%d-%d", lines[0], lines[n-1])
 	}
-	contiguous := true
-	for i := 1; i < len(lines); i++ {
-		if lines[i] != lines[i-1]+1 {
-			contiguous = false
-			break
-		}
+	s := make([]string, len(lines))
+	for i, l := range lines {
+		s[i] = fmt.Sprint(l)
 	}
-	if contiguous {
-		if len(lines) == 1 {
-			return fmt.Sprint(lines[0])
-		}
-		return fmt.Sprintf("%d-%d", lines[0], lines[len(lines)-1])
-	}
-	out := fmt.Sprint(lines[0])
-	for _, l := range lines[1:] {
-		out += fmt.Sprintf(",%d", l)
-	}
-	return out
-}
-
-func finish(ob *cli.Obs, man *obs.Manifest, reg *obs.Registry, jsonOut bool) {
-	man.Finish(reg)
-	ob.Stop(man)
-	if jsonOut {
-		cli.Check(prog, man.WriteJSON(os.Stdout))
-	}
+	return strings.Join(s, ",")
 }

@@ -3,87 +3,40 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/srv"
 )
 
-// The exec-level tests share one socsched binary: buildBinary compiles it on
-// first use and TestMain removes it after the last test.
-var (
-	buildOnce sync.Once
-	buildDir  string
-	builtBin  string
-	buildErr  error
-)
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if buildDir != "" {
-		os.RemoveAll(buildDir)
-	}
-	os.Exit(code)
-}
-
-// buildBinary returns the path of the socsched binary, compiling it once per
-// test binary. Exec-level tests need the real process: signal handling,
-// exit codes and flushed output only exist there.
-func buildBinary(t *testing.T) string {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("exec test skipped in -short mode")
-	}
-	buildOnce.Do(func() {
-		if buildDir, buildErr = os.MkdirTemp("", "socsched-test-"); buildErr != nil {
-			return
-		}
-		bin := filepath.Join(buildDir, "socsched")
-		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
-			return
-		}
-		builtBin = bin
-	})
-	if buildErr != nil {
-		t.Fatal(buildErr)
-	}
-	return builtBin
-}
-
-func exitCode(t *testing.T, err error) int {
-	t.Helper()
-	if err == nil {
-		return 0
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("unexpected error kind: %v", err)
-	}
-	return ee.ExitCode()
+// socsched runs the command in-process and returns its exit code, its
+// stdout, and stdout and stderr interleaved as a terminal shows them.
+func socsched(args ...string) (code int, stdout, all string) {
+	var out, both bytes.Buffer
+	code = run(args, io.MultiWriter(&out, &both), &both)
+	return code, out.String(), both.String()
 }
 
 // TestScheduleArtifactDeterministicAcrossWorkersAndRestarts is the
-// acceptance gate at the process level: the sweep artifact must be
+// acceptance gate at the command level: the sweep artifact must be
 // byte-identical for every -workers value, and the single-width schedule
-// byte-identical across fresh process invocations (checkpointless
-// restart — no state carries over).
+// byte-identical across fresh runs (checkpointless restart — no state
+// carries over).
 func TestScheduleArtifactDeterministicAcrossWorkersAndRestarts(t *testing.T) {
-	bin := buildBinary(t)
 	dir := t.TempDir()
 
 	var ref []byte
 	for _, workers := range []string{"1", "2", "4", "8"} {
 		out := filepath.Join(dir, "sweep-"+workers+".json")
-		cmd := exec.Command(bin, "-soc", "g1023", "-workers", workers, "-out", out)
-		if b, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("workers=%s: %v\n%s", workers, err, b)
+		if code, _, b := socsched("-soc", "g1023", "-workers", workers, "-out", out); code != 0 {
+			t.Fatalf("workers=%s: exit %d\n%s", workers, code, b)
 		}
 		b, err := os.ReadFile(out)
 		if err != nil {
@@ -101,9 +54,8 @@ func TestScheduleArtifactDeterministicAcrossWorkersAndRestarts(t *testing.T) {
 	var schedRef []byte
 	for run := 0; run < 2; run++ {
 		out := filepath.Join(dir, fmt.Sprintf("sched-%d.json", run))
-		cmd := exec.Command(bin, "-soc", "d695", "-tam", "32", "-out", out)
-		if b, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("run %d: %v\n%s", run, err, b)
+		if code, _, b := socsched("-soc", "d695", "-tam", "32", "-out", out); code != 0 {
+			t.Fatalf("run %d: exit %d\n%s", run, code, b)
 		}
 		b, err := os.ReadFile(out)
 		if err != nil {
@@ -136,16 +88,15 @@ func TestScheduleArtifactDeterministicAcrossWorkersAndRestarts(t *testing.T) {
 }
 
 func TestManifestJSON(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-soc", "h953", "-tam", "32", "-json").Output()
-	if err != nil {
-		t.Fatalf("%v", err)
+	code, out, all := socsched("-soc", "h953", "-tam", "32", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, all)
 	}
 	var man struct {
 		Tool    string         `json:"tool"`
 		Results map[string]any `json:"results"`
 	}
-	if err := json.Unmarshal(out, &man); err != nil {
+	if err := json.Unmarshal([]byte(out), &man); err != nil {
 		t.Fatalf("manifest not JSON: %v\n%s", err, out)
 	}
 	if man.Tool != "socsched" {
@@ -157,38 +108,88 @@ func TestManifestJSON(t *testing.T) {
 }
 
 func TestUsageErrors(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-tam", "32").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitUsage {
+	if code, _, out := socsched("-tam", "32"); code != cli.ExitUsage {
 		t.Fatalf("-tam without -soc: exit %d, want %d\n%s", code, cli.ExitUsage, out)
 	}
-	out, err = exec.Command(bin, "stray").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitUsage {
+	if code, _, out := socsched("stray"); code != cli.ExitUsage {
 		t.Fatalf("stray arg: exit %d, want %d\n%s", code, cli.ExitUsage, out)
 	}
-	out, err = exec.Command(bin, "-soc", "nope", "-tam", "32").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	code, _, out := socsched("-soc", "nope", "-tam", "32")
+	if code != cli.ExitRuntime {
 		t.Fatalf("unknown soc: exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
-	if !strings.Contains(string(out), "unknown SOC") {
+	if !strings.Contains(out, "unknown SOC") {
 		t.Fatalf("error message lost: %s", out)
+	}
+	// coopt.Options.Validate refuses a width or budget before any packing:
+	// nothing reaches stdout.
+	for _, args := range [][]string{
+		{"-soc", "d695", "-tam", "65"},
+		{"-soc", "d695", "-tam", "-1"},
+		{"-soc", "d695", "-tam", "32", "-power", "-1"},
+		{"-soc", "d695", "-power", "-1"},
+	} {
+		code, stdout, out := socsched(args...)
+		if code != cli.ExitUsage || stdout != "" {
+			t.Errorf("%v: exit %d, want %d with empty stdout\n%s", args, code, cli.ExitUsage, out)
+		}
+		if !strings.Contains(out, "socsched: coopt: ") {
+			t.Errorf("%v: message is not coopt's: %s", args, out)
+		}
 	}
 }
 
 func TestHumanTables(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-soc", "d695").CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+	code, _, out := socsched("-soc", "d695")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, out)
 	}
-	if !strings.Contains(string(out), "d695 TAM-width sweep") {
+	if !strings.Contains(out, "d695 TAM-width sweep") {
 		t.Fatalf("sweep table missing:\n%s", out)
 	}
-	out, err = exec.Command(bin, "-soc", "d695", "-tam", "16").CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+	code, _, out = socsched("-soc", "d695", "-tam", "16")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, out)
 	}
-	if !strings.Contains(string(out), "abort-on-fail") {
+	if !strings.Contains(out, "abort-on-fail") {
 		t.Fatalf("abort ordering missing:\n%s", out)
+	}
+}
+
+// serve answers a POST of body to path from an in-process srv.
+func serve(t *testing.T, path, body string) []byte {
+	t.Helper()
+	s := srv.New(srv.Config{Workers: 1})
+	defer s.Drain()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// TestArtifactMatchesServedSchedule holds socsched -out to socd: the
+// schedule artifact is the /v1/schedule response byte for byte, with and
+// without a power budget.
+func TestArtifactMatchesServedSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		body string
+	}{
+		{[]string{"-soc", "d695", "-tam", "32"}, `{"builtin":"d695","tam":32}`},
+		{[]string{"-soc", "d695", "-tam", "16", "-power", "5000"}, `{"builtin":"d695","tam":16,"power_budget":5000}`},
+	} {
+		out := filepath.Join(t.TempDir(), "s.json")
+		if code, _, all := socsched(append(tc.args, "-out", out)...); code != 0 {
+			t.Fatalf("%v: exit %d\n%s", tc.args, code, all)
+		}
+		art, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served := serve(t, "/v1/schedule", tc.body); !bytes.Equal(art, served) {
+			t.Errorf("%v: artifact differs from /v1/schedule:\n%s\n%s", tc.args, art, served)
+		}
 	}
 }

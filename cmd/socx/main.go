@@ -38,137 +38,119 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro"
+	"repro/internal/atpg"
 	"repro/internal/cli"
 	"repro/internal/lint"
-	"repro/internal/obs"
 	"repro/internal/par"
 )
 
 const prog = "socx"
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command; every return path has already flushed the
 // trace sink and written the manifest.
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	s := cli.NewSession(prog, stdout, stderr)
 	var (
-		live    = flag.Bool("live", false, "run the live ATPG experiment instead of the published profiles")
-		lintPre = flag.Bool("lint", false, "preflight the SOC profiles through the design-rule linter; refuse to run on errors")
-		which   = flag.String("soc", "both", "SOC1, SOC2 or both")
-		scale   = flag.Float64("scale", 1.0, "gate-count scale for the live stand-ins, in (0,1]")
-		seed    = flag.Int64("seed", 1, "interconnect seed for the live flattening")
-		jsonOut = flag.Bool("json", false, "write the run manifest as JSON to stdout instead of the rendered tables")
-		workers = flag.Int("workers", 0, "worker pool bound for per-core ATPG and fault simulation (0 = NumCPU, 1 = serial; results are identical for every value)")
+		live    = s.Flags.Bool("live", false, "run the live ATPG experiment instead of the published profiles")
+		lintPre = s.Flags.Bool("lint", false, "preflight the SOC profiles through the design-rule linter; refuse to run on errors")
+		which   = s.Flags.String("soc", "both", "SOC1, SOC2 or both")
+		scale   = s.Flags.Float64("scale", 1.0, "gate-count scale for the live stand-ins, in (0,1]")
+		seed    = s.Flags.Int64("seed", 1, "interconnect seed for the live flattening")
+		workers = s.Flags.Int("workers", 0, "worker pool bound for per-core ATPG and fault simulation (0 = NumCPU, 1 = serial; results are identical for every value)")
 	)
-	var ob cli.Obs
-	ob.Register(flag.CommandLine)
-	var rf cli.RunFlags
-	rf.Register(flag.CommandLine)
-	flag.Parse()
+	s.JSONFlag("write the run manifest as JSON to stdout instead of the rendered tables")
+	rf := s.RunFlags()
+	if code, ok := s.Parse(args); !ok {
+		return code
+	}
 
 	switch *which {
 	case "SOC1", "SOC2", "both":
 	default:
-		cli.Errorf(prog, "-soc must be SOC1, SOC2 or both, not %q", *which)
-		return cli.ExitUsage
+		return s.Usagef("-soc must be SOC1, SOC2 or both, not %q", *which)
 	}
+	soc1 := *which == "SOC1" || *which == "both"
+	soc2 := *which == "SOC2" || *which == "both"
 	if !(*scale > 0 && *scale <= 1) {
-		cli.Errorf(prog, "-scale must be in (0,1], got %g", *scale)
-		return cli.ExitUsage
+		return s.Usagef("-scale must be in (0,1], got %g", *scale)
 	}
-	if err := rf.Validate(); err != nil {
-		cli.Errorf(prog, "%v", err)
-		return cli.ExitUsage
+	// The live experiment runs ATPG at the default limits; -workers is
+	// the one atpg option the command sets.
+	opts := atpg.DefaultOptions()
+	opts.Workers = *workers
+	if err := opts.Validate(); err != nil {
+		return s.Usagef("-%v", err)
 	}
 
-	col := ob.Start(prog)
-	reg := ob.Registry()
-	if *jsonOut && reg == nil {
-		reg = obs.NewRegistry()
-		col = obs.New(reg, nil)
+	if code := s.Start(*seed); code != 0 {
+		return code
 	}
-	man := obs.NewManifest(prog, *seed)
+	man := s.Man
 	man.SetOption("live", *live)
 	man.SetOption("lint", *lintPre)
 	man.SetOption("soc", *which)
 	man.SetOption("scale", *scale)
 	man.SetOption("workers", par.Workers(*workers))
-	if rf.Timeout > 0 {
-		man.SetOption("timeout", rf.Timeout.String())
-	}
-	if rf.CheckpointPath != "" {
-		man.SetOption("checkpoint", rf.CheckpointPath)
-		man.SetOption("resume", rf.Resume)
-	}
 
 	// Preflight: both modes consume the same SOC profiles, so the linter
 	// gates them identically. Warnings and infos report but never block.
 	if *lintPre {
 		lr := &lint.Report{}
-		if *which == "SOC1" || *which == "both" {
+		if soc1 {
 			lr.Merge(lint.CheckSOC(repro.SOC1()))
 		}
-		if *which == "SOC2" || *which == "both" {
+		if soc2 {
 			lr.Merge(lint.CheckSOC(repro.SOC2()))
 		}
 		lr.Sort()
-		cli.Check(prog, lr.WriteText(os.Stderr))
-		man.SetResult("lint_errors", lr.Count(lint.Error))
-		man.SetResult("lint_warnings", lr.Count(lint.Warning))
-		if lr.HasErrors() {
-			err := fmt.Errorf("SOC profiles failed lint with %d error(s); refusing to run", lr.Count(lint.Error))
-			cli.Errorf(prog, "%v", err)
-			man.SetResult("error", err.Error())
-			finish(&ob, man, reg, *jsonOut)
-			return cli.ExitRuntime
+		if code := s.LintGate("SOC profiles", lr); code != 0 {
+			return code
 		}
 	}
 
 	if !*live {
-		if *which == "SOC1" || *which == "both" {
-			fmt.Println(repro.RenderTable1())
-			fmt.Println(repro.RenderFigure4())
+		if soc1 {
+			fmt.Fprintln(stdout, repro.RenderTable1())
+			fmt.Fprintln(stdout, repro.RenderFigure4())
 			man.SetResult("soc1_tdv_modular", repro.SOC1().TDVModular())
 		}
-		if *which == "SOC2" || *which == "both" {
-			fmt.Println(repro.RenderTable2())
-			fmt.Println(repro.RenderFigure5())
+		if soc2 {
+			fmt.Fprintln(stdout, repro.RenderTable2())
+			fmt.Fprintln(stdout, repro.RenderFigure5())
 			man.SetResult("soc2_tdv_modular", repro.SOC2().TDVModular())
 		}
-		finish(&ob, man, reg, *jsonOut)
-		return 0
+		return s.Finish()
 	}
 
 	ctx, interrupted, stop := rf.Context(context.Background())
 	defer stop()
 
-	opts := repro.LiveOptions{GateScale: *scale, Seed: *seed, Obs: col, Workers: *workers}
-	if cc := rf.Checkpoint(); cc != nil {
-		// The experiment derives one checkpoint file per ATPG stage from
-		// this path, so each stage resumes independently.
-		opts.Checkpoint = cc
-	}
-	run := func(name string, f func(context.Context, repro.LiveOptions) (*repro.LiveResult, error)) int {
-		o := opts
-		if opts.Checkpoint != nil && *which == "both" {
+	// The experiment derives one checkpoint file per ATPG stage from
+	// -checkpoint, so each stage resumes independently.
+	lo := repro.LiveOptions{GateScale: *scale, Seed: *seed, Obs: s.Col(), Workers: *workers, Checkpoint: rf.Checkpoint()}
+	runSOC := func(name string, f func(context.Context, repro.LiveOptions) (*repro.LiveResult, error)) int {
+		o := lo
+		if lo.Checkpoint != nil && *which == "both" {
 			// Distinct SOCs must not share stage checkpoint files.
-			cc := *opts.Checkpoint
+			cc := *lo.Checkpoint
 			cc.Path += "." + name
 			o.Checkpoint = &cc
 		}
 		r, err := f(ctx, o)
 		if err != nil {
-			cli.Errorf(prog, "%s: %v", name, err)
+			s.Errorf("%s: %v", name, err)
 			man.SetResult(name+"_error", err.Error())
 			return cli.ExitCode(err, interrupted())
 		}
-		if !*jsonOut {
-			fmt.Println(repro.RenderLive(r))
+		if !s.JSON {
+			fmt.Fprintln(stdout, repro.RenderLive(r))
 		}
 		man.SetResult(name+"_t_mono", r.TMono)
 		man.SetResult(name+"_max_core_t", r.MaxCoreT)
@@ -176,28 +158,15 @@ func run() int {
 		man.SetResult(name+"_mono_coverage", r.MonoCoverage)
 		return 0
 	}
-	if *which == "SOC1" || *which == "both" {
-		if code := run("SOC1", repro.LiveSOC1Context); code != 0 {
-			finish(&ob, man, reg, *jsonOut)
-			return code
-		}
+	code := 0
+	if soc1 {
+		code = runSOC("SOC1", repro.LiveSOC1Context)
 	}
-	if *which == "SOC2" || *which == "both" {
-		if code := run("SOC2", repro.LiveSOC2Context); code != 0 {
-			finish(&ob, man, reg, *jsonOut)
-			return code
-		}
+	if soc2 && code == 0 {
+		code = runSOC("SOC2", repro.LiveSOC2Context)
 	}
-	finish(&ob, man, reg, *jsonOut)
-	return 0
-}
-
-// finish seals the manifest, emits it as the final trace event, shuts the
-// observability stack down, and prints the manifest to stdout with -json.
-func finish(ob *cli.Obs, man *obs.Manifest, reg *obs.Registry, jsonOut bool) {
-	man.Finish(reg)
-	ob.Stop(man)
-	if jsonOut {
-		cli.Check(prog, man.WriteJSON(os.Stdout))
+	if c := s.Finish(); c != 0 {
+		return c
 	}
+	return code
 }

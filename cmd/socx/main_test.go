@@ -1,85 +1,33 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
+	"io"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/cli"
 )
 
-// The exec-level tests share one socx binary: buildBinary compiles it on
-// first use and TestMain removes it after the last test.
-var (
-	buildOnce sync.Once
-	buildDir  string
-	builtBin  string
-	buildErr  error
-)
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if buildDir != "" {
-		os.RemoveAll(buildDir)
-	}
-	os.Exit(code)
-}
-
-// buildBinary returns the path of the socx binary, compiling it once per
-// test binary. Exec-level tests need the real process: signal handling,
-// exit codes and flushed output only exist there.
-func buildBinary(t *testing.T) string {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("exec test skipped in -short mode")
-	}
-	buildOnce.Do(func() {
-		if buildDir, buildErr = os.MkdirTemp("", "socx-test-"); buildErr != nil {
-			return
-		}
-		bin := filepath.Join(buildDir, "socx")
-		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
-			return
-		}
-		builtBin = bin
-	})
-	if buildErr != nil {
-		t.Fatal(buildErr)
-	}
-	return builtBin
-}
-
-func exitCode(t *testing.T, err error) int {
-	t.Helper()
-	if err == nil {
-		return 0
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("unexpected error kind: %v", err)
-	}
-	return ee.ExitCode()
+// socx runs the command in-process and returns its exit code, its
+// stdout, and stdout and stderr interleaved as a terminal shows them.
+func socx(args ...string) (code int, stdout, all string) {
+	var out, both bytes.Buffer
+	code = run(args, io.MultiWriter(&out, &both), &both)
+	return code, out.String(), both.String()
 }
 
 // TestLintPreflightPasses: the committed SOC1/SOC2 profiles must clear
 // the linter, so -lint changes nothing about a default run except the
 // manifest's lint counters.
 func TestLintPreflightPasses(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-lint", "-json").Output()
-	if code := exitCode(t, err); code != 0 {
-		t.Fatalf("exit %d, want 0", code)
+	code, s, all := socx("-lint", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\n%s", code, all)
 	}
 	// Profile mode prints the rendered tables before the manifest; the
 	// manifest is the trailing JSON object.
-	s := string(out)
 	start := strings.Index(s, "\n{")
 	if start < 0 {
 		t.Fatalf("no manifest in output:\n%s", s)
@@ -103,7 +51,6 @@ func TestLintPreflightPasses(t *testing.T) {
 // not use as given: an unknown SOC, a -scale outside (0,1], a negative
 // -checkpoint-every.
 func TestUsageBadSOC(t *testing.T) {
-	bin := buildBinary(t)
 	for _, tc := range []struct {
 		args []string
 		want string // what the usage message must name
@@ -112,13 +59,19 @@ func TestUsageBadSOC(t *testing.T) {
 		{[]string{"-live", "-soc", "SOC1", "-scale", "7"}, "-scale"},
 		{[]string{"-live", "-soc", "SOC1", "-scale", "0"}, "-scale"},
 		{[]string{"-live", "-soc", "SOC1", "-checkpoint-every", "-1"}, "-checkpoint-every"},
+		{[]string{"-live", "-soc", "SOC1", "-workers", "-3"}, "-workers must be >= 0"},
+		{[]string{"-live", "-soc", "SOC1", "-workers", "65"}, "-workers must be <= 64"},
 	} {
-		out, err := exec.Command(bin, tc.args...).CombinedOutput()
-		if code := exitCode(t, err); code != cli.ExitUsage {
+		// The refusal comes before any work: nothing reaches stdout.
+		code, stdout, out := socx(tc.args...)
+		if code != cli.ExitUsage {
 			t.Errorf("%v: exit %d, want %d\n%s", tc.args, code, cli.ExitUsage, out)
 		}
-		if !strings.Contains(string(out), tc.want) {
+		if !strings.Contains(out, tc.want) {
 			t.Errorf("%v: usage message does not name %s:\n%s", tc.args, tc.want, out)
+		}
+		if stdout != "" {
+			t.Errorf("%v: refused run wrote to stdout:\n%s", tc.args, stdout)
 		}
 	}
 }
@@ -127,13 +80,12 @@ func TestUsageBadSOC(t *testing.T) {
 // names every ATPG phase span, setup and final accounting included, so
 // the phase timers account for the whole of atpg.generate.
 func TestLiveMetricsListATPGSpans(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-live", "-soc", "SOC1", "-metrics").CombinedOutput()
-	if code := exitCode(t, err); code != 0 {
+	code, _, out := socx("-live", "-soc", "SOC1", "-metrics")
+	if code != 0 {
 		t.Fatalf("exit %d, want 0\n%s", code, out)
 	}
 	timers := map[string]bool{}
-	for _, line := range strings.Split(string(out), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		if f := strings.Fields(line); len(f) >= 2 && f[0] == "timer" {
 			timers[f[1]] = true
 		}

@@ -22,7 +22,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -31,107 +30,94 @@ import (
 	"repro/internal/core"
 	"repro/internal/itc02"
 	"repro/internal/lint"
-	"repro/internal/obs"
 	"repro/internal/report"
 )
 
 const prog = "tdvcalc"
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
 // run is the whole command; every return path has already flushed the
 // trace sink and written the manifest.
-func run() int {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	s := cli.NewSession(prog, stdout, stderr)
 	var (
-		file    = flag.String("f", "", "SOC description file (- for stdin)")
-		builtin = flag.String("builtin", "", "built-in ITC'02 SOC name (e.g. p34392)")
-		tmono   = flag.Int("tmono", -1, "override the monolithic pattern count")
-		example = flag.Bool("example", false, "print an example SOC description and exit")
-		lintPre = flag.Bool("lint", false, "preflight the SOC through the design-rule linter; refuse to run on errors")
-		jsonOut = flag.Bool("json", false, "write the run manifest as JSON to stdout instead of the human report")
+		file    = s.Flags.String("f", "", "SOC description file (- for stdin)")
+		builtin = s.Flags.String("builtin", "", "built-in ITC'02 SOC name (e.g. p34392)")
+		tmono   = s.Flags.Int("tmono", -1, "override the monolithic pattern count")
+		example = s.Flags.Bool("example", false, "print an example SOC description and exit")
+		lintPre = s.Flags.Bool("lint", false, "preflight the SOC through the design-rule linter; refuse to run on errors")
 	)
-	var ob cli.Obs
-	ob.Register(flag.CommandLine)
-	flag.Parse()
+	s.JSONFlag("write the run manifest as JSON to stdout instead of the human report")
+	if code, ok := s.Parse(args); !ok {
+		return code
+	}
 
 	if *example {
-		fmt.Print(itc02.SOCString(itc02.P34392()))
+		fmt.Fprint(stdout, itc02.SOCString(itc02.P34392()))
 		return 0
 	}
 	if *file == "" && *builtin == "" {
-		cli.Errorf(prog, "need -f <file> or -builtin <name>; see -help")
-		return cli.ExitUsage
+		return s.Usagef("need -f <file> or -builtin <name>; see -help")
 	}
 
-	ob.Start(prog)
-	reg := ob.Registry()
-	if *jsonOut && reg == nil {
-		// The manifest embeds a metrics snapshot, so -json alone still
-		// collects metrics (but no trace, no profile).
-		reg = obs.NewRegistry()
+	if code := s.Start(0); code != 0 {
+		return code
 	}
-
-	man := obs.NewManifest(prog, 0)
+	man := s.Man
 	man.SetOption("lint", *lintPre)
 	if *tmono >= 0 {
 		man.SetOption("tmono", *tmono)
-	}
-
-	fail := func(code int, err error) int {
-		cli.Errorf(prog, "%v", err)
-		man.SetResult("error", err.Error())
-		finish(&ob, man, reg, *jsonOut)
-		return code
 	}
 
 	// A profile from -f is read once, from the file or from stdin, and the
 	// linter and the parser see the same bytes: lint first, so a broken
 	// input reports every finding, not the parser's first error.
 	var (
-		s   *core.SOC
+		soc *core.SOC
 		src []byte
 		err error
 	)
 	name := *builtin
 	switch {
 	case *builtin != "":
-		s, err = itc02.SOCByName(*builtin)
+		soc, err = itc02.SOCByName(*builtin)
 	case *file == "-":
 		name = "stdin"
-		src, err = io.ReadAll(os.Stdin)
+		src, err = io.ReadAll(stdin)
 	default:
 		name = *file
 		src, err = os.ReadFile(*file)
 	}
 	man.SetOption("soc", name)
 	if err != nil {
-		return fail(cli.ExitRuntime, err)
+		return s.Fail(cli.ExitRuntime, err)
 	}
 	if *builtin == "" {
 		if *lintPre {
-			if code, err := lintGate(man, name, lint.CheckSOCSource(name, string(src))); code != 0 {
-				return fail(code, err)
+			if code := s.LintGate(name, lint.CheckSOCSource(name, string(src))); code != 0 {
+				return code
 			}
 		}
-		if s, err = itc02.ParseSOC(bytes.NewReader(src)); err != nil {
-			return fail(cli.ExitRuntime, err)
+		if soc, err = itc02.ParseSOC(bytes.NewReader(src)); err != nil {
+			return s.Fail(cli.ExitRuntime, err)
 		}
 	}
 	if *tmono >= 0 {
-		s.TMono = *tmono
+		soc.TMono = *tmono
 	}
 	// A builtin has no source: the bookkeeping and TDV-precondition rules
 	// still apply to the profile, tmono override included.
 	if *lintPre && *builtin != "" {
-		if code, err := lintGate(man, name, lint.CheckSOC(s)); code != 0 {
-			return fail(code, err)
+		if code := s.LintGate(name, lint.CheckSOC(soc)); code != 0 {
+			return code
 		}
 	}
-	if err := s.Validate(); err != nil {
-		return fail(cli.ExitRuntime, err)
+	if err := soc.Validate(); err != nil {
+		return s.Fail(cli.ExitRuntime, err)
 	}
 
-	r := s.Analyze()
+	r := soc.Analyze()
 	man.SetResult("modules", r.NumModules)
 	man.SetResult("cores", r.NumCores)
 	man.SetResult("t_max", r.TMax)
@@ -147,56 +133,31 @@ func run() int {
 		man.SetResult("pessimism_factor", r.PessimismFactor)
 	}
 
-	if !*jsonOut {
+	if !s.JSON {
 		t := report.New("Per-module test data volume (Eq. 4/5)",
 			"Module", "I", "O", "B", "S", "T", "ISOCOST", "TDV")
-		for _, m := range s.Modules() {
+		for _, m := range soc.Modules() {
 			t.AddRow(m.Name,
 				fmt.Sprint(m.Inputs), fmt.Sprint(m.Outputs), fmt.Sprint(m.Bidirs),
 				fmt.Sprint(m.ScanCells), fmt.Sprint(m.Patterns),
 				report.Int(m.ISOCost()), report.Int(m.ModularTDV()))
 		}
 		t.AddFooter("SOC (modular)", "", "", "", "", "", "", report.Int(r.TDVModular))
-		fmt.Println(t.String())
+		fmt.Fprintln(stdout, t.String())
 
-		fmt.Printf("modules: %d (%d cores + top)    T_max: %d    norm stdev of T: %.2f\n",
+		fmt.Fprintf(stdout, "modules: %d (%d cores + top)    T_max: %d    norm stdev of T: %.2f\n",
 			r.NumModules, r.NumCores, r.TMax, r.NormStdev)
-		fmt.Printf("TDV_mono_opt (Eq. 3):  %s\n", report.Int(r.TDVMonoOpt))
+		fmt.Fprintf(stdout, "TDV_mono_opt (Eq. 3):  %s\n", report.Int(r.TDVMonoOpt))
 		if r.TDVMonoAct > 0 {
-			fmt.Printf("TDV_mono (Eq. 1):      %s  (T_mono = %d)\n", report.Int(r.TDVMonoAct), r.TMono)
+			fmt.Fprintf(stdout, "TDV_mono (Eq. 1):      %s  (T_mono = %d)\n", report.Int(r.TDVMonoAct), r.TMono)
 		}
-		fmt.Printf("TDV_penalty (Eq. 7):   %s (%s of mono_opt)\n", report.Int(r.Penalty), report.Pct(r.PenaltyPctVsOpt))
-		fmt.Printf("TDV_benefit (Eq. 8):   %s (%s of mono_opt)\n", report.Int(r.Benefit), report.Pct(-r.BenefitPctVsOpt))
-		fmt.Printf("modular vs mono_opt:   %s\n", report.Pct(r.ReductionVsOpt))
+		fmt.Fprintf(stdout, "TDV_penalty (Eq. 7):   %s (%s of mono_opt)\n", report.Int(r.Penalty), report.Pct(r.PenaltyPctVsOpt))
+		fmt.Fprintf(stdout, "TDV_benefit (Eq. 8):   %s (%s of mono_opt)\n", report.Int(r.Benefit), report.Pct(-r.BenefitPctVsOpt))
+		fmt.Fprintf(stdout, "modular vs mono_opt:   %s\n", report.Pct(r.ReductionVsOpt))
 		if r.RatioVsActual > 0 {
-			fmt.Printf("reduction ratio:       %s (pessimistic %s, pessimism factor %.1fx)\n",
+			fmt.Fprintf(stdout, "reduction ratio:       %s (pessimistic %s, pessimism factor %.1fx)\n",
 				report.Ratio(r.RatioVsActual), report.Ratio(r.RatioVsOpt), r.PessimismFactor)
 		}
 	}
-	finish(&ob, man, reg, *jsonOut)
-	return 0
-}
-
-// lintGate prints the preflight report to stderr, records the counts on
-// the manifest, and returns the exit code the findings demand: 0 to
-// proceed (warnings and infos never block), ExitRuntime with the refusal
-// on errors.
-func lintGate(man *obs.Manifest, name string, lr *lint.Report) (int, error) {
-	cli.Check(prog, lr.WriteText(os.Stderr))
-	man.SetResult("lint_errors", lr.Count(lint.Error))
-	man.SetResult("lint_warnings", lr.Count(lint.Warning))
-	if lr.HasErrors() {
-		return cli.ExitRuntime, fmt.Errorf("%s failed lint with %d error(s); refusing to run", name, lr.Count(lint.Error))
-	}
-	return 0, nil
-}
-
-// finish seals the manifest, emits it as the final trace event, shuts the
-// observability stack down, and prints the manifest to stdout with -json.
-func finish(ob *cli.Obs, man *obs.Manifest, reg *obs.Registry, jsonOut bool) {
-	man.Finish(reg)
-	ob.Stop(man)
-	if jsonOut {
-		cli.Check(prog, man.WriteJSON(os.Stdout))
-	}
+	return s.Finish()
 }

@@ -1,86 +1,40 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/srv"
 )
 
-// The exec-level tests share one tdvcalc binary: buildBinary compiles it on
-// first use and TestMain removes it after the last test.
-var (
-	buildOnce sync.Once
-	buildDir  string
-	builtBin  string
-	buildErr  error
-)
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if buildDir != "" {
-		os.RemoveAll(buildDir)
-	}
-	os.Exit(code)
-}
-
-// buildBinary returns the path of the tdvcalc binary, compiling it once per
-// test binary. Exec-level tests need the real process: signal handling,
-// exit codes and flushed output only exist there.
-func buildBinary(t *testing.T) string {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("exec test skipped in -short mode")
-	}
-	buildOnce.Do(func() {
-		if buildDir, buildErr = os.MkdirTemp("", "tdvcalc-test-"); buildErr != nil {
-			return
-		}
-		bin := filepath.Join(buildDir, "tdvcalc")
-		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
-			return
-		}
-		builtBin = bin
-	})
-	if buildErr != nil {
-		t.Fatal(buildErr)
-	}
-	return builtBin
-}
-
-func exitCode(t *testing.T, err error) int {
-	t.Helper()
-	if err == nil {
-		return 0
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("unexpected error kind: %v", err)
-	}
-	return ee.ExitCode()
+// tdvcalc runs the command in-process on stdin and returns its exit code,
+// its stdout, and stdout and stderr interleaved as a terminal shows them.
+func tdvcalc(stdin string, args ...string) (code int, stdout, all string) {
+	var out, both bytes.Buffer
+	code = run(args, strings.NewReader(stdin), io.MultiWriter(&out, &both), &both)
+	return code, out.String(), both.String()
 }
 
 // TestJSONManifest checks -json replaces the human report with a run
 // manifest carrying the TDV results.
 func TestJSONManifest(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-builtin", "p34392", "-json").Output()
-	if err != nil {
-		t.Fatalf("tdvcalc -json: %v", err)
+	code, out, all := tdvcalc("", "-builtin", "p34392", "-json")
+	if code != 0 {
+		t.Fatalf("tdvcalc -json: exit %d\n%s", code, all)
 	}
 	var man struct {
 		Tool    string         `json:"tool"`
 		Results map[string]any `json:"results"`
 	}
-	if err := json.Unmarshal(out, &man); err != nil {
+	if err := json.Unmarshal([]byte(out), &man); err != nil {
 		t.Fatalf("stdout is not a JSON manifest: %v\n%s", err, out)
 	}
 	if man.Tool != "tdvcalc" {
@@ -96,16 +50,15 @@ func TestJSONManifest(t *testing.T) {
 // TestLintRefusesBrokenSOC checks -lint preflights the source and blocks
 // the run on errors with exit 1.
 func TestLintRefusesBrokenSOC(t *testing.T) {
-	bin := buildBinary(t)
 	path := filepath.Join(t.TempDir(), "bad.soc")
 	if err := os.WriteFile(path, []byte("soc broken\nmodule\n"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(bin, "-f", path, "-lint").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	code, _, out := tdvcalc("", "-f", path, "-lint")
+	if code != cli.ExitRuntime {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
-	if !strings.Contains(string(out), "refusing to run") {
+	if !strings.Contains(out, "refusing to run") {
 		t.Errorf("missing refusal message:\n%s", out)
 	}
 }
@@ -113,12 +66,11 @@ func TestLintRefusesBrokenSOC(t *testing.T) {
 // TestLintPassesBuiltin checks a clean builtin passes the -lint gate and
 // still produces the report.
 func TestLintPassesBuiltin(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-builtin", "d695", "-lint").Output()
-	if err != nil {
-		t.Fatalf("tdvcalc -lint: %v", err)
+	code, out, all := tdvcalc("", "-builtin", "d695", "-lint")
+	if code != 0 {
+		t.Fatalf("tdvcalc -lint: exit %d\n%s", code, all)
 	}
-	if !strings.Contains(string(out), "TDV_mono_opt") {
+	if !strings.Contains(out, "TDV_mono_opt") {
 		t.Errorf("report missing after lint gate:\n%s", out)
 	}
 }
@@ -126,10 +78,9 @@ func TestLintPassesBuiltin(t *testing.T) {
 // TestTraceFlushed checks -trace writes a JSONL trace ending in the
 // manifest event, even for this computation-light command.
 func TestTraceFlushed(t *testing.T) {
-	bin := buildBinary(t)
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
-	if out, err := exec.Command(bin, "-builtin", "d695", "-trace", trace).CombinedOutput(); err != nil {
-		t.Fatalf("tdvcalc -trace: %v\n%s", err, out)
+	if code, _, out := tdvcalc("", "-builtin", "d695", "-trace", trace); code != 0 {
+		t.Fatalf("tdvcalc -trace: exit %d\n%s", code, out)
 	}
 	data, err := os.ReadFile(trace)
 	if err != nil {
@@ -143,25 +94,20 @@ func TestTraceFlushed(t *testing.T) {
 // TestUsage checks the no-input usage error and that -example still works
 // without any input flags.
 func TestUsage(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin).CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitUsage {
+	if code, _, out := tdvcalc(""); code != cli.ExitUsage {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitUsage, out)
 	}
-	ex, err := exec.Command(bin, "-example").Output()
-	if err != nil || !strings.Contains(string(ex), "soc ") {
-		t.Fatalf("-example: %v\n%s", err, ex)
+	code, ex, all := tdvcalc("", "-example")
+	if code != 0 || !strings.Contains(ex, "soc ") {
+		t.Fatalf("-example: exit %d\n%s", code, all)
 	}
 }
 
 // TestLintStdinReportsEveryFinding checks -lint -f - lints the stdin bytes
 // as source: both defects are reported, not just the parser's first.
 func TestLintStdinReportsEveryFinding(t *testing.T) {
-	bin := buildBinary(t)
-	cmd := exec.Command(bin, "-lint", "-f", "-")
-	cmd.Stdin = strings.NewReader("soc two\nmodule A t nope\nmodule A t 1\ntop A\n")
-	out, err := cmd.CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	code, _, out := tdvcalc("soc two\nmodule A t nope\nmodule A t 1\ntop A\n", "-lint", "-f", "-")
+	if code != cli.ExitRuntime {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
 	for _, want := range []string{
@@ -169,7 +115,7 @@ func TestLintStdinReportsEveryFinding(t *testing.T) {
 		`stdin:3: error: SOC002: duplicate module "A" (first defined at line 2)`,
 		"stdin failed lint with 2 error(s); refusing to run",
 	} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
 	}
@@ -178,17 +124,16 @@ func TestLintStdinReportsEveryFinding(t *testing.T) {
 // TestLintRefusesNamelessSOC checks a profile without a 'soc <name>' line
 // is refused at the lint gate, before the parser sees it.
 func TestLintRefusesNamelessSOC(t *testing.T) {
-	bin := buildBinary(t)
 	path := filepath.Join(t.TempDir(), "nameless.soc")
 	if err := os.WriteFile(path, []byte("module A i 1 o 1 t 1\ntop A\n"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(bin, "-f", path, "-lint").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	code, _, out := tdvcalc("", "-f", path, "-lint")
+	if code != cli.ExitRuntime {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
 	for _, want := range []string{"SOC001: missing 'soc <name>' directive", "refusing to run"} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
 	}
@@ -197,12 +142,11 @@ func TestLintRefusesNamelessSOC(t *testing.T) {
 // TestTMonoBelowTMaxRefused checks a T_mono below the largest module
 // pattern count (Eq. 2's precondition) is a runtime error, not a panic.
 func TestTMonoBelowTMaxRefused(t *testing.T) {
-	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-builtin", "d695", "-tmono", "1").CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	code, _, out := tdvcalc("", "-builtin", "d695", "-tmono", "1")
+	if code != cli.ExitRuntime {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
-	if !strings.Contains(string(out), "violating Eq. 2") || strings.Contains(string(out), "panic") {
+	if !strings.Contains(out, "violating Eq. 2") || strings.Contains(out, "panic") {
 		t.Errorf("want the Eq. 2 refusal, not a panic:\n%s", out)
 	}
 }
@@ -211,17 +155,85 @@ func TestTMonoBelowTMaxRefused(t *testing.T) {
 // (one core at S = 2·10⁹, T = 3·10⁹) is a runtime error naming the module
 // and the equation, not a wrapped, negative volume.
 func TestOverflowRefused(t *testing.T) {
-	bin := buildBinary(t)
 	path := filepath.Join(t.TempDir(), "big.soc")
 	src := "soc big\nmodule Top t 1 children A\nmodule A s 2000000000 t 3000000000\ntop Top\n"
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(bin, "-f", path).CombinedOutput()
-	if code := exitCode(t, err); code != cli.ExitRuntime {
+	code, _, out := tdvcalc("", "-f", path)
+	if code != cli.ExitRuntime {
 		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
 	}
-	if want := "module A: Eq. 4 TDV_modular overflows int64"; !strings.Contains(string(out), want) {
+	if want := "module A: Eq. 4 TDV_modular overflows int64"; !strings.Contains(out, want) {
 		t.Errorf("want %q:\n%s", want, out)
 	}
+}
+
+// serve answers a POST of body to path from an in-process srv.
+func serve(t *testing.T, path, body string) []byte {
+	t.Helper()
+	s := srv.New(srv.Config{Workers: 1})
+	defer s.Drain()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// inlineSOC is a small profile with a measured T_mono, so the Eq. 1
+// results (tdv_mono_act and the ratios) are compared too.
+const inlineSOC = "soc tiny\ntmono 60\nmodule Top i 4 o 4 t 10 children A,B\nmodule A i 2 o 2 s 20 t 30\nmodule B i 3 o 1 s 10 t 25\ntop Top\n"
+
+// TestResultsMatchServedTDV holds tdvcalc -json to socd: every manifest
+// result equals the /v1/tdv report field of the same quantity. The two
+// name them differently (snake_case against the Go field names of
+// core.Report); the table below is the mapping.
+func TestResultsMatchServedTDV(t *testing.T) {
+	field := map[string]string{
+		"modules": "NumModules", "cores": "NumCores", "t_max": "TMax",
+		"norm_stdev": "NormStdev", "tdv_modular": "TDVModular",
+		"tdv_mono_opt": "TDVMonoOpt", "penalty": "Penalty", "benefit": "Benefit",
+		"reduction_vs_opt": "ReductionVsOpt", "tdv_mono_act": "TDVMonoAct",
+		"ratio_vs_actual": "RatioVsActual", "pessimism_factor": "PessimismFactor",
+	}
+	for _, tc := range []struct {
+		args        []string
+		stdin, body string
+	}{
+		{args: []string{"-builtin", "d695"}, body: `{"builtin":"d695"}`},
+		{args: []string{"-builtin", "p34392"}, body: `{"builtin":"p34392"}`},
+		{args: []string{"-f", "-"}, stdin: inlineSOC, body: `{"soc":` + quote(inlineSOC) + `}`},
+	} {
+		code, out, all := tdvcalc(tc.stdin, append(tc.args, "-json")...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", tc.args, code, all)
+		}
+		var man struct {
+			Results map[string]any `json:"results"`
+		}
+		var rep map[string]any
+		if err := json.Unmarshal([]byte(out), &man); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(serve(t, "/v1/tdv", tc.body), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if len(man.Results) < 9 {
+			t.Fatalf("%v: only %d results: %v", tc.args, len(man.Results), man.Results)
+		}
+		for key, v := range man.Results {
+			if f, ok := field[key]; !ok {
+				t.Errorf("%v: result %q has no /v1/tdv counterpart", tc.args, key)
+			} else if rep[f] != v {
+				t.Errorf("%v: %s = %v, /v1/tdv %s = %v", tc.args, key, v, f, rep[f])
+			}
+		}
+	}
+}
+
+func quote(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
 }

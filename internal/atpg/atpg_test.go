@@ -385,3 +385,24 @@ func TestMultiPassConvertsAborts(t *testing.T) {
 		t.Error("accounting hole after escalation")
 	}
 }
+
+// TestOptionsValidate pins the bounds every caller shares: each bound
+// passes, one step past it is refused with the option's name first.
+func TestOptionsValidate(t *testing.T) {
+	edge := Options{BacktrackLimit: 1, RandomPatterns: MaxRandomPatterns, Workers: MaxWorkers}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("bounds refused: %v", err)
+	}
+	for want, o := range map[string]Options{
+		"backtrack must be >= 1, got 0":        {},
+		"random must be <= 65536, got 65537":   {BacktrackLimit: 1, RandomPatterns: MaxRandomPatterns + 1},
+		"passes must be >= 0, got -2":          {BacktrackLimit: 1, Passes: -2},
+		"workers must be >= 0, got -3":         {BacktrackLimit: 1, Workers: -3},
+		"workers must be <= 64, got 65":        {BacktrackLimit: 1, Workers: MaxWorkers + 1},
+		"dynamic_targets must be >= 0, got -1": {BacktrackLimit: 1, DynamicTargets: -1},
+	} {
+		if err := o.Validate(); err == nil || err.Error() != want {
+			t.Errorf("%+v: Validate() = %v, want %q", o, err, want)
+		}
+	}
+}

@@ -78,6 +78,42 @@ func DefaultOptions() Options {
 	}
 }
 
+// The largest random budget and worker count a run may ask for. The
+// random phase allocates one pattern per budgeted draw and each worker
+// its own evaluator, so an unbounded count lets one request exhaust a
+// shared process's memory.
+const (
+	MaxRandomPatterns = 1 << 16
+	MaxWorkers        = 64
+)
+
+// Validate refuses options no run should start with: a negative count,
+// a backtrack limit below 1, or a random budget or worker count past
+// MaxRandomPatterns or MaxWorkers. The message begins with the option's
+// flag and wire name (backtrack, random, dynamic_targets, passes,
+// workers), so a command can prefix "-" and the server "options.".
+func (o Options) Validate() error {
+	for _, c := range []struct {
+		name     string
+		v        int
+		min, max int // max 0 = unbounded
+	}{
+		{"backtrack", o.BacktrackLimit, 1, 0},
+		{"random", o.RandomPatterns, 0, MaxRandomPatterns},
+		{"dynamic_targets", o.DynamicTargets, 0, 0},
+		{"passes", o.Passes, 0, 0},
+		{"workers", o.Workers, 0, MaxWorkers},
+	} {
+		if c.v < c.min {
+			return fmt.Errorf("%s must be >= %d, got %d", c.name, c.min, c.v)
+		}
+		if c.max > 0 && c.v > c.max {
+			return fmt.Errorf("%s must be <= %d, got %d", c.name, c.max, c.v)
+		}
+	}
+	return nil
+}
+
 // Outcome records the generation verdict for one fault.
 type Outcome struct {
 	Fault  faults.Fault

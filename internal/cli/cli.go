@@ -1,22 +1,26 @@
 // Package cli holds the shared command-line conventions of the repro
 // tools: a uniform "prog: message" stderr format with fixed exit codes
 // (2 for usage errors, 1 for runtime failures, 3 for runs stopped by a
-// deadline, 130 for SIGINT), the common observability flag set (-trace,
-// -metrics, -cpuprofile), and the shared resilience flag set (-timeout,
+// deadline, 130 for SIGINT), the shared resilience flag set (-timeout,
 // -checkpoint, -checkpoint-every, -resume) of every experiment-running
-// command. The run deadline is the only wall-clock bound; searches are
-// bounded by deterministic limits, so results never depend on the host.
+// command, and the Session every command runs in. The run deadline is
+// the only wall-clock bound; searches are bounded by deterministic
+// limits, so results never depend on the host.
 package cli
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"time"
 
 	"repro/internal/atpg"
+	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/runctl"
 )
@@ -29,30 +33,18 @@ const (
 	ExitInterrupted = 130 // run stopped by SIGINT/SIGTERM (128+SIGINT), state flushed
 )
 
-// Fatalf prints "prog: message" to stderr and exits with ExitRuntime.
-func Fatalf(prog, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "%s: %s\n", prog, fmt.Sprintf(format, args...))
-	os.Exit(ExitRuntime)
-}
-
-// Usagef prints "prog: message" to stderr and exits with ExitUsage.
-func Usagef(prog, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "%s: %s\n", prog, fmt.Sprintf(format, args...))
-	os.Exit(ExitUsage)
-}
-
-// Check calls Fatalf when err is non-nil.
-func Check(prog string, err error) {
-	if err != nil {
-		Fatalf(prog, "%v", err)
-	}
-}
-
 // Errorf prints "prog: message" to stderr without exiting, for commands
 // structured as run() functions that must flush traces and manifests on
 // every exit path before returning their code.
 func Errorf(prog, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "%s: %s\n", prog, fmt.Sprintf(format, args...))
+}
+
+// Exitf prints "prog: message" to w and returns code, for a command
+// that runs without a Session.
+func Exitf(w io.Writer, prog string, code int, format string, args ...any) int {
+	fmt.Fprintf(w, "%s: %s\n", prog, fmt.Sprintf(format, args...))
+	return code
 }
 
 // ExitCode maps a pipeline error to the command's exit code: 0 for nil,
@@ -71,34 +63,35 @@ func ExitCode(err error, interrupted bool) int {
 	}
 }
 
-// RunFlags is the shared resilience flag set: run deadline, checkpoint
-// location and cadence, and resume.
+// NewFlagSet returns a flag set for prog that reports to stderr and
+// leaves the exit to its caller.
+func NewFlagSet(prog string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// Parse parses args into fs and reports whether the command goes on. When
+// it does not, code is the exit code: 0 after -help, ExitUsage after a bad
+// flag (the flag package has already said why).
+func Parse(fs *flag.FlagSet, args []string) (code int, ok bool) {
+	switch err := fs.Parse(args); {
+	case err == nil:
+		return 0, true
+	case errors.Is(err, flag.ErrHelp):
+		return 0, false
+	default:
+		return ExitUsage, false
+	}
+}
+
+// RunFlags is the shared resilience flag set (-timeout, -checkpoint,
+// -checkpoint-every, -resume); Session.RunFlags registers it.
 type RunFlags struct {
 	Timeout         time.Duration
 	CheckpointPath  string
 	CheckpointEvery int
 	Resume          bool
-}
-
-// Register installs -timeout, -checkpoint, -checkpoint-every and -resume
-// on fs.
-func (r *RunFlags) Register(fs *flag.FlagSet) {
-	fs.DurationVar(&r.Timeout, "timeout", 0, "wall-clock budget for the whole run (e.g. 90s; 0 = none); an exceeded budget stops the run with exit code 3 after flushing partial state")
-	fs.StringVar(&r.CheckpointPath, "checkpoint", "", "periodically save generation state to `file` (atomic replace); interrupted runs keep the last complete checkpoint")
-	fs.IntVar(&r.CheckpointEvery, "checkpoint-every", 0, "targeted faults between checkpoint writes (default 64)")
-	fs.BoolVar(&r.Resume, "resume", false, "with -checkpoint, continue from the checkpoint file when present (bit-for-bit identical results)")
-}
-
-// Validate reports flag errors: a negative -checkpoint-every, or -resume
-// without -checkpoint.
-func (r *RunFlags) Validate() error {
-	if r.CheckpointEvery < 0 {
-		return fmt.Errorf("-checkpoint-every must be >= 0, got %d", r.CheckpointEvery)
-	}
-	if r.Resume && r.CheckpointPath == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
-	return nil
 }
 
 // Checkpoint returns the checkpoint configuration implied by the flags,
@@ -126,100 +119,211 @@ func (r *RunFlags) Context(parent context.Context) (ctx context.Context, interru
 	}
 }
 
-// Obs is the shared observability flag set. Register it on the command's
-// FlagSet, call Start after flag parsing, and defer Stop; Collector
-// returns nil when no observability flag was given, so instrumented
-// libraries stay on their zero-cost path by default.
-type Obs struct {
-	TracePath  string
-	TraceText  bool
-	Metrics    bool
-	CPUProfile string
+// Session is one run of a command. NewSession registers the shared
+// observability flags (-trace, -trace-text, -metrics, -cpuprofile); the
+// command adds its own, calls Parse and Start, and leaves through Finish
+// or Fail, which flush the trace and write the manifest on every path.
+// A session never exits the process: it hands back exit codes.
+type Session struct {
+	Flags        *flag.FlagSet
+	JSON         bool          // -json (JSONFlag): the manifest goes to stdout
+	ManifestPath string        // also write the manifest here (atomic)
+	Instrument   bool          // build the registry even when no flag asks
+	Man          *obs.Manifest // the run manifest, created by Start
 
-	prog      string
-	col       *obs.Collector
+	prog                  string
+	stdout, stderr        io.Writer
+	run                   *RunFlags // the resilience flags (RunFlags), or nil
+	tracePath, cpuProfile string
+	traceText, metrics    bool
+
 	reg       *obs.Registry
+	col       *obs.Collector
 	sink      obs.Sink
 	traceFile *os.File
 	profile   *os.File
 }
 
-// Register installs -trace, -trace-text, -metrics and -cpuprofile on fs.
-func (o *Obs) Register(fs *flag.FlagSet) {
-	fs.StringVar(&o.TracePath, "trace", "", "write a structured JSONL event trace to `file` (- for stderr)")
-	fs.BoolVar(&o.TraceText, "trace-text", false, "with -trace, write human-readable text instead of JSONL")
-	fs.BoolVar(&o.Metrics, "metrics", false, "print end-of-run counters/timers/histograms to stderr")
-	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile to `file`")
+// NewSession starts a run of command prog.
+func NewSession(prog string, stdout, stderr io.Writer) *Session {
+	s := &Session{Flags: NewFlagSet(prog, stderr), prog: prog, stdout: stdout, stderr: stderr}
+	s.Flags.StringVar(&s.tracePath, "trace", "", "write a structured JSONL event trace to `file` (- for stderr)")
+	s.Flags.BoolVar(&s.traceText, "trace-text", false, "with -trace, write human-readable text instead of JSONL")
+	s.Flags.BoolVar(&s.metrics, "metrics", false, "print end-of-run counters/timers/histograms to stderr")
+	s.Flags.StringVar(&s.cpuProfile, "cpuprofile", "", "write a CPU profile to `file`")
+	return s
 }
 
-// Enabled reports whether any observability flag was given.
-func (o *Obs) Enabled() bool {
-	return o.TracePath != "" || o.Metrics || o.CPUProfile != ""
+// JSONFlag registers -json with the command's own usage text.
+func (s *Session) JSONFlag(usage string) { s.Flags.BoolVar(&s.JSON, "json", false, usage) }
+
+// RunFlags registers the resilience flags; Parse validates them and
+// Start records them on the manifest.
+func (s *Session) RunFlags() *RunFlags {
+	r := &RunFlags{}
+	s.Flags.DurationVar(&r.Timeout, "timeout", 0, "wall-clock budget for the whole run (e.g. 90s; 0 = none); an exceeded budget stops the run with exit code 3 after flushing partial state")
+	s.Flags.StringVar(&r.CheckpointPath, "checkpoint", "", "periodically save generation state to `file` (atomic replace); interrupted runs keep the last complete checkpoint")
+	s.Flags.IntVar(&r.CheckpointEvery, "checkpoint-every", 0, "targeted faults between checkpoint writes (default 64)")
+	s.Flags.BoolVar(&r.Resume, "resume", false, "with -checkpoint, continue from the checkpoint file when present (bit-for-bit identical results)")
+	s.run = r
+	return r
 }
 
-// Start opens the trace sink and CPU profile as requested and returns the
-// collector (nil when nothing was requested). Errors are fatal in the
-// uniform CLI style.
-func (o *Obs) Start(prog string) *obs.Collector {
-	o.prog = prog
-	if o.CPUProfile != "" {
+// Parse parses args and checks the resilience flags: a negative
+// -checkpoint-every, or -resume without -checkpoint, is a usage error.
+// When the command must stop, it returns the exit code and false.
+func (s *Session) Parse(args []string) (code int, ok bool) {
+	if code, ok := Parse(s.Flags, args); !ok {
+		return code, false
+	}
+	switch r := s.run; {
+	case r != nil && r.CheckpointEvery < 0:
+		return s.Usagef("-checkpoint-every must be >= 0, got %d", r.CheckpointEvery), false
+	case r != nil && r.Resume && r.CheckpointPath == "":
+		return s.Usagef("-resume requires -checkpoint"), false
+	}
+	return 0, true
+}
+
+// Errorf prints "prog: message" to the session's stderr.
+func (s *Session) Errorf(format string, args ...any) {
+	fmt.Fprintf(s.stderr, "%s: %s\n", s.prog, fmt.Sprintf(format, args...))
+}
+
+// Usagef prints "prog: message" and returns ExitUsage.
+func (s *Session) Usagef(format string, args ...any) int {
+	return Exitf(s.stderr, s.prog, ExitUsage, format, args...)
+}
+
+// Start creates the manifest, opens the CPU profile and trace sink the
+// flags ask for, and builds the metrics registry when anything reads it:
+// an observability flag, -json (the manifest embeds a snapshot) or
+// Instrument. A failure is printed and returned as ExitRuntime with
+// nothing left open; 0 means the run goes on.
+func (s *Session) Start(seed int64) int {
+	s.Man = obs.NewManifest(s.prog, seed)
+	if r := s.run; r != nil && r.Timeout > 0 {
+		s.Man.SetOption("timeout", r.Timeout.String())
+	}
+	if r := s.run; r != nil && r.CheckpointPath != "" {
+		s.Man.SetOption("checkpoint", r.CheckpointPath)
+		s.Man.SetOption("resume", r.Resume)
+	}
+	fail := func(err error) int {
+		s.Errorf("%v", err)
+		s.close()
+		return ExitRuntime
+	}
+	if s.cpuProfile != "" {
 		//lintgo:allow GO004 pprof streams into the handle for the whole run; write-rename cannot wrap a live sink
-		f, err := os.Create(o.CPUProfile)
-		Check(prog, err)
-		Check(prog, pprof.StartCPUProfile(f))
-		o.profile = f
+		f, err := os.Create(s.cpuProfile)
+		if err != nil {
+			return fail(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fail(err)
+		}
+		s.profile = f
 	}
-	if o.TracePath != "" {
-		w := os.Stderr
-		if o.TracePath != "-" {
+	if s.tracePath != "" {
+		w := s.stderr
+		if s.tracePath != "-" {
 			//lintgo:allow GO004 the trace sink streams events as they happen; a torn trace from a crash is itself evidence
-			f, err := os.Create(o.TracePath)
-			Check(prog, err)
-			o.traceFile = f
-			w = f
+			f, err := os.Create(s.tracePath)
+			if err != nil {
+				return fail(err)
+			}
+			s.traceFile, w = f, f
 		}
-		if o.TraceText {
-			o.sink = obs.NewTextSink(w)
-		} else {
-			o.sink = obs.NewJSONLSink(w)
+		s.sink = obs.NewJSONLSink(w)
+		if s.traceText {
+			s.sink = obs.NewTextSink(w)
 		}
 	}
-	if o.Enabled() {
-		o.reg = obs.NewRegistry()
-		o.col = obs.New(o.reg, o.sink)
+	if s.tracePath != "" || s.metrics || s.cpuProfile != "" || s.JSON || s.Instrument {
+		s.reg = obs.NewRegistry()
+		s.col = obs.New(s.reg, s.sink)
 	}
-	return o.col
+	return 0
 }
 
-// Collector returns the collector built by Start (nil when disabled).
-func (o *Obs) Collector() *obs.Collector { return o.col }
-
-// Registry returns the metrics registry built by Start (nil when
-// disabled). Useful for building a manifest.
-func (o *Obs) Registry() *obs.Registry { return o.reg }
-
-// Stop finalizes everything Start opened: emits the manifest as the final
-// trace event when one is given, stops the CPU profile, closes the trace
-// file (failing loudly on a poisoned sink) and prints the metrics dump
-// when -metrics was set.
-func (o *Obs) Stop(manifest *obs.Manifest) {
-	if manifest != nil {
-		manifest.EmitTo(o.col)
-	}
-	if o.profile != nil {
+// close stops the CPU profile and closes the trace, reporting every
+// failure, a poisoned sink included.
+func (s *Session) close() error {
+	var errs []error
+	if s.profile != nil {
 		pprof.StopCPUProfile()
-		Check(o.prog, o.profile.Close())
-		o.profile = nil
+		errs = append(errs, s.profile.Close())
 	}
-	if o.sink != nil {
-		Check(o.prog, o.sink.Err())
-		o.sink = nil
+	if s.sink != nil {
+		errs = append(errs, s.sink.Err())
 	}
-	if o.traceFile != nil {
-		Check(o.prog, o.traceFile.Close())
-		o.traceFile = nil
+	if s.traceFile != nil {
+		errs = append(errs, s.traceFile.Close())
 	}
-	if o.Metrics && o.reg != nil {
-		fmt.Fprint(os.Stderr, o.reg.Snapshot().String())
+	s.profile, s.sink, s.traceFile = nil, nil, nil
+	return errors.Join(errs...)
+}
+
+// Col is the run's collector: nil when nothing reads metrics, so
+// instrumented libraries stay on their zero-cost path by default.
+func (s *Session) Col() *obs.Collector { return s.col }
+
+// Finish seals the manifest, emits it as the final trace event, shuts the
+// observability stack down, prints the metrics with -metrics, and writes
+// the manifest to stdout (-json) and to ManifestPath. It returns 0, or
+// ExitRuntime when any of that fails.
+func (s *Session) Finish() int {
+	s.Man.Finish(s.reg)
+	s.Man.EmitTo(s.col)
+	err := s.close()
+	if s.metrics {
+		fmt.Fprint(s.stderr, s.reg.Snapshot().String())
 	}
+	if s.JSON {
+		err = errors.Join(err, s.Man.WriteJSON(s.stdout))
+	}
+	if s.ManifestPath != "" {
+		var buf bytes.Buffer
+		werr := s.Man.WriteJSON(&buf)
+		if werr == nil {
+			werr = runctl.WriteFileAtomic(s.ManifestPath, buf.Bytes())
+		}
+		err = errors.Join(err, werr)
+	}
+	if err != nil {
+		s.Errorf("%v", err)
+		return ExitRuntime
+	}
+	return 0
+}
+
+// Fail prints err, records it on the manifest and finishes the run. It
+// returns code, or ExitRuntime when finishing fails.
+func (s *Session) Fail(code int, err error) int {
+	s.Errorf("%v", err)
+	s.Man.SetResult("error", err.Error())
+	if c := s.Finish(); c != 0 {
+		return c
+	}
+	return code
+}
+
+// LintGate is the -lint preflight: it prints the report to stderr and
+// adds its error and warning counts to the manifest. It returns 0 to go
+// on (warnings and infos never block) or, when the report has errors,
+// the code of the run Fail ends with the refusal of name.
+func (s *Session) LintGate(name string, lr *lint.Report) int {
+	if err := lr.WriteText(s.stderr); err != nil {
+		return s.Fail(ExitRuntime, err)
+	}
+	for key, n := range map[string]int{"lint_errors": lr.Count(lint.Error), "lint_warnings": lr.Count(lint.Warning)} {
+		prev, _ := s.Man.Results[key].(int)
+		s.Man.SetResult(key, prev+n)
+	}
+	if lr.HasErrors() {
+		return s.Fail(ExitRuntime, fmt.Errorf("%s failed lint with %d error(s); refusing to run", name, lr.Count(lint.Error)))
+	}
+	return 0
 }

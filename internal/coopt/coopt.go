@@ -62,6 +62,20 @@ type Options struct {
 	Precedence [][2]string
 }
 
+// Validate refuses a TAM width outside 1..MaxTAMWidth and a negative
+// power budget. BuildCores and Pack, which every entry point of the
+// package runs, call it, as do the commands and the serving layer before
+// any work starts.
+func (o Options) Validate() error {
+	if o.TAMWidth < 1 || o.TAMWidth > MaxTAMWidth {
+		return fmt.Errorf("coopt: TAM width %d outside 1..%d", o.TAMWidth, MaxTAMWidth)
+	}
+	if o.PowerBudget < 0 {
+		return fmt.Errorf("coopt: power budget must be >= 0, got %d", o.PowerBudget)
+	}
+	return nil
+}
+
 // OptionsHash fingerprints every option that steers the schedule, in the
 // style of atpg.OptionsHash: the serving layer combines it with the
 // canonical SOC text to form the content address, so a changed width or
@@ -115,8 +129,8 @@ func corePower(c Core) int64 { return c.UsefulPerPattern() }
 // The result is ordered by module pre-order, and each staircase is
 // deterministic, so BuildCores is a pure function of the profile.
 func BuildCores(s *core.SOC, maxW int) ([]Core, error) {
-	if maxW < 1 || maxW > MaxTAMWidth {
-		return nil, fmt.Errorf("coopt: TAM width %d outside 1..%d", maxW, MaxTAMWidth)
+	if err := (Options{TAMWidth: maxW}).Validate(); err != nil {
+		return nil, err
 	}
 	var cores []Core
 	for _, m := range s.Modules() {

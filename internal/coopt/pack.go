@@ -70,8 +70,8 @@ type Packing struct {
 // name), line selection prefers lower indices, and no randomness or clock
 // is consulted.
 func Pack(cores []Core, w int, powerBudget int64, precedence [][2]string) (*Packing, error) {
-	if w < 1 || w > MaxTAMWidth {
-		return nil, fmt.Errorf("coopt: TAM width %d outside 1..%d", w, MaxTAMWidth)
+	if err := (Options{TAMWidth: w, PowerBudget: powerBudget}).Validate(); err != nil {
+		return nil, err
 	}
 	byName := make(map[string]int, len(cores))
 	for i, c := range cores {

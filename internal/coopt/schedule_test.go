@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -254,6 +255,22 @@ func TestScheduleArtifactsPinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.want {
 			t.Errorf("%s@%d budget %d: artifact sha256 %s, want %s\n%s",
 				tc.soc, tc.opts.TAMWidth, tc.opts.PowerBudget, got, tc.want, b)
+		}
+	}
+}
+
+// TestOptionsValidate holds the one width and budget check that
+// Optimize, Sweep, BuildCores, Pack, socsched and the serving layer share.
+func TestOptionsValidate(t *testing.T) {
+	s, _ := itc02.SOCByName("d695")
+	for want, o := range map[string]Options{
+		"coopt: TAM width 0 outside 1..64":         {},
+		"coopt: TAM width 65 outside 1..64":        {TAMWidth: MaxTAMWidth + 1},
+		"coopt: power budget must be >= 0, got -1": {TAMWidth: 8, PowerBudget: -1},
+	} {
+		_, serr := Sweep(s, []int{8, o.TAMWidth}, 1, o.PowerBudget)
+		if _, err := Optimize(s, o); err == nil || err.Error() != want || serr == nil || !strings.HasSuffix(serr.Error(), want) {
+			t.Errorf("%+v: Optimize %v, Sweep %v, want %q", o, err, serr, want)
 		}
 	}
 }

@@ -64,6 +64,3 @@ func RuleSeverity(id string) Severity {
 	}
 	return Error
 }
-
-// RuleDoc returns the catalog description for a rule ID, or "".
-func RuleDoc(id string) string { return ruleByID[id].Doc }

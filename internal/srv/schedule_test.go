@@ -116,8 +116,9 @@ func TestScheduleValidation(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1})
 	h := s.Handler()
 	for _, tc := range []struct{ body, wantErr string }{
-		{`{"builtin":"d695"}`, "tam must be"},
-		{`{"builtin":"d695","tam":65}`, "tam must be"},
+		{`{"builtin":"d695"}`, "TAM width 0 outside 1..64"},
+		{`{"builtin":"d695","tam":65}`, "TAM width 65 outside 1..64"},
+		{`{"builtin":"d695","tam":32,"power_budget":-1}`, "coopt: power budget must be"},
 		{`{"tam":32}`, "need soc or builtin"},
 		{`{"builtin":"d695","soc":"x","tam":32}`, "not both"},
 		{`{"builtin":"nope","tam":32}`, "unknown SOC"},

@@ -265,6 +265,7 @@ var invalidRequests = []struct{ path, body string }{
 	{"/v1/tdv", `{"soc":"soc x\ntmono 3\nmodule A t 50\ntop A"}`},
 	// A profile whose TDV arithmetic leaves int64.
 	{"/v1/tdv", overflowSOC},
+	{"/v1/schedule", strings.TrimSuffix(overflowSOC, "}") + `,"tam":8}`},
 	// A power budget below one core's own power: only the scheduler can
 	// tell, so the request is queued and refused when it runs.
 	{"/v1/schedule", `{"builtin":"d695","tam":1,"power_budget":1}`},
@@ -326,13 +327,22 @@ const overflowSOC = `{"soc":"soc big\nmodule Top t 1 children A\nmodule A s 2000
 
 // TestOverflowRefused checks a profile whose TDV arithmetic leaves int64
 // is a 400 naming the module and the equation, not a 200 carrying a
-// wrapped, negative volume.
+// wrapped, negative volume: on /v1/tdv, and on /v1/schedule, whose
+// tdv_bits and abort-on-fail expectation would wrap too.
 func TestOverflowRefused(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1})
-	rec := post(t, s.Handler(), "/v1/tdv", overflowSOC)
-	if want := "module A: Eq. 4 TDV_modular overflows int64"; rec.Code != http.StatusBadRequest ||
-		!strings.Contains(rec.Body.String(), want) {
-		t.Errorf("POST /v1/tdv %q = %d %s, want 400 with %q", overflowSOC, rec.Code, rec.Body, want)
+	s, reg := newTestServer(t, Config{Workers: 1})
+	for path, body := range map[string]string{
+		"/v1/tdv":      overflowSOC,
+		"/v1/schedule": strings.TrimSuffix(overflowSOC, "}") + `,"tam":8}`,
+	} {
+		rec := post(t, s.Handler(), path, body)
+		if want := "module A: Eq. 4 TDV_modular overflows int64"; rec.Code != http.StatusBadRequest ||
+			!strings.Contains(rec.Body.String(), want) {
+			t.Errorf("POST %s %q = %d %s, want 400 with %q", path, body, rec.Code, rec.Body, want)
+		}
+	}
+	if got := reg.Snapshot().Counters["srv.jobs.enqueued"]; got != 0 {
+		t.Errorf("refused requests enqueued %d jobs", got)
 	}
 }
 

@@ -111,18 +111,10 @@ type atpgOptions struct {
 	Workers        int    `json:"workers"`
 }
 
-// The largest random budget and worker count a request may ask for. The
-// random phase allocates one pattern per budgeted draw and each worker
-// its own evaluator, so an unbounded count lets one request exhaust the
-// daemon's memory; above these the request is refused.
-const (
-	maxRandomPatterns = 1 << 16
-	maxJobWorkers     = 64
-)
-
 // buildOptions resolves the wire options onto the experiment defaults. A
-// negative count is an error, not a default: otherwise one search would
-// be stored under two keys.
+// zero count keeps its default; any other count, a negative one
+// included, goes to atpg.Options.Validate, so a bad count is refused and
+// never stored under a default's key.
 func (o *atpgOptions) buildOptions() (atpg.Options, error) {
 	opts := atpg.DefaultOptions()
 	// Jobs default to serial ATPG internals: the pool supplies cross-job
@@ -142,36 +134,31 @@ func (o *atpgOptions) buildOptions() (atpg.Options, error) {
 		opts.Seed = *o.Seed
 	}
 	for _, c := range []struct {
-		name string
-		v    int
-		dst  *int
-		max  int // 0 = unbounded
+		v   int
+		dst *int
 	}{
-		{"random", opts.RandomPatterns, &opts.RandomPatterns, maxRandomPatterns}, // set above
-		{"backtrack", o.Backtrack, &opts.BacktrackLimit, 0},
-		{"dynamic_targets", o.DynamicTargets, &opts.DynamicTargets, 0},
-		{"passes", o.Passes, &opts.Passes, 0},
-		{"workers", o.Workers, &opts.Workers, maxJobWorkers},
+		{o.Backtrack, &opts.BacktrackLimit},
+		{o.DynamicTargets, &opts.DynamicTargets},
+		{o.Passes, &opts.Passes},
+		{o.Workers, &opts.Workers},
 	} {
-		if c.v < 0 {
-			return opts, fmt.Errorf("options.%s must be >= 0, got %d", c.name, c.v)
-		}
-		if c.max > 0 && c.v > c.max {
-			return opts, fmt.Errorf("options.%s must be <= %d, got %d", c.name, c.max, c.v)
-		}
-		if c.v > 0 {
+		if c.v != 0 {
 			*c.dst = c.v
 		}
+	}
+	if err := opts.Validate(); err != nil {
+		return opts, fmt.Errorf("options.%w", err)
 	}
 	return opts, nil
 }
 
 // atpgWork validates an ATPG request and builds its work unit.
 func atpgWork(req *atpgRequest) (work, error) {
-	var (
-		c   *netlist.Circuit
-		err error
-	)
+	opts, err := req.Options.buildOptions()
+	if err != nil {
+		return work{}, err
+	}
+	var c *netlist.Circuit
 	switch {
 	case req.Standin != "" && req.Bench != "":
 		return work{}, fmt.Errorf("give bench or standin, not both")
@@ -186,10 +173,6 @@ func atpgWork(req *atpgRequest) (work, error) {
 	default:
 		return work{}, fmt.Errorf("need bench or standin")
 	}
-	if err != nil {
-		return work{}, err
-	}
-	opts, err := req.Options.buildOptions()
 	if err != nil {
 		return work{}, err
 	}
@@ -233,28 +216,39 @@ type tdvRequest struct {
 
 // resolveSOC loads the SOC profile a tdv or schedule request names: an
 // inline .soc source or a built-in ITC'02 name, exactly one of the two.
-func resolveSOC(src, builtin string) (*core.SOC, error) {
+// A non-nil tmono overrides the profile's T_mono before core.SOC.Validate
+// refuses a profile no equation can be evaluated on.
+func resolveSOC(src, builtin string, tmono *int) (*core.SOC, error) {
+	var (
+		soc *core.SOC
+		err error
+	)
 	switch {
 	case builtin != "" && src != "":
 		return nil, fmt.Errorf("give soc or builtin, not both")
 	case builtin != "":
-		return itc02.SOCByName(builtin)
+		soc, err = itc02.SOCByName(builtin)
 	case src != "":
-		return itc02.ParseSOC(strings.NewReader(src))
+		soc, err = itc02.ParseSOC(strings.NewReader(src))
+	default:
+		return nil, fmt.Errorf("need soc or builtin")
 	}
-	return nil, fmt.Errorf("need soc or builtin")
+	if err != nil {
+		return nil, err
+	}
+	if tmono != nil {
+		soc.TMono = *tmono
+	}
+	if err := soc.Validate(); err != nil {
+		return nil, err
+	}
+	return soc, nil
 }
 
 // tdvWork validates a TDV request and builds its work unit.
 func tdvWork(req *tdvRequest) (work, error) {
-	soc, err := resolveSOC(req.SOC, req.Builtin)
+	soc, err := resolveSOC(req.SOC, req.Builtin, req.TMono)
 	if err != nil {
-		return work{}, err
-	}
-	if req.TMono != nil {
-		soc.TMono = *req.TMono
-	}
-	if err := soc.Validate(); err != nil {
 		return work{}, err
 	}
 	// Canonicalizing after the override folds tmono into the address.
@@ -378,20 +372,17 @@ type scheduleRequest struct {
 // no session_time, so a store filled with v1 bytes misses instead of
 // serving them.
 func scheduleWork(req *scheduleRequest) (work, error) {
-	soc, err := resolveSOC(req.SOC, req.Builtin)
+	soc, err := resolveSOC(req.SOC, req.Builtin, nil)
 	if err != nil {
 		return work{}, err
-	}
-	if req.TAM < 1 || req.TAM > coopt.MaxTAMWidth {
-		return work{}, fmt.Errorf("tam must be 1..%d, got %d", coopt.MaxTAMWidth, req.TAM)
-	}
-	if req.PowerBudget < 0 {
-		return work{}, fmt.Errorf("power_budget must be >= 0, got %d", req.PowerBudget)
 	}
 	opts := coopt.Options{
 		TAMWidth:    req.TAM,
 		PowerBudget: req.PowerBudget,
 		Precedence:  req.Precedence,
+	}
+	if err := opts.Validate(); err != nil {
+		return work{}, err
 	}
 	canon := itc02.SOCString(soc)
 	return work{
