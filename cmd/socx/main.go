@@ -117,13 +117,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if !*live {
 		if soc1 {
-			fmt.Fprintln(stdout, repro.RenderTable1())
-			fmt.Fprintln(stdout, repro.RenderFigure4())
+			if !s.JSON {
+				fmt.Fprintln(stdout, repro.RenderTable1())
+				fmt.Fprintln(stdout, repro.RenderFigure4())
+			}
 			man.SetResult("soc1_tdv_modular", repro.SOC1().TDVModular())
 		}
 		if soc2 {
-			fmt.Fprintln(stdout, repro.RenderTable2())
-			fmt.Fprintln(stdout, repro.RenderFigure5())
+			if !s.JSON {
+				fmt.Fprintln(stdout, repro.RenderTable2())
+				fmt.Fprintln(stdout, repro.RenderFigure5())
+			}
 			man.SetResult("soc2_tdv_modular", repro.SOC2().TDVModular())
 		}
 		return s.Finish()

@@ -26,18 +26,14 @@ func TestLintPreflightPasses(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\n%s", code, all)
 	}
-	// Profile mode prints the rendered tables before the manifest; the
-	// manifest is the trailing JSON object.
-	start := strings.Index(s, "\n{")
-	if start < 0 {
-		t.Fatalf("no manifest in output:\n%s", s)
-	}
+	// -json prints the manifest instead of the tables: stdout is one JSON
+	// object and nothing else.
 	var man struct {
 		Options map[string]any `json:"options"`
 		Results map[string]any `json:"results"`
 	}
-	if err := json.Unmarshal([]byte(s[start+1:]), &man); err != nil {
-		t.Fatalf("manifest not JSON: %v", err)
+	if err := json.Unmarshal([]byte(s), &man); err != nil {
+		t.Fatalf("stdout is not one JSON manifest: %v\n%s", err, s)
 	}
 	if got, ok := man.Options["lint"].(bool); !ok || !got {
 		t.Errorf("manifest options[lint] = %v, want true", man.Options["lint"])

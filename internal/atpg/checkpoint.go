@@ -59,7 +59,7 @@ func (c *CheckpointConfig) every() int {
 // ckptOutcome is one per-fault verdict in serialized form.
 type ckptOutcome struct {
 	Gate   int   `json:"g"`
-	Pin    int   `json:"p"`
+	Pin    int32 `json:"p"`
 	Stuck  uint8 `json:"v"`
 	Status uint8 `json:"s"`
 	// Backtracks records the search effort behind the verdict (v2+).

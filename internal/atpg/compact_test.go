@@ -3,12 +3,14 @@ package atpg
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // The reference implementations below are the compaction steps as they were
@@ -123,6 +125,13 @@ func randomPatterns(r *rand.Rand, n, width int) []logic.Cube {
 	return out
 }
 
+// pruneFresh runs reversePrune on a fresh engine over flist.
+func pruneFresh(c *netlist.Circuit, flist []faults.Fault, patterns []logic.Cube, workers int) ([]logic.Cube, *faultsim.Engine) {
+	e := faultsim.NewEngine(c, flist)
+	e.SetWorkers(workers)
+	return reversePrune(e, patterns), e
+}
+
 // sameRemaining asserts e's remaining faults equal those of a fresh engine
 // that applied only the given patterns.
 func sameRemaining(t *testing.T, label string, c *netlist.Circuit, flist []faults.Fault, e *faultsim.Engine, patterns []logic.Cube) {
@@ -143,6 +152,9 @@ func sameRemaining(t *testing.T, label string, c *netlist.Circuit, flist []fault
 // TestReversePruneMatchesSerial holds the one-Apply pruning against the
 // pattern-at-a-time reference across the 64-pattern word boundaries, on
 // duplicate-heavy sets and on sets where most patterns detect nothing new.
+// It prunes on an instrumented engine that has applied the set and holds
+// a queued cube, as the generation engine it reuses does: the reset must
+// forget both, and the prune must not reach the collector.
 func TestReversePruneMatchesSerial(t *testing.T) {
 	circuits := map[string]*netlist.Circuit{
 		"c17":  mustParse(t, "c17", c17Bench),
@@ -176,7 +188,19 @@ func TestReversePruneMatchesSerial(t *testing.T) {
 				for _, workers := range []int{1, 2} {
 					label := name + "/" + tc.label
 					want := reversePruneSerial(c, tc.flist, tc.patterns, workers)
-					got, e := reversePrune(faultsim.Compile(c), tc.flist, tc.patterns, workers)
+					e := faultsim.NewEngine(c, tc.flist)
+					e.SetWorkers(workers)
+					reg := obs.NewRegistry()
+					e.Instrument(obs.New(reg, nil))
+					e.Apply(tc.patterns)
+					if n > 0 {
+						e.Queue(tc.patterns[0])
+					}
+					before := reg.Snapshot().Counters
+					got := reversePrune(e, tc.patterns)
+					if after := reg.Snapshot().Counters; !reflect.DeepEqual(after, before) {
+						t.Fatalf("%s n=%d workers=%d: the prune moved the counters %v to %v", label, n, workers, before, after)
+					}
 					if !patternsEqual(got, want) {
 						t.Fatalf("%s n=%d workers=%d: kept %d patterns, reference kept %d",
 							label, n, workers, len(got), len(want))
@@ -305,7 +329,7 @@ func TestTopUpMatchesFreshEngine(t *testing.T) {
 		width := len(c.PseudoInputs())
 		for _, n := range []int{0, 1, 8, 70} {
 			r := rand.New(rand.NewSource(int64(n)))
-			pruned, check := reversePrune(faultsim.Compile(c), flist, randomPatterns(r, n, width), 1)
+			pruned, check := pruneFresh(c, flist, randomPatterns(r, n, width), 1)
 			base := append([]logic.Cube(nil), pruned...)
 
 			want, err := topUpFresh(context.Background(), c, flist, 1, base, newRetarget(c))
@@ -338,7 +362,7 @@ func TestTopUpAppliesLastRound(t *testing.T) {
 	flist := faults.CollapsedUniverse(c)
 	width := len(c.PseudoInputs())
 	r := rand.New(rand.NewSource(3))
-	pruned, check := reversePrune(faultsim.Compile(c), flist, randomPatterns(r, 4, width), 1)
+	pruned, check := pruneFresh(c, flist, randomPatterns(r, 4, width), 1)
 	rounds := map[int]bool{}
 	got, err := topUp(context.Background(), check, pruned, func(faults.Fault) (logic.Cube, bool) {
 		rounds[check.NumPatterns()] = true
@@ -365,7 +389,7 @@ func TestTopUpCancelled(t *testing.T) {
 	flist := faults.CollapsedUniverse(c)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, check := reversePrune(faultsim.Compile(c), flist, nil, 1)
+	_, check := pruneFresh(c, flist, nil, 1)
 	calls := 0
 	_, err := topUp(ctx, check, nil, func(faults.Fault) (logic.Cube, bool) {
 		calls++

@@ -571,13 +571,13 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	// convention the fault-dropping engine used, so every detection the
 	// generation loop credited survives into the final set, and the
 	// generation engine has applied exactly the final set. The compacted
-	// path uses random fill (better fortuitous coverage) and repairs any
-	// fill-dependent loss with the top-up loop below; its check engine
-	// then holds the final set's detections. Either way, final accounting
-	// reads an engine instead of simulating the set once more.
+	// path uses random fill (better fortuitous coverage), prunes on the
+	// generation engine, reset, and repairs any fill-dependent loss with
+	// the top-up loop below, after which that engine holds the final set's
+	// detections. Either way, final accounting reads the engine instead of
+	// simulating the set once more.
 	spanCompact := col.StartSpan("atpg.phase.compact")
 	var patterns []logic.Cube
-	final := engine
 	if !opts.Compact {
 		patterns = fillZero(cubes)
 	} else {
@@ -585,15 +585,13 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 		patterns = fillAll(mergeCubes(cubes), rng)
 		span.End()
 		span = col.StartSpan("atpg.compact.prune")
-		var check *faultsim.Engine
-		patterns, check = reversePrune(prog, flist, patterns, workers)
-		final = check
+		patterns = reversePrune(engine, patterns)
 		span.End()
 		// Fortuitous detections can depend on the fill; top up any
 		// coverage lost by re-targeting newly undetected faults.
 		span = col.StartSpan("atpg.compact.topup")
 		var cerr error
-		patterns, cerr = topUp(ctx, check, patterns, func(f faults.Fault) (logic.Cube, bool) {
+		patterns, cerr = topUp(ctx, engine, patterns, func(f faults.Fault) (logic.Cube, bool) {
 			if _, bad := failed[f]; bad {
 				return nil, false
 			}
@@ -618,7 +616,7 @@ func GenerateForFaultsContext(ctx context.Context, c *netlist.Circuit, flist []f
 	res.Patterns = patterns
 
 	span := col.StartSpan("atpg.finalize")
-	finalizeAccounting(failed, res, col, final.DetectedCount())
+	finalizeAccounting(failed, res, col, engine.DetectedCount())
 	span.End()
 	if col.Tracing() {
 		col.Emit("atpg.result",
@@ -860,18 +858,18 @@ func fillAll(cubes []logic.Cube, rng *rand.Rand) []logic.Cube {
 }
 
 // reversePrune drops patterns that add no detection when the set is fault
-// simulated in reverse order — classic reverse-order compaction. One Apply
-// over the reversed list keeps each fault's first detector, the same set a
-// pattern-at-a-time pass keeps. The returned engine has applied every
-// pattern, so its remaining faults are exactly those the kept set misses.
-func reversePrune(prog *faultsim.Program, flist []faults.Fault, patterns []logic.Cube, workers int) ([]logic.Cube, *faultsim.Engine) {
+// simulated in reverse order — classic reverse-order compaction. It resets
+// e, detaching its collector, and applies the reversed list in one Apply,
+// which keeps each fault's first detector, the same set a
+// pattern-at-a-time pass keeps. Afterwards e has applied every pattern, so
+// its remaining faults are exactly those the kept set misses.
+func reversePrune(e *faultsim.Engine, patterns []logic.Cube) []logic.Cube {
 	n := len(patterns)
 	rev := make([]logic.Cube, n)
 	for i, p := range patterns {
 		rev[n-1-i] = p
 	}
-	e := faultsim.NewEngineFor(prog, flist)
-	e.SetWorkers(workers)
+	e.Reset()
 	e.Apply(rev)
 	useful := firstDetectors(e, n)
 	kept := make([]logic.Cube, 0, n)
@@ -880,7 +878,7 @@ func reversePrune(prog *faultsim.Program, flist []faults.Fault, patterns []logic
 			kept = append(kept, p)
 		}
 	}
-	return kept, e
+	return kept
 }
 
 // firstDetectors marks which of the n patterns applied to a fresh engine
@@ -888,7 +886,7 @@ func reversePrune(prog *faultsim.Program, flist []faults.Fault, patterns []logic
 // cannot do without.
 func firstDetectors(e *faultsim.Engine, n int) []bool {
 	useful := make([]bool, n)
-	for _, d := range e.Result().DetectedBy {
+	for _, d := range e.DetectedBy() {
 		if d != faultsim.Undetected {
 			useful[d] = true
 		}

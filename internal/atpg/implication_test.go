@@ -77,7 +77,7 @@ func (o *sweepOracle) imply(f faults.Fault, base logic.Cube, stack []assignment)
 		in := o.scratch[:len(g.Fanin)]
 		for j, fin := range g.Fanin {
 			in[j] = o.values[fin]
-			if !o.dffPin && f.Pin == j && f.Gate == id {
+			if !o.dffPin && int(f.Pin) == j && f.Gate == id {
 				in[j] = faultyValue(in[j], f.Stuck)
 			}
 		}
@@ -99,7 +99,7 @@ func (o *sweepOracle) dFrontier() []netlist.GateID {
 		}
 		for j, fin := range o.c.Gate(id).Fanin {
 			v := o.values[fin]
-			if !o.dffPin && o.fault.Pin == j && o.fault.Gate == id {
+			if !o.dffPin && int(o.fault.Pin) == j && o.fault.Gate == id {
 				v = faultyValue(v, o.fault.Stuck)
 			}
 			if v.Faulty() {
@@ -189,7 +189,7 @@ func checkAgainstSweep(t testing.TB, p *podem) *int {
 func everyLine(c *netlist.Circuit) []faults.Fault {
 	var fs []faults.Fault
 	for id := netlist.GateID(0); int(id) < c.NumGates(); id++ {
-		for pin := faults.StemPin; pin < len(c.Gate(id).Fanin); pin++ {
+		for pin := int32(faults.StemPin); int(pin) < len(c.Gate(id).Fanin); pin++ {
 			fs = append(fs, faults.Fault{Gate: id, Pin: pin, Stuck: logic.Zero},
 				faults.Fault{Gate: id, Pin: pin, Stuck: logic.One})
 		}

@@ -421,7 +421,7 @@ func (p *podem) eval(id int32) logic.V {
 	g := &p.gates[id]
 	pin := faults.StemPin
 	if id == p.site {
-		pin = p.fault.Pin
+		pin = int(p.fault.Pin)
 	}
 	var v logic.V
 	switch g.Kind {
@@ -589,7 +589,7 @@ func (p *podem) dFrontier() []int32 {
 		}
 		pin := faults.StemPin
 		if id == p.site {
-			pin = p.fault.Pin
+			pin = int(p.fault.Pin)
 		}
 		fanin := p.gates[id].Fanin
 		for j := range fanin {
@@ -653,7 +653,7 @@ func (p *podem) nextObjective() (netlist.GateID, logic.V, bool) {
 		if p.values[fin] != logic.X {
 			continue
 		}
-		if id == p.site && j == p.fault.Pin {
+		if id == p.site && j == int(p.fault.Pin) {
 			continue // the faulty branch is not assignable
 		}
 		// The non-controlling value; BUF and XOR propagate either, so 0.

@@ -108,7 +108,7 @@ func universeSorted(c *netlist.Circuit) []Fault {
 		}
 		for pin, drv := range g.Fanin {
 			if len(c.Fanout(drv)) > 1 {
-				fs = append(fs, Fault{id, pin, logic.Zero}, Fault{id, pin, logic.One})
+				fs = append(fs, Fault{id, int32(pin), logic.Zero}, Fault{id, int32(pin), logic.One})
 			}
 		}
 	}

@@ -20,7 +20,7 @@ const StemPin = -1
 // branch of Gate (meaningful when the driving net has fanout > 1).
 type Fault struct {
 	Gate  netlist.GateID
-	Pin   int
+	Pin   int32
 	Stuck logic.V // Zero or One
 }
 
@@ -88,7 +88,7 @@ func Universe(c *netlist.Circuit) []Fault {
 		}
 		for pin, drv := range c.Gate(id).Fanin {
 			if branch(drv) {
-				fs = append(fs, Fault{id, pin, logic.Zero}, Fault{id, pin, logic.One})
+				fs = append(fs, Fault{id, int32(pin), logic.Zero}, Fault{id, int32(pin), logic.One})
 			}
 		}
 	}
@@ -195,7 +195,7 @@ func unionClasses(c *netlist.Circuit, n int, index func(Fault) (int, bool)) *uni
 			// the driver has fanout > 1, else the driver's stem fault.
 			inFault := func(v logic.V) Fault {
 				if len(c.Fanout(drv)) > 1 {
-					return Fault{id, pin, v}
+					return Fault{id, int32(pin), v}
 				}
 				return Fault{drv, StemPin, v}
 			}
@@ -232,27 +232,27 @@ func InCone(fs []Fault, cone *netlist.Cone) []Fault {
 	return out
 }
 
-// unionFind is a plain weighted quick-union with path halving. sets counts
-// the classes.
+// unionFind is a plain weighted quick-union with path halving over int32
+// slots (a fault list never nears 2^31 faults). sets counts the classes.
 type unionFind struct {
-	parent []int
-	size   []int
+	parent []int32
+	size   []int32
 	sets   int
 }
 
 func newUnionFind(n int) *unionFind {
-	u := &unionFind{parent: make([]int, n), size: make([]int, n), sets: n}
+	u := &unionFind{parent: make([]int32, n), size: make([]int32, n), sets: n}
 	for i := range u.parent {
-		u.parent[i] = i
+		u.parent[i] = int32(i)
 		u.size[i] = 1
 	}
 	return u
 }
 
 func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
+	for int(u.parent[x]) != x {
 		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
+		x = int(u.parent[x])
 	}
 	return x
 }
@@ -265,7 +265,7 @@ func (u *unionFind) union(a, b int) {
 	if u.size[ra] < u.size[rb] {
 		ra, rb = rb, ra
 	}
-	u.parent[rb] = ra
+	u.parent[rb] = int32(ra)
 	u.size[ra] += u.size[rb]
 	u.sets--
 }

@@ -3,6 +3,7 @@ package faults
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -248,5 +249,14 @@ func TestCollapseClassesAreConsistent(t *testing.T) {
 		if !inUniverse[r] {
 			t.Fatalf("representative %v not in universe", r.String(c))
 		}
+	}
+}
+
+// TestFaultSize pins the fault's layout: a 4-byte gate, a 4-byte pin and a
+// one-byte value pad to 12 bytes, half the 24 of an int pin, and every
+// fault list and map the ATPG holds pays for it per fault.
+func TestFaultSize(t *testing.T) {
+	if got := unsafe.Sizeof(Fault{}); got != 12 {
+		t.Errorf("faults.Fault is %d bytes, want 12", got)
 	}
 }

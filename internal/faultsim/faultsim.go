@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -107,8 +107,8 @@ type Engine struct {
 	prog *Program
 
 	flist      []faults.Fault
-	detectedBy []int // parallel to flist
-	remaining  []int // indices into flist still undetected
+	detectedBy []int32 // parallel to flist
+	remaining  []int32 // indices into flist still undetected
 	nDetected  int
 	nPatterns  int
 
@@ -151,22 +151,12 @@ type Engine struct {
 
 	// Parallel detection. workers is the shard bound (1 = strictly serial);
 	// ev is the serial evaluator and evals the lazily-grown per-worker
-	// pool, which fills index-addressed rootObs slots.
+	// pool, ev first, which fills index-addressed rootObs slots.
 	workers int
 	ev      *faultEval
 	evals   []*faultEval
 
-	// Observability (all nil by default: zero overhead).
-	col       *obs.Collector
-	cPatterns *obs.Counter // faultsim.patterns.applied
-	cDropped  *obs.Counter // faultsim.faults.dropped
-	cBatches  *obs.Counter // faultsim.batches
-	cGood     *obs.Counter // faultsim.good.gates: gates the good pass evaluated
-	cRoots    *obs.Counter // faultsim.detect.roots: region roots propagated
-	tLoad     *obs.Timer   // faultsim.load: Program.Load per batch
-	tGood     *obs.Timer   // faultsim.good: good-circuit Program.Run per batch
-	tDetect   *obs.Timer   // faultsim.detect: fault propagation and dropping per batch
-	tWorkers  []*obs.Timer // faultsim.worker.N busy time (sharded batches)
+	meters
 
 	// Pending batch (Queue, QueuedDetects, Flush): the cubes queued since
 	// the last flush, one lane each, and their good-circuit words. qgood is
@@ -183,6 +173,21 @@ type Engine struct {
 	qobs   []uint64
 	qseen  []uint32
 	qepoch uint32
+}
+
+// meters is an engine's instrumentation (all nil by default: zero
+// overhead).
+type meters struct {
+	col       *obs.Collector
+	cPatterns *obs.Counter // faultsim.patterns.applied
+	cDropped  *obs.Counter // faultsim.faults.dropped
+	cBatches  *obs.Counter // faultsim.batches
+	cGood     *obs.Counter // faultsim.good.gates: gates the good pass evaluated
+	cRoots    *obs.Counter // faultsim.detect.roots: region roots propagated
+	tLoad     *obs.Timer   // faultsim.load: Program.Load per batch
+	tGood     *obs.Timer   // faultsim.good: good-circuit Program.Run per batch
+	tDetect   *obs.Timer   // faultsim.detect: fault propagation and dropping per batch
+	tWorkers  []*obs.Timer // faultsim.worker.N busy time (sharded batches)
 }
 
 // Marks of Engine.live.
@@ -245,7 +250,7 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 		c:           c,
 		prog:        prog,
 		flist:       flist,
-		detectedBy:  make([]int, len(flist)),
+		detectedBy:  make([]int32, len(flist)),
 		good:        make([]uint64, n),
 		packed:      make([]uint64, len(prog.ppis)),
 		regionStale: true,
@@ -254,7 +259,7 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 		roots:       make([]int32, 0, min(len(flist), n)),
 		rootObs:     make([]uint64, 0, min(len(flist), n)),
 		slotOf:      make([]int32, n),
-		remaining:   make([]int, len(flist)),
+		remaining:   make([]int32, len(flist)),
 		workers:     1,
 	}
 	for i := range e.slotOf {
@@ -262,7 +267,7 @@ func NewEngineFor(prog *Program, flist []faults.Fault) *Engine {
 	}
 	e.ev = newFaultEval(e, e.good)
 	for i := range e.detectedBy {
-		e.detectedBy[i], e.remaining[i] = Undetected, i
+		e.detectedBy[i], e.remaining[i] = Undetected, int32(i)
 	}
 	return e
 }
@@ -281,15 +286,35 @@ func (e *Engine) Instrument(col *obs.Collector) {
 	if col == nil {
 		return
 	}
-	e.col = col
-	e.cPatterns = col.Counter("faultsim.patterns.applied")
-	e.cDropped = col.Counter("faultsim.faults.dropped")
-	e.cBatches = col.Counter("faultsim.batches")
-	e.cGood = col.Counter("faultsim.good.gates")
-	e.cRoots = col.Counter("faultsim.detect.roots")
-	e.tLoad = col.Timer("faultsim.load")
-	e.tGood = col.Timer("faultsim.good")
-	e.tDetect = col.Timer("faultsim.detect")
+	e.meters = meters{
+		col:       col,
+		cPatterns: col.Counter("faultsim.patterns.applied"),
+		cDropped:  col.Counter("faultsim.faults.dropped"),
+		cBatches:  col.Counter("faultsim.batches"),
+		cGood:     col.Counter("faultsim.good.gates"),
+		cRoots:    col.Counter("faultsim.detect.roots"),
+		tLoad:     col.Timer("faultsim.load"),
+		tGood:     col.Timer("faultsim.good"),
+		tDetect:   col.Timer("faultsim.detect"),
+	}
+}
+
+// Reset returns the engine to the state NewEngineFor left: no pattern
+// applied, every fault remaining, nothing pending and no collector
+// attached; the worker bound stays. Its scratch (evaluators, packing
+// buffer, live-region arrays) is kept, so grading a second pattern set
+// against the same fault list allocates nothing more.
+func (e *Engine) Reset() {
+	e.meters = meters{}
+	e.remaining = e.remaining[:len(e.flist)]
+	for i := range e.detectedBy {
+		e.detectedBy[i], e.remaining[i] = Undetected, int32(i)
+	}
+	e.nDetected, e.nPatterns = 0, 0
+	e.regionStale = true
+	e.queued = e.queued[:0]
+	clear(e.qgood)
+	e.pendingChanged()
 }
 
 // SetWorkers bounds the worker pool Apply may use to shard the
@@ -326,13 +351,18 @@ func (e *Engine) Remaining() []faults.Fault {
 	return out
 }
 
+// DetectedBy returns, parallel to the fault list, each fault's first
+// detecting pattern index or Undetected. The slice is the engine's own:
+// read it before the next Apply, Flush or Reset, and never write it.
+func (e *Engine) DetectedBy() []int32 { return e.detectedBy }
+
 // Result snapshots the engine state into a Result.
 func (e *Engine) Result() *Result {
-	return &Result{
-		Faults:      e.flist,
-		DetectedBy:  append([]int(nil), e.detectedBy...),
-		NumDetected: e.nDetected,
+	detectedBy := make([]int, len(e.detectedBy))
+	for i, d := range e.detectedBy {
+		detectedBy[i] = int(d)
 	}
+	return &Result{Faults: e.flist, DetectedBy: detectedBy, NumDetected: e.nDetected}
 }
 
 // packChunk is the number of batches a multi-worker Apply packs ahead.
@@ -385,8 +415,9 @@ func (e *Engine) Apply(patterns []logic.Cube) int {
 }
 
 // packAhead starts a pool goroutine that packs the patterns of a
-// multi-worker Apply one chunk ahead, into alternate halves of e.packed and
-// over a copy of the live groups, on chunk 0 first. turn(k), called once
+// multi-worker Apply one chunk ahead, into alternate halves of e.packed
+// (sized to the Apply's batches, at most two chunks) and over a copy of
+// the live groups, on chunk 0 first. turn(k), called once
 // chunk k-1 is simulated, helps pack chunk k, waits for it, starts chunk
 // k+1 unless no fault remains, and returns chunk k's words. The region only
 // shrinks, so groups taken before chunk k's drops cover every word chunk
@@ -394,7 +425,7 @@ func (e *Engine) Apply(patterns []logic.Cube) int {
 // returns once the goroutine has.
 func (e *Engine) packAhead(patterns []logic.Cube) (turn func(k int) []uint64, stop func()) {
 	n, size := len(e.prog.ppis), packChunk*wordBits
-	if need := min((len(patterns)+size-1)/size, 2) * packChunk * n; len(e.packed) < need {
+	if need := min((len(patterns)+wordBits-1)/wordBits, 2*packChunk) * n; len(e.packed) < need {
 		e.packed = make([]uint64, need)
 	}
 	if e.regionStale {
@@ -491,7 +522,7 @@ func (e *Engine) applyBatch(batch []logic.Cube, dense []uint64, baseIndex int) i
 			continue
 		}
 		// First detecting pattern = lowest set bit.
-		e.detectedBy[fi] = baseIndex + bits.TrailingZeros64(det)
+		e.detectedBy[fi] = int32(baseIndex + bits.TrailingZeros64(det))
 		e.nDetected++
 		newly++
 	}
@@ -761,11 +792,11 @@ func (e *Engine) Flush() int {
 // until they are flushed. The remaining list stays in fault-list order, so
 // this is a binary search.
 func (e *Engine) NextRemaining(from int) int {
-	k := sort.SearchInts(e.remaining, from)
+	k, _ := slices.BinarySearch(e.remaining, int32(from))
 	if k == len(e.remaining) {
 		return -1
 	}
-	return e.remaining[k]
+	return int(e.remaining[k])
 }
 
 // shardRoots fills rootObs for the batch's root list, sharded across the
@@ -795,9 +826,13 @@ func (e *Engine) shardRoots() {
 }
 
 // shardEvals grows the per-worker evaluator pool to the current worker
-// bound. Evaluators are reused across batches; each is private to one
-// worker slot for the duration of a sharded batch.
+// bound. Worker 0 takes the serial evaluator, idle while the shards run.
+// Evaluators are reused across batches; each is private to one worker
+// slot for the duration of a sharded batch.
 func (e *Engine) shardEvals() []*faultEval {
+	if len(e.evals) == 0 {
+		e.evals = append(e.evals, e.ev)
+	}
 	for len(e.evals) < e.workers {
 		e.evals = append(e.evals, newFaultEval(e, e.good))
 	}
@@ -850,7 +885,7 @@ func (ev *faultEval) effect(f faults.Fault) (root int32, d uint64) {
 		d = stuck ^ ev.good[site]
 	} else {
 		// Branch fault: recompute gate f.Gate with pin forced.
-		d = ev.evalWithPin(site, f.Pin, stuck) ^ ev.good[site]
+		d = ev.evalWithPin(site, int(f.Pin), stuck) ^ ev.good[site]
 	}
 	for d != 0 && p.succ[site] >= 0 {
 		d &= p.sensitize(ev.good, p.succ[site], p.succPin[site])

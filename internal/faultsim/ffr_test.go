@@ -29,7 +29,7 @@ func (ev *faultEval) detectWord(f faults.Fault, mask uint64) uint64 {
 	site := int32(f.Gate)
 	fw := stuck
 	if f.Pin != faults.StemPin {
-		fw = ev.evalWithPin(site, f.Pin, stuck)
+		fw = ev.evalWithPin(site, int(f.Pin), stuck)
 	}
 	return ev.propagate(site, fw) & mask
 }

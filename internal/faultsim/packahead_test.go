@@ -243,3 +243,59 @@ func BenchmarkApplyPackAhead(b *testing.B) {
 		}
 	}
 }
+
+// TestApplyPackAheadSizesToBatches holds a two-worker Apply of k batches,
+// k under two chunks, to at most k batches of packed words: where more
+// than one CPU runs it packs ahead into exactly k batches, elsewhere into
+// the one batch a fresh engine holds.
+func TestApplyPackAheadSizesToBatches(t *testing.T) {
+	c := standinCircuit(t, "s1423")
+	n := len(c.PseudoInputs())
+	flist := faults.CollapsedUniverse(c)
+	for _, k := range []int{2, 4, packChunk - 1, packChunk, packChunk + 1, 2*packChunk - 1} {
+		e := NewEngine(c, flist)
+		e.SetWorkers(2)
+		e.Apply(randomPatterns(rand.New(rand.NewSource(int64(k))), n, k*wordBits))
+		want := n
+		if runtime.GOMAXPROCS(0) > 1 {
+			want = k * n
+		}
+		if len(e.packed) != want {
+			t.Errorf("%d batches on two workers: %d words packed, want %d (%d batches of %d)", k, len(e.packed), want, want/n, n)
+		}
+	}
+}
+
+// TestResetMatchesFreshEngine grades a second pattern set on an engine
+// reset after an instrumented Apply and a Queue: it must leave the result
+// of a fresh engine, serially and on two workers, with nothing pending
+// and its former collector untouched.
+func TestResetMatchesFreshEngine(t *testing.T) {
+	c := standinCircuit(t, "s713")
+	width := len(c.PseudoInputs())
+	flist := faults.CollapsedUniverse(c)
+	r := rand.New(rand.NewSource(7))
+	first, second := randomPatterns(r, width, 200), randomPatterns(r, width, 150)
+	fresh := NewEngine(c, flist)
+	fresh.Apply(second)
+	for _, w := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		e := NewEngine(c, flist)
+		e.SetWorkers(w)
+		e.Instrument(obs.New(reg, nil))
+		e.Apply(first)
+		e.Queue(second[0])
+		before := reg.Snapshot().Counters
+		e.Reset()
+		e.Apply(second)
+		if got, want := e.Result(), fresh.Result(); !slices.Equal(got.DetectedBy, want.DetectedBy) || got.NumDetected != want.NumDetected {
+			t.Errorf("workers=%d: reset engine detects %d faults, a fresh one %d, or at other patterns", w, got.NumDetected, want.NumDetected)
+		}
+		if e.NumPatterns() != len(second) || e.Pending() != 0 {
+			t.Errorf("workers=%d: %d patterns applied and %d pending after the reset, want %d and 0", w, e.NumPatterns(), e.Pending(), len(second))
+		}
+		if after := reg.Snapshot().Counters; !maps.Equal(after, before) {
+			t.Errorf("workers=%d: the reset engine still counts into its former collector: %v, was %v", w, after, before)
+		}
+	}
+}

@@ -214,7 +214,7 @@ func (s *SCOAP) FaultDifficulty(f faults.Fault) ScoapV {
 	if stuck == 1 {
 		cc = s.CC0[drv]
 	}
-	return scoapAdd(cc, s.PinObservability(f.Gate, f.Pin))
+	return scoapAdd(cc, s.PinObservability(f.Gate, int(f.Pin)))
 }
 
 // NetTestability is one row of the testability report.

@@ -78,7 +78,7 @@ func faultMiter(c *netlist.Circuit, f faults.Fault) (*CNF, *CircuitEncoding) {
 		panic("sat: ProveFault on non-finalized circuit")
 	}
 	site := c.Gate(f.Gate)
-	if f.Pin != faults.StemPin && (f.Pin < 0 || f.Pin >= len(site.Fanin)) {
+	if f.Pin != faults.StemPin && (f.Pin < 0 || int(f.Pin) >= len(site.Fanin)) {
 		panic(fmt.Sprintf("sat: ProveFault pin %d out of range for gate %q", f.Pin, site.Name))
 	}
 	stuck := f.Stuck == logic.One
@@ -174,7 +174,7 @@ func faultMiter(c *netlist.Circuit, f faults.Fault) (*CNF, *CircuitEncoding) {
 	} else {
 		ins := make([]Lit, len(site.Fanin))
 		for j, fin := range site.Fanin {
-			if j == f.Pin {
+			if j == int(f.Pin) {
 				ins[j] = stuckLit
 			} else {
 				ins[j] = good.Lit(fin)

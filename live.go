@@ -3,6 +3,8 @@ package repro
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/atpg"
 	"repro/internal/bench89"
@@ -42,11 +44,16 @@ type LiveOptions struct {
 	// file. Every/Resume apply to each stage unchanged.
 	Checkpoint *atpg.CheckpointConfig
 	// Workers bounds how many jobs run concurrently: core generations,
-	// then per-core ATPG runs beside the flatten. It is forwarded to the
-	// ATPG stages (unless ATPG.Workers is already set) so their fault
-	// simulation shards too. 0 (the default) resolves to runtime.NumCPU();
-	// 1 forces the fully serial experiment. Results are bit-identical for
-	// every setting — jobs are independent and merge back in core order.
+	// then the per-core ATPG runs beside one job that flattens the SOC and
+	// runs monolithic ATPG on it. That job is dispatched first and the
+	// cores follow, largest first. Workers is forwarded to the ATPG stages
+	// (unless ATPG.Workers is already set) so their fault simulation
+	// shards too. 0 (the default) resolves to runtime.NumCPU(); 1 runs
+	// one job at a time. Results and metrics are identical for every
+	// setting: jobs are independent and merge back in core order, mono
+	// last. A run whose lowest failing core is k returns the serial run's
+	// first k-1 cores and core k's error; mono's error is returned only
+	// when every core succeeded.
 	Workers int
 }
 
@@ -190,111 +197,119 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 	}
 	spanGen.End()
 
-	// Per-core ATPG: each core tested as a wrapped, stand-alone unit, with
-	// up to Workers cores in flight at once (dynamic dispatch, so one big
-	// core does not serialize the small ones behind it). The flatten, with
-	// isolation ripped out, is one more job after the cores: it reads the
-	// same finalized circuits, which nothing writes. Each job writes its
-	// result into an index-addressed slot and instruments a forked
-	// collector; the forks merge back into the parent registry serially,
-	// cores in order and then the flatten, so manifests are deterministic.
-	// Each per-core event carries the exact TDV-formula inputs (terminal
-	// and scan-cell counts plus the measured pattern count).
+	// Per-core ATPG, each core tested as a wrapped, stand-alone unit, and
+	// the monolithic run share one pool of up to Workers jobs. Job n
+	// flattens the SOC with isolation ripped out, reading the same
+	// finalized circuits the cores read and nothing writes, then runs
+	// monolithic ATPG on the flat circuit. Being the longest, it is
+	// dispatched first, and the cores follow longest first by gate count
+	// (Graham's LPT rule).
+	// Each job writes its result into an index-addressed slot and
+	// instruments a forked collector; the forks merge back into the parent
+	// registry serially, cores in order and then the monolithic job, so
+	// manifests are deterministic. Each per-core event carries the exact
+	// TDV-formula inputs (terminal and scan-cell counts plus the measured
+	// pattern count).
+	//
+	// Failures end as the serial pipeline ends. A failed core cancels the
+	// monolithic job and skips the cores above it, while those below it
+	// still run; the lowest failed core's error wins, and its prefix is
+	// kept. Only with every core done does the monolithic job's error
+	// count.
 	spanCores := col.StartSpan("live.percore")
 	res.Workers = workers
 	col.Gauge("live.workers").Set(int64(workers))
-	type coreOut struct {
+	n := len(circuits)
+	order := make([]int, 0, n+1)
+	for i := range n {
+		order = append(order, i)
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return circuits[b].NumGates() - circuits[a].NumGates() })
+	order = slices.Insert(order, 0, n)
+	type jobOut struct {
 		lc  LiveCore
 		reg *obs.Registry
+		err error
 	}
-	n := len(circuits)
-	outs := make([]coreOut, n+1)
+	outs := make([]jobOut, n+1)
+	monoCtx, cancelMono := context.WithCancel(ctx)
+	defer cancelMono()
+	var failed atomic.Int64 // the lowest failed core, n while none has
+	failed.Store(int64(n))
 	var flat *netlist.Circuit
-	job := func(i int) error {
+	var mono *atpg.Result
+	job := func(i int) {
+		if int64(i) > failed.Load() {
+			return
+		}
 		jobCol, jobReg := col.Fork()
 		outs[i].reg = jobReg
 		if i == n {
 			spanFlat := jobCol.StartSpan("live.flatten")
-			defer spanFlat.End()
-			var err error
-			flat, err = soc.Flatten(name+"-flat", circuits, soc.FlattenOptions{
+			f, err := soc.Flatten(name+"-flat", circuits, soc.FlattenOptions{
 				Seed:                 opts.Seed,
 				InterconnectFraction: opts.InterconnectFraction,
 			})
-			return err
+			spanFlat.End()
+			if err != nil {
+				outs[n].err = err
+				return
+			}
+			flat = f
+			spanMono := jobCol.StartSpan("live.mono")
+			so := stageOpts("mono")
+			so.Obs = jobCol
+			mono, err = atpg.GenerateContext(monoCtx, flat, so)
+			spanMono.End()
+			if err != nil {
+				outs[n].err = fmt.Errorf("repro: live %s monolithic ATPG: %w", name, err)
+			}
+			return
 		}
-		c := circuits[i]
-		spanCore := jobCol.StartSpan("live.core")
-		so := stageOpts(fmt.Sprintf("core%d", i+1))
-		so.Obs = jobCol
-		r, err := atpg.GenerateContext(ctx, c, so)
-		coreTime := spanCore.End()
+		err := ctx.Err() // the serial pipeline checks before each core
+		if err == nil {
+			outs[i].lc, err = liveCore(ctx, jobCol, name, i, coreNames[i], circuits[i], stageOpts(fmt.Sprintf("core%d", i+1)))
+		}
 		if err != nil {
-			return fmt.Errorf("repro: live %s core %d (%s): %w", name, i+1, coreNames[i], err)
+			outs[i].err = err
+			for cur := failed.Load(); int64(i) < cur; cur = failed.Load() {
+				if failed.CompareAndSwap(cur, int64(i)) {
+					break
+				}
+			}
+			cancelMono()
 		}
-		st := c.ComputeStats()
-		lc := LiveCore{
-			Name:      fmt.Sprintf("Core%d(%s)", i+1, coreNames[i]),
-			Inputs:    st.Inputs,
-			Outputs:   st.Outputs,
-			ScanCells: st.DFFs,
-			Patterns:  r.PatternCount(),
-			Coverage:  r.Coverage,
-		}
-		outs[i].lc = lc
-		if jobCol.Tracing() {
-			jobCol.Emit("live.core.result",
-				obs.F("soc", name),
-				obs.F("core", lc.Name),
-				obs.F("inputs", lc.Inputs),
-				obs.F("outputs", lc.Outputs),
-				obs.F("scan_cells", lc.ScanCells),
-				obs.F("patterns", lc.Patterns),
-				obs.F("coverage", lc.Coverage),
-				obs.F("seconds", coreTime.Seconds()))
-		}
+	}
+	_, _ = par.ForEach(nil, n+1, workers, func(k int) error {
+		job(order[k])
 		return nil
-	}
-	failIdx, ferr := par.ForEach(ctx, n+1, workers, job)
-	if failIdx == n && flat == nil && ferr == ctx.Err() {
-		ferr = job(n) // stopped before the flatten, which the serial pipeline runs regardless
-	}
+	})
 	spanCores.End()
-	// Fold the per-core registries into the parent, in core order.
-	for i := range outs[:n] {
+	// Fold the registries into the parent: the cores the serial pipeline
+	// would have run, in core order, then the monolithic job.
+	f := int(failed.Load())
+	for i := range outs[:min(f+1, n)] {
 		col.Metrics().Merge(outs[i].reg)
 	}
-	if ferr != nil && failIdx < n {
-		// Dispatch is in index order, so every core below the lowest
-		// failed index completed; keep that prefix — exactly what the
-		// serial loop committed before its first error.
-		for i := 0; i < failIdx && i < len(outs); i++ {
-			res.Cores = append(res.Cores, outs[i].lc)
-			if outs[i].lc.Patterns > res.MaxCoreT {
-				res.MaxCoreT = outs[i].lc.Patterns
-			}
+	addCores := func(k int) {
+		for _, o := range outs[:k] {
+			res.Cores = append(res.Cores, o.lc)
+			res.MaxCoreT = max(res.MaxCoreT, o.lc.Patterns)
 		}
+	}
+	if f < n {
+		addCores(f)
 		spanAll.End()
-		return res, ferr
+		return res, outs[f].err
 	}
 	col.Metrics().Merge(outs[n].reg)
-	if ferr != nil {
-		return nil, ferr
+	if flat == nil {
+		return nil, outs[n].err
 	}
-	for i := range outs[:n] {
-		res.Cores = append(res.Cores, outs[i].lc)
-		if outs[i].lc.Patterns > res.MaxCoreT {
-			res.MaxCoreT = outs[i].lc.Patterns
-		}
-	}
-
-	// Monolithic: rerun ATPG on the flattened SOC.
-	spanMono := col.StartSpan("live.mono")
-	mono, err := atpg.GenerateContext(ctx, flat, stageOpts("mono"))
-	spanMono.End()
-	if err != nil {
+	addCores(n)
+	if outs[n].err != nil {
 		spanAll.End()
-		return res, fmt.Errorf("repro: live %s monolithic ATPG: %w", name, err)
+		return res, outs[n].err
 	}
 	res.TMono = mono.PatternCount()
 	res.MonoCoverage = mono.Coverage
@@ -337,6 +352,39 @@ func liveSOC(ctx context.Context, name string, coreNames []string, opts LiveOpti
 	}
 	spanAll.End()
 	return res, nil
+}
+
+// liveCore runs ATPG on core i of a live experiment, instrumented by col,
+// and returns its measured profile.
+func liveCore(ctx context.Context, col *obs.Collector, socName string, i int, coreName string, c *netlist.Circuit, so atpg.Options) (LiveCore, error) {
+	spanCore := col.StartSpan("live.core")
+	so.Obs = col
+	r, err := atpg.GenerateContext(ctx, c, so)
+	coreTime := spanCore.End()
+	if err != nil {
+		return LiveCore{}, fmt.Errorf("repro: live %s core %d (%s): %w", socName, i+1, coreName, err)
+	}
+	st := c.ComputeStats()
+	lc := LiveCore{
+		Name:      fmt.Sprintf("Core%d(%s)", i+1, coreName),
+		Inputs:    st.Inputs,
+		Outputs:   st.Outputs,
+		ScanCells: st.DFFs,
+		Patterns:  r.PatternCount(),
+		Coverage:  r.Coverage,
+	}
+	if col.Tracing() {
+		col.Emit("live.core.result",
+			obs.F("soc", socName),
+			obs.F("core", lc.Name),
+			obs.F("inputs", lc.Inputs),
+			obs.F("outputs", lc.Outputs),
+			obs.F("scan_cells", lc.ScanCells),
+			obs.F("patterns", lc.Patterns),
+			obs.F("coverage", lc.Coverage),
+			obs.F("seconds", coreTime.Seconds()))
+	}
+	return lc, nil
 }
 
 // RenderLive renders a live experiment result in the Table 1/2 layout,
