@@ -216,22 +216,6 @@ func unionClasses(c *netlist.Circuit, n int, index func(Fault) (int, bool)) *uni
 	return uf
 }
 
-// InCone filters fs down to the faults whose site lies inside the given
-// cone (the site gate, for branch faults the gate holding the pin).
-func InCone(fs []Fault, cone *netlist.Cone) []Fault {
-	in := make(map[netlist.GateID]bool, len(cone.Gates))
-	for _, g := range cone.Gates {
-		in[g] = true
-	}
-	var out []Fault
-	for _, f := range fs {
-		if in[f.Gate] {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // unionFind is a plain weighted quick-union with path halving over int32
 // slots (a fault list never nears 2^31 faults). sets counts the classes.
 type unionFind struct {

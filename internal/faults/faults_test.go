@@ -195,36 +195,6 @@ func TestCollapsedUniverseAndString(t *testing.T) {
 	}
 }
 
-func TestInCone(t *testing.T) {
-	c := mustParse(t, "branch", branchCircuit)
-	fs := Universe(c)
-	y, _ := c.Lookup("Y")
-	cone := c.ExtractCone(y)
-	sub := InCone(fs, &cone)
-	if len(sub) == 0 || len(sub) >= len(fs) {
-		t.Fatalf("InCone = %d of %d", len(sub), len(fs))
-	}
-	for _, f := range sub {
-		found := false
-		for _, g := range cone.Gates {
-			if f.Gate == g {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("fault %v outside cone", f.String(c))
-		}
-	}
-	// Z's buf gate must not appear.
-	z, _ := c.Lookup("Z")
-	for _, f := range sub {
-		if f.Gate == z {
-			t.Error("Z fault inside Y cone")
-		}
-	}
-}
-
 func TestCollapseClassesAreConsistent(t *testing.T) {
 	// Property: classOf is idempotent and representatives map to themselves.
 	c := mustParse(t, "rules", gateRules)

@@ -1,17 +1,18 @@
 package obs
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 )
 
-// TraceContext is the request-scoped identity a serving layer threads
-// through one unit of work: the trace ID every event of the request
-// shares, the span the event belongs to, and that span's parent ("" at
-// the root). It lets a reader reassemble one job's admission → queue →
-// worker → engine-phase lifecycle out of an interleaved multi-job trace.
+// TraceContext is the request-scoped identity of one unit of work: the
+// trace ID every event of the request shares, the span the event belongs
+// to, and that span's parent ("" at the root). It lets a reader
+// reassemble one job's admission → queue → worker → engine-phase
+// lifecycle out of an interleaved multi-job trace. It travels in the
+// sink, not the context: a collector built over AnnotateTrace stamps it
+// on every event, so engine code emits into a trace without knowing it.
 //
 // IDs are deterministic: they are derived purely from the job key and a
 // caller-owned logical sequence number — never from the wall clock or a
@@ -51,21 +52,6 @@ func (tc TraceContext) Child(name string) TraceContext {
 func shortHash(s string) string {
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:6])
-}
-
-// traceCtxKey keys a TraceContext inside a context.Context.
-type traceCtxKey struct{}
-
-// WithTrace returns a context carrying tc, the propagation vehicle from
-// an HTTP handler through a queue slot and a worker into engine code.
-func WithTrace(ctx context.Context, tc TraceContext) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tc)
-}
-
-// TraceOf extracts the TraceContext carried by ctx, if any.
-func TraceOf(ctx context.Context) (TraceContext, bool) {
-	tc, ok := ctx.Value(traceCtxKey{}).(TraceContext)
-	return tc, ok
 }
 
 // AnnotateTrace wraps a sink so every event passing through it gains

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -56,19 +55,6 @@ func TestChildSpans(t *testing.T) {
 	g := q.Child("phase")
 	if g.Parent != q.Span {
 		t.Errorf("grandchild parent = %q, want %q", g.Parent, q.Span)
-	}
-}
-
-// TestContextPropagation checks the context.Context round trip.
-func TestContextPropagation(t *testing.T) {
-	if _, ok := TraceOf(context.Background()); ok {
-		t.Error("empty context claims a trace")
-	}
-	tc := NewTrace("k", 1)
-	ctx := WithTrace(context.Background(), tc)
-	got, ok := TraceOf(ctx)
-	if !ok || got != tc {
-		t.Errorf("TraceOf = %+v, %v; want %+v", got, ok, tc)
 	}
 }
 

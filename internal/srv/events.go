@@ -113,7 +113,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	keepAlive := time.NewTicker(s.cfg.SSEKeepAlive)
+	keepAlive := time.NewTicker(sseKeepAlive)
 	defer keepAlive.Stop()
 
 	var cursor int64

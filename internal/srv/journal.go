@@ -6,7 +6,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/runctl"
 )
 
@@ -146,7 +145,12 @@ func (s *Server) replayJournal(path string) {
 		}
 		wk.client = rec.Client
 		wk.reqJSON = rec.Req
-		if s.readmit(rec, wk) {
+		// Original id and seq, so original trace: a client re-polling
+		// /v1/jobs/{id} across the restart sees the job it was given.
+		s.mu.Lock()
+		j := s.newJobLocked(wk, rec.Job, rec.Seq)
+		s.mu.Unlock()
+		if s.enqueue(j, true) == nil {
 			kept = append(kept, rec)
 			s.cJournalReplayed.Inc()
 		}
@@ -166,68 +170,4 @@ func (s *Server) replayJournal(path string) {
 	if err := runctl.WriteFileAtomic(path, buf.Bytes()); err != nil {
 		s.cJournalErrs.Inc()
 	}
-}
-
-// readmit rebuilds a journaled job and puts it back on the queue under
-// its original id, seq and trace identity — a client that re-polls
-// /v1/jobs/{id} across the restart sees its job finish as if the crash
-// never happened. The push bypasses the queue bound: these jobs were
-// already acknowledged once.
-func (s *Server) readmit(rec journalRecord, wk work) bool {
-	j := &job{
-		id:       rec.Job,
-		kind:     wk.kind,
-		circuit:  wk.circuit,
-		key:      wk.key,
-		client:   wk.client,
-		priority: wk.priority,
-		seq:      rec.Seq,
-		timeout:  wk.timeout,
-		run:      wk.run,
-		reqJSON:  wk.reqJSON,
-		events:   newEventBuf(s.cfg.EventBuffer),
-		done:     make(chan struct{}),
-	}
-	if wk.nocache {
-		j.key = ""
-	}
-	// Same inputs, same seq → the same deterministic trace id the job had
-	// in its first life.
-	traceKey := j.key
-	if traceKey == "" {
-		traceKey = j.id
-	}
-	j.tc = obs.NewTrace(wk.kind+"\x00"+traceKey, rec.Seq)
-	j.sink = obs.Sink(j.events)
-	if base := s.col.Sink(); base != nil {
-		j.sink = obs.MultiSink{j.events, base}
-	}
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.retainLocked(j.id)
-	if j.key != "" {
-		s.inflight[j.key] = j
-	}
-	s.mu.Unlock()
-
-	rootCol := obs.New(s.col.Metrics(), obs.AnnotateTrace(j.sink, j.tc))
-	rootCol.Emit("srv.replay",
-		obs.F("job", j.id), obs.F("kind", j.kind), obs.F("circuit", j.circuit),
-		obs.F("key", short(j.key)))
-	queueCol := obs.New(s.col.Metrics(), obs.AnnotateTrace(j.sink, j.tc.Child("queue")))
-	j.queueSpan = queueCol.StartSpan("srv.queue", obs.F("job", j.id), obs.F("kind", j.kind), obs.F("replayed", true))
-
-	if err := s.queue.forcePush(j); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		if j.key != "" && s.inflight[j.key] == j {
-			delete(s.inflight, j.key)
-		}
-		s.mu.Unlock()
-		j.queueSpan.End(obs.F("rejected", true))
-		j.events.close()
-		return false
-	}
-	s.cEnqueued.Inc()
-	return true
 }

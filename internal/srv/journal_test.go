@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,6 +99,89 @@ func TestJournalReplayCompletesUnfinishedJobs(t *testing.T) {
 	_, replayed, _, _, _ := j2.snapshot()
 	if string(replayed) != fresh.Body.String() {
 		t.Errorf("replayed bytes differ from fresh computation:\n%s\nvs\n%s", replayed, fresh.Body)
+	}
+}
+
+// TestJournalReplayKeepsFirstLifeIdentity: a job replayed from its admit
+// record comes back as the job its first life acknowledged — same id,
+// seq, key, client, priority and trace, and the same root, queue and work
+// span IDs — whether or not the request bypassed the cache.
+func TestJournalReplayKeepsFirstLifeIdentity(t *testing.T) {
+	for _, nocache := range []bool{false, true} {
+		t.Run(fmt.Sprintf("nocache=%v", nocache), func(t *testing.T) {
+			dir := t.TempDir()
+			first, _ := newTestServer(t, Config{Workers: 1, JournalPath: filepath.Join(dir, "first.jsonl")})
+			body, _ := json.Marshal(map[string]any{"bench": tinyBench, "async": true, "priority": 3, "nocache": nocache})
+			req := httptest.NewRequest(http.MethodPost, "/v1/lint", strings.NewReader(string(body)))
+			req.Header.Set("X-API-Key", "a")
+			rec := httptest.NewRecorder()
+			first.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusAccepted {
+				t.Fatalf("async lint: %d %s", rec.Code, rec.Body)
+			}
+			var acc struct {
+				Job   string `json:"job"`
+				Trace string `json:"trace"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
+				t.Fatal(err)
+			}
+			j1 := waitDone(t, first, acc.Job)
+			waitRingClosed(t, j1)
+
+			// The second life starts from a journal holding only the admit.
+			data, err := os.ReadFile(filepath.Join(dir, "first.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var admit string
+			for _, line := range strings.Split(string(data), "\n") {
+				var r journalRecord
+				if json.Unmarshal([]byte(line), &r) == nil && r.Op == opAdmit && r.Job == acc.Job {
+					admit = line + "\n"
+				}
+			}
+			if admit == "" {
+				t.Fatalf("journal holds no admit record for %s:\n%s", acc.Job, data)
+			}
+			jpath := filepath.Join(dir, "second.jsonl")
+			if err := os.WriteFile(jpath, []byte(admit), 0o666); err != nil {
+				t.Fatal(err)
+			}
+			second, _ := newTestServer(t, Config{Workers: 1, JournalPath: jpath})
+			j2 := waitDone(t, second, acc.Job)
+			waitRingClosed(t, j2)
+
+			if j2.id != acc.Job || j2.seq != j1.seq || j2.key != j1.key || j2.client != j1.client || j2.priority != j1.priority {
+				t.Errorf("replayed job (id %s, seq %d, key %q, client %q, priority %d), first life (id %s, seq %d, key %q, client %q, priority %d)",
+					j2.id, j2.seq, j2.key, j2.client, j2.priority, acc.Job, j1.seq, j1.key, j1.client, j1.priority)
+			}
+			if j1.client != "key:a" || j1.priority != 3 || (j1.key == "") != nocache {
+				t.Errorf("first life client %q, priority %d, key %q: request not applied", j1.client, j1.priority, j1.key)
+			}
+			if j2.tc.Trace != acc.Trace {
+				t.Errorf("replayed trace %s, first life's 202 gave %s", j2.tc.Trace, acc.Trace)
+			}
+			spans := func(j *job, rootEvent string) [3]string {
+				var sp [3]string
+				for _, e := range collectEvents(t, j) {
+					id, _ := e["span"].(string)
+					switch e["event"] {
+					case rootEvent:
+						sp[0] = id
+					case "srv.queue.begin":
+						sp[1] = id
+					case "srv.job.begin":
+						sp[2] = id
+					}
+				}
+				return sp
+			}
+			want, got := spans(j1, "srv.admit"), spans(j2, "srv.replay")
+			if want[0] == "" || want[1] == "" || want[2] == "" || got != want {
+				t.Errorf("replayed root/queue/work spans %v, first life %v", got, want)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func qjob(client string, priority int, seq int64) *job {
-	return &job{id: "t", client: client, priority: priority, seq: seq}
+	return &job{work: work{client: client, priority: priority}, id: "t", seq: seq}
 }
 
 // TestFairDequeueRoundRobinsClients: a client that floods the queue gets

@@ -22,14 +22,17 @@
 //     returns — in-flight work completes and lands in the store before
 //     the process exits.
 //
-// Crash safety (PR 7): with a JournalPath configured, every admission is
+// Crash safety: with a JournalPath configured, every admission is
 // fsync'd to an append-only JSONL journal before the client sees its job
 // id, and every completion appends a matching done record. A daemon
 // killed mid-flight replays the journal on the next start: admitted-but-
 // unfinished jobs are rebuilt from their recorded request JSON (the same
 // builders the HTTP handlers use — see work.go and journal.go), re-
 // enqueued under their original ids, and — for ATPG — resumed from the
-// per-job checkpoint where one landed. Dequeue is fair across clients
+// per-job checkpoint where one landed. A live submit and a replay admit
+// through the same two steps, newJobLocked (build, trace, register) and
+// enqueue (admission event, queue span, push), so a replayed job keeps
+// its first life's id, seq and trace. Dequeue is fair across clients
 // (see queue.go), and admission rejections carry a Retry-After derived
 // from the live queue-wait distribution.
 //
@@ -69,7 +72,8 @@ const (
 	FPWorker = "srv.worker"
 )
 
-// Config assembles a Server.
+// Config assembles a Server. It holds only what cmd/socd sets from its
+// flags; the limits no caller tunes are the constants below.
 type Config struct {
 	// Workers is the size of the job worker pool (0 = NumCPU).
 	Workers int
@@ -84,17 +88,8 @@ type Config struct {
 	// JobTimeout is the default per-job deadline; a request may set its
 	// own (timeout_ms), which takes precedence. 0 means no deadline.
 	JobTimeout time.Duration
-	// JobHistory is how many completed jobs stay queryable via
-	// /v1/jobs/{id}; 0 means the default of 512.
-	JobHistory int
 	// Version is the build identifier /healthz reports ("" = "dev").
 	Version string
-	// EventBuffer caps the per-job trace event ring behind the SSE
-	// stream (GET /v1/jobs/{id}/events); 0 means the default of 256.
-	EventBuffer int
-	// SSEKeepAlive is the comment interval keeping idle SSE streams
-	// alive through proxies; 0 means the default of 15s.
-	SSEKeepAlive time.Duration
 	// JournalPath enables the durable job journal: admissions and
 	// completions are fsync'd there, and startup replays unfinished jobs.
 	// ATPG jobs additionally checkpoint under JournalPath+".ckpt" so a
@@ -104,6 +99,17 @@ type Config struct {
 	// endpoint). Off by default; never enable on an untrusted network.
 	Debug bool
 }
+
+const (
+	// jobHistory is how many jobs stay queryable via /v1/jobs/{id}.
+	jobHistory = 512
+	// eventBuffer caps each job's trace event ring behind the SSE stream
+	// (GET /v1/jobs/{id}/events).
+	eventBuffer = 256
+	// sseKeepAlive is the comment interval keeping idle SSE streams alive
+	// through proxies.
+	sseKeepAlive = 15 * time.Second
+)
 
 // jobState is the lifecycle of a job as /v1/jobs reports it.
 type jobState int32
@@ -129,19 +135,13 @@ func (s jobState) String() string {
 	return "unknown"
 }
 
-// job is one unit of work: a closure computing artifact bytes, plus the
-// bookkeeping the queue, the coalescing map and /v1/jobs need.
+// job is one admitted unit of work: the work it runs, plus the
+// bookkeeping the queue, the coalescing map and /v1/jobs need. Its key is
+// "" for a nocache run, which is never stored or coalesced.
 type job struct {
-	id       string
-	kind     string // a served kind: "atpg", "tdv", "lint" or "schedule"
-	circuit  string // short workload label for trace events and pprof labels
-	key      string // content address; "" = uncacheable
-	client   string // fairness bucket (see clientID); "" for direct submits
-	priority int
-	seq      int64
-	reqJSON  []byte // journaled request, nil when journaling is off
-	timeout  time.Duration
-	run      func(ctx context.Context, col *obs.Collector) ([]byte, error)
+	work
+	id  string
+	seq int64
 
 	// Request-scoped tracing: tc is the job's root trace identity
 	// (deterministic in (kind, key, admission seq) — see obs.NewTrace),
@@ -202,8 +202,8 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	seq      int64
-	jobs     map[string]*job // by id, bounded by JobHistory
-	jobOrder []string        // completion-retention ring
+	jobs     map[string]*job // by id, bounded by jobHistory
+	jobOrder []string        // retained ids in admission order
 	inflight map[string]*job // by key: queued or running, coalescing target
 
 	busy atomic.Int64 // workers currently executing a job
@@ -233,15 +233,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 64
-	}
-	if cfg.JobHistory <= 0 {
-		cfg.JobHistory = 512
-	}
-	if cfg.EventBuffer <= 0 {
-		cfg.EventBuffer = 256
-	}
-	if cfg.SSEKeepAlive <= 0 {
-		cfg.SSEKeepAlive = 15 * time.Second
 	}
 	s := &Server{
 		cfg:        cfg,
@@ -336,64 +327,13 @@ func (s *Server) submit(wk work) (j *job, cachedArtifact []byte, err error) {
 		}
 	}
 	s.seq++
-	j = &job{
-		id:       fmt.Sprintf("j%d", s.seq),
-		kind:     wk.kind,
-		circuit:  wk.circuit,
-		key:      wk.key,
-		client:   wk.client,
-		priority: wk.priority,
-		seq:      s.seq,
-		timeout:  wk.timeout,
-		run:      wk.run,
-		reqJSON:  wk.reqJSON,
-		events:   newEventBuf(s.cfg.EventBuffer),
-		done:     make(chan struct{}),
-	}
-	if wk.nocache {
-		j.key = "" // never store or coalesce an explicitly uncached run
-	}
-	// The trace identity is a pure function of the content address and the
-	// admission sequence number: two daemons fed the same request sequence
-	// mint identical trace/span IDs (no wall clock, no randomness).
-	traceKey := wk.key
-	if traceKey == "" {
-		traceKey = j.id
-	}
-	j.tc = obs.NewTrace(wk.kind+"\x00"+traceKey, s.seq)
-	j.sink = obs.Sink(j.events)
-	if base := s.col.Sink(); base != nil {
-		j.sink = obs.MultiSink{j.events, base}
-	}
-	s.jobs[j.id] = j
-	s.retainLocked(j.id)
-	if j.key != "" {
-		s.inflight[j.key] = j
-	}
+	j = s.newJobLocked(wk, fmt.Sprintf("j%d", s.seq), s.seq)
 	s.mu.Unlock()
 
-	// Admission event on the root span, then the queue span opens as a
-	// child: it closes at dequeue, so its duration IS the queue wait.
-	rootCol := obs.New(s.col.Metrics(), obs.AnnotateTrace(j.sink, j.tc))
-	rootCol.Emit("srv.admit",
-		obs.F("job", j.id), obs.F("kind", j.kind), obs.F("circuit", j.circuit),
-		obs.F("key", short(j.key)), obs.F("priority", j.priority))
-	queueCol := obs.New(s.col.Metrics(), obs.AnnotateTrace(j.sink, j.tc.Child("queue")))
-	j.queueSpan = queueCol.StartSpan("srv.queue", obs.F("job", j.id), obs.F("kind", j.kind))
-
-	if qerr := s.queue.push(j); qerr != nil {
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		if j.key != "" && s.inflight[j.key] == j {
-			delete(s.inflight, j.key)
-		}
-		s.mu.Unlock()
-		j.queueSpan.End(obs.F("rejected", true))
-		j.events.close()
+	if err := s.enqueue(j, false); err != nil {
 		s.cRejected.Inc()
-		return nil, nil, qerr
+		return nil, nil, err
 	}
-	s.cEnqueued.Inc()
 	// The admission record is fsync'd after the push succeeds: a rejected
 	// submission never reaches the journal, and a crash between push and
 	// append can lose only a job whose admission the client never saw
@@ -406,15 +346,81 @@ func (s *Server) submit(wk work) (j *job, cachedArtifact []byte, err error) {
 	return j, nil, nil
 }
 
-// retainLocked bounds the job map: the oldest retained job is forgotten
-// once the history cap is exceeded.
-func (s *Server) retainLocked(id string) {
-	s.jobOrder = append(s.jobOrder, id)
-	for len(s.jobOrder) > s.cfg.JobHistory {
-		old := s.jobOrder[0]
-		s.jobOrder = s.jobOrder[1:]
-		delete(s.jobs, old)
+// newJobLocked builds the job that runs wk under id and seq, and registers
+// it in the job map, the history ring and, when cacheable, the coalescing
+// map. A live submit and a journal replay both admit through it, so a
+// replayed job carries exactly the identity of its first life. The caller
+// holds s.mu.
+func (s *Server) newJobLocked(wk work, id string, seq int64) *job {
+	// The trace identity is a pure function of the content address and the
+	// admission sequence number: two daemons fed the same request sequence
+	// mint identical trace/span IDs (no wall clock, no randomness). A
+	// nocache run traces under its content address too, taken before its
+	// key is cleared.
+	traceKey := wk.key
+	if traceKey == "" {
+		traceKey = id
 	}
+	if wk.nocache {
+		wk.key = "" // never store or coalesce an explicitly uncached run
+	}
+	j := &job{
+		work: wk, id: id, seq: seq,
+		tc:     obs.NewTrace(wk.kind+"\x00"+traceKey, seq),
+		events: newEventBuf(eventBuffer),
+		done:   make(chan struct{}),
+	}
+	j.sink = obs.Sink(j.events)
+	if base := s.col.Sink(); base != nil {
+		j.sink = obs.MultiSink{j.events, base}
+	}
+	s.jobs[id] = j
+	s.jobOrder = append(s.jobOrder, id)
+	for len(s.jobOrder) > jobHistory { // forget the oldest job
+		delete(s.jobs, s.jobOrder[0])
+		s.jobOrder = s.jobOrder[1:]
+	}
+	if j.key != "" {
+		s.inflight[j.key] = j
+	}
+	return j
+}
+
+// enqueue emits the job's admission event on its root span, opens the
+// queue span as a child (it closes at dequeue, so its duration IS the
+// queue wait) and pushes the job. A replayed job was acknowledged in an
+// earlier life, so it is pushed past the queue bound and its events say
+// so. On a failed push the job is unregistered again.
+func (s *Server) enqueue(j *job, replayed bool) error {
+	rootCol := obs.New(s.col.Metrics(), obs.AnnotateTrace(j.sink, j.tc))
+	queueCol := obs.New(s.col.Metrics(), obs.AnnotateTrace(j.sink, j.tc.Child("queue")))
+	var err error
+	if replayed {
+		rootCol.Emit("srv.replay",
+			obs.F("job", j.id), obs.F("kind", j.kind), obs.F("circuit", j.circuit),
+			obs.F("key", short(j.key)))
+		j.queueSpan = queueCol.StartSpan("srv.queue", obs.F("job", j.id), obs.F("kind", j.kind), obs.F("replayed", true))
+		err = s.queue.forcePush(j)
+	} else {
+		rootCol.Emit("srv.admit",
+			obs.F("job", j.id), obs.F("kind", j.kind), obs.F("circuit", j.circuit),
+			obs.F("key", short(j.key)), obs.F("priority", j.priority))
+		j.queueSpan = queueCol.StartSpan("srv.queue", obs.F("job", j.id), obs.F("kind", j.kind))
+		err = s.queue.push(j)
+	}
+	if err != nil {
+		s.mu.Lock()
+		delete(s.jobs, j.id)
+		if j.key != "" && s.inflight[j.key] == j {
+			delete(s.inflight, j.key)
+		}
+		s.mu.Unlock()
+		j.queueSpan.End(obs.F("rejected", true))
+		j.events.close()
+		return err
+	}
+	s.cEnqueued.Inc()
+	return nil
 }
 
 // lookup returns a retained job by id.
@@ -457,8 +463,7 @@ func (s *Server) runJob(j *job) {
 	// run closure hands it to the engine (opts.Obs), so engine phase
 	// events inherit the job's trace without the engine knowing about
 	// traces at all.
-	wtc := j.tc.Child("work")
-	wcol := obs.New(s.col.Metrics(), obs.AnnotateTrace(j.sink, wtc))
+	wcol := obs.New(s.col.Metrics(), obs.AnnotateTrace(j.sink, j.tc.Child("work")))
 	span := wcol.StartSpan("srv.job", obs.F("job", j.id), obs.F("kind", j.kind))
 
 	var (
@@ -472,7 +477,7 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	if !cached {
-		ctx := obs.WithTrace(context.Background(), wtc)
+		ctx := context.Background()
 		ckpt := ""
 		if s.ckptDir != "" {
 			// The checkpoint path is a pure function of the (stable) job id,

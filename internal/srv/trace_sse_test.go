@@ -330,12 +330,12 @@ func TestSSEMidJobSubscribe(t *testing.T) {
 	}
 }
 
-// TestSlowSSEClientNeverBlocksJob is the backpressure satellite: a
+// TestSlowSSEClientNeverBlocksJob is the backpressure contract: a
 // subscriber that stops reading must not delay job completion, and a
-// tiny ring overwritten by a chatty job reports an explicit gap rather
-// than unbounded growth.
+// ring overwritten by a chatty job reports an explicit gap rather than
+// unbounded growth.
 func TestSlowSSEClientNeverBlocksJob(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1, EventBuffer: 4})
+	s, _ := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -350,11 +350,11 @@ func TestSlowSSEClientNeverBlocksJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A chatty job: emits far more events than the 4-slot ring holds.
+	// A chatty job: emits far more events than the ring holds.
 	chatty, _, err := s.submit(work{
 		kind: "tdv", key: "chatty",
 		run: func(ctx context.Context, col *obs.Collector) ([]byte, error) {
-			for i := 0; i < 100; i++ {
+			for i := 0; i < 2*eventBuffer; i++ {
 				col.Emit("chatty.tick", obs.F("i", i))
 			}
 			return []byte("{}\n"), nil
@@ -380,13 +380,12 @@ func TestSlowSSEClientNeverBlocksJob(t *testing.T) {
 	}
 	stream.Body.Close() // disconnect the stalled subscriber
 
-	// The ring kept only the newest 4 events and reports the overwrite.
-	batch, first, _, dropped, done, _ := chatty.events.since(0)
-	if !done {
-		t.Error("ring not closed after completion")
-	}
-	if len(batch) != 4 {
-		t.Errorf("ring retained %d events, want 4", len(batch))
+	// Completion closes chatty.done before the ring closes; wait for the
+	// ring. It kept only the newest events and reports the overwrite.
+	waitRingClosed(t, chatty)
+	batch, first, _, dropped, _, _ := chatty.events.since(0)
+	if len(batch) != eventBuffer {
+		t.Errorf("ring retained %d events, want %d", len(batch), eventBuffer)
 	}
 	if dropped == 0 || first != dropped {
 		t.Errorf("dropped = %d, first = %d; want an explicit gap", dropped, first)

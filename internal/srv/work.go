@@ -20,8 +20,7 @@ import (
 
 // work is a parsed, canonicalized request ready for submission. The run
 // closure receives the worker's trace-annotated collector: engine events
-// emitted through it carry the job's trace/span identity, and the ctx
-// carries the same obs.TraceContext for code that wants it directly.
+// emitted through it carry the job's trace/span identity.
 //
 // Building a work unit is deliberately separated from HTTP: the handlers
 // build one from a decoded request, and journal replay builds the very
