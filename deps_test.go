@@ -12,7 +12,8 @@ import (
 // packages kept on purpose for tests alone, each with its reason.
 func TestNoIdleInternalPackages(t *testing.T) {
 	allowed := map[string]string{
-		"repro/internal/sim": "test oracle",
+		"repro/internal/sim":     "test oracle",
+		"repro/internal/wrapper": "test oracle",
 	}
 	goList := func(args ...string) []string {
 		t.Helper()

@@ -127,10 +127,14 @@ func corePower(c Core) int64 { return c.UsefulPerPattern() }
 // staircase computed up to maxW. Modules without a test of their own
 // (pure containers, T = 0) are skipped — there is nothing to schedule.
 // The result is ordered by module pre-order, and each staircase is
-// deterministic, so BuildCores is a pure function of the profile.
+// deterministic, so BuildCores is a pure function of the profile. It
+// refuses a profile core.SOC.Validate refuses, whose volumes could wrap.
 func BuildCores(s *core.SOC, maxW int) ([]Core, error) {
 	if err := (Options{TAMWidth: maxW}).Validate(); err != nil {
 		return nil, err
+	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("coopt: SOC %s: %w", s.Name, err)
 	}
 	var cores []Core
 	for _, m := range s.Modules() {

@@ -220,6 +220,23 @@ func TestBuildCoresRejectsChainMismatch(t *testing.T) {
 	}
 }
 
+// TestOverflowRefused checks Optimize and Sweep refuse a profile whose
+// Eq. 4 volume leaves int64 with core.SOC.Validate's message, instead of
+// returning a wrapped, negative TDVBits.
+func TestOverflowRefused(t *testing.T) {
+	s, err := itc02.ParseSOCString("soc big\nmodule Top t 1 children A\nmodule A s 2000000000 t 3000000000\ntop Top\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "module A: Eq. 4 TDV_modular overflows int64"
+	if sc, err := Optimize(s, Options{TAMWidth: 8}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Optimize = %+v, %v; want an error with %q", sc, err, want)
+	}
+	if pts, err := Sweep(s, []int{8, 16}, 1, 0); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Sweep = %+v, %v; want an error with %q", pts, err, want)
+	}
+}
+
 // TestScheduleArtifactsPinned pins the SHA-256 of served schedule bytes.
 // The unbudgeted d695@32 and g1023@24 digests are the ones the socbench
 // serving catalog (cmd/socbench/testdata/serve_catalog.json) checks on

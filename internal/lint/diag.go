@@ -2,11 +2,14 @@
 // diagnostics engine plus two rule families that check test inputs before
 // any expensive ATPG or TDV computation touches them.
 //
-//   - Netlist DRC (rules NL001–NL012) over .bench sources and built
-//     netlist.Circuit values: combinational cycles with the offending path,
-//     undriven and multiply-driven nets, duplicate definitions, fanin arity,
-//     dead and unobservable logic, unused inputs and fanout thresholds —
-//     plus SCOAP testability analysis (scoap.go).
+//   - Netlist DRC (rules NL001–NL014) over .bench sources and built
+//     netlist.Circuit values. The structural rules (combinational cycles
+//     with the offending path, undriven and multiply-driven nets,
+//     duplicate definitions, fanin arity, unknown types, syntax) are the
+//     problems of netlist.ReadBench, the one .bench reader, mapped to
+//     rules; the circuit rules (dead and unobservable logic, unused
+//     inputs, fanout, SCOAP testability (scoap.go) and the opt-in SAT
+//     rules) run on the circuit it builds.
 //   - ITC'02 SOC lint (rules SOC001–SOC013) over .soc sources, read
 //     through itc02.ReadSOC, and built core.SOC profiles: hierarchy
 //     consistency, scan-chain bookkeeping and the preconditions of the

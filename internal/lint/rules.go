@@ -20,7 +20,7 @@ var Catalog = []Rule{
 	{"NL003", Error, "multiply-driven net: declared INPUT and also assigned by a gate"},
 	{"NL004", Warning, "dead logic: gate unreachable from every primary input or constant"},
 	{"NL005", Warning, "unobservable logic: gate reaches no primary output or DFF data input"},
-	{"NL006", Error, "duplicate definition: the same net defined more than once"},
+	{"NL006", Error, "duplicate definition: the same net defined, or declared OUTPUT, more than once"},
 	{"NL007", Error, "fanin arity outside the gate type's legal range"},
 	{"NL008", Error, "unknown gate type"},
 	{"NL009", Error, "syntax error: line is not a .bench statement"},

@@ -12,9 +12,8 @@ import (
 // unsatisfiable — logic that is provably dead weight for any test set.
 // Both are exact (no SCOAP-style approximation) and deterministic: the
 // same netlist always yields the same findings in the same order.
-func checkSAT(file string, c *netlist.Circuit, lines map[string]int) *Report {
+func checkSAT(c *netlist.Circuit, pos func(netlist.GateID) Pos) *Report {
 	r := &Report{}
-	pos := func(name string) Pos { return Pos{File: file, Line: lines[name]} }
 
 	a := sat.NewAnalyzer(c)
 	for id := netlist.GateID(0); int(id) < c.NumGates(); id++ {
@@ -30,15 +29,14 @@ func checkSAT(file string, c *netlist.Circuit, lines map[string]int) *Report {
 			if val {
 				v = 1
 			}
-			r.Add("NL013", pos(g.Name), g.Name,
+			r.Add("NL013", pos(id), g.Name,
 				"net %q is provably constant %d under every stimulus", g.Name, v)
 		}
 	}
 
 	for _, f := range faults.CollapsedUniverse(c) {
 		if proof := sat.ProveFault(c, f); proof.Redundant {
-			site := c.Gate(f.Gate)
-			r.Add("NL014", pos(site.Name), f.String(c),
+			r.Add("NL014", pos(f.Gate), f.String(c),
 				"fault %s is provably untestable: no stimulus detects it", f.String(c))
 		}
 	}

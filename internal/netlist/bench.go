@@ -2,63 +2,73 @@ package netlist
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strings"
 )
 
-// BenchStmtKind classifies one statement of a .bench source file.
-type BenchStmtKind uint8
+// stmtKind classifies one statement of a .bench source file.
+type stmtKind uint8
 
 // Statement kinds of the .bench format.
 const (
-	BenchInput  BenchStmtKind = iota // INPUT(name)
-	BenchOutput                      // OUTPUT(name)
-	BenchGate                        // name = TYPE(fanin, ...)
+	benchInput  stmtKind = iota // INPUT(name)
+	benchOutput                 // OUTPUT(name)
+	benchGate                   // name = TYPE(fanin, ...)
 )
 
-// BenchStmt is one parsed statement of a .bench source, before any semantic
-// checking: the statement scanner keeps going past semantic problems
-// (unknown gate types, duplicate definitions, undriven nets) so that
-// diagnostic passes can report them all with line positions. TypeKnown is
-// false when the gate type token did not name a supported type; Type is
-// only meaningful when TypeKnown is true.
-type BenchStmt struct {
-	Line      int
-	Kind      BenchStmtKind
-	Name      string // declared net (INPUT/OUTPUT) or assignment LHS
-	Type      GateType
-	TypeName  string // raw gate type token, as written
-	TypeKnown bool
-	Fanin     []string
+// ProblemKind classifies a Problem.
+type ProblemKind uint8
+
+// Problem kinds, one per way a .bench source fails.
+const (
+	Syntax              ProblemKind = iota // a line that is not a .bench statement
+	UnknownType                            // a gate type token naming no supported type
+	DuplicateDefinition                    // a second INPUT, or a second gate, driving one net
+	MultiplyDriven                         // a net both declared INPUT and driven by a gate
+	Arity                                  // a gate with a fanin count its type does not allow
+	Undriven                               // a net a gate or an OUTPUT reads that nothing drives
+	Cycle                                  // a combinational cycle
+	DuplicateOutput                        // a second OUTPUT of one net
+)
+
+// Problem is one defect ReadBench or Builder.Build found.
+type Problem struct {
+	Kind    ProblemKind
+	File    string
+	Line    int    // source line, or 0 when declared without one
+	Subject string // the net, or the cycle's path, concerned; "" for syntax
+	Msg     string
 }
 
-// BenchSyntaxError is a line-level syntax error of a .bench source.
-type BenchSyntaxError struct {
-	File string
-	Line int
-	Msg  string
+// Error renders the problem in the parser's "bench file:line" style.
+func (p Problem) Error() string {
+	if p.Line > 0 {
+		return fmt.Sprintf("bench %s:%d: %s", p.File, p.Line, p.Msg)
+	}
+	return fmt.Sprintf("bench %s: %s", p.File, p.Msg)
 }
 
-// Error renders the error in the parser's uniform "bench file:line" style.
-func (e *BenchSyntaxError) Error() string {
-	return fmt.Sprintf("bench %s:%d: %s", e.File, e.Line, e.Msg)
+// joinProblems returns the problems as one error, the first on the first
+// line, or nil when there are none.
+func joinProblems(ps []Problem) error {
+	errs := make([]error, len(ps))
+	for i := range ps {
+		errs[i] = ps[i]
+	}
+	return errors.Join(errs...)
 }
 
-// ScanBenchStmts tokenizes a .bench source leniently: every line that parses
-// becomes a BenchStmt, every line that does not becomes a BenchSyntaxError,
-// and scanning continues to the end of the input either way. ParseBench and
-// the DRC linter share this scanner, so "what the parser accepts" and "what
-// the linter sees" cannot drift apart. The final error is an I/O error from
+// scan reads a .bench source into b leniently: it declares every line
+// that parses, records every line that does not as a Syntax problem, and
+// scans to the end of the input either way. The error is an I/O error from
 // the reader, if any.
-func ScanBenchStmts(file string, r io.Reader) ([]BenchStmt, []*BenchSyntaxError, error) {
-	var (
-		stmts []BenchStmt
-		serrs []*BenchSyntaxError
-	)
+func (b *Builder) scan(r io.Reader) ([]Problem, error) {
+	var probs []Problem
 	badLine := func(line int, format string, args ...any) {
-		serrs = append(serrs, &BenchSyntaxError{File: file, Line: line, Msg: fmt.Sprintf(format, args...)})
+		probs = append(probs, Problem{Kind: Syntax, File: b.name, Line: line, Msg: fmt.Sprintf(format, args...)})
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -74,16 +84,16 @@ func ScanBenchStmts(file string, r io.Reader) ([]BenchStmt, []*BenchSyntaxError,
 		}
 		switch {
 		case isDecl(line, "INPUT"), isDecl(line, "OUTPUT"):
-			kind, kw := BenchInput, "INPUT"
+			kind, kw := benchInput, "INPUT"
 			if !isDecl(line, kw) {
-				kind, kw = BenchOutput, "OUTPUT"
+				kind, kw = benchOutput, "OUTPUT"
 			}
 			arg, msg := parseParen(line[len(kw):])
 			if msg != "" {
 				badLine(lineNo, "%s", msg)
 				continue
 			}
-			stmts = append(stmts, BenchStmt{Line: lineNo, Kind: kind, Name: arg})
+			b.declare(kind, lineNo, arg, 0, nil)
 		default:
 			eq := strings.IndexByte(line, '=')
 			if eq < 0 {
@@ -99,7 +109,6 @@ func ScanBenchStmts(file string, r io.Reader) ([]BenchStmt, []*BenchSyntaxError,
 				continue
 			}
 			tname := strings.TrimSpace(rhs[:open])
-			typ, known := ParseGateTypeName(tname)
 			var fanin []string
 			if args := strings.TrimSpace(rhs[open+1 : close]); args != "" {
 				fanin = strings.Split(args, ",")
@@ -111,16 +120,20 @@ func ScanBenchStmts(file string, r io.Reader) ([]BenchStmt, []*BenchSyntaxError,
 				badLine(lineNo, "empty fanin in %q", line)
 				continue
 			}
-			stmts = append(stmts, BenchStmt{
-				Line: lineNo, Kind: BenchGate, Name: lhs,
-				Type: typ, TypeName: tname, TypeKnown: known, Fanin: fanin,
-			})
+			typ := gateTypeByName(tname)
+			if !typ.Valid() {
+				if b.typeNames == nil {
+					b.typeNames = map[int32]string{}
+				}
+				b.typeNames[int32(len(b.decls))] = tname
+			}
+			b.declare(benchGate, lineNo, lhs, typ, fanin)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return stmts, serrs, fmt.Errorf("bench %s: %w", file, err)
+		return probs, fmt.Errorf("bench %s: %w", b.name, err)
 	}
-	return stmts, serrs, nil
+	return probs, nil
 }
 
 // ParseBench reads a circuit in the ISCAS'89 ".bench" format:
@@ -135,53 +148,49 @@ func ScanBenchStmts(file string, r io.Reader) ([]BenchStmt, []*BenchSyntaxError,
 // Forward references are allowed (a gate may use a net defined later).
 // Gates are numbered as Builder documents: inputs, then DFFs, then the
 // combinational gates by (sweep round, name), in O(n log n) time in gates.
-// The returned circuit is finalized.
+// The returned circuit is finalized. On a source ReadBench finds problems
+// in, the error joins them all (errors.Join), the first on its first line.
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
-	stmts, serrs, err := ScanBenchStmts(name, r)
+	src, err := ReadBench(name, r)
 	if err != nil {
 		return nil, err
 	}
-	if len(serrs) > 0 {
-		return nil, serrs[0]
-	}
-	return BuildBench(name, stmts)
+	return src.Circuit, joinProblems(src.Problems)
 }
 
-// FindCycle returns one dependency cycle in the graph as a name path
-// "a, b, ..., a", or nil if the graph has none. Traversal order is
-// deterministic: sorted names throughout.
-func FindCycle(deps map[string][]string) []string {
-	names := make([]string, 0, len(deps))
-	for n, ds := range deps {
-		names = append(names, n)
-		slices.Sort(ds)
+// BenchSource is a .bench source as ReadBench read it.
+type BenchSource struct {
+	Circuit  *Circuit // nil when Problems is not empty
+	Lines    []int    // the line declaring each gate of Circuit, by ID
+	Problems []Problem
+}
+
+// ReadBench reads a .bench source leniently: it scans every line into a
+// Builder, then builds the circuit, and records every problem on the
+// way instead of stopping at the first. Problems come in Builder.Build's
+// order, the syntax problems first. ParseBench and the netlist linter both
+// read through it, so what the parser accepts and what the linter reports
+// cannot drift apart. The error is an I/O error from the reader.
+func ReadBench(name string, r io.Reader) (*BenchSource, error) {
+	b := NewBuilder(name)
+	probs, err := b.scan(r)
+	if err != nil {
+		return nil, err
 	}
-	slices.Sort(names)
-	// onPath[n] is n's position on the current path plus one; done marks
-	// the nodes explored to the end.
-	onPath, done := map[string]int{}, map[string]bool{}
-	var path, cycle []string
-	var visit func(n string) bool
-	visit = func(n string) bool {
-		path = append(path, n)
-		onPath[n] = len(path)
-		for _, d := range deps[n] {
-			if i := onPath[d]; i > 0 {
-				cycle = append(slices.Clone(path[i-1:]), d) // close the loop at d
-				return true
-			} else if !done[d] && visit(d) {
-				return true
+	c, more := b.build()
+	if len(probs) > 0 {
+		c = nil
+	}
+	src := &BenchSource{Circuit: c, Problems: append(probs, more...)}
+	if c != nil {
+		src.Lines = make([]int, c.NumGates())
+		for _, d := range b.decls {
+			if d.kind != benchOutput {
+				src.Lines[c.byName[b.nets[d.net]]] = int(d.line)
 			}
 		}
-		path, onPath[n], done[n] = path[:len(path)-1], 0, true
-		return false
 	}
-	for _, n := range names {
-		if !done[n] && visit(n) {
-			return cycle
-		}
-	}
-	return nil
+	return src, nil
 }
 
 // ParseBenchString is ParseBench over an in-memory string.
@@ -247,21 +256,21 @@ func parseParen(s string) (arg, msg string) {
 	return arg, ""
 }
 
-// ParseGateTypeName resolves a .bench gate type token (case-insensitive;
+// gateTypeByName resolves a .bench gate type token (case-insensitive;
 // NOT/INV and BUF/BUFF are aliases) to its GateType: any name of the gate
-// table but INPUT.
-func ParseGateTypeName(s string) (GateType, bool) {
+// table but INPUT, or an invalid type for any other token.
+func gateTypeByName(s string) GateType {
 	switch u := strings.ToUpper(s); u {
 	case "BUFF":
-		return Buf, true
+		return Buf
 	case "INV":
-		return Not, true
+		return Not
 	default:
 		for t := Buf; t < numGateTypes; t++ {
 			if gateTable[t].name == u {
-				return t, true
+				return t
 			}
 		}
 	}
-	return 0, false
+	return numGateTypes
 }

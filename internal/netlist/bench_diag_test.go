@@ -15,7 +15,7 @@ func TestDefectFixturesRejected(t *testing.T) {
 	cases := map[string]string{
 		"cycle.bench":       "combinational cycle",
 		"undriven.bench":    "undriven",
-		"multidriven.bench": "duplicate net name",
+		"multidriven.bench": "multiply driven",
 		"dupdef.bench":      "duplicate definition",
 		"arity.bench":       "fanin",
 		"badtype.bench":     "", // first error wins: unknown type or syntax
@@ -106,8 +106,7 @@ func TestParseBenchSelfLoop(t *testing.T) {
 }
 
 // TestParseBenchMultiplyDriven checks that assigning a net that is also
-// declared INPUT fails (via the duplicate-name check) rather than silently
-// shadowing the input.
+// declared INPUT fails rather than silently shadowing the input.
 func TestParseBenchMultiplyDriven(t *testing.T) {
 	_, err := ParseBenchString("m", "INPUT(A)\nINPUT(B)\nA = AND(B, B)\nOUTPUT(A)\n")
 	if err == nil {
@@ -119,13 +118,13 @@ func TestParseBenchMultiplyDriven(t *testing.T) {
 // errors and unknown gate types, reporting all of them with positions.
 func TestScanBenchStmtsLenient(t *testing.T) {
 	src := "INPUT(A)\nwhat is this\nB = FROB(A)\nC = AND(A, )\nD = NOT(A)\nOUTPUT(D)\n"
-	stmts, serrs, err := ScanBenchStmts("lenient", strings.NewReader(src))
+	stmts, serrs, err := scanStmts("lenient", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Syntax errors: line 2 (garbage), line 4 (empty fanin). The unknown
-	// type on line 3 is a statement with TypeKnown=false, not a syntax
-	// error — semantic passes decide what to do with it.
+	// type on line 3 is a gate with an invalid type, not a syntax error:
+	// the build pass reports it.
 	if len(serrs) != 2 {
 		t.Fatalf("got %d syntax errors, want 2: %v", len(serrs), serrs)
 	}
@@ -134,12 +133,12 @@ func TestScanBenchStmtsLenient(t *testing.T) {
 	}
 	var unknown, known int
 	for _, st := range stmts {
-		if st.Kind == BenchGate {
-			if st.TypeKnown {
+		if st.kind == benchGate {
+			if st.typ.Valid() {
 				known++
 			} else {
 				unknown++
-				if st.TypeName != "FROB" || st.Line != 3 {
+				if st.typeName != "FROB" || st.line != 3 {
 					t.Errorf("unknown-type stmt = %+v", st)
 				}
 			}
@@ -150,16 +149,15 @@ func TestScanBenchStmtsLenient(t *testing.T) {
 	}
 }
 
-// TestScanBenchStmtsAgreesWithParser: every committed clean fixture must
-// scan without syntax errors and with the same statement counts the parser
-// realizes as gates — the two layers share the scanner, so this guards the
-// builder's bookkeeping.
+// TestScanBenchStmtsAgreesWithParser: every clean source must scan without
+// syntax errors and with the same statement counts the parser realizes as
+// gates, which guards the builder's bookkeeping.
 func TestScanBenchStmtsAgreesWithParser(t *testing.T) {
 	for _, src := range []string{
 		"INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n",
 		"input ( A )\nINPUT(B)\noutput(Y)\nOUTPUT1 = and( A , B )\nINPUT1=inv(OUTPUT1)\nFF = dff( INPUT1 )\nY = xnor(FF, OUTPUT1)\n",
 	} {
-		stmts, serrs, err := ScanBenchStmts("x", strings.NewReader(src))
+		stmts, serrs, err := scanStmts("x", src)
 		if err != nil || len(serrs) != 0 {
 			t.Fatalf("scan failed: %v %v", err, serrs)
 		}
@@ -169,10 +167,10 @@ func TestScanBenchStmtsAgreesWithParser(t *testing.T) {
 		}
 		var gates, ins int
 		for _, st := range stmts {
-			switch st.Kind {
-			case BenchGate:
+			switch st.kind {
+			case benchGate:
 				gates++
-			case BenchInput:
+			case benchInput:
 				ins++
 			}
 		}

@@ -9,15 +9,16 @@ import (
 
 // Builder assembles a circuit from nets declared by name in any order: a
 // gate may use nets declared after it, and DFFs may close sequential
-// loops. Build and ParseBench both end in BuildBench.
+// loops. Build and ReadBench both end in one pass, which records every
+// problem of the declarations instead of stopping at the first.
 //
 // Gate IDs follow a fixed rule: inputs, then DFFs, each in declaration
 // order, then the combinational gates in the order of a worklist that
 // sweeps the pending gates by sorted name, round after round, inserting
 // each gate whose fanin exists. Gate g lands in round R(g) = max(1, max
 // over combinational fanin f of R(f) + [name(f) > name(g)]), and a round
-// is in name order. BuildBench computes R in one pass (Rounds) and sorts
-// once by (R, name): O(n log n) in gates.
+// is in name order. Build computes R in one pass (rounds) and sorts once
+// by (R, name): O(n log n) in gates.
 //
 // Storage is flat: each net name is resolved to a dense net number once,
 // when it is first mentioned, and a declaration is a 20-byte record whose
@@ -30,12 +31,15 @@ type Builder struct {
 	nets  []string          // net names by net number
 	decls []decl            // declarations in call order
 	pins  []GateID          // gate fanin as net numbers, then gate IDs after Build
+	// typeNames holds the type token of each gate ReadBench could not
+	// type, by declaration index.
+	typeNames map[int32]string
 }
 
 // decl is one declaration: an input, an output, or a gate of type typ
 // driving net with fanin pins[pin : pin+n].
 type decl struct {
-	kind   BenchStmtKind
+	kind   stmtKind
 	typ    GateType
 	line   int32
 	net    int32
@@ -58,7 +62,7 @@ func (b *Builder) net(name string) int32 {
 	return int32(k)
 }
 
-func (b *Builder) declare(kind BenchStmtKind, line int, name string, t GateType, fanin []string) {
+func (b *Builder) declare(kind stmtKind, line int, name string, t GateType, fanin []string) {
 	pin := len(b.pins)
 	for _, f := range fanin {
 		b.pins = append(b.pins, GateID(b.net(f)))
@@ -67,15 +71,15 @@ func (b *Builder) declare(kind BenchStmtKind, line int, name string, t GateType,
 }
 
 // Input declares a primary input.
-func (b *Builder) Input(name string) { b.declare(BenchInput, 0, name, 0, nil) }
+func (b *Builder) Input(name string) { b.declare(benchInput, 0, name, 0, nil) }
 
 // Output declares the net called name a primary output.
-func (b *Builder) Output(name string) { b.declare(BenchOutput, 0, name, 0, nil) }
+func (b *Builder) Output(name string) { b.declare(benchOutput, 0, name, 0, nil) }
 
 // Gate declares a gate of type t (any type but Input) driving the net
 // called name. The builder does not keep the fanin slice.
 func (b *Builder) Gate(name string, t GateType, fanin ...string) {
-	b.declare(BenchGate, 0, name, t, fanin)
+	b.declare(benchGate, 0, name, t, fanin)
 }
 
 // CopyGates declares every gate of c but its inputs, in ID order, naming
@@ -96,86 +100,134 @@ func (b *Builder) CopyGates(c *Circuit, rename func(GateID) string) {
 			for _, f := range g.Fanin {
 				b.pins = append(b.pins, net(f))
 			}
-			b.decls = append(b.decls, decl{kind: BenchGate, typ: g.Type, net: int32(net(g.ID)), pin: int32(pin), n: int32(len(g.Fanin))})
+			b.decls = append(b.decls, decl{kind: benchGate, typ: g.Type, net: int32(net(g.ID)), pin: int32(pin), n: int32(len(g.Fanin))})
 		}
 	}
 }
 
-// BuildBench builds the circuit of scanned .bench statements, numbering
-// gates as Builder documents. Errors come in a fixed order: unknown gate
-// types, duplicate inputs, duplicate gates, bad DFFs, the first gate
-// AddGate rejects in insertion order, undriven nets, combinational
-// cycles, unknown DFF fanin, unknown outputs.
-func BuildBench(name string, stmts []BenchStmt) (*Circuit, error) {
-	b := NewBuilder(name)
-	for i := range stmts {
-		st := &stmts[i]
-		if st.Kind == BenchGate && !st.TypeKnown {
-			return nil, benchErrorf(name, int32(st.Line), "unknown gate type %q", st.TypeName)
-		}
-		b.declare(st.Kind, st.Line, st.Name, st.Type, st.Fanin)
-	}
-	return b.Build()
-}
-
-// Build returns the finalized circuit, or the first error in BuildBench's
-// order.
+// Build returns the finalized circuit, or every problem of the
+// declarations joined into one error (errors.Join), the first on its first
+// line.
+//
+// Problems come in a fixed order: unknown gate types, duplicate inputs,
+// duplicate gates, the DFFs' problems in declaration order, the other
+// gates' problems in insertion order, the undriven nets combinational
+// gates read by name, one combinational cycle, the problems of the gates
+// the undriven nets or the cycle keep out, the undriven nets only DFFs
+// read, then the OUTPUT declarations' problems in declaration order. A
+// gate's problems are an INPUT of its net, then its fanin count.
 func (b *Builder) Build() (*Circuit, error) {
+	c, probs := b.build()
+	return c, joinProblems(probs)
+}
+
+// undrivenNet is a net that gates read but nothing drives.
+type undrivenNet struct {
+	net, line int32  // the net, and the line of the first gate reading it
+	gate      string // the first gate reading it
+	comb      bool   // a combinational gate reads it
+}
+
+// build is Build's pass: the finalized circuit, or nil and every problem
+// in Build's order. On valid declarations it allocates no more than the
+// circuit and its bookkeeping.
+func (b *Builder) build() (*Circuit, []Problem) {
 	name, nm := b.name, b.nets
+	var probs []Problem
+	bad := func(kind ProblemKind, line int32, subject, format string, args ...any) {
+		probs = append(probs, Problem{kind, name, int(line), subject, fmt.Sprintf(format, args...)})
+	}
+	for i, d := range b.decls {
+		if d.kind == benchGate && !d.typ.Valid() {
+			tn, ok := b.typeNames[int32(i)]
+			if !ok {
+				tn = d.typ.String()
+			}
+			bad(UnknownType, d.line, nm[d.net], "unknown gate type %q", tn)
+		}
+	}
 	id := make([]GateID, len(nm)) // gate ID of each net, once added
 	drv := make([]int32, len(nm)) // the gate declaring each net
+	// first holds the line of each net's first INPUT until the OUTPUT
+	// declarations reuse it.
+	first := make([]int32, len(nm))
 	for k := range id {
 		id[k], drv[k] = InvalidGate, -1
 	}
 	c := &Circuit{Name: name, gates: make([]Gate, 0, len(b.decls))}
 	for _, d := range b.decls {
-		if d.kind == BenchInput {
-			if err := checkGate(nm[d.net], Input, 0, id[d.net] >= 0); err != nil {
-				return nil, benchErrorf(name, 0, "%w", err)
-			}
-			id[d.net] = c.add(nm[d.net], Input, nil)
+		if d.kind != benchInput {
+			continue
+		} else if id[d.net] >= 0 {
+			bad(DuplicateDefinition, d.line, nm[d.net], "duplicate definition of net %q (first defined at line %d)",
+				nm[d.net], first[d.net])
+		} else {
+			id[d.net], first[d.net] = c.add(nm[d.net], Input, nil), d.line
 		}
 	}
-	gates, names := make([]decl, 0, len(b.decls)), make([]string, 0, len(b.decls))
+	gates := make([]decl, 0, len(b.decls))
 	for _, d := range b.decls {
-		if d.kind != BenchGate {
+		if d.kind != benchGate {
 			continue
-		} else if drv[d.net] >= 0 {
-			return nil, benchErrorf(name, d.line, "duplicate definition of %q", nm[d.net])
+		} else if g := drv[d.net]; g >= 0 {
+			bad(DuplicateDefinition, d.line, nm[d.net], "duplicate definition of net %q (first defined at line %d)",
+				nm[d.net], gates[g].line)
+		} else {
+			drv[d.net] = int32(len(gates))
+			gates = append(gates, d)
 		}
-		drv[d.net] = int32(len(gates))
-		gates, names = append(gates, d), append(names, nm[d.net])
+	}
+	// check records the problems of gate d and reports whether it may be
+	// added: not when its type is unknown or an input drives its net.
+	check := func(d decl) bool {
+		k := d.net
+		if id[k] >= 0 {
+			in := first[k]
+			bad(MultiplyDriven, max(in, d.line), nm[k],
+				"net %q is multiply driven: primary input (line %d) and gate output (line %d)", nm[k], in, d.line)
+		}
+		if !d.typ.Valid() {
+			return false
+		} else if msg := arity(nm[k], d.typ, int(d.n)); msg != "" {
+			bad(Arity, d.line, nm[k], "%s", msg)
+		}
+		return id[k] < 0
 	}
 	// DFF fanin does not gate insertion order (it may close a sequential
 	// loop): DFFs go in first, their fanin pin patched at the end.
 	for _, d := range gates {
-		switch {
-		case d.typ != DFF:
-		case id[d.net] >= 0:
-			return nil, benchErrorf(name, d.line, "duplicate net name %q", nm[d.net])
-		case d.n != 1:
-			return nil, benchErrorf(name, d.line, "DFF %q must have exactly one fanin", nm[d.net])
-		default:
+		if d.typ == DFF && check(d) {
 			id[d.net] = c.add(nm[d.net], DFF, b.fanin(d))
 		}
 	}
 	// A fanin naming an input or DFF is resolved already; one naming no
-	// declared net is undriven and never resolves.
-	var undriven []string
+	// declared net is undriven and never resolves. A gate of unknown type
+	// waits for nothing.
+	var undriven []undrivenNet
+	undrivenAt := map[int32]int{} // the index of each undriven net in undriven
 	deps, flat := make([][]int32, len(gates)), make([]int32, 0, len(b.pins))
 	for i, d := range gates {
-		start := len(flat)
+		start, comb := len(flat), d.typ != DFF
 		for _, f := range b.fanin(d) {
-			if d.typ != DFF && id[f] < 0 {
-				if drv[f] < 0 {
-					undriven = append(undriven, nm[f])
+			if id[f] >= 0 {
+				continue
+			}
+			if k := int32(f); drv[k] < 0 {
+				if u, ok := undrivenAt[k]; ok {
+					undriven[u].comb = undriven[u].comb || comb
+				} else {
+					undrivenAt[k] = len(undriven)
+					undriven = append(undriven, undrivenNet{k, d.line, nm[d.net], comb})
 				}
+			}
+			if comb && d.typ.Valid() {
 				flat = append(flat, drv[f])
 			}
 		}
 		deps[i] = flat[start:]
 	}
-	round := Rounds(names, deps)
+	gname := func(i int32) string { return nm[gates[i].net] }
+	round := rounds(len(gates), gname, deps)
 	order := make([]int32, 0, len(gates))
 	for i, d := range gates {
 		if round[i] > 0 && d.typ != DFF {
@@ -186,53 +238,74 @@ func (b *Builder) Build() (*Circuit, error) {
 		if r := cmp.Compare(round[x], round[y]); r != 0 {
 			return r
 		}
-		return strings.Compare(names[x], names[y])
+		return strings.Compare(gname(x), gname(y))
 	})
 	for _, i := range order {
-		d := gates[i]
-		if err := checkGate(names[i], d.typ, int(d.n), id[d.net] >= 0); err != nil {
-			return nil, benchErrorf(name, d.line, "%w", err)
+		if d := gates[i]; check(d) {
+			fanin := b.fanin(d)
+			for k, f := range fanin {
+				fanin[k] = id[f] // the pins become the gate's Fanin
+			}
+			id[d.net] = c.add(nm[d.net], d.typ, fanin)
 		}
-		fanin := b.fanin(d)
-		for k, f := range fanin {
-			fanin[k] = id[f] // the pins become the gate's Fanin
-		}
-		id[d.net] = c.add(names[i], d.typ, fanin)
 	}
-	if len(undriven) > 0 {
-		slices.Sort(undriven)
-		return nil, benchErrorf(name, 0, "undriven nets (referenced but never defined): %s",
-			strings.Join(slices.Compact(undriven), ", "))
+	byName := slices.Clone(undriven)
+	slices.SortFunc(byName, func(x, y undrivenNet) int { return strings.Compare(nm[x.net], nm[y.net]) })
+	for _, u := range byName {
+		if u.comb {
+			bad(Undriven, u.line, nm[u.net], "undriven net %q referenced by gate %q (defined nowhere)", nm[u.net], u.gate)
+		}
 	}
 	if slices.Contains(round, 0) {
-		// Every reference resolves, so the stall is a combinational cycle:
-		// report one concrete path through the stuck (never added) gates.
+		// The gates left at round 0 sit on or behind a cycle or an undriven
+		// net: report one concrete path through the stuck gates, if they
+		// close one, then the problems of each.
 		stuck := map[string][]string{}
-		for i, d := range gates {
-			for _, f := range b.fanin(d) {
-				if round[i] == 0 && drv[f] >= 0 && round[drv[f]] == 0 {
-					stuck[names[i]] = append(stuck[names[i]], nm[f])
+		for i, ds := range deps {
+			for _, j := range ds {
+				if round[i] == 0 && j >= 0 && round[j] == 0 {
+					stuck[gname(int32(i))] = append(stuck[gname(int32(i))], gname(j))
 				}
 			}
 		}
-		return nil, benchErrorf(name, 0, "combinational cycle: %s", strings.Join(FindCycle(stuck), " -> "))
-	}
-	for _, d := range gates {
-		if d.typ != DFF {
-			continue
-		} else if f := b.pins[d.pin]; id[f] < 0 {
-			return nil, benchErrorf(name, d.line, "DFF references unknown net %q", nm[f])
-		} else {
-			b.pins[d.pin] = id[f]
+		if cycle := findCycle(stuck); cycle != nil {
+			path := strings.Join(cycle, " -> ")
+			bad(Cycle, gates[drv[b.index[cycle[0]]]].line, path, "combinational cycle: %s", path)
+		}
+		for i, d := range gates {
+			if round[i] == 0 {
+				check(d)
+			}
 		}
 	}
-	for _, d := range b.decls {
-		if d.kind != BenchOutput {
-			continue
-		} else if id[d.net] < 0 {
-			return nil, benchErrorf(name, 0, "OUTPUT references unknown net %q", nm[d.net])
-		} else if err := c.MarkOutput(id[d.net]); err != nil {
-			return nil, benchErrorf(name, 0, "%w", err)
+	for _, u := range undriven {
+		if !u.comb {
+			bad(Undriven, u.line, nm[u.net], "undriven net %q referenced by gate %q (defined nowhere)", nm[u.net], u.gate)
+		}
+	}
+	clear(first) // now 1 + the index of each net's first OUTPUT declaration
+	for i, d := range b.decls {
+		k := d.net
+		switch {
+		case d.kind != benchOutput:
+		case first[k] > 0:
+			bad(DuplicateOutput, d.line, nm[k], "duplicate OUTPUT declaration of net %q (first declared at line %d)",
+				nm[k], b.decls[first[k]-1].line)
+		default:
+			first[k] = int32(i) + 1
+			if id[k] >= 0 || drv[k] >= 0 {
+				c.outputs = append(c.outputs, id[k])
+			} else if _, ok := undrivenAt[k]; !ok {
+				bad(Undriven, d.line, nm[k], "undriven net %q declared OUTPUT but defined nowhere", nm[k])
+			}
+		}
+	}
+	if len(probs) > 0 {
+		return nil, probs
+	}
+	for _, d := range gates {
+		if d.typ == DFF {
+			b.pins[d.pin] = id[b.pins[d.pin]]
 		}
 	}
 	// Every net named so far drives a gate now: the name index becomes
@@ -242,7 +315,7 @@ func (b *Builder) Build() (*Circuit, error) {
 	}
 	c.byName, b.index = b.index, nil
 	if err := c.Finalize(); err != nil {
-		return nil, err
+		return nil, []Problem{{Kind: Cycle, File: name, Msg: err.Error()}}
 	}
 	return c, nil
 }
@@ -250,22 +323,12 @@ func (b *Builder) Build() (*Circuit, error) {
 // fanin returns the pins of declaration d.
 func (b *Builder) fanin(d decl) []GateID { return b.pins[d.pin : d.pin+d.n : d.pin+d.n] }
 
-// benchErrorf formats a build error in the parser's "bench file[:line]"
-// style; line 0 means no position.
-func benchErrorf(name string, line int32, format string, args ...any) error {
-	if line > 0 {
-		name = fmt.Sprintf("%s:%d", name, line)
-	}
-	return fmt.Errorf("bench %s: "+format, append([]any{name}, args...)...)
-}
-
-// Rounds computes in one Kahn pass the round in which a worklist sweeping
-// the pending nodes of a dependency graph by name, round after round,
+// rounds computes in one Kahn pass the round in which a worklist sweeping
+// the n pending nodes of a dependency graph by name, round after round,
 // resolves each node: R(k) = max(1, max over d in deps[k] of R(d) +
-// [names[d] > names[k]]). A negative entry in deps[k] never resolves;
-// nodes on or behind a cycle or such an entry get 0.
-func Rounds(names []string, deps [][]int32) []int32 {
-	n := len(names)
+// [name(d) > name(k)]). A negative entry in deps[k] never resolves; nodes
+// on or behind a cycle or such an entry get 0.
+func rounds(n int, name func(int32) string, deps [][]int32) []int32 {
 	off, succ := invert(n, func(k int) []int32 { return deps[k] })
 	indeg := make([]int32, n)
 	queue := make([]int32, 0, n)
@@ -281,7 +344,7 @@ func Rounds(names []string, deps [][]int32) []int32 {
 		round[d] = max(round[d], 1)
 		for _, s := range succ[off[d]:off[d+1]] {
 			r := round[d]
-			if names[d] > names[s] {
+			if name(d) > name(s) {
 				r++
 			}
 			round[s] = max(round[s], r)
@@ -296,4 +359,41 @@ func Rounds(names []string, deps [][]int32) []int32 {
 		}
 	}
 	return round
+}
+
+// findCycle returns one dependency cycle in the graph as a name path
+// "a, b, ..., a", or nil if the graph has none. Traversal order is
+// deterministic: sorted names throughout.
+func findCycle(deps map[string][]string) []string {
+	names := make([]string, 0, len(deps))
+	for n, ds := range deps {
+		names = append(names, n)
+		slices.Sort(ds)
+	}
+	slices.Sort(names)
+	// onPath[n] is n's position on the current path plus one; done marks
+	// the nodes explored to the end.
+	onPath, done := map[string]int{}, map[string]bool{}
+	var path, cycle []string
+	var visit func(n string) bool
+	visit = func(n string) bool {
+		path = append(path, n)
+		onPath[n] = len(path)
+		for _, d := range deps[n] {
+			if i := onPath[d]; i > 0 {
+				cycle = append(slices.Clone(path[i-1:]), d) // close the loop at d
+				return true
+			} else if !done[d] && visit(d) {
+				return true
+			}
+		}
+		path, onPath[n], done[n] = path[:len(path)-1], 0, true
+		return false
+	}
+	for _, n := range names {
+		if !done[n] && visit(n) {
+			return cycle
+		}
+	}
+	return nil
 }

@@ -2,19 +2,47 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 )
 
+// benchStmt is one statement of a .bench source as the scanner declared
+// it: an INPUT, an OUTPUT or a gate, with the type token as written.
+type benchStmt struct {
+	kind     stmtKind
+	line     int
+	name     string
+	typ      GateType
+	typeName string
+	fanin    []string
+}
+
+// scanStmts scans src into a builder and reads its declarations back as
+// statements, in source order, with the syntax problems.
+func scanStmts(name, src string) ([]benchStmt, []Problem, error) {
+	b := NewBuilder(name)
+	serrs, err := b.scan(strings.NewReader(src))
+	var stmts []benchStmt
+	for i, d := range b.decls {
+		st := benchStmt{kind: d.kind, line: int(d.line), name: b.nets[d.net], typ: d.typ, typeName: b.typeNames[int32(i)]}
+		for _, f := range b.fanin(d) {
+			st.fanin = append(st.fanin, b.nets[f])
+		}
+		stmts = append(stmts, st)
+	}
+	return stmts, serrs, err
+}
+
 // parseBenchRounds is the sorted-rounds parser that Builder replaced, kept
-// as the oracle for its gate order and error texts: every round it sorts
-// the pending gate names and inserts each gate whose fanin already exists,
-// until a round makes no progress. Quadratic on a reverse-named chain, so
-// only small inputs go through it.
+// as the oracle for its gate order and its first error: every round it
+// sorts the pending gate names and inserts each gate whose fanin already
+// exists, until a round makes no progress. Quadratic on a reverse-named
+// chain, so only small inputs go through it.
 func parseBenchRounds(name, src string) (*Circuit, error) {
-	stmts, serrs, err := ScanBenchStmts(name, strings.NewReader(src))
+	stmts, serrs, err := scanStmts(name, src)
 	if err != nil {
 		return nil, err
 	}
@@ -28,37 +56,62 @@ func parseBenchRounds(name, src string) (*Circuit, error) {
 		fanin []string
 		line  int
 	}
+	type port struct {
+		name string
+		line int
+	}
 	var (
 		protos  []protoGate
-		inputs  []string
-		outputs []string
+		inputs  []port
+		outputs []port
 	)
 	for _, st := range stmts {
-		switch st.Kind {
-		case BenchInput:
-			inputs = append(inputs, st.Name)
-		case BenchOutput:
-			outputs = append(outputs, st.Name)
-		case BenchGate:
-			if !st.TypeKnown {
-				return nil, fmt.Errorf("bench %s:%d: unknown gate type %q", name, st.Line, st.TypeName)
+		switch st.kind {
+		case benchInput:
+			inputs = append(inputs, port{st.name, st.line})
+		case benchOutput:
+			outputs = append(outputs, port{st.name, st.line})
+		case benchGate:
+			if !st.typ.Valid() {
+				return nil, fmt.Errorf("bench %s:%d: unknown gate type %q", name, st.line, st.typeName)
 			}
-			protos = append(protos, protoGate{name: st.Name, typ: st.Type, fanin: st.Fanin, line: st.Line})
+			protos = append(protos, protoGate{name: st.name, typ: st.typ, fanin: st.fanin, line: st.line})
 		}
 	}
 
 	c := New(name)
+	inLine := map[string]int{} // the line of each net's first INPUT
 	for _, in := range inputs {
-		if _, err := c.AddGate(in, Input); err != nil {
+		if first, dup := inLine[in.name]; dup {
+			return nil, fmt.Errorf("bench %s:%d: duplicate definition of net %q (first defined at line %d)",
+				name, in.line, in.name, first)
+		}
+		inLine[in.name] = in.line
+		if _, err := c.AddGate(in.name, Input); err != nil {
 			return nil, fmt.Errorf("bench %s: %w", name, err)
 		}
+	}
+	multiplyDriven := func(p protoGate) error {
+		in := inLine[p.name]
+		return fmt.Errorf("bench %s:%d: net %q is multiply driven: primary input (line %d) and gate output (line %d)",
+			name, max(in, p.line), p.name, in, p.line)
+	}
+	// referencedBy names the first gate whose fanin reads net.
+	referencedBy := func(net string) protoGate {
+		for _, p := range protos {
+			if slices.Contains(p.fanin, net) {
+				return p
+			}
+		}
+		return protoGate{}
 	}
 	// Two-pass insertion to allow forward references: sort gates so that a
 	// gate is added only after all of its fanin. Use iterative worklist.
 	pending := make(map[string]protoGate, len(protos))
 	for _, p := range protos {
-		if _, dup := pending[p.name]; dup {
-			return nil, fmt.Errorf("bench %s:%d: duplicate definition of %q", name, p.line, p.name)
+		if first, dup := pending[p.name]; dup {
+			return nil, fmt.Errorf("bench %s:%d: duplicate definition of net %q (first defined at line %d)",
+				name, p.line, p.name, first.line)
 		}
 		pending[p.name] = p
 	}
@@ -68,6 +121,7 @@ func parseBenchRounds(name, src string) (*Circuit, error) {
 	// combinational gates in dependency order, then patch DFF fanin.
 	type dffFix struct {
 		id    GateID
+		name  string
 		fanin string
 		line  int
 	}
@@ -80,12 +134,15 @@ func parseBenchRounds(name, src string) (*Circuit, error) {
 		// real fanin is patched after all gates exist.
 		id, err := c.addDFFDeferred(p.name)
 		if err != nil {
-			return nil, fmt.Errorf("bench %s:%d: %w", name, p.line, err)
+			return nil, multiplyDriven(p)
 		}
-		if len(p.fanin) != 1 {
-			return nil, fmt.Errorf("bench %s:%d: DFF %q must have exactly one fanin", name, p.line, p.name)
+		switch n := len(p.fanin); {
+		case n == 0:
+			return nil, fmt.Errorf("bench %s:%d: gate %q (DFF) needs at least 1 fanin, got 0", name, p.line, p.name)
+		case n > 1:
+			return nil, fmt.Errorf("bench %s:%d: gate %q (DFF) allows at most 1 fanin, got %d", name, p.line, p.name, n)
 		}
-		fixes = append(fixes, dffFix{id: id, fanin: p.fanin[0], line: p.line})
+		fixes = append(fixes, dffFix{id: id, name: p.name, fanin: p.fanin[0], line: p.line})
 		delete(pending, p.name)
 	}
 	// Kahn-style insertion of combinational gates.
@@ -112,8 +169,11 @@ func parseBenchRounds(name, src string) (*Circuit, error) {
 			if !ready {
 				continue
 			}
+			if _, isInput := inLine[p.name]; isInput {
+				return nil, multiplyDriven(p)
+			}
 			if _, err := c.AddGate(p.name, p.typ, fanin...); err != nil {
-				return nil, fmt.Errorf("bench %s:%d: %w", name, p.line, err)
+				return nil, fmt.Errorf("bench %s:%d: %s", name, p.line, strings.TrimPrefix(err.Error(), "netlist: "))
 			}
 			delete(pending, n)
 			progress = true
@@ -142,37 +202,48 @@ func parseBenchRounds(name, src string) (*Circuit, error) {
 			}
 			if len(undriven) > 0 {
 				sort.Strings(undriven)
-				return nil, fmt.Errorf("bench %s: undriven nets (referenced but never defined): %s",
-					name, strings.Join(undriven, ", "))
+				p := referencedBy(undriven[0])
+				return nil, fmt.Errorf("bench %s:%d: undriven net %q referenced by gate %q (defined nowhere)",
+					name, p.line, undriven[0], p.name)
 			}
+			// A fanin naming an input waits for no pending gate, even one
+			// of the same name.
 			deps := make(map[string][]string, len(pending))
 			for n, p := range pending {
 				for _, fn := range p.fanin {
+					if _, ok := c.Lookup(fn); ok {
+						continue
+					}
 					if _, ok := pending[fn]; ok {
 						deps[n] = append(deps[n], fn)
 					}
 				}
 			}
-			cycle := FindCycle(deps)
-			return nil, fmt.Errorf("bench %s: combinational cycle: %s",
-				name, strings.Join(cycle, " -> "))
+			cycle := findCycle(deps)
+			return nil, fmt.Errorf("bench %s:%d: combinational cycle: %s",
+				name, pending[cycle[0]].line, strings.Join(cycle, " -> "))
 		}
 	}
 	for _, f := range fixes {
 		id, ok := c.Lookup(f.fanin)
 		if !ok {
-			return nil, fmt.Errorf("bench %s:%d: DFF references unknown net %q", name, f.line, f.fanin)
+			return nil, fmt.Errorf("bench %s:%d: undriven net %q referenced by gate %q (defined nowhere)",
+				name, f.line, f.fanin, f.name)
 		}
 		c.gates[f.id].Fanin = []GateID{id}
 	}
+	outLine := map[string]int{} // the line of each net's first OUTPUT
 	for _, out := range outputs {
-		id, ok := c.Lookup(out)
+		id, ok := c.Lookup(out.name)
 		if !ok {
-			return nil, fmt.Errorf("bench %s: OUTPUT references unknown net %q", name, out)
+			return nil, fmt.Errorf("bench %s:%d: undriven net %q declared OUTPUT but defined nowhere",
+				name, out.line, out.name)
 		}
 		if err := c.MarkOutput(id); err != nil {
-			return nil, fmt.Errorf("bench %s: %w", name, err)
+			return nil, fmt.Errorf("bench %s:%d: duplicate OUTPUT declaration of net %q (first declared at line %d)",
+				name, out.line, out.name, outLine[out.name])
 		}
+		outLine[out.name] = out.line
 	}
 	if err := c.Finalize(); err != nil {
 		return nil, err

@@ -12,6 +12,7 @@
 package netlist
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -187,9 +188,17 @@ func (c *Circuit) AddGate(name string, t GateType, fanin ...GateID) (GateID, err
 	if c.finalized {
 		return InvalidGate, fmt.Errorf("netlist: circuit %q is finalized", c.Name)
 	}
-	_, dup := c.byName[name]
-	if err := checkGate(name, t, len(fanin), dup); err != nil {
-		return InvalidGate, err
+	switch _, dup := c.byName[name]; {
+	case name == "":
+		return InvalidGate, fmt.Errorf("netlist: empty gate name")
+	case !t.Valid():
+		return InvalidGate, fmt.Errorf("netlist: invalid gate type %d", t)
+	case dup:
+		return InvalidGate, fmt.Errorf("netlist: duplicate net name %q", name)
+	default:
+		if msg := arity(name, t, len(fanin)); msg != "" {
+			return InvalidGate, errors.New("netlist: " + msg)
+		}
 	}
 	for _, f := range fanin {
 		if f < 0 || int(f) >= len(c.gates) {
@@ -201,23 +210,16 @@ func (c *Circuit) AddGate(name string, t GateType, fanin ...GateID) (GateID, err
 	return id, nil
 }
 
-// checkGate returns AddGate's error for a gate of type t with n fanin
-// driving the net called name, where dup reports that the net is driven
-// already.
-func checkGate(name string, t GateType, n int, dup bool) error {
+// arity returns why a gate of type t with n fanin driving the net called
+// name has a fanin count its type does not allow, or "".
+func arity(name string, t GateType, n int) string {
 	switch {
-	case name == "":
-		return fmt.Errorf("netlist: empty gate name")
-	case !t.Valid():
-		return fmt.Errorf("netlist: invalid gate type %d", t)
-	case dup:
-		return fmt.Errorf("netlist: duplicate net name %q", name)
 	case n < t.MinFanin():
-		return fmt.Errorf("netlist: gate %q (%v) needs at least %d fanin, got %d", name, t, t.MinFanin(), n)
+		return fmt.Sprintf("gate %q (%v) needs at least %d fanin, got %d", name, t, t.MinFanin(), n)
 	case t.MaxFanin() >= 0 && n > t.MaxFanin():
-		return fmt.Errorf("netlist: gate %q (%v) allows at most %d fanin, got %d", name, t, t.MaxFanin(), n)
+		return fmt.Sprintf("gate %q (%v) allows at most %d fanin, got %d", name, t, t.MaxFanin(), n)
 	}
-	return nil
+	return ""
 }
 
 // add appends a checked gate, keeping fanin as its Fanin; the caller

@@ -347,10 +347,10 @@ func (s *Server) submit(wk work) (j *job, cachedArtifact []byte, err error) {
 }
 
 // newJobLocked builds the job that runs wk under id and seq, and registers
-// it in the job map, the history ring and, when cacheable, the coalescing
-// map. A live submit and a journal replay both admit through it, so a
-// replayed job carries exactly the identity of its first life. The caller
-// holds s.mu.
+// it in the job map and, when cacheable, the coalescing map; enqueue adds
+// it to the history ring once the queue takes it. A live submit and a
+// journal replay both admit through it, so a replayed job carries exactly
+// the identity of its first life. The caller holds s.mu.
 func (s *Server) newJobLocked(wk work, id string, seq int64) *job {
 	// The trace identity is a pure function of the content address and the
 	// admission sequence number: two daemons fed the same request sequence
@@ -375,11 +375,6 @@ func (s *Server) newJobLocked(wk work, id string, seq int64) *job {
 		j.sink = obs.MultiSink{j.events, base}
 	}
 	s.jobs[id] = j
-	s.jobOrder = append(s.jobOrder, id)
-	for len(s.jobOrder) > jobHistory { // forget the oldest job
-		delete(s.jobs, s.jobOrder[0])
-		s.jobOrder = s.jobOrder[1:]
-	}
 	if j.key != "" {
 		s.inflight[j.key] = j
 	}
@@ -390,7 +385,8 @@ func (s *Server) newJobLocked(wk work, id string, seq int64) *job {
 // queue span as a child (it closes at dequeue, so its duration IS the
 // queue wait) and pushes the job. A replayed job was acknowledged in an
 // earlier life, so it is pushed past the queue bound and its events say
-// so. On a failed push the job is unregistered again.
+// so. A pushed job joins the history ring; on a failed push the job is
+// unregistered again and leaves no trace.
 func (s *Server) enqueue(j *job, replayed bool) error {
 	rootCol := obs.New(s.col.Metrics(), obs.AnnotateTrace(j.sink, j.tc))
 	queueCol := obs.New(s.col.Metrics(), obs.AnnotateTrace(j.sink, j.tc.Child("queue")))
@@ -408,8 +404,8 @@ func (s *Server) enqueue(j *job, replayed bool) error {
 		j.queueSpan = queueCol.StartSpan("srv.queue", obs.F("job", j.id), obs.F("kind", j.kind))
 		err = s.queue.push(j)
 	}
+	s.mu.Lock()
 	if err != nil {
-		s.mu.Lock()
 		delete(s.jobs, j.id)
 		if j.key != "" && s.inflight[j.key] == j {
 			delete(s.inflight, j.key)
@@ -419,6 +415,12 @@ func (s *Server) enqueue(j *job, replayed bool) error {
 		j.events.close()
 		return err
 	}
+	s.jobOrder = append(s.jobOrder, j.id)
+	for len(s.jobOrder) > jobHistory { // forget the oldest job
+		delete(s.jobs, s.jobOrder[0])
+		s.jobOrder = s.jobOrder[1:]
+	}
+	s.mu.Unlock()
 	s.cEnqueued.Inc()
 	return nil
 }

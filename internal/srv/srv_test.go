@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -504,6 +505,54 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["srv.queue.rejected"]; got != 1 {
 		t.Errorf("rejected = %d, want 1", got)
+	}
+}
+
+// TestRejectedSubmitsLeaveNoTrace checks a submit the full queue refuses
+// leaves nothing in the job map, the history ring or the coalescing map:
+// more than jobHistory refusals must not push an accepted job out of
+// /v1/jobs.
+func TestRejectedSubmitsLeaveNoTrace(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, QueueSize: 1})
+	release := make(chan struct{})
+	defer close(release)
+	claimed := make(chan struct{})
+	blocker, _, err := s.submit(work{
+		kind: "tdv", key: "blocker",
+		run: func(ctx context.Context, col *obs.Collector) ([]byte, error) {
+			close(claimed)
+			<-release
+			return []byte("{}\n"), nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("blocker submit: %v", err)
+	}
+	select {
+	case <-claimed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker never claimed the blocker")
+	}
+	wait := func(ctx context.Context, col *obs.Collector) ([]byte, error) {
+		<-release
+		return []byte("{}\n"), nil
+	}
+	if _, _, err := s.submit(work{kind: "tdv", key: "fill", run: wait}); err != nil {
+		t.Fatalf("fill submit: %v", err)
+	}
+	for i := 0; i < jobHistory+10; i++ {
+		if _, _, err := s.submit(work{kind: "tdv", key: fmt.Sprintf("over%d", i), run: wait}); err == nil {
+			t.Fatalf("submit %d to a full queue was accepted", i)
+		}
+	}
+	s.mu.Lock()
+	order, jobs, inflight := slices.Clone(s.jobOrder), len(s.jobs), len(s.inflight)
+	s.mu.Unlock()
+	if want := []string{blocker.id, "j2"}; !slices.Equal(order, want) || jobs != 2 || inflight != 2 {
+		t.Errorf("history %v, %d jobs, %d in flight; want %v, 2, 2", order, jobs, inflight, want)
+	}
+	if rec := get(t, s.Handler(), "/v1/jobs/"+blocker.id); rec.Code != http.StatusOK {
+		t.Errorf("GET /v1/jobs/%s = %d, want 200", blocker.id, rec.Code)
 	}
 }
 

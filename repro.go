@@ -12,8 +12,7 @@
 //     compaction (RunATPG),
 //   - logic-cone analysis, the unit of the paper's conceptual argument
 //     (AnalyzeCones, ConeExample),
-//   - IEEE 1500-style wrapper isolation and wrapper chain design (Isolate,
-//     DesignWrapperChains),
+//   - IEEE 1500-style wrapper chain design (DesignWrapperChains),
 //   - hierarchical SOC test-parameter models and the paper's TDV
 //     Equations 1-8 (SOC, Module, and their methods; Module.ISOCost is
 //     Equation 5),
@@ -41,7 +40,6 @@ import (
 	"repro/internal/runctl"
 	"repro/internal/soc"
 	"repro/internal/tam"
-	"repro/internal/wrapper"
 )
 
 // Circuit is a gate-level netlist (see internal/netlist for the full API).
@@ -154,10 +152,6 @@ type ConeModel = cones.Model
 // ConeExample returns the paper's worked example: cones A/B/C with
 // 20/10/20 flip-flops and 200/300/400 partial patterns.
 func ConeExample() ConeModel { return cones.PaperExample() }
-
-// Isolate wraps a core netlist with dedicated IEEE 1500-style wrapper
-// cells (modelled as scan cells) on every terminal.
-func Isolate(c *Circuit) (*wrapper.IsolationResult, error) { return wrapper.Isolate(c) }
 
 // CoreTest describes a wrapped core's test resources for wrapper design.
 type CoreTest = tam.CoreTest

@@ -162,21 +162,6 @@ y = OR(b, c)
 	}
 }
 
-func TestIsolateFacade(t *testing.T) {
-	src := "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"
-	c, err := ParseBenchString("inv", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Isolate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.InputCells) != 1 || len(res.OutputCells) != 1 {
-		t.Error("isolation cells wrong")
-	}
-}
-
 // TestLiveSOC1Experiment is the end-to-end Equation 2 validation: the
 // monolithic pattern count of the flattened SOC must meet or exceed the
 // maximum per-core count, and modular TDV must undercut monolithic TDV.
