@@ -7,7 +7,6 @@
 //	atpgrun -f core.bench [-backtrack 100] [-random 64] [-compact] [-seed 1] [-v]
 //	atpgrun -standin s953          # run on a generated ISCAS'89 stand-in
 //	atpgrun -f core.bench -cones   # per-cone decomposition (paper Sec. 3)
-//	atpgrun -f core.bench -lint    # design-rule preflight; refuse on errors
 //	atpgrun -f core.bench -sat-prove  # settle aborted faults with the SAT prover
 //
 // Robustness:
@@ -54,7 +53,6 @@ import (
 	"repro/internal/cones"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/par"
 	"repro/internal/report"
@@ -78,7 +76,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		seed      = s.Flags.Int64("seed", 1, "seed for the random phase and X-fill")
 		verbose   = s.Flags.Bool("v", false, "list aborted and redundant faults")
 		coneMode  = s.Flags.Bool("cones", false, "per-cone analysis instead of whole-circuit ATPG")
-		lintPre   = s.Flags.Bool("lint", false, "preflight the netlist through the design-rule linter; refuse to run on errors")
 		satProve  = s.Flags.Bool("sat-prove", false, "settle every aborted fault with the SAT redundancy prover: prove it redundant or add a proven test cube (exact coverage)")
 		workers   = s.Flags.Int("workers", 0, "worker pool bound for parallel fault simulation and, with -sat-prove, for the SAT proofs in flight (0 = NumCPU, 1 = serial; results are identical for every value)")
 	)
@@ -115,25 +112,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	man.SetOption("random", *random)
 	man.SetOption("compact", *compact)
 	man.SetOption("cones", *coneMode)
-	man.SetOption("lint", *lintPre)
 	man.SetOption("sat_prove", *satProve)
 	man.SetOption("workers", par.Workers(*workers))
 
 	ctx, interrupted, stop := rf.Context(context.Background())
 	defer stop()
-
-	// Source-level preflight: for a netlist file, lint before parsing so a
-	// broken input is reported as the full set of findings rather than the
-	// parser's first error.
-	if *lintPre && *file != "" && *file != "-" {
-		lr, lerr := lint.CheckBenchFile(*file, lint.DefaultOptions())
-		if lerr != nil {
-			return s.Fail(cli.ExitRuntime, lerr)
-		}
-		if code := s.LintGate(*file, lr); code != 0 {
-			return code
-		}
-	}
 
 	var (
 		c   *netlist.Circuit
@@ -161,14 +144,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if err != nil {
 		return s.Fail(cli.ExitRuntime, err)
-	}
-
-	// Circuit-level preflight for inputs with no backing file (stand-ins
-	// and stdin): the structural rules still apply to the built netlist.
-	if *lintPre && (*standin != "" || *file == "-") {
-		if code := s.LintGate("netlist", lint.CheckCircuit(c, lint.DefaultOptions())); code != 0 {
-			return code
-		}
 	}
 
 	if !s.JSON {

@@ -313,47 +313,15 @@ func TestWorkersTimeoutExitsIncomplete(t *testing.T) {
 	}
 }
 
-// TestLintPreflight covers the -lint gate: a netlist with an error-level
-// DRC finding must be refused before any ATPG runs, a clean one must
-// proceed, and the manifest must carry the lint counts.
-func TestLintPreflight(t *testing.T) {
-	code, _, s := atpgrun("",
-		"-f", "../../internal/netlist/testdata/defects/cycle.bench", "-lint")
+// TestBrokenNetlistRefused checks a netlist with a structural defect is
+// refused by the parser, every run, before any ATPG runs.
+func TestBrokenNetlistRefused(t *testing.T) {
+	code, _, s := atpgrun("", "-f", "../../internal/netlist/testdata/defects/cycle.bench")
 	if code != cli.ExitRuntime {
 		t.Fatalf("defective netlist: exit %d, want %d\n%s", code, cli.ExitRuntime, s)
 	}
-	if !strings.Contains(s, "NL001") || !strings.Contains(s, "refusing to run") {
-		t.Errorf("preflight refusal not reported:\n%s", s)
-	}
-	if strings.Contains(s, "patterns:") {
-		t.Errorf("ATPG ran despite lint errors:\n%s", s)
-	}
-
-	code, jout, all := atpgrun("",
-		"-f", "../../internal/netlist/testdata/c17.bench", "-lint", "-json")
-	if code != 0 {
-		t.Fatalf("clean netlist rejected: exit %d\n%s", code, all)
-	}
-	var man struct {
-		Results map[string]any `json:"results"`
-	}
-	if err := json.Unmarshal([]byte(jout), &man); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := man.Results["lint_errors"].(float64); !ok || got != 0 {
-		t.Errorf("manifest results[lint_errors] = %v, want 0", man.Results["lint_errors"])
-	}
-	if _, ok := man.Results["lint_warnings"]; !ok {
-		t.Error("manifest missing lint_warnings")
-	}
-}
-
-// TestLintPreflightStandin checks the circuit-level path: generated
-// stand-ins have no backing file but still go through the linter (their
-// generator-artifact warnings must not block the run).
-func TestLintPreflightStandin(t *testing.T) {
-	if code, _, out := atpgrun("", "-standin", "s713", "-lint"); code != 0 {
-		t.Fatalf("exit %d, want 0\n%s", code, out)
+	if !strings.Contains(s, "combinational cycle") || strings.Contains(s, "patterns:") {
+		t.Errorf("want the parser's refusal and no ATPG:\n%s", s)
 	}
 }
 

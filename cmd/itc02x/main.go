@@ -6,7 +6,6 @@
 //
 //	itc02x                 # Table 3 and Table 4
 //	itc02x -soc d695       # detailed report for one benchmark
-//	itc02x -soc d695 -lint # design-rule preflight; refuse on errors
 //	itc02x -emit p34392    # dump a benchmark in the .soc text format
 //
 // Observability (shared with atpgrun/socx/socd):
@@ -26,7 +25,6 @@ import (
 	"repro"
 	"repro/internal/cli"
 	"repro/internal/itc02"
-	"repro/internal/lint"
 	"repro/internal/report"
 )
 
@@ -39,9 +37,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	s := cli.NewSession(prog, stdout, stderr)
 	var (
-		one     = s.Flags.String("soc", "", "print the per-module detail of one benchmark SOC")
-		emit    = s.Flags.String("emit", "", "dump one benchmark SOC in the text format")
-		lintPre = s.Flags.Bool("lint", false, "preflight each benchmark SOC through the design-rule linter; refuse to run on errors")
+		one  = s.Flags.String("soc", "", "print the per-module detail of one benchmark SOC")
+		emit = s.Flags.String("emit", "", "dump one benchmark SOC in the text format")
 	)
 	s.JSONFlag("write the run manifest as JSON to stdout instead of the human tables")
 	if code, ok := s.Parse(args); !ok {
@@ -65,18 +62,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 	man := s.Man
-	man.SetOption("lint", *lintPre)
 
 	if *one != "" {
 		man.SetOption("soc", *one)
 		soc, err := itc02.SOCByName(*one)
 		if err != nil {
 			return s.Fail(cli.ExitRuntime, err)
-		}
-		if *lintPre {
-			if code := s.LintGate(*one, lint.CheckSOC(soc)); code != 0 {
-				return code
-			}
 		}
 		r := soc.Analyze()
 		man.SetResult("modules", r.NumModules)
@@ -100,20 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				report.Pct(r.ReductionVsOpt))
 		}
 		return s.Finish()
-	}
-
-	// Full-evaluation mode: with -lint, preflight all ten benchmarks before
-	// rendering anything.
-	if *lintPre {
-		socs, err := itc02.AllSOCs()
-		if err != nil {
-			return s.Fail(cli.ExitRuntime, err)
-		}
-		for _, soc := range socs {
-			if code := s.LintGate(soc.Name, lint.CheckSOC(soc)); code != 0 {
-				return code
-			}
-		}
 	}
 
 	t4, err := repro.RenderTable4()

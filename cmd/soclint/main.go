@@ -82,35 +82,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var cecChecked, cecProved, cecStructural int
 	var cecConflicts int64
 	for _, f := range files {
-		var r *lint.Report
-		var err error
+		var (
+			r   *lint.Report
+			c   *netlist.Circuit // the netlist the lint pass built, nil on errors
+			err error
+		)
 		switch filepath.Ext(f) {
 		case ".bench":
-			r, err = lint.CheckBenchFile(f, opt)
-			if err == nil && *cec && !r.HasErrors() {
-				res, cerr := checkCEC(f, r)
-				if cerr != nil {
-					err = cerr
-				} else {
-					cecChecked++
-					cecConflicts += res.Conflicts
-					if res.Equivalent {
-						cecProved++
-					}
-					if res.Structural {
-						cecStructural++
-					}
-				}
-			}
+			r, c, err = lint.CheckBenchFile(f, opt)
 		case ".soc":
 			r, err = lint.CheckSOCFile(f)
 		}
 		if err != nil {
 			return cli.Exitf(stderr, prog, cli.ExitRuntime, "%v", err)
 		}
+		if c != nil && *cec {
+			res := checkCEC(f, c, r)
+			cecChecked++
+			cecConflicts += res.Conflicts
+			if res.Equivalent {
+				cecProved++
+			}
+			if res.Structural {
+				cecStructural++
+			}
+		}
 		report.Merge(r)
-		if *scoapTop > 0 && filepath.Ext(f) == ".bench" && !r.HasErrors() {
-			printScoapReport(stdout, f, *scoapTop)
+		if c != nil && *scoapTop > 0 {
+			printScoapReport(stdout, f, c, *scoapTop)
 		}
 	}
 	report.Sort()
@@ -214,15 +213,7 @@ func expandPaths(args []string) ([]string, error) {
 // the kernel compiler miscompiles this circuit — is reported as a CEC001
 // error carrying the counterexample stimulus. The verdict is deterministic:
 // repeated runs produce identical findings and conflict counts.
-func checkCEC(path string, r *lint.Report) (sat.CECResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return sat.CECResult{}, err
-	}
-	c, err := netlist.ParseBenchString(path, string(data))
-	if err != nil {
-		return sat.CECResult{}, err
-	}
+func checkCEC(path string, c *netlist.Circuit, r *lint.Report) sat.CECResult {
 	res := sat.CheckProgram(c, faultsim.Compile(c))
 	if !res.Equivalent {
 		detail := res.Reason
@@ -232,7 +223,7 @@ func checkCEC(path string, r *lint.Report) (sat.CECResult, error) {
 		r.Add("CEC001", lint.Pos{File: path}, c.Name,
 			"compiled PPSFP program is not equivalent to netlist %q: %s", c.Name, detail)
 	}
-	return res, nil
+	return res
 }
 
 // countRule counts the findings of one rule ID.
@@ -246,16 +237,8 @@ func countRule(r *lint.Report, id string) int {
 	return n
 }
 
-// printScoapReport prints the k hardest nets of one netlist.
-func printScoapReport(w io.Writer, path string, k int) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return
-	}
-	c, err := netlist.ParseBenchString(path, string(data))
-	if err != nil {
-		return
-	}
+// printScoapReport prints the k hardest nets of the netlist at path.
+func printScoapReport(w io.Writer, path string, c *netlist.Circuit, k int) {
 	rows := lint.ComputeSCOAP(c).Hardest(k)
 	fmt.Fprintf(w, "%s: %d hardest nets by SCOAP (CC0/CC1/CO, worst stuck-at difficulty):\n", path, len(rows))
 	for _, r := range rows {

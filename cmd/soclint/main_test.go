@@ -155,7 +155,7 @@ func TestRulesCatalog(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\n%s", code, out)
 	}
-	for _, id := range []string{"NL001", "NL012", "SOC001", "SOC013"} {
+	for _, id := range []string{"NL001", "NL012", "SOC001", "SOC014"} {
 		if !strings.Contains(out, id) {
 			t.Errorf("catalog missing rule %s:\n%s", id, out)
 		}
@@ -297,7 +297,11 @@ func TestDiagsMatchServedLint(t *testing.T) {
 	if err != nil || len(fixtures) == 0 {
 		t.Fatalf("no fixtures: %v", err)
 	}
-	fixtures = append(fixtures, filepath.Join(repoRoot, "cmd/soclint/testdata/defects/bad.soc"))
+	socs, err := filepath.Glob(filepath.Join(repoRoot, "cmd/soclint/testdata/defects/*.soc"))
+	if err != nil || len(socs) == 0 {
+		t.Fatalf("no .soc fixtures: %v", err)
+	}
+	fixtures = append(fixtures, socs...)
 	for _, path := range fixtures {
 		rel, _ := filepath.Rel(repoRoot, path)
 		_, out := soclint(t, "-json", rel)

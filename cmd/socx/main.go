@@ -7,7 +7,6 @@
 // Usage:
 //
 //	socx                     # Tables 1 and 2 from the published profiles
-//	socx -lint               # design-rule preflight of the SOC profiles
 //	socx -live -soc SOC1     # live experiment on SOC1
 //	socx -live -soc SOC2 -scale 0.4
 //
@@ -45,7 +44,6 @@ import (
 	"repro"
 	"repro/internal/atpg"
 	"repro/internal/cli"
-	"repro/internal/lint"
 	"repro/internal/par"
 )
 
@@ -59,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s := cli.NewSession(prog, stdout, stderr)
 	var (
 		live    = s.Flags.Bool("live", false, "run the live ATPG experiment instead of the published profiles")
-		lintPre = s.Flags.Bool("lint", false, "preflight the SOC profiles through the design-rule linter; refuse to run on errors")
 		which   = s.Flags.String("soc", "both", "SOC1, SOC2 or both")
 		scale   = s.Flags.Float64("scale", 1.0, "gate-count scale for the live stand-ins, in (0,1]")
 		seed    = s.Flags.Int64("seed", 1, "interconnect seed for the live flattening")
@@ -94,26 +91,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	man := s.Man
 	man.SetOption("live", *live)
-	man.SetOption("lint", *lintPre)
 	man.SetOption("soc", *which)
 	man.SetOption("scale", *scale)
 	man.SetOption("workers", par.Workers(*workers))
-
-	// Preflight: both modes consume the same SOC profiles, so the linter
-	// gates them identically. Warnings and infos report but never block.
-	if *lintPre {
-		lr := &lint.Report{}
-		if soc1 {
-			lr.Merge(lint.CheckSOC(repro.SOC1()))
-		}
-		if soc2 {
-			lr.Merge(lint.CheckSOC(repro.SOC2()))
-		}
-		lr.Sort()
-		if code := s.LintGate("SOC profiles", lr); code != 0 {
-			return code
-		}
-	}
 
 	if !*live {
 		if soc1 {

@@ -5,7 +5,6 @@
 //
 //	tdvcalc -f design.soc [-tmono N]
 //	tdvcalc -builtin p34392
-//	tdvcalc -f design.soc -lint    # design-rule preflight; refuse on errors
 //
 // The input format is the line-oriented SOC description of internal/itc02
 // (run with -example to print a template). -builtin accepts any of the ten
@@ -21,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -29,7 +27,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/itc02"
-	"repro/internal/lint"
 	"repro/internal/report"
 )
 
@@ -46,7 +43,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		builtin = s.Flags.String("builtin", "", "built-in ITC'02 SOC name (e.g. p34392)")
 		tmono   = s.Flags.Int("tmono", -1, "override the monolithic pattern count")
 		example = s.Flags.Bool("example", false, "print an example SOC description and exit")
-		lintPre = s.Flags.Bool("lint", false, "preflight the SOC through the design-rule linter; refuse to run on errors")
 	)
 	s.JSONFlag("write the run manifest as JSON to stdout instead of the human report")
 	if code, ok := s.Parse(args); !ok {
@@ -65,17 +61,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return code
 	}
 	man := s.Man
-	man.SetOption("lint", *lintPre)
 	if *tmono >= 0 {
 		man.SetOption("tmono", *tmono)
 	}
 
-	// A profile from -f is read once, from the file or from stdin, and the
-	// linter and the parser see the same bytes: lint first, so a broken
-	// input reports every finding, not the parser's first error.
 	var (
 		soc *core.SOC
-		src []byte
 		err error
 	)
 	name := *builtin
@@ -84,34 +75,21 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		soc, err = itc02.SOCByName(*builtin)
 	case *file == "-":
 		name = "stdin"
-		src, err = io.ReadAll(stdin)
+		soc, err = itc02.ParseSOC(stdin)
 	default:
 		name = *file
-		src, err = os.ReadFile(*file)
+		var f *os.File
+		if f, err = os.Open(*file); err == nil {
+			soc, err = itc02.ParseSOC(f)
+			f.Close()
+		}
 	}
 	man.SetOption("soc", name)
 	if err != nil {
 		return s.Fail(cli.ExitRuntime, err)
 	}
-	if *builtin == "" {
-		if *lintPre {
-			if code := s.LintGate(name, lint.CheckSOCSource(name, string(src))); code != 0 {
-				return code
-			}
-		}
-		if soc, err = itc02.ParseSOC(bytes.NewReader(src)); err != nil {
-			return s.Fail(cli.ExitRuntime, err)
-		}
-	}
 	if *tmono >= 0 {
 		soc.TMono = *tmono
-	}
-	// A builtin has no source: the bookkeeping and TDV-precondition rules
-	// still apply to the profile, tmono override included.
-	if *lintPre && *builtin != "" {
-		if code := s.LintGate(name, lint.CheckSOC(soc)); code != 0 {
-			return code
-		}
 	}
 	if err := soc.Validate(); err != nil {
 		return s.Fail(cli.ExitRuntime, err)

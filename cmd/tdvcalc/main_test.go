@@ -47,31 +47,52 @@ func TestJSONManifest(t *testing.T) {
 	}
 }
 
-// TestLintRefusesBrokenSOC checks -lint preflights the source and blocks
-// the run on errors with exit 1.
-func TestLintRefusesBrokenSOC(t *testing.T) {
+// refused checks the profile src exits 1 with want in its text, read from
+// a file and from stdin.
+func refused(t *testing.T, src, want string) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "bad.soc")
-	if err := os.WriteFile(path, []byte("soc broken\nmodule\n"), 0o666); err != nil {
+	if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	code, _, out := tdvcalc("", "-f", path, "-lint")
-	if code != cli.ExitRuntime {
-		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
-	}
-	if !strings.Contains(out, "refusing to run") {
-		t.Errorf("missing refusal message:\n%s", out)
+	for _, run := range [][]string{{"", "-f", path}, {src, "-f", "-"}} {
+		code, _, out := tdvcalc(run[0], run[1:]...)
+		if code != cli.ExitRuntime || !strings.Contains(out, want) {
+			t.Errorf("%v on %q: exit %d, want %d with %q\n%s", run[1:], src, code, cli.ExitRuntime, want, out)
+		}
 	}
 }
 
-// TestLintPassesBuiltin checks a clean builtin passes the -lint gate and
-// still produces the report.
+// TestLintRefusesBrokenSOC checks a malformed line, which the -lint gate
+// once caught before the parser, is refused with exit 1 by every run.
+func TestLintRefusesBrokenSOC(t *testing.T) {
+	refused(t, "soc broken\nmodule\n", "soc line 2: module needs a name")
+}
+
+// TestLintRefusesNamelessSOC checks a profile without a 'soc <name>' line,
+// which the -lint gate once caught, is refused with exit 1 by every run.
+func TestLintRefusesNamelessSOC(t *testing.T) {
+	refused(t, "module A i 1 o 1 t 1\ntop A\n", "missing 'soc <name>' directive")
+}
+
+// TestBrokenSOCRefused checks profiles core.SOC.Validate or the parser
+// refuses exit 1 with their text: declared scan chains that do not sum to
+// the scan cells, and a bad value ahead of a duplicate module, where the
+// first defect is named (soclint reports both).
+func TestBrokenSOCRefused(t *testing.T) {
+	refused(t, "soc x\ntmono 30\nmodule A s 20 sc 5,5 t 30\ntop A\n", "module A declares scan chains summing to 10 but s=20")
+	refused(t, "soc two\nmodule A t nope\nmodule A t 1\ntop A\n", `soc line 2: bad value "nope" for "t"`)
+}
+
+// TestLintPassesBuiltin checks a clean builtin, which once had to pass the
+// -lint gate, prints the human report.
 func TestLintPassesBuiltin(t *testing.T) {
-	code, out, all := tdvcalc("", "-builtin", "d695", "-lint")
+	code, out, all := tdvcalc("", "-builtin", "d695")
 	if code != 0 {
-		t.Fatalf("tdvcalc -lint: exit %d\n%s", code, all)
+		t.Fatalf("tdvcalc: exit %d\n%s", code, all)
 	}
 	if !strings.Contains(out, "TDV_mono_opt") {
-		t.Errorf("report missing after lint gate:\n%s", out)
+		t.Errorf("report missing:\n%s", out)
 	}
 }
 
@@ -100,42 +121,6 @@ func TestUsage(t *testing.T) {
 	code, ex, all := tdvcalc("", "-example")
 	if code != 0 || !strings.Contains(ex, "soc ") {
 		t.Fatalf("-example: exit %d\n%s", code, all)
-	}
-}
-
-// TestLintStdinReportsEveryFinding checks -lint -f - lints the stdin bytes
-// as source: both defects are reported, not just the parser's first.
-func TestLintStdinReportsEveryFinding(t *testing.T) {
-	code, _, out := tdvcalc("soc two\nmodule A t nope\nmodule A t 1\ntop A\n", "-lint", "-f", "-")
-	if code != cli.ExitRuntime {
-		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
-	}
-	for _, want := range []string{
-		`stdin:2: error: SOC001: bad value "nope" for "t"`,
-		`stdin:3: error: SOC002: duplicate module "A" (first defined at line 2)`,
-		"stdin failed lint with 2 error(s); refusing to run",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestLintRefusesNamelessSOC checks a profile without a 'soc <name>' line
-// is refused at the lint gate, before the parser sees it.
-func TestLintRefusesNamelessSOC(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nameless.soc")
-	if err := os.WriteFile(path, []byte("module A i 1 o 1 t 1\ntop A\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	code, _, out := tdvcalc("", "-f", path, "-lint")
-	if code != cli.ExitRuntime {
-		t.Fatalf("exit %d, want %d\n%s", code, cli.ExitRuntime, out)
-	}
-	for _, want := range []string{"SOC001: missing 'soc <name>' directive", "refusing to run"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/atpg"
-	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/runctl"
 )
@@ -308,22 +307,4 @@ func (s *Session) Fail(code int, err error) int {
 		return c
 	}
 	return code
-}
-
-// LintGate is the -lint preflight: it prints the report to stderr and
-// adds its error and warning counts to the manifest. It returns 0 to go
-// on (warnings and infos never block) or, when the report has errors,
-// the code of the run Fail ends with the refusal of name.
-func (s *Session) LintGate(name string, lr *lint.Report) int {
-	if err := lr.WriteText(s.stderr); err != nil {
-		return s.Fail(ExitRuntime, err)
-	}
-	for key, n := range map[string]int{"lint_errors": lr.Count(lint.Error), "lint_warnings": lr.Count(lint.Warning)} {
-		prev, _ := s.Man.Results[key].(int)
-		s.Man.SetResult(key, prev+n)
-	}
-	if lr.HasErrors() {
-		return s.Fail(ExitRuntime, fmt.Errorf("%s failed lint with %d error(s); refusing to run", name, lr.Count(lint.Error)))
-	}
-	return 0
 }

@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/big"
 	"sort"
 
 	"repro/internal/core"
@@ -43,9 +44,8 @@ import (
 )
 
 // MaxTAMWidth is the widest TAM the sweeps and the serving layer accept.
-// It is also the width ceiling behind lint rule SOC013: a hard core
-// declaring more pre-stitched scan chains than this can never connect all
-// of them, whatever wrapper configuration is chosen.
+// A core may declare more scan chains than this: the wrapper concatenates
+// chains onto its lines, so such a core schedules at every width.
 const MaxTAMWidth = 64
 
 // Options steer one co-optimization run. The zero value is not valid: a
@@ -128,7 +128,8 @@ func corePower(c Core) int64 { return c.UsefulPerPattern() }
 // (pure containers, T = 0) are skipped — there is nothing to schedule.
 // The result is ordered by module pre-order, and each staircase is
 // deterministic, so BuildCores is a pure function of the profile. It
-// refuses a profile core.SOC.Validate refuses, whose volumes could wrap.
+// refuses a profile core.SOC.Validate refuses: one whose volumes could
+// wrap, or whose declared chains do not sum to its scan cells.
 func BuildCores(s *core.SOC, maxW int) ([]Core, error) {
 	if err := (Options{TAMWidth: maxW}).Validate(); err != nil {
 		return nil, err
@@ -136,8 +137,12 @@ func BuildCores(s *core.SOC, maxW int) ([]Core, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("coopt: SOC %s: %w", s.Name, err)
 	}
+	mods := s.Modules()
+	if !scheduleFits(mods) {
+		return nil, fmt.Errorf("coopt: SOC %s: %d times the summed test times overflows int64", s.Name, 2*MaxTAMWidth)
+	}
 	var cores []Core
-	for _, m := range s.Modules() {
+	for _, m := range mods {
 		if m.Patterns == 0 {
 			continue
 		}
@@ -148,10 +153,6 @@ func BuildCores(s *core.SOC, maxW int) ([]Core, error) {
 			Bidirs:   m.Bidirs,
 			Chains:   append([]int(nil), m.ScanChains...),
 			Patterns: m.Patterns,
-		}
-		if len(m.ScanChains) > 0 && m.ScanChainSum() != m.ScanCells {
-			return nil, fmt.Errorf("coopt: module %s declares chains summing to %d but s=%d (lint SOC008)",
-				m.Name, m.ScanChainSum(), m.ScanCells)
 		}
 		cfgs, err := Staircase(t, m.ScanCells, maxW)
 		if err != nil {
@@ -170,6 +171,24 @@ func BuildCores(s *core.SOC, maxW int) ([]Core, error) {
 		return nil, fmt.Errorf("coopt: SOC %s has no module with a test (every T is 0)", s.Name)
 	}
 	return cores, nil
+}
+
+// scheduleFits reports whether every time and bit count a schedule of
+// mods can hold fits in int64. A packed test starts at 0 or at another
+// test's finish, so the makespan is at most the summed test times, each
+// at most the width-1 time (T+1)·(1 + 2S + I + O + 2B) (declared chains
+// sum to S); a time or bit count is at most 2·MaxTAMWidth times that sum.
+// Validate has checked that each 2S and each module's port bits fit.
+func scheduleFits(mods []*core.Module) bool {
+	sum := new(big.Int)
+	for _, m := range mods {
+		if m.Patterns > 0 {
+			frame := new(big.Int).Add(big.NewInt(1+2*int64(m.ScanCells)), big.NewInt(m.PortBits()))
+			t := new(big.Int).Add(big.NewInt(int64(m.Patterns)), big.NewInt(1))
+			sum.Add(sum, frame.Mul(frame, t))
+		}
+	}
+	return sum.Mul(sum, big.NewInt(2*MaxTAMWidth)).IsInt64()
 }
 
 // ErrInfeasible is matched (errors.Is) by every error Optimize returns.

@@ -215,25 +215,49 @@ func TestOptionsHashSensitivity(t *testing.T) {
 func TestBuildCoresRejectsChainMismatch(t *testing.T) {
 	s := chainedSOC()
 	s.Top.Children[0].ScanChains[0]++ // corrupt the declared chains
-	if _, err := BuildCores(s, 16); err == nil {
-		t.Fatal("chain-sum mismatch must be rejected")
+	if _, err := BuildCores(s, 16); err == nil || !strings.Contains(err.Error(), "declares scan chains summing to") {
+		t.Fatalf("chain-sum mismatch must be rejected with core.SOC.Validate's text, got %v", err)
+	}
+}
+
+// TestWideChainCoreSchedules checks a core declaring more pre-stitched
+// scan chains than MaxTAMWidth schedules at every width: the wrapper
+// concatenates chains onto its lines, and the test time falls as W grows.
+// lint's TestWideChainCoreNoFinding lints the same core clean.
+func TestWideChainCoreSchedules(t *testing.T) {
+	sc := strings.TrimSuffix(strings.Repeat("1,", MaxTAMWidth+1), ",")
+	s, err := itc02.ParseSOCString("soc x\ntmono 10\nmodule A i 1 o 1 s 65 t 1 sc " + sc + "\ntop A\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, want := range map[int]int64{1: 133, 8: 19, MaxTAMWidth: 5} {
+		sch, err := Optimize(s, Options{TAMWidth: w})
+		if err != nil || sch.TotalTime != want {
+			t.Errorf("W=%d: Optimize = %+v, %v; want total time %d", w, sch, err, want)
+		}
 	}
 }
 
 // TestOverflowRefused checks Optimize and Sweep refuse a profile whose
 // Eq. 4 volume leaves int64 with core.SOC.Validate's message, instead of
-// returning a wrapped, negative TDVBits.
+// returning a wrapped, negative TDVBits, and a profile Validate accepts
+// whose schedule would wrap: a tester-accessible top with 5·10¹⁸ inputs
+// shifts them over 8 lines in 6.25·10¹⁷ cycles, so 2·W·T leaves int64.
 func TestOverflowRefused(t *testing.T) {
-	s, err := itc02.ParseSOCString("soc big\nmodule Top t 1 children A\nmodule A s 2000000000 t 3000000000\ntop Top\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "module A: Eq. 4 TDV_modular overflows int64"
-	if sc, err := Optimize(s, Options{TAMWidth: 8}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Optimize = %+v, %v; want an error with %q", sc, err, want)
-	}
-	if pts, err := Sweep(s, []int{8, 16}, 1, 0); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Sweep = %+v, %v; want an error with %q", pts, err, want)
+	for src, want := range map[string]string{
+		"soc big\nmodule Top t 1 children A\nmodule A s 2000000000 t 3000000000\ntop Top\n":                   "module A: Eq. 4 TDV_modular overflows int64",
+		"soc wide\nmodule Top i 5000000000000000000 t 1 testeraccess children A\nmodule A i 1 t 1\ntop Top\n": "128 times the summed test times overflows int64",
+	} {
+		s, err := itc02.ParseSOCString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc, err := Optimize(s, Options{TAMWidth: 8}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Optimize = %+v, %v; want an error with %q", sc, err, want)
+		}
+		if pts, err := Sweep(s, []int{8, 16}, 1, 0); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Sweep = %+v, %v; want an error with %q", pts, err, want)
+		}
 	}
 }
 

@@ -30,7 +30,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Params are the test parameters of one module: port counts, internal scan
@@ -57,9 +56,9 @@ type Module struct {
 	Children []*Module
 	// ScanChains optionally lists the module's internal scan-chain lengths
 	// (the ITC'02 benchmark files publish these per core). When present,
-	// their sum must equal ScanCells — the TDV formulas consume only the
-	// total, but the per-chain breakdown feeds wrapper/TAM design and is
-	// cross-checked by the SOC linter (rule SOC008).
+	// their sum must equal ScanCells, or SOC.Validate refuses the profile:
+	// the TDV formulas consume only the total, but the per-chain breakdown
+	// feeds wrapper/TAM design.
 	ScanChains []int
 	// PortsTesterAccessible marks a module whose own terminals are chip
 	// pins driven directly by the tester, so they carry no dedicated
@@ -71,10 +70,13 @@ type Module struct {
 }
 
 // Flatten returns the module and all its descendants in pre-order.
-func (m *Module) Flatten() []*Module {
-	out := []*Module{m}
+func (m *Module) Flatten() []*Module { return m.appendTree(nil) }
+
+// appendTree appends the module and its descendants to out in pre-order.
+func (m *Module) appendTree(out []*Module) []*Module {
+	out = append(out, m)
 	for _, ch := range m.Children {
-		out = append(out, ch.Flatten()...)
+		out = ch.appendTree(out)
 	}
 	return out
 }
@@ -225,84 +227,6 @@ func (s *SOC) Penalty() int64 {
 		n += int64(m.Patterns) * m.ISOCost()
 	}
 	return n
-}
-
-// Validate checks the numbers the equations read: no count is negative,
-// a measured T_mono satisfies Equation 2 (T_mono ≥ max_i T_i), the
-// precondition Benefit panics on, and every term and sum of Equations 1,
-// 3, 4, 5, 7 and 8 fits in int64, so no volume wraps. Entry points that
-// take user numbers call it before any analysis.
-func (s *SOC) Validate() error {
-	if s.TMono < 0 {
-		return fmt.Errorf("T_mono=%d is negative", s.TMono)
-	}
-	for _, m := range s.Modules() {
-		if p := m.Params; min(p.Inputs, p.Outputs, p.Bidirs, p.ScanCells, p.Patterns) < 0 {
-			return fmt.Errorf("module %s has a negative count (i=%d o=%d b=%d s=%d t=%d)",
-				m.Name, p.Inputs, p.Outputs, p.Bidirs, p.ScanCells, p.Patterns)
-		}
-	}
-	if tmax := s.MaxPatterns(); s.TMono > 0 && s.TMono < tmax {
-		return fmt.Errorf("T_mono=%d is below T_max=%d, violating Eq. 2", s.TMono, tmax)
-	}
-	return s.checkMagnitude()
-}
-
-// checkMagnitude returns an error naming the module and the equation of
-// the first term or running sum that leaves int64: per module Eq. 5's
-// ISOCOST, then the Eq. 4 and 8 sums with its term, then the chip's Eq.
-// 1/3 frame bits times max(T_mono, T_max), then TDV_mono + TDV_penalty,
-// the largest partial sum of the Eq. 6 identity. Eq. 7's terms and sum are
-// at most Eq. 4's. Counts are non-negative and Eq. 2 holds, so every Eq. 8
-// factor T_ref − T is too.
-func (s *SOC) checkMagnitude() error {
-	var over bool
-	mul := func(a, b int64) int64 {
-		hi, lo := bits.Mul64(uint64(a), uint64(b))
-		over = over || hi != 0 || lo > math.MaxInt64
-		return int64(lo)
-	}
-	add := func(a, b int64) int64 {
-		sum, _ := bits.Add64(uint64(a), uint64(b), 0)
-		over = over || sum > math.MaxInt64
-		return int64(sum)
-	}
-	ports := func(p Params) int64 { return add(add(int64(p.Inputs), int64(p.Outputs)), mul(2, int64(p.Bidirs))) }
-	fail := func(m *Module, eq string) error {
-		return fmt.Errorf("module %s: %s overflows int64", m.Name, eq)
-	}
-	ref := int64(max(s.TMono, s.MaxPatterns()))
-	var scan2, modular, penalty, benefit int64
-	for _, m := range s.Modules() {
-		var iso int64
-		if !m.PortsTesterAccessible {
-			iso = ports(m.Params)
-		}
-		for _, ch := range m.Children {
-			iso = add(iso, ports(ch.Params))
-		}
-		if over {
-			return fail(m, "Eq. 5 ISOCOST")
-		}
-		t, s2 := int64(m.Patterns), mul(2, int64(m.ScanCells))
-		modular = add(modular, mul(t, add(s2, iso)))
-		penalty += t * iso // at most the Eq. 4 term, so it fits when that does
-		if over {
-			return fail(m, "Eq. 4 TDV_modular")
-		}
-		if benefit = add(benefit, mul(ref-t, s2)); over {
-			return fail(m, "Eq. 8 TDV_benefit")
-		}
-		if scan2 = add(scan2, s2); over {
-			return fail(m, "Eq. 1/3 chip scan bits 2·S_chip")
-		}
-	}
-	if mono := mul(add(ports(s.Top.Params), scan2), ref); over {
-		return fail(s.Top, "Eq. 1/3 TDV_mono")
-	} else if add(mono, penalty); over {
-		return fail(s.Top, "Eq. 6 TDV_mono + TDV_penalty")
-	}
-	return nil
 }
 
 // Benefit computes Equation 8 against the given monolithic pattern count:

@@ -8,7 +8,7 @@ import (
 )
 
 // Options tunes the threshold rules. The zero value disables every
-// threshold; DefaultOptions is what the CLI and preflights use.
+// threshold; DefaultOptions is what soclint and /v1/lint use.
 type Options struct {
 	// MaxFanout triggers NL010 for any net driving more than this many
 	// gates. 0 disables the rule.
@@ -26,21 +26,24 @@ type Options struct {
 	SAT bool
 }
 
-// DefaultOptions returns the thresholds used by cmd/soclint and the -lint
-// preflights: a generous fanout bound and SCOAP checking off (it is opt-in
+// DefaultOptions returns the thresholds used by cmd/soclint and /v1/lint:
+// a generous fanout bound and SCOAP checking off (it is opt-in
 // via the CLI's -scoap-limit, since healthy large circuits legitimately
 // contain hard nets).
 func DefaultOptions() Options {
 	return Options{MaxFanout: 256}
 }
 
-// CheckBenchFile lints a .bench netlist file from disk.
-func CheckBenchFile(path string, opt Options) (*Report, error) {
+// CheckBenchFile lints a .bench netlist file from disk. It also returns
+// the circuit the source built, nil when the source has a structural
+// problem, so a caller that goes on to analyze the netlist reads it once.
+func CheckBenchFile(path string, opt Options) (*Report, *netlist.Circuit, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return CheckBench(path, string(data), opt), nil
+	r, c := checkBench(path, string(data), opt)
+	return r, c, nil
 }
 
 // benchRule maps each kind of problem netlist.ReadBench finds to its rule.
@@ -58,13 +61,21 @@ var benchRule = [...]string{
 // CheckBench lints .bench source text. Unlike netlist.ParseBench, which
 // fails on any problem, the linter reports every problem the shared reader
 // finds (NL001–NL003, NL006–NL009), each at its source line, and on a
-// source with none runs the circuit-level rules CheckCircuit runs.
+// source with none runs the circuit-level rules (NL004, NL005, NL010,
+// NL011, NL012, and with Options.SAT the formal NL013/NL014) on the
+// circuit it builds.
 func CheckBench(file, src string, opt Options) *Report {
+	r, _ := checkBench(file, src, opt)
+	return r
+}
+
+// checkBench is CheckBench, also returning the circuit the source built.
+func checkBench(file, src string, opt Options) (*Report, *netlist.Circuit) {
 	r := &Report{}
 	s, err := netlist.ReadBench(file, strings.NewReader(src))
 	if err != nil {
 		r.Add("NL009", Pos{File: file}, "", "reading source: %v", err)
-		return r
+		return r, nil
 	}
 	for _, p := range s.Problems {
 		r.Add(benchRule[p.Kind], Pos{File: file, Line: p.Line}, p.Subject, "%s", p.Msg)
@@ -73,21 +84,11 @@ func CheckBench(file, src string, opt Options) *Report {
 		r.Merge(checkCircuit(file, s.Circuit, s.Lines, opt))
 	}
 	r.Sort()
-	return r
+	return r, s.Circuit
 }
 
-// CheckCircuit runs the circuit-level DRC rules (NL004, NL005, NL010,
-// NL011, NL012, and with Options.SAT the formal NL013/NL014) on a
-// finalized circuit — the entry point for programmatically built
-// netlists, where no source positions exist.
-func CheckCircuit(c *netlist.Circuit, opt Options) *Report {
-	r := checkCircuit(c.Name, c, make([]int, c.NumGates()), opt)
-	r.Sort()
-	return r
-}
-
-// checkCircuit runs CheckCircuit's rules, placing each finding at the
-// line lines gives its gate.
+// checkCircuit runs the circuit-level rules on a finalized circuit,
+// placing each finding at the line lines gives its gate.
 func checkCircuit(file string, c *netlist.Circuit, lines []int, opt Options) *Report {
 	r := &Report{}
 	pos := func(id netlist.GateID) Pos { return Pos{File: file, Line: lines[id]} }

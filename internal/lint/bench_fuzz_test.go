@@ -74,7 +74,7 @@ func FuzzCheckBench(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, want := circuitFindings(r), circuitFindings(CheckCircuit(c, DefaultOptions()))
+		got, want := circuitFindings(r), circuitFindings(checkCircuit(c.Name, c, make([]int, c.NumGates()), DefaultOptions()))
 		if !slices.Equal(got, want) {
 			t.Fatalf("source findings %q, circuit findings %q", got, want)
 		}

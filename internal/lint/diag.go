@@ -2,23 +2,24 @@
 // diagnostics engine plus two rule families that check test inputs before
 // any expensive ATPG or TDV computation touches them.
 //
-//   - Netlist DRC (rules NL001–NL014) over .bench sources and built
-//     netlist.Circuit values. The structural rules (combinational cycles
-//     with the offending path, undriven and multiply-driven nets,
-//     duplicate definitions, fanin arity, unknown types, syntax) are the
-//     problems of netlist.ReadBench, the one .bench reader, mapped to
-//     rules; the circuit rules (dead and unobservable logic, unused
+//   - Netlist DRC (rules NL001–NL014) over .bench sources. The
+//     structural rules (combinational cycles with the offending path,
+//     undriven and multiply-driven nets, duplicate definitions, fanin
+//     arity, unknown types, syntax) are the problems of
+//     netlist.ReadBench, the one .bench reader, mapped to rules; the
+//     circuit rules (dead and unobservable logic, unused
 //     inputs, fanout, SCOAP testability (scoap.go) and the opt-in SAT
 //     rules) run on the circuit it builds.
-//   - ITC'02 SOC lint (rules SOC001–SOC013) over .soc sources, read
-//     through itc02.ReadSOC, and built core.SOC profiles: hierarchy
-//     consistency, scan-chain bookkeeping and the preconditions of the
-//     paper's TDV equations.
+//   - ITC'02 SOC lint (rules SOC001–SOC014) over .soc sources: the
+//     hierarchy problems of itc02.ReadSOC, the one .soc reader, and the
+//     profile problems of core.SOC.Check, the one profile checker
+//     (scan-chain bookkeeping and the preconditions of the paper's TDV
+//     equations), each mapped to a rule.
 //
 // Every diagnostic carries a stable rule ID, a severity and a source
 // position, renders as one text line, and can be emitted as a structured
-// "lint.diag" event through an obs.Sink. The cmd/soclint CLI and the -lint
-// preflights of atpgrun/socx are thin wrappers over this package.
+// "lint.diag" event through an obs.Sink. The cmd/soclint CLI and socd's
+// /v1/lint are thin wrappers over this package.
 package lint
 
 import (

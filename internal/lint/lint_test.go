@@ -7,10 +7,9 @@ import (
 	"time"
 
 	"repro/internal/bench89"
-	"repro/internal/coopt"
-	"repro/internal/core"
 	"repro/internal/itc02"
 	"repro/internal/obs"
+	"repro/internal/soc"
 )
 
 // rulesOf extracts the multiset of rule IDs, sorted by the report's order.
@@ -185,7 +184,7 @@ func TestReportEmitJSONL(t *testing.T) {
 	}
 }
 
-// socRuleCases holds one .soc source per structural and bookkeeping rule;
+// socRuleCases holds one .soc source per structural and profile rule;
 // FuzzCheckSOCSource seeds from it too.
 var socRuleCases = []struct {
 	name string
@@ -205,6 +204,7 @@ var socRuleCases = []struct {
 	{"no-tmono", "soc x\nmodule A t 1 s 1\ntop A\n", "SOC011"},
 	{"zero-data", "soc x\nmodule A t 7\ntop A\n", "SOC012"},
 	{"nameless", "module A t 1 s 1\ntop A\n", "SOC001"},
+	{"overflow", "soc big\nmodule Top t 1 children A\nmodule A s 2000000000 t 3000000000\ntop Top\n", "SOC014"},
 }
 
 func TestCheckSOCSourceRules(t *testing.T) {
@@ -216,24 +216,54 @@ func TestCheckSOCSourceRules(t *testing.T) {
 	}
 }
 
-// TestSOC013Unschedulable pins the ceiling exactly: a core declaring more
-// pre-stitched chains than coopt.MaxTAMWidth can never connect them all,
-// while one at the ceiling is still schedulable.
-func TestSOC013Unschedulable(t *testing.T) {
-	mkSrc := func(n int) string {
-		sc := strings.TrimSuffix(strings.Repeat("1,", n), ",")
-		return fmt.Sprintf("soc x\ntmono 10\nmodule A i 1 o 1 s %d t 1 sc %s\ntop A\n", n, sc)
+// TestWideChainCoreNoFinding checks a core with more pre-stitched scan
+// chains than coopt.MaxTAMWidth (64) draws no finding: the wrapper
+// concatenates chains, and coopt's TestWideChainCoreSchedules schedules
+// the same core at every width.
+func TestWideChainCoreNoFinding(t *testing.T) {
+	sc := strings.TrimSuffix(strings.Repeat("1,", 65), ",")
+	r := CheckSOCSource("wide", fmt.Sprintf("soc x\ntmono 10\nmodule A i 1 o 1 s 65 t 1 sc %s\ntop A\n", sc))
+	if len(r.Diags) != 0 {
+		t.Errorf("65-chain core drew %v", r.Diags)
 	}
-	r := CheckSOCSource("wide", mkSrc(coopt.MaxTAMWidth+1))
-	if !hasRule(r, "SOC013") {
-		t.Errorf("SOC013 did not fire at %d chains; got %v", coopt.MaxTAMWidth+1, rulesOf(r))
+}
+
+// TestSOCFindingsPositioned pins the profile findings core.SOC.Check
+// makes, each at the line of the module it names: the overflow probe's
+// Eq. 4 term, Eq. 2 at the module holding T_max and a chain-sum mismatch,
+// all with Validate's text.
+func TestSOCFindingsPositioned(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"soc big\nmodule Top t 1 children A\nmodule A s 2000000000 t 3000000000\ntop Top\n",
+			"f:3: error: SOC014: module A: Eq. 4 TDV_modular overflows int64"},
+		{"soc x\ntmono 5\nmodule Top t 1 children A,B\nmodule A s 1 t 30\nmodule B s 1 t 30\ntop Top\n",
+			"f:4: error: SOC010: T_mono=5 is below T_max=30, violating Eq. 2"},
+		{"soc x\ntmono 30\nmodule A s 20 sc 5,5 t 30\ntop A\n",
+			"f:3: error: SOC008: module A declares scan chains summing to 10 but s=20"},
+	} {
+		r := CheckSOCSource("f", tc.src)
+		var b strings.Builder
+		if err := r.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if r.Count(Error) != 1 || r.Count(Warning) != 0 || !strings.Contains(b.String(), tc.want+"\n") {
+			t.Errorf("%q:\n%swant the one finding %s", tc.src, b.String(), tc.want)
+		}
 	}
-	if r.HasErrors() {
-		t.Errorf("SOC013 fixture tripped error-severity rules: %v", rulesOf(r))
-	}
-	r = CheckSOCSource("at-ceiling", mkSrc(coopt.MaxTAMWidth))
-	if hasRule(r, "SOC013") {
-		t.Errorf("SOC013 fired at exactly %d chains", coopt.MaxTAMWidth)
+}
+
+// TestMalformedValueNoCascade checks a module line with a malformed value
+// draws the SOC001 alone: the value the reader could not parse reads as
+// 0, so a per-module finding on that line would be a guess.
+func TestMalformedValueNoCascade(t *testing.T) {
+	for _, src := range []string{
+		"soc x\ntmono 3\nmodule A s -5 t 3\ntop A\n",
+		"soc x\ntmono 3\nmodule A s 4 t 3 sc 2,x\ntop A\n",
+		"soc x\ntmono 1\nmodule A t nope s 8\ntop A\n",
+	} {
+		if got := rulesOf(CheckSOCSource("f", src)); len(got) != 1 || got[0] != "SOC001" {
+			t.Errorf("%q: got %v, want [SOC001]", src, got)
+		}
 	}
 }
 
@@ -261,36 +291,25 @@ func TestCheckSOCAgreesWithParser(t *testing.T) {
 	}
 }
 
+// TestCheckSOCProfile checks a profile with two profile errors draws both,
+// each at its module's line: core.SOC.Check makes no early return.
 func TestCheckSOCProfile(t *testing.T) {
-	s := &core.SOC{
-		Name:  "prog",
-		TMono: 10,
-		Top: &core.Module{
-			Name:   "top",
-			Params: core.Params{Inputs: 1, Outputs: 1, Patterns: 2},
-			Children: []*core.Module{{
-				Name:       "bad",
-				Params:     core.Params{ScanCells: 9, Patterns: 20},
-				ScanChains: []int{4, 4},
-			}},
-		},
-	}
-	r := CheckSOC(s)
-	if !hasRule(r, "SOC008") || !hasRule(r, "SOC010") {
-		t.Errorf("profile check missed rules: %v", rulesOf(r))
+	r := CheckSOCSource("prog", "soc prog\ntmono 10\nmodule top i 1 o 1 t 2 children bad\nmodule bad s 9 t 20 sc 4,4\ntop top\n")
+	if got := rulesOf(r); strings.Join(got, " ") != "SOC008 SOC010" || r.Diags[0].Pos.Line != 4 || r.Diags[1].Pos.Line != 4 {
+		t.Errorf("profile check: %v", r.Diags)
 	}
 }
 
-// TestCommittedProfilesLintClean: every published ITC'02 profile baked into
-// the repo must pass the linter without errors — the property the CI leg
-// and socx -lint preflight rely on.
+// TestCommittedProfilesLintClean: every profile baked into the repo — the
+// ITC'02 tables and the paper's SOC1 and SOC2 — must lint without errors
+// in its .soc text, as socx, itc02x and tdvcalc -builtin run on them.
 func TestCommittedProfilesLintClean(t *testing.T) {
 	socs, err := itc02.AllSOCs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range append([]*core.SOC{itc02.P34392()}, socs...) {
-		if r := CheckSOC(s); r.HasErrors() {
+	for _, s := range append(socs, itc02.P34392(), soc.SOC1Profile(), soc.SOC2Profile()) {
+		if r := CheckSOCSource(s.Name, itc02.SOCString(s)); r.HasErrors() {
 			var sb strings.Builder
 			r.WriteText(&sb)
 			t.Errorf("committed profile %s has lint errors:\n%s", s.Name, sb.String())
@@ -310,7 +329,7 @@ func TestGeneratedStandinsLintClean(t *testing.T) {
 			continue
 		}
 		c := bench89.MustGenerate(p)
-		r := CheckCircuit(c, DefaultOptions())
+		r := checkCircuit(c.Name, c, make([]int, c.NumGates()), DefaultOptions())
 		if r.HasErrors() {
 			var sb strings.Builder
 			r.WriteText(&sb)

@@ -1,8 +1,8 @@
 package lint
 
 // Rule is one catalog entry: a stable ID, its default severity, and a
-// one-line description. IDs are never renumbered — tools and fixtures pin
-// them — and severities are fixed per rule (a -warn-as-error style
+// one-line description. IDs are never renumbered or reused — tools and
+// fixtures pin them — and severities are fixed per rule (a -warn-as-error style
 // escalation belongs to the caller's exit-code policy, not the catalog).
 type Rule struct {
 	ID  string
@@ -41,10 +41,13 @@ var Catalog = []Rule{
 	{"SOC007", Error, "module not reachable from the top (orphan)"},
 	{"SOC008", Error, "declared scan-chain lengths do not sum to the scan-cell count"},
 	{"SOC009", Warning, "module has scan cells but a zero pattern count (cells never exercised)"},
-	{"SOC010", Error, "module pattern count exceeds measured T_mono (violates Eq. 2; Benefit would panic)"},
+	{"SOC010", Error, "measured T_mono below the largest module pattern count (violates Eq. 2; Benefit would panic)"},
 	{"SOC011", Info, "T_mono unmeasured: only the optimistic Eq. 3 bound applies"},
 	{"SOC012", Warning, "module tests zero data: patterns > 0 but no ports, scan cells or children"},
-	{"SOC013", Warning, "unschedulable core: more pre-stitched scan chains than the TAM width ceiling"},
+	// SOC013 (more pre-stitched chains than the TAM width ceiling) is
+	// retired and never reused: the wrapper concatenates chains, so such
+	// a core schedules at every width.
+	{"SOC014", Error, "a term or sum of the TDV equations overflows int64"},
 }
 
 var ruleByID = func() map[string]Rule {

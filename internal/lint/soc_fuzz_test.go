@@ -1,17 +1,19 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"repro/internal/itc02"
 )
 
-// FuzzCheckSOCSource holds the linter to the parser it shares a reader
-// with: ParseSOC fails exactly when CheckSOCSource reports a structural
-// error (SOC001–SOC007), and for every profile that parses, the source
-// and the built profile draw the same (rule, subject) findings from the
-// per-module rules (SOC008–SOC013).
+// FuzzCheckSOCSource holds the linter to the parser and the profile
+// checker it shares: ParseSOC fails exactly when CheckSOCSource reports a
+// structural error (SOC001–SOC007), ParseSOC followed by
+// core.SOC.Validate fails exactly when it reports an error of any rule,
+// and the refusal Validate returns is one of its findings, word for word.
 func FuzzCheckSOCSource(f *testing.F) {
 	for _, tc := range socRuleCases {
 		f.Add(tc.src)
@@ -27,11 +29,24 @@ func FuzzCheckSOCSource(f *testing.F) {
 	f.Add("soc k\nmodule top t 1\ntop top\n")
 	f.Add("soc k2\n  module children i 1 t 2 children module  # comment\nmodule module t 3\ntop children\n")
 	f.Add("# leading comment\n\r\nsoc w\r\nmodule A t 4 testeraccess\r\ntop A\r\n")
+	// The overflow probe and one profile per magnitude branch of
+	// core's TestValidateRefusesOverflow.
+	paths, err := filepath.Glob(filepath.Join("..", "core", "testdata", "overflow", "*.soc"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no overflow seeds: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		r := CheckSOCSource("f.soc", src)
 		structural := false
 		for _, d := range r.Diags {
-			structural = structural || d.Rule <= "SOC007"
+			structural = structural || d.Sev == Error && d.Rule <= "SOC007"
 		}
 		s, err := itc02.ParseSOCString(src)
 		if (err != nil) != structural {
@@ -40,22 +55,12 @@ func FuzzCheckSOCSource(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, want := moduleFindings(r), moduleFindings(CheckSOC(s))
-		if !slices.Equal(got, want) {
-			t.Fatalf("source findings %v, profile findings %v", got, want)
+		err = s.Validate()
+		if (err != nil) != r.HasErrors() {
+			t.Fatalf("Validate: %v, but lint errors %v: %v", err, r.HasErrors(), rulesOf(r))
+		}
+		if err != nil && !slices.ContainsFunc(r.Diags, func(d Diagnostic) bool { return d.Msg == err.Error() }) {
+			t.Fatalf("refusal %q is no lint finding: %v", err, r.Diags)
 		}
 	})
-}
-
-// moduleFindings returns the sorted "rule subject" pairs of the per-module
-// rules (SOC008–SOC013) in r.
-func moduleFindings(r *Report) []string {
-	var out []string
-	for _, d := range r.Diags {
-		if d.Rule >= "SOC008" {
-			out = append(out, d.Rule+" "+d.Subject)
-		}
-	}
-	slices.Sort(out)
-	return out
 }

@@ -3,9 +3,14 @@ package srv
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/coopt"
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -134,8 +139,11 @@ func decodeSeeds() [][]byte {
 // /v1/tdv, /v1/lint and /v1/schedule, and to /v1/atpg with the fuzzed
 // envelope and options over the fixed tinyBench netlist, so every run
 // stays small. No request may answer 500, and a 200 must come back byte
-// for byte when the same body is posted again. The corpus adds the
-// request mix of cmd/socload to decodeSeeds.
+// for byte when the same body is posted again. A 200 from /v1/tdv or
+// /v1/schedule must hold its numbers: no volume, penalty, benefit or bit
+// count is negative, and the tdv report balances Eq. 6 with the chip-port
+// term. The corpus adds the request mix of cmd/socload and the overflow
+// probes of internal/core to decodeSeeds.
 func FuzzServe(f *testing.F) {
 	for _, seed := range decodeSeeds() {
 		f.Add(seed)
@@ -146,6 +154,18 @@ func FuzzServe(f *testing.F) {
 		`{"bench":"INPUT(s)\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\nns = NOT(s)\nta = AND(a, ns)\ntb = AND(b, s)\ny = OR(ta, tb)\n"}`,
 	} {
 		f.Add([]byte(body))
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "core", "testdata", "overflow", "*.soc"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no overflow seeds: %v", err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(marshalReq(&tdvRequest{SOC: string(src)}))
+		f.Add(marshalReq(&scheduleRequest{SOC: string(src), TAM: 8}))
 	}
 	st, err := store.Open(f.TempDir(), 1<<20, nil)
 	if err != nil {
@@ -171,6 +191,51 @@ func FuzzServe(f *testing.F) {
 			if again := post(t, h, path, string(body)); again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
 				t.Fatalf("POST %s %q: 200 %q, then %d %q", path, body, first.Body, again.Code, again.Body)
 			}
+			if err := checkAnswer(path, first.Body.Bytes()); err != nil {
+				t.Fatalf("POST %s %q: %v in %s", path, body, err, first.Body)
+			}
 		}
 	})
+}
+
+// checkAnswer holds a 200 body of /v1/tdv or /v1/schedule to its numbers:
+// every volume, penalty, benefit and bit count is non-negative, and a tdv
+// report balances the exact Eq. 6 identity at its reference T_mono,
+//
+//	TDV_modular = TDV_mono + TDV_penalty − TDV_benefit − chip-port term.
+func checkAnswer(path string, body []byte) error {
+	switch path {
+	case "/v1/tdv":
+		var r core.Report
+		if err := json.Unmarshal(body, &r); err != nil {
+			return err
+		}
+		mono := r.TDVMonoOpt
+		if r.TMono > 0 {
+			mono = r.TDVMonoAct
+		}
+		for _, v := range []int64{r.SumScan, r.TDVMonoOpt, r.TDVMonoAct, r.TDVModular, r.Penalty, r.Benefit, r.ChipPort} {
+			if v < 0 {
+				return fmt.Errorf("negative volume %d", v)
+			}
+		}
+		if r.TDVModular != mono+r.Penalty-r.Benefit-r.ChipPort {
+			return fmt.Errorf("Eq. 6: TDV_modular %d, but %d + %d − %d − %d", r.TDVModular, mono, r.Penalty, r.Benefit, r.ChipPort)
+		}
+	case "/v1/schedule":
+		var sch coopt.Schedule
+		if err := json.Unmarshal(body, &sch); err != nil {
+			return err
+		}
+		counts := []int64{sch.TotalTime, sch.LowerBound, sch.TDVBits, sch.UsefulBits, sch.WrapperIdleBits, sch.TAMIdleBits}
+		for _, p := range sch.Placements {
+			counts = append(counts, p.Start, p.Finish-p.Start, p.Power, p.IdleBits)
+		}
+		for _, v := range counts {
+			if v < 0 {
+				return fmt.Errorf("negative count %d", v)
+			}
+		}
+	}
+	return nil
 }

@@ -231,6 +231,14 @@ func TestLintEndpoint(t *testing.T) {
 	if art.Errors == 0 || len(art.Diags) == 0 {
 		t.Errorf("broken bench produced no errors: %s", rec.Body)
 	}
+
+	// The overflow probe /v1/tdv refuses is a positioned SOC014 error,
+	// with the refusal's text.
+	rec = post(t, h, "/v1/lint", overflowSOC)
+	want := `{"rule":"SOC014","severity":"error","file":"request.soc","line":3,"subject":"A","msg":"module A: Eq. 4 TDV_modular overflows int64"}`
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("lint overflow probe: %d %s, want %s", rec.Code, rec.Body, want)
+	}
 }
 
 // invalidRequests are bodies every handler must refuse with a 400.
