@@ -85,16 +85,14 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 	rng := rand.New(rand.NewSource(p.Seed))
 	b := netlist.NewBuilder(p.Name)
 
-	// Net k < nSrc is a source (the inputs, then the forward-referenced
-	// flip-flop outputs), the rest are gates; name[k] and prob[k] are net k's.
-	nSrc := p.Inputs + p.DFFs
-	name := make([]string, nSrc, nSrc+p.Gates+p.Gates/4)
+	// Net k < nSrc is a source (the inputs i<k>, then the forward-referenced
+	// flip-flop outputs ff<k>), the rest are gates g<k>; prob[k] is net k's.
+	nSrc, nNets := p.Inputs+p.DFFs, p.Inputs+p.DFFs+p.Gates+p.Gates/4
+	b.Grow(nNets, nNets+p.Outputs, 2*nNets)
+	b.AddNets(p.Inputs, counted("i"))
+	b.AddNets(p.DFFs, counted("ff"))
 	for i := 0; i < p.Inputs; i++ {
-		name[i] = "i" + strconv.Itoa(i)
-		b.Input(name[i])
-	}
-	for i := 0; i < p.DFFs; i++ {
-		name[p.Inputs+i] = "ff" + strconv.Itoa(i)
+		b.InputNet(int32(i))
 	}
 
 	// The circuit is built as one logic cone per sink (primary output or
@@ -110,20 +108,14 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 	// Gate types are chosen probability-aware: the generator tracks an
 	// (independence-approximated) signal probability per net and picks
 	// the type keeping the output closest to 1/2, randomly perturbed.
-	prob := make([]float64, nSrc, cap(name))
+	prob := make([]float64, nSrc, nNets)
 	for k := range prob {
 		prob[k] = 0.5
 	}
-	var fanin []string // the builder keeps no fanin slice, so one serves all
 	newGate := func(typ netlist.GateType, in []int32, outProb float64) int32 {
-		fanin = fanin[:0]
-		for _, k := range in {
-			fanin = append(fanin, name[k])
-		}
-		k := int32(len(name))
-		name = append(name, "g"+strconv.Itoa(len(name)-nSrc))
+		k := int32(len(prob))
 		prob = append(prob, outProb)
-		b.Gate(name[k], typ, fanin...)
+		b.GateNet(k, typ, in...)
 		return k
 	}
 	combine := func(x, y int32) int32 {
@@ -167,7 +159,7 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 		}
 		leaves = leaves[:0]
 		for len(leaves) < k+1 {
-			if gates := len(name) - nSrc; gates > 0 && rng.Float64() < 0.18 {
+			if gates := len(prob) - nSrc; gates > 0 && rng.Float64() < 0.18 {
 				leaves = append(leaves, int32(nSrc+rng.Intn(gates)))
 			} else {
 				leaves = append(leaves, int32(rng.Intn(nSrc)))
@@ -230,18 +222,19 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 	}
 
 	for i := 0; i < p.Outputs; i++ {
-		b.Output(name[sinkRoots[i]])
+		b.OutputNet(sinkRoots[i])
 	}
 	for i := 0; i < p.DFFs; i++ {
-		b.Gate(name[p.Inputs+i], netlist.DFF, name[sinkRoots[p.Outputs+i]])
+		b.GateNet(int32(p.Inputs+i), netlist.DFF, sinkRoots[p.Outputs+i])
 	}
+	b.AddNets(len(prob)-nSrc, counted("g"))
 
 	c, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("bench89: generating %s: %w", p.Name, err)
 	}
 	col.Counter("bench89.circuits.generated").Inc()
-	col.Counter("bench89.gates.generated").Add(int64(len(name) - nSrc))
+	col.Counter("bench89.gates.generated").Add(int64(len(prob) - nSrc))
 	if col.Tracing() {
 		col.Emit("bench89.generated",
 			obs.F("name", p.Name),
@@ -249,11 +242,16 @@ func GenerateObserved(p Profile, col *obs.Collector) (*netlist.Circuit, error) {
 			obs.F("inputs", p.Inputs),
 			obs.F("outputs", p.Outputs),
 			obs.F("dffs", p.DFFs),
-			obs.F("gates", len(name)-nSrc),
+			obs.F("gates", len(prob)-nSrc),
 			obs.F("cones", sinks))
 	}
 	span.End()
 	return c, nil
+}
+
+// counted names net i prefix<i>, for Builder.AddNets.
+func counted(prefix string) func(dst []byte, i int) []byte {
+	return func(dst []byte, i int) []byte { return strconv.AppendInt(append(dst, prefix...), int64(i), 10) }
 }
 
 // MustGenerate is Generate for known-good profiles; it panics on error.

@@ -86,8 +86,13 @@ func Staircase(t tam.CoreTest, scanCells, maxW int) ([]Config, error) {
 // where n is cells-plus-ports for that direction. balancedFill is that
 // closed form; the differential test in staircase_test.go pins the
 // equivalence against the real DesignWrapper on unit chains. Phase 2c
-// (bidir cells) runs verbatim: bidir counts are genuine port counts,
-// never the synthesizer's large isolation masses.
+// deals each bidir cell to the chain of least in+out length, the lowest
+// index on ties. balancedFill leaves those lengths non-increasing in the
+// index and within two of each other, and from such a profile w cells
+// give every chain one: the least chains, a suffix, take theirs first and
+// end above every other, and the profile keeps its shape. So bidirs/w
+// whole rounds are added at once and only the rest dealt one by one: the
+// cost does not grow with the bidir count.
 func designSplittable(scanCells, inputs, outputs, bidirs, w int) (tam.WrapperChains, error) {
 	if w < 1 {
 		return tam.WrapperChains{}, fmt.Errorf("coopt: wrapper width must be >= 1, got %d", w)
@@ -96,7 +101,10 @@ func designSplittable(scanCells, inputs, outputs, bidirs, w int) (tam.WrapperCha
 		In:  balancedFill(scanCells+inputs, w),
 		Out: balancedFill(scanCells+outputs, w),
 	}
-	for i := 0; i < bidirs; i++ {
+	for k := range wc.In {
+		wc.In[k], wc.Out[k] = wc.In[k]+bidirs/w, wc.Out[k]+bidirs/w
+	}
+	for i := 0; i < bidirs%w; i++ {
 		k := wc.LeastLoaded()
 		wc.In[k]++
 		wc.Out[k]++

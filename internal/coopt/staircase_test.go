@@ -2,7 +2,9 @@ package coopt
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/itc02"
@@ -50,6 +52,64 @@ func TestDesignSplittableMatchesDesignWrapper(t *testing.T) {
 				t.Fatalf("s=%d i=%d o=%d b=%d w=%d: designSplittable=%+v, DesignWrapper=%+v",
 					c.s, c.i, c.o, c.b, w, got, want)
 			}
+		}
+	}
+}
+
+// dealBidirsOneByOne is designSplittable's bidir phase as DesignWrapper
+// runs it, one cell at a time: the oracle for the whole-round fast path.
+func dealBidirsOneByOne(wc tam.WrapperChains) {
+	k := wc.LeastLoaded()
+	wc.In[k]++
+	wc.Out[k]++
+}
+
+// TestDesignSplittableBidirRounds holds designSplittable to the one-cell-
+// at-a-time bidir loop for every width up to 8, every scan, input and
+// output count up to 40 and every bidir count up to 200. The result
+// depends on the counts only through S+I and S+O, so each such pair is
+// checked once.
+func TestDesignSplittableBidirRounds(t *testing.T) {
+	seen := map[[2]int]bool{}
+	for s := 0; s <= 40; s++ {
+		for i := 0; i <= 40; i++ {
+			for o := 0; o <= 40; o++ {
+				if seen[[2]int{s + i, s + o}] {
+					continue
+				}
+				seen[[2]int{s + i, s + o}] = true
+				for w := 1; w <= 8; w++ {
+					want := tam.WrapperChains{In: balancedFill(s+i, w), Out: balancedFill(s+o, w)}
+					for b := 0; b <= 200; b++ {
+						got, err := designSplittable(s, i, o, b, w)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got.In, want.In) || !slices.Equal(got.Out, want.Out) {
+							t.Fatalf("s=%d i=%d o=%d b=%d w=%d: designSplittable=%+v, one by one=%+v", s, i, o, b, w, got, want)
+						}
+						dealBidirsOneByOne(want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDesignSplittableHugeBidirs checks that a bidir count of a billion
+// costs no more than a small one, and that the cells end evenly spread.
+func TestDesignSplittableHugeBidirs(t *testing.T) {
+	start := time.Now()
+	wc, err := designSplittable(0, 0, 0, 1_000_000_000, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("a billion bidir cells took %v", d)
+	}
+	for k := range wc.In {
+		if wc.In[k] != 125_000_000 || wc.Out[k] != 125_000_000 {
+			t.Fatalf("chain %d: %d in, %d out, want 125,000,000 each", k, wc.In[k], wc.Out[k])
 		}
 	}
 }

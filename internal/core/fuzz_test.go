@@ -69,6 +69,19 @@ func TestValidateAllocs(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAllocs bounds the allocations of Analyze on p93791, which a
+// cold tdv request runs: one walk of the module tree, whose only
+// allocation is the list of pattern counts NormStdev reads.
+func TestAnalyzeAllocs(t *testing.T) {
+	s, err := itc02.SOCByName("p93791")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.Analyze() }); n > 1 {
+		t.Errorf("Analyze on p93791 makes %v allocations, want at most 1", n)
+	}
+}
+
 // BenchmarkValidate reports the cost of Validate on p93791.
 func BenchmarkValidate(b *testing.B) {
 	s, err := itc02.SOCByName("p93791")

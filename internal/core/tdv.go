@@ -130,40 +130,53 @@ type SOC struct {
 // Modules returns all modules including the top, in pre-order.
 func (s *SOC) Modules() []*Module { return s.Top.Flatten() }
 
-// TotalScanCells returns S_chip: the scan cells summed over all modules.
-func (s *SOC) TotalScanCells() int64 {
-	var n int64
-	for _, m := range s.Modules() {
-		n += int64(m.ScanCells)
-	}
-	return n
+// totals are the sums over all modules that the SOC-level equations read.
+type totals struct {
+	modules          int
+	tmax             int   // max_i T_i
+	scan, scanT      int64 // Σ S and Σ T·S
+	modular, penalty int64 // Eq. 4 and Eq. 7
+	ts               []int // the positive pattern counts, in pre-order
 }
 
-// MaxPatterns returns max_i T_i over all modules.
-func (s *SOC) MaxPatterns() int {
-	max := 0
-	for _, m := range s.Modules() {
-		if m.Patterns > max {
-			max = m.Patterns
-		}
-	}
-	return max
+// sums gathers the totals in one pre-order walk of the module tree.
+func (s *SOC) sums() totals {
+	t := totals{ts: make([]int, 0, 64)}
+	t.add(s.Top)
+	return t
 }
+
+func (t *totals) add(m *Module) {
+	t.modules++
+	t.tmax = max(t.tmax, m.Patterns)
+	t.scan += int64(m.ScanCells)
+	t.scanT += int64(m.Patterns) * int64(m.ScanCells)
+	t.modular += m.ModularTDV()
+	t.penalty += int64(m.Patterns) * m.ISOCost()
+	if m.Patterns > 0 {
+		t.ts = append(t.ts, m.Patterns)
+	}
+	for _, ch := range m.Children {
+		t.add(ch)
+	}
+}
+
+// benefit is Equation 8 from the sums: Σ (tmono − T)·2S summed as
+// 2·(tmono·ΣS − Σ T·S), equal in int64 arithmetic.
+func (t totals) benefit(tmono int) int64 { return 2 * (int64(tmono)*t.scan - t.scanT) }
+
+// TotalScanCells returns S_chip: the scan cells summed over all modules.
+func (s *SOC) TotalScanCells() int64 { return s.sums().scan }
+
+// MaxPatterns returns max_i T_i over all modules.
+func (s *SOC) MaxPatterns() int { return s.sums().tmax }
 
 // NormStdevPatterns returns the normalized sample standard deviation of
 // the module pattern counts (NormStdev) — the paper's Table 4 column 3
 // statistic. Modules without a test of their own (T == 0, e.g. pure
 // container levels) are excluded, mirroring the paper's restriction to
 // core tests with TamUse=1 and ScanUse=1.
-func (s *SOC) NormStdevPatterns() float64 {
-	var ts []int
-	for _, m := range s.Modules() {
-		if m.Patterns > 0 {
-			ts = append(ts, m.Patterns)
-		}
-	}
-	return NormStdev(ts)
-}
+func (s *SOC) NormStdevPatterns() float64 { return NormStdev(s.sums().ts) }
 
 // NormStdev returns the normalized sample standard deviation (stdev/mean,
 // with the n−1 divisor) of a set of pattern counts — the statistic the
@@ -190,9 +203,9 @@ func NormStdev(ts []int) float64 {
 }
 
 // chipFrameBits returns I_chip + O_chip + 2B_chip + 2S_chip: the per-pattern
-// data of the flattened monolithic design.
-func (s *SOC) chipFrameBits() int64 {
-	return s.Top.PortBits() + 2*s.TotalScanCells()
+// data of the flattened monolithic design, where scan is S_chip.
+func (s *SOC) chipFrameBits(scan int64) int64 {
+	return s.Top.PortBits() + 2*scan
 }
 
 // TDVMono computes Equation 1 with the measured monolithic pattern count.
@@ -201,48 +214,35 @@ func (s *SOC) TDVMono() int64 {
 	if s.TMono <= 0 {
 		return 0
 	}
-	return s.chipFrameBits() * int64(s.TMono)
+	return s.chipFrameBits(s.TotalScanCells()) * int64(s.TMono)
 }
 
 // TDVMonoOpt computes Equation 3: the optimistic (lower-bound) monolithic
 // TDV using max_i T_i for the pattern count.
 func (s *SOC) TDVMonoOpt() int64 {
-	return s.chipFrameBits() * int64(s.MaxPatterns())
+	t := s.sums()
+	return s.chipFrameBits(t.scan) * int64(t.tmax)
 }
 
 // TDVModular computes Equation 4 over all modules.
-func (s *SOC) TDVModular() int64 {
-	var n int64
-	for _, m := range s.Modules() {
-		n += m.ModularTDV()
-	}
-	return n
-}
+func (s *SOC) TDVModular() int64 { return s.sums().modular }
 
 // Penalty computes Equation 7: the per-pattern wrapper isolation data
 // summed over all modules.
-func (s *SOC) Penalty() int64 {
-	var n int64
-	for _, m := range s.Modules() {
-		n += int64(m.Patterns) * m.ISOCost()
-	}
-	return n
-}
+func (s *SOC) Penalty() int64 { return s.sums().penalty }
 
 // Benefit computes Equation 8 against the given monolithic pattern count:
 // Σ (T_mono − T_A) · 2S_A. Every term is guaranteed non-negative when
 // tmono ≥ max_i T_i (Equation 2); Benefit panics if the guarantee is
 // violated, as that indicates inconsistent inputs.
 func (s *SOC) Benefit(tmono int) int64 {
-	var n int64
 	for _, m := range s.Modules() {
 		if m.Patterns > tmono {
 			panic(fmt.Sprintf("core: module %s has T=%d > T_mono=%d, violating Eq. 2",
 				m.Name, m.Patterns, tmono))
 		}
-		n += int64(tmono-m.Patterns) * 2 * int64(m.ScanCells)
 	}
-	return n
+	return s.sums().benefit(tmono)
 }
 
 // ChipPortTerm returns (I_chip + O_chip + 2B_chip) · tmono — the correction
@@ -284,26 +284,32 @@ type Report struct {
 	PessimismFactor float64
 }
 
-// Analyze produces the full comparison report for the SOC.
+// Analyze produces the full comparison report for the SOC, from one walk
+// of the module tree.
 func (s *SOC) Analyze() Report {
+	t := s.sums()
+	frame := s.chipFrameBits(t.scan)
 	r := Report{
 		Name:       s.Name,
-		NumModules: len(s.Modules()),
-		TMax:       s.MaxPatterns(),
+		NumModules: t.modules,
+		NumCores:   t.modules - 1,
+		TMax:       t.tmax,
 		TMono:      s.TMono,
-		NormStdev:  s.NormStdevPatterns(),
-		SumScan:    s.TotalScanCells(),
-		TDVMonoOpt: s.TDVMonoOpt(),
-		TDVModular: s.TDVModular(),
-		Penalty:    s.Penalty(),
+		NormStdev:  NormStdev(t.ts),
+		SumScan:    t.scan,
+		TDVMonoOpt: frame * int64(t.tmax),
+		TDVModular: t.modular,
+		Penalty:    t.penalty,
 	}
-	r.NumCores = r.NumModules - 1
 	ref := r.TMax
 	if s.TMono > 0 {
 		ref = s.TMono
-		r.TDVMonoAct = s.TDVMono()
+		r.TDVMonoAct = frame * int64(s.TMono)
 	}
-	r.Benefit = s.Benefit(ref)
+	if ref < t.tmax {
+		s.Benefit(ref) // panics, naming the first module that violates Eq. 2
+	}
+	r.Benefit = t.benefit(ref)
 	r.ChipPort = s.ChipPortTerm(ref)
 	if r.TDVMonoOpt > 0 {
 		r.ReductionVsOpt = float64(r.TDVModular-r.TDVMonoOpt) / float64(r.TDVMonoOpt)
@@ -332,7 +338,7 @@ func (s *SOC) Analyze() Report {
 // algebraic).
 func (s *SOC) VerifyIdentity(tmono int) error {
 	lhs := s.TDVModular()
-	mono := s.chipFrameBits() * int64(tmono)
+	mono := s.chipFrameBits(s.TotalScanCells()) * int64(tmono)
 	rhs := mono + s.Penalty() - s.Benefit(tmono) - s.ChipPortTerm(tmono)
 	if lhs != rhs {
 		return fmt.Errorf("core: Eq.6 identity broken: modular=%d, mono+pen-ben-chip=%d", lhs, rhs)

@@ -75,6 +75,7 @@ func (b *Builder) scan(r io.Reader) ([]Problem, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
+		b.line = int32(lineNo)
 		line := strings.TrimSpace(sc.Text())
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = strings.TrimSpace(line[:i])
@@ -84,16 +85,16 @@ func (b *Builder) scan(r io.Reader) ([]Problem, error) {
 		}
 		switch {
 		case isDecl(line, "INPUT"), isDecl(line, "OUTPUT"):
-			kind, kw := benchInput, "INPUT"
+			declare, kw := b.Input, "INPUT"
 			if !isDecl(line, kw) {
-				kind, kw = benchOutput, "OUTPUT"
+				declare, kw = b.Output, "OUTPUT"
 			}
 			arg, msg := parseParen(line[len(kw):])
 			if msg != "" {
 				badLine(lineNo, "%s", msg)
 				continue
 			}
-			b.declare(kind, lineNo, arg, 0, nil)
+			declare(arg)
 		default:
 			eq := strings.IndexByte(line, '=')
 			if eq < 0 {
@@ -127,7 +128,7 @@ func (b *Builder) scan(r io.Reader) ([]Problem, error) {
 				}
 				b.typeNames[int32(len(b.decls))] = tname
 			}
-			b.declare(benchGate, lineNo, lhs, typ, fanin)
+			b.Gate(lhs, typ, fanin...)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -177,7 +178,7 @@ func ReadBench(name string, r io.Reader) (*BenchSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, more := b.build()
+	c, id, more := b.build()
 	if len(probs) > 0 {
 		c = nil
 	}
@@ -186,7 +187,7 @@ func ReadBench(name string, r io.Reader) (*BenchSource, error) {
 		src.Lines = make([]int, c.NumGates())
 		for _, d := range b.decls {
 			if d.kind != benchOutput {
-				src.Lines[c.byName[b.nets[d.net]]] = int(d.line)
+				src.Lines[id[d.net]] = int(d.line)
 			}
 		}
 	}

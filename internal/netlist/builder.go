@@ -2,15 +2,17 @@ package netlist
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
 )
 
-// Builder assembles a circuit from nets declared by name in any order: a
-// gate may use nets declared after it, and DFFs may close sequential
-// loops. Build and ReadBench both end in one pass, which records every
-// problem of the declarations instead of stopping at the first.
+// Builder assembles a circuit from nets declared by name or number in any
+// order: a gate may use nets declared after it, and DFFs may close
+// sequential loops. Build and ReadBench both end in one pass, which
+// records every problem of the declarations instead of stopping at the
+// first.
 //
 // Gate IDs follow a fixed rule: inputs, then DFFs, each in declaration
 // order, then the combinational gates in the order of a worklist that
@@ -18,19 +20,21 @@ import (
 // each gate whose fanin exists. Gate g lands in round R(g) = max(1, max
 // over combinational fanin f of R(f) + [name(f) > name(g)]), and a round
 // is in name order. Build computes R in one pass (rounds) and sorts once
-// by (R, name): O(n log n) in gates.
+// by (R, name), names by sortKey first: O(n log n) in gates.
 //
-// Storage is flat: each net name is resolved to a dense net number once,
-// when it is first mentioned, and a declaration is a 20-byte record whose
-// fanin is a range of one shared pin array. Build rewrites those pins and
-// the name index in place into the circuit's gate IDs, so every gate's
-// Fanin is a subslice of one array and a builder builds one circuit.
+// Storage is flat: every net has a number, from AddNets or, for a name,
+// from its first mention, and the name methods make the declarations the
+// numbered ones make. A declaration is a 20-byte record whose fanin is a
+// range of one shared pin array. Build rewrites those pins in place into
+// the circuit's gate IDs, so every gate's Fanin is a subslice of one array
+// and a builder builds one circuit.
 type Builder struct {
 	name  string
-	index map[string]GateID // net name → net number; Build rewrites it to gate IDs
-	nets  []string          // net names by net number
-	decls []decl            // declarations in call order
-	pins  []GateID          // gate fanin as net numbers, then gate IDs after Build
+	index map[string]int32 // net name → net number, made by the first declaration by name
+	nets  []string         // net names by net number
+	decls []decl           // declarations in call order
+	pins  []GateID         // gate fanin as net numbers, then gate IDs after Build
+	line  int32            // the source line of the next declarations
 	// typeNames holds the type token of each gate ReadBench could not
 	// type, by declaration index.
 	typeNames map[int32]string
@@ -47,60 +51,94 @@ type decl struct {
 }
 
 // NewBuilder returns an empty builder for a circuit with the given name.
-func NewBuilder(name string) *Builder {
-	return &Builder{name: name, index: make(map[string]GateID)}
+func NewBuilder(name string) *Builder { return &Builder{name: name} }
+
+// Grow makes room for nets more nets, decls more declarations and pins
+// more fanin pins.
+func (b *Builder) Grow(nets, decls, pins int) {
+	b.nets, b.decls, b.pins = slices.Grow(b.nets, nets), slices.Grow(b.decls, decls), slices.Grow(b.pins, pins)
+}
+
+// AddNets numbers n new nets, base on, for declarations by number, and
+// returns base: net base+i is called what name(dst, i) appends to dst, a
+// substring of one string. Names must be new. A net may be declared before
+// it is named, if none is declared by name in between.
+func (b *Builder) AddNets(n int, name func(dst []byte, i int) []byte) int32 {
+	base, ends, buf := int32(len(b.nets)), make([]int32, n), make([]byte, 0, 8*n)
+	for i := range ends {
+		buf = name(buf, i)
+		ends[i] = int32(len(buf))
+	}
+	s, start := string(buf), int32(0)
+	for _, end := range ends {
+		b.nets, start = append(b.nets, s[start:end]), end
+	}
+	b.index = nil // the next declaration by name indexes every name again
+	return base
 }
 
 // net returns the net number of name, numbering it on first mention.
 func (b *Builder) net(name string) int32 {
+	if b.index == nil {
+		b.index = make(map[string]int32, len(b.nets))
+		for k, n := range b.nets {
+			b.index[n] = int32(k)
+		}
+	}
 	k, ok := b.index[name]
 	if !ok {
-		k = GateID(len(b.nets))
-		b.index[name] = k
+		k, b.index[name] = int32(len(b.nets)), int32(len(b.nets))
 		b.nets = append(b.nets, name)
 	}
-	return int32(k)
+	return k
 }
 
-func (b *Builder) declare(kind stmtKind, line int, name string, t GateType, fanin []string) {
-	pin := len(b.pins)
-	for _, f := range fanin {
-		b.pins = append(b.pins, GateID(b.net(f)))
-	}
-	b.decls = append(b.decls, decl{kind: kind, typ: t, line: int32(line), net: b.net(name), pin: int32(pin), n: int32(len(fanin))})
+// declare records a declaration of net k with fanin pins[pin:].
+func (b *Builder) declare(kind stmtKind, k int32, t GateType, pin int) {
+	b.decls = append(b.decls, decl{kind, t, b.line, k, int32(pin), int32(len(b.pins) - pin)})
 }
 
 // Input declares a primary input.
-func (b *Builder) Input(name string) { b.declare(benchInput, 0, name, 0, nil) }
+func (b *Builder) Input(name string) { b.InputNet(b.net(name)) }
 
 // Output declares the net called name a primary output.
-func (b *Builder) Output(name string) { b.declare(benchOutput, 0, name, 0, nil) }
+func (b *Builder) Output(name string) { b.OutputNet(b.net(name)) }
 
 // Gate declares a gate of type t (any type but Input) driving the net
 // called name. The builder does not keep the fanin slice.
 func (b *Builder) Gate(name string, t GateType, fanin ...string) {
-	b.declare(benchGate, 0, name, t, fanin)
+	pin := len(b.pins)
+	for _, f := range fanin {
+		b.pins = append(b.pins, GateID(b.net(f)))
+	}
+	b.declare(benchGate, b.net(name), t, pin)
 }
 
-// CopyGates declares every gate of c but its inputs, in ID order, naming
-// the net of each gate id rename(id). It calls rename once per gate it
-// names, however many gates read that net.
-func (b *Builder) CopyGates(c *Circuit, rename func(GateID) string) {
-	nets := make([]int32, len(c.gates)) // net number + 1 of each renamed gate
-	net := func(id GateID) GateID {
-		if nets[id] == 0 {
-			nets[id] = b.net(rename(id)) + 1
-		}
-		return GateID(nets[id] - 1)
+// InputNet declares net k a primary input.
+func (b *Builder) InputNet(k int32) { b.declare(benchInput, k, 0, len(b.pins)) }
+
+// OutputNet declares net k a primary output.
+func (b *Builder) OutputNet(k int32) { b.declare(benchOutput, k, 0, len(b.pins)) }
+
+// GateNet is Gate by net number.
+func (b *Builder) GateNet(k int32, t GateType, fanin ...int32) {
+	pin := len(b.pins)
+	for _, f := range fanin {
+		b.pins = append(b.pins, GateID(f))
 	}
-	b.decls = slices.Grow(b.decls, len(c.gates))
+	b.declare(benchGate, k, t, pin)
+}
+
+// CopyGates declares every gate of c but its inputs, in ID order, gate id
+// driving net base+id from nets base+f.
+func (b *Builder) CopyGates(c *Circuit, base int32) {
 	for i := range c.gates {
 		if g := &c.gates[i]; g.Type != Input {
 			pin := len(b.pins)
 			for _, f := range g.Fanin {
-				b.pins = append(b.pins, net(f))
+				b.pins = append(b.pins, GateID(base)+f)
 			}
-			b.decls = append(b.decls, decl{kind: benchGate, typ: g.Type, net: int32(net(g.ID)), pin: int32(pin), n: int32(len(g.Fanin))})
+			b.declare(benchGate, base+int32(g.ID), g.Type, pin)
 		}
 	}
 }
@@ -117,7 +155,7 @@ func (b *Builder) CopyGates(c *Circuit, rename func(GateID) string) {
 // read, then the OUTPUT declarations' problems in declaration order. A
 // gate's problems are an INPUT of its net, then its fanin count.
 func (b *Builder) Build() (*Circuit, error) {
-	c, probs := b.build()
+	c, _, probs := b.build()
 	return c, joinProblems(probs)
 }
 
@@ -128,10 +166,10 @@ type undrivenNet struct {
 	comb      bool   // a combinational gate reads it
 }
 
-// build is Build's pass: the finalized circuit, or nil and every problem
-// in Build's order. On valid declarations it allocates no more than the
-// circuit and its bookkeeping.
-func (b *Builder) build() (*Circuit, []Problem) {
+// build is Build's pass: the finalized circuit and the gate ID of each
+// net, or nil and every problem in Build's order. On valid declarations it
+// allocates no more than the circuit and its bookkeeping.
+func (b *Builder) build() (*Circuit, []GateID, []Problem) {
 	name, nm := b.name, b.nets
 	var probs []Problem
 	bad := func(kind ProblemKind, line int32, subject, format string, args ...any) {
@@ -205,9 +243,10 @@ func (b *Builder) build() (*Circuit, []Problem) {
 	// waits for nothing.
 	var undriven []undrivenNet
 	undrivenAt := map[int32]int{} // the index of each undriven net in undriven
-	deps, flat := make([][]int32, len(gates)), make([]int32, 0, len(b.pins))
+	// Gate i waits for the gates flat[off[i]:off[i+1]].
+	off, flat := make([]int32, len(gates)+1), make([]int32, 0, len(b.pins))
 	for i, d := range gates {
-		start, comb := len(flat), d.typ != DFF
+		comb := d.typ != DFF
 		for _, f := range b.fanin(d) {
 			if id[f] >= 0 {
 				continue
@@ -224,24 +263,33 @@ func (b *Builder) build() (*Circuit, []Problem) {
 				flat = append(flat, drv[f])
 			}
 		}
-		deps[i] = flat[start:]
+		off[i+1] = int32(len(flat))
 	}
+	deps := func(i int) []int32 { return flat[off[i]:off[i+1]] }
 	gname := func(i int32) string { return nm[gates[i].net] }
-	round := rounds(len(gates), gname, deps)
-	order := make([]int32, 0, len(gates))
+	round := rounds(len(gates), deps, gname)
+	// The sort compares names by their sort keys, by their text only on a
+	// tie.
+	type ranked struct {
+		key      uint64
+		round, i int32
+	}
+	order := make([]ranked, 0, len(gates))
 	for i, d := range gates {
 		if round[i] > 0 && d.typ != DFF {
-			order = append(order, int32(i))
+			order = append(order, ranked{sortKey(gname(int32(i))), round[i], int32(i)})
 		}
 	}
-	slices.SortFunc(order, func(x, y int32) int {
-		if r := cmp.Compare(round[x], round[y]); r != 0 {
+	slices.SortFunc(order, func(x, y ranked) int {
+		if r := cmp.Compare(x.round, y.round); r != 0 {
+			return r
+		} else if r := cmp.Compare(x.key, y.key); r != 0 {
 			return r
 		}
-		return strings.Compare(gname(x), gname(y))
+		return strings.Compare(gname(x.i), gname(y.i))
 	})
-	for _, i := range order {
-		if d := gates[i]; check(d) {
+	for _, r := range order {
+		if d := gates[r.i]; check(d) {
 			fanin := b.fanin(d)
 			for k, f := range fanin {
 				fanin[k] = id[f] // the pins become the gate's Fanin
@@ -260,17 +308,18 @@ func (b *Builder) build() (*Circuit, []Problem) {
 		// The gates left at round 0 sit on or behind a cycle or an undriven
 		// net: report one concrete path through the stuck gates, if they
 		// close one, then the problems of each.
-		stuck := map[string][]string{}
-		for i, ds := range deps {
-			for _, j := range ds {
+		stuck, at := map[string][]string{}, map[string]int32{}
+		for i := range gates {
+			for _, j := range deps(i) {
 				if round[i] == 0 && j >= 0 && round[j] == 0 {
-					stuck[gname(int32(i))] = append(stuck[gname(int32(i))], gname(j))
+					n := gname(int32(i))
+					stuck[n], at[n] = append(stuck[n], gname(j)), int32(i)
 				}
 			}
 		}
 		if cycle := findCycle(stuck); cycle != nil {
 			path := strings.Join(cycle, " -> ")
-			bad(Cycle, gates[drv[b.index[cycle[0]]]].line, path, "combinational cycle: %s", path)
+			bad(Cycle, gates[at[cycle[0]]].line, path, "combinational cycle: %s", path)
 		}
 		for i, d := range gates {
 			if round[i] == 0 {
@@ -301,23 +350,17 @@ func (b *Builder) build() (*Circuit, []Problem) {
 		}
 	}
 	if len(probs) > 0 {
-		return nil, probs
+		return nil, nil, probs
 	}
 	for _, d := range gates {
 		if d.typ == DFF {
 			b.pins[d.pin] = id[b.pins[d.pin]]
 		}
 	}
-	// Every net named so far drives a gate now: the name index becomes
-	// the circuit's.
-	for n, k := range b.index {
-		b.index[n] = id[k]
-	}
-	c.byName, b.index = b.index, nil
 	if err := c.Finalize(); err != nil {
-		return nil, []Problem{{Kind: Cycle, File: name, Msg: err.Error()}}
+		return nil, nil, []Problem{{Kind: Cycle, File: name, Msg: err.Error()}}
 	}
-	return c, nil
+	return c, id, nil
 }
 
 // fanin returns the pins of declaration d.
@@ -325,16 +368,16 @@ func (b *Builder) fanin(d decl) []GateID { return b.pins[d.pin : d.pin+d.n : d.p
 
 // rounds computes in one Kahn pass the round in which a worklist sweeping
 // the n pending nodes of a dependency graph by name, round after round,
-// resolves each node: R(k) = max(1, max over d in deps[k] of R(d) +
-// [name(d) > name(k)]). A negative entry in deps[k] never resolves; nodes
+// resolves each node: R(k) = max(1, max over d in deps(k) of R(d) +
+// [name(d) > name(k)]). A negative entry in deps(k) never resolves; nodes
 // on or behind a cycle or such an entry get 0.
-func rounds(n int, name func(int32) string, deps [][]int32) []int32 {
-	off, succ := invert(n, func(k int) []int32 { return deps[k] })
+func rounds(n int, deps func(k int) []int32, name func(int32) string) []int32 {
+	off, succ := invert(n, deps)
 	indeg := make([]int32, n)
 	queue := make([]int32, 0, n)
-	for k, ds := range deps {
-		indeg[k] = int32(len(ds))
-		if len(ds) == 0 {
+	for k := range indeg {
+		indeg[k] = int32(len(deps(k)))
+		if indeg[k] == 0 {
 			queue = append(queue, int32(k))
 		}
 	}
@@ -359,6 +402,15 @@ func rounds(n int, name func(int32) string, deps [][]int32) []int32 {
 		}
 	}
 	return round
+}
+
+// sortKey returns the first eight bytes of s, zero-padded, big-endian.
+// Where two names' keys differ, the names differ in the same direction:
+// padding sorts below every byte but NUL, and a NUL ties with it.
+func sortKey(s string) uint64 {
+	var k [8]byte
+	copy(k[:], s)
+	return binary.BigEndian.Uint64(k[:])
 }
 
 // findCycle returns one dependency cycle in the graph as a name path

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -254,7 +255,7 @@ func parseBenchRounds(name, src string) (*Circuit, error) {
 // addDFFDeferred inserts a DFF whose fanin will be patched later, the
 // oracle's way of closing sequential loops.
 func (c *Circuit) addDFFDeferred(name string) (GateID, error) {
-	if _, dup := c.byName[name]; dup {
+	if _, dup := c.Lookup(name); dup {
 		return InvalidGate, fmt.Errorf("duplicate net name %q", name)
 	}
 	id := c.add(name, DFF, []GateID{GateID(len(c.gates))})
@@ -322,5 +323,54 @@ func TestBuilderDirect(t *testing.T) {
 	}
 	if BenchString(got) != BenchString(want) {
 		t.Errorf("built:\n%s\nparsed:\n%s", BenchString(got), BenchString(want))
+	}
+}
+
+// TestLookupConcurrent looks every name of a freshly built circuit up from
+// several goroutines at once, the first lookups among them: the name index
+// is made once, on first use, and must be safe to race for (go test -race).
+func TestLookupConcurrent(t *testing.T) {
+	c, err := ParseBenchString("chain", reverseChainBench(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := 0; id < c.NumGates(); id++ {
+				name := c.Gate(GateID(id)).Name
+				if got, ok := c.Lookup(name); !ok || got != GateID(id) {
+					errs <- fmt.Errorf("Lookup(%q) = %d, %v, want %d", name, got, ok, id)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if _, ok := c.Lookup("nowhere"); ok {
+		t.Error("Lookup found a net the circuit does not have")
+	}
+}
+
+// TestSortKeyOrdersLikeCompare checks that where two names' sort keys
+// differ, strings.Compare orders the names the same way: names shorter
+// and longer than the 8-byte key, sharing prefixes, and holding NUL bytes.
+func TestSortKeyOrdersLikeCompare(t *testing.T) {
+	names := []string{"", "\x00", "\x00\x00", "a", "a\x00", "a\x00b", "ab", "abcdefgh", "abcdefgh\x00",
+		"abcdefgh0", "abcdefgh1", "abcdefghi", "abcdefg", "abcdefg\x00", "abcdefg\x00z", "g10", "g9", "\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff"}
+	for _, x := range names {
+		for _, y := range names {
+			kx, ky := sortKey(x), sortKey(y)
+			if kx != ky && (kx < ky) != (strings.Compare(x, y) < 0) {
+				t.Errorf("sortKey orders %q and %q against strings.Compare", x, y)
+			}
+		}
 	}
 }

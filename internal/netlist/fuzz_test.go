@@ -88,6 +88,12 @@ func FuzzParseBench(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(y)\ny = AND(a, w)\nw = NOT(k)\nk = BUF(y)\nz = NOT(nowhere)\n")
 	f.Add("INPUT(a)\ny = AND(a)\nb = NOT(a)\nx = AND(a, b, c)\nc = OR(a)\n")
 	f.Add("INPUT(a)\nf = DFF(g)\ng = DFF(h)\n")
+	// Sort-key ties: names sharing their first eight bytes or more, and
+	// names told apart only by NUL bytes, which tie with the key's padding.
+	f.Add(strings.ReplaceAll(reverseChainBench(40), "n0", "shared_prefix_n0"))
+	f.Add("INPUT(a)\nOUTPUT(y)\ny = AND(abcdefgh0, abcdefgh)\nabcdefgh0 = NOT(abcdefgh)\nabcdefgh = BUF(abcdefg)\nabcdefg = NOT(a)\n")
+	f.Add("INPUT(a)\nOUTPUT(y)\ny = AND(p\x00, p)\np\x00 = NOT(p\x00\x00)\np\x00\x00 = NOT(p)\np = BUF(a)\n")
+	f.Add("INPUT(a)\nOUTPUT(y)\ny = OR(abcdefgh\x00, abcdefgh\x00\x00)\nabcdefgh\x00\x00 = NOT(abcdefgh\x00)\nabcdefgh\x00 = NOT(abcdefgh)\nabcdefgh = BUF(a)\n")
 	seedFromTestdata(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := ParseBenchString("fuzz", src)

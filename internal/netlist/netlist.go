@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/logic"
 )
@@ -163,11 +164,12 @@ type Gate struct {
 type Circuit struct {
 	Name string
 
-	gates   []Gate
-	byName  map[string]GateID
-	inputs  []GateID // primary inputs, in insertion order
-	outputs []GateID // gates whose output nets are primary outputs
-	dffs    []GateID // flip-flops, in insertion order
+	gates    []Gate
+	byName   map[string]GateID // made by the first Lookup; AddGate looks up first
+	nameOnce sync.Once
+	inputs   []GateID // primary inputs, in insertion order
+	outputs  []GateID // gates whose output nets are primary outputs
+	dffs     []GateID // flip-flops, in insertion order
 
 	finalized bool
 	fanoutOff []int32  // gate id's consumers are fanoutTo[fanoutOff[id]:fanoutOff[id+1]]
@@ -178,7 +180,7 @@ type Circuit struct {
 
 // New returns an empty circuit with the given name.
 func New(name string) *Circuit {
-	return &Circuit{Name: name, byName: make(map[string]GateID)}
+	return &Circuit{Name: name}
 }
 
 // AddGate appends a gate driving the net called name. Fanin gates must
@@ -188,7 +190,7 @@ func (c *Circuit) AddGate(name string, t GateType, fanin ...GateID) (GateID, err
 	if c.finalized {
 		return InvalidGate, fmt.Errorf("netlist: circuit %q is finalized", c.Name)
 	}
-	switch _, dup := c.byName[name]; {
+	switch _, dup := c.Lookup(name); {
 	case name == "":
 		return InvalidGate, fmt.Errorf("netlist: empty gate name")
 	case !t.Valid():
@@ -357,8 +359,15 @@ func (c *Circuit) NumGates() int { return len(c.gates) }
 // until the next AddGate call.
 func (c *Circuit) Gate(id GateID) *Gate { return &c.gates[id] }
 
-// Lookup returns the gate driving the net called name, if any.
+// Lookup returns the gate driving the net called name, if any. Concurrent
+// calls are safe on a finalized circuit.
 func (c *Circuit) Lookup(name string) (GateID, bool) {
+	c.nameOnce.Do(func() {
+		c.byName = make(map[string]GateID, len(c.gates))
+		for i := range c.gates {
+			c.byName[c.gates[i].Name] = GateID(i)
+		}
+	})
 	id, ok := c.byName[name]
 	return id, ok
 }

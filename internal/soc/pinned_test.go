@@ -3,6 +3,7 @@ package soc
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bench89"
@@ -167,6 +168,65 @@ func TestBuiltNetlistsPinned(t *testing.T) {
 	for key := range builtNetlistDigests {
 		if _, ok := got[key]; !ok {
 			t.Errorf("%q: pinned digest but no circuit built", key)
+		}
+	}
+}
+
+// sameCircuit reports how the numbered build got differs from want, the
+// circuit parsed from its own bench text, or "" when every gate has the
+// same ID, name, type and fanin, and the ports are the same.
+func sameCircuit(got, want *netlist.Circuit) string {
+	if got.NumGates() != want.NumGates() {
+		return fmt.Sprintf("%d gates, parsed %d", got.NumGates(), want.NumGates())
+	}
+	for id := 0; id < got.NumGates(); id++ {
+		g, w := got.Gate(netlist.GateID(id)), want.Gate(netlist.GateID(id))
+		if g.ID != w.ID || g.Name != w.Name || g.Type != w.Type || !slices.Equal(g.Fanin, w.Fanin) {
+			return fmt.Sprintf("gate %d is %+v, parsed %+v", id, *g, *w)
+		}
+	}
+	if !slices.Equal(got.Inputs(), want.Inputs()) || !slices.Equal(got.Outputs(), want.Outputs()) ||
+		!slices.Equal(got.DFFs(), want.DFFs()) {
+		return "ports differ"
+	}
+	return ""
+}
+
+// TestNumberedBuildsMatchParsed holds every circuit built by number (the
+// stand-ins at gate scale 1 and 0.4, and the SOC1 and SOC2 flattens at
+// seeds 1 to 8) to the circuit the name path parses from its bench text:
+// the same text, and the same gate IDs.
+func TestNumberedBuildsMatchParsed(t *testing.T) {
+	check := func(key string, c *netlist.Circuit) {
+		text := netlist.BenchString(c)
+		parsed, err := netlist.ParseBenchString(c.Name, text)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if netlist.BenchString(parsed) != text {
+			t.Errorf("%s: bench text differs from its parse", key)
+		}
+		if diff := sameCircuit(c, parsed); diff != "" {
+			t.Errorf("%s: %s", key, diff)
+		}
+	}
+	for _, scale := range []float64{1, 0.4} {
+		for _, p := range bench89.StandardProfiles() {
+			p.Gates = max(int(float64(p.Gates)*scale), p.Outputs+8)
+			check(fmt.Sprintf("%s@%g", p.Name, scale), bench89.MustGenerate(p))
+		}
+		for name, cores := range map[string][]string{
+			"SOC1": {"s713", "s953", "s1423", "s1423", "s1423"},
+			"SOC2": {"s953", "s5378", "s13207", "s15850"},
+		} {
+			insts := liveInstances(t, cores, scale)
+			for seed := int64(1); seed <= 8; seed++ {
+				flat, err := Flatten(name+"-flat", insts, FlattenOptions{Seed: seed, InterconnectFraction: 0.45})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%s@%g/flat/seed%d", name, scale, seed), flat)
+			}
 		}
 	}
 }

@@ -83,51 +83,57 @@ func Flatten(name string, cores []*netlist.Circuit, opt FlattenOptions) (*netlis
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
-	// names[i][id] is gate id of core i renamed into the chip; used[i][k]
-	// marks core i's output k as driving another core's input.
-	names, used := make([][]string, len(cores)), make([][]bool, len(cores))
+	b := netlist.NewBuilder(name)
+	gates, ports := 0, 0
+	for _, c := range cores {
+		gates, ports = gates+c.NumGates(), ports+len(c.Inputs())+len(c.Outputs())
+	}
+	b.Grow(gates+ports, gates+ports, 2*gates)
+	// Gate id of core i drives chip net base[i]+id, named "c<i>_" and its
+	// core name; chip pin k is net pins+k, named "pin_in_<k>" once all are
+	// known. used marks the core outputs that drive another core's input.
+	base := make([]int32, len(cores))
 	for i, c := range cores {
 		prefix := "c" + strconv.Itoa(i) + "_"
-		names[i], used[i] = make([]string, c.NumGates()), make([]bool, len(c.Outputs()))
-		for id := range names[i] {
-			names[i][id] = prefix + c.Gate(netlist.GateID(id)).Name
-		}
+		base[i] = b.AddNets(c.NumGates(), func(dst []byte, id int) []byte {
+			return append(append(dst, prefix...), c.Gate(netlist.GateID(id)).Name...)
+		})
 	}
-
-	b := netlist.NewBuilder(name)
-	chipIn := 0
+	pins, chipIn, used := int32(gates), int32(0), make([]bool, gates)
 	// Emit core logic with inputs rewired.
 	for i, c := range cores {
 		for _, in := range c.Inputs() {
 			// Candidate drivers: outputs of other cores.
-			var driver string
+			driver := int32(-1)
 			if rng.Float64() < opt.InterconnectFraction && i > 0 {
 				// Pick a random earlier core (feed-forward only).
-				for attempt := 0; attempt < 8 && driver == ""; attempt++ {
+				for attempt := 0; attempt < 8 && driver < 0; attempt++ {
 					j := rng.Intn(i)
 					if outs := cores[j].Outputs(); len(outs) > 0 {
-						k := rng.Intn(len(outs))
-						driver, used[j][k] = names[j][outs[k]], true
+						driver = base[j] + int32(outs[rng.Intn(len(outs))])
+						used[driver] = true
 					}
 				}
 			}
-			if driver == "" {
-				driver = "pin_in_" + strconv.Itoa(chipIn)
-				chipIn++
-				b.Input(driver)
+			if driver < 0 {
+				driver, chipIn = pins+chipIn, chipIn+1
+				b.InputNet(driver)
 			}
-			b.Gate(names[i][in], netlist.Buf, driver)
+			b.GateNet(base[i]+int32(in), netlist.Buf, driver)
 		}
-		b.CopyGates(c, func(id netlist.GateID) string { return names[i][id] })
+		b.CopyGates(c, base[i])
 	}
 	// Unused core outputs become chip outputs.
 	for i, c := range cores {
-		for k, o := range c.Outputs() {
-			if !used[i][k] {
-				b.Output(names[i][o])
+		for _, o := range c.Outputs() {
+			if k := base[i] + int32(o); !used[k] {
+				b.OutputNet(k)
 			}
 		}
 	}
+	b.AddNets(int(chipIn), func(dst []byte, k int) []byte {
+		return strconv.AppendInt(append(dst, "pin_in_"...), int64(k), 10)
+	})
 	flat, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("soc: flattening %s: %w", name, err)

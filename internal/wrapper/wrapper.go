@@ -48,12 +48,8 @@ func Isolate(core *netlist.Circuit) (*IsolationResult, error) {
 		return nil, fmt.Errorf("wrapper: core %q not finalized", core.Name)
 	}
 	b := netlist.NewBuilder(core.Name + ".wrapped")
-	for _, in := range core.Inputs() {
-		name := core.Gate(in).Name
-		b.Input(name)
-		b.Gate(name+"__wc", netlist.DFF, name)
-	}
-	// Core gates: rename each original input reference to its wrapper cell.
+	// Core gate id drives net base+id, named as in the core but for each
+	// original input, whose net is its wrapper cell.
 	faninName := func(id netlist.GateID) string {
 		g := core.Gate(id)
 		if g.Type == netlist.Input {
@@ -61,7 +57,15 @@ func Isolate(core *netlist.Circuit) (*IsolationResult, error) {
 		}
 		return g.Name
 	}
-	b.CopyGates(core, faninName)
+	base := b.AddNets(core.NumGates(), func(dst []byte, id int) []byte {
+		return append(dst, faninName(netlist.GateID(id))...)
+	})
+	for _, in := range core.Inputs() {
+		name := core.Gate(in).Name
+		b.Input(name)
+		b.Gate(name+"__wc", netlist.DFF, name)
+	}
+	b.CopyGates(core, base)
 	// Output wrapper cells and chip outputs.
 	for _, out := range core.Outputs() {
 		name := core.Gate(out).Name
